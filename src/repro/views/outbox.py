@@ -220,7 +220,9 @@ class NodeOutbox:
         self.view_depths[view.name] = self.view_depths.get(view.name, 0) + 1
         if self.depth > self.max_depth:
             self.max_depth = self.depth
-        if chain in self._in_flight:
+        if chain in self._in_flight or chain in self._blocked:
+            # Behind an in-flight record, or behind older records still
+            # parked from when one was: either way it waits its turn.
             self._blocked.setdefault(chain, deque()).append(record)
         else:
             self._ready.append(record)
@@ -305,8 +307,14 @@ class NodeOutbox:
             chain = record.chain_key
             if chain in self._in_flight:
                 # An earlier record of this chain is mid-propagation;
-                # keep FIFO order within the chain.
-                self._blocked.setdefault(chain, deque()).append(record)
+                # keep FIFO order within the chain.  Records ``append``
+                # parked while this one sat in ``_ready`` are newer, so
+                # it goes in by seq, not at the tail.
+                blocked = self._blocked.setdefault(chain, deque())
+                index = 0
+                while index < len(blocked) and blocked[index].seq < record.seq:
+                    index += 1
+                blocked.insert(index, record)
                 continue
             self._in_flight.add(chain)
             if self._pending_by_key.get(chain) is record:

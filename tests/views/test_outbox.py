@@ -9,8 +9,10 @@ the pipeline exists for.
 
 from repro.cluster import Cluster
 from repro.repair import divergent_base_keys
+from repro.sim.kernel import Environment
 from repro.sim.latency import Fixed
 from repro.views import (
+    NodeOutbox,
     ViewDefinition,
     check_view,
     collect_entries,
@@ -198,3 +200,78 @@ def test_inline_pipeline_still_supported():
     assert manager.outbox_pending() == 0
     assert manager.completed_propagations >= 3
     assert check_view(cluster, VIEW) == []
+
+
+def _bare_outbox():
+    """A NodeOutbox with no consumers, plus an appender of view-key
+    moves for base row 0 (distinct destinations, so nothing coalesces)."""
+    env = Environment()
+    outbox = NodeOutbox(env, node_id=0, capacity=8)
+
+    def append(view_key):
+        return outbox.append(VIEW, "T", 0, {"vk": view_key},
+                             100 + outbox.appended, (None, None),
+                             env.event())
+    return outbox, append
+
+
+def test_claim_parks_a_blocked_record_in_seq_order():
+    """A record popped from the ready queue while its chain is in flight
+    goes *ahead of* newer records ``append`` parked meanwhile."""
+    outbox, append = _bare_outbox()
+    first, second = append("a"), append("b")
+    assert outbox._claim(1) == [first]
+    third = append("c")              # chain in flight: parked
+    assert outbox._claim(1) == []    # pops ``second``; parked too
+    outbox.done(first)
+    assert outbox._claim(1) == [second]
+    outbox.done(second)
+    assert outbox._claim(1) == [third]
+
+
+def test_append_queues_behind_parked_records_of_an_idle_chain():
+    """Between ``done`` readying a chain's next record and that record
+    being claimed, the chain is not in flight but still has parked
+    records; a new append must not overtake them."""
+    outbox, append = _bare_outbox()
+    first = append("a")
+    assert outbox._claim(1) == [first]
+    second, third = append("b"), append("c")
+    outbox.done(first)               # readies ``second``; ``third`` parked
+    fourth = append("d")
+    claimed = []
+    while len(claimed) < 3:
+        (record,) = outbox._claim(1)
+        claimed.append(record)
+        outbox.done(record)
+    assert claimed == [second, third, fourth]
+
+
+def test_chain_order_survives_busy_consumers_end_to_end():
+    """Three view-key moves of one row through one coordinator whose two
+    consumers are busy when the first two arrive: the third is appended
+    while the first is in flight and the second still sits in the ready
+    queue.  Every move must propagate, in order."""
+    cluster = build(propagation_delay=Fixed(10.0), outbox_batch_size=1)
+    env = cluster.env
+    client = cluster.client(coordinator_id=1)
+
+    def put_at(when, key, view_key, ts):
+        yield env.timeout(when)
+        yield from client.put("T", key, {"vk": view_key}, 2, ts)
+
+    # Two fillers occupy the consumers until t ~ 13 and t ~ 18; the
+    # third move lands between those two claims.
+    env.process(put_at(0.0, 1, "x", 10))
+    env.process(put_at(5.0, 2, "y", 11))
+    env.process(put_at(6.0, 0, "a", 100))
+    env.process(put_at(7.0, 0, "b", 101))
+    env.process(put_at(14.0, 0, "c", 102))
+    cluster.run_until_idle()
+
+    manager = cluster.view_manager
+    assert manager.abandoned_propagations == 0
+    assert manager.completed_propagations == 5
+    assert divergent_base_keys(cluster, VIEW) == []
+    assert check_view(cluster, VIEW) == []
+    assert list(live_entries(cluster, VIEW)[0]) == ["c"]
