@@ -109,20 +109,16 @@ class ClusterConfig:
     # Combine the view-key Get with the base Put in a single replica round
     # trip (the optimization the paper describes but its prototype omits).
     combined_get_then_put: bool = False
-    # Concurrency control for update propagation: "locks" (per-base-row
-    # lock service), "propagators" (dedicated propagators via consistent
-    # hashing), or "none" (unsafe under concurrent view-key updates).
+    # Concurrency control for update propagation (Section IV-F): "locks"
+    # (per-base-row lock service) or "propagators" (dedicated propagators
+    # via consistent hashing).
     propagation_concurrency: str = "locks"
     # One round trip to the lock service per acquire/release (ms).
     lock_service_latency: float = 0.05
-    # How Puts hand work to view maintenance: "outbox" appends each
-    # committed Put to a per-node update log drained by background
-    # consumer processes (batching, per-(view, key) coalescing,
-    # queue-based load leveling); "inline" spawns one driver process per
-    # Put (the pre-outbox behavior, kept for comparison runs).
-    propagation_pipeline: str = "outbox"
-    # Outbox consumer tuning: parallel consumer processes per node and
-    # the maximum records one consumer claims per wakeup.
+    # Puts hand work to view maintenance by appending each committed Put
+    # to a per-node update log (repro.views.outbox) drained by background
+    # consumer processes: parallel consumers per node, and the maximum
+    # records one consumer claims per wakeup.
     outbox_consumers: int = 2
     outbox_batch_size: int = 8
     # Backoff between rounds of view-key-guess retries in Algorithm 1:
@@ -135,7 +131,7 @@ class ClusterConfig:
     propagation_retry_backoff_cap: float = 8.0
     propagation_max_rounds: int = 200
     # End-to-end deadline for one propagation, measured from the moment
-    # the update entered the pipeline (outbox append / driver spawn).
+    # the update entered the outbox.
     # 0 disables.  A propagation still retrying past the deadline is
     # abandoned with PropagationDeadlineError — the mitigation for the
     # cross-coordinator guess-retry livelock on hot chains: a wedged
@@ -144,10 +140,10 @@ class ClusterConfig:
     # scrubber heals the row.  The first attempt always runs.
     propagation_deadline_ms: float = 0.0
 
-    # Skew-adaptive maintenance (repro.views.skew).  When enabled (and
-    # the pipeline is "outbox"), per-node decayed update counters
-    # classify (view, base key) chains heavy/light: a chain is promoted
-    # to lazy maintenance when its decayed count reaches
+    # Skew-adaptive maintenance (repro.views.skew).  When enabled,
+    # per-node decayed update counters classify (view, base key) chains
+    # heavy/light: a chain is promoted to lazy maintenance
+    # when its decayed count reaches
     # ``skew_promote_threshold`` and demoted below
     # ``skew_demote_threshold`` (hysteresis); counts halve every
     # ``skew_decay_half_life`` ms.  Heavy-chain records fold into
@@ -203,16 +199,12 @@ class ClusterConfig:
             raise ValueError("rpc_timeout must be positive")
         if self.max_pending_propagations < 1:
             raise ValueError("max_pending_propagations must be >= 1")
-        if self.propagation_concurrency not in ("locks", "propagators", "none"):
+        if self.propagation_concurrency not in ("locks", "propagators"):
             raise ValueError(
-                "propagation_concurrency must be 'locks', 'propagators', "
-                f"or 'none', got {self.propagation_concurrency!r}")
+                "propagation_concurrency must be 'locks' or 'propagators', "
+                f"got {self.propagation_concurrency!r}")
         if self.lock_service_latency < 0:
             raise ValueError("lock_service_latency must be non-negative")
-        if self.propagation_pipeline not in ("outbox", "inline"):
-            raise ValueError(
-                "propagation_pipeline must be 'outbox' or 'inline', "
-                f"got {self.propagation_pipeline!r}")
         if self.outbox_consumers < 1:
             raise ValueError("outbox_consumers must be >= 1")
         if self.outbox_batch_size < 1:

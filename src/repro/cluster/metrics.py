@@ -39,8 +39,8 @@ class ClusterSnapshot:
     scrub_rows_scanned: int = 0
     scrub_divergences_found: int = 0
     scrub_repairs_applied: int = 0
-    # Outbox pipeline: records appended/coalesced so far and the current
-    # total queue depth across node outboxes (0 under the inline path).
+    # Outbox: records appended/coalesced so far and the current total
+    # queue depth across node outboxes.
     outbox_appended: int = 0
     outbox_coalesced: int = 0
     outbox_depth: int = 0

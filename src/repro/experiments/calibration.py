@@ -82,8 +82,7 @@ class ExperimentParams:
     outburst_sample_every: float = 5.0
     outburst_capacity: int = 32
 
-    # Extension E4 (ext_adversary): workload ops per cell of the
-    # adversary × pipeline scenario matrix.
+    # Extension E4 (ext_adversary): workload ops per adversary stack.
     adversary_ops: int = 120
 
     # Extension E5 (ext_skew): Zipfian view-key updates, eager versus

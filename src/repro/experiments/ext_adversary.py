@@ -3,10 +3,10 @@
 Runs every named adversary stack from :mod:`repro.scenarios` — partition
 storms, gray failures, client clock skew, crash-looping the scrub
 coordinator, random crash storms, burst arrivals, and a stacked
-combination — against both propagation pipelines (outbox and inline),
-and reports one row per cell: how much damage the adversary injected,
-how much work still completed, what the scrubber had to repair, and
-whether the standing invariant suite held after quiescence.
+combination — and reports one row per stack: how much damage the
+adversary injected, how much work still completed, what the scrubber
+had to repair, and whether the standing invariant suite held after
+quiescence.
 
 This is the paper's Section VIII robustness story made quantitative:
 the protocol plus the repair subsystem keep the view convergent under
@@ -47,9 +47,6 @@ ADVERSARY_STACKS: Dict[str, Callable[[], List[Adversary]]] = {
                         ClockSkew(max_skew_ms=1000.0), BurstArrivals()],
 }
 
-PIPELINES = ("outbox", "inline")
-
-
 def _injections(scenario: Scenario) -> int:
     """Total fault events the stack injected, summed across adversaries."""
     total = 0
@@ -63,36 +60,33 @@ def _injections(scenario: Scenario) -> int:
 
 
 def run(params: Optional[ExperimentParams] = None) -> FigureResult:
-    """One row per (adversary stack, pipeline) cell of the matrix."""
+    """One row per adversary stack."""
     params = params or ExperimentParams()
     result = FigureResult(
         figure="Extension E4",
-        title="Standing invariants under adversarial schedules: "
-              "adversary stack x propagation pipeline",
-        columns=("adversary", "pipeline", "injections", "acked_ops",
+        title="Standing invariants under adversarial schedules",
+        columns=("adversary", "injections", "acked_ops",
                  "propagations", "repairs", "violations"),
     )
     failures = 0
-    for stack_name in ADVERSARY_STACKS:
-        for pipeline in PIPELINES:
-            scenario = Scenario(
-                f"{stack_name}/{pipeline}",
-                config=default_config(seed=params.seed + 17,
-                                      pipeline=pipeline),
-                workload=ScenarioWorkload(ops=params.adversary_ops),
-                adversaries=ADVERSARY_STACKS[stack_name](),
-            )
-            cell = scenario.run()
-            stats = cell.stats
-            result.add_row(
-                stack_name, pipeline, _injections(scenario),
-                stats["acked_ops"], stats["completed_propagations"],
-                stats.get("scrub", {}).get("repairs_applied", 0),
-                len(cell.violations))
-            failures += 0 if cell.ok else 1
-    cells = len(ADVERSARY_STACKS) * len(PIPELINES)
+    for stack_name, build_stack in ADVERSARY_STACKS.items():
+        scenario = Scenario(
+            stack_name,
+            config=default_config(seed=params.seed + 17),
+            workload=ScenarioWorkload(ops=params.adversary_ops),
+            adversaries=build_stack(),
+        )
+        cell = scenario.run()
+        stats = cell.stats
+        result.add_row(
+            stack_name, _injections(scenario),
+            stats["acked_ops"], stats["completed_propagations"],
+            stats.get("scrub", {}).get("repairs_applied", 0),
+            len(cell.violations))
+        failures += 0 if cell.ok else 1
     result.notes = (
-        f"{cells} cells, {failures} with invariant violations; every cell "
+        f"{len(ADVERSARY_STACKS)} stacks, {failures} with invariant "
+        "violations; every run "
         "quiesces via heal + anti-entropy + scrub-until-clean before the "
         "invariant suite (view-oracle agreement, session guarantees, "
         "outbox conservation, bounded queues, no leaked locks) is judged.")

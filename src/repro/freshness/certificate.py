@@ -9,15 +9,13 @@ acknowledged base updates have not yet taken effect in a view:
 - **fold backlog** — per-chain :class:`PendingDelta`\\ s parked by the
   skew-adaptive maintainer, stamped with the append time of the oldest
   folded record;
-- **inline pending** — driver processes of the ``inline`` pipeline,
-  registered at Put time;
 - **wounds** — chains whose propagation *failed* (coordinator crash,
   retry/deadline abandonment, exhausted fold flush, confirmed scrub
   divergence, cross-coordinator misordering).  A wound has no resolve
   event; it stays open until the row is re-propagated or a quorum-level
   ``verify_row`` confirms the row clean.
 
-The :class:`FreshnessTracker` folds all four into a per-view
+The :class:`FreshnessTracker` folds all three into a per-view
 :class:`StalenessCertificate`: the age of the *oldest* outstanding
 source, plus the provenance of that binding source.  The certificate is
 conservative — every update invisible to a quorum view read is covered
@@ -54,8 +52,7 @@ class StaleSource:
 
     key: Hashable
     origin: float       # simulated time the lag began (update append/ack)
-    provenance: str     # "outbox-lag" | "fold-backlog" | "inline-pending"
-                        # | a wound provenance
+    provenance: str     # "outbox-lag" | "fold-backlog" | a wound provenance
 
 
 @dataclass(frozen=True)
@@ -114,9 +111,6 @@ class FreshnessTracker:
         self.manager = manager
         self.env = manager.env
         self._wounds: Dict[ChainKey, Wound] = {}
-        # Inline-pipeline propagations: token -> (view, key, origin).
-        self._inline: Dict[int, Tuple[str, Hashable, float]] = {}
-        self._inline_token = 0
         # Eager-execution ordering state per chain.  ``_eager_inflight``
         # holds the origins of propagations currently executing;
         # ``_last_eager`` the (base_ts, executor, origin) of the newest
@@ -197,7 +191,7 @@ class FreshnessTracker:
     def eager_begin(self, view_name: str, key: Hashable, executor: Any,
                     origin: float, base_ts: int) -> None:
         """A propagation for ``(view, key)`` starts executing on
-        ``executor`` (a node id, ``"repair"``, or an inline token).
+        ``executor`` (a node id, or ``"repair"``).
 
         Wounds the chain when it overlaps another in-flight execution,
         or reorders behind a newer-timestamped record already executed
@@ -234,17 +228,6 @@ class FreshnessTracker:
             if last is None or base_ts >= last[0]:
                 self._last_eager[chain] = (base_ts, executor, origin)
 
-    # -- inline-pipeline pending -------------------------------------------
-
-    def open_pending(self, view_name: str, key: Hashable) -> int:
-        """Register an inline-pipeline propagation; returns a token."""
-        self._inline_token += 1
-        self._inline[self._inline_token] = (view_name, key, self.env.now)
-        return self._inline_token
-
-    def close_pending(self, token: int) -> None:
-        self._inline.pop(token, None)
-
     # -- certificates ------------------------------------------------------
 
     def sources(self, view_name: str) -> List[StaleSource]:
@@ -255,9 +238,6 @@ class FreshnessTracker:
                 out.append(StaleSource(key, appended_at, "outbox-lag"))
         for key, origin in self.manager.skew.pending_sources(view_name):
             out.append(StaleSource(key, origin, "fold-backlog"))
-        for name, key, origin in self._inline.values():
-            if name == view_name:
-                out.append(StaleSource(key, origin, "inline-pending"))
         for (name, key), wound in self._wounds.items():
             if name == view_name:
                 out.append(StaleSource(key, wound.origin, wound.provenance))
@@ -334,5 +314,4 @@ class FreshnessTracker:
             "wounds_opened": self.wounds_opened,
             "wounds_healed": self.wounds_healed,
             "overlap_wounds": self.overlap_wounds,
-            "inline_pending": len(self._inline),
         }

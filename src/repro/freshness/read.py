@@ -35,7 +35,7 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 from repro.common.records import NULL_TIMESTAMP, ColumnName
 from repro.freshness.certificate import StalenessCertificate
 from repro.views.definition import BASE_KEY_COLUMN, ViewDefinition
-from repro.views.read import ViewResult
+from repro.views.read import ViewResult, cached_view_get, read_barrier
 
 __all__ = ["FreshViewRead", "fresh_view_get"]
 
@@ -73,13 +73,13 @@ def fresh_view_get(manager, coordinator, view_name: str, view_key: Any,
         # Completed propagations committed at the maintainer's majority;
         # only a majority view read is guaranteed to observe them.
         r = max(r, manager.maintainer.quorum)
-    yield from manager._read_barrier(coordinator, view, view_key, session)
+    yield from read_barrier(manager, coordinator, view, view_key, session)
     tracker = manager.freshness
     sources = tracker.sources(view_name)
     certificate = tracker.certificate(view_name, max_staleness_ms,
                                       sources=sources)
-    results = yield from manager._view_get_inner(coordinator, view, view_key,
-                                                 columns, r)
+    results = yield from cached_view_get(manager, coordinator, view, view_key,
+                                         columns, r)
     slo = manager.freshness_slo
     if not bounded:
         slo.observe(view_name, certificate.staleness_ms, bounded=False)

@@ -12,100 +12,12 @@ already-propagated state is an LWW no-op, and replaying lost state lands
 exactly where the original propagation would have put it — repaired
 views are indistinguishable from never-diverged ones.
 
-``ViewManager.backfill`` shares this routine: an initial load is just a
-repair of every base row against an empty view.
+The routine, :func:`~repro.views.drive.repropagate_row`, lives beside
+the retry loop it drives; lazy-delta flushes and ``ViewManager.backfill``
+share it (an initial load is just a repair of every base row against an
+empty view).
 """
 
-from __future__ import annotations
-
-from typing import Any, Hashable, Optional, Tuple
-
-from repro.common.records import Cell
-from repro.views.definition import NEXT_COLUMN, ViewDefinition
-from repro.views.maintenance import ViewKeyGuess
-from repro.views.versioned import (
-    NULL_VIEW_KEY,
-    PHASE_STALE,
-    view_column,
-    view_timestamp,
-)
+from repro.views.drive import repropagate_row
 
 __all__ = ["repropagate_row"]
-
-
-def repropagate_row(manager, coordinator, view: ViewDefinition,
-                    base_key: Hashable, r: Optional[int] = None,
-                    strays: Tuple[Any, ...] = ()):
-    """Propagate one base row's current state into ``view``; a process.
-
-    ``r`` is the base-read quorum (defaults to the maintainer's majority
-    quorum, so repair keeps working while a minority of replicas is
-    down).  ``strays`` names view keys the detector found holding
-    unexpected live rows for ``base_key``: replaying the winning state
-    alone never touches them (the chain walk stops at the winner, so
-    the replay is an LWW no-op), leaving an absorbing two-live-rows
-    state that scrub would re-confirm forever.  Each stray is demoted
-    with the exact stale-pointer write a successful propagation move
-    would have issued (Algorithm 2 line 8); under LWW the demotion only
-    takes effect when the quorum-read base winner really is newer than
-    the stray's live self-pointer, so a stray that is actually the
-    freshest state (base read lagging the view) is left untouched.
-    Returns True if the row had a view-key version to propagate, False
-    for rows the view has never seen (no view-key cell — parked
-    materialized state needs no row).  Raises
-    :class:`~repro.errors.QuorumError` if the base read cannot reach a
-    quorum, and :class:`~repro.errors.PropagationError` if every retry
-    round is exhausted.
-    """
-    if r is None:
-        r = manager.maintainer.quorum
-    columns = (view.view_key_column, *view.materialized_columns)
-    merged = yield from coordinator.get(view.base_table, base_key, columns, r)
-    key_cell = merged[view.view_key_column]
-    if key_cell.timestamp < 0:
-        return False
-    tracker = manager.freshness
-    origin = manager.env.now
-    tracker.eager_begin(view.name, base_key, "repair", origin,
-                        key_cell.timestamp)
-    success = False
-    try:
-        # The view-key cell first: this creates/refreshes the live row
-        # the materialized cells are then written into.
-        pristine = [ViewKeyGuess.from_cell(view, None)]
-        yield from manager._propagate_with_retries(
-            coordinator, view, view.base_table, base_key, pristine,
-            {view.view_key_column: (None if key_cell.tombstone
-                                    else key_cell.value)},
-            key_cell.timestamp)
-        for column in view.materialized_columns:
-            cell = merged[column]
-            if cell.timestamp < 0:
-                continue
-            guesses = [ViewKeyGuess.from_cell(view, key_cell)]
-            yield from manager._propagate_with_retries(
-                coordinator, view, view.base_table, base_key, guesses,
-                {column: (None if cell.tombstone else cell.value)},
-                cell.timestamp)
-        if strays:
-            if not key_cell.tombstone and view.accepts_key(key_cell.value):
-                expected_live = key_cell.value
-            else:
-                expected_live = NULL_VIEW_KEY
-            next_col = view_column(base_key, NEXT_COLUMN)
-            stale_ts = view_timestamp(key_cell.timestamp, PHASE_STALE)
-            for stray in strays:
-                if stray == expected_live:
-                    continue
-                yield from manager.maintainer._view_put(
-                    coordinator, view.name, stray,
-                    {next_col: Cell(expected_live, stale_ts)})
-        success = True
-    finally:
-        tracker.eager_end(view.name, base_key, "repair", origin,
-                          key_cell.timestamp, success)
-    # A committed repair re-drove the row's *current* majority-visible
-    # base state through the full chain walk: any wound on the chain is
-    # covered (quorum-level evidence, unlike a digest-clean round).
-    tracker.note_repaired(view.name, base_key, key_cell.timestamp)
-    return True

@@ -76,7 +76,6 @@ class Schedule:
     """One serialized history: ops and faults on an absolute clock."""
 
     seed: int
-    pipeline: str = "outbox"
     ops: List[Dict[str, Any]] = field(default_factory=list)
     faults: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -87,7 +86,6 @@ class Schedule:
         return {
             "format": SCHEDULE_FORMAT,
             "seed": self.seed,
-            "pipeline": self.pipeline,
             "ops": self.ops,
             "faults": self.faults,
         }
@@ -99,13 +97,18 @@ class Schedule:
             raise ValueError(
                 f"unsupported schedule format {version!r} "
                 f"(expected {SCHEDULE_FORMAT})")
-        return cls(seed=data["seed"], pipeline=data["pipeline"],
-                   ops=list(data["ops"]), faults=list(data["faults"]))
+        # Reproducers written while a second propagation pipeline
+        # existed name theirs; only "outbox" histories can be replayed.
+        if data.get("pipeline", "outbox") != "outbox":
+            raise ValueError(
+                f"schedule was recorded on the {data['pipeline']!r} "
+                "propagation pipeline, which has been removed")
+        return cls(seed=data["seed"], ops=list(data["ops"]),
+                   faults=list(data["faults"]))
 
 
 def generate_schedule(seed: int, *, ops: int = 30, faults: int = 6,
                       horizon: float = 400.0,
-                      pipeline: str = "outbox",
                       base_keys: int = 4, view_keys: int = 3) -> Schedule:
     """Derive a random bounded history from ``seed``.
 
@@ -116,7 +119,7 @@ def generate_schedule(seed: int, *, ops: int = 30, faults: int = 6,
     bounded durations, all healed well inside the horizon.
     """
     rng = random.Random(derive_seed(seed, "scenario-fuzz"))
-    schedule = Schedule(seed=seed, pipeline=pipeline)
+    schedule = Schedule(seed=seed)
 
     n_puts = max(1, round(ops * 0.8))
     ranks = list(range(1, n_puts + 1))
@@ -365,8 +368,7 @@ def replay_schedule(schedule: Schedule, *, scrub: bool = True,
     subsystem, which keeps divergence caused by lost propagations
     visible to the invariant suite instead of healing it.
     """
-    config = default_config(seed=schedule.seed, pipeline=schedule.pipeline,
-                            **(config_overrides or {}))
+    config = default_config(seed=schedule.seed, **(config_overrides or {}))
     scenario = Scenario(
         name=f"fuzz-{schedule.seed}",
         config=config,
@@ -411,7 +413,7 @@ def shrink_schedule(schedule: Schedule,
 
     def rebuild(subset) -> Schedule:
         return Schedule(
-            seed=schedule.seed, pipeline=schedule.pipeline,
+            seed=schedule.seed,
             ops=[entry for kind, entry in subset if kind == "op"],
             faults=[entry for kind, entry in subset if kind == "fault"])
 
@@ -452,8 +454,7 @@ class FuzzFailure:
     artifact: Optional[str] = None
 
 
-def fuzz(seeds, *, ops: int = 30, faults: int = 6, pipeline: str = "outbox",
-         scrub: bool = True,
+def fuzz(seeds, *, ops: int = 30, faults: int = 6, scrub: bool = True,
          predicate: Optional[Callable[[ScenarioResult], bool]] = None,
          shrink: bool = True,
          artifacts_dir: Optional[str] = None) -> List[FuzzFailure]:
@@ -468,8 +469,7 @@ def fuzz(seeds, *, ops: int = 30, faults: int = 6, pipeline: str = "outbox",
     predicate = predicate or _default_predicate
     failures: List[FuzzFailure] = []
     for seed in seeds:
-        schedule = generate_schedule(seed, ops=ops, faults=faults,
-                                     pipeline=pipeline)
+        schedule = generate_schedule(seed, ops=ops, faults=faults)
         result = replay_schedule(schedule, scrub=scrub)
         if not predicate(result):
             continue

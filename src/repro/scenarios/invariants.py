@@ -19,8 +19,7 @@ stop*:
 ``OutboxConservation``
     No propagation vanishes without an accounting entry: appended
     records minus coalesced equals completed + lost + abandoned +
-    folded, and the queues are empty at quiescence (inline mode:
-    nothing pending).
+    folded, and the queues are empty at quiescence.
 ``SkewDrained``
     Heavy/light maintenance left nothing behind: every folded record
     was either flushed or loudly dropped to the scrubber, and no delta
@@ -195,8 +194,6 @@ class OutboxConservation(Invariant):
         if pending != 0:
             violations.append(
                 f"{pending} propagations still pending after quiescence")
-        if scenario.cluster.config.propagation_pipeline != "outbox":
-            return violations
         stats = manager.outbox_stats()
         if stats["depth"] != 0:
             violations.append(
@@ -256,12 +253,11 @@ class BoundedQueueDepth(Invariant):
             violations.append(
                 f"pending propagations peaked at "
                 f"{scenario.max_pending_seen} > bound {bound}")
-        if config.propagation_pipeline == "outbox":
-            stats = scenario.cluster.view_manager.outbox_stats()
-            if stats["max_depth"] > config.max_pending_propagations:
-                violations.append(
-                    f"outbox max depth {stats['max_depth']} > "
-                    f"bound {config.max_pending_propagations}")
+        stats = scenario.cluster.view_manager.outbox_stats()
+        if stats["max_depth"] > config.max_pending_propagations:
+            violations.append(
+                f"outbox max depth {stats['max_depth']} > "
+                f"bound {config.max_pending_propagations}")
         return violations
 
 

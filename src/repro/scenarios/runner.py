@@ -60,13 +60,11 @@ class EventBudgetExceeded(RuntimeError):
     """The kernel processed more events than the scenario allows."""
 
 
-def default_config(*, seed: int = 0, pipeline: str = "outbox",
-                   **overrides) -> ClusterConfig:
+def default_config(*, seed: int = 0, **overrides) -> ClusterConfig:
     """The scenario harness's deterministic 4-node config.
 
     Fixed link latencies keep runs fast and make every source of
-    nondeterminism an explicit RNG stream; ``seed`` and the propagation
-    ``pipeline`` are the knobs the scenario matrix sweeps.
+    nondeterminism an explicit RNG stream.
     """
     defaults: Dict[str, Any] = dict(
         nodes=4,
@@ -74,7 +72,6 @@ def default_config(*, seed: int = 0, pipeline: str = "outbox",
         client_link=Fixed(0.1),
         replica_link=Fixed(0.1),
         propagation_delay=Fixed(0.05),
-        propagation_pipeline=pipeline,
         seed=seed,
     )
     defaults.update(overrides)
@@ -374,11 +371,10 @@ class Scenario:
             "adversaries": {adversary.label: adversary.describe()
                             for adversary in self.adversaries},
         }
-        if self.config.propagation_pipeline == "outbox":
-            outbox = manager.outbox_stats()
-            stats["outbox"] = {key: outbox[key]
-                               for key in ("appended", "coalesced", "depth",
-                                           "max_depth", "lag", "folded")}
+        outbox = manager.outbox_stats()
+        stats["outbox"] = {key: outbox[key]
+                           for key in ("appended", "coalesced", "depth",
+                                       "max_depth", "lag", "folded")}
         if manager.skew.enabled:
             stats["skew"] = manager.skew_stats()
         stats["freshness"] = manager.freshness_stats()

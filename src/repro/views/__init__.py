@@ -6,6 +6,7 @@ stale-row-filtering reads (Algorithm 4), concurrency control (locks or
 dedicated propagators), and session guarantees.
 """
 
+from repro.views.backfill import BackfillReport
 from repro.views.definition import (
     BASE_KEY_COLUMN,
     INIT_COLUMN,
@@ -25,7 +26,7 @@ from repro.views.invariants import (
 )
 from repro.views.locks import LockService, ReadWriteLock
 from repro.views.maintenance import PropagationMetrics, ViewKeyGuess, ViewMaintainer
-from repro.views.manager import BackfillReport, ViewManager
+from repro.views.manager import ViewManager
 from repro.views.outbox import NodeOutbox, OutboxRecord
 from repro.views.model import (
     BaseUpdate,

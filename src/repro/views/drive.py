@@ -1,0 +1,340 @@
+"""Driving propagation: from a claimed outbox record to a converged chain.
+
+:mod:`repro.views.maintenance` performs *one* ``PropagateUpdate``
+against *one* view-key guess.  This module is what runs around it
+(Algorithm 1 lines 4-7): the consumer loop draining a node's
+:class:`~repro.views.outbox.NodeOutbox`, the guess set built from the
+base-row replicas' answers, and the retry loop over those guesses.
+:func:`repropagate_row` is the same loop aimed at a base row's *current*
+state: the "converge this chain" primitive behind lazy-delta flushes
+(:mod:`repro.views.skew`), scrub repair (:mod:`repro.repair`) and
+backfill.  Every function takes the
+:class:`~repro.views.manager.ViewManager` whose counters, RNG stream
+and services it uses.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+
+from repro.common.records import Cell, ColumnName
+from repro.errors import (
+    CoordinatorCrashError,
+    PropagationDeadlineError,
+    PropagationError,
+    QuorumError,
+)
+from repro.views.definition import NEXT_COLUMN, ViewDefinition
+from repro.views.maintenance import ViewKeyGuess
+from repro.views.outbox import NodeOutbox
+from repro.views.versioned import PHASE_STALE, view_column, view_timestamp
+
+__all__ = ["consume_outbox", "propagate_with_retries", "repropagate_row"]
+
+# How a claimed record can fail without failing the simulation, first
+# match wins: (exception, manager counters to bump, wound provenance,
+# trace message).  Each is an expected outcome the scrubber heals.
+_EXPECTED_FAILURES = (
+    # The record was claimed before processing (at-most-once): the crash
+    # models a coordinator dying with the propagation only in its
+    # volatile state, so the work is simply lost — no retry.
+    (CoordinatorCrashError, ("lost_propagations",),
+     "crash-lost", "lost to coordinator crash"),
+    # The mitigation for the hot-chain guess-retry livelock: give the
+    # token back instead of spinning out the round budget.
+    (PropagationDeadlineError,
+     ("abandoned_propagations", "deadline_abandoned_propagations"),
+     "deadline-abandoned", "abandoned by deadline"),
+    # Retries exhausted: the chain entry point this propagation needs
+    # never appeared — e.g. its predecessor's propagation was itself
+    # lost to a crash, so no guess is ever valid.
+    (PropagationError, ("abandoned_propagations",),
+     "retries-abandoned", "abandoned after retries"),
+)
+
+
+def consume_outbox(manager, outbox: NodeOutbox):
+    """One background consumer: drain the node's log in batches."""
+    while True:
+        batch = yield from outbox.next_batch(manager.config.outbox_batch_size)
+        for record in batch:
+            yield from _process_record(manager, outbox, record)
+
+
+def _process_record(manager, outbox: NodeOutbox, record):
+    """Propagate one claimed outbox record (Algorithm 1 lines 4-7)."""
+    view, key, base_ts = record.view, record.key, record.base_ts
+    try:
+        # Gather guesses from every source round trip (Alg. 1:
+        # propagation starts only after the Get has heard from all
+        # copies of the base row, or timed out).  A coalesced record
+        # carries its riders' sources too, widening the guess set.
+        gathered = []
+        for collector, extract in record.sources:
+            responses = yield collector.settled
+            gathered.append((responses, extract))
+        # Heavy/light fork (repro.views.skew): records for heavy
+        # chains fold into a per-chain delta — no scheduling delay,
+        # no locks, no chain walk — and resolve immediately, so the
+        # backpressure token returns at once.  The fold invalidates
+        # the hot-view cache for every key the record could move
+        # before resolving, keeping session barriers honest.
+        if manager.skew.should_fold(outbox.node_id, view, key):
+            manager.skew.fold(outbox.node_id, record, gathered)
+            manager.folded_propagations += 1
+            manager.cluster.trace("propagation", "folded into skew delta",
+                                  view=view.name, key=key, ts=base_ts)
+            record.resolve()
+            return
+        # Scheduling delay: maintenance work queues behind other
+        # maintenance work.
+        yield manager.env.timeout(
+            manager.config.propagation_delay.sample(manager._rng))
+        coordinator = manager.cluster.coordinator(outbox.node_id)
+        _maybe_crash(manager, coordinator, view, key, base_ts)
+
+        guesses = _merge_guesses(
+            ViewKeyGuess.from_cell(view,
+                                   extract(response, view.view_key_column))
+            for responses, extract in gathered for response in responses)
+        origin = record.appended_at
+        manager.freshness.eager_begin(view.name, key, outbox.node_id,
+                                      origin, base_ts)
+        success = False
+        try:
+            yield from propagate_with_retries(
+                manager, coordinator, view, record.table, key, guesses,
+                record.update_values, base_ts, started_at=origin)
+            success = True
+        finally:
+            manager.freshness.eager_end(view.name, key, outbox.node_id,
+                                        origin, base_ts, success)
+        manager.completed_propagations += 1
+        manager.cluster.trace("propagation", "completed", view=view.name,
+                              key=key, ts=base_ts)
+        record.resolve()
+    except Exception as exc:
+        failure = next((entry for entry in _EXPECTED_FAILURES
+                        if isinstance(exc, entry[0])), None)
+        if failure is not None:
+            _type, counters, provenance, message = failure
+            for counter in counters:
+                setattr(manager, counter, getattr(manager, counter) + 1)
+            manager.freshness.note_wound(view.name, key, record.appended_at,
+                                         provenance)
+            manager.cluster.trace("propagation", message, view=view.name,
+                                  key=key, ts=base_ts)
+        record.resolve(exc)
+        if failure is None:
+            raise
+    finally:
+        outbox.done(record)
+        outbox.backpressure.release()
+
+
+def _maybe_crash(manager, coordinator, view: ViewDefinition, key: Hashable,
+                 base_ts: int) -> None:
+    """Consult the armed crash hooks (``ViewManager.add_crash_hook``)."""
+    for hook in list(manager._crash_hooks):
+        if hook(coordinator, view, key, base_ts):
+            raise CoordinatorCrashError(
+                f"coordinator {coordinator.node.node_id} crashed before "
+                f"propagating base key {key!r} (ts {base_ts}) to view "
+                f"{view.name!r}")
+
+
+def _merge_guesses(guesses: Iterable[ViewKeyGuess]) -> List[ViewKeyGuess]:
+    """Distinct view-key guesses, most recent timestamp first.
+
+    Deduplicates by key, keeping the max timestamp and preserving the
+    pristine-NULL property: if ANY replica reported the view key as
+    never-written, the NULL guess keeps its virtual-anchor fallback even
+    when another replica already shows this update's own tombstone."""
+    seen: Dict[Any, ViewKeyGuess] = {}
+    for guess in guesses:
+        existing = seen.get(guess.key)
+        if existing is None:
+            seen[guess.key] = guess
+        else:
+            seen[guess.key] = ViewKeyGuess(
+                guess.key,
+                max(existing.timestamp, guess.timestamp),
+                existing.allow_virtual or guess.allow_virtual)
+    return sorted(seen.values(), key=lambda g: g.timestamp, reverse=True)
+
+
+def propagate_with_retries(manager, coordinator, view: ViewDefinition,
+                           table: str, key: Hashable,
+                           guesses: List[ViewKeyGuess],
+                           update_values: Dict[ColumnName, Any],
+                           base_ts: int,
+                           started_at: Optional[float] = None):
+    """Algorithm 1 lines 5-7: retry guesses until one propagates.
+
+    Locks (or the propagator's turn) are released between rounds —
+    holding them across a failed round would block the very propagation
+    that must run before the retry can succeed.
+
+    ``started_at`` is when the update entered the outbox; with
+    ``propagation_deadline_ms`` configured, retrying past the deadline
+    raises :class:`PropagationDeadlineError` (the first attempt always
+    runs, even for a record consumed late).  Re-drives of a row's
+    current state (:func:`repropagate_row`) pass none and have no
+    deadline.
+    """
+    config = manager.config
+    env = manager.env
+    exclusive = view.view_key_column in update_values
+    deadline = config.propagation_deadline_ms
+
+    def job(executor):
+        return _attempt_round(manager, executor, view, key, guesses,
+                              update_values, base_ts)
+
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > config.propagation_max_rounds:
+            raise PropagationError(
+                f"update for base key {key!r} could not be propagated "
+                f"to view {view.name!r} after {rounds - 1} rounds")
+        if (deadline > 0 and started_at is not None and rounds > 1
+                and env.now - started_at >= deadline):
+            raise PropagationDeadlineError(
+                f"update for base key {key!r} exceeded the "
+                f"{deadline:g} ms propagation deadline for view "
+                f"{view.name!r} (age {env.now - started_at:.1f} ms "
+                f"after {rounds - 1} rounds)")
+        success = yield from manager.serialized(coordinator, view, key,
+                                                exclusive, job)
+        if success:
+            return
+        manager.maintainer.metrics.retry_rounds += 1
+        manager.cluster.trace("propagation", "round failed; backing off",
+                              view=view.name, key=key, round=rounds)
+        yield env.timeout(_retry_delay(manager, rounds))
+        if rounds % 4 == 0:
+            # Refresh guesses from the base replicas: slow peers may
+            # have propagated by now, giving us a valid entry point.
+            collector = coordinator.scatter_read(
+                table, key, (view.view_key_column,), 1)
+            responses = yield collector.settled
+            fresh = (ViewKeyGuess.from_cell(
+                         view, response.cells.get(view.view_key_column))
+                     for response in responses)
+            guesses[:] = _merge_guesses((*guesses, *fresh))
+
+
+def _retry_delay(manager, rounds: int) -> float:
+    """Backoff before retry round ``rounds + 1``: exponential from
+    ``propagation_retry_backoff``, capped at
+    ``propagation_retry_backoff_cap``, jittered into ``[d/2, d)`` by
+    the deterministic sim RNG.  A fixed interval would retry every
+    contending propagation in lockstep, re-colliding on the same
+    lock/chain state each round; the jitter spreads the wakeups."""
+    base = manager.config.propagation_retry_backoff
+    if base <= 0:
+        return 0.0
+    delay = min(base * (2.0 ** (rounds - 1)),
+                manager.config.propagation_retry_backoff_cap)
+    return delay * (0.5 + 0.5 * manager._rng.random())
+
+
+def _attempt_round(manager, coordinator, view: ViewDefinition,
+                   key: Hashable, guesses: List[ViewKeyGuess],
+                   update_values: Dict[ColumnName, Any], base_ts: int):
+    """Try each guess once; True on success.
+
+    ``PropagationError`` means the guess is not (yet) a valid chain
+    entry point; ``QuorumError`` means a transient replica shortfall
+    (loss, timeout) during an internal view Get/Put.  Both cases are
+    retried on a later round — Algorithm 2's writes are idempotent,
+    so re-running a partially applied propagation is safe.
+    """
+    for guess in guesses:
+        try:
+            yield from manager.maintainer.propagate_update(
+                coordinator, view, key, guess, update_values, base_ts)
+            return True
+        except (PropagationError, QuorumError):
+            continue
+    return False
+
+
+def repropagate_row(manager, coordinator, view: ViewDefinition,
+                    base_key: Hashable, r: Optional[int] = None,
+                    strays: Tuple[Any, ...] = ()):
+    """Propagate one base row's current state into ``view``; a process.
+
+    Why replaying current state is a correct repair is argued in
+    :mod:`repro.repair.repairer`.
+
+    ``r`` is the base-read quorum (defaults to the maintainer's majority
+    quorum, so repair keeps working while a minority of replicas is
+    down).  ``strays`` names view keys the detector found holding
+    unexpected live rows for ``base_key``: replaying the winning state
+    alone never touches them (the chain walk stops at the winner, so
+    the replay is an LWW no-op), leaving an absorbing two-live-rows
+    state that scrub would re-confirm forever.  Each stray is demoted
+    with the exact stale-pointer write a successful propagation move
+    would have issued (Algorithm 2 line 8); under LWW the demotion only
+    takes effect when the quorum-read base winner really is newer than
+    the stray's live self-pointer, so a stray that is actually the
+    freshest state (base read lagging the view) is left untouched.
+    Returns True if the row had a view-key version to propagate, False
+    for rows the view has never seen (no view-key cell — parked
+    materialized state needs no row).  Raises
+    :class:`~repro.errors.QuorumError` if the base read cannot reach a
+    quorum, and :class:`~repro.errors.PropagationError` if every retry
+    round is exhausted.
+    """
+    if r is None:
+        r = manager.maintainer.quorum
+    columns = (view.view_key_column, *view.materialized_columns)
+    merged = yield from coordinator.get(view.base_table, base_key, columns, r)
+    key_cell = merged[view.view_key_column]
+    if key_cell.timestamp < 0:
+        return False
+    tracker = manager.freshness
+    origin = manager.env.now
+    tracker.eager_begin(view.name, base_key, "repair", origin,
+                        key_cell.timestamp)
+    success = False
+    try:
+        # The view-key cell first: this creates/refreshes the live row
+        # the materialized cells are then written into.
+        pristine = [ViewKeyGuess.from_cell(view, None)]
+        yield from propagate_with_retries(
+            manager, coordinator, view, view.base_table, base_key, pristine,
+            {view.view_key_column: (None if key_cell.tombstone
+                                    else key_cell.value)},
+            key_cell.timestamp)
+        # Where the row now lives: its current view key, or the NULL
+        # anchor for a deleted / predicate-rejected one.
+        live = ViewKeyGuess.from_cell(view, key_cell)
+        for column in view.materialized_columns:
+            cell = merged[column]
+            if cell.timestamp < 0:
+                continue
+            yield from propagate_with_retries(
+                manager, coordinator, view, view.base_table, base_key,
+                [live], {column: (None if cell.tombstone else cell.value)},
+                cell.timestamp)
+        if strays:
+            next_col = view_column(base_key, NEXT_COLUMN)
+            stale_ts = view_timestamp(key_cell.timestamp, PHASE_STALE)
+            for stray in strays:
+                if stray == live.key:
+                    continue
+                yield from manager.maintainer._view_put(
+                    coordinator, view.name, stray,
+                    {next_col: Cell(live.key, stale_ts)})
+        success = True
+    finally:
+        tracker.eager_end(view.name, base_key, "repair", origin,
+                          key_cell.timestamp, success)
+    # A committed repair re-drove the row's *current* majority-visible
+    # base state through the full chain walk: any wound on the chain is
+    # covered (quorum-level evidence, unlike a digest-clean round).
+    tracker.note_repaired(view.name, base_key, key_cell.timestamp)
+    return True

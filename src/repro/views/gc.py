@@ -40,8 +40,8 @@ GC writes use dedicated timestamp phases (``PHASE_COMPACT`` <
 update), so collection is idempotent, replicas converge under plain
 LWW, and a reused view key always supersedes the GC tombstones.
 
-Collection serializes with update propagation through the same
-mechanism the view manager uses (per-base-row exclusive locks or the
+Collection serializes with update propagation through
+:meth:`ViewManager.serialized` (per-base-row exclusive locks or the
 dedicated propagator chain).
 """
 
@@ -119,29 +119,13 @@ def _collect_all(cluster, view: ViewDefinition, cutoff_base_ts: int,
 def _collect_base_row(cluster, view: ViewDefinition, base_key: Hashable,
                       view_keys, cutoff_base_ts: int, coordinator_id: int):
     """Collect one base row's chain, serialized against propagation."""
-    manager = cluster.view_manager
-    mode = cluster.config.propagation_concurrency
-    if mode == "locks":
-        yield from manager.locks.acquire(view.name, base_key, exclusive=True)
-        try:
-            report = yield from _collect_under_serialization(
-                cluster, view, base_key, view_keys, cutoff_base_ts,
-                coordinator_id)
-        finally:
-            manager.locks.release(view.name, base_key, exclusive=True)
-        return report
-    if mode == "propagators":
-        def job(coordinator):
-            return _collect_under_serialization(
-                cluster, view, base_key, view_keys, cutoff_base_ts,
-                coordinator.node.node_id)
+    def job(coordinator):
+        return _collect_under_serialization(
+            cluster, view, base_key, view_keys, cutoff_base_ts,
+            coordinator.node.node_id)
 
-        report = yield manager.propagators.submit(
-            coordinator_id, view.name, base_key, job)
-        return report
-    report = yield from _collect_under_serialization(
-        cluster, view, base_key, view_keys, cutoff_base_ts, coordinator_id)
-    return report
+    return cluster.view_manager.serialized(
+        cluster.coordinator(coordinator_id), view, base_key, True, job)
 
 
 def _collect_under_serialization(cluster, view: ViewDefinition,

@@ -85,9 +85,8 @@ def state_digest(cluster, table: str) -> str:
     serialized by ``repr`` in sorted order, so two clusters hold
     byte-identical converged state for ``table`` iff their digests are
     equal — regardless of which replica stores what.  Works for base
-    tables and for view backing tables alike; the differential
-    (inline-vs-outbox) tests and the scenario fuzzer's determinism
-    checks both rest on this.
+    tables and for view backing tables alike; the differential tests
+    and the scenario fuzzer's determinism checks both rest on this.
     """
     rows: Dict[Any, Dict[ColumnName, Cell]] = {}
     for node in cluster.nodes:
@@ -115,11 +114,11 @@ def live_state_digest(cluster, view: ViewDefinition) -> str:
     """Canonical SHA-256 of a view's *live* converged rows only.
 
     The semantic content of a view — everything Algorithm 4 can ever
-    return — ignoring stale chain residue and tombstones.  Two
-    pipelines that coalesce differently (outbox vs inline) produce
-    different backing-table bytes for the same history, because
-    coalescing skips intermediate versions and their stale rows; their
-    live digests must still be equal.
+    return — ignoring stale chain residue and tombstones.  Two runs
+    that coalesce or fold differently produce different backing-table
+    bytes for the same history, because coalescing skips intermediate
+    versions and their stale rows; their live digests must still be
+    equal.
     """
     digest = hashlib.sha256()
     per_base = live_entries(cluster, view)

@@ -1,12 +1,12 @@
 """Per-node update log for view propagation (the transactional outbox).
 
 Algorithm 1 acknowledges a base Put at W replicas and drives view
-maintenance asynchronously.  The outbox pipeline decouples the two
+maintenance asynchronously.  The outbox decouples the two
 halves completely: the Put path *appends* a record describing the
 committed update to its coordinator node's :class:`NodeOutbox`, and a
 small pool of background consumer processes (one log per node, see
-:meth:`ViewManager._consume_outbox`) drains the log in batches and runs
-``PropagateUpdate`` (Algorithm 2) per record.  The queue between the two
+:func:`repro.views.drive.consume_outbox`) drains the log in batches and
+runs ``PropagateUpdate`` (Algorithm 2) per record.  The queue between the two
 is what absorbs bursts: writes keep acking at storage speed while the
 backlog levels the maintenance load over time.
 
@@ -65,7 +65,9 @@ scrubber consult.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import deque
+from operator import attrgetter
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.records import ColumnName
@@ -310,11 +312,8 @@ class NodeOutbox:
                 # keep FIFO order within the chain.  Records ``append``
                 # parked while this one sat in ``_ready`` are newer, so
                 # it goes in by seq, not at the tail.
-                blocked = self._blocked.setdefault(chain, deque())
-                index = 0
-                while index < len(blocked) and blocked[index].seq < record.seq:
-                    index += 1
-                blocked.insert(index, record)
+                insort(self._blocked.setdefault(chain, deque()), record,
+                       key=attrgetter("seq"))
                 continue
             self._in_flight.add(chain)
             if self._pending_by_key.get(chain) is record:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.common.records import NULL_TIMESTAMP, ColumnName
-from repro.errors import ViewError, ViewInitTimeoutError
+from repro.errors import SessionError, ViewError, ViewInitTimeoutError
 from repro.views.definition import BASE_KEY_COLUMN, INIT_COLUMN, ViewDefinition
 from repro.views.versioned import (
     NULL_VIEW_KEY,
@@ -26,7 +26,8 @@ from repro.views.versioned import (
     split_wide_row,
 )
 
-__all__ = ["ViewReadStats", "ViewResult", "view_get"]
+__all__ = ["ViewReadStats", "ViewResult", "view_get", "read_barrier",
+           "cached_view_get"]
 
 # Spin parameters for Init-marked rows.
 _SPIN_INTERVAL = 0.2
@@ -114,3 +115,47 @@ def view_get(env, coordinator, view: ViewDefinition, view_key: Any,
                 f"view {view.name!r} row {view_key!r} stuck initializing "
                 f"after {spins - 1} spins")
         yield env.timeout(_SPIN_INTERVAL)
+
+
+def read_barrier(manager, coordinator, view: ViewDefinition, view_key: Any,
+                 session):
+    """Session barrier + lazy-delta flush preceding any view read."""
+    if session is not None:
+        if session.coordinator_id != coordinator.node.node_id:
+            raise SessionError(
+                "session guarantee requires all requests to use the "
+                "session's coordinator "
+                f"(session: {session.coordinator_id}, "
+                f"request: {coordinator.node.node_id})")
+        pending = session.pending_barriers(view.name)
+        if pending:
+            manager.cluster.trace("session", "view Get blocking",
+                                  view=view.name,
+                                  session=session.session_id,
+                                  pending=pending)
+        yield from manager.sessions.barrier(session, view.name)
+    # Merge-on-read: lazy (heavy-key) deltas that could hide this
+    # view key's live rows must materialize before the read — the
+    # session barrier above only waited for records to *resolve*,
+    # which for a folded record happens at fold time.
+    yield from manager.skew.flush_for_read(coordinator, view, view_key)
+
+
+def cached_view_get(manager, coordinator, view: ViewDefinition,
+                    view_key: Any, columns: Tuple[ColumnName, ...], r: int):
+    """The cache + Algorithm 4 core, after barriers have run."""
+    yield from coordinator.node._use_cpu(manager.config.service.coordinator)
+    cache = manager.skew.cache
+    if cache.enabled:
+        cached = cache.lookup(view.name, view_key, columns, r)
+        if cached is not None:
+            return cached
+        token = cache.version(view.name, view_key)
+    results = yield from view_get(manager.env, coordinator, view, view_key,
+                                  columns, r, stats=manager.read_stats)
+    if cache.enabled:
+        # Read-through populate, guarded by the version token: a
+        # propagation that invalidated this key while our quorum
+        # read was in flight wins — the stale result is not stored.
+        cache.store(view.name, view_key, columns, r, token, results)
+    return results

@@ -8,28 +8,23 @@ are complete.  The guarantee is read-your-own-propagations: the Get sees
 a view state at least as late as the one produced by the client's own
 earlier Puts.  It says nothing about other sessions' updates.
 
-Two registration forms coexist, matching the two propagation pipelines:
+A Put registers the sequence number its record received in its
+coordinator's :class:`~repro.views.outbox.NodeOutbox`.  A barrier waits
+for the outbox low-watermark to reach the session's highest registered
+offset per view — per-Put events are unnecessary because the log is
+totally ordered per node.
 
-- *completion events* (inline pipeline): one event per propagation,
-  dropped from the pending set when it fires;
-- *outbox offsets* (outbox pipeline): the sequence number each Put's
-  record received in its coordinator's :class:`~repro.views.outbox.
-  NodeOutbox`.  A barrier waits for the outbox low-watermark to reach
-  the session's highest registered offset per view — per-Put events are
-  unnecessary because the log is totally ordered per node.
-
-Either way the barrier waits for *resolution*, not success: a
-propagation lost to a crash or abandoned after retries is no longer
-pending, so it must release the barrier rather than raise into an
-unrelated client Get (the divergence it left behind is the scrubber's
-job, not the reader's).
+The barrier waits for *resolution*, not success: a propagation lost to a
+crash or abandoned after retries is no longer pending, so it releases
+the barrier rather than raising into an unrelated client Get (the
+divergence it left behind is the scrubber's job, not the reader's).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict
 
 from repro.errors import SessionError
 from repro.sim.kernel import Environment, Event
@@ -43,28 +38,19 @@ class Session:
 
     session_id: int
     coordinator_id: int
-    # Pending propagation completion events, keyed by view name.
-    _pending: Dict[str, Set[Event]] = field(default_factory=dict)
-    # view name -> {outbox: highest registered seq} (outbox pipeline).
+    # view name -> {outbox: highest registered seq}.
     _offsets: Dict[str, Dict[object, int]] = field(default_factory=dict)
     # view name -> the last staleness certificate a fresh-path read
     # served to this session (repro.freshness).
     _certificates: Dict[str, object] = field(default_factory=dict)
     ended: bool = False
 
-    def pending_for(self, view_name: str) -> List[Event]:
-        """Snapshot of this session's pending propagations to a view."""
-        return list(self._pending.get(view_name, ()))
-
     def pending_barriers(self, view_name: str) -> int:
-        """Barriers a view Get would block on right now: pending
-        completion events plus outbox offsets the watermark has not
-        reached."""
-        count = len(self._pending.get(view_name, ()))
-        for outbox, seq in self._offsets.get(view_name, {}).items():
-            if seq > outbox.low_watermark:
-                count += 1
-        return count
+        """Barriers a view Get would block on right now: outbox offsets
+        the watermark has not reached."""
+        return sum(1 for outbox, seq
+                   in self._offsets.get(view_name, {}).items()
+                   if seq > outbox.low_watermark)
 
     def note_certificate(self, certificate) -> None:
         """Record the certificate attached to a fresh-path view read so
@@ -79,10 +65,8 @@ class Session:
     @property
     def pending_count(self) -> int:
         """Total pending propagations across views."""
-        return (sum(len(events) for events in self._pending.values())
-                + sum(1 for offsets in self._offsets.values()
-                      for outbox, seq in offsets.items()
-                      if seq > outbox.low_watermark))
+        return sum(self.pending_barriers(view_name)
+                   for view_name in self._offsets)
 
 
 class SessionManager:
@@ -105,24 +89,6 @@ class SessionManager:
         session.ended = True
         self._sessions.pop(session.session_id, None)
 
-    def register(self, session: Session, view_name: str,
-                 completion: Event) -> None:
-        """Attach a propagation's completion event to the session.
-
-        The event is dropped from the pending set automatically when it
-        fires.
-        """
-        if session.ended:
-            raise SessionError(
-                f"session {session.session_id} has already ended")
-        pending = session._pending.setdefault(view_name, set())
-        pending.add(completion)
-
-        def _done(event: Event) -> None:
-            pending.discard(event)
-
-        completion.add_callback(_done)
-
     def register_offset(self, session: Session, view_name: str,
                         outbox, seq: int) -> None:
         """Record that the session's latest Put for ``view_name`` sits at
@@ -138,26 +104,23 @@ class SessionManager:
         """Process helper: block until the session's pending propagations
         to ``view_name`` have *resolved* (paper Section V enforcement).
 
-        Resolution — not success: a completion that fails (propagation
-        lost to a coordinator crash, or abandoned after retries) counts
-        as no longer pending.  The failure stays recorded in the view
-        manager's counters; it must not be re-raised into a client Get
-        that merely shares the session.
+        Resolution — not success: the watermark advances when a record's
+        completion fires either way (propagation lost to a coordinator
+        crash, or abandoned after retries).  The failure stays recorded
+        in the view manager's counters; it is not re-raised into a
+        client Get that merely shares the session.
         """
-        waits = session.pending_for(view_name)
-        for outbox, seq in session._offsets.get(view_name, {}).items():
-            if seq > outbox.low_watermark:
-                waits.append(outbox.wait_for(seq))
+        waits = [outbox.wait_for(seq)
+                 for outbox, seq in session._offsets.get(view_name, {}).items()
+                 if seq > outbox.low_watermark]
         if not waits:
             return
         self.blocked_gets += 1
         gate = self.env.event()
         remaining = len(waits)
 
-        def _resolved(event: Event) -> None:
+        def _resolved(_event: Event) -> None:
             nonlocal remaining
-            if not event._ok:
-                event.defuse()
             remaining -= 1
             if remaining == 0:
                 gate.succeed()

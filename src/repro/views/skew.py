@@ -31,7 +31,7 @@ lock round trips, no chain walk — and resolved immediately, returning
 its backpressure token at once.  Folding is correct because flushing a
 delta does not replay the folded updates; it re-drives the base row's
 *current* state through the repair path
-(:func:`~repro.repair.repairer.repropagate_row`), which is idempotent
+(:func:`~repro.views.drive.repropagate_row`), which is idempotent
 and order-insensitive: whatever mixture of folded, eager, and concurrent
 updates landed in the base table, the flush materializes exactly the
 LWW winner (intermediate view-key transitions the eager path would have
@@ -72,6 +72,7 @@ from repro.errors import (
     ViewError,
 )
 from repro.views.definition import ViewDefinition
+from repro.views.drive import repropagate_row
 from repro.views.versioned import NULL_VIEW_KEY
 
 __all__ = [
@@ -317,8 +318,7 @@ class SkewService:
         self.cluster = manager.cluster
         self.env = manager.env
         config = manager.config
-        self.enabled = (config.skew_adaptive
-                        and config.propagation_pipeline == "outbox")
+        self.enabled = config.skew_adaptive
         self.cache = HotViewCache(config.view_cache_capacity)
         self.fold_interval = config.skew_fold_interval
         self.flush_max_attempts = config.skew_flush_max_attempts
@@ -385,8 +385,7 @@ class SkewService:
         delta.folded += 1
         delta.last_folded_at = self.env.now
         delta.first_appended_at = min(delta.first_appended_at,
-                                      getattr(record, "appended_at",
-                                              self.env.now))
+                                      record.appended_at)
         self.folded_records += 1
         for view_key in self._affected_keys(view, record, gathered):
             delta.affected_keys.add(view_key)
@@ -545,8 +544,6 @@ class SkewService:
         divergence for the scrubber, exactly like an abandoned eager
         propagation.
         """
-        from repro.repair.repairer import repropagate_row  # late: no cycle
-
         in_flight = self._flushing.get(chain)
         if in_flight is not None:
             # Another process is mid-flush for this chain.  Starting a

@@ -198,11 +198,11 @@ def test_ext_adversary_quick(quick):
     from repro.experiments import ext_adversary
 
     result = ext_adversary.run(quick)
-    # Every stack ran against both pipelines.
-    assert len(result.rows) == 2 * len(ext_adversary.ADVERSARY_STACKS)
-    assert set(result.column("pipeline")) == {"outbox", "inline"}
-    # No cell violated the standing invariant suite, and the matrix was
-    # not vacuous: every cell acked work and injected at least one fault.
+    # Every stack ran.
+    assert (list(result.column("adversary"))
+            == list(ext_adversary.ADVERSARY_STACKS))
+    # No run violated the standing invariant suite, and none was
+    # vacuous: every run acked work and injected at least one fault.
     assert all(v == 0 for v in result.column("violations"))
     assert all(v > 0 for v in result.column("acked_ops"))
     assert all(v >= 1 for v in result.column("injections"))

@@ -6,6 +6,7 @@ from repro.cluster.client import ClientHandle, SyncClient
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import ClusterSnapshot
+from repro.views import drive
 from repro.views.definition import ViewDefinition
 
 COLUMNS = ("sec", "payload")
@@ -13,7 +14,7 @@ COLUMNS = ("sec", "payload")
 
 def build(**overrides):
     config = ClusterConfig(nodes=4, replication_factor=3, seed=11,
-                           propagation_pipeline="outbox", **overrides)
+                           **overrides)
     cluster = Cluster(config)
     cluster.create_table("T")
     cluster.create_view(ViewDefinition("V", "T", "sec", ("payload",)))
@@ -21,17 +22,13 @@ def build(**overrides):
     return cluster, client
 
 
-def break_propagation(cluster):
+def break_propagation(cluster, monkeypatch):
     """Simulate the guess-retry livelock: every round fails."""
-    manager = cluster.view_manager
-
     def failing_round(*_args, **_kwargs):
         yield cluster.env.timeout(0.5)
         return False
 
-    original = manager._attempt_round
-    manager._attempt_round = failing_round
-    return original
+    monkeypatch.setattr(drive, "_attempt_round", failing_round)
 
 
 def test_unbounded_read_serves_with_certificate():
@@ -60,13 +57,13 @@ def test_bound_hit_serves_from_the_view():
     assert slo.escalations == 0
 
 
-def test_escalation_compensates_a_lost_data_update():
+def test_escalation_compensates_a_lost_data_update(monkeypatch):
     """A wounded chain's stale payload is healed from the base table."""
     cluster, client = build(propagation_max_rounds=3)
     client.put("T", "k1", {"sec": "s1", "payload": "old"}, w=2)
     client.settle()
 
-    original = break_propagation(cluster)
+    break_propagation(cluster, monkeypatch)
     client.put("T", "k1", {"payload": "new"}, w=2)
     client.settle()
     manager = cluster.view_manager
@@ -88,7 +85,7 @@ def test_escalation_compensates_a_lost_data_update():
     assert fresh.results[0]["payload"] == "new"
 
     # Repair heals the wound; bounded reads serve from the view again.
-    manager._attempt_round = original
+    monkeypatch.undo()
     scrubber = cluster.start_scrubber(interval=20.0)
     cluster.run(until=cluster.env.now + 200.0)
     scrubber.stop()
@@ -100,14 +97,14 @@ def test_escalation_compensates_a_lost_data_update():
     assert healed.results[0]["payload"] == "new"
 
 
-def test_escalation_drops_a_row_the_base_moved_away():
+def test_escalation_drops_a_row_the_base_moved_away(monkeypatch):
     """A lost view-key move: the stale row under the old view key must
     not be served by a bounded read."""
     cluster, client = build(propagation_max_rounds=3)
     client.put("T", "k1", {"sec": "s1", "payload": "p0"}, w=2)
     client.settle()
 
-    break_propagation(cluster)
+    break_propagation(cluster, monkeypatch)
     client.put("T", "k1", {"sec": "s2"}, w=2)
     client.settle()
 
@@ -126,13 +123,13 @@ def test_escalation_drops_a_row_the_base_moved_away():
     assert new_home.results[0]["payload"] == "p0"
 
 
-def test_compensation_limit_caps_work_and_admits_the_miss():
+def test_compensation_limit_caps_work_and_admits_the_miss(monkeypatch):
     cluster, client = build(propagation_max_rounds=3,
                             freshness_compensation_limit=1)
     for key in ("k1", "k2"):
         client.put("T", key, {"sec": "s1", "payload": "old"}, w=2)
     client.settle()
-    break_propagation(cluster)
+    break_propagation(cluster, monkeypatch)
     for key in ("k1", "k2"):
         client.put("T", key, {"payload": "new"}, w=2)
     client.settle()
@@ -165,11 +162,11 @@ def test_negative_bound_is_rejected():
         client.get_view_fresh("V", "s1", COLUMNS, r=2, max_staleness_ms=-1.0)
 
 
-def test_snapshot_surfaces_freshness_counters():
+def test_snapshot_surfaces_freshness_counters(monkeypatch):
     cluster, client = build(propagation_max_rounds=3)
     client.put("T", "k1", {"sec": "s1", "payload": "old"}, w=2)
     client.settle()
-    break_propagation(cluster)
+    break_propagation(cluster, monkeypatch)
     client.put("T", "k1", {"payload": "new"}, w=2)
     client.settle()
     client.get_view_fresh("V", "s1", COLUMNS, r=2, max_staleness_ms=5.0)

@@ -6,6 +6,8 @@ import pytest
 
 from repro.freshness.certificate import FreshnessTracker, StaleSource
 from repro.freshness.slo import HISTOGRAM_BOUNDS, FreshnessSLO
+from repro.sim import Environment
+from repro.views import NodeOutbox, ViewDefinition
 
 
 class _Clock:
@@ -154,15 +156,21 @@ def test_certificate_binds_to_oldest_source():
     assert cert.within(60.0) and not cert.within(59.9)
 
 
-def test_inline_pending_is_a_source():
-    tracker, clock = make_tracker()
-    clock.now = 10.0
-    token = tracker.open_pending("V", "k1")
-    clock.now = 35.0
+def test_unresolved_outbox_record_is_a_source():
+    env = Environment()
+    outbox = NodeOutbox(env, node_id=0, capacity=4)
+    tracker = FreshnessTracker(SimpleNamespace(
+        env=env, _outboxes={0: outbox},
+        skew=SimpleNamespace(pending_sources=lambda view_name: [])))
+    env.run(until=10.0)
+    record = outbox.append(ViewDefinition("V", "T", "vk", ("m",)), "T", "k1",
+                           {"m": "x"}, 100, (None, None), env.event())
+    env.run(until=35.0)
     cert = tracker.certificate("V")
     assert cert.staleness_ms == 25.0
-    assert cert.provenance == "inline-pending"
-    tracker.close_pending(token)
+    assert cert.provenance == "outbox-lag"
+    record.resolve()
+    env.run()
     assert tracker.certificate("V").is_fresh
 
 

@@ -7,20 +7,17 @@ round budget.  Abandonment must be loud: a counter, a trace, and a
 freshness wound with ``deadline-abandoned`` provenance.
 """
 
-import pytest
-
 from repro.cluster.client import ClientHandle, SyncClient
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import ClusterSnapshot
+from repro.views import drive
 from repro.views.definition import ViewDefinition
 
-PIPELINES = ("outbox", "inline")
 
-
-def build(pipeline, **overrides):
+def build(**overrides):
     config = ClusterConfig(nodes=4, replication_factor=3, seed=7,
-                           propagation_pipeline=pipeline, **overrides)
+                           **overrides)
     cluster = Cluster(config)
     cluster.create_table("T")
     cluster.create_view(ViewDefinition("V", "T", "sec", ("payload",)))
@@ -28,9 +25,8 @@ def build(pipeline, **overrides):
     return cluster, client
 
 
-def install_failing_rounds(cluster):
+def install_failing_rounds(cluster, monkeypatch):
     """Every propagation round fails; returns the round counter."""
-    manager = cluster.view_manager
     counter = {"rounds": 0}
 
     def failing_round(*_args, **_kwargs):
@@ -38,14 +34,13 @@ def install_failing_rounds(cluster):
         yield cluster.env.timeout(0.5)
         return False
 
-    manager._attempt_round = failing_round
+    monkeypatch.setattr(drive, "_attempt_round", failing_round)
     return counter
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
-def test_no_deadline_burns_the_whole_round_budget(pipeline):
-    cluster, client = build(pipeline, propagation_max_rounds=6)
-    counter = install_failing_rounds(cluster)
+def test_no_deadline_burns_the_whole_round_budget(monkeypatch):
+    cluster, client = build(propagation_max_rounds=6)
+    counter = install_failing_rounds(cluster, monkeypatch)
     client.put("T", "k1", {"sec": "s1", "payload": "p"}, w=2)
     client.settle()
     manager = cluster.view_manager
@@ -56,10 +51,9 @@ def test_no_deadline_burns_the_whole_round_budget(pipeline):
     assert source.provenance == "retries-abandoned"
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
-def test_deadline_abandons_long_before_the_round_budget(pipeline):
-    cluster, client = build(pipeline, propagation_deadline_ms=40.0)
-    counter = install_failing_rounds(cluster)
+def test_deadline_abandons_long_before_the_round_budget(monkeypatch):
+    cluster, client = build(propagation_deadline_ms=40.0)
+    counter = install_failing_rounds(cluster, monkeypatch)
     client.put("T", "k1", {"sec": "s1", "payload": "p"}, w=2)
     client.settle()
     manager = cluster.view_manager
@@ -76,10 +70,9 @@ def test_deadline_abandons_long_before_the_round_budget(pipeline):
     assert snap.deadline_abandoned_propagations == 1
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
-def test_first_attempt_always_runs_even_with_a_tiny_deadline(pipeline):
+def test_first_attempt_always_runs_even_with_a_tiny_deadline():
     """The deadline bounds *retrying*, never the first attempt."""
-    cluster, client = build(pipeline, propagation_deadline_ms=0.001)
+    cluster, client = build(propagation_deadline_ms=0.001)
     client.put("T", "k1", {"sec": "s1", "payload": "p"}, w=2)
     client.settle()
     manager = cluster.view_manager

@@ -23,10 +23,10 @@ from repro.scenarios import (
 pytestmark = pytest.mark.scenario
 
 
-def run_with(adversaries, *, seed=11, ops=50, pipeline="outbox", **workload):
+def run_with(adversaries, *, seed=11, ops=50, **workload):
     scenario = Scenario(
         "unit",
-        config=default_config(seed=seed, pipeline=pipeline),
+        config=default_config(seed=seed),
         workload=ScenarioWorkload(ops=ops, **workload),
         adversaries=adversaries,
     )

@@ -27,11 +27,10 @@ from repro.scenarios import (
 pytestmark = pytest.mark.scenario
 
 
-def run_storm(*, seed, pipeline, ops, bounded_fraction=0.3):
+def run_storm(*, seed, ops, bounded_fraction=0.3):
     scenario = Scenario(
-        f"freshness-property-{pipeline}-{seed}",
-        config=default_config(seed=seed, pipeline=pipeline,
-                              propagation_max_rounds=20),
+        f"freshness-property-{seed}",
+        config=default_config(seed=seed, propagation_max_rounds=20),
         workload=ScenarioWorkload(ops=ops,
                                   bounded_read_fraction=bounded_fraction),
         adversaries=[BurstArrivals(), CrashLoop(victim=0)],
@@ -45,12 +44,11 @@ def run_storm(*, seed, pipeline, ops, bounded_fraction=0.3):
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    pipeline=st.sampled_from(["outbox", "inline"]),
     ops=st.integers(min_value=40, max_value=70),
 )
 def test_bounded_reads_honor_their_bound_under_burst_and_crashloop(
-        seed, pipeline, ops):
-    scenario, result = run_storm(seed=seed, pipeline=pipeline, ops=ops)
+        seed, ops):
+    scenario, result = run_storm(seed=seed, ops=ops)
     assert result.stats["acked_ops"] > 0
     # The property is about bounded reads; make sure some actually ran.
     assert result.stats["bounded_reads"] > 0
@@ -63,7 +61,7 @@ def test_storms_actually_escalate():
     escalations = 0
     compensated = 0
     for seed in (1, 2, 3, 4):
-        scenario, result = run_storm(seed=seed, pipeline="outbox", ops=140,
+        scenario, result = run_storm(seed=seed, ops=140,
                                      bounded_fraction=0.4)
         slo = result.stats["freshness"]["slo"]
         escalations += slo["escalations"]

@@ -44,7 +44,25 @@ def test_schedule_json_roundtrip(tmp_path):
 
 def test_schedule_format_version_checked():
     with pytest.raises(ValueError, match="format"):
-        Schedule.from_dict({"format": 99, "seed": 0, "pipeline": "outbox",
+        Schedule.from_dict({"format": 99, "seed": 0, "ops": [], "faults": []})
+
+
+def test_schedule_with_outbox_pipeline_key_still_loads():
+    """Reproducers written while two pipelines existed name theirs; the
+    surviving one's load, the key ignored."""
+    schedule = Schedule.from_dict({"format": 1, "seed": 7,
+                                   "pipeline": "outbox",
+                                   "ops": [], "faults": []})
+    assert schedule == Schedule(seed=7)
+
+
+def test_schedule_no_longer_writes_a_pipeline_key():
+    assert "pipeline" not in generate_schedule(42).to_dict()
+
+
+def test_schedule_recorded_on_the_removed_pipeline_is_rejected():
+    with pytest.raises(ValueError, match="removed"):
+        Schedule.from_dict({"format": 1, "seed": 7, "pipeline": "inline",
                             "ops": [], "faults": []})
 
 

@@ -1,9 +1,9 @@
-"""The scenario matrix: every adversary × both propagation pipelines.
+"""The scenario matrix: every adversary × eager/adaptive maintenance.
 
-Tier 1 runs one representative stacked scenario per pipeline; the full
-matrix (each adversary alone plus a stacked combination, outbox and
-inline) is tier 2 (``-m slow``) and is what the CI ``scenarios`` job
-executes.  Every cell must pass the standing invariant suite.
+Tier 1 runs one representative stacked scenario per maintenance mode;
+the full matrix (each adversary alone plus a stacked combination, eager
+and adaptive) is tier 2 (``-m slow``) and is what the CI ``scenarios``
+job executes.  Every cell must pass the standing invariant suite.
 """
 
 import pytest
@@ -35,8 +35,8 @@ ADVERSARY_STACKS = {
 }
 
 
-# The adaptive heavy/light maintenance knobs (repro.views.skew): a
-# third matrix dimension on the outbox pipeline.
+# The adaptive heavy/light maintenance knobs (repro.views.skew): the
+# second matrix dimension.
 ADAPTIVE_OVERRIDES = dict(
     skew_adaptive=True,
     skew_promote_threshold=2.0,
@@ -47,13 +47,13 @@ ADAPTIVE_OVERRIDES = dict(
 )
 
 
-def run_cell(stack_name: str, pipeline: str, *, seed: int = 17,
-             ops: int = 120, adaptive: bool = False):
+def run_cell(stack_name: str, *, seed: int = 17, ops: int = 120,
+             adaptive: bool = False):
     overrides = ADAPTIVE_OVERRIDES if adaptive else {}
-    name = f"{stack_name}/{pipeline}" + ("/adaptive" if adaptive else "")
+    name = stack_name + ("/adaptive" if adaptive else "")
     scenario = Scenario(
         name,
-        config=default_config(seed=seed, pipeline=pipeline, **overrides),
+        config=default_config(seed=seed, **overrides),
         workload=ScenarioWorkload(ops=ops),
         adversaries=ADVERSARY_STACKS[stack_name](),
     )
@@ -62,25 +62,23 @@ def run_cell(stack_name: str, pipeline: str, *, seed: int = 17,
     return result
 
 
-@pytest.mark.parametrize("pipeline", ["outbox", "inline"])
-def test_stacked_scenario_quick(pipeline):
-    """Tier-1 representative: the stacked storm on both pipelines."""
-    result = run_cell("stacked", pipeline, ops=60)
+def test_stacked_scenario_quick():
+    """Tier-1 representative: the stacked storm."""
+    result = run_cell("stacked", ops=60)
     assert result.stats["acked_ops"] > 0
 
 
 def test_stacked_scenario_quick_adaptive():
     """Tier-1 representative: the stacked storm, adaptive maintenance."""
-    result = run_cell("stacked", "outbox", ops=60, adaptive=True)
+    result = run_cell("stacked", ops=60, adaptive=True)
     assert result.stats["acked_ops"] > 0
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("pipeline", ["outbox", "inline"])
 @pytest.mark.parametrize("stack_name", sorted(ADVERSARY_STACKS))
-def test_scenario_matrix(stack_name, pipeline):
-    """Tier 2: the full adversary × pipeline matrix, bigger workloads."""
-    result = run_cell(stack_name, pipeline, ops=200)
+def test_scenario_matrix(stack_name):
+    """Tier 2: every adversary stack, bigger workloads."""
+    result = run_cell(stack_name, ops=200)
     # The harness is not vacuous: work happened and was accounted for.
     assert result.stats["applied_updates"] > 0
     assert result.stats["completed_propagations"] > 0
@@ -90,14 +88,13 @@ def test_scenario_matrix(stack_name, pipeline):
 @pytest.mark.parametrize("stack_name", sorted(ADVERSARY_STACKS))
 def test_scenario_matrix_adaptive(stack_name):
     """Tier 2: every adversary against adaptive heavy/light maintenance."""
-    result = run_cell(stack_name, "outbox", ops=200, adaptive=True)
+    result = run_cell(stack_name, ops=200, adaptive=True)
     assert result.stats["applied_updates"] > 0
     assert result.stats["completed_propagations"] > 0
 
 
 @pytest.mark.slow
 def test_matrix_seeds_sweep():
-    """Tier 2: the stacked storm across several seeds per pipeline."""
-    for pipeline in ("outbox", "inline"):
-        for seed in (1, 2, 3):
-            run_cell("stacked", pipeline, seed=seed, ops=150)
+    """Tier 2: the stacked storm across several seeds."""
+    for seed in (1, 2, 3):
+        run_cell("stacked", seed=seed, ops=150)

@@ -39,7 +39,7 @@ ADAPTIVE = dict(
 def run_storm(*, seed, theta, ops, population=12):
     scenario = Scenario(
         f"skew-property-{seed}",
-        config=default_config(seed=seed, pipeline="outbox", **ADAPTIVE),
+        config=default_config(seed=seed, **ADAPTIVE),
         workload=ScenarioWorkload(
             ops=ops, key_chooser=ZipfianKeys(population, theta)),
         adversaries=[BurstArrivals(), CrashLoop(victim=0)],

@@ -120,6 +120,17 @@ def test_config_validation():
         ClusterConfig(propagation_max_rounds=0)
 
 
+def test_one_propagation_pipeline_two_concurrency_mechanisms():
+    """There is no pipeline to choose, and the concurrency mechanisms
+    are the two of the paper's Section IV-F."""
+    with pytest.raises(TypeError):
+        ClusterConfig(propagation_pipeline="outbox")
+    with pytest.raises(ValueError):
+        ClusterConfig(propagation_concurrency="none")
+    for mode in ("locks", "propagators"):
+        assert ClusterConfig(propagation_concurrency=mode)
+
+
 def test_service_times_validation():
     with pytest.raises(ValueError):
         ServiceTimes(read=-0.1)

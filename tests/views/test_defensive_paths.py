@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster
 from repro.common import Cell
 from repro.errors import ViewError
-from repro.views import ViewDefinition, ViewKeyGuess
+from repro.views import ViewDefinition, ViewKeyGuess, drive
 from repro.views.maintenance import ViewMaintainer
 from repro.views.read import view_get
 from repro.views.versioned import PHASE_ROW, PHASE_STALE, view_timestamp
@@ -111,8 +111,8 @@ def test_propagation_gives_up_loudly_after_max_rounds():
     # A guess referencing a view key that will never exist, with no
     # refresh able to help (the base row has nothing either).
     hopeless = [ViewKeyGuess("never-there", 10)]
-    process = cluster.env.process(manager._propagate_with_retries(
-        coordinator, VIEW, "T", "k", hopeless, {"m": "x"}, 10))
+    process = cluster.env.process(drive.propagate_with_retries(
+        manager, coordinator, VIEW, "T", "k", hopeless, {"m": "x"}, 10))
     with pytest.raises(Exception):
         cluster.env.run(until=process)
 

@@ -1,8 +1,11 @@
-"""Differential test: inline vs outbox propagation, same history.
+"""Differential test: the outbox against recorded reference runs.
 
-The two propagation pipelines are alternative implementations of the
-same algorithms, so a fixed seeded workload replayed through each must
-converge to the same place.  The contract has two strengths:
+``fixtures/pipeline-golden.json`` holds, for each fixed seeded schedule
+below, the converged state a one-driver-process-per-Put propagation
+path produced (an independent implementation of the same algorithms
+with no log, no batching and no coalescing).  The outbox replaying the
+same history must converge to the same place.  The contract has two
+strengths:
 
 - **Paced history** (no backlog, so the outbox never coalesces): the
   final base and view backing tables are *byte-identical* —
@@ -12,7 +15,13 @@ converge to the same place.  The contract has two strengths:
   versions, so their stale rows and tombstones never materialize —
   but the *live* view state (everything Algorithm 4 can return) and
   actual session read results must match exactly.
+
+The digests are SHA-256 over sorted ``repr``s, so the fixture is stable
+across Python versions.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +31,11 @@ from repro.views import live_state_digest, state_digest
 
 pytestmark = pytest.mark.scenario
 
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "pipeline-golden.json").read_text())
 
-def make_ops(*, count=36, gap, keys=3, view_keys=4):
+
+def make_ops(*, count, gap, keys=3, view_keys=4):
     """A fixed schedule: ``count`` puts, ``gap`` ms apart."""
     ops = []
     for i in range(count):
@@ -37,20 +49,24 @@ def make_ops(*, count=36, gap, keys=3, view_keys=4):
     return ops
 
 
-def run_pipeline(pipeline, ops, *, seed=1):
+def run_golden(name):
+    """Replay the named schedule; return (scenario, result, reference)."""
+    golden = GOLDEN[name]
     scenario = Scenario(
-        f"differential-{pipeline}",
-        config=default_config(seed=seed, pipeline=pipeline),
-        workload=ScheduleWorkload(ops),
+        f"differential-{name}",
+        config=default_config(seed=golden["seed"]),
+        workload=ScheduleWorkload(
+            make_ops(count=golden["count"], gap=golden["gap"])),
         scrub=False,
     )
     result = scenario.run()
-    assert result.ok, (pipeline, result.violations[:5])
-    return scenario, result
+    assert result.ok, (name, result.violations[:5])
+    return scenario, result, golden
 
 
 def session_reads(scenario, view_keys=4):
-    """Read every view key through a fresh session; return the rows."""
+    """Read every view key through a fresh session; return the rows in
+    the fixture's JSON shape."""
     cluster = scenario.cluster
     client = cluster.sync_client()
     client.begin_session()
@@ -58,46 +74,39 @@ def session_reads(scenario, view_keys=4):
     for g in range(view_keys):
         results = client.get_view(SCENARIO_VIEW.name, f"g{g}", ("m",), r=2)
         reads[f"g{g}"] = sorted(
-            (res.base_key, res.values["m"]) for res in results)
+            [res.base_key, list(res.values["m"])] for res in results)
     client.end_session()
     return reads
 
 
 def test_paced_history_is_byte_identical():
     """No coalescing: every cell of both tables matches exactly."""
-    ops = make_ops(gap=20.0)
-    outbox, outbox_result = run_pipeline("outbox", ops)
-    inline, inline_result = run_pipeline("inline", ops)
-    assert outbox.cluster.view_manager.outbox_stats()["coalesced"] == 0
-    assert outbox_result.base_digest == inline_result.base_digest
-    assert outbox_result.view_digest == inline_result.view_digest
-    assert (state_digest(outbox.cluster, "T")
-            == state_digest(inline.cluster, "T"))
-    assert session_reads(outbox) == session_reads(inline)
+    scenario, result, golden = run_golden("paced")
+    assert scenario.cluster.view_manager.outbox_stats()["coalesced"] == 0
+    assert result.base_digest == golden["base_digest"]
+    assert result.view_digest == golden["view_digest"]
+    assert state_digest(scenario.cluster, "T") == golden["state_digest_T"]
+    assert session_reads(scenario) == golden["session_reads"]
 
 
 def test_bursty_history_matches_live_state_and_reads():
     """Coalescing fires: live view state and read results still match."""
-    ops = make_ops(count=40, gap=0.2)
-    outbox, outbox_result = run_pipeline("outbox", ops)
-    inline, inline_result = run_pipeline("inline", ops)
+    scenario, result, golden = run_golden("bursty")
     # The burst actually made the outbox coalesce — the differential
     # would be vacuous otherwise.
-    assert outbox.cluster.view_manager.outbox_stats()["coalesced"] > 0
-    # Base tables are byte-identical regardless of pipeline.
-    assert outbox_result.base_digest == inline_result.base_digest
+    assert scenario.cluster.view_manager.outbox_stats()["coalesced"] > 0
+    # Base tables are byte-identical regardless of how propagation ran.
+    assert result.base_digest == golden["base_digest"]
     # Live view content is identical even though the backing tables
     # differ in stale residue.
-    assert (live_state_digest(outbox.cluster, SCENARIO_VIEW)
-            == live_state_digest(inline.cluster, SCENARIO_VIEW))
-    assert session_reads(outbox) == session_reads(inline)
+    assert (live_state_digest(scenario.cluster, SCENARIO_VIEW)
+            == golden["live_state_digest"])
+    assert session_reads(scenario) == golden["session_reads"]
 
 
-def test_differential_holds_across_seeds():
-    """Sweep a few pacing/seed combinations at tier-1 cost."""
-    for seed in (3, 8):
-        ops = make_ops(count=24, gap=20.0)
-        _, outbox_result = run_pipeline("outbox", ops, seed=seed)
-        _, inline_result = run_pipeline("inline", ops, seed=seed)
-        assert outbox_result.view_digest == inline_result.view_digest
-        assert outbox_result.base_digest == inline_result.base_digest
+@pytest.mark.parametrize("name", ["paced-seed3", "paced-seed8"])
+def test_differential_holds_across_seeds(name):
+    """A few more pacing/seed combinations at tier-1 cost."""
+    _, result, golden = run_golden(name)
+    assert result.view_digest == golden["view_digest"]
+    assert result.base_digest == golden["base_digest"]

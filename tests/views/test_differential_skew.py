@@ -3,7 +3,7 @@
 Adaptive maintenance (``repro.views.skew``) is an alternative execution
 strategy for the same view algorithms, so a fixed seeded history
 replayed through each mode must converge to the same place.  Two
-strengths, mirroring the inline/outbox differential:
+strengths, mirroring the golden-fixture pipeline differential:
 
 - **Paced history** (nothing promotes, so nothing folds): the final
   base and view backing tables are *byte-identical* — ``state_digest``
@@ -52,7 +52,7 @@ def run_mode(adaptive, ops, *, seed=1, **skew_overrides):
         overrides.update(skew_overrides)
     scenario = Scenario(
         f"differential-{'adaptive' if adaptive else 'eager'}",
-        config=default_config(seed=seed, pipeline="outbox", **overrides),
+        config=default_config(seed=seed, **overrides),
         workload=ScheduleWorkload(ops),
         scrub=True,
     )

@@ -160,7 +160,7 @@ def test_combined_get_then_put_mode():
     assert check_view(cluster, VIEW) == []
 
 
-@pytest.mark.parametrize("mode", ["locks", "propagators", "none"])
+@pytest.mark.parametrize("mode", ["locks", "propagators"])
 def test_all_concurrency_modes_work_sequentially(mode):
     cluster, client = build(propagation_concurrency=mode)
     client.put("T", "k", {"vk": "a", "m": 1}, w=2)

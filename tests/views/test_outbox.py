@@ -1,10 +1,9 @@
-"""The outbox pipeline: coalescing, chain FIFO, backpressure, scrubber
+"""The outbox: coalescing, chain FIFO, backpressure, scrubber
 interaction, and observability.
 
-These tests run the full stack with ``propagation_pipeline="outbox"``
-(the default) and slow propagation delays so records pile up in the
-per-node logs while base Puts keep acking — the load-leveling behaviour
-the pipeline exists for.
+These tests run the full stack with slow propagation delays so records
+pile up in the per-node logs while base Puts keep acking — the
+load-leveling behaviour the outbox exists for.
 """
 
 from repro.cluster import Cluster
@@ -188,18 +187,6 @@ def test_outbox_stats_shape():
     per_node = stats["per_node"][0]
     assert set(per_node) == {"appended", "coalesced", "depth", "max_depth",
                              "low_watermark", "lag"}
-
-
-def test_inline_pipeline_still_supported():
-    """``propagation_pipeline="inline"`` restores the per-Put driver:
-    no outbox activity, same converged view."""
-    cluster = build(propagation_pipeline="inline")
-    populate(cluster, 3)
-    manager = cluster.view_manager
-    assert manager.outbox_stats()["appended"] == 0
-    assert manager.outbox_pending() == 0
-    assert manager.completed_propagations >= 3
-    assert check_view(cluster, VIEW) == []
 
 
 def _bare_outbox():

@@ -11,12 +11,13 @@ seeds still replay identically.
 import pytest
 
 from repro.cluster import ClusterConfig
+from repro.views import drive
 
 from tests.repair.conftest import build
 
 
 def _delays(manager, rounds):
-    return [manager._retry_delay(r) for r in rounds]
+    return [drive._retry_delay(manager, r) for r in rounds]
 
 
 def test_backoff_is_jittered_within_round_bounds():
@@ -24,10 +25,10 @@ def test_backoff_is_jittered_within_round_bounds():
     base = manager.config.propagation_retry_backoff
     cap = manager.config.propagation_retry_backoff_cap
     for _ in range(50):
-        delay = manager._retry_delay(1)
+        delay = drive._retry_delay(manager, 1)
         assert base / 2 <= delay < base
     for _ in range(50):
-        delay = manager._retry_delay(100)  # far past the cap
+        delay = drive._retry_delay(manager, 100)  # far past the cap
         assert cap / 2 <= delay < cap
 
 
@@ -38,7 +39,7 @@ def test_backoff_grows_exponentially_until_cap():
     # delay: delay / jitter_factor is the deterministic schedule.
     nominal = []
     for rounds in range(1, 8):
-        delay = manager._retry_delay(rounds)
+        delay = drive._retry_delay(manager, rounds)
         # jitter maps d -> d * [0.5, 1.0); recover d's bounds instead of
         # the exact value.
         nominal.append((delay, min(2.0 ** (rounds - 1), 8.0)))
@@ -50,8 +51,8 @@ def test_backoff_grows_exponentially_until_cap():
 
 def test_zero_base_disables_backoff():
     manager = build(propagation_retry_backoff=0.0).view_manager
-    assert manager._retry_delay(1) == 0.0
-    assert manager._retry_delay(50) == 0.0
+    assert drive._retry_delay(manager, 1) == 0.0
+    assert drive._retry_delay(manager, 50) == 0.0
 
 
 def test_successive_retries_desynchronize():

@@ -162,8 +162,7 @@ def test_session_get_on_other_coordinator_rejected():
     cluster.run_until_idle()
 
 
-@pytest.mark.parametrize("pipeline", ["outbox", "inline"])
-def test_session_get_survives_crashed_propagation(pipeline):
+def test_session_get_survives_crashed_propagation():
     """Regression: a coordinator crash that loses the session's pending
     propagation must *release* the barrier, not raise the propagation's
     ``CoordinatorCrashError`` into the client's Get.  The client then
@@ -172,8 +171,7 @@ def test_session_get_survives_crashed_propagation(pipeline):
     from repro.cluster.chaos import ChaosMonkey
     from repro.errors import NodeDownError, QuorumError
 
-    cluster = build(propagation_delay=Fixed(5.0),
-                    propagation_pipeline=pipeline)
+    cluster = build(propagation_delay=Fixed(5.0))
     monkey = ChaosMonkey(cluster, auto=False)
     monkey.crash_during_propagation(count=1, downtime=10.0)
     client = cluster.client(coordinator_id=0)
