@@ -12,6 +12,16 @@ def test_fig8_update_skew(benchmark, params, capsys):
     throughput = result.column("throughput")
     hops = result.column("avg_chain_hops")
 
+    # A frozen cluster reads 0 req/s; no width may.
+    assert all(value > 0 for value in throughput), throughput
+    # From 1 000 keys down to one, concentration never helps.
+    narrowing = [value for width, value
+                 in sorted(zip(widths, throughput), reverse=True)
+                 if width <= 1000]
+    for wider, narrower in zip(narrowing, narrowing[1:]):
+        assert narrower <= 1.05 * wider, (
+            f"throughput rises as the range narrows: {narrowing}")
+
     widest = throughput[widths.index(max(widths))]
     narrowest = throughput[widths.index(min(widths))]
     # Paper: throughput decreases significantly as the range narrows.

@@ -12,10 +12,10 @@ Two targeted modes supplement the random loop:
 - ``targets`` restricts random victims to specific node ids — e.g. only
   the nodes a workload uses as coordinators, stressing the propagation
   driver rather than replica availability.
-- :meth:`crash_during_propagation` arms a deterministic hook inside the
-  outbox consumer: matching propagations lose their coordinator
-  mid-flight (the work vanishes with the coordinator's volatile
-  state), which is the failure mode the repair subsystem
+- :meth:`crash_during_propagation` arms a deterministic hook inside
+  each outbox record's process: matching propagations lose their
+  coordinator mid-flight (the work vanishes with the coordinator's
+  volatile state), which is the failure mode the repair subsystem
   (:mod:`repro.repair`) detects and heals.  Pass ``auto=False`` to build
   a monkey that only performs such targeted crashes, with no random
   background failures.

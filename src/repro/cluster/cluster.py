@@ -54,7 +54,7 @@ class Cluster:
             [node.node_id for node in self.nodes],
             virtual_nodes=self.config.virtual_nodes,
         )
-        self.hints = HintService(self, self.config.hint_replay_interval)
+        self.hints = HintService(self)
         self._placement_cache: Dict[Tuple[str, Hashable],
                                     Tuple[StorageNode, ...]] = {}
         self._coordinators = [Coordinator(node, self) for node in self.nodes]
@@ -277,8 +277,8 @@ class Cluster:
         replica anti-entropy, which never compares a base table against
         its views.  ``view_names`` defaults to every registered view;
         keyword overrides (``interval``, ``row_budget``, ``range_depth``,
-        ``rate_limit``, ``degraded_backoff``, ``coordinator_id``) default
-        to the cluster config's ``scrub_*`` knobs.
+        ``rate_limit``, ``degraded_backoff``, ``coordinator_id``) are
+        :class:`~repro.repair.ViewScrubber`'s.
         """
         from repro.repair import ViewScrubber  # late: avoids cycle
 

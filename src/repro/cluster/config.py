@@ -95,12 +95,12 @@ class ClusterConfig:
     # Hinted handoff: writes aimed at a down replica are parked as hints on
     # the coordinator and replayed when the replica returns.
     hinted_handoff: bool = True
-    hint_replay_interval: float = 20.0
 
     # View maintenance knobs (consumed by repro.views).
-    # Maximum asynchronous propagations a coordinator may have in flight;
-    # base-table Puts block once the backlog is full (models the finite
-    # maintenance thread pool of the prototype).
+    # Each committed Put is appended to its coordinator node's update
+    # log (repro.views.outbox), which runs one propagation per record.
+    # Maximum records a node may hold, waiting or running; base-table
+    # Puts block once the backlog is full.
     max_pending_propagations: int = 32
     # Extra scheduling delay before an asynchronous propagation begins
     # (models queueing behind other maintenance work; heavy-tailed).
@@ -113,14 +113,6 @@ class ClusterConfig:
     # (per-base-row lock service) or "propagators" (dedicated propagators
     # via consistent hashing).
     propagation_concurrency: str = "locks"
-    # One round trip to the lock service per acquire/release (ms).
-    lock_service_latency: float = 0.05
-    # Puts hand work to view maintenance by appending each committed Put
-    # to a per-node update log (repro.views.outbox) drained by background
-    # consumer processes: parallel consumers per node, and the maximum
-    # records one consumer claims per wakeup.
-    outbox_consumers: int = 2
-    outbox_batch_size: int = 8
     # Backoff between rounds of view-key-guess retries in Algorithm 1:
     # exponential starting at ``propagation_retry_backoff``, doubling per
     # round up to ``propagation_retry_backoff_cap``, with deterministic
@@ -130,15 +122,6 @@ class ClusterConfig:
     propagation_retry_backoff: float = 0.5
     propagation_retry_backoff_cap: float = 8.0
     propagation_max_rounds: int = 200
-    # End-to-end deadline for one propagation, measured from the moment
-    # the update entered the outbox.
-    # 0 disables.  A propagation still retrying past the deadline is
-    # abandoned with PropagationDeadlineError — the mitigation for the
-    # cross-coordinator guess-retry livelock on hot chains: a wedged
-    # record stops holding its backpressure token for the full round
-    # budget, the chain is recorded as a freshness wound, and the
-    # scrubber heals the row.  The first attempt always runs.
-    propagation_deadline_ms: float = 0.0
 
     # Skew-adaptive maintenance (repro.views.skew).  When enabled,
     # per-node decayed update counters classify (view, base key) chains
@@ -148,31 +131,15 @@ class ClusterConfig:
     # ``skew_demote_threshold`` (hysteresis); counts halve every
     # ``skew_decay_half_life`` ms.  Heavy-chain records fold into
     # per-chain delta buffers flushed every ``skew_fold_interval`` ms
-    # (or earlier by a read), re-queueing on failure up to
-    # ``skew_flush_max_attempts`` before the chain is left to the
-    # scrubber.
+    # (or earlier by a read).
     skew_adaptive: bool = False
     skew_promote_threshold: float = 8.0
     skew_demote_threshold: float = 2.0
     skew_decay_half_life: float = 50.0
     skew_fold_interval: float = 20.0
-    skew_flush_max_attempts: int = 12
     # Hot-view read-through cache capacity in result entries; 0 disables
     # the cache (repro.views.skew.HotViewCache).
     view_cache_capacity: int = 0
-
-    # Background view scrubber defaults (consumed by repro.repair).
-    # Base interval between scrub rounds; per-round row verification
-    # budget; Merkle-tree depth for range-level skip of clean ranges
-    # (2**depth buckets); minimum delay between two row verifications
-    # inside a round; and the interval multiplier applied while any node
-    # is down (a degraded cluster needs its quorum capacity for
-    # foreground traffic).
-    scrub_interval: float = 50.0
-    scrub_row_budget: int = 64
-    scrub_range_depth: int = 4
-    scrub_rate_limit: float = 0.1
-    scrub_degraded_backoff: float = 4.0
 
     # Freshness subsystem (repro.freshness).  A bounded-staleness read
     # that escalates compensates at most this many lagging base keys per
@@ -203,12 +170,6 @@ class ClusterConfig:
             raise ValueError(
                 "propagation_concurrency must be 'locks' or 'propagators', "
                 f"got {self.propagation_concurrency!r}")
-        if self.lock_service_latency < 0:
-            raise ValueError("lock_service_latency must be non-negative")
-        if self.outbox_consumers < 1:
-            raise ValueError("outbox_consumers must be >= 1")
-        if self.outbox_batch_size < 1:
-            raise ValueError("outbox_batch_size must be >= 1")
         if self.propagation_retry_backoff < 0:
             raise ValueError("propagation_retry_backoff must be non-negative")
         if self.propagation_retry_backoff_cap < self.propagation_retry_backoff:
@@ -217,8 +178,6 @@ class ClusterConfig:
                 "propagation_retry_backoff")
         if self.propagation_max_rounds < 1:
             raise ValueError("propagation_max_rounds must be >= 1")
-        if self.propagation_deadline_ms < 0:
-            raise ValueError("propagation_deadline_ms must be non-negative")
         if self.freshness_compensation_limit < 0:
             raise ValueError(
                 "freshness_compensation_limit must be non-negative")
@@ -232,20 +191,8 @@ class ClusterConfig:
             raise ValueError("skew_decay_half_life must be positive")
         if self.skew_fold_interval <= 0:
             raise ValueError("skew_fold_interval must be positive")
-        if self.skew_flush_max_attempts < 1:
-            raise ValueError("skew_flush_max_attempts must be >= 1")
         if self.view_cache_capacity < 0:
             raise ValueError("view_cache_capacity must be non-negative")
-        if self.scrub_interval <= 0:
-            raise ValueError("scrub_interval must be positive")
-        if self.scrub_row_budget < 1:
-            raise ValueError("scrub_row_budget must be >= 1")
-        if not 0 <= self.scrub_range_depth <= 20:
-            raise ValueError("scrub_range_depth must be in [0, 20]")
-        if self.scrub_rate_limit < 0:
-            raise ValueError("scrub_rate_limit must be non-negative")
-        if self.scrub_degraded_backoff < 1.0:
-            raise ValueError("scrub_degraded_backoff must be >= 1")
 
     def with_overrides(self, **kwargs) -> "ClusterConfig":
         """A copy of this config with the given fields replaced."""

@@ -34,7 +34,7 @@ class Hint:
 class HintService:
     """Stores hints and replays them when targets recover."""
 
-    def __init__(self, cluster: "Cluster", replay_interval: float):
+    def __init__(self, cluster: "Cluster", replay_interval: float = 20.0):
         self.cluster = cluster
         self.replay_interval = replay_interval
         self._hints: List[Hint] = []

@@ -39,50 +39,23 @@ class ClusterSnapshot:
     scrub_rows_scanned: int = 0
     scrub_divergences_found: int = 0
     scrub_repairs_applied: int = 0
-    # Outbox: records appended/coalesced so far and the current total
-    # queue depth across node outboxes.
-    outbox_appended: int = 0
-    outbox_coalesced: int = 0
-    outbox_depth: int = 0
-    # Propagation lock-service contention (the Figure 8 bottleneck).
-    lock_acquisitions: int = 0
-    lock_contentions: int = 0
-    lock_wait_time: float = 0.0
-    lock_max_queue_depth: int = 0
-    # Skew-adaptive maintenance (repro.views.skew): records folded into
-    # heavy-key deltas, deltas awaiting flush, chains currently heavy.
-    folded_propagations: int = 0
-    skew_pending_chains: int = 0
-    skew_heavy_keys: int = 0
-    # Hot-view read-through cache.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
     # Freshness subsystem (repro.freshness): bounded-read traffic,
     # escalations/compensation, and open staleness wounds.
     freshness_reads_bounded: int = 0
     freshness_bound_hits: int = 0
     freshness_escalations: int = 0
-    freshness_bound_misses: int = 0
     freshness_compensated_keys: int = 0
     freshness_open_wounds: int = 0
     freshness_wounds_opened: int = 0
-    freshness_wounds_healed: int = 0
-    # View read-path health: Init-marker spin retries and timeouts, and
-    # propagations abandoned by the deadline knob.
+    # View read-path health: Init-marker spin retries and timeouts.
     view_init_spins: int = 0
     view_init_timeouts: int = 0
-    deadline_abandoned_propagations: int = 0
 
     @staticmethod
     def capture(cluster) -> "ClusterSnapshot":
         """Snapshot ``cluster``'s counters now."""
         manager = cluster.view_manager
         scrubbers = getattr(cluster, "scrubbers", ())
-        outbox = manager.outbox_stats() if manager else {}
-        locks = manager.locks if manager else None
-        skew = manager.skew_stats() if manager else {}
-        cache = skew.get("cache", {})
         freshness = manager.freshness_stats() if manager else {}
         slo = freshness.get("slo", {})
         return ClusterSnapshot(
@@ -103,31 +76,14 @@ class ClusterSnapshot:
                                         for s in scrubbers),
             scrub_repairs_applied=sum(s.metrics.repairs_applied
                                       for s in scrubbers),
-            outbox_appended=outbox.get("appended", 0),
-            outbox_coalesced=outbox.get("coalesced", 0),
-            outbox_depth=outbox.get("depth", 0),
-            lock_acquisitions=locks.acquisitions if locks else 0,
-            lock_contentions=locks.contentions if locks else 0,
-            lock_wait_time=locks.wait_time_total if locks else 0.0,
-            lock_max_queue_depth=locks.max_queue_depth if locks else 0,
-            folded_propagations=skew.get("folded_propagations", 0),
-            skew_pending_chains=skew.get("pending_chains", 0),
-            skew_heavy_keys=skew.get("heavy_keys", 0),
-            cache_hits=cache.get("hits", 0),
-            cache_misses=cache.get("misses", 0),
-            cache_invalidations=cache.get("invalidations", 0),
             freshness_reads_bounded=slo.get("reads_bounded", 0),
             freshness_bound_hits=slo.get("bound_hits", 0),
             freshness_escalations=slo.get("escalations", 0),
-            freshness_bound_misses=slo.get("bound_misses", 0),
             freshness_compensated_keys=slo.get("compensated_keys", 0),
             freshness_open_wounds=freshness.get("open_wounds", 0),
             freshness_wounds_opened=freshness.get("wounds_opened", 0),
-            freshness_wounds_healed=freshness.get("wounds_healed", 0),
             view_init_spins=freshness.get("init_spins", 0),
             view_init_timeouts=freshness.get("init_timeouts", 0),
-            deadline_abandoned_propagations=freshness.get(
-                "deadline_abandoned", 0),
         )
 
 

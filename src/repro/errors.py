@@ -124,19 +124,6 @@ class PropagationError(ViewError):
     """
 
 
-class PropagationDeadlineError(PropagationError):
-    """A propagation exceeded ``propagation_deadline_ms`` and was abandoned.
-
-    Deadline abandonment is the mitigation for the cross-coordinator
-    guess-retry livelock on hot chains: instead of spinning through the
-    full round budget while holding a backpressure token, the driver
-    gives up once the record's end-to-end age crosses the deadline.  The
-    abandoned chain is recorded as a freshness wound (provenance
-    ``"deadline-abandoned"``) so bounded-staleness reads compensate for
-    it until the scrubber heals the row.
-    """
-
-
 class ViewInitTimeoutError(ViewError):
     """A view read gave up waiting on an Init-marked row.
 

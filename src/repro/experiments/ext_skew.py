@@ -1,9 +1,10 @@
 """Extension E5: adaptive heavy/light view maintenance under Zipf skew.
 
-Figure 8 shows eager maintenance collapsing as updates concentrate on
-few rows: view-key transitions never coalesce, so hot per-(view, key)
-chains exhaust the outbox backpressure tokens and closed-loop clients
-stall behind their own propagations.  ``repro.views.skew`` answers with
+Figure 8 shows eager maintenance slowing as updates concentrate on
+few rows: view-key transitions never coalesce, so every update of a
+hot row is a full propagation queued on that row's chain, and
+closed-loop clients stall behind the backpressure tokens the queue
+holds.  ``repro.views.skew`` answers with
 adaptive maintenance: a decayed update-frequency tracker classifies
 chains heavy/light with hysteresis; heavy chains fold updates into a
 per-key delta that is flushed by re-propagating the base row's *current*
@@ -36,16 +37,16 @@ from repro.workloads import ZipfianKeys, run_closed_loop, write_op
 
 __all__ = ["run", "run_skew_point", "adaptive_overrides", "skew_config"]
 
-# Retry budget shared by both maintenance modes.  Under Zipf skew the
-# hot chains wedge in the propagation guess-retry loop: same-base-key
-# view-key transitions race through different coordinators, each node's
-# in-flight record keeps guessing a predecessor row that is itself
-# queued behind another node's wedged record.  With the default budget
-# (200 rounds, backoff capped at 8 ms) a wedged record holds its
-# backpressure token for ~1.6 s — longer than the run — and the whole
-# cluster freezes.  Capping the rounds makes eager *degrade* instead:
-# wedged records abandon in tens of ms, the divergence they leave is
-# standing-scrubber territory, and closed-loop clients keep moving.
+# Retry budget shared by both maintenance modes.  In adaptive mode a
+# record can be waiting for a view row nobody will write: its
+# predecessor transition was folded on another node, and a flush
+# materializes only the row's *current* state.  Such a record (4-8 per
+# run) spends its whole budget holding a backpressure token — ~1.5 s
+# with the default 200 rounds and 8 ms backoff cap, longer than the
+# run; ~130 ms with 24.  Measured at theta = 1.2: adaptive 2,707 req/s
+# with the cap (2.35x eager), 1,885 without (1.64x).  Eager is the same
+# either way except at theta = 0.9, where 44 records abandon and leave
+# one row to the scrubber.
 _MAX_ROUNDS = 24
 
 
@@ -67,8 +68,8 @@ def adaptive_overrides() -> dict:
     return dict(
         skew_adaptive=True,
         # The tracker is per coordinator and promotion must beat wedge
-        # formation: a chain only folds records claimed *after* it turns
-        # heavy, so the threshold sits low (two closely spaced claims)
+        # formation: a chain only folds records started *after* it turns
+        # heavy, so the threshold sits low (two closely spaced starts)
         # and the half-life spans many head-key inter-arrivals.  Tail
         # keys, hundreds of ms apart per node, still decay back out.
         skew_promote_threshold=2.0,

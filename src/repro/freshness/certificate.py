@@ -10,7 +10,7 @@ acknowledged base updates have not yet taken effect in a view:
   skew-adaptive maintainer, stamped with the append time of the oldest
   folded record;
 - **wounds** — chains whose propagation *failed* (coordinator crash,
-  retry/deadline abandonment, exhausted fold flush, confirmed scrub
+  retry abandonment, exhausted fold flush, confirmed scrub
   divergence, cross-coordinator misordering).  A wound has no resolve
   event; it stays open until the row is re-propagated or a quorum-level
   ``verify_row`` confirms the row clean.

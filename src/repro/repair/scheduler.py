@@ -4,8 +4,8 @@ Modelled on the other background services (``AntiEntropyService``,
 ``StaleRowCollector``): a simulation process wakes every ``interval``
 ms, compares each target view's canonical digest trees, and for dirty
 hash ranges verifies rows with quorum reads and repairs confirmed
-divergences through the ordinary propagation machinery.  Knobs (all
-defaulted from :class:`~repro.cluster.config.ClusterConfig`):
+divergences through the ordinary propagation machinery.  Knobs
+(keyword arguments of :class:`ViewScrubber`):
 
 ``interval``
     Base delay between rounds.
@@ -45,26 +45,19 @@ class ViewScrubber:
     """Periodic base↔view divergence detection and repair."""
 
     def __init__(self, cluster, view_names: Optional[List[str]] = None, *,
-                 interval: Optional[float] = None,
-                 row_budget: Optional[int] = None,
-                 range_depth: Optional[int] = None,
-                 rate_limit: Optional[float] = None,
-                 degraded_backoff: Optional[float] = None,
+                 interval: float = 50.0,
+                 row_budget: int = 64,
+                 range_depth: int = 4,
+                 rate_limit: float = 0.1,
+                 degraded_backoff: float = 4.0,
                  coordinator_id: int = 0):
-        config = cluster.config
         self.cluster = cluster
         self.view_names = list(view_names) if view_names is not None else None
-        self.interval = (interval if interval is not None
-                         else config.scrub_interval)
-        self.row_budget = (row_budget if row_budget is not None
-                           else config.scrub_row_budget)
-        self.range_depth = (range_depth if range_depth is not None
-                            else config.scrub_range_depth)
-        self.rate_limit = (rate_limit if rate_limit is not None
-                           else config.scrub_rate_limit)
-        self.degraded_backoff = (degraded_backoff
-                                 if degraded_backoff is not None
-                                 else config.scrub_degraded_backoff)
+        self.interval = interval
+        self.row_budget = row_budget
+        self.range_depth = range_depth
+        self.rate_limit = rate_limit
+        self.degraded_backoff = degraded_backoff
         self.coordinator_id = coordinator_id
         if self.interval <= 0:
             raise ValueError("interval must be positive")

@@ -47,6 +47,7 @@ from typing import List
 
 from repro.freshness import check_bounded_reads
 from repro.views.invariants import check_view, live_entries
+from repro.views.outbox import WORKERS
 
 __all__ = [
     "Invariant",
@@ -183,7 +184,8 @@ class SessionReadYourWrites(Invariant):
 
 
 class OutboxConservation(Invariant):
-    """Every propagation is accounted for and the queues are empty."""
+    """Every propagation is accounted for, the queues are empty and
+    every worker slot is back."""
 
     name = "outbox-conservation"
 
@@ -201,6 +203,12 @@ class OutboxConservation(Invariant):
         if stats["lag"] != 0:
             violations.append(
                 f"outbox lag {stats['lag']} != 0 after quiescence")
+        held = {node_id: WORKERS - outbox.workers.tokens
+                for node_id, outbox in manager._outboxes.items()
+                if outbox.workers.tokens != WORKERS}
+        if held:
+            violations.append(
+                f"worker slots still held after quiescence: {held}")
         resolved = (manager.completed_propagations
                     + manager.lost_propagations
                     + manager.abandoned_propagations

@@ -1,10 +1,11 @@
-"""Driving propagation: from a claimed outbox record to a converged chain.
+"""Driving propagation: from a started outbox record to a converged chain.
 
 :mod:`repro.views.maintenance` performs *one* ``PropagateUpdate``
 against *one* view-key guess.  This module is what runs around it
-(Algorithm 1 lines 4-7): the consumer loop draining a node's
-:class:`~repro.views.outbox.NodeOutbox`, the guess set built from the
-base-row replicas' answers, and the retry loop over those guesses.
+(Algorithm 1 lines 4-7): the process a node's
+:class:`~repro.views.outbox.NodeOutbox` starts per record, the guess
+set built from the base-row replicas' answers, and the retry loop over
+those guesses.
 :func:`repropagate_row` is the same loop aimed at a base row's *current*
 state: the "converge this chain" primitive behind lazy-delta flushes
 (:mod:`repro.views.skew`), scrub repair (:mod:`repro.repair`) and
@@ -20,50 +21,41 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 from repro.common.records import Cell, ColumnName
 from repro.errors import (
     CoordinatorCrashError,
-    PropagationDeadlineError,
     PropagationError,
     QuorumError,
 )
+from repro.sim.resources import Semaphore
 from repro.views.definition import NEXT_COLUMN, ViewDefinition
 from repro.views.maintenance import ViewKeyGuess
 from repro.views.outbox import NodeOutbox
 from repro.views.versioned import PHASE_STALE, view_column, view_timestamp
 
-__all__ = ["consume_outbox", "propagate_with_retries", "repropagate_row"]
+__all__ = ["process_record", "propagate_with_retries", "repropagate_row"]
 
-# How a claimed record can fail without failing the simulation, first
-# match wins: (exception, manager counters to bump, wound provenance,
+# How a started record can fail without failing the simulation, first
+# match wins: (exception, manager counter to bump, wound provenance,
 # trace message).  Each is an expected outcome the scrubber heals.
 _EXPECTED_FAILURES = (
-    # The record was claimed before processing (at-most-once): the crash
+    # The record left the log when it started (at-most-once): the crash
     # models a coordinator dying with the propagation only in its
     # volatile state, so the work is simply lost — no retry.
-    (CoordinatorCrashError, ("lost_propagations",),
+    (CoordinatorCrashError, "lost_propagations",
      "crash-lost", "lost to coordinator crash"),
-    # The mitigation for the hot-chain guess-retry livelock: give the
-    # token back instead of spinning out the round budget.
-    (PropagationDeadlineError,
-     ("abandoned_propagations", "deadline_abandoned_propagations"),
-     "deadline-abandoned", "abandoned by deadline"),
     # Retries exhausted: the chain entry point this propagation needs
     # never appeared — e.g. its predecessor's propagation was itself
     # lost to a crash, so no guess is ever valid.
-    (PropagationError, ("abandoned_propagations",),
+    (PropagationError, "abandoned_propagations",
      "retries-abandoned", "abandoned after retries"),
 )
 
 
-def consume_outbox(manager, outbox: NodeOutbox):
-    """One background consumer: drain the node's log in batches."""
-    while True:
-        batch = yield from outbox.next_batch(manager.config.outbox_batch_size)
-        for record in batch:
-            yield from _process_record(manager, outbox, record)
-
-
-def _process_record(manager, outbox: NodeOutbox, record):
-    """Propagate one claimed outbox record (Algorithm 1 lines 4-7)."""
+def process_record(manager, outbox: NodeOutbox, record):
+    """Propagate one started outbox record (Algorithm 1 lines 4-7); the
+    process the outbox's start callable spawns."""
     view, key, base_ts = record.view, record.key, record.base_ts
+    # The node's maintenance capacity: held from here to the end, except
+    # across backoff sleeps (see propagate_with_retries).
+    yield outbox.workers.acquire()
     try:
         # Gather guesses from every source round trip (Alg. 1:
         # propagation starts only after the Get has heard from all
@@ -104,7 +96,7 @@ def _process_record(manager, outbox: NodeOutbox, record):
         try:
             yield from propagate_with_retries(
                 manager, coordinator, view, record.table, key, guesses,
-                record.update_values, base_ts, started_at=origin)
+                record.update_values, base_ts, workers=outbox.workers)
             success = True
         finally:
             manager.freshness.eager_end(view.name, key, outbox.node_id,
@@ -117,9 +109,8 @@ def _process_record(manager, outbox: NodeOutbox, record):
         failure = next((entry for entry in _EXPECTED_FAILURES
                         if isinstance(exc, entry[0])), None)
         if failure is not None:
-            _type, counters, provenance, message = failure
-            for counter in counters:
-                setattr(manager, counter, getattr(manager, counter) + 1)
+            _type, counter, provenance, message = failure
+            setattr(manager, counter, getattr(manager, counter) + 1)
             manager.freshness.note_wound(view.name, key, record.appended_at,
                                          provenance)
             manager.cluster.trace("propagation", message, view=view.name,
@@ -128,6 +119,7 @@ def _process_record(manager, outbox: NodeOutbox, record):
         if failure is None:
             raise
     finally:
+        outbox.workers.release()
         outbox.done(record)
         outbox.backpressure.release()
 
@@ -168,24 +160,20 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
                            guesses: List[ViewKeyGuess],
                            update_values: Dict[ColumnName, Any],
                            base_ts: int,
-                           started_at: Optional[float] = None):
+                           workers: Optional[Semaphore] = None):
     """Algorithm 1 lines 5-7: retry guesses until one propagates.
 
     Locks (or the propagator's turn) are released between rounds —
     holding them across a failed round would block the very propagation
-    that must run before the retry can succeed.
-
-    ``started_at`` is when the update entered the outbox; with
-    ``propagation_deadline_ms`` configured, retrying past the deadline
-    raises :class:`PropagationDeadlineError` (the first attempt always
-    runs, even for a record consumed late).  Re-drives of a row's
-    current state (:func:`repropagate_row`) pass none and have no
-    deadline.
+    that must run before the retry can succeed.  The same goes for the
+    worker slot the caller holds on ``workers``: it is given back for
+    the length of each backoff sleep and re-taken before the next
+    round.  Re-drives of a row's current state (:func:`repropagate_row`)
+    hold no worker and pass none.
     """
     config = manager.config
     env = manager.env
     exclusive = view.view_key_column in update_values
-    deadline = config.propagation_deadline_ms
 
     def job(executor):
         return _attempt_round(manager, executor, view, key, guesses,
@@ -198,13 +186,6 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
             raise PropagationError(
                 f"update for base key {key!r} could not be propagated "
                 f"to view {view.name!r} after {rounds - 1} rounds")
-        if (deadline > 0 and started_at is not None and rounds > 1
-                and env.now - started_at >= deadline):
-            raise PropagationDeadlineError(
-                f"update for base key {key!r} exceeded the "
-                f"{deadline:g} ms propagation deadline for view "
-                f"{view.name!r} (age {env.now - started_at:.1f} ms "
-                f"after {rounds - 1} rounds)")
         success = yield from manager.serialized(coordinator, view, key,
                                                 exclusive, job)
         if success:
@@ -212,7 +193,11 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
         manager.maintainer.metrics.retry_rounds += 1
         manager.cluster.trace("propagation", "round failed; backing off",
                               view=view.name, key=key, round=rounds)
+        if workers is not None:
+            workers.release()
         yield env.timeout(_retry_delay(manager, rounds))
+        if workers is not None:
+            yield workers.acquire()
         if rounds % 4 == 0:
             # Refresh guesses from the base replicas: slow peers may
             # have propagated by now, giving us a valid entry point.

@@ -17,10 +17,9 @@ The manager holds the state they share (counters, the
 that decides how same-chain work is serialized (Section IV-F,
 :meth:`ViewManager.serialized`).
 
-Each node's outbox is bounded by ``max_pending_propagations`` (queued
-plus in-flight records); base Puts block while it is full, modelling
-the prototype's finite maintenance capacity, and coalescing returns the
-superseded record's slot immediately.
+Each node's outbox is bounded by ``max_pending_propagations`` (parked
+plus started records); base Puts block while it is full, and coalescing
+returns the superseded record's slot immediately.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.freshness.slo import FreshnessSLO
 from repro.views import read as view_read
 from repro.views.backfill import backfill
 from repro.views.definition import ViewDefinition
-from repro.views.drive import consume_outbox
+from repro.views.drive import process_record
 from repro.views.locks import LockService
 from repro.views.maintenance import ViewMaintainer
 from repro.views.outbox import NodeOutbox
@@ -48,6 +47,9 @@ from repro.views.session import SessionManager
 from repro.views.skew import SkewService
 
 __all__ = ["ViewManager"]
+
+# One round trip to the lock service per acquire/release (ms).
+LOCK_SERVICE_LATENCY = 0.05
 
 
 class ViewManager:
@@ -59,8 +61,7 @@ class ViewManager:
         self.config = cluster.config
         self.maintainer = ViewMaintainer(cluster)
         self.sessions = SessionManager(cluster.env)
-        self.locks = LockService(cluster.env,
-                                 latency=self.config.lock_service_latency)
+        self.locks = LockService(cluster.env, latency=LOCK_SERVICE_LATENCY)
         self.propagators = (PropagatorPool(cluster)
                             if self.config.propagation_concurrency
                             == "propagators" else None)
@@ -73,22 +74,15 @@ class ViewManager:
         self.completed_propagations = 0
         self.lost_propagations = 0
         self.abandoned_propagations = 0
-        self.deadline_abandoned_propagations = 0
         self.folded_propagations = 0
         self.read_stats = view_read.ViewReadStats()
         self._crash_hooks: List[Callable] = []  # see add_crash_hook
-        # One log per node, drained by its own consumer pool.  Idle
-        # consumers block on unscheduled events, so they never keep
-        # run_until_idle() alive.
+        # One log per node; each starts a process per record as the
+        # record's chain becomes free.
         for node in cluster.nodes:
-            outbox = NodeOutbox(
+            self._outboxes[node.node_id] = NodeOutbox(
                 self.env, node.node_id,
-                capacity=self.config.max_pending_propagations)
-            self._outboxes[node.node_id] = outbox
-            for index in range(self.config.outbox_consumers):
-                self.env.process(
-                    consume_outbox(self, outbox),
-                    name=f"outbox-consumer:{node.node_id}:{index}")
+                self.config.max_pending_propagations, self._start_record)
         # Skew-adaptive maintenance + hot-view cache (repro.views.skew);
         # inert (no processes, no cache) unless configured on.
         self.skew = SkewService(self)
@@ -99,6 +93,10 @@ class ViewManager:
         # accounting for bounded-staleness reads.
         self.freshness = FreshnessTracker(self)
         self.freshness_slo = FreshnessSLO()
+
+    def _start_record(self, outbox: NodeOutbox, record) -> None:
+        self.env.process(process_record(self, outbox, record),
+                         name=f"outbox-record:{outbox.node_id}:{record.seq}")
 
     @property
     def pending_propagations(self) -> int:
@@ -285,13 +283,12 @@ class ViewManager:
     def add_crash_hook(self, hook: Callable) -> None:
         """Arm ``hook(coordinator, view, base_key, base_ts) -> bool``.
 
-        Consulted once per asynchronous propagation — by the outbox
-        consumer after it has claimed the record, once the view-key
-        collection settles and the scheduling delay elapses but before
-        Algorithm 2 runs.  That is the window in which a real
-        coordinator crash silently loses the propagation: the record is
-        already out of the log, the view not yet written.  A hook
-        returning True raises
+        Consulted once per asynchronous propagation — after the outbox
+        has started the record, once the view-key collection settles
+        and the scheduling delay elapses but before Algorithm 2 runs.
+        That is the window in which a real coordinator crash silently
+        loses the propagation: the record is already out of the log,
+        the view not yet written.  A hook returning True raises
         :class:`~repro.errors.CoordinatorCrashError` there, which counts
         the propagation as lost (``lost_propagations``) instead of
         escalating.
@@ -402,7 +399,6 @@ class ViewManager:
         stats["slo"] = self.freshness_slo.stats()
         stats["init_spins"] = self.read_stats.init_spins
         stats["init_timeouts"] = self.read_stats.init_timeouts
-        stats["deadline_abandoned"] = self.deadline_abandoned_propagations
         return stats
 
     # -- backfill (views defined over populated tables) --------------------------------

@@ -3,12 +3,12 @@
 Algorithm 1 acknowledges a base Put at W replicas and drives view
 maintenance asynchronously.  The outbox decouples the two
 halves completely: the Put path *appends* a record describing the
-committed update to its coordinator node's :class:`NodeOutbox`, and a
-small pool of background consumer processes (one log per node, see
-:func:`repro.views.drive.consume_outbox`) drains the log in batches and
-runs ``PropagateUpdate`` (Algorithm 2) per record.  The queue between the two
-is what absorbs bursts: writes keep acking at storage speed while the
-backlog levels the maintenance load over time.
+committed update to its coordinator node's :class:`NodeOutbox`, and the
+log *starts* each record — one process per record, running
+``PropagateUpdate`` (Algorithm 2) — the moment its ``(view, key)`` chain
+is free.  The queue between the two is what absorbs bursts: writes keep
+acking at storage speed while the backlog levels the maintenance load
+over time.
 
 Log format
 ----------
@@ -21,15 +21,17 @@ record describes one Put's effect on one view:
 ``update_values`` are the Put's watched columns as raw application
 values (``None`` for tombstones); ``sources`` are the response
 collectors of the base-row round trips that observed the pre-update
-view keys (Algorithm 1's guesses are extracted from them at consume
-time, after every replica has answered or timed out).
+view keys (Algorithm 1's guesses are extracted from them when the
+record runs, after every replica has answered or timed out).
 
 Coalescing rule
 ---------------
 
-Two pending records for the same ``(view, key)`` chain are redundant
-when the newer one *subsumes* the older: it carries at least the same
-columns, at an equal-or-later ``base_ts``, and — when the view key is
+Records of one ``(view, key)`` chain run one at a time, in seq order;
+the ones appended while an earlier one runs are *parked* behind it.  Two
+parked records of a chain are redundant when the newer one *subsumes*
+the older: it carries at least the same columns, at an
+equal-or-later ``base_ts``, and — when the view key is
 among them — the same *effective* view key (after the selection
 predicate maps rejected/NULL values to the NULL anchor).  Skipping the
 older record then leaves the view in exactly the state LWW would have
@@ -43,32 +45,36 @@ the winner, and its completion event (plus its seq in the watermark
 bookkeeping) resolves when the winner's propagation does, so session
 barriers registered against the older offset remain exact.
 
-Backpressure
-------------
+Backpressure and workers
+------------------------
 
 The log is bounded by ``max_pending_propagations`` tokens per node
-(counting queued *and* in-flight records): producers ``yield
+(counting parked *and* started records): producers ``yield
 backpressure.acquire()`` before appending, so base Puts block — rather
 than queue unboundedly — once the node's maintenance backlog is full.
 Coalescing releases the superseded record's token immediately, which is
 what lets a hot key absorb an arbitrarily long burst in bounded space.
 
-Consumption is at-most-once *by design*: a record is claimed (removed
-from the pending log) before its propagation runs, so a coordinator
-crash mid-propagation loses the update exactly as the paper's
-prototype would (Section VIII) — that divergence window is what the
-repair scrubber exists to close.  The ``low_watermark`` (highest seq
-below which every record has resolved) is what session barriers and the
-scrubber consult.
+How many started records *work* at once is the node's finite
+maintenance capacity: :data:`WORKERS` worker slots (``workers``), which
+a record takes before it does anything and gives back when it finishes
+— and also for the length of every retry backoff sleep, because a
+record sleeping until its predecessor's row appears must not keep that
+predecessor (often another node's record) from getting a worker.
+
+Starting is at-most-once *by design*: a record leaves the pending log
+when it starts, before its propagation runs, so a coordinator crash
+mid-propagation loses the update exactly as the paper's prototype would
+(Section VIII) — that divergence window is what the repair scrubber
+exists to close.  The ``low_watermark`` (highest seq below which every
+record has resolved) is what session barriers and the scrubber consult.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from collections import deque
-from operator import attrgetter
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.records import ColumnName
 from repro.sim.kernel import Environment, Event
@@ -76,7 +82,12 @@ from repro.sim.resources import Semaphore
 from repro.views.definition import ViewDefinition
 from repro.views.versioned import NULL_VIEW_KEY
 
-__all__ = ["OutboxRecord", "NodeOutbox"]
+__all__ = ["OutboxRecord", "NodeOutbox", "WORKERS"]
+
+# Records per node that may be working (not parked, not sleeping in a
+# retry backoff) at once.  More lets maintenance bursts queue ahead of
+# client operations on the node's FIFO CPU.
+WORKERS = 2
 
 
 class OutboxRecord:
@@ -154,20 +165,21 @@ class OutboxRecord:
 class NodeOutbox:
     """The bounded per-node update log behind one coordinator."""
 
-    def __init__(self, env: Environment, node_id: int, capacity: int):
+    def __init__(self, env: Environment, node_id: int, capacity: int,
+                 start: Callable[["NodeOutbox", OutboxRecord], Any]):
         self.env = env
         self.node_id = node_id
         self.capacity = capacity
-        # Producers acquire before appending; consumers release when a
-        # record resolves (and coalescing releases the loser's token).
+        # Producers acquire before appending; a record's token returns
+        # when it resolves (and coalescing releases the loser's token).
         self.backpressure = Semaphore(env, tokens=capacity)
-        self._ready: deque[OutboxRecord] = deque()
-        # chain_key -> records queued behind an in-flight record.
-        self._blocked: Dict[Tuple[str, Hashable], deque] = {}
-        self._in_flight: Set[Tuple[str, Hashable]] = set()
-        # chain_key -> newest *queued* record (the coalesce target).
-        self._pending_by_key: Dict[Tuple[str, Hashable], OutboxRecord] = {}
-        self._waiters: deque[Event] = deque()
+        self.workers = Semaphore(env, tokens=WORKERS)
+        # ``start(outbox, record)`` is called as each record's chain
+        # becomes free; whoever runs the record ends with :meth:`done`.
+        self._start = start
+        # chain_key -> records parked behind the chain's started record;
+        # a chain has an entry (possibly empty) exactly while one runs.
+        self._parked: Dict[Tuple[str, Hashable], deque] = {}
         # Watermark bookkeeping: seqs resolved above the watermark.
         self._resolved_seqs: Set[int] = set()
         # seq -> record, for every appended-but-unresolved record; the
@@ -180,7 +192,7 @@ class NodeOutbox:
         self.appended = 0          # == last assigned seq
         self.coalesced = 0
         self.low_watermark = 0     # every seq <= this has resolved
-        self.depth = 0             # queued + in-flight records
+        self.depth = 0             # parked + started records
         self.max_depth = 0
         self.view_depths: Dict[str, int] = {}
         # Lifetime appends per (view, base key) chain: the producer-side
@@ -195,9 +207,10 @@ class NodeOutbox:
                completion: Event) -> OutboxRecord:
         """Append one record (caller holds a backpressure token).
 
-        Attempts to coalesce with the newest queued record of the same
+        Attempts to coalesce with the newest parked record of the same
         ``(view, key)`` chain; on success the older record is marked
         superseded, rides on the new one, and its token is released.
+        Starts the record at once if its chain is free.
         """
         self.appended += 1
         record = OutboxRecord(self.appended, view, table, key,
@@ -207,7 +220,8 @@ class NodeOutbox:
         completion.add_callback(lambda _event: self._mark_resolved(record.seq))
         chain = record.chain_key
         self.chain_appends[chain] = self.chain_appends.get(chain, 0) + 1
-        target = self._pending_by_key.get(chain)
+        parked = self._parked.get(chain)
+        target = parked[-1] if parked else None
         if target is not None and record.supersedes(target):
             target.superseded = True
             record.sources = target.sources + record.sources
@@ -217,54 +231,30 @@ class NodeOutbox:
             self.depth -= 1
             self.view_depths[view.name] -= 1
             self.backpressure.release()
-        self._pending_by_key[chain] = record
         self.depth += 1
         self.view_depths[view.name] = self.view_depths.get(view.name, 0) + 1
         if self.depth > self.max_depth:
             self.max_depth = self.depth
-        if chain in self._in_flight or chain in self._blocked:
-            # Behind an in-flight record, or behind older records still
-            # parked from when one was: either way it waits its turn.
-            self._blocked.setdefault(chain, deque()).append(record)
+        if parked is None:
+            self._parked[chain] = deque()
+            self._start(self, record)
         else:
-            self._ready.append(record)
-            self._wake()
+            parked.append(record)
         return record
 
-    # -- consumer side -----------------------------------------------------
-
-    def next_batch(self, limit: int):
-        """Process helper: claim up to ``limit`` dispatchable records.
-
-        Blocks (on an unscheduled event, so an idle outbox never keeps
-        the simulation alive) until at least one record is claimable.
-        Claimed records are committed out of the log immediately —
-        at-most-once consumption, see the module docstring.
-        """
-        while True:
-            batch = self._claim(limit)
-            if batch:
-                return batch
-            waiter = self.env.event()
-            self._waiters.append(waiter)
-            yield waiter
-
     def done(self, record: OutboxRecord) -> None:
-        """Finish a claimed record: unblock its chain's next record."""
+        """Finish a started record: start its chain's next parked record
+        (superseded ones were resolved by their winner; nothing to run)."""
         chain = record.chain_key
-        self._in_flight.discard(chain)
         self.depth -= 1
         self.view_depths[record.view.name] -= 1
-        blocked = self._blocked.get(chain)
-        while blocked:
-            successor = blocked.popleft()
-            if successor.superseded:
-                continue
-            self._ready.append(successor)
-            self._wake()
-            break
-        if blocked is not None and not blocked:
-            del self._blocked[chain]
+        parked = self._parked[chain]
+        while parked:
+            successor = parked.popleft()
+            if not successor.superseded:
+                self._start(self, successor)
+                return
+        del self._parked[chain]
 
     # -- watermark ---------------------------------------------------------
 
@@ -297,35 +287,6 @@ class NodeOutbox:
                 if record.view.name == view_name]
 
     # -- internals ---------------------------------------------------------
-
-    def _claim(self, limit: int) -> List[OutboxRecord]:
-        batch: List[OutboxRecord] = []
-        ready = self._ready
-        while ready and len(batch) < limit:
-            record = ready.popleft()
-            if record.superseded:
-                # Resolved by its winner; nothing to run.
-                continue
-            chain = record.chain_key
-            if chain in self._in_flight:
-                # An earlier record of this chain is mid-propagation;
-                # keep FIFO order within the chain.  Records ``append``
-                # parked while this one sat in ``_ready`` are newer, so
-                # it goes in by seq, not at the tail.
-                insort(self._blocked.setdefault(chain, deque()), record,
-                       key=attrgetter("seq"))
-                continue
-            self._in_flight.add(chain)
-            if self._pending_by_key.get(chain) is record:
-                # In-flight records are no longer coalesce targets: the
-                # consumer has already snapshotted their contents.
-                del self._pending_by_key[chain]
-            batch.append(record)
-        return batch
-
-    def _wake(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().succeed()
 
     def _mark_resolved(self, seq: int) -> None:
         self._unresolved.pop(seq, None)

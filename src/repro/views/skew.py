@@ -13,8 +13,8 @@ Heavy/light classification
 --------------------------
 
 :class:`UpdateFrequencyTracker` keeps one exponentially-decayed counter
-per (view, base key) chain, fed from the outbox consumer stream (one
-``observe`` per consumed record).  A chain is *promoted* to heavy when
+per (view, base key) chain, fed by the records the node's outbox starts
+(one ``observe`` per started record).  A chain is *promoted* to heavy when
 its decayed count crosses ``skew_promote_threshold`` and *demoted* only
 after it falls below the lower ``skew_demote_threshold`` — the
 hysteresis band keeps a key from flapping between modes at the
@@ -25,7 +25,7 @@ tracks the *recent* update rate, not lifetime popularity.
 Lazy maintenance (fold + flush)
 -------------------------------
 
-A consumed record for a heavy chain is not propagated: it is *folded*
+A started record for a heavy chain is not propagated: it is *folded*
 into the chain's :class:`PendingDelta` — O(1), no scheduling delay, no
 lock round trips, no chain walk — and resolved immediately, returning
 its backpressure token at once.  Folding is correct because flushing a
@@ -84,16 +84,18 @@ __all__ = [
 
 ChainKey = Tuple[str, Hashable]
 
-# Failures a flush rides out by re-queueing the delta for the next tick.
+# Failures a flush rides out by re-queueing the delta for the next tick,
+# this many times before the chain is left to the scrubber.
 _FLUSH_RETRIABLE = (PropagationError, QuorumError, NodeDownError,
                     CoordinatorCrashError)
+FLUSH_MAX_ATTEMPTS = 12
 
 
 class UpdateFrequencyTracker:
     """Decayed per-chain update counters with hysteresis classification.
 
-    One instance per node: it observes that node's outbox consumer
-    stream, so a chain's count approximates the node-local recent update
+    One instance per node: it observes the records that node's outbox
+    starts, so a chain's count approximates the node-local recent update
     rate (cluster-wide rate divided by the coordinators serving it).
     """
 
@@ -309,7 +311,7 @@ class SkewService:
     """Heavy/light maintenance and the hot-view cache for one manager.
 
     Owned by :class:`~repro.views.manager.ViewManager`; consulted from
-    the outbox consumer (fold-vs-eager decision), the view read path
+    each started outbox record (fold-vs-eager decision), the view read path
     (merge-on-read plus the cache), and the observability surface.
     """
 
@@ -321,7 +323,6 @@ class SkewService:
         self.enabled = config.skew_adaptive
         self.cache = HotViewCache(config.view_cache_capacity)
         self.fold_interval = config.skew_fold_interval
-        self.flush_max_attempts = config.skew_flush_max_attempts
         self._trackers: Dict[int, UpdateFrequencyTracker] = {}
         self._deltas: Dict[ChainKey, PendingDelta] = {}
         # chain -> (gate event, delta being flushed); readers that need
@@ -345,11 +346,11 @@ class SkewService:
                     config.skew_decay_half_life)
             self.env.process(self._fold_loop(), name="skew-fold-tick")
 
-    # -- classification (outbox consumer stream) ----------------------------
+    # -- classification (started outbox records) ----------------------------
 
     def should_fold(self, node_id: int, view: ViewDefinition,
                     key: Hashable) -> bool:
-        """Observe one consumed record; True if it should fold (lazy).
+        """Observe one started record; True if it should fold (lazy).
 
         A chain with a delta already pending stays lazy regardless of
         classification: its queued work is cheapest folded into the
@@ -365,9 +366,9 @@ class SkewService:
         return tracker.is_heavy(chain, self.env.now)
 
     def fold(self, node_id: int, record, gathered) -> PendingDelta:
-        """Fold one claimed outbox record into its chain's delta.
+        """Fold one started outbox record into its chain's delta.
 
-        ``gathered`` is the consumer's settled ``(responses, extract)``
+        ``gathered`` is the record's settled ``(responses, extract)``
         list — the pre-update view keys it carries join the delta's
         affected-key set so merge-on-read knows which reads must force
         this chain's flush.  Affected keys are invalidated in the cache
@@ -539,7 +540,7 @@ class SkewService:
         """Flush one chain: repropagate the base row's current state.
 
         On a retriable failure the delta re-queues (merging with any
-        records folded meanwhile) until ``skew_flush_max_attempts``,
+        records folded meanwhile) until :data:`FLUSH_MAX_ATTEMPTS`,
         after which it is dropped — the chain is then ordinary
         divergence for the scrubber, exactly like an abandoned eager
         propagation.
@@ -566,7 +567,7 @@ class SkewService:
         except _FLUSH_RETRIABLE:
             delta.attempts += 1
             self.flush_failures += 1
-            if delta.attempts >= self.flush_max_attempts:
+            if delta.attempts >= FLUSH_MAX_ATTEMPTS:
                 self.dropped_records += delta.folded
                 self.dropped_chains += 1
                 self.manager.freshness.note_wound(

@@ -146,6 +146,25 @@ def test_fig8_quick_runs_all_widths(quick):
     assert narrow[1] < wide[1]  # narrower range -> lower throughput
 
 
+def test_ablation_concurrency_mechanisms_quick(quick):
+    result = ablations.concurrency_mechanisms(quick)
+    assert result.column("mechanism") == ["locks", "propagators"]
+    assert all(v > 0 for v in result.column("throughput"))
+
+
+def test_ext_skew_quick(quick):
+    from repro.experiments import ext_skew
+
+    result = ext_skew.run(quick)
+    assert result.column("theta") == list(quick.zipf_thetas)
+    assert all(v > 0 for v in result.column("eager_throughput"))
+    assert all(v > 0 for v in result.column("adaptive_throughput"))
+    assert all(v == 0 for v in result.column("divergent_rows"))
+    # At the top of the sweep the hot chains fold: adaptive is no slower.
+    top = result.rows[-1]
+    assert top[2] >= top[1]
+
+
 def test_ablation_combined_quick(quick):
     result = ablations.combined_get_then_put(quick)
     (separate,) = result.series("variant", "separate", "mean_ms")
@@ -229,6 +248,7 @@ def test_mixed_op_fraction_validated():
 
 def test_ablation_gc_quick(quick):
     result = ablations.stale_row_gc(quick)
+    assert all(v > 0 for v in result.column("throughput"))
     (off_stale,) = result.series("gc", "off", "stale_rows")
     (on_stale,) = result.series("gc", "on", "stale_rows")
     assert on_stale < off_stale

@@ -158,7 +158,8 @@ def test_certificate_binds_to_oldest_source():
 
 def test_unresolved_outbox_record_is_a_source():
     env = Environment()
-    outbox = NodeOutbox(env, node_id=0, capacity=4)
+    outbox = NodeOutbox(env, node_id=0, capacity=4,
+                        start=lambda _outbox, _record: None)
     tracker = FreshnessTracker(SimpleNamespace(
         env=env, _outboxes={0: outbox},
         skew=SimpleNamespace(pending_sources=lambda view_name: [])))

@@ -32,16 +32,14 @@ def test_constructor_validation():
         ViewScrubber(cluster, view_names=["NOPE"])
 
 
-def test_defaults_come_from_cluster_config():
-    cluster = build(scrub_interval=123.0, scrub_row_budget=7,
-                    scrub_range_depth=5, scrub_rate_limit=0.25,
-                    scrub_degraded_backoff=2.5)
+def test_constructor_defaults():
+    cluster = build()
     scrubber = cluster.start_scrubber()
-    assert scrubber.interval == 123.0
-    assert scrubber.row_budget == 7
-    assert scrubber.range_depth == 5
-    assert scrubber.rate_limit == 0.25
-    assert scrubber.degraded_backoff == 2.5
+    assert scrubber.interval == 50.0
+    assert scrubber.row_budget == 64
+    assert scrubber.range_depth == 4
+    assert scrubber.rate_limit == 0.1
+    assert scrubber.degraded_backoff == 4.0
     assert cluster.scrubbers == [scrubber]
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.scenarios import (
     Adversary,
     ClusterHealed,
+    OutboxConservation,
     Scenario,
     ScenarioWorkload,
     SessionReadYourWrites,
@@ -78,3 +79,14 @@ def test_session_invariant_excuses_superseded_rows():
         put_ts=5, at=0.0, rows=[]))
     workload.record_acked("kY", {"vk": "g1"}, 10**9)
     assert SessionReadYourWrites().check(scenario) == []
+
+
+def test_outbox_conservation_flags_a_worker_slot_never_returned():
+    scenario = Scenario("workers", config=default_config(seed=8),
+                        workload=ScenarioWorkload(ops=10))
+    result = scenario.run()
+    assert result.ok, result.violations
+    # Forge a leak: someone took node 2's worker and never gave it back.
+    scenario.cluster.view_manager._outboxes[2].workers.acquire()
+    (violation,) = OutboxConservation().check(scenario)
+    assert "worker slots still held" in violation and "{2: 1}" in violation

@@ -1,6 +1,12 @@
 """Guards on the shape of ``src/repro`` that review alone would miss."""
 
+import dataclasses
 from pathlib import Path
+
+import pytest
+
+from repro.cluster.config import ClusterConfig
+from repro.cluster.metrics import ClusterSnapshot
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -13,7 +19,26 @@ def test_view_manager_stays_split():
     assert lines <= 450, f"views/manager.py has grown to {lines} lines"
 
 
+def _files_mentioning(word):
+    return [str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+            if word in path.read_text()]
+
+
 def test_there_is_one_propagation_pipeline():
-    offenders = [str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
-                 if "propagation_pipeline" in path.read_text()]
-    assert offenders == []
+    assert _files_mentioning("propagation_pipeline") == []
+
+
+@pytest.mark.parametrize("word", [
+    "outbox_consumers", "outbox_batch_size", "propagation_deadline_ms",
+    "next_batch",
+])
+def test_there_is_one_limit_on_running_propagations(word):
+    """Records start as their chain frees and take one of the node's
+    workers; there is no consumer pool, no batch claim and no second
+    abandonment policy to configure."""
+    assert _files_mentioning(word) == []
+
+
+def test_config_and_snapshot_stay_small():
+    assert len(dataclasses.fields(ClusterConfig)) <= 26
+    assert len(dataclasses.fields(ClusterSnapshot)) <= 18

@@ -115,9 +115,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ClusterConfig(cores_per_node=0)
     with pytest.raises(ValueError):
-        ClusterConfig(lock_service_latency=-1)
-    with pytest.raises(ValueError):
         ClusterConfig(propagation_max_rounds=0)
+
+
+@pytest.mark.parametrize("field", [
+    "outbox_consumers", "outbox_batch_size", "propagation_deadline_ms",
+    "scrub_interval", "scrub_row_budget", "scrub_range_depth",
+    "scrub_rate_limit", "scrub_degraded_backoff", "hint_replay_interval",
+    "lock_service_latency", "skew_flush_max_attempts",
+])
+def test_single_valued_knobs_are_not_config_fields(field):
+    """No caller ever set these to anything but the default; they are
+    constants or constructor defaults where they are used."""
+    with pytest.raises(TypeError):
+        ClusterConfig(**{field: 1})
 
 
 def test_one_propagation_pipeline_two_concurrency_mechanisms():

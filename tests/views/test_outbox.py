@@ -36,7 +36,7 @@ def _drive(cluster, puts, *, coordinator_id=1, w=2):
 
 def test_hot_key_burst_coalesces_to_latest():
     """Back-to-back refreshes of one (view, key) chain collapse: the log
-    keeps at most the claimed record plus one queued successor, and the
+    keeps at most the started record plus one parked successor, and the
     view converges to exactly the last write."""
     cluster = build(propagation_delay=Fixed(10.0))
     puts = [(0, {"vk": "a"}, 100)]
@@ -46,8 +46,8 @@ def test_hot_key_burst_coalesces_to_latest():
     manager = cluster.view_manager
     stats = manager.outbox_stats()
     assert stats["appended"] == 11
-    # The first m-refresh is claimed (or queued) before the rest arrive;
-    # every later one supersedes its queued predecessor.
+    # The first m-refresh starts (or parks) before the rest arrive;
+    # every later one supersedes its parked predecessor.
     assert stats["coalesced"] >= 8
     assert 0.0 < stats["coalesce_ratio"] < 1.0
     # Coalesced records never ran Algorithm 2 — only the survivors did.
@@ -146,14 +146,14 @@ def test_burst_queue_depth_bounded_by_backpressure():
 def test_scrubber_defers_while_outbox_has_backlog():
     """Propagation lag is not divergence: the scrubber must skip a view
     whose records are still queued instead of issuing repairs that race
-    the consumers."""
+    them."""
     cluster = build(propagation_delay=Fixed(100.0))
     populate(cluster, 3)  # settles: no backlog yet
 
     env = cluster.env
     client = cluster.client(coordinator_id=1)
     env.process(client.put("T", 0, {"m": "late"}, 2, 10))
-    run_for(cluster, 2.0)  # record appended; consumer sleeping ~100 ms
+    run_for(cluster, 2.0)  # record appended; its scheduling delay ~100 ms
     assert cluster.view_manager.outbox_pending(VIEW.name) == 1
 
     scrubber = cluster.start_scrubber(interval=5.0)
@@ -190,56 +190,59 @@ def test_outbox_stats_shape():
 
 
 def _bare_outbox():
-    """A NodeOutbox with no consumers, plus an appender of view-key
-    moves for base row 0 (distinct destinations, so nothing coalesces)."""
+    """A NodeOutbox whose start callable only records what it was
+    handed, plus an appender for base row 0."""
     env = Environment()
-    outbox = NodeOutbox(env, node_id=0, capacity=8)
+    started = []
+    outbox = NodeOutbox(env, node_id=0, capacity=8,
+                        start=lambda _outbox, record: started.append(record))
 
-    def append(view_key):
-        return outbox.append(VIEW, "T", 0, {"vk": view_key},
-                             100 + outbox.appended, (None, None),
-                             env.event())
-    return outbox, append
+    def append(**values):
+        return outbox.append(VIEW, "T", 0, values, 100 + outbox.appended,
+                             (None, None), env.event())
+    return outbox, started, append
 
 
-def test_claim_parks_a_blocked_record_in_seq_order():
-    """A record popped from the ready queue while its chain is in flight
-    goes *ahead of* newer records ``append`` parked meanwhile."""
-    outbox, append = _bare_outbox()
-    first, second = append("a"), append("b")
-    assert outbox._claim(1) == [first]
-    third = append("c")              # chain in flight: parked
-    assert outbox._claim(1) == []    # pops ``second``; parked too
+def test_chain_records_start_one_at_a_time_in_seq_order():
+    """A chain's first record starts on append; later ones (view-key
+    moves here: distinct destinations, so nothing coalesces) start one
+    per ``done``, oldest first — including one appended between a
+    ``done`` and its successor finishing."""
+    outbox, started, append = _bare_outbox()
+    first, second, third = append(vk="a"), append(vk="b"), append(vk="c")
+    assert started == [first]
     outbox.done(first)
-    assert outbox._claim(1) == [second]
+    assert started == [first, second]
+    fourth = append(vk="d")
     outbox.done(second)
-    assert outbox._claim(1) == [third]
+    outbox.done(third)
+    assert started == [first, second, third, fourth]
+    outbox.done(fourth)
+    assert outbox.depth == 0
+    # The chain is free again: the next record starts at once.
+    assert append(vk="e") is started[-1]
 
 
-def test_append_queues_behind_parked_records_of_an_idle_chain():
-    """Between ``done`` readying a chain's next record and that record
-    being claimed, the chain is not in flight but still has parked
-    records; a new append must not overtake them."""
-    outbox, append = _bare_outbox()
-    first = append("a")
-    assert outbox._claim(1) == [first]
-    second, third = append("b"), append("c")
-    outbox.done(first)               # readies ``second``; ``third`` parked
-    fourth = append("d")
-    claimed = []
-    while len(claimed) < 3:
-        (record,) = outbox._claim(1)
-        claimed.append(record)
-        outbox.done(record)
-    assert claimed == [second, third, fourth]
+def test_superseded_parked_records_never_start():
+    """A parked record coalesced into a newer one is skipped; the
+    started record is no coalesce target, whatever arrives behind it."""
+    outbox, started, append = _bare_outbox()
+    first = append(m="v0")
+    second, third = append(m="v1"), append(m="v2")
+    assert second.superseded and not first.superseded
+    assert outbox.coalesced == 1
+    outbox.done(first)
+    assert started == [first, third]
+    outbox.done(third)
+    assert outbox.depth == 0 and len(started) == 2
 
 
 def test_chain_order_survives_busy_consumers_end_to_end():
     """Three view-key moves of one row through one coordinator whose two
-    consumers are busy when the first two arrive: the third is appended
-    while the first is in flight and the second still sits in the ready
-    queue.  Every move must propagate, in order."""
-    cluster = build(propagation_delay=Fixed(10.0), outbox_batch_size=1)
+    workers are busy when the first two arrive: the third is appended
+    while the first is running and the second is parked behind it.
+    Every move must propagate, in order."""
+    cluster = build(propagation_delay=Fixed(10.0))
     env = cluster.env
     client = cluster.client(coordinator_id=1)
 
@@ -247,8 +250,8 @@ def test_chain_order_survives_busy_consumers_end_to_end():
         yield env.timeout(when)
         yield from client.put("T", key, {"vk": view_key}, 2, ts)
 
-    # Two fillers occupy the consumers until t ~ 13 and t ~ 18; the
-    # third move lands between those two claims.
+    # Two fillers occupy the workers until t ~ 13 and t ~ 18; the
+    # third move lands between those two finishes.
     env.process(put_at(0.0, 1, "x", 10))
     env.process(put_at(5.0, 2, "y", 11))
     env.process(put_at(6.0, 0, "a", 100))

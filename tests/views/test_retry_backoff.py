@@ -5,7 +5,9 @@ same lock/chain state each round.  The replacement schedule doubles from
 ``propagation_retry_backoff`` up to ``propagation_retry_backoff_cap``
 and jitters each delay into ``[d/2, d)`` from the deterministic
 ``view-propagation`` RNG stream — so retries spread out, while identical
-seeds still replay identically.
+seeds still replay identically.  A propagation that fails every round
+is abandoned after ``propagation_max_rounds``, and while it sleeps
+between rounds it holds none of the node's maintenance workers.
 """
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.views import drive
 
-from tests.repair.conftest import build
+from tests.repair.conftest import build, run_for
 
 
 def _delays(manager, rounds):
@@ -91,3 +93,56 @@ def test_contending_hot_key_workload_converges():
     client.settle()
     assert check_view(cluster, VIEW) == []
     assert cluster.view_manager.abandoned_propagations == 0
+
+
+def _fail_rounds_for(monkeypatch, cluster, wedged_keys):
+    """Every propagation round for a base key in ``wedged_keys`` fails;
+    returns the per-key round counter."""
+    rounds = {key: 0 for key in wedged_keys}
+    real_round = drive._attempt_round
+
+    def attempt_round(manager, coordinator, view, key, *args):
+        if key not in rounds:
+            result = yield from real_round(manager, coordinator, view, key,
+                                           *args)
+            return result
+        rounds[key] += 1
+        yield cluster.env.timeout(0.5)
+        return False
+
+    monkeypatch.setattr(drive, "_attempt_round", attempt_round)
+    return rounds
+
+
+def test_round_budget_exhaustion_is_retries_abandoned(monkeypatch):
+    cluster = build(propagation_max_rounds=6)
+    rounds = _fail_rounds_for(monkeypatch, cluster, ["k1"])
+    client = cluster.sync_client(coordinator_id=1)
+    client.put("T", "k1", {"vk": "s1", "m": "p"}, w=2)
+    client.settle()
+    manager = cluster.view_manager
+    assert rounds["k1"] == 6
+    assert manager.abandoned_propagations == 1
+    (source,) = manager.freshness.sources("V")
+    assert source.provenance == "retries-abandoned"
+
+
+def test_a_record_sleeping_in_backoff_holds_no_worker(monkeypatch):
+    """Two records of one node fail every round — as many as the node
+    has workers.  A third record, on another chain of the same node,
+    still propagates while they are backing off."""
+    cluster = build()
+    rounds = _fail_rounds_for(monkeypatch, cluster, ["w1", "w2"])
+    client = cluster.client(coordinator_id=1)
+    for key in ("w1", "w2", "ok"):
+        cluster.env.process(client.put("T", key, {"vk": "a"}, 2))
+    run_for(cluster, 100.0)
+    manager = cluster.view_manager
+    assert manager.completed_propagations == 1
+    assert manager.abandoned_propagations == 0     # still retrying
+    assert min(rounds.values()) >= 2
+    assert manager.outbox_pending() == 2
+
+    cluster.run_until_idle()
+    assert manager.abandoned_propagations == 2
+    assert rounds == {"w1": 200, "w2": 200}

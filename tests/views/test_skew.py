@@ -182,7 +182,6 @@ def test_cache_capacity_zero_is_disabled():
     dict(skew_promote_threshold=2.0, skew_demote_threshold=3.0),
     dict(skew_decay_half_life=0.0),
     dict(skew_fold_interval=0.0),
-    dict(skew_flush_max_attempts=0),
     dict(view_cache_capacity=-1),
 ])
 def test_config_rejects_bad_skew_knobs(overrides):
