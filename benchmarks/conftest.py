@@ -1,13 +1,14 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the figure tests.
 
-Each benchmark regenerates one table/figure of the paper's evaluation:
-it runs the corresponding experiment once under pytest-benchmark (wall
-time = cost of regenerating the figure), prints the figure's table, and
-asserts the qualitative shape the paper reports.
+Each test regenerates one table/figure of the paper's evaluation: it
+runs the corresponding experiment once at full size, prints the
+figure's table, and asserts the qualitative shape the paper reports.
+Nothing here is timed; speed is mvbench's business
+(``benchmarks/mvbench/README.md``).
 
-Run with::
+Run with (``--durations=0`` for the wall time of each figure)::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks --ignore=benchmarks/mvbench
 """
 
 import pytest
@@ -21,21 +22,21 @@ def params() -> ExperimentParams:
     return ExperimentParams()
 
 
-def run_figure(benchmark, run_fn, capsys):
-    """Execute one experiment under the benchmark and print its table.
+def run_figure(run_fn, capsys):
+    """Execute one experiment and print its table.
 
     The table is the deliverable (it mirrors the paper's figure), so it
     must reach the terminal even though pytest captures stdout of
-    passing tests — every fig benchmark passes its ``capsys`` fixture
+    passing tests — every figure test passes its ``capsys`` fixture
     and the table prints uncaptured.  ``capsys`` is required (not
-    defaulted to ``None``) so a new benchmark cannot silently print
+    defaulted to ``None``) so a new figure test cannot silently print
     into the captured-and-discarded stream.
 
     An empty table means the experiment produced no rows — that is a
-    broken figure regardless of what the benchmark's own assertions
-    check, so it fails here for every figure uniformly.
+    broken figure regardless of what the test's own assertions check,
+    so it fails here for every figure uniformly.
     """
-    result = benchmark.pedantic(run_fn, rounds=1, iterations=1)
+    result = run_fn()
     table = result.format_table()
     assert table and table.strip(), "figure produced an empty table"
     assert len(result.rows) > 0, "figure produced no data rows"

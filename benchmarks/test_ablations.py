@@ -1,13 +1,13 @@
-"""Ablation benches: design-choice experiments from DESIGN.md."""
+"""Ablations: design-choice experiments from DESIGN.md."""
 
 from repro.experiments import ablations
 
 from benchmarks.conftest import run_figure
 
 
-def test_ablation_combined_get_then_put(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: ablations.combined_get_then_put(params), capsys=capsys)
+def test_ablation_combined_get_then_put(params, capsys):
+    result = run_figure(lambda: ablations.combined_get_then_put(params),
+                        capsys=capsys)
     (separate,) = result.series("variant", "separate", "mean_ms")
     (combined,) = result.series("variant", "combined", "mean_ms")
     # Combining saves one replica round trip: strictly faster, but the
@@ -16,9 +16,9 @@ def test_ablation_combined_get_then_put(benchmark, params, capsys):
     assert combined > 0.5 * separate
 
 
-def test_ablation_concurrency_mechanisms(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: ablations.concurrency_mechanisms(params), capsys=capsys)
+def test_ablation_concurrency_mechanisms(params, capsys):
+    result = run_figure(lambda: ablations.concurrency_mechanisms(params),
+                        capsys=capsys)
     (locks,) = result.series("mechanism", "locks", "throughput")
     (props,) = result.series("mechanism", "propagators", "throughput")
     # Both mechanisms must sustain hot-range load; neither collapses to
@@ -28,9 +28,9 @@ def test_ablation_concurrency_mechanisms(benchmark, params, capsys):
     assert ratio < 10, f"mechanisms diverge too much: {ratio:.1f}x"
 
 
-def test_ablation_materialized_column_count(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: ablations.materialized_column_count(params), capsys=capsys)
+def test_ablation_materialized_column_count(params, capsys):
+    result = run_figure(lambda: ablations.materialized_column_count(params),
+                        capsys=capsys)
     latencies = result.column("write_latency_ms")
     counts = result.column("materialized_columns")
     # Client-visible write latency is insensitive to materialized-column
@@ -41,9 +41,8 @@ def test_ablation_materialized_column_count(benchmark, params, capsys):
         f"{list(zip(counts, latencies))}")
 
 
-def test_ablation_stale_row_gc(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: ablations.stale_row_gc(params), capsys=capsys)
+def test_ablation_stale_row_gc(params, capsys):
+    result = run_figure(lambda: ablations.stale_row_gc(params), capsys=capsys)
     (off_stale,) = result.series("gc", "off", "stale_rows")
     (on_stale,) = result.series("gc", "on", "stale_rows")
     (off_chain,) = result.series("gc", "off", "max_chain")
@@ -57,9 +56,9 @@ def test_ablation_stale_row_gc(benchmark, params, capsys):
     assert on_tput > 0.7 * off_tput
 
 
-def test_ablation_master_vs_decentralized(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: ablations.master_vs_decentralized(params), capsys=capsys)
+def test_ablation_master_vs_decentralized(params, capsys):
+    result = run_figure(lambda: ablations.master_vs_decentralized(params),
+                        capsys=capsys)
     (dec_lat,) = result.series("design", "decentralized",
                                "write_latency_ms")
     (mas_lat,) = result.series("design", "master-based", "write_latency_ms")
@@ -74,9 +73,9 @@ def test_ablation_master_vs_decentralized(benchmark, params, capsys):
     assert mas_tput > dec_tput
 
 
-def test_ablation_quorum_settings(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: ablations.quorum_settings(params), capsys=capsys)
+def test_ablation_quorum_settings(params, capsys):
+    result = run_figure(lambda: ablations.quorum_settings(params),
+                        capsys=capsys)
     reads = dict(zip(zip(result.column("R"), result.column("W")),
                      result.column("read_ms")))
     writes = dict(zip(zip(result.column("R"), result.column("W")),

@@ -1,13 +1,12 @@
-"""Extension bench: the SI-vs-MV read/write-mix crossover."""
+"""Extension: the SI-vs-MV read/write-mix crossover."""
 
 from repro.experiments import crossover
 
 from benchmarks.conftest import run_figure
 
 
-def test_crossover_si_vs_mv(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: crossover.run(params), capsys=capsys)
+def test_crossover_si_vs_mv(params, capsys):
+    result = run_figure(lambda: crossover.run(params), capsys=capsys)
     fractions = sorted(set(result.column("write_fraction")))
 
     def series(label):

@@ -1,13 +1,12 @@
-"""Extension bench: divergence under coordinator crashes, scrubber on/off."""
+"""Extension: divergence under coordinator crashes, scrubber on/off."""
 
 from repro.experiments import ext_repair
 
 from benchmarks.conftest import run_figure
 
 
-def test_ext_repair_scrubber_bounds_divergence(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: ext_repair.run(params), capsys=capsys)
+def test_ext_repair_scrubber_bounds_divergence(params, capsys):
+    result = run_figure(lambda: ext_repair.run(params), capsys=capsys)
 
     def curve(label):
         return [row[2] for row in result.rows if row[0] == label]

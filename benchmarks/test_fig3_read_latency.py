@@ -1,13 +1,12 @@
-"""Figure 3 bench: read latency by access path (BT / SI / MV)."""
+"""Figure 3: read latency by access path (BT / SI / MV)."""
 
 from repro.experiments import fig3_read_latency
 
 from benchmarks.conftest import run_figure
 
 
-def test_fig3_read_latency(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: fig3_read_latency.run(params), capsys=capsys)
+def test_fig3_read_latency(params, capsys):
+    result = run_figure(lambda: fig3_read_latency.run(params), capsys=capsys)
     (bt,) = result.series("scenario", "BT", "mean_ms")
     (si,) = result.series("scenario", "SI", "mean_ms")
     (mv,) = result.series("scenario", "MV", "mean_ms")

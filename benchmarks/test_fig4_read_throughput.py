@@ -1,13 +1,13 @@
-"""Figure 4 bench: aggregate read throughput vs concurrent clients."""
+"""Figure 4: aggregate read throughput vs concurrent clients."""
 
 from repro.experiments import fig4_read_throughput
 
 from benchmarks.conftest import run_figure
 
 
-def test_fig4_read_throughput(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: fig4_read_throughput.run(params), capsys=capsys)
+def test_fig4_read_throughput(params, capsys):
+    result = run_figure(lambda: fig4_read_throughput.run(params),
+                        capsys=capsys)
     bt = result.series("scenario", "BT", "throughput")
     si = result.series("scenario", "SI", "throughput")
     mv = result.series("scenario", "MV", "throughput")

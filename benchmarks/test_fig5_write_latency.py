@@ -1,13 +1,12 @@
-"""Figure 5 bench: write latency by maintenance burden (BT / SI / MV)."""
+"""Figure 5: write latency by maintenance burden (BT / SI / MV)."""
 
 from repro.experiments import fig5_write_latency
 
 from benchmarks.conftest import run_figure
 
 
-def test_fig5_write_latency(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: fig5_write_latency.run(params), capsys=capsys)
+def test_fig5_write_latency(params, capsys):
+    result = run_figure(lambda: fig5_write_latency.run(params), capsys=capsys)
     (bt,) = result.series("scenario", "BT", "mean_ms")
     (si,) = result.series("scenario", "SI", "mean_ms")
     (mv,) = result.series("scenario", "MV", "mean_ms")

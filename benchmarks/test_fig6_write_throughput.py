@@ -1,13 +1,13 @@
-"""Figure 6 bench: aggregate write throughput vs concurrent clients."""
+"""Figure 6: aggregate write throughput vs concurrent clients."""
 
 from repro.experiments import fig6_write_throughput
 
 from benchmarks.conftest import run_figure
 
 
-def test_fig6_write_throughput(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: fig6_write_throughput.run(params), capsys=capsys)
+def test_fig6_write_throughput(params, capsys):
+    result = run_figure(lambda: fig6_write_throughput.run(params),
+                        capsys=capsys)
     bt = result.series("scenario", "BT", "throughput")
     si = result.series("scenario", "SI", "throughput")
     mv = result.series("scenario", "MV", "throughput")

@@ -1,13 +1,13 @@
-"""Figure 7 bench: Put/Get pair latency under session guarantees."""
+"""Figure 7: Put/Get pair latency under session guarantees."""
 
 from repro.experiments import fig7_session_guarantees
 
 from benchmarks.conftest import run_figure
 
 
-def test_fig7_session_guarantees(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: fig7_session_guarantees.run(params), capsys=capsys)
+def test_fig7_session_guarantees(params, capsys):
+    result = run_figure(lambda: fig7_session_guarantees.run(params),
+                        capsys=capsys)
     gaps = list(params.session_gaps)
     si = result.series("scenario", "SI", "pair_latency_ms")
     mv = result.series("scenario", "MV", "pair_latency_ms")

@@ -1,13 +1,12 @@
-"""Figure 8 bench: write throughput vs update key-range width."""
+"""Figure 8: write throughput vs update key-range width."""
 
 from repro.experiments import fig8_update_skew
 
 from benchmarks.conftest import run_figure
 
 
-def test_fig8_update_skew(benchmark, params, capsys):
-    result = run_figure(benchmark,
-                        lambda: fig8_update_skew.run(params), capsys=capsys)
+def test_fig8_update_skew(params, capsys):
+    result = run_figure(lambda: fig8_update_skew.run(params), capsys=capsys)
     widths = result.column("range_width")
     throughput = result.column("throughput")
     hops = result.column("avg_chain_hops")

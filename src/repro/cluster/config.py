@@ -125,17 +125,21 @@ class ClusterConfig:
 
     # Skew-adaptive maintenance (repro.views.skew).  When enabled,
     # per-node decayed update counters classify (view, base key) chains
-    # heavy/light: a chain is promoted to lazy maintenance
-    # when its decayed count reaches
-    # ``skew_promote_threshold`` and demoted below
+    # heavy/light: a chain is promoted to lazy maintenance when its
+    # decayed count reaches ``skew_promote_threshold`` and demoted below
     # ``skew_demote_threshold`` (hysteresis); counts halve every
-    # ``skew_decay_half_life`` ms.  Heavy-chain records fold into
-    # per-chain delta buffers flushed every ``skew_fold_interval`` ms
-    # (or earlier by a read).
+    # ``skew_decay_half_life`` ms.  The tracker is per coordinator and
+    # promotion must beat wedge formation — a chain only folds records
+    # started *after* it turns heavy — so the threshold sits low (two
+    # closely spaced starts) and the half-life spans many head-key
+    # inter-arrivals; tail keys, hundreds of ms apart per node, still
+    # decay back out.  These are the values extension E5 is measured
+    # under.  Heavy-chain records fold into per-chain delta buffers
+    # flushed every ``skew_fold_interval`` ms (or earlier by a read).
     skew_adaptive: bool = False
-    skew_promote_threshold: float = 8.0
-    skew_demote_threshold: float = 2.0
-    skew_decay_half_life: float = 50.0
+    skew_promote_threshold: float = 2.0
+    skew_demote_threshold: float = 1.0
+    skew_decay_half_life: float = 800.0
     skew_fold_interval: float = 20.0
     # Hot-view read-through cache capacity in result entries; 0 disables
     # the cache (repro.views.skew.HotViewCache).

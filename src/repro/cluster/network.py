@@ -127,8 +127,8 @@ class Network:
         Implemented as a timer-callback chain rather than a wrapper
         process: RPCs are the most common unit of work in the simulation,
         and skipping the per-message ``Process`` (generator + initialize
-        event + three resumptions) is a measurable share of the
-        ``message_rpc`` benchmark topic.
+        event + three resumptions) is a measurable share of host time
+        per RPC.
         """
         env = self.env
         event = env.event()

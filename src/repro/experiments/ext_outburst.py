@@ -46,10 +46,7 @@ _PROPAGATION_DELAY = 4.0  # ms: slower than burst arrivals, faster than steady
 def run_burst(config, *, keys: int, steady_ops: int, burst_ops: int,
               steady_gap: float, burst_factor: float, sample_every: float,
               write_quorum: int = 1) -> dict:
-    """Run the steady/burst/drain workload; return raw measurements.
-
-    Shared by the experiment below and the ``ext_outburst`` bench topic.
-    """
+    """Run the steady/burst/drain workload; return raw measurements."""
     cluster = Cluster(config)
     cluster.create_table(TABLE)
     view = ViewDefinition(VIEW_NAME, TABLE, GROUP_COLUMN, (PAYLOAD_COLUMN,))

@@ -60,24 +60,12 @@ def skew_config(seed: int = 0, **overrides) -> ClusterConfig:
 def adaptive_overrides() -> dict:
     """The ClusterConfig knobs that switch on adaptive maintenance.
 
-    Shared by the experiment and the bench topic so both measure the
-    same policy: promote after a couple of closely spaced updates,
-    demote with hysteresis, fold-tick well under the run duration, and
-    a modest hot-view cache on the read path.
+    The tracker policy (promote after a couple of closely spaced
+    updates, demote with hysteresis) and the fold tick are
+    ``ClusterConfig``'s defaults; the experiment adds a modest hot-view
+    cache on the read path.
     """
-    return dict(
-        skew_adaptive=True,
-        # The tracker is per coordinator and promotion must beat wedge
-        # formation: a chain only folds records started *after* it turns
-        # heavy, so the threshold sits low (two closely spaced starts)
-        # and the half-life spans many head-key inter-arrivals.  Tail
-        # keys, hundreds of ms apart per node, still decay back out.
-        skew_promote_threshold=2.0,
-        skew_demote_threshold=1.0,
-        skew_decay_half_life=800.0,
-        skew_fold_interval=20.0,
-        view_cache_capacity=64,
-    )
+    return dict(skew_adaptive=True, view_cache_capacity=64)
 
 
 def run_skew_point(config: ClusterConfig, *, theta: float, population: int,
@@ -85,8 +73,7 @@ def run_skew_point(config: ClusterConfig, *, theta: float, population: int,
                    write_quorum: int = 1) -> dict:
     """One (config, theta) cell: closed-loop run, drain, audit.
 
-    Returns raw measurements shared by the experiment and the
-    ``ext_skew`` bench topic.  The workload is Figure 8's — every
+    Returns raw measurements.  The workload is Figure 8's — every
     operation updates the view-key column — but keys come from a
     Zipfian chooser instead of a shrinking uniform range.
     """

@@ -65,8 +65,7 @@ def run_staleness_point(params: ExperimentParams,
                         bound: Optional[float]) -> dict:
     """One bound cell: lossy workload + bounded reads, then the audit.
 
-    Returns raw measurements shared by the experiment and the
-    ``ext_staleness`` bench topic.
+    Returns raw measurements; :func:`run` tabulates them.
     """
     config = experiment_config(params.seed)
     cluster = Cluster(config)

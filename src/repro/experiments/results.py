@@ -2,9 +2,9 @@
 
 Every experiment returns a :class:`FigureResult` whose ``format_table``
 mirrors the corresponding figure of the paper: same series, same x-axis,
-values from the simulation.  Benchmarks print these tables so a run of
-``pytest benchmarks/ --benchmark-only`` regenerates the paper's
-evaluation section.
+values from the simulation.  The figure tests print these tables so a
+run of ``pytest benchmarks --ignore=benchmarks/mvbench`` regenerates
+the paper's evaluation section.
 """
 
 from __future__ import annotations

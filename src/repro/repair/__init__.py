@@ -11,8 +11,9 @@ package is the self-healing loop that closes the gap:
   keys in budgeted, cursor-resumable batches;
 - :mod:`~repro.repair.detector` — canonical expected-vs-actual live-row
   comparison with Merkle-digest range skip and quorum-read confirmation;
-- :mod:`~repro.repair.repairer` — repair by re-driving the row through
-  the ordinary propagation machinery (idempotent via scaled timestamps);
+- :func:`~repro.views.drive.repropagate_row` — repair by re-driving the
+  row through the ordinary propagation machinery (idempotent via scaled
+  timestamps), re-exported here;
 - :mod:`~repro.repair.scheduler` — the :class:`ViewScrubber` background
   process (interval, row budget, rate limit, degraded backoff,
   pause/resume);
@@ -33,9 +34,9 @@ from repro.repair.detector import (
     verify_row,
 )
 from repro.repair.metrics import ScrubMetrics
-from repro.repair.repairer import repropagate_row
 from repro.repair.scanner import ScanPlan, TokenRangeScanner
 from repro.repair.scheduler import ViewScrubber
+from repro.views.drive import repropagate_row
 
 __all__ = [
     "Divergence",

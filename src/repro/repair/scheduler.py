@@ -35,8 +35,8 @@ from typing import List, Optional
 from repro.errors import PropagationError, QuorumError
 from repro.repair.detector import dirty_buckets, verify_row
 from repro.repair.metrics import ScrubMetrics
-from repro.repair.repairer import repropagate_row
 from repro.repair.scanner import TokenRangeScanner
+from repro.views.drive import repropagate_row
 
 __all__ = ["ViewScrubber"]
 

@@ -33,12 +33,12 @@ Determinism: events scheduled for the same instant fire in scheduling order
 (FIFO, via a monotone sequence counter in the heap entry), so a simulation
 with a fixed RNG seed is fully reproducible.
 
-Performance notes: this kernel is the hot path of every benchmark
-(``python -m repro.bench``, topic ``kernel_events``).  Event classes are
-``__slots__``-based, :class:`Timeout` initializes itself without chaining
-through ``Event.__init__``, and :meth:`Environment.run` drains the heap
-in an inlined loop (no per-event ``step()`` call, locals bound outside
-the loop).
+Performance notes: this kernel is the hot path of every run (mvbench's
+``sim.kernel.*`` rows, see ``benchmarks/mvbench/README.md``).  Event
+classes are ``__slots__``-based, :class:`Timeout` initializes itself
+without chaining through ``Event.__init__``, and :meth:`Environment.run`
+drains the heap in an inlined loop (no per-event ``step()`` call, locals
+bound outside the loop).
 """
 
 from __future__ import annotations

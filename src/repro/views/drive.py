@@ -251,8 +251,20 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
                     strays: Tuple[Any, ...] = ()):
     """Propagate one base row's current state into ``view``; a process.
 
-    Why replaying current state is a correct repair is argued in
-    :mod:`repro.repair.repairer`.
+    Repair is deliberately *not* a special write path.  A diverged row
+    is healed by replaying what Algorithm 1 would have done for the
+    row's current base state: quorum-read the watched columns,
+    propagate the view key cell at its own timestamp (starting from the
+    never-written-NULL guess, whose virtual anchor makes it a universal
+    chain entry point — ``GetLiveKey`` walks from the NULL anchor to
+    whatever row is currently live), then propagate each materialized
+    cell at its own timestamp.  Because every view write carries scaled
+    base timestamps, replaying already-propagated state is an LWW
+    no-op, and replaying lost state lands exactly where the original
+    propagation would have put it — repaired views are
+    indistinguishable from never-diverged ones.  Lazy-delta flushes and
+    ``ViewManager.backfill`` share the routine (an initial load is just
+    a repair of every base row against an empty view).
 
     ``r`` is the base-read quorum (defaults to the maintainer's majority
     quorum, so repair keeps working while a minority of replicas is

@@ -1,9 +1,9 @@
 """Tests for the experiment harness (quick parameter sets).
 
-The benchmarks assert the paper's shapes at full scale; these tests
-exercise the harness machinery quickly: result plumbing, scenario
-builders, and a few robust shape properties that hold even at tiny
-sizes.
+The figure tests under ``benchmarks/`` assert the paper's shapes at full
+scale; these tests exercise the harness machinery quickly: result
+plumbing, scenario builders, and a few robust shape properties that hold
+even at tiny sizes.
 """
 
 import pytest
@@ -163,6 +163,54 @@ def test_ext_skew_quick(quick):
     # At the top of the sweep the hot chains fold: adaptive is no slower.
     top = result.rows[-1]
     assert top[2] >= top[1]
+
+
+def test_skew_adaptive_alone_selects_the_measured_policy(quick):
+    """E5's adaptive column is what ``skew_adaptive=True`` gives by
+    itself: the tracker defaults are the values it was measured under,
+    not a second policy nobody runs."""
+    from repro.experiments.ext_skew import (
+        adaptive_overrides,
+        run_skew_point,
+        skew_config,
+    )
+
+    bare = skew_config(0, skew_adaptive=True, view_cache_capacity=64)
+    # Equal configs run the same cell: the simulation is a function of
+    # its config (tests/views/test_determinism.py).
+    assert bare == skew_config(0, **adaptive_overrides())
+    assert (bare.skew_promote_threshold, bare.skew_demote_threshold,
+            bare.skew_decay_half_life, bare.skew_fold_interval
+            ) == (2.0, 1.0, 800.0, 20.0)
+    cell = run_skew_point(bare, theta=1.2,
+                          population=quick.zipf_population,
+                          clients=quick.zipf_clients,
+                          duration=quick.zipf_duration,
+                          warmup=quick.warmup)
+    assert cell["folded"] > 0 and cell["heavy_keys"] > 0
+
+
+def test_ext_staleness_quick(quick):
+    from repro.experiments.ext_staleness import run_staleness_point
+
+    cells = {bound: run_staleness_point(quick, bound)
+             for bound in quick.staleness_bounds}
+    for cell in cells.values():
+        assert cell["reads"] == quick.staleness_reads
+        assert cell["read_failures"] == 0
+        assert cell["audit_violations"] == 0, cell["audit_failures"]
+        # Crashes really lost propagations, and the scrubber cannot
+        # heal a wound nobody opened.
+        assert cell["wounds_opened"] > 0
+        assert cell["wounds_healed"] <= cell["wounds_opened"]
+    assert cells[None]["escalations"] == 0
+    # Every cell replays one write/crash/scrub timeline, so a tighter
+    # bound faces the same staleness and can only escalate more.
+    loose_to_tight = sorted((b for b in cells if b is not None),
+                            reverse=True)
+    rates = [cells[bound]["escalation_rate"] for bound in loose_to_tight]
+    assert rates == sorted(rates)
+    assert rates[-1] > 0
 
 
 def test_ablation_combined_quick(quick):

@@ -28,9 +28,6 @@ pytestmark = pytest.mark.scenario
 
 ADAPTIVE = dict(
     skew_adaptive=True,
-    skew_promote_threshold=2.0,
-    skew_demote_threshold=1.0,
-    skew_decay_half_life=800.0,
     skew_fold_interval=10.0,
     view_cache_capacity=32,
 )

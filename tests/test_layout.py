@@ -42,3 +42,19 @@ def test_there_is_one_limit_on_running_propagations(word):
 def test_config_and_snapshot_stay_small():
     assert len(dataclasses.fields(ClusterConfig)) <= 26
     assert len(dataclasses.fields(ClusterSnapshot)) <= 18
+
+
+def test_speed_is_measured_in_one_place():
+    """mvbench (``BENCHMARK.json``) is the only harness: no second one
+    under ``src``, no committed wall-clock result files, and nothing
+    that still documents them."""
+    root = SRC.parents[1]
+    assert not (SRC / "bench").exists()
+    assert list(root.glob("BENCH_*.json")) == []
+    assert not (root / "benchmarks" / "baselines").exists()
+    assert _files_mentioning("repro.bench") == []
+    prose = [root / "README.md", root / "DESIGN.md",
+             *(root / "docs").rglob("*.md"),
+             *(root / ".github").rglob("*.yml")]
+    assert [str(path.relative_to(root)) for path in prose
+            if "repro.bench" in path.read_text()] == []

@@ -44,9 +44,6 @@ def run_mode(adaptive, ops, *, seed=1, **skew_overrides):
     overrides = {}
     if adaptive:
         overrides = dict(skew_adaptive=True,
-                         skew_promote_threshold=2.0,
-                         skew_demote_threshold=1.0,
-                         skew_decay_half_life=800.0,
                          skew_fold_interval=10.0,
                          view_cache_capacity=64)
         overrides.update(skew_overrides)
