@@ -1,0 +1,98 @@
+"""The simulation did not move: one recorded timeline, asserted exactly.
+
+``fixtures/timeline-golden.json`` was recorded at the commit *before*
+the RPC, quorum and CPU paths lost their same-instant heap hops (every
+RPC still a ``Process``, every quorum round its own ``rpc_timeout``
+timer, every queued CPU request a grant event).  Those hops advance no
+simulated clock, so removing them may change how many events the kernel
+pops but not *when* anything happens: this test replays the recorded
+workload and requires every op to complete at the same ``repr``-exact
+instant, return the same results, and leave byte-identical base and
+view tables.  It runs on the default (jittered) link models, so one
+reordered RNG draw — a return delay sampled before instead of after a
+neighbour's forward delay — shifts every later timestamp and fails it.
+
+Re-record (only for a change that is *meant* to move the simulation)::
+
+    PYTHONPATH=src python tests/cluster/test_golden_timeline.py
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from repro.cluster import Cluster, ClusterConfig
+from repro.views import ViewDefinition, state_digest
+
+FIXTURE = Path(__file__).parent / "fixtures" / "timeline-golden.json"
+
+SEED = 17
+CLIENTS = 4
+OPS_PER_CLIENT = 60
+KEYS = 12
+VIEW_KEYS = 5
+KINDS = ("put", "get", "get_view")
+
+
+def run_timeline() -> dict:
+    """Four closed-loop clients x 60 ops on a 4-node cluster with one
+    view: view-key Puts, base Gets and view Gets in rotation (odd
+    clients under a session, so barriers run too)."""
+    cluster = Cluster(ClusterConfig(seed=SEED))
+    cluster.create_table("T")
+    cluster.create_view(ViewDefinition("V", "T", "sec", ("payload",)))
+    env = cluster.env
+    timeline = []
+    results = hashlib.sha256()
+
+    def client(index, handle):
+        rng = random.Random(SEED * 1000 + index)
+        if index % 2:
+            handle.begin_session()
+        for i in range(OPS_PER_CLIENT):
+            kind = KINDS[(i + index) % len(KINDS)]
+            key = rng.randrange(KEYS)
+            if kind == "put":
+                values = {"sec": f"s{rng.randrange(VIEW_KEYS)}",
+                          "payload": f"p{index}.{i}"}
+                result = yield from handle.put("T", key, values, w=2)
+            elif kind == "get":
+                result = yield from handle.get("T", key, ("payload",), r=2)
+            else:
+                rows = yield from handle.get_view(
+                    "V", f"s{rng.randrange(VIEW_KEYS)}", ("payload",), r=2)
+                result = sorted((row.base_key, sorted(row.values.items()))
+                                for row in rows)
+            results.update(repr((index, i, result)).encode("utf-8"))
+            timeline.append([index, i, kind, repr(env.now)])
+
+    for index in range(CLIENTS):
+        env.process(client(index, cluster.client()))
+    cluster.run_until_idle()
+    return {
+        "seed": SEED,
+        "timeline": timeline,
+        "results_digest": results.hexdigest(),
+        "base_digest": state_digest(cluster, "T"),
+        "view_digest": state_digest(cluster, "V"),
+    }
+
+
+def test_timeline_matches_the_recording_exactly():
+    golden = json.loads(FIXTURE.read_text())
+    actual = run_timeline()
+    assert len(actual["timeline"]) == CLIENTS * OPS_PER_CLIENT
+    # Compare op by op first: the earliest divergence is the useful one.
+    for got, want in zip(actual["timeline"], golden["timeline"]):
+        assert got == want
+    assert actual == golden
+
+
+if __name__ == "__main__":
+    recording = run_timeline()
+    ops = ",\n".join("  " + json.dumps(op) for op in recording.pop("timeline"))
+    head = json.dumps(recording, indent=1)[:-2]  # reopen the object
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(f'{head},\n "timeline": [\n{ops}\n ]\n}}\n')
+    print(f"recorded {FIXTURE}")
