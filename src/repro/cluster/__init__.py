@@ -3,7 +3,11 @@
 from repro.cluster.client import ClientHandle, SyncClient
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig, ServiceTimes
-from repro.cluster.coordinator import Coordinator, ResponseCollector
+from repro.cluster.coordinator import (
+    Coordinator,
+    QuorumDeadlines,
+    ResponseCollector,
+)
 from repro.cluster.metrics import (
     ClusterSnapshot,
     NodeSnapshot,
@@ -20,6 +24,7 @@ __all__ = [
     "ClientHandle",
     "SyncClient",
     "Coordinator",
+    "QuorumDeadlines",
     "ResponseCollector",
     "Network",
     "StorageNode",

@@ -13,7 +13,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.cluster.antientropy import AntiEntropyService, repair_row, repair_table
 from repro.cluster.config import ClusterConfig
-from repro.cluster.coordinator import Coordinator
+from repro.cluster.coordinator import Coordinator, QuorumDeadlines
 from repro.cluster.hints import HintService
 from repro.cluster.network import Network
 from repro.cluster.node import StorageNode
@@ -57,6 +57,9 @@ class Cluster:
         self.hints = HintService(self)
         self._placement_cache: Dict[Tuple[str, Hashable],
                                     Tuple[StorageNode, ...]] = {}
+        # One rpc_timeout for every quorum round: one deadline queue.
+        self.quorum_deadlines = QuorumDeadlines(self.env,
+                                                self.config.rpc_timeout)
         self._coordinators = [Coordinator(node, self) for node in self.nodes]
         self._next_client_id = 0
         self._next_coordinator = 0

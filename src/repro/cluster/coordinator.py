@@ -13,7 +13,8 @@ handoff.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from collections import deque
+from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.cluster.messages import (
     GetThenPutRequest,
@@ -27,31 +28,86 @@ from repro.common.quorum import validate_quorum
 from repro.errors import QuorumError, UnavailableError
 from repro.sim.kernel import Environment, Event
 
-__all__ = ["ResponseCollector", "Coordinator"]
+__all__ = ["QuorumDeadlines", "ResponseCollector", "Coordinator"]
+
+
+class QuorumDeadlines:
+    """The ``rpc_timeout`` of every quorum round of one cluster.
+
+    The timeout is one value per cluster, so deadlines fall due in the
+    order their collectors were created: a FIFO of collectors and a
+    single armed timer, for the oldest collector still unsettled, stand
+    in for a timer per round.  A collector that settles in time costs
+    no kernel event and leaves nothing on the heap (the one armed timer
+    may outlive the collector it was armed for); one that does not is
+    expired at exactly its creation time plus ``timeout``.
+    """
+
+    def __init__(self, env: Environment, timeout: float):
+        self.env = env
+        self.timeout = timeout
+        # (deadline, collector), oldest first; the timer is armed for
+        # the head whenever the queue is not empty.
+        self._queue: Deque[Tuple[float, "ResponseCollector"]] = deque()
+
+    def watch(self, collector: "ResponseCollector") -> None:
+        """Expire ``collector`` ``timeout`` from now unless it settles."""
+        self._queue.append((self.env.now + self.timeout, collector))
+        if len(self._queue) == 1:
+            self._arm()
+
+    def _arm(self) -> None:
+        self.env.timeout_at(self._queue[0][0]).callbacks.append(self._on_timer)
+
+    def _on_timer(self, _timer: Event) -> None:
+        """Expire what is due and re-arm for the oldest collector still
+        unsettled (none: the heap holds nothing of ours, and an idle
+        cluster stays idle)."""
+        queue = self._queue
+        now = self.env.now
+        while queue and (queue[0][1].is_settled or queue[0][0] <= now):
+            queue.popleft()[1]._expire()
+        if queue:
+            self._arm()
 
 
 class ResponseCollector:
     """Tracks replica responses to one scattered request.
 
     ``wait(count)`` returns an event that fires with the first ``count``
-    responses (or fails with :class:`QuorumError` if the timeout passes
-    first).  ``settled`` fires once every replica has responded or the
-    timeout expired, carrying all responses received by then — Algorithm 1
-    uses this to keep gathering view-key guesses after the client was acked.
+    responses (or fails with :class:`QuorumError` if the cluster's
+    ``rpc_timeout`` — kept by ``deadlines`` — passes first).  ``settled``
+    fires once every replica has responded or the timeout expired,
+    carrying all responses received by then — Algorithm 1 uses this to
+    keep gathering view-key guesses after the client was acked.
+
+    Responses normally arrive inside the reply timer's kernel callback
+    (``Network.rpc`` triggers its event in place), and waiters are woken
+    the same way: a quorum round schedules no event of its own.
     """
 
-    def __init__(self, env: Environment, events: List[Event], timeout: float):
+    __slots__ = ("env", "responses", "_total", "_waiters", "_settled",
+                 "_failure", "is_settled", "_timed_out")
+
+    def __init__(self, env: Environment, events: List[Event],
+                 deadlines: QuorumDeadlines):
         self.env = env
         self.responses: List[object] = []
         self._total = len(events)
         self._waiters: List[Tuple[int, Event]] = []
-        self.settled = env.event()
+        # ``settled`` is created when first asked for: most rounds are
+        # never asked, and an event that does not exist needs neither
+        # triggering nor (when the round fails) defusing.
+        self._settled: Optional[Event] = None
+        self._failure: Optional[BaseException] = None
+        self.is_settled = False
         self._timed_out = False
         for event in events:
             event.add_callback(self._on_response)
-        env.timeout(timeout).add_callback(self._on_timeout)
         if self._total == 0:
             self._settle()
+        else:
+            deadlines.watch(self)
 
     # -- public ----------------------------------------------------------------
 
@@ -66,6 +122,20 @@ class ResponseCollector:
                 required=count, received=len(self.responses)))
         else:
             self._waiters.append((count, event))
+        return event
+
+    @property
+    def settled(self) -> Event:
+        """Event firing, with every response received, once all replicas
+        have answered or the timeout passed (already processed if that
+        has happened: a process yielding it continues at once)."""
+        event = self._settled
+        if event is None:
+            event = self._settled = self.env.event()
+            if self._failure is not None:
+                event.defuse().fail(self._failure)
+            elif self.is_settled:
+                event.succeed_now(list(self.responses))
         return event
 
     @property
@@ -87,42 +157,48 @@ class ResponseCollector:
         responses = self.responses
         responses.append(event._value)
         have = len(responses)
-        if self._waiters:
-            pending = []
-            for count, waiter in self._waiters:
+        waiters = self._waiters
+        if waiters:
+            # Woken in place, a waiter may wait() on this collector
+            # again before the loop ends: collect into a fresh list.
+            self._waiters = []
+            for count, waiter in waiters:
                 if count <= have:
-                    waiter.succeed(responses[:count])
+                    waiter.succeed_now(responses[:count])
                 else:
-                    pending.append((count, waiter))
-            self._waiters = pending
+                    self._waiters.append((count, waiter))
         if have == self._total:
             self._settle()
 
-    def _on_timeout(self, event: Event) -> None:
-        if self._timed_out or self.settled.triggered:
-            return
-        self._timed_out = True
-        self._settle()
+    def _expire(self) -> None:
+        """The deadline passed (called by :class:`QuorumDeadlines`)."""
+        if not self.is_settled:
+            self._timed_out = True
+            self._settle()
 
     def _settle(self) -> None:
+        self.is_settled = True
         for count, waiter in self._waiters:
             waiter.fail(QuorumError(
                 f"needed {count} responses, got {len(self.responses)}",
                 required=count, received=len(self.responses)))
         self._waiters = []
-        if not self.settled.triggered:
-            self.settled.succeed(list(self.responses))
+        if self._settled is not None:
+            self._settled.succeed_now(list(self.responses))
 
     def _fail_all(self, exc: BaseException) -> None:
         self._timed_out = True
         for _count, waiter in self._waiters:
             waiter.fail(exc)
         self._waiters = []
-        if not self.settled.triggered:
-            # ``settled`` is optional to consume; a failure with no waiter
-            # must not crash the simulation (waiters still see the raise).
-            self.settled.defuse()
-            self.settled.fail(exc)
+        if not self.is_settled:
+            self.is_settled = True
+            self._failure = exc
+            if self._settled is not None:
+                # ``settled`` is optional to consume; a failure with no
+                # waiter must not crash the simulation (waiters still
+                # see the raise).
+                self._settled.defuse().fail(exc)
 
 
 class Coordinator:
@@ -170,7 +246,7 @@ class Coordinator:
                                            replica.node_id, request)
         events = [self.cluster.network.rpc(self.node.node_id, replica, request)
                   for replica in alive]
-        return ResponseCollector(self.env, events, self.config.rpc_timeout)
+        return ResponseCollector(self.env, events, self.cluster.quorum_deadlines)
 
     def scatter_read(self, table: str, key: Hashable,
                      columns: Tuple[ColumnName, ...],
@@ -183,7 +259,7 @@ class Coordinator:
         request = ReadRequest(table, key, tuple(columns))
         events = [self.cluster.network.rpc(self.node.node_id, replica, request)
                   for replica in alive]
-        return ResponseCollector(self.env, events, self.config.rpc_timeout)
+        return ResponseCollector(self.env, events, self.cluster.quorum_deadlines)
 
     def scatter_read_row(self, table: str, key: Hashable,
                          required: int) -> ResponseCollector:
@@ -195,7 +271,7 @@ class Coordinator:
         request = ReadRowRequest(table, key)
         events = [self.cluster.network.rpc(self.node.node_id, replica, request)
                   for replica in alive]
-        return ResponseCollector(self.env, events, self.config.rpc_timeout)
+        return ResponseCollector(self.env, events, self.cluster.quorum_deadlines)
 
     def scatter_get_then_put(self, table: str, key: Hashable,
                              cells: Dict[ColumnName, Cell],
@@ -215,21 +291,21 @@ class Coordinator:
                                            replica.node_id, write_only)
         events = [self.cluster.network.rpc(self.node.node_id, replica, request)
                   for replica in alive]
-        return ResponseCollector(self.env, events, self.config.rpc_timeout)
+        return ResponseCollector(self.env, events, self.cluster.quorum_deadlines)
 
     # -- high-level operations ---------------------------------------------------
 
     def put(self, table: str, key: Hashable, cells: Dict[ColumnName, Cell],
             w: int):
         """Quorum Put: returns once W replicas have acknowledged."""
-        yield from self.node._use_cpu(self.config.service.coordinator)
+        yield self.node.charge(self.config.service.coordinator)
         collector = self.scatter_write(table, key, cells, w)
         yield collector.wait(w)
 
     def get(self, table: str, key: Hashable,
             columns: Tuple[ColumnName, ...], r: int):
         """Quorum Get: merged per-column cells from the first R responses."""
-        yield from self.node._use_cpu(self.config.service.coordinator)
+        yield self.node.charge(self.config.service.coordinator)
         collector = self.scatter_read(table, key, columns, r)
         responses = yield collector.wait(r)
         merged = self._merge_columns(columns, responses)
@@ -239,7 +315,7 @@ class Coordinator:
 
     def get_row(self, table: str, key: Hashable, r: int):
         """Quorum whole-row Get: merged cells of every column seen."""
-        yield from self.node._use_cpu(self.config.service.coordinator)
+        yield self.node.charge(self.config.service.coordinator)
         collector = self.scatter_read_row(table, key, r)
         responses = yield collector.wait(r)
         merged: Dict[ColumnName, Cell] = {}
@@ -259,14 +335,14 @@ class Coordinator:
         broadcast to all servers because fragments are partitioned by
         primary key, and the coordinator must wait for all of them.
         """
-        yield from self.node._use_cpu(self.config.service.coordinator)
+        yield self.node.charge(self.config.service.coordinator)
         nodes = [node for node in self.cluster.nodes if not node.is_down]
         if not nodes:
             raise UnavailableError("no nodes alive for index read")
         request = IndexScanRequest(table, column, value, tuple(columns))
         events = [self.cluster.network.rpc(self.node.node_id, node, request)
                   for node in nodes]
-        collector = ResponseCollector(self.env, events, self.config.rpc_timeout)
+        collector = ResponseCollector(self.env, events, self.cluster.quorum_deadlines)
         responses = yield collector.wait(len(nodes))
         # Merge per-key: replicas may disagree; LWW per cell.
         merged: Dict[Hashable, Dict[ColumnName, Cell]] = {}

@@ -1,11 +1,11 @@
 """Simulated network: latency, loss, partitions, RPC plumbing.
 
-``Network.rpc`` delivers a request to a destination node after a sampled
-one-way delay, runs the node's dispatch handler (which charges the node's
-CPU), and completes the returned event after the response's return delay.
-If the destination is down, partitioned away, or the message is lost, the
-event simply never fires — exactly like a dropped packet; callers protect
-themselves with quorum timeouts.
+``Network.rpc`` is three timers: the request's one-way delay, the
+service time the node's handler charges to its CPU, and the response's
+return delay; the returned event fires with the response when the third
+one does.  If the destination is down, partitioned away, or the message
+is lost, the event simply never fires — exactly like a dropped packet;
+callers protect themselves with quorum timeouts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Set, Tuple
 
-from repro.sim.kernel import Environment, Event, Timeout
+from repro.sim.kernel import Environment, Event, Timeout, advance
 from repro.sim.latency import LatencyModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -65,7 +65,8 @@ class Network:
 
     def is_partitioned(self, a: int, b: int) -> bool:
         """True if traffic between ``a`` and ``b`` is blocked."""
-        return frozenset((a, b)) in self._partitions
+        partitions = self._partitions
+        return bool(partitions) and frozenset((a, b)) in partitions
 
     def active_partitions(self) -> List[Tuple[int, int]]:
         """All currently blocked endpoint pairs, as sorted tuples.
@@ -124,45 +125,76 @@ class Network:
         the request or response is dropped (down node, partition, loss);
         handler exceptions fail the event.
 
-        Implemented as a timer-callback chain rather than a wrapper
-        process: RPCs are the most common unit of work in the simulation,
-        and skipping the per-message ``Process`` (generator + initialize
-        event + three resumptions) is a measurable share of host time
-        per RPC.
+        A delivered RPC costs three kernel events, the ones that advance
+        the clock (see :class:`_Call`): the forward delay is drawn here,
+        at send; the return delay when the handler finishes.
         """
-        env = self.env
-        event = env.event()
         self.messages_sent += 1
-        dst_id = dst.node_id
+        call = _Call(self, src_id, dst, request)
+        Timeout(self.env, self.one_way_delay(src_id, dst.node_id)
+                ).callbacks.append(call.deliver)
+        return call.reply
 
-        def on_response(process: Event) -> None:
-            if not process._ok:  # surface handler errors to the caller
-                process.defuse()
-                event.fail(process._value)
-                return
-            response = process._value
 
-            def complete(_timer: Event) -> None:
-                if self.is_partitioned(src_id, dst_id) or self._lost():
-                    self.messages_dropped += 1
-                    return
-                event.succeed(response)
+class _Call:
+    """One RPC in flight; its bound methods are the timers' callbacks.
 
-            Timeout(env, self.one_way_delay(dst_id, src_id)
-                    ).callbacks.append(complete)
+    ``deliver`` runs when the request's delay has passed: it makes the
+    drop checks, calls ``dst.dispatch(request)`` and steps the handler
+    generator it returns, in place (RPCs are the most common unit of
+    work in the simulation; a ``Process`` per message would add a start
+    event and a completion event that advance no clock).  ``step``
+    resumes the handler after each event it waits on — its CPU charge —
+    and, when it returns, arms the reply timer carrying the response.
+    ``arrive`` runs when that delay has passed, repeats the partition and
+    loss checks, and triggers ``reply`` in place, so whoever waits on it
+    (a quorum collector, and through it the coordinator) continues
+    inside the same kernel event.
+    """
 
-        def deliver(_timer: Event) -> None:
-            if dst.is_down or self.is_partitioned(src_id, dst_id) \
-                    or self._lost():
-                self.messages_dropped += 1
-                return
-            try:
-                process = env.process(dst.dispatch(request))
-            except Exception as exc:  # bad request type, etc.
-                event.fail(exc)
-                return
-            process.add_callback(on_response)
+    __slots__ = ("network", "src_id", "dst", "request", "reply", "handler")
 
-        Timeout(env, self.one_way_delay(src_id, dst_id)
-                ).callbacks.append(deliver)
-        return event
+    def __init__(self, network: Network, src_id: int, dst: "StorageNode",
+                 request: Any):
+        self.network = network
+        self.src_id = src_id
+        self.dst = dst
+        self.request = request
+        self.reply = Event(network.env)
+        self.handler = None
+
+    def _dropped(self) -> bool:
+        network = self.network
+        if (network.is_partitioned(self.src_id, self.dst.node_id)
+                or network._lost()):
+            network.messages_dropped += 1
+            return True
+        return False
+
+    def deliver(self, timer: Event) -> None:
+        if self.dst.is_down:
+            self.network.messages_dropped += 1
+            return
+        if self._dropped():
+            return
+        try:
+            self.handler = self.dst.dispatch(self.request)
+        except Exception as exc:  # bad request type, etc.
+            self.reply.fail(exc)
+            return
+        self.step(timer)  # a fired timer carries None: starts the handler
+
+    def step(self, event: Event) -> None:
+        try:
+            advance(self.handler, event, self.step)
+        except StopIteration as done:
+            network = self.network
+            Timeout(network.env,
+                    network.one_way_delay(self.dst.node_id, self.src_id),
+                    done.value).callbacks.append(self.arrive)
+        except Exception as exc:  # surface handler errors to the caller
+            self.reply.fail(exc)
+
+    def arrive(self, timer: Event) -> None:
+        if not self._dropped():
+            self.reply.succeed_now(timer._value)

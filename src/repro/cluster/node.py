@@ -3,8 +3,9 @@
 Each node owns an in-memory :class:`LocalStorageEngine`, a CPU modelled as
 a :class:`Resource` with ``cores_per_node`` slots, and the local fragments
 of any native secondary indexes.  Handlers charge the CPU for a
-service-time interval and then perform the storage operation atomically
-(no yields between reading and writing local state).
+service-time interval (``yield self.charge(cost)``) and then perform the
+storage operation atomically (no yields between reading and writing
+local state).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.cluster.storage import LocalStorageEngine
 from repro.common.records import Cell, ColumnName
 from repro.errors import ClusterError
 from repro.index import IndexSchema, LocalIndexFragment
-from repro.sim.kernel import Environment, Timeout
+from repro.sim.kernel import Environment, Event
 from repro.sim.resources import Resource
 
 __all__ = ["StorageNode"]
@@ -112,25 +113,18 @@ class StorageNode:
 
     # -- CPU accounting -------------------------------------------------------------
 
-    def _use_cpu(self, duration: float):
-        """Charge ``duration`` ms of CPU, queuing behind other work.
+    def charge(self, duration: float) -> Event:
+        """Charge ``duration`` ms of CPU, queuing FIFO behind other work.
 
-        Inlines :meth:`Resource.use` (uncontended fast path included):
-        CPU charges are the innermost loop of every request handler, and
-        the nested ``use`` generator showed up in profiles.
+        Returns the event that fires when the work is done, the core
+        already given back.  Handlers ``yield`` it; work nobody waits
+        for (the deferred part of a write) just calls this.  One kernel
+        event per charge either way (:meth:`Resource.hold`).
         """
         if self.cpu_slowdown != 1.0:
             duration *= self.cpu_slowdown
         self.busy_time += duration
-        cpu = self.cpu
-        if cpu._in_use < cpu.capacity:
-            cpu._in_use += 1
-        else:
-            yield cpu.request()
-        try:
-            yield Timeout(self.env, duration)
-        finally:
-            cpu.release()
+        return self.cpu.hold(duration)
 
     # -- dispatch -------------------------------------------------------------------
 
@@ -173,49 +167,24 @@ class StorageNode:
         # this node's CPU asynchronously, off the acknowledgement path.
         background = self.service.write_background
         if background > 0:
-            self._charge_cpu_background(background)
+            self.charge(background)
         return bool(changed)
-
-    def _charge_cpu_background(self, duration: float) -> None:
-        """Charge ``duration`` ms of CPU with no waiter.
-
-        Equivalent to ``env.process(self._use_cpu(duration))`` but as a
-        timer callback chain — background write work happens once per
-        replica write, and the per-write wrapper process dominated its
-        own simulated cost.
-        """
-        if self.cpu_slowdown != 1.0:
-            duration *= self.cpu_slowdown
-        self.busy_time += duration
-        cpu = self.cpu
-
-        def release(_event) -> None:
-            cpu.release()
-
-        def hold(_event=None) -> None:
-            Timeout(self.env, duration).callbacks.append(release)
-
-        if cpu._in_use < cpu.capacity:
-            cpu._in_use += 1
-            hold()
-        else:
-            cpu.request().add_callback(hold)
 
     def _handle_write(self, request: WriteRequest):
         cost = (self.service.write_cost(len(request.cells))
                 + self._index_maintenance_cost(request.table, request.cells))
-        yield from self._use_cpu(cost)
+        yield self.charge(cost)
         applied = self._apply_write(request.table, request.key, request.cells)
         return WriteAck(self.node_id, applied)
 
     def _handle_read(self, request: ReadRequest):
-        yield from self._use_cpu(self.service.read_cost(len(request.columns)))
+        yield self.charge(self.service.read_cost(len(request.columns)))
         cells = self.engine.read(request.table, request.key, request.columns)
         return ReadResponse(self.node_id, cells)
 
     def _handle_read_row(self, request: ReadRowRequest):
         cells = self.engine.read_row(request.table, request.key)
-        yield from self._use_cpu(self.service.read_cost(max(1, len(cells))))
+        yield self.charge(self.service.read_cost(max(1, len(cells))))
         # Re-read after the service delay so the response reflects the
         # state at completion time (the delay models work, not staleness).
         cells = self.engine.read_row(request.table, request.key)
@@ -225,7 +194,7 @@ class StorageNode:
         cost = (self.service.read_cost(len(request.read_columns))
                 + self.service.write_cost(len(request.cells))
                 + self._index_maintenance_cost(request.table, request.cells))
-        yield from self._use_cpu(cost)
+        yield self.charge(cost)
         # Read-then-write with no intervening yield: atomic at this replica.
         pre = self.engine.read(request.table, request.key, request.read_columns)
         applied = self._apply_write(request.table, request.key, request.cells)
@@ -236,7 +205,7 @@ class StorageNode:
         matches = fragment.lookup(request.value)
         cost = (self.service.index_scan
                 + self.service.per_cell * len(matches) * len(request.columns))
-        yield from self._use_cpu(cost)
+        yield self.charge(cost)
         # Snapshot after the delay; lookup again for current truth.
         matches = fragment.lookup(request.value)
         result: Dict[Hashable, Dict[ColumnName, Optional[Cell]]] = {}
@@ -246,6 +215,6 @@ class StorageNode:
 
     def _handle_repair_read(self, request: RepairReadRequest):
         cells = self.engine.read_row(request.table, request.key)
-        yield from self._use_cpu(self.service.read_cost(max(1, len(cells))))
+        yield self.charge(self.service.read_cost(max(1, len(cells))))
         cells = self.engine.read_row(request.table, request.key)
         return RepairReadResponse(self.node_id, cells)

@@ -10,7 +10,8 @@ merging the per-fragment results (paper, Sections I and VI-A).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple)
 
 from repro.common.records import Cell, ColumnName
 
@@ -57,19 +58,26 @@ class LocalIndexFragment:
                 self._postings.setdefault(cell.value, set()).add(key)
 
 
+_NO_COLUMNS: FrozenSet[ColumnName] = frozenset()
+
+
 class IndexSchema:
     """Cluster-wide registry of which columns are indexed on which tables."""
 
     def __init__(self):
-        self._indexed: Dict[str, Set[ColumnName]] = {}
+        self._indexed: Dict[str, FrozenSet[ColumnName]] = {}
 
     def add(self, table: str, column: ColumnName) -> None:
         """Declare a secondary index on ``table.column``."""
-        self._indexed.setdefault(table, set()).add(column)
+        self._indexed[table] = self.columns_for(table) | {column}
 
-    def columns_for(self, table: str) -> Set[ColumnName]:
-        """Indexed columns of ``table`` (empty set if none)."""
-        return set(self._indexed.get(table, ()))
+    def columns_for(self, table: str) -> FrozenSet[ColumnName]:
+        """Indexed columns of ``table`` (empty set if none).
+
+        Immutable, so the same object is handed to every caller: replica
+        writes ask on every request.
+        """
+        return self._indexed.get(table, _NO_COLUMNS)
 
     def is_indexed(self, table: str, column: ColumnName) -> bool:
         """True if ``table.column`` has a secondary index."""

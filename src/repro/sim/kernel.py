@@ -34,11 +34,21 @@ Determinism: events scheduled for the same instant fire in scheduling order
 with a fixed RNG seed is fully reproducible.
 
 Performance notes: this kernel is the hot path of every run (mvbench's
-``sim.kernel.*`` rows, see ``benchmarks/mvbench/README.md``).  Event
-classes are ``__slots__``-based, :class:`Timeout` initializes itself
-without chaining through ``Event.__init__``, and :meth:`Environment.run`
-drains the heap in an inlined loop (no per-event ``step()`` call, locals
-bound outside the loop).
+``sim.kernel.*`` rows, see ``benchmarks/mvbench/README.md``), and what a
+run costs is, to first order, the number of events popped off the heap.
+So the cheapest event is the one never scheduled: only an event that
+advances the clock needs the heap.  A hand-off *within* one instant —
+a reply reaching its quorum collector, the collector waking the waiting
+coordinator — goes through :meth:`Event.succeed_now`, which runs the
+callbacks inside the caller instead of one pop later, and code that
+drives a generator from a timer callback without being awaited itself
+(an RPC handler, see ``cluster/network.py``) uses :func:`advance`
+directly rather than a :class:`Process` (no ``Initialize``, no
+completion event).  What is left is made cheap: event classes are
+``__slots__``-based, :class:`Timeout` initializes itself without
+chaining through ``Event.__init__``, and :meth:`Environment.run` drains
+the heap in an inlined loop (no per-event ``step()`` call, locals bound
+outside the loop).
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "PENDING",
+    "advance",
 ]
 
 
@@ -132,6 +143,39 @@ class Event:
         env = self.env
         env._eid += 1
         heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self))
+        return self
+
+    def succeed_now(self, value: Any = None) -> "Event":
+        """Trigger the event successfully and run its callbacks *now*.
+
+        :meth:`succeed` schedules the event for the current instant, so
+        its waiters run one heap pop later; this runs them inside the
+        caller, in registration order, and the event is *processed* on
+        return — a process that yields it afterwards continues at once.
+        It is never popped off the heap, so the event watcher does not
+        see it.
+
+        Legal only where no process is executing, i.e. from a kernel
+        callback (resuming a waiter inside a running process would nest
+        the two), unless nothing waits on the event yet.  Successes
+        only: a failure goes through :meth:`fail` and the heap, where
+        one that no waiter consumes is escalated.  A callback that
+        raises unwinds through the caller, so ``run(until=...)``, which
+        stops by raising from a callback, should be given a process
+        rather than an event that is triggered this way.
+        """
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        callbacks = self.callbacks
+        if callbacks and self.env._active is not None:
+            raise SimulationError(
+                f"{self!r} has waiters and cannot be triggered in place "
+                f"from inside process {self.env._active.name!r}")
+        self._ok = True
+        self._value = value
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -284,49 +328,61 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         env = self.env
         env._active = self
-        while True:
-            try:
-                if event._ok:
-                    result = self._generator.send(event._value)
-                else:
-                    event._defused = True
-                    exc = event._value
-                    result = self._generator.throw(type(exc), exc, None)
-            except StopIteration as stop:
-                self._target = None
-                self._ok = True
-                self._value = stop.value
-                env._eid += 1
-                heapq.heappush(env._heap,
-                               (env._now, NORMAL, env._eid, self))
-                break
-            except BaseException as exc:
-                self._target = None
-                self._ok = False
-                self._value = exc
-                env._eid += 1
-                heapq.heappush(env._heap,
-                               (env._now, NORMAL, env._eid, self))
-                break
-
-            if not isinstance(result, Event):
-                exc2 = SimulationError(
-                    f"process {self.name!r} yielded a non-event: {result!r}")
-                event = Event(env)
-                event._ok = False
-                event._value = exc2
-                continue
-            callbacks = result.callbacks
-            if callbacks is not None:
-                # Event not yet processed: wait for it (append directly —
-                # add_callback's processed-check was done just above).
-                callbacks.append(self._resume)
-                self._target = result
-                break
-            # Event already processed: loop and resume immediately with it.
-            event = result
-
+        try:
+            self._target = advance(self._generator, event, self._resume)
+        except StopIteration as stop:
+            self._target = None
+            self._ok = True
+            self._value = stop.value
+            env._eid += 1
+            heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self))
+        except BaseException as exc:
+            self._target = None
+            self._ok = False
+            self._value = exc
+            env._eid += 1
+            heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self))
         env._active = None
+
+
+def advance(generator: Generator, event: Event,
+            resume: Callable[[Event], None]) -> Event:
+    """Step ``generator`` with ``event``'s outcome until it has to wait.
+
+    Sends the event's value into the generator (or throws its exception
+    there, which consumes the failure), and keeps going while the
+    generator yields events that are already processed.  When it yields
+    one that is not, ``resume`` is registered on that event and the
+    event is returned: ``resume(event)`` should call :func:`advance`
+    again.  The generator finishing or raising propagates to the caller
+    as ``StopIteration`` (carrying the return value) or the exception.
+
+    This is the one stepping routine: :class:`Process` wraps it in an
+    event of its own, and a caller that drives a generator from a timer
+    callback and needs neither a start event nor a completion event
+    calls it directly.
+    """
+    while True:
+        if event._ok:
+            result = generator.send(event._value)
+        else:
+            event._defused = True
+            result = generator.throw(event._value)
+        if not isinstance(result, Event):
+            event = Event(event.env)
+            event._ok = False
+            event._value = SimulationError(
+                f"{getattr(generator, '__name__', 'generator')!r} yielded "
+                f"a non-event: {result!r}")
+            continue
+        callbacks = result.callbacks
+        if callbacks is not None:
+            # Not yet processed: wait for it (append directly — the
+            # processed-check of add_callback was done just above).
+            callbacks.append(resume)
+            return result
+        # Already processed: loop and resume immediately with it.
+        event = result
 
 
 class _Condition(Event):
@@ -441,6 +497,20 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` time units."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event that fires at the absolute time ``when``.
+
+        For a deadline fixed earlier and armed later: ``now + (when -
+        now)`` does not round back to ``when``, this does.
+        """
+        if when < self._now:
+            raise ValueError(f"{when} is in the past (now={self._now})")
+        event = Event(self)
+        event._value = value
+        self._eid += 1
+        heapq.heappush(self._heap, (when, NORMAL, self._eid, event))
+        return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new :class:`Process` running ``generator``."""

@@ -1,10 +1,11 @@
 """Shared-resource primitives for the simulation kernel.
 
 ``Resource`` models a server with fixed capacity (e.g. the CPU cores of a
-storage node): processes ``yield resource.request()`` to acquire a slot,
-possibly queuing FIFO behind other requests, and call ``resource.release()``
-when done.  Queuing at resources is what produces realistic throughput
-saturation in the cluster experiments.
+storage node): a process ``yield``s ``resource.hold(service_time)`` to
+occupy a slot for that long, queuing FIFO behind other work, or takes and
+returns a slot by hand with ``request()`` / ``release()``.  Queuing at
+resources is what produces realistic throughput saturation in the
+cluster experiments.
 
 ``Store`` is an unbounded FIFO message queue: producers ``put`` items
 immediately, consumers ``yield store.get()`` and block until an item is
@@ -14,30 +15,63 @@ available.  Nodes use stores as their network inboxes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import NORMAL, PENDING, Environment, Event
 
 __all__ = ["Resource", "Store", "Semaphore"]
+
+
+class _Hold(Event):
+    """The event of one :meth:`Resource.hold`: fires when the hold ends.
+
+    Its first callback is the resource's ``release``, so the slot is
+    free again before any waiter resumes — and is freed even when
+    nobody waits on the event at all.
+    """
+
+    __slots__ = ("duration",)
+
+    def __init__(self, resource: "Resource", duration: float):
+        if duration < 0:
+            raise ValueError(f"negative duration {duration}")
+        # Inlined Event.__init__ (one hold per CPU charge).
+        self.env = resource.env
+        self.callbacks = [resource.release]
+        self._ok = True
+        self._value = PENDING
+        self._defused = False
+        self.duration = duration
+
+    def _start(self) -> None:
+        """The slot is ours: schedule the end of the hold."""
+        self._value = None
+        self.env._schedule(self, NORMAL, self.duration)
 
 
 class Resource:
     """A FIFO-queued resource with fixed ``capacity`` slots.
 
-    Usage from a process::
+    Usage from a process, for work of a known length::
+
+        yield resource.hold(service_time)
+
+    or, to keep a slot across other waits::
 
         yield resource.request()
         try:
-            yield env.timeout(service_time)
+            ...
         finally:
             resource.release()
+
+    Both kinds of waiter share one FIFO queue.
 
     Note: do not interrupt a process while it is waiting on
     ``request()`` — its queued grant would later fire unowned and leak a
     slot.  (Nothing in this library interrupts resource waiters; the
     caveat matters only for user code combining ``Process.interrupt``
-    with resources.)
+    with resources.  A ``hold()`` cannot leak: it releases itself.)
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -58,44 +92,61 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiters)
 
-    def request(self) -> Event:
-        """Return an event that fires when a slot is acquired."""
-        event = self.env.event()
+    def request(self, hold: Optional[float] = None) -> Event:
+        """Return an event that fires when a slot is acquired.
+
+        With ``hold`` the slot is kept for that long and given back
+        without the caller's help, and the event fires when the hold
+        *ends* — see :meth:`hold`, which is the way to ask for that.
+        """
+        event = Event(self.env) if hold is None else _Hold(self, hold)
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed()
+            self._grant(event)
         else:
             self._waiters.append(event)
         return event
 
-    def release(self) -> None:
-        """Release a held slot, waking the oldest waiter if any."""
+    @staticmethod
+    def _grant(waiter: Event) -> None:
+        if type(waiter) is _Hold:
+            waiter._start()
+        else:
+            waiter.succeed()
+
+    def release(self, _ended: Optional[Event] = None) -> None:
+        """Release a held slot, handing it to the oldest waiter if any.
+
+        A waiting ``request()`` is granted (it resumes one heap pop
+        later); a waiting ``hold()`` is scheduled to end ``duration``
+        from now, directly.  Also the first callback of every hold's
+        event, hence the ignored argument.
+        """
         if self._in_use <= 0:
             raise SimulationError("release() without a matching request()")
         if self._waiters:
             # Hand the slot directly to the next waiter; _in_use unchanged.
-            waiter = self._waiters.popleft()
-            waiter.succeed()
+            self._grant(self._waiters.popleft())
         else:
             self._in_use -= 1
 
-    def use(self, duration: float) -> Generator:
-        """Process helper: acquire a slot, hold it ``duration``, release.
+    def hold(self, duration: float) -> Event:
+        """Occupy a slot for ``duration``; the event fires when it ends.
 
-        Usage: ``yield from resource.use(service_time)``.
-
-        Fast path: when a slot is free the grant is immediate (no grant
-        event, no heap round trip) — the uncontended case is the common
-        one, and this halves the kernel events per CPU charge.
+        One event per hold whether or not it queues: with a slot free
+        the hold starts now; otherwise it waits its turn behind earlier
+        ``request()`` and ``hold()`` calls and the ``release()`` that
+        frees its slot schedules its end, with no grant event in
+        between.  The slot is released before the event's waiters
+        resume.  Usage: ``yield resource.hold(service_time)``.
         """
         if self._in_use < self.capacity:
+            # Uncontended, the common case: skip request().
+            event = _Hold(self, duration)
             self._in_use += 1
-        else:
-            yield self.request()
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release()
+            event._start()
+            return event
+        return self.request(duration)
 
 
 class Semaphore:

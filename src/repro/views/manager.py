@@ -202,7 +202,7 @@ class ViewManager:
             yield from coordinator.put(table, key, cells, w)
             return
 
-        yield from coordinator.node._use_cpu(self.config.service.coordinator)
+        yield coordinator.node.charge(self.config.service.coordinator)
         read_columns = tuple(dict.fromkeys(
             view.view_key_column for view in affected))
 

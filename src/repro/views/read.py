@@ -144,7 +144,7 @@ def read_barrier(manager, coordinator, view: ViewDefinition, view_key: Any,
 def cached_view_get(manager, coordinator, view: ViewDefinition,
                     view_key: Any, columns: Tuple[ColumnName, ...], r: int):
     """The cache + Algorithm 4 core, after barriers have run."""
-    yield from coordinator.node._use_cpu(manager.config.service.coordinator)
+    yield coordinator.node.charge(manager.config.service.coordinator)
     cache = manager.skew.cache
     if cache.enabled:
         cached = cache.lookup(view.name, view_key, columns, r)

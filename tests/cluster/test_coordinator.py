@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.cluster.coordinator import ResponseCollector
+from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.coordinator import QuorumDeadlines, ResponseCollector
 from repro.common import Cell
 from repro.errors import QuorumError, UnavailableError
 from repro.sim import Environment
@@ -26,7 +26,7 @@ def make_events(env, delays_values):
 def test_collector_wait_returns_first_k():
     env = Environment()
     events = make_events(env, [(3.0, "c"), (1.0, "a"), (2.0, "b")])
-    collector = ResponseCollector(env, events, timeout=100.0)
+    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
     got = {}
 
     def proc():
@@ -42,7 +42,7 @@ def test_collector_wait_returns_first_k():
 def test_collector_multiple_waiters():
     env = Environment()
     events = make_events(env, [(1.0, "a"), (2.0, "b"), (3.0, "c")])
-    collector = ResponseCollector(env, events, timeout=100.0)
+    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
     got = {}
 
     def proc(name, count):
@@ -59,7 +59,7 @@ def test_collector_multiple_waiters():
 def test_collector_wait_after_responses_arrived():
     env = Environment()
     events = make_events(env, [(1.0, "a")])
-    collector = ResponseCollector(env, events, timeout=100.0)
+    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
     got = {}
 
     def proc():
@@ -75,7 +75,7 @@ def test_collector_timeout_fails_waiter():
     env = Environment()
     # Only one event will ever fire; the waiter wants two.
     events = make_events(env, [(1.0, "a")]) + [env.event()]
-    collector = ResponseCollector(env, events, timeout=10.0)
+    collector = ResponseCollector(env, events, QuorumDeadlines(env, 10.0))
     caught = []
 
     def proc():
@@ -92,7 +92,7 @@ def test_collector_timeout_fails_waiter():
 def test_collector_wait_more_than_total_fails_fast_after_timeout():
     env = Environment()
     collector = ResponseCollector(env, [env.timeout(1.0, value="x")],
-                                  timeout=5.0)
+                                  QuorumDeadlines(env, 5.0))
     caught = []
 
     def proc():
@@ -110,7 +110,7 @@ def test_collector_wait_more_than_total_fails_fast_after_timeout():
 def test_collector_settled_carries_all_responses():
     env = Environment()
     events = make_events(env, [(1.0, "a"), (4.0, "b")])
-    collector = ResponseCollector(env, events, timeout=100.0)
+    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
     got = {}
 
     def proc():
@@ -126,7 +126,7 @@ def test_collector_settled_carries_all_responses():
 def test_collector_settles_at_timeout_with_partial_responses():
     env = Environment()
     events = make_events(env, [(1.0, "a")]) + [env.event()]
-    collector = ResponseCollector(env, events, timeout=10.0)
+    collector = ResponseCollector(env, events, QuorumDeadlines(env, 10.0))
     got = {}
 
     def proc():
@@ -142,7 +142,7 @@ def test_collector_settles_at_timeout_with_partial_responses():
 def test_collector_failure_propagates():
     env = Environment()
     failing = env.event()
-    collector = ResponseCollector(env, [failing], timeout=100.0)
+    collector = ResponseCollector(env, [failing], QuorumDeadlines(env, 100.0))
     caught = []
 
     def proc():
@@ -164,7 +164,7 @@ def test_collector_failure_propagates():
 
 def test_collector_empty_settles_immediately():
     env = Environment()
-    collector = ResponseCollector(env, [], timeout=10.0)
+    collector = ResponseCollector(env, [], QuorumDeadlines(env, 10.0))
     got = {}
 
     def proc():
@@ -173,6 +173,173 @@ def test_collector_empty_settles_immediately():
     env.process(proc())
     env.run(until=20.0)
     assert got["all"] == []
+
+
+def test_settled_requested_after_settling_still_carries_every_response():
+    env = Environment()
+    events = make_events(env, [(1.0, "a"), (2.0, "b")])
+    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
+    got = {}
+
+    def proc():
+        yield env.timeout(5.0)
+        # Created on first use, long after the round settled: already
+        # processed, so the process continues within the same instant.
+        got["all"] = yield collector.settled
+        got["when"] = env.now
+
+    env.process(proc())
+    env.run()
+    assert got == {"all": ["a", "b"], "when": 5.0}
+    assert collector.settled is collector.settled
+
+
+def test_failed_round_whose_settled_nobody_reads_does_not_abort_the_run():
+    env = Environment()
+    failing = env.event()
+    collector = ResponseCollector(env, [failing, env.event()],
+                                  QuorumDeadlines(env, 100.0))
+    caught = []
+
+    def proc():
+        try:
+            yield collector.wait(1)
+        except RuntimeError as exc:
+            caught.append(str(exc))
+
+    env.process(proc())
+    failing.fail(RuntimeError("handler blew up"))
+    env.run()   # an unconsumed failed ``settled`` would escalate here
+    assert caught == ["handler blew up"]
+
+    # Asked for afterwards, it delivers the failure to whoever reads it.
+    def late_reader():
+        try:
+            yield collector.settled
+        except RuntimeError as exc:
+            caught.append(f"late: {exc}")
+
+    env.process(late_reader())
+    env.run()
+    assert caught == ["handler blew up", "late: handler blew up"]
+
+
+def test_failed_round_with_an_unread_settled_event_does_not_abort_the_run():
+    env = Environment()
+    failing = env.event()
+    collector = ResponseCollector(env, [failing],
+                                  QuorumDeadlines(env, 100.0))
+    assert not collector.settled.triggered   # asked for, never yielded
+    failing.fail(RuntimeError("handler blew up"))
+    env.run()
+    assert not collector.settled.ok
+
+
+def test_waiter_woken_in_place_may_wait_on_the_same_collector_again():
+    env = Environment()
+    events = make_events(env, [(1.0, "a"), (2.0, "b"), (3.0, "c")])
+    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
+    got = []
+
+    def proc():
+        got.append(((yield collector.wait(1)), env.now))
+        # Runs inside the collector's response callback.
+        got.append(((yield collector.wait(3)), env.now))
+
+    def other():
+        got.append(((yield collector.wait(2)), env.now))
+
+    env.process(proc())
+    env.process(other())
+    env.run()
+    assert got == [(["a"], 1.0), (["a", "b"], 2.0), (["a", "b", "c"], 3.0)]
+
+
+def test_unsettled_collector_behind_a_thousand_settled_ones_expires_on_time():
+    env = Environment(initial_time=0.3)
+    deadlines = QuorumDeadlines(env, 0.7)
+    caught = []
+
+    def round_trip(index):
+        """One healthy round: both replicas answer within 0.02."""
+        collector = ResponseCollector(
+            env, make_events(env, [(0.01, index), (0.02, index)]), deadlines)
+        yield collector.wait(2)
+
+    def silent():
+        created = env.now
+        collector = ResponseCollector(
+            env, make_events(env, [(0.01, "only")]) + [env.event()],
+            deadlines)
+        try:
+            yield collector.wait(2)
+        except QuorumError as exc:
+            caught.append((exc.received, env.now == created + 0.7))
+        caught.append(collector.settled.value)
+
+    def driver():
+        for index in range(1000):
+            yield env.process(round_trip(index))
+        env.process(silent())
+        for index in range(1000):   # and healthy traffic behind it
+            yield env.process(round_trip(index))
+
+    env.process(driver())
+    env.run()
+    assert caught == [(1, True), ["only"]]
+    assert not deadlines._queue
+
+
+def test_collectors_created_in_the_same_instant_all_expire():
+    env = Environment()
+    deadlines = QuorumDeadlines(env, 10.0)
+    collectors = [ResponseCollector(env, [env.event()], deadlines)
+                  for _ in range(3)]
+    late = []
+
+    def proc():
+        yield env.timeout(4.0)
+        collector = ResponseCollector(env, [env.event()], deadlines)
+        try:
+            yield collector.wait(1)
+        except QuorumError:
+            late.append(env.now)
+
+    env.process(proc())
+    env.run(until=10.0)
+    assert all(collector.is_settled for collector in collectors)
+    env.run()
+    assert late == [14.0]
+
+
+def test_healthy_quorum_rounds_leave_no_timers_on_the_heap():
+    """Eight closed-loop clients, 2,000 rounds: a timer per round would
+    keep ``rpc_timeout`` worth of dead entries on the heap (~1,800 at
+    this rate); the deadline queue keeps one."""
+    cluster = Cluster(ClusterConfig(seed=3))
+    cluster.create_table("T")
+    env = cluster.env
+    deepest = [0]
+    rounds = [0]
+
+    def watcher(_event):
+        deepest[0] = max(deepest[0], len(env._heap))
+
+    def client(handle, index):
+        for i in range(250):
+            key = f"k{(index * 7 + i) % 40}"
+            if i % 2:
+                yield from handle.get("T", key, ("c",), r=2)
+            else:
+                yield from handle.put("T", key, {"c": i}, w=2)
+            rounds[0] += 1
+
+    env.set_event_watcher(watcher)
+    for index in range(8):
+        env.process(client(cluster.client(), index))
+    cluster.run_until_idle()
+    assert rounds[0] == 2000
+    assert deepest[0] < 64
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.cluster import Cluster
 from repro.cluster.messages import ReadRequest, ReadResponse, WriteAck, WriteRequest
 from repro.cluster.network import CLIENT
 from repro.common import Cell
-from repro.errors import NoSuchTableError
+from repro.errors import ClusterError, NoSuchTableError
 
 from tests.cluster.conftest import make_config
 
@@ -138,3 +138,78 @@ def test_messages_counted():
     cluster = build_cluster()
     rpc_once(cluster, 1, cluster.nodes[0], ReadRequest("T", "k", ("a",)))
     assert cluster.network.messages_sent == 1
+
+
+def test_request_dropped_when_destination_goes_down_in_flight():
+    cluster = build_cluster()
+    node = cluster.nodes[0]
+    # Up at send, down when the request lands 0.1 ms later.
+    cluster.env.timeout(0.05).add_callback(lambda _t: node.mark_down())
+    response, _ = rpc_once(cluster, 1, node,
+                           WriteRequest("T", "k", {"a": Cell.make(1, 10)}))
+    assert response is None
+    assert cluster.network.messages_dropped == 1
+    assert node.requests_handled == 0
+    assert node.engine.read("T", "k", ("a",))["a"] is None
+
+
+def test_reply_dropped_when_partition_appears_while_handler_runs():
+    cluster = build_cluster()
+    node = cluster.nodes[0]
+    # Delivered at 0.1, served until 0.133, reply due at 0.233: cut the
+    # link while the reply is on the wire.
+    cluster.env.timeout(0.15).add_callback(
+        lambda _t: cluster.partition(1, 0))
+    response, _ = rpc_once(cluster, 1, node,
+                           WriteRequest("T", "k", {"a": Cell.make(1, 10)}))
+    assert response is None
+    assert cluster.network.messages_dropped == 1
+    # The request itself got through: the write was applied.
+    assert node.requests_handled == 1
+    assert node.engine.read("T", "k", ("a",))["a"] == Cell.make(1, 10)
+
+
+def test_unknown_request_type_fails_rpc_event():
+    cluster = build_cluster()
+    event = cluster.network.rpc(1, cluster.nodes[0], object())
+    caught = []
+
+    def waiter():
+        try:
+            yield event
+        except ClusterError as exc:
+            caught.append(str(exc))
+
+    cluster.env.process(waiter())
+    cluster.env.run(until=10.0)
+    assert caught == ["unknown request type object"]
+
+
+def count_events(cluster, request):
+    """Kernel events popped for one delivered RPC, by type name."""
+    popped = []
+    cluster.env.set_event_watcher(
+        lambda event: popped.append(type(event).__name__))
+    fired = []
+    cluster.network.rpc(1, cluster.nodes[0], request).add_callback(
+        lambda event: fired.append((event.value, cluster.env.now)))
+    cluster.run_until_idle()
+    assert len(fired) == 1
+    return popped
+
+
+def test_delivered_read_rpc_is_exactly_three_kernel_events():
+    """Request delay, service time, reply delay — the events that move
+    the clock — and nothing else: no process start or completion, and
+    the reply event itself is triggered in place."""
+    cluster = build_cluster()
+    assert count_events(cluster, ReadRequest("T", "k", ("a",))) == [
+        "Timeout", "_Hold", "Timeout"]
+
+
+def test_delivered_write_rpc_is_four_kernel_events():
+    cluster = build_cluster()
+    request = WriteRequest("T", "k", {"a": Cell.make(1, 10)})
+    # The fourth is the write's deferred CPU work, off the reply path.
+    assert sorted(count_events(cluster, request)) == [
+        "Timeout", "Timeout", "_Hold", "_Hold"]

@@ -80,6 +80,10 @@ def test_index_schema():
     schema.add("T", "b")
     schema.add("U", "a")
     assert schema.columns_for("T") == {"a", "b"}
+    # One immutable set per table, not a copy per call (replica writes
+    # ask on every request).
+    assert schema.columns_for("T") is schema.columns_for("T")
+    assert isinstance(schema.columns_for("T"), frozenset)
     assert schema.is_indexed("T", "a")
     assert not schema.is_indexed("T", "c")
     assert not schema.is_indexed("V", "a")

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
+import warnings
+
 import pytest
 
 from repro.errors import InterruptError, ProcessError, SimulationError
@@ -468,3 +470,142 @@ def test_defuse_after_trigger_also_suppresses_escalation():
     event.fail(RuntimeError("late defuse"))
     event.defuse()
     env.run()
+
+
+# ---------------------------------------------------------------------------
+# Failure delivery
+# ---------------------------------------------------------------------------
+
+
+def test_failure_delivery_raises_no_deprecation_warning():
+    """A failed event is thrown into its waiter with the one-argument
+    ``throw(exc)``: the ``(type, exc, tb)`` form is deprecated since
+    Python 3.12, and under ``-W error`` the warning would kill the
+    waiter instead of reaching its ``except``."""
+    env = Environment()
+    caught = []
+
+    def proc():
+        try:
+            yield env.event().fail(ValueError("delivered"))
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    env.process(proc())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env.run()
+    assert caught == ["delivered"]
+
+
+# ---------------------------------------------------------------------------
+# In-place trigger
+# ---------------------------------------------------------------------------
+
+
+def test_succeed_now_runs_callbacks_in_registration_order_without_the_heap():
+    env = Environment()
+    event = env.event()
+    order = []
+    event.add_callback(lambda e: order.append(("first", e.value)))
+    event.add_callback(lambda e: order.append(("second", e.value)))
+    event.add_callback(lambda e: order.append(("third", e.value)))
+    assert event.succeed_now("v") is event
+    # Ran inside the call: nothing was scheduled, nothing is left to run.
+    assert order == [("first", "v"), ("second", "v"), ("third", "v")]
+    assert event.processed and event.ok
+    assert env.peek() == float("inf")
+
+
+def test_succeed_now_refuses_a_second_trigger():
+    env = Environment()
+    event = env.event()
+    event.succeed_now(1)
+    with pytest.raises(SimulationError):
+        event.succeed_now(2)
+    with pytest.raises(SimulationError):
+        event.succeed(2)
+    scheduled = env.event().succeed()
+    with pytest.raises(SimulationError):
+        scheduled.succeed_now()
+    assert event.value == 1
+
+
+def test_process_yielding_an_event_triggered_in_place_continues_at_once():
+    env = Environment()
+    event = env.event()
+    popped = []
+    env.set_event_watcher(popped.append)
+    log = []
+
+    def proc():
+        yield env.timeout(1.0)
+        log.append((yield event))
+        log.append(env.now)
+
+    process = env.process(proc())
+    env.timeout(0.5).add_callback(lambda _t: event.succeed_now("early"))
+    env.run()
+    assert log == ["early", 1.0]
+    # Start, the two timers, completion: the triggered event itself
+    # never went through the heap.
+    assert len(popped) == 4 and event not in popped
+    assert popped[-1] is process
+
+
+def test_succeed_now_resumes_a_waiting_process_inside_the_callback():
+    env = Environment()
+    event = env.event()
+    log = []
+
+    def proc():
+        log.append(("got", (yield event), env.now))
+
+    env.process(proc())
+
+    def trigger(_timer):
+        event.succeed_now("x")
+        log.append(("after trigger", env.now))
+
+    env.timeout(2.0).add_callback(trigger)
+    env.run()
+    assert log == [("got", "x", 2.0), ("after trigger", 2.0)]
+
+
+def test_succeed_now_with_waiters_rejected_inside_a_running_process():
+    """Resuming a waiter from inside another process would nest them;
+    an event nobody waits on yet may be triggered from anywhere."""
+    env = Environment()
+    contested = env.event()
+    outcome = []
+
+    def waiter():
+        yield contested
+
+    def trigger():
+        yield env.timeout(1.0)
+        fresh = env.event().succeed_now("nobody waiting")
+        outcome.append((yield fresh))
+        try:
+            contested.succeed_now()
+        except SimulationError:
+            outcome.append("refused")
+            contested.succeed()
+
+    env.process(waiter())
+    env.process(trigger())
+    env.run()
+    assert outcome == ["nobody waiting", "refused"]
+
+
+def test_timeout_at_fires_at_the_absolute_time():
+    env = Environment(initial_time=0.1)
+    when = 0.1 + 0.7  # not representable as now + (when - now) later on
+    fired = []
+    env.run(until=0.3)
+    env.timeout_at(when, value="v").add_callback(
+        lambda e: fired.append((env.now, e.value)))
+    env.run()
+    assert fired == [(when, "v")]
+    with pytest.raises(ValueError):
+        env.timeout_at(env.now - 1.0)

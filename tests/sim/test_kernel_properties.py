@@ -82,7 +82,7 @@ def test_resource_total_work_conserved(capacity, jobs):
     resource = Resource(env, capacity=capacity)
 
     def job(duration):
-        yield from resource.use(duration)
+        yield resource.hold(duration)
 
     for duration in jobs:
         env.process(job(duration))

@@ -59,13 +59,13 @@ def test_resource_release_without_request_rejected():
         resource.release()
 
 
-def test_resource_use_helper():
+def test_resource_hold_serializes_on_one_slot():
     env = Environment()
     resource = Resource(env, capacity=1)
     done = []
 
     def proc(name):
-        yield from resource.use(5.0)
+        yield resource.hold(5.0)
         done.append((name, env.now))
 
     env.process(proc("a"))
@@ -106,13 +106,117 @@ def test_resource_queueing_produces_serial_throughput():
     finished = []
 
     def job():
-        yield from resource.use(2.0)
+        yield resource.hold(2.0)
         finished.append(env.now)
 
     for _ in range(5):
         env.process(job())
     env.run()
     assert finished == [2.0, 4.0, 6.0, 8.0, 10.0]
+
+
+def test_hold_and_request_waiters_share_one_fifo_queue():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    order = []
+
+    def by_hold(name, duration):
+        yield resource.hold(duration)
+        order.append((name, env.now))
+
+    def by_request(name, duration):
+        yield resource.request()
+        yield env.timeout(duration)
+        resource.release()
+        order.append((name, env.now))
+
+    env.process(by_hold("h1", 2.0))
+    env.process(by_request("r2", 3.0))
+    env.process(by_hold("h3", 1.0))
+    env.process(by_request("r4", 1.0))
+    env.process(by_hold("h5", 2.0))
+    env.run()
+    assert order == [("h1", 2.0), ("r2", 5.0), ("h3", 6.0), ("r4", 7.0),
+                     ("h5", 9.0)]
+    assert resource.in_use == 0 and resource.queue_length == 0
+
+
+def test_hold_never_exceeds_capacity():
+    env = Environment()
+    resource = Resource(env, capacity=2)
+    peak = []
+    env.set_event_watcher(lambda _e: peak.append(resource.in_use))
+
+    def job(duration):
+        yield resource.hold(duration)
+        # The slot is already given back (or handed on) when we resume.
+        assert resource.in_use <= 2
+
+    for duration in (3.0, 1.0, 2.0, 2.0, 1.0, 4.0, 0.5):
+        env.process(job(duration))
+    env.run()
+    assert max(peak) == 2
+    # Two lanes, FIFO: 3 | 1, 2 until t=3; then 2, 0.5 | 1, 4 until t=8.
+    assert env.now == 8.0
+    assert resource.in_use == 0
+
+
+def test_hold_frees_its_slot_when_nobody_waits_on_the_event():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    resource.hold(2.0)   # fire and forget, running
+    resource.hold(3.0)   # fire and forget, queued
+    assert (resource.in_use, resource.queue_length) == (1, 1)
+    done = []
+
+    def job():
+        yield resource.hold(1.0)
+        done.append(env.now)
+
+    env.process(job())
+    env.run()
+    assert done == [6.0]
+    assert resource.in_use == 0
+
+
+def test_hold_frees_its_slot_when_the_waiting_generator_is_closed():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+
+    def abandoned():
+        yield resource.hold(2.0)
+        raise AssertionError("closed before the hold ended")
+
+    generator = abandoned()
+    next(generator)          # holding, nothing registered on the event
+    generator.close()
+    queued = abandoned()
+    next(queued)             # queued behind it
+    queued.close()
+    env.run()
+    assert env.now == 4.0    # both holds ran their length regardless
+    assert resource.in_use == 0 and resource.queue_length == 0
+
+
+def test_hold_is_one_kernel_event_queued_or_not():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    popped = []
+    env.set_event_watcher(popped.append)
+    first = resource.hold(1.0)
+    queued = [resource.hold(1.0) for _ in range(4)]
+    assert not any(hold.triggered for hold in queued)
+    env.run()
+    assert popped == [first, *queued]
+    assert env.now == 5.0
+
+
+def test_hold_rejects_negative_duration():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    with pytest.raises(ValueError):
+        resource.hold(-1.0)
+    assert resource.in_use == 0
 
 
 # ---------------------------------------------------------------------------
