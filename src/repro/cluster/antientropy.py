@@ -9,10 +9,11 @@ repair miss (e.g. hints lost because their holder also failed).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Set
+from typing import TYPE_CHECKING, Hashable
 
-from repro.cluster.messages import RepairReadRequest, WriteRequest
-from repro.common.records import Cell, ColumnName, cell_wins
+from repro.cluster.coordinator import ResponseCollector
+from repro.cluster.messages import ReadRowRequest, WriteRequest
+from repro.common.records import merge_rows, stale_cells
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -25,42 +26,31 @@ def repair_row(cluster: "Cluster", table: str, key: Hashable):
 
     Reads the full row from every alive replica, merges per-cell LWW
     winners, and writes any cells a replica is missing or holds stale
-    back to it.  Returns the number of replicas that needed repair.
+    back to it, one replica at a time.  Replicas that do not answer
+    within the cluster's timeout (one wait for all of them) are left
+    for a later sweep.  Returns the number of replicas that needed
+    repair.
     """
     replicas = [r for r in cluster.replicas_for(table, key) if not r.is_down]
-    if not replicas:
-        return 0
-    request = RepairReadRequest(table, key)
-    events = [cluster.network.rpc(replica.node_id, replica, request)
-              for replica in replicas]
-    responses = []
-    for event in events:
-        timer = cluster.env.timeout(cluster.config.rpc_timeout)
-        outcome = yield cluster.env.any_of([event, timer])
-        if event in outcome:
-            responses.append(outcome[event])
-    merged: Dict[ColumnName, Cell] = {}
-    for response in responses:
-        for column, cell in response.cells.items():
-            if column not in merged or cell_wins(cell, merged[column]):
-                merged[column] = cell
+    request = ReadRowRequest(table, key)
+    responses = yield ResponseCollector(
+        cluster.env,
+        [cluster.network.rpc(replica.node_id, replica, request)
+         for replica in replicas],
+        cluster.quorum_deadlines).settled
+    winners = merge_rows(response.cells for response in responses)
+    held = {response.node_id: response.cells for response in responses}
     repaired = 0
-    by_id = {response.node_id: response for response in responses}
     for replica in replicas:
-        response = by_id.get(replica.node_id)
-        if response is None:
+        if replica.node_id not in held:
             continue
-        missing = {
-            column: cell for column, cell in merged.items()
-            if column not in response.cells
-            or cell_wins(cell, response.cells[column])
-        }
+        missing = stale_cells(winners, held[replica.node_id])
         if missing:
             repaired += 1
-            write = WriteRequest(table, key, missing)
-            ack = cluster.network.rpc(replica.node_id, replica, write)
-            timer = cluster.env.timeout(cluster.config.rpc_timeout)
-            yield cluster.env.any_of([ack, timer])
+            ack = cluster.network.rpc(replica.node_id, replica,
+                                      WriteRequest(table, key, missing))
+            yield ResponseCollector(cluster.env, [ack],
+                                    cluster.quorum_deadlines).settled
     return repaired
 
 
@@ -71,14 +61,9 @@ def repair_table(cluster: "Cluster", table: str):
     system would walk Merkle trees; a full sweep is equivalent for our
     in-memory scale).  Returns the number of rows that needed repair.
     """
-    keys: Set[Hashable] = set()
-    for node in cluster.nodes:
-        if not node.is_down and node.engine.has_table(table):
-            keys.update(node.engine.keys(table))
     repaired_rows = 0
-    for key in sorted(keys, key=repr):
-        repaired = yield cluster.env.process(repair_row(cluster, table, key))
-        if repaired:
+    for key in sorted(cluster.table_keys(table), key=repr):
+        if (yield from repair_row(cluster, table, key)):
             repaired_rows += 1
     return repaired_rows
 

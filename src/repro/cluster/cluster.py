@@ -9,7 +9,16 @@ non-simulation-aware code such as the examples.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cluster.antientropy import AntiEntropyService, repair_row, repair_table
 from repro.cluster.config import ClusterConfig
@@ -18,7 +27,7 @@ from repro.cluster.hints import HintService
 from repro.cluster.network import Network
 from repro.cluster.node import StorageNode
 from repro.common.hashing import TokenRing
-from repro.common.records import ColumnName
+from repro.common.records import Cell, ColumnName, merge_rows
 from repro.errors import ClusterError
 from repro.index import IndexSchema
 from repro.sim.kernel import Environment
@@ -111,6 +120,44 @@ class Cluster:
                 cache.clear()
             cache[(table, key)] = replicas
         return replicas
+
+    # -- introspection ---------------------------------------------------------
+
+    def table_keys(self, table: str) -> Set[Hashable]:
+        """Every key of ``table`` some alive node stores locally.
+
+        Operator tooling, not protocol: the key universe of a full-table
+        sweep (anti-entropy, backfill, the scrubber's scanner).  A down
+        node's keys are picked up by a later sweep.
+        """
+        keys: Set[Hashable] = set()
+        for node in self.nodes:
+            if not node.is_down and node.engine.has_table(table):
+                keys.update(node.engine.keys(table))
+        return keys
+
+    def converged_rows(self, table: str,
+                       keys: Optional[Iterable[Hashable]] = None
+                       ) -> Dict[Hashable, Dict[ColumnName, Cell]]:
+        """The state ``table`` converges to: every node's local copy of
+        each row (down nodes included), LWW-merged.
+
+        Reads storage engines directly and costs no simulated time — what
+        the invariant checkers, digests and the scrubber's detector judge
+        against.  ``keys`` restricts the sweep to rows the caller already
+        knows it wants; a row no node stores is absent from the result.
+        """
+        wanted = None if keys is None else list(keys)
+        copies: Dict[Hashable, List[Dict[ColumnName, Cell]]] = {}
+        for node in self.nodes:
+            engine = node.engine
+            if not engine.has_table(table):
+                continue
+            for key in (engine.keys(table) if wanted is None else wanted):
+                cells = engine.read_row(table, key)
+                if cells:
+                    copies.setdefault(key, []).append(cells)
+        return {key: merge_rows(rows) for key, rows in copies.items()}
 
     # -- schema ----------------------------------------------------------------
 

@@ -113,14 +113,9 @@ class ClusterConfig:
     # (per-base-row lock service) or "propagators" (dedicated propagators
     # via consistent hashing).
     propagation_concurrency: str = "locks"
-    # Backoff between rounds of view-key-guess retries in Algorithm 1:
-    # exponential starting at ``propagation_retry_backoff``, doubling per
-    # round up to ``propagation_retry_backoff_cap``, with deterministic
-    # jitter so contending propagations do not retry in lockstep.
-    # ``propagation_max_rounds`` caps the rounds before the propagation
+    # Rounds of view-key-guess retries in Algorithm 1 (backing off
+    # between rounds, see ``repro.views.drive``) before the propagation
     # is abandoned loudly.
-    propagation_retry_backoff: float = 0.5
-    propagation_retry_backoff_cap: float = 8.0
     propagation_max_rounds: int = 200
 
     # Skew-adaptive maintenance (repro.views.skew).  When enabled,
@@ -174,12 +169,6 @@ class ClusterConfig:
             raise ValueError(
                 "propagation_concurrency must be 'locks' or 'propagators', "
                 f"got {self.propagation_concurrency!r}")
-        if self.propagation_retry_backoff < 0:
-            raise ValueError("propagation_retry_backoff must be non-negative")
-        if self.propagation_retry_backoff_cap < self.propagation_retry_backoff:
-            raise ValueError(
-                "propagation_retry_backoff_cap must be >= "
-                "propagation_retry_backoff")
         if self.propagation_max_rounds < 1:
             raise ValueError("propagation_max_rounds must be >= 1")
         if self.freshness_compensation_limit < 0:

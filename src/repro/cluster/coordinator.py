@@ -23,7 +23,13 @@ from repro.cluster.messages import (
     ReadRowRequest,
     WriteRequest,
 )
-from repro.common.records import Cell, ColumnName, cell_wins, merge_cells
+from repro.common.records import (
+    Cell,
+    ColumnName,
+    merge_cells,
+    merge_rows,
+    stale_cells,
+)
 from repro.common.quorum import validate_quorum
 from repro.errors import QuorumError, UnavailableError
 from repro.sim.kernel import Environment, Event
@@ -212,18 +218,37 @@ class Coordinator:
 
     # -- scatter primitives ----------------------------------------------------
 
-    def _replicas(self, table: str, key: Hashable):
-        return self.cluster.replicas_for(table, key)
+    def _collect(self, nodes, request) -> ResponseCollector:
+        """Send ``request`` to each of ``nodes``; one collector for the
+        replies, its timeout kept by the cluster's deadline queue."""
+        rpc = self.cluster.network.rpc
+        src_id = self.node.node_id
+        return ResponseCollector(
+            self.env, [rpc(src_id, node, request) for node in nodes],
+            self.cluster.quorum_deadlines)
 
-    def _alive(self, replicas) -> List:
-        return [replica for replica in replicas if not replica.is_down]
+    def _scatter(self, table: str, key: Hashable, request, required: int,
+                 kind: str, hint: Optional[WriteRequest] = None
+                 ) -> ResponseCollector:
+        """Broadcast ``request`` to the alive replicas of ``key``.
 
-    def _check_available(self, alive_count: int, required: int,
-                         total: int) -> None:
-        if alive_count < required:
+        Raises :class:`UnavailableError` if fewer than ``required``
+        replicas are alive.  With ``hint`` (a write), down replicas get
+        it parked as a hint when hinted handoff is enabled.
+        """
+        replicas = self.cluster.replicas_for(table, key)
+        required = validate_quorum(required, len(replicas), kind=kind)
+        alive = [replica for replica in replicas if not replica.is_down]
+        if len(alive) < required:
             raise UnavailableError(
-                f"only {alive_count}/{total} replicas alive, need {required}",
-                required=required, received=alive_count)
+                f"only {len(alive)}/{len(replicas)} replicas alive, "
+                f"need {required}", required=required, received=len(alive))
+        if hint is not None and self.config.hinted_handoff:
+            for replica in replicas:
+                if replica.is_down:
+                    self.cluster.hints.add(self.node.node_id,
+                                           replica.node_id, hint)
+        return self._collect(alive, request)
 
     def scatter_write(self, table: str, key: Hashable,
                       cells: Dict[ColumnName, Cell],
@@ -234,64 +259,32 @@ class Coordinator:
         :class:`UnavailableError` if fewer than ``required`` replicas are
         alive.
         """
-        replicas = self._replicas(table, key)
-        required = validate_quorum(required, len(replicas), kind="W")
-        alive = self._alive(replicas)
-        self._check_available(len(alive), required, len(replicas))
         request = WriteRequest(table, key, dict(cells))
-        if self.config.hinted_handoff:
-            for replica in replicas:
-                if replica.is_down:
-                    self.cluster.hints.add(self.node.node_id,
-                                           replica.node_id, request)
-        events = [self.cluster.network.rpc(self.node.node_id, replica, request)
-                  for replica in alive]
-        return ResponseCollector(self.env, events, self.cluster.quorum_deadlines)
+        return self._scatter(table, key, request, required, "W", hint=request)
 
     def scatter_read(self, table: str, key: Hashable,
                      columns: Tuple[ColumnName, ...],
                      required: int) -> ResponseCollector:
         """Broadcast a column read to all alive replicas of ``key``."""
-        replicas = self._replicas(table, key)
-        required = validate_quorum(required, len(replicas), kind="R")
-        alive = self._alive(replicas)
-        self._check_available(len(alive), required, len(replicas))
-        request = ReadRequest(table, key, tuple(columns))
-        events = [self.cluster.network.rpc(self.node.node_id, replica, request)
-                  for replica in alive]
-        return ResponseCollector(self.env, events, self.cluster.quorum_deadlines)
+        return self._scatter(table, key,
+                             ReadRequest(table, key, tuple(columns)),
+                             required, "R")
 
     def scatter_read_row(self, table: str, key: Hashable,
                          required: int) -> ResponseCollector:
         """Broadcast a whole-row read to all alive replicas of ``key``."""
-        replicas = self._replicas(table, key)
-        required = validate_quorum(required, len(replicas), kind="R")
-        alive = self._alive(replicas)
-        self._check_available(len(alive), required, len(replicas))
-        request = ReadRowRequest(table, key)
-        events = [self.cluster.network.rpc(self.node.node_id, replica, request)
-                  for replica in alive]
-        return ResponseCollector(self.env, events, self.cluster.quorum_deadlines)
+        return self._scatter(table, key, ReadRowRequest(table, key),
+                             required, "R")
 
     def scatter_get_then_put(self, table: str, key: Hashable,
                              cells: Dict[ColumnName, Cell],
                              read_columns: Tuple[ColumnName, ...],
                              required: int) -> ResponseCollector:
         """Broadcast the combined Get-then-Put of Algorithm 1 (optimized)."""
-        replicas = self._replicas(table, key)
-        required = validate_quorum(required, len(replicas), kind="W")
-        alive = self._alive(replicas)
-        self._check_available(len(alive), required, len(replicas))
-        request = GetThenPutRequest(table, key, dict(cells), tuple(read_columns))
-        if self.config.hinted_handoff:
-            write_only = WriteRequest(table, key, dict(cells))
-            for replica in replicas:
-                if replica.is_down:
-                    self.cluster.hints.add(self.node.node_id,
-                                           replica.node_id, write_only)
-        events = [self.cluster.network.rpc(self.node.node_id, replica, request)
-                  for replica in alive]
-        return ResponseCollector(self.env, events, self.cluster.quorum_deadlines)
+        request = GetThenPutRequest(table, key, dict(cells),
+                                    tuple(read_columns))
+        return self._scatter(table, key, request, required, "W",
+                             hint=WriteRequest(table, key, request.cells))
 
     # -- high-level operations ---------------------------------------------------
 
@@ -308,9 +301,10 @@ class Coordinator:
         yield self.node.charge(self.config.service.coordinator)
         collector = self.scatter_read(table, key, columns, r)
         responses = yield collector.wait(r)
-        merged = self._merge_columns(columns, responses)
-        if self.config.read_repair:
-            self._maybe_read_repair(table, key, columns, responses, merged)
+        merged = {column: merge_cells(response.cells.get(column)
+                                      for response in responses)
+                  for column in columns}
+        self._maybe_read_repair(table, key, responses, merged)
         return merged
 
     def get_row(self, table: str, key: Hashable, r: int):
@@ -318,13 +312,8 @@ class Coordinator:
         yield self.node.charge(self.config.service.coordinator)
         collector = self.scatter_read_row(table, key, r)
         responses = yield collector.wait(r)
-        merged: Dict[ColumnName, Cell] = {}
-        for response in responses:
-            for column, cell in response.cells.items():
-                if column not in merged or cell_wins(cell, merged[column]):
-                    merged[column] = cell
-        if self.config.read_repair and merged:
-            self._maybe_row_read_repair(table, key, responses, merged)
+        merged = merge_rows([response.cells for response in responses])
+        self._maybe_read_repair(table, key, responses, merged)
         return merged
 
     def index_read(self, table: str, column: ColumnName, value,
@@ -339,25 +328,19 @@ class Coordinator:
         nodes = [node for node in self.cluster.nodes if not node.is_down]
         if not nodes:
             raise UnavailableError("no nodes alive for index read")
-        request = IndexScanRequest(table, column, value, tuple(columns))
-        events = [self.cluster.network.rpc(self.node.node_id, node, request)
-                  for node in nodes]
-        collector = ResponseCollector(self.env, events, self.cluster.quorum_deadlines)
+        collector = self._collect(
+            nodes, IndexScanRequest(table, column, value, tuple(columns)))
         responses = yield collector.wait(len(nodes))
-        # Merge per-key: replicas may disagree; LWW per cell.
-        merged: Dict[Hashable, Dict[ColumnName, Cell]] = {}
+        # Per key, every copy a fragment returned: replicas may disagree.
+        copies: Dict[Hashable, List[Dict[ColumnName, Optional[Cell]]]] = {}
         for response in responses:
             for key, cells in response.matches.items():
-                target = merged.setdefault(key, {})
-                for col, cell in cells.items():
-                    if cell is None:
-                        continue
-                    if col not in target or cell_wins(cell, target[col]):
-                        target[col] = cell
+                copies.setdefault(key, []).append(cells)
         # Drop keys whose indexed column no longer matches after merging
         # (a fragment can be momentarily stale relative to a peer replica).
         result: Dict[Hashable, Dict[ColumnName, Cell]] = {}
-        for key, cells in merged.items():
+        for key, rows in copies.items():
+            cells = merge_rows(rows)
             indexed_cell = cells.get(column)
             if column in columns and indexed_cell is not None:
                 if indexed_cell.is_null or indexed_cell.value != value:
@@ -367,45 +350,15 @@ class Coordinator:
 
     # -- helpers -------------------------------------------------------------------
 
-    @staticmethod
-    def _merge_columns(columns: Tuple[ColumnName, ...],
-                       responses) -> Dict[ColumnName, Cell]:
-        merged: Dict[ColumnName, Cell] = {}
-        for column in columns:
-            merged[column] = merge_cells(
-                response.cells.get(column) for response in responses)
-        return merged
-
-    def _maybe_row_read_repair(self, table: str, key: Hashable, responses,
-                               merged: Dict[ColumnName, Cell]) -> None:
-        """Wide-row variant of read repair: push winners any responding
-        replica was missing or held stale."""
-        repair_cells: Dict[ColumnName, Cell] = {}
-        for response in responses:
-            for column, winner in merged.items():
-                local = response.cells.get(column)
-                if local is None or cell_wins(winner, local):
-                    repair_cells[column] = winner
-        if not repair_cells:
-            return
-        try:
-            self.scatter_write(table, key, repair_cells, required=1)
-        except UnavailableError:  # pragma: no cover - nothing alive
-            pass
-
-    def _maybe_read_repair(self, table: str, key: Hashable,
-                           columns: Tuple[ColumnName, ...], responses,
+    def _maybe_read_repair(self, table: str, key: Hashable, responses,
                            merged: Dict[ColumnName, Cell]) -> None:
-        """Push merged winners to replicas that returned stale cells."""
+        """Push merged winners to the responding replicas that were
+        missing them or held them stale (asynchronously: nobody waits)."""
+        if not self.config.read_repair:
+            return
         repair_cells: Dict[ColumnName, Cell] = {}
         for response in responses:
-            for column in columns:
-                winner = merged[column]
-                if winner.timestamp < 0:
-                    continue
-                local = response.cells.get(column)
-                if local is None or cell_wins(winner, local):
-                    repair_cells[column] = winner
+            repair_cells.update(stale_cells(merged, response.cells))
         if not repair_cells:
             return
         try:

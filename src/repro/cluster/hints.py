@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List
 
-from repro.cluster.messages import WriteAck, WriteRequest
+from repro.cluster.coordinator import ResponseCollector
+from repro.cluster.messages import WriteRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -81,15 +82,17 @@ class HintService:
         self._replay_running = False
 
     def _replay_once(self):
-        """Attempt delivery of every hint whose endpoints are both up."""
-        deliverable = self._deliverable()
-        for hint in deliverable:
-            target = self.cluster.node(hint.target_id)
-            event = self.cluster.network.rpc(hint.holder_id, target,
-                                             hint.request)
-            timer = self.cluster.env.timeout(self.cluster.config.rpc_timeout)
-            outcome = yield self.cluster.env.any_of([event, timer])
-            if event in outcome and isinstance(outcome[event], WriteAck):
+        """Attempt delivery of every hint whose endpoints are both up,
+        one hint at a time (each waits for its ack or the cluster's
+        timeout before the next is sent)."""
+        cluster = self.cluster
+        for hint in self._deliverable():
+            event = cluster.network.rpc(hint.holder_id,
+                                        cluster.node(hint.target_id),
+                                        hint.request)
+            acked = yield ResponseCollector(cluster.env, [event],
+                                            cluster.quorum_deadlines).settled
+            if acked:
                 hint.delivered = True
                 self.hints_replayed += 1
         self._hints = [hint for hint in self._hints if not hint.delivered]

@@ -16,7 +16,8 @@ This module implements that protocol over the simulated cluster:
 2. For every replica pair, tree comparison walks down from the root and
    collects the key ranges (leaf buckets) whose hashes differ.
 3. Only rows hashing into differing buckets are exchanged and
-   LWW-merged, via the ordinary repair-read/write messages.
+   LWW-merged, by the full sweep's own per-row primitive
+   (``antientropy.repair_row``).
 
 The row hash covers every cell **including tombstones** (value,
 timestamp, tombstone flag), so replicas that differ only in deletions
@@ -28,9 +29,9 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Hashable, List, Set
 
-from repro.cluster.messages import RepairReadRequest, WriteRequest
+from repro.cluster.antientropy import repair_row
 from repro.common.hashing import hash_key
-from repro.common.records import Cell, ColumnName, cell_wins
+from repro.common.records import Cell, ColumnName
 
 __all__ = ["MerkleTree", "build_tree", "differing_buckets", "merkle_repair"]
 
@@ -146,8 +147,8 @@ def merkle_repair(cluster, table: str, depth: int = 6):
     """Merkle anti-entropy over one table; a simulation process.
 
     Builds each alive replica's tree (charging read CPU via a repair
-    round trip per divergent row only), compares pairwise, and exchanges
-    exactly the rows in differing buckets.  Returns
+    round trip per divergent row only), compares pairwise, and runs
+    ``repair_row`` on exactly the rows in differing buckets.  Returns
     ``(rows_transferred, buckets_compared)``.
     """
     env = cluster.env
@@ -190,43 +191,7 @@ def merkle_repair(cluster, table: str, depth: int = 6):
                             and MerkleTree.bucket_of(key, depth)
                             in divergent):
                         keys.add(key)
-    if not keys:
-        return (0, comparisons)
-
     transferred = 0
     for key in sorted(keys, key=repr):
-        replicas = [replica for replica in cluster.replicas_for(table, key)
-                    if not replica.is_down]
-        if not replicas:
-            continue
-        request = RepairReadRequest(table, key)
-        responses = []
-        for replica in replicas:
-            event = cluster.network.rpc(replica.node_id, replica, request)
-            timer = env.timeout(cluster.config.rpc_timeout)
-            outcome = yield env.any_of([event, timer])
-            if event in outcome:
-                responses.append(outcome[event])
-        merged: Dict[ColumnName, Cell] = {}
-        for response in responses:
-            for column, cell in response.cells.items():
-                if column not in merged or cell_wins(cell, merged[column]):
-                    merged[column] = cell
-        by_id = {response.node_id: response for response in responses}
-        for replica in replicas:
-            response = by_id.get(replica.node_id)
-            if response is None:
-                continue
-            missing = {
-                column: cell for column, cell in merged.items()
-                if column not in response.cells
-                or cell_wins(cell, response.cells[column])
-            }
-            if missing:
-                transferred += 1
-                write = cluster.network.rpc(
-                    replica.node_id, replica, WriteRequest(table, key,
-                                                           missing))
-                timer = env.timeout(cluster.config.rpc_timeout)
-                yield env.any_of([write, timer])
+        transferred += yield from repair_row(cluster, table, key)
     return (transferred, comparisons)

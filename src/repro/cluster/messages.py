@@ -23,8 +23,6 @@ __all__ = [
     "GetThenPutResponse",
     "IndexScanRequest",
     "IndexScanResponse",
-    "RepairReadRequest",
-    "RepairReadResponse",
 ]
 
 
@@ -122,19 +120,3 @@ class IndexScanResponse:
     node_id: int
     matches: Dict[Hashable, Dict[ColumnName, Optional[Cell]]] = field(
         default_factory=dict)
-
-
-@dataclass(frozen=True, slots=True)
-class RepairReadRequest:
-    """Anti-entropy: fetch this replica's full row for reconciliation."""
-
-    table: str
-    key: Hashable
-
-
-@dataclass(frozen=True, slots=True)
-class RepairReadResponse:
-    """Anti-entropy payload: every cell the replica holds for the row."""
-
-    node_id: int
-    cells: Dict[ColumnName, Cell]

@@ -22,8 +22,6 @@ from repro.cluster.messages import (
     ReadResponse,
     ReadRowRequest,
     ReadRowResponse,
-    RepairReadRequest,
-    RepairReadResponse,
     WriteAck,
     WriteRequest,
 )
@@ -141,8 +139,6 @@ class StorageNode:
             return self._handle_get_then_put(request)
         if isinstance(request, IndexScanRequest):
             return self._handle_index_scan(request)
-        if isinstance(request, RepairReadRequest):
-            return self._handle_repair_read(request)
         raise ClusterError(f"unknown request type {type(request).__name__}")
 
     # -- handlers -----------------------------------------------------------------
@@ -212,9 +208,3 @@ class StorageNode:
         for key in matches:
             result[key] = self.engine.read(request.table, key, request.columns)
         return IndexScanResponse(self.node_id, result)
-
-    def _handle_repair_read(self, request: RepairReadRequest):
-        cells = self.engine.read_row(request.table, request.key)
-        yield self.charge(self.service.read_cost(max(1, len(cells))))
-        cells = self.engine.read_row(request.table, request.key)
-        return RepairReadResponse(self.node_id, cells)

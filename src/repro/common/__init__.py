@@ -17,6 +17,8 @@ from repro.common.records import (
     Row,
     cell_wins,
     merge_cells,
+    merge_rows,
+    stale_cells,
 )
 from repro.common.timestamps import TimestampOracle
 
@@ -26,6 +28,8 @@ __all__ = [
     "ColumnName",
     "cell_wins",
     "merge_cells",
+    "merge_rows",
+    "stale_cells",
     "NULL_TIMESTAMP",
     "TimestampOracle",
     "TokenRing",

@@ -24,6 +24,8 @@ __all__ = [
     "ColumnName",
     "cell_wins",
     "merge_cells",
+    "merge_rows",
+    "stale_cells",
 ]
 
 # The paper: "A NULL timestamp is assumed to be smaller than all non-NULL
@@ -112,6 +114,47 @@ def merge_cells(cells: Iterable[Optional[Cell]]) -> Cell:
         if winner is None or cell_wins(cell, winner):
             winner = cell
     return winner if winner is not None else Cell.null()
+
+
+def merge_rows(rows: Iterable[Dict[ColumnName, Optional[Cell]]]
+               ) -> Dict[ColumnName, Cell]:
+    """Merge replica copies of one row: the LWW winner of every column.
+
+    The union of the rows' columns, each holding the cell that
+    :func:`merge_cells` would pick for it; ``None`` cells (the replica
+    never had the column) are ignored.  Every replica merge outside the
+    per-column quorum Get goes through here — read repair, anti-entropy,
+    index reads and the converged-state readers — so a versioning scheme
+    that keeps siblings changes this function and :func:`stale_cells`,
+    not their callers.
+    """
+    merged: Dict[ColumnName, Cell] = {}
+    for row in rows:
+        for column, cell in row.items():
+            if cell is not None and (column not in merged
+                                     or cell_wins(cell, merged[column])):
+                merged[column] = cell
+    return merged
+
+
+def stale_cells(winners: Dict[ColumnName, Cell],
+                local: Dict[ColumnName, Optional[Cell]]
+                ) -> Dict[ColumnName, Cell]:
+    """The ``winners`` a replica holding ``local`` lacks or holds older.
+
+    Applying the result to the replica brings it up to ``winners``.  A
+    never-written winner (``NULL_TIMESTAMP``: what a column Get merges
+    to when no replica had the column) is nothing to push.
+    """
+    stale: Dict[ColumnName, Cell] = {}
+    for column, winner in winners.items():
+        held = local.get(column)
+        # The replica a winner was read from holds that very object:
+        # nothing to compare (every cell of an R=1 read).
+        if (held is not winner and winner.timestamp != NULL_TIMESTAMP
+                and cell_wins(winner, held)):
+            stale[column] = winner
+    return stale
 
 
 class Row:

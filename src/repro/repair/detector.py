@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.cluster.merkle import MerkleTree, differing_buckets
-from repro.common.records import Cell, ColumnName, cell_wins
+from repro.common.records import Cell, ColumnName
 from repro.views.definition import INIT_COLUMN, ViewDefinition
 from repro.views.invariants import live_entries
 from repro.views.versioned import (
@@ -114,31 +114,11 @@ def canonical_view_entry(view: ViewDefinition,
     return canonical
 
 
-def _merged_base_rows(cluster, view: ViewDefinition
-                      ) -> Dict[Hashable, Dict[ColumnName, Cell]]:
-    """LWW-merge the base table's watched columns across every node."""
-    columns = (view.view_key_column, *view.materialized_columns)
-    rows: Dict[Hashable, Dict[ColumnName, Cell]] = {}
-    for node in cluster.nodes:
-        if not node.engine.has_table(view.base_table):
-            continue
-        for key in node.engine.keys(view.base_table):
-            cells = node.engine.read_row(view.base_table, key)
-            target = rows.setdefault(key, {})
-            for column in columns:
-                cell = cells.get(column)
-                if cell is None:
-                    continue
-                if column not in target or cell_wins(cell, target[column]):
-                    target[column] = cell
-    return rows
-
-
 def expected_canonical_rows(cluster, view: ViewDefinition
                             ) -> Dict[Hashable, Dict[ColumnName, Cell]]:
     """Canonical live rows implied by the (converged) base table."""
     expected: Dict[Hashable, Dict[ColumnName, Cell]] = {}
-    for base_key, cells in _merged_base_rows(cluster, view).items():
+    for base_key, cells in cluster.converged_rows(view.base_table).items():
         canonical = canonical_base_row(view, cells)
         if canonical:
             expected[base_key] = canonical

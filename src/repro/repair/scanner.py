@@ -67,10 +67,7 @@ class TokenRangeScanner:
         pass base keys known only from view-side introspection so stray
         view rows are scanned even if their base replicas are all down.
         """
-        keys = set(extra_keys)
-        for node in self.cluster.nodes:
-            if not node.is_down and node.engine.has_table(self.table):
-                keys.update(node.engine.keys(self.table))
+        keys = self.cluster.table_keys(self.table).union(extra_keys)
         by_bucket: Dict[int, List[Hashable]] = {}
         for key in keys:
             bucket = MerkleTree.bucket_of(key, self.depth)

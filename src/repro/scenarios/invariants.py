@@ -89,7 +89,7 @@ class ViewOracleAgreement(Invariant):
         """Converged base table == LWW fold of the applied updates."""
         violations = []
         logical = scenario.logical_base()
-        actual = scenario.merged_base_state()
+        actual = scenario.cluster.converged_rows(scenario.view.base_table)
         for key in sorted(set(logical) | set(actual), key=repr):
             expected_cells = logical.get(key, {})
             actual_cells = actual.get(key, {})

@@ -313,22 +313,6 @@ class Scenario:
         return {key: {column: table.cell(key, column) for column in cols}
                 for key, cols in columns.items()}
 
-    def merged_base_state(self) -> Dict[Hashable, Dict[ColumnName, Cell]]:
-        """The converged base table: LWW-merged across every node."""
-        from repro.common.records import cell_wins
-
-        rows: Dict[Hashable, Dict[ColumnName, Cell]] = {}
-        for node in self.cluster.nodes:
-            if not node.engine.has_table(SCENARIO_TABLE):
-                continue
-            for key in node.engine.keys(SCENARIO_TABLE):
-                cells = node.engine.read_row(SCENARIO_TABLE, key)
-                target = rows.setdefault(key, {})
-                for column, cell in cells.items():
-                    if column not in target or cell_wins(cell, target[column]):
-                        target[column] = cell
-        return rows
-
     def _judge(self, scrubber) -> ScenarioResult:
         violations: List[str] = []
         for invariant in self.invariants:

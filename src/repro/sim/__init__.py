@@ -9,7 +9,7 @@ from repro.sim.latency import (
     ShiftedExponential,
     Uniform,
 )
-from repro.sim.resources import Resource, Semaphore, Store
+from repro.sim.resources import Resource, Semaphore
 from repro.sim.rng import RandomStreams, derive_seed
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "AnyOf",
     "Resource",
     "Semaphore",
-    "Store",
     "RandomStreams",
     "derive_seed",
     "LatencyModel",

@@ -7,20 +7,20 @@ returns a slot by hand with ``request()`` / ``release()``.  Queuing at
 resources is what produces realistic throughput saturation in the
 cluster experiments.
 
-``Store`` is an unbounded FIFO message queue: producers ``put`` items
-immediately, consumers ``yield store.get()`` and block until an item is
-available.  Nodes use stores as their network inboxes.
+``Semaphore`` is a counting semaphore whose tokens can start at zero and
+grow: the back-pressure and worker-slot bookkeeping of view maintenance
+(``repro.views.outbox``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.kernel import NORMAL, PENDING, Environment, Event
 
-__all__ = ["Resource", "Store", "Semaphore"]
+__all__ = ["Resource", "Semaphore"]
 
 
 class _Hold(Event):
@@ -186,36 +186,3 @@ class Semaphore:
             waiter.succeed()
         else:
             self._tokens += 1
-
-
-class Store:
-    """Unbounded FIFO queue of items with blocking ``get``."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``; wakes the oldest blocked getter if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next available item."""
-        event = self.env.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def peek(self) -> Optional[Any]:
-        """The oldest queued item without removing it, or ``None``."""
-        return self._items[0] if self._items else None

@@ -52,11 +52,7 @@ def backfill(manager, view_name: str, coordinator_id: int = 0,
         raise ValueError("batch_pause must be non-negative")
     view = manager.view(view_name)
     coordinator = manager.cluster.coordinator(coordinator_id)
-    keys = set()
-    for node in manager.cluster.nodes:
-        if not node.is_down and node.engine.has_table(view.base_table):
-            keys.update(node.engine.keys(view.base_table))
-    ordered = sorted(keys, key=repr)
+    ordered = sorted(manager.cluster.table_keys(view.base_table), key=repr)
     report = BackfillReport()
     skipped: List[Hashable] = []
     full = min(manager.config.replication_factor, manager.config.nodes)

@@ -30,7 +30,14 @@ from repro.views.maintenance import ViewKeyGuess
 from repro.views.outbox import NodeOutbox
 from repro.views.versioned import PHASE_STALE, view_column, view_timestamp
 
-__all__ = ["process_record", "propagate_with_retries", "repropagate_row"]
+__all__ = ["process_record", "propagate_with_retries", "repropagate_row",
+           "RETRY_BACKOFF", "RETRY_BACKOFF_CAP"]
+
+# Backoff between rounds of view-key-guess retries (ms): the first
+# retry waits up to RETRY_BACKOFF, doubling per round up to
+# RETRY_BACKOFF_CAP (see _retry_delay).
+RETRY_BACKOFF = 0.5
+RETRY_BACKOFF_CAP = 8.0
 
 # How a started record can fail without failing the simulation, first
 # match wins: (exception, manager counter to bump, wound provenance,
@@ -212,16 +219,12 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
 
 def _retry_delay(manager, rounds: int) -> float:
     """Backoff before retry round ``rounds + 1``: exponential from
-    ``propagation_retry_backoff``, capped at
-    ``propagation_retry_backoff_cap``, jittered into ``[d/2, d)`` by
-    the deterministic sim RNG.  A fixed interval would retry every
-    contending propagation in lockstep, re-colliding on the same
-    lock/chain state each round; the jitter spreads the wakeups."""
-    base = manager.config.propagation_retry_backoff
-    if base <= 0:
-        return 0.0
-    delay = min(base * (2.0 ** (rounds - 1)),
-                manager.config.propagation_retry_backoff_cap)
+    :data:`RETRY_BACKOFF`, capped at :data:`RETRY_BACKOFF_CAP`, jittered
+    into ``[d/2, d)`` by the deterministic sim RNG.  A fixed interval
+    would retry every contending propagation in lockstep, re-colliding
+    on the same lock/chain state each round; the jitter spreads the
+    wakeups."""
+    delay = min(RETRY_BACKOFF * (2.0 ** (rounds - 1)), RETRY_BACKOFF_CAP)
     return delay * (0.5 + 0.5 * manager._rng.random())
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Hashable, List, Optional
 
-from repro.common.records import Cell, ColumnName, cell_wins
+from repro.common.records import Cell, ColumnName
 from repro.views.definition import INIT_COLUMN, ViewDefinition
 from repro.views.model import ReferenceViewModel
 from repro.views.versioned import NULL_VIEW_KEY, VersionedEntry, split_wide_row
@@ -42,17 +42,7 @@ __all__ = [
 def merged_view_state(cluster, view: ViewDefinition
                       ) -> Dict[Any, Dict[ColumnName, Cell]]:
     """LWW-merge the view table across every node's local storage."""
-    rows: Dict[Any, Dict[ColumnName, Cell]] = {}
-    for node in cluster.nodes:
-        if not node.engine.has_table(view.name):
-            continue
-        for key in node.engine.keys(view.name):
-            cells = node.engine.read_row(view.name, key)
-            target = rows.setdefault(key, {})
-            for column, cell in cells.items():
-                if column not in target or cell_wins(cell, target[column]):
-                    target[column] = cell
-    return rows
+    return cluster.converged_rows(view.name)
 
 
 def merged_view_rows(cluster, view: ViewDefinition, view_keys
@@ -62,20 +52,7 @@ def merged_view_rows(cluster, view: ViewDefinition, view_keys
     A targeted variant of :func:`merged_view_state` for callers (like the
     stale-row collector) that already know which rows they care about.
     """
-    wanted = set(view_keys)
-    rows: Dict[Any, Dict[ColumnName, Cell]] = {}
-    for node in cluster.nodes:
-        if not node.engine.has_table(view.name):
-            continue
-        for key in wanted:
-            cells = node.engine.read_row(view.name, key)
-            if not cells:
-                continue
-            target = rows.setdefault(key, {})
-            for column, cell in cells.items():
-                if column not in target or cell_wins(cell, target[column]):
-                    target[column] = cell
-    return rows
+    return cluster.converged_rows(view.name, view_keys)
 
 
 def state_digest(cluster, table: str) -> str:
@@ -88,16 +65,7 @@ def state_digest(cluster, table: str) -> str:
     tables and for view backing tables alike; the differential tests
     and the scenario fuzzer's determinism checks both rest on this.
     """
-    rows: Dict[Any, Dict[ColumnName, Cell]] = {}
-    for node in cluster.nodes:
-        if not node.engine.has_table(table):
-            continue
-        for key in node.engine.keys(table):
-            cells = node.engine.read_row(table, key)
-            target = rows.setdefault(key, {})
-            for column, cell in cells.items():
-                if column not in target or cell_wins(cell, target[column]):
-                    target[column] = cell
+    rows = cluster.converged_rows(table)
     digest = hashlib.sha256()
     for key in sorted(rows, key=repr):
         digest.update(repr(key).encode("utf-8"))

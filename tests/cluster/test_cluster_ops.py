@@ -234,6 +234,101 @@ def test_repair_table_sweeps_all_keys():
             assert replica.engine.read("T", key, ("a",))["a"].value == "fresh"
 
 
+def _converged_cluster(rows=20):
+    cluster = build_cluster()
+    client = cluster.sync_client()
+    for i in range(rows):
+        client.put("T", i, {"a": i}, w=3)
+    cluster.run_until_idle()
+    return cluster
+
+
+def test_repair_row_waits_out_silent_replicas_together():
+    """Replicas that are up but never answer cost the sweep one
+    ``rpc_timeout`` between them (they are all read at once and waited
+    for through one collector), not one each in turn."""
+    cluster = _converged_cluster(rows=1)
+    env = cluster.env
+    cluster.network.message_loss = 1.0  # all three replicas: up, silent
+    start = env.now
+    assert env.run(until=cluster.repair_row("T", 0)) == 0
+    assert env.now == start + cluster.config.rpc_timeout
+
+
+def test_repair_table_leaves_no_timer_of_its_own_on_the_heap():
+    """A sweep waits on the cluster's deadline queue like any quorum
+    round, so what it leaves behind is that queue's one armed timer —
+    due ``rpc_timeout`` after the sweep's first read — and nothing per
+    RPC (a private timer per RPC left 60 dead heap entries here)."""
+    cluster = _converged_cluster()
+    env = cluster.env
+    assert env.peek() == float("inf")
+    start = env.now
+    assert env.run(until=cluster.repair_table("T")) == 0
+    assert len(env._heap) == 1
+    assert env.peek() == start + cluster.config.rpc_timeout
+
+
+def test_draining_after_repair_table_stops_at_the_cluster_deadline():
+    """``run_until_idle()`` after a sweep ends where it would after the
+    sweep's *first* quorum round (the one armed deadline), however long
+    the sweep ran: no RPC of the sweep holds the clock for another
+    ``rpc_timeout`` past its own send time."""
+    cluster = _converged_cluster()
+    env = cluster.env
+    start = env.now
+    env.run(until=cluster.repair_table("T"))
+    assert env.now > start
+    cluster.run_until_idle()
+    assert env.now == start + cluster.config.rpc_timeout
+
+
+def test_hint_replay_is_one_hint_at_a_time():
+    """Each hint waits for its ack, or the cluster's timeout, before
+    the next is sent: fault timings depend on that order."""
+    cluster = build_cluster()
+    client = cluster.sync_client()
+    target = cluster.replicas_for("T", "k")[0]
+    target.mark_down()
+    client.put("T", "k", {"a": 1}, w=2)
+    client.put("T", "k", {"b": 2}, w=2)
+    assert len(cluster.hints) == 2
+    cluster.run_until_idle()
+    env, network = cluster.env, cluster.network
+    network.message_loss = 1.0  # the target comes back up, but silent
+    cluster.recover_node(target.node_id)
+    recovered, sent = env.now, network.messages_sent
+    timeout = cluster.config.rpc_timeout
+    replay = recovered + cluster.hints.replay_interval
+    cluster.run(until=replay + timeout - 1.0)
+    assert network.messages_sent == sent + 1
+    cluster.run(until=replay + timeout + 1.0)
+    assert network.messages_sent == sent + 2
+    network.message_loss = 0.0
+    cluster.run_until_idle()
+    assert len(cluster.hints) == 0
+    assert cluster.hints.hints_replayed == 2
+    assert target.engine.read_row("T", "k").keys() == {"a", "b"}
+
+
+def test_table_keys_and_converged_rows_read_local_engines():
+    cluster = build_cluster()
+    replicas = cluster.replicas_for("T", "k")
+    replicas[0].engine.apply("T", "k", {"a": Cell.make("old", 1)})
+    replicas[1].engine.apply("T", "k", {"a": Cell.make("new", 9),
+                                        "b": Cell.make("only", 3)})
+    replicas[2].engine.apply("T", "other", {"a": Cell.make("x", 2)})
+    assert cluster.table_keys("T") == {"k", "other"}
+    merged = {"a": Cell.make("new", 9), "b": Cell.make("only", 3)}
+    assert cluster.converged_rows("T") == {
+        "k": merged, "other": {"a": Cell.make("x", 2)}}
+    # A down node's rows are still part of what the table converges
+    # to, but a sweep's key universe is what alive nodes hold.
+    replicas[2].mark_down()
+    assert cluster.table_keys("T") == {"k"}
+    assert cluster.converged_rows("T", ["k", "nowhere"]) == {"k": merged}
+
+
 def test_periodic_anti_entropy_converges_without_reads():
     cluster = build_cluster(read_repair=False, hinted_handoff=False)
     client = cluster.sync_client()

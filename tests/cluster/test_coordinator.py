@@ -456,6 +456,40 @@ def test_get_row_read_repairs_divergent_replicas():
         assert replica.engine.read("T", "k", ("b",))["b"].value == "only"
 
 
+_OLD, _NEW = Cell.make("old", 1), Cell.make("new", 9)
+_ONLY = Cell.make("only", 3)
+_LIVE, _DEAD = Cell.make("v", 5), Cell.make(None, 5)
+
+
+@pytest.mark.parametrize("read", [
+    lambda coordinator: coordinator.get("T", "k", ("a", "b"), r=3),
+    lambda coordinator: coordinator.get_row("T", "k", r=3),
+], ids=["get", "get_row"])
+@pytest.mark.parametrize("planted, converged", [
+    ([{"a": _OLD}, {"a": _NEW}, {"a": _NEW}], {"a": _NEW}),
+    ([{"a": _NEW, "b": _ONLY}, {"a": _NEW}, {"a": _NEW}],
+     {"a": _NEW, "b": _ONLY}),
+    ([{"a": _DEAD}, {"a": _LIVE}, {"a": _DEAD}], {"a": _LIVE}),
+    ([{"a": _NEW}, {"a": _NEW}, {"a": _NEW}], {"a": _NEW}),
+], ids=["stale-replica", "missing-column", "tombstone-ties-live",
+        "nothing-to-repair"])
+def test_read_repair_pushes_what_replicas_lack_and_only_then(
+        read, planted, converged):
+    """Both quorum reads repair through the one replica diff.  A column
+    nobody holds (``b``, which the column Get asks for and merges to
+    NULL) is never pushed, and replicas that agree cost no write RPC."""
+    cluster = build_cluster()
+    replicas = cluster.replicas_for("T", "k")
+    for replica, cells in zip(replicas, planted):
+        replica.engine.apply("T", "k", cells)
+    run_proc(cluster, read(cluster.coordinator(0)))
+    agreed = all(cells == converged for cells in planted)
+    assert cluster.network.messages_sent == (3 if agreed else 6)
+    cluster.run_until_idle()
+    for replica in replicas:
+        assert replica.engine.read_row("T", "k") == converged
+
+
 def test_get_row_merges_all_columns():
     cluster = build_cluster()
     replicas = cluster.replicas_for("T", "k")

@@ -10,6 +10,7 @@ from repro.cluster.merkle import (
     merkle_repair,
 )
 from repro.common import Cell
+from repro.views import state_digest
 
 from tests.cluster.conftest import make_config
 
@@ -139,24 +140,40 @@ def test_repairs_a_single_divergent_row():
 
 
 def test_repair_after_outage_converges_like_full_sweep():
-    cluster = build_cluster(read_repair=False, hinted_handoff=False)
-    client = cluster.sync_client(coordinator_id=0)
-    for i in range(20):
-        client.put("T", i, {"a": f"v{i}"}, w=3)
-    client.settle()
-    down = next(node for node in cluster.nodes if node.node_id != 0)
-    down.mark_down()
-    for i in range(5):
-        client.put("T", i, {"a": f"updated{i}"}, w=2)
-    client.settle()
-    cluster.recover_node(down.node_id)
-    cluster.run_until_idle()
+    def diverged_cluster():
+        cluster = build_cluster(read_repair=False, hinted_handoff=False)
+        client = cluster.sync_client(coordinator_id=0)
+        for i in range(20):
+            client.put("T", i, {"a": f"v{i}"}, w=3)
+        client.settle()
+        down = next(node for node in cluster.nodes if node.node_id != 0)
+        down.mark_down()
+        for i in range(5):
+            client.put("T", i, {"a": f"updated{i}"}, w=2)
+        client.settle()
+        cluster.recover_node(down.node_id)
+        cluster.run_until_idle()
+        return cluster
+
+    cluster, sweep_cluster = diverged_cluster(), diverged_cluster()
     transferred, _ = run_repair(cluster)
     assert transferred >= 1
     for i in range(5):
         for replica in cluster.replicas_for("T", i):
             assert replica.engine.read("T", i, ("a",))["a"].value == \
                 f"updated{i}"
+    # The full sweep, on the same divergence, ends in the same state:
+    # merged across nodes, and node by node.
+    repaired_rows = sweep_cluster.env.run(
+        until=sweep_cluster.repair_table("T"))
+    sweep_cluster.run_until_idle()
+    assert repaired_rows == transferred  # one stale replica per row
+    assert state_digest(cluster, "T") == state_digest(sweep_cluster, "T")
+    for node, sweep_node in zip(cluster.nodes, sweep_cluster.nodes):
+        assert ({key: node.engine.read_row("T", key)
+                 for key in node.engine.keys("T")}
+                == {key: sweep_node.engine.read_row("T", key)
+                    for key in sweep_node.engine.keys("T")})
 
 
 def test_merkle_cheaper_than_full_sweep_when_converged():

@@ -1,10 +1,20 @@
 """Tests for cells, tombstones, rows, and LWW merge rules."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common import NULL_TIMESTAMP, Cell, Row, cell_wins, merge_cells
+from repro.common import (
+    NULL_TIMESTAMP,
+    Cell,
+    Row,
+    cell_wins,
+    merge_cells,
+    merge_rows,
+    stale_cells,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +145,66 @@ def test_merge_ignores_missing_replicas():
 def test_merge_empty_returns_null():
     assert merge_cells([]) == Cell.null()
     assert merge_cells([None, None]) == Cell.null()
+
+
+# ---------------------------------------------------------------------------
+# Replica rows: merge_rows / stale_cells
+# ---------------------------------------------------------------------------
+
+# Up to four replica copies of one row over three columns; values and
+# timestamps come from small ranges so ties (equal timestamps, tombstone
+# against live value) are common, and a replica may report a column as
+# ``None`` (asked for, never written there).
+_cells = st.builds(Cell.make, st.one_of(st.none(), st.integers(0, 3)),
+                   st.integers(0, 4))
+_replica_rows = st.lists(
+    st.dictionaries(st.sampled_from("abc"), st.one_of(st.none(), _cells)),
+    max_size=4)
+
+
+@given(rows=_replica_rows)
+def test_merge_rows_is_the_per_column_merge_in_any_order(rows):
+    merged = merge_rows(rows)
+    columns = {column for row in rows for column, cell in row.items()
+               if cell is not None}
+    assert merged == {
+        column: merge_cells(row.get(column) for row in rows)
+        for column in columns}
+    for permuted in permutations(rows):  # commutative
+        assert merge_rows(permuted) == merged
+    for cut in range(len(rows) + 1):  # associative
+        assert merge_rows([merge_rows(rows[:cut]),
+                           merge_rows(rows[cut:])]) == merged
+    assert merge_rows([merged, merged]) == merged  # idempotent
+    assert merge_rows([*rows, merged, *rows]) == merged
+
+
+@given(rows=_replica_rows)
+def test_applying_its_stale_cells_brings_a_replica_to_the_merge(rows):
+    winners = merge_rows(rows)
+    for row in rows:
+        replica = Row({column: cell for column, cell in row.items()
+                       if cell is not None})
+        for column, cell in stale_cells(winners, row).items():
+            assert replica.apply(column, cell)  # nothing pushed in vain
+        assert dict(replica.items()) == winners
+
+
+@given(rows=_replica_rows, columns=st.sets(st.sampled_from("abcd")))
+def test_stale_cells_never_pushes_a_never_written_cell(rows, columns):
+    """A column Get merges a column no replica holds to ``Cell.null()``;
+    that is not something to repair a replica with."""
+    winners = {column: merge_cells(row.get(column) for row in rows)
+               for column in columns}
+    for row in rows:
+        missing = stale_cells(winners, row)
+        assert all(cell.timestamp != NULL_TIMESTAMP
+                   for cell in missing.values())
+        # ... and what is left is the whole-row diff, for those columns.
+        assert missing == {
+            column: cell
+            for column, cell in stale_cells(merge_rows(rows), row).items()
+            if column in columns}
 
 
 # ---------------------------------------------------------------------------

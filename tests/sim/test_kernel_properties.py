@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, Semaphore, Store
+from repro.sim import Environment, Resource, Semaphore
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,29 +90,6 @@ def test_resource_total_work_conserved(capacity, jobs):
     total = sum(jobs)
     assert env.now >= total / capacity - 1e-9
     assert env.now <= total + 1e-9
-
-
-@settings(max_examples=40, deadline=None)
-@given(items=st.lists(st.integers(), min_size=1, max_size=30))
-def test_store_preserves_fifo_order(items):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer():
-        for item in items:
-            store.put(item)
-            yield env.timeout(0.1)
-
-    def consumer():
-        for _ in items:
-            item = yield store.get()
-            received.append(item)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert received == items
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,9 @@
-"""Tests for Resource, Semaphore, and Store primitives."""
+"""Tests for the Resource and Semaphore primitives."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Resource, Semaphore, Store
+from repro.sim import Environment, Resource, Semaphore
 
 
 # ---------------------------------------------------------------------------
@@ -268,92 +268,3 @@ def test_semaphore_release_banks_tokens():
     env.run()
     assert got == [0.0]
     assert sem.tokens == 1
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer():
-        yield env.timeout(1.0)
-        store.put("item")
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, env.now))
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [("item", 1.0)]
-
-
-def test_store_get_of_queued_item_is_immediate():
-    env = Environment()
-    store = Store(env)
-    store.put("early")
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, env.now))
-
-    env.process(consumer())
-    env.run()
-    assert got == [("early", 0.0)]
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    for i in range(5):
-        store.put(i)
-    got = []
-
-    def consumer():
-        while len(got) < 5:
-            item = yield store.get()
-            got.append(item)
-
-    env.process(consumer())
-    env.run()
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_multiple_consumers_fifo():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(name):
-        item = yield store.get()
-        got.append((name, item))
-
-    env.process(consumer("a"))
-    env.process(consumer("b"))
-
-    def producer():
-        yield env.timeout(1.0)
-        store.put(1)
-        store.put(2)
-
-    env.process(producer())
-    env.run()
-    assert got == [("a", 1), ("b", 2)]
-
-
-def test_store_len_and_peek():
-    env = Environment()
-    store = Store(env)
-    assert len(store) == 0
-    assert store.peek() is None
-    store.put("x")
-    store.put("y")
-    assert len(store) == 2
-    assert store.peek() == "x"

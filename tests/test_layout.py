@@ -40,7 +40,7 @@ def test_there_is_one_limit_on_running_propagations(word):
 
 
 def test_config_and_snapshot_stay_small():
-    assert len(dataclasses.fields(ClusterConfig)) <= 26
+    assert len(dataclasses.fields(ClusterConfig)) <= 24
     assert len(dataclasses.fields(ClusterSnapshot)) <= 18
 
 
@@ -58,3 +58,25 @@ def test_speed_is_measured_in_one_place():
              *(root / ".github").rglob("*.yml")]
     assert [str(path.relative_to(root)) for path in prose
             if "repro.bench" in path.read_text()] == []
+
+
+def test_replica_merge_has_one_seam():
+    """LWW row merging, the replica diff and the background wait for
+    replica replies each live in one place: ``merge_rows`` /
+    ``stale_cells`` in ``common/records.py`` and the quorum collector
+    with the cluster's one deadline queue.  (``views/model.py`` is the
+    oracle the tests compare against and stays independent;
+    ``views/maintenance.py`` compares one update against one live row,
+    which is Algorithm 2, not a replica merge.)"""
+    assert sorted(_files_mentioning("cell_wins")) == [
+        "common/__init__.py", "common/records.py",
+        "views/maintenance.py", "views/model.py"]
+    outside_sim = [name for word in ("RepairRead", "any_of(")
+                   for name in _files_mentioning(word)
+                   if not name.startswith("sim/")]
+    assert outside_sim == []
+    # The only reader of ``config.rpc_timeout`` is the ``QuorumDeadlines``
+    # built in ``Cluster.__init__``: no background path keeps a timer of
+    # its own.
+    for name in ("antientropy.py", "merkle.py", "hints.py"):
+        assert "rpc_timeout" not in (SRC / "cluster" / name).read_text()

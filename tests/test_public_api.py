@@ -123,6 +123,7 @@ def test_config_validation():
     "scrub_interval", "scrub_row_budget", "scrub_range_depth",
     "scrub_rate_limit", "scrub_degraded_backoff", "hint_replay_interval",
     "lock_service_latency", "skew_flush_max_attempts",
+    "propagation_retry_backoff", "propagation_retry_backoff_cap",
 ])
 def test_single_valued_knobs_are_not_config_fields(field):
     """No caller ever set these to anything but the default; they are

@@ -97,13 +97,13 @@ def test_reader_waits_out_a_clearing_init_marker():
     assert [r["m"] for r in outcome["rows"]] == ["x"]
 
 
-def test_propagation_gives_up_loudly_after_max_rounds():
+def test_propagation_gives_up_loudly_after_max_rounds(monkeypatch):
     """A guess set that can never succeed must abort with a clear error
     after propagation_max_rounds, not hang."""
     from repro.errors import ProcessError
 
-    cluster = Cluster(make_config(propagation_max_rounds=3,
-                                  propagation_retry_backoff=0.1))
+    monkeypatch.setattr(drive, "RETRY_BACKOFF", 0.1)
+    cluster = Cluster(make_config(propagation_max_rounds=3))
     cluster.create_table("T")
     cluster.create_view(VIEW)
     manager = cluster.view_manager

@@ -2,7 +2,8 @@
 
 A fixed retry interval re-collides every contending propagation on the
 same lock/chain state each round.  The replacement schedule doubles from
-``propagation_retry_backoff`` up to ``propagation_retry_backoff_cap``
+``drive.RETRY_BACKOFF`` up to ``drive.RETRY_BACKOFF_CAP`` (constants:
+the tests that need other values monkeypatch them)
 and jitters each delay into ``[d/2, d)`` from the deterministic
 ``view-propagation`` RNG stream — so retries spread out, while identical
 seeds still replay identically.  A propagation that fails every round
@@ -10,9 +11,6 @@ is abandoned after ``propagation_max_rounds``, and while it sleeps
 between rounds it holds none of the node's maintenance workers.
 """
 
-import pytest
-
-from repro.cluster import ClusterConfig
 from repro.views import drive
 
 from tests.repair.conftest import build, run_for
@@ -24,8 +22,7 @@ def _delays(manager, rounds):
 
 def test_backoff_is_jittered_within_round_bounds():
     manager = build().view_manager
-    base = manager.config.propagation_retry_backoff
-    cap = manager.config.propagation_retry_backoff_cap
+    base, cap = drive.RETRY_BACKOFF, drive.RETRY_BACKOFF_CAP
     for _ in range(50):
         delay = drive._retry_delay(manager, 1)
         assert base / 2 <= delay < base
@@ -34,9 +31,9 @@ def test_backoff_is_jittered_within_round_bounds():
         assert cap / 2 <= delay < cap
 
 
-def test_backoff_grows_exponentially_until_cap():
-    manager = build(propagation_retry_backoff=1.0,
-                    propagation_retry_backoff_cap=8.0).view_manager
+def test_backoff_grows_exponentially_until_cap(monkeypatch):
+    monkeypatch.setattr(drive, "RETRY_BACKOFF", 1.0)
+    manager = build().view_manager
     # Strip the jitter by normalising into the nominal (pre-jitter)
     # delay: delay / jitter_factor is the deterministic schedule.
     nominal = []
@@ -51,8 +48,9 @@ def test_backoff_grows_exponentially_until_cap():
     assert all(4.0 <= delay < 8.0 for delay, expected in nominal[4:])
 
 
-def test_zero_base_disables_backoff():
-    manager = build(propagation_retry_backoff=0.0).view_manager
+def test_zero_base_disables_backoff(monkeypatch):
+    monkeypatch.setattr(drive, "RETRY_BACKOFF", 0.0)
+    manager = build().view_manager
     assert drive._retry_delay(manager, 1) == 0.0
     assert drive._retry_delay(manager, 50) == 0.0
 
@@ -71,21 +69,16 @@ def test_backoff_is_deterministic_across_identical_clusters():
     assert first == second
 
 
-def test_cap_below_base_rejected():
-    with pytest.raises(ValueError):
-        ClusterConfig(propagation_retry_backoff=2.0,
-                      propagation_retry_backoff_cap=1.0)
-
-
-def test_contending_hot_key_workload_converges():
+def test_contending_hot_key_workload_converges(monkeypatch):
     """End-to-end: many same-key writers force guess retries; the
     jittered schedule must still converge the view (and the backoff cap
     bounds each wait)."""
     from repro.views import check_view
     from tests.repair.conftest import VIEW
 
-    cluster = build(propagation_retry_backoff=0.2,
-                    propagation_retry_backoff_cap=2.0)
+    monkeypatch.setattr(drive, "RETRY_BACKOFF", 0.2)
+    monkeypatch.setattr(drive, "RETRY_BACKOFF_CAP", 2.0)
+    cluster = build()
     client = cluster.sync_client()
     for i in range(12):
         client.put("T", "hot", {"vk": f"g{i % 2}", "m": i}, w=2,
