@@ -169,17 +169,18 @@ class ViewScrubber:
         cluster = self.cluster
         env = cluster.env
         manager = cluster.view_manager
-        if manager.outbox_pending(view.name):
-            # Records for this view are still queued or in-flight in the
+        backlog = manager.outbox_backlog(view.name)
+        if backlog:
+            # Records for this view are still queued or working in the
             # node outboxes (watermarks behind the log heads): any digest
             # mismatch right now is ordinary propagation lag, not
             # divergence.  Defer this view to the next round instead of
             # burning quorum reads on rows that are about to heal
-            # themselves.
+            # themselves.  Records sleeping between failed rounds do not
+            # count: what they wait for may be this scrub's repair.
             self.metrics.deferred_backlog += 1
             cluster.trace("scrub", "deferred: outbox backlog",
-                          view=view.name,
-                          backlog=manager.outbox_pending(view.name))
+                          view=view.name, backlog=backlog)
             return 0, False
         # Exchanging digest trees: one replica round trip (the detector
         # builds both trees from converged introspective state; the

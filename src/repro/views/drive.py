@@ -24,7 +24,6 @@ from repro.errors import (
     PropagationError,
     QuorumError,
 )
-from repro.sim.resources import Semaphore
 from repro.views.definition import NEXT_COLUMN, ViewDefinition
 from repro.views.maintenance import ViewKeyGuess
 from repro.views.outbox import NodeOutbox
@@ -103,7 +102,7 @@ def process_record(manager, outbox: NodeOutbox, record):
         try:
             yield from propagate_with_retries(
                 manager, coordinator, view, record.table, key, guesses,
-                record.update_values, base_ts, workers=outbox.workers)
+                record.update_values, base_ts, outbox=outbox)
             success = True
         finally:
             manager.freshness.eager_end(view.name, key, outbox.node_id,
@@ -167,16 +166,20 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
                            guesses: List[ViewKeyGuess],
                            update_values: Dict[ColumnName, Any],
                            base_ts: int,
-                           workers: Optional[Semaphore] = None):
+                           outbox: Optional[NodeOutbox] = None):
     """Algorithm 1 lines 5-7: retry guesses until one propagates.
 
     Locks (or the propagator's turn) are released between rounds —
     holding them across a failed round would block the very propagation
     that must run before the retry can succeed.  The same goes for the
-    worker slot the caller holds on ``workers``: it is given back for
+    worker slot the caller holds on ``outbox``: it is given back for
     the length of each backoff sleep and re-taken before the next
-    round.  Re-drives of a row's current state (:func:`repropagate_row`)
-    hold no worker and pass none.
+    round, and for that long the record counts in
+    ``outbox.backing_off`` — it has failed a full round of guesses and
+    may be waiting for a row only the scrubber can write, so the
+    scrubber's backlog deferral must not wait for it in turn.
+    Re-drives of a row's current state (:func:`repropagate_row`) hold
+    no worker and pass no outbox.
     """
     config = manager.config
     env = manager.env
@@ -200,16 +203,23 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
         manager.maintainer.metrics.retry_rounds += 1
         manager.cluster.trace("propagation", "round failed; backing off",
                               view=view.name, key=key, round=rounds)
-        if workers is not None:
-            workers.release()
+        if outbox is not None:
+            outbox.workers.release()
+            outbox.backing_off[view.name] += 1
         yield env.timeout(_retry_delay(manager, rounds))
-        if workers is not None:
-            yield workers.acquire()
+        if outbox is not None:
+            outbox.backing_off[view.name] -= 1
+            yield outbox.workers.acquire()
         if rounds % 4 == 0:
             # Refresh guesses from the base replicas: slow peers may
             # have propagated by now, giving us a valid entry point.
-            collector = coordinator.scatter_read(
-                table, key, (view.view_key_column,), 1)
+            # With every replica down the read is unavailable: one more
+            # transient shortfall, so keep the guesses in hand.
+            try:
+                collector = coordinator.scatter_read(
+                    table, key, (view.view_key_column,), 1)
+            except QuorumError:
+                continue
             responses = yield collector.settled
             fresh = (ViewKeyGuess.from_cell(
                          view, response.cells.get(view.view_key_column))

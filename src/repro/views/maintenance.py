@@ -6,17 +6,41 @@ distributed view table:
 - :meth:`get_live_key` is Algorithm 3 (``GetLiveKey``): walk the stale-row
   pointer chain from a view-key guess to the live row, with majority
   quorums, failing if the guess's row does not exist yet (its writing
-  update has not propagated).
+  update has not propagated).  On request every hop also reads the
+  row's materialized cells, so the walk's last Get hands the live row's
+  data back with its key.
 - :meth:`propagate_update` is Algorithm 2 (``PropagateUpdate``), extended
   per the paper's remarks to handle multi-column Puts (view key plus
   materialized columns propagated together) and view-key deletions
   (handled through the NULL anchor, see :mod:`repro.views.versioned`).
 
 Every Get/Put inside propagation uses a majority quorum of the view's
-replicas, as Algorithm 2 prescribes.  New live rows are marked
-inaccessible (``Init`` cell) until fully initialized so concurrent view
-Gets never observe a half-copied row or two accessible live rows
-(Section IV-F).
+replicas, as Algorithm 2 prescribes.  A view-key move is four view-table
+quorum rounds, not the paper's six: the chain walk (one Get when the
+guess is the live row), the new row (line 4), the stale pointer (line 8)
+and the ``Init`` unmark.  ``CopyData`` (line 7: a Get of the old live
+row, then a Put of what it returned) has no rounds of its own — its Get
+is the walk's last hop, which reads that very row, and its Put is line
+4, which writes that very row.  Four things make that safe:
+
+1. A view-key propagation owns its chain exclusively
+   (``ViewManager.serialized``: the exclusive lock, or the row's
+   propagator), so no materialized-column propagation for the same base
+   key runs between the last hop's Get and the line-4 Put — the cells a
+   separate Get would have returned are the cells the last hop returned.
+2. Copied cells keep their own values *and* scaled timestamps, so even
+   an interleaving that (1) forbids would merge by ordinary LWW.
+3. The copy lands in the same per-replica atomic apply as the ``Init``
+   marker, so the half-copied row the marker exists to hide cannot
+   exist: strictly fewer intermediate states than the six-round form.
+4. Every write is still idempotent.  A round retried after a partial
+   failure either ends its walk at the old live row and issues the same
+   writes again, or ends it at the new row and takes the same-key
+   refresh.
+
+New live rows stay marked inaccessible (``Init`` cell) until the old
+live row is stale, so concurrent view Gets never observe two accessible
+live rows (Section IV-F).
 """
 
 from __future__ import annotations
@@ -87,7 +111,7 @@ class PropagationMetrics:
     guess_failures: int = 0
     retry_rounds: int = 0
     chain_hops: int = 0
-    rows_copied: int = 0
+    rows_copied: int = 0  # view-key moves that carried materialized cells
 
     def hops_per_propagation(self) -> float:
         """Average GetLiveKey hops per successful propagation."""
@@ -127,19 +151,27 @@ class ViewMaintainer:
     # -- Algorithm 3: GetLiveKey -------------------------------------------------
 
     def get_live_key(self, coordinator, view: ViewDefinition,
-                     base_key: Hashable, guess: ViewKeyGuess):
+                     base_key: Hashable, guess: ViewKeyGuess,
+                     columns: Tuple[ColumnName, ...] = ()):
         """Walk Next pointers from ``guess`` to the live row.
 
-        Returns ``(live_key, live_base_ts)``.  Raises
+        Returns ``(live_key, live_base_ts, cells)``.  Every hop reads
+        ``(Next, *columns)`` — a hop is not known to be the last before
+        it is read — and ``cells`` is the live row's merged cell per
+        view column of ``columns`` (CopyData's read, riding the walk's
+        last Get; empty when no columns were asked for).  Raises
         :class:`PropagationError` when the guess's row does not exist
         (the update that wrote that view key has not yet propagated).
         The never-written NULL guess is allowed to find no anchor row: it
         returns the virtual pristine anchor ``(NULL_VIEW_KEY, -1)``,
         which is correct because the initial base state is propagated by
         definition and first propagation is serialized per base row.
+        Cells parked on that anchor by earlier materialized-column
+        updates come back in ``cells`` like any live row's.
         """
         current = guess.key
         next_column = view_column(base_key, NEXT_COLUMN)
+        read_columns = (next_column, *columns)
         hops = 0
         while True:
             hops += 1
@@ -149,13 +181,13 @@ class ViewMaintainer:
                     f"{base_key!r} exceeded {_MAX_CHAIN_HOPS} hops "
                     "(cycle suspected)")
             merged = yield from self._view_get(
-                coordinator, view.name, current, (next_column,))
-            next_cell = merged[next_column]
+                coordinator, view.name, current, read_columns)
+            next_cell = merged.pop(next_column)
             if next_cell.is_null:
                 if hops == 1 and guess.allow_virtual:
                     # Pristine chain: nothing has propagated for this
                     # base row.  Anchor at the virtual NULL row.
-                    return NULL_VIEW_KEY, NULL_TIMESTAMP
+                    return NULL_VIEW_KEY, NULL_TIMESTAMP, merged
                 self.metrics.guess_failures += 1
                 raise PropagationError(
                     f"view key {current!r} not found in view {view.name!r} "
@@ -166,31 +198,9 @@ class ViewMaintainer:
                 self.cluster.trace(
                     "chain", "live row resolved", view=view.name,
                     base_key=base_key, live=current, hops=hops)
-                return current, base_timestamp_of(next_cell.timestamp)
+                return (current, base_timestamp_of(next_cell.timestamp),
+                        merged)
             current = next_cell.value
-
-    # -- CopyData -------------------------------------------------------------------
-
-    def _copy_data(self, coordinator, view: ViewDefinition,
-                   base_key: Hashable, source_key: Any, target_key: Any):
-        """Copy materialized cells from the old live row to the new one.
-
-        Cells are copied verbatim (values *and* scaled timestamps), so a
-        concurrently propagating materialized-column update merges
-        correctly with the copy via ordinary LWW.
-        """
-        if not view.materialized_columns:
-            return
-        columns = tuple(view_column(base_key, column)
-                        for column in view.materialized_columns)
-        merged = yield from self._view_get(coordinator, view.name,
-                                           source_key, columns)
-        copied = {column: cell for column, cell in merged.items()
-                  if cell.timestamp != NULL_TIMESTAMP}
-        if copied:
-            self.metrics.rows_copied += 1
-            yield from self._view_put(coordinator, view.name, target_key,
-                                      copied)
 
     # -- Algorithm 2: PropagateUpdate ---------------------------------------------------
 
@@ -206,16 +216,22 @@ class ViewMaintainer:
         and/or materialized), with raw application values.
         """
         self.metrics.propagations_started += 1
+        moves_key = view.view_key_column in update_values
+        # A view-key update may move the row, so its walk also reads
+        # what CopyData would.
+        copy_columns = tuple(view_column(base_key, column)
+                             for column in view.materialized_columns
+                             ) if moves_key else ()
         # Line 1: find the live row from the guess.
-        live_key, live_ts = yield from self.get_live_key(
-            coordinator, view, base_key, guess)
+        live_key, live_ts, live_cells = yield from self.get_live_key(
+            coordinator, view, base_key, guess, copy_columns)
 
         target_key = live_key
-        if view.view_key_column in update_values:
+        if moves_key:
             target_key = yield from self._propagate_view_key(
                 coordinator, view, base_key,
                 update_values[view.view_key_column], base_ts,
-                live_key, live_ts)
+                live_key, live_ts, live_cells)
 
         materialized = {
             view_column(base_key, column):
@@ -225,8 +241,9 @@ class ViewMaintainer:
         }
         if materialized and target_key is not None:
             # Line 12: write materialized cells to the (new) live row.
-            # Writing to the NULL anchor is deliberate: the values are
-            # picked up by CopyData if the row later re-enters the view.
+            # Writing to the NULL anchor is deliberate: the walk of the
+            # view-key update that re-enters the row into the view reads
+            # them there and copies them to the new row.
             yield from self._view_put(coordinator, view.name, target_key,
                                       materialized)
         self.metrics.propagations_succeeded += 1
@@ -234,10 +251,15 @@ class ViewMaintainer:
 
     def _propagate_view_key(self, coordinator, view: ViewDefinition,
                             base_key: Hashable, raw_value: Any, base_ts: int,
-                            live_key: Any, live_ts: int):
+                            live_key: Any, live_ts: int,
+                            live_cells: Dict[ColumnName, Cell]):
         """The view-key-update branch of Algorithm 2 (lines 3-10).
 
-        Returns the view key that is live after this propagation.
+        ``live_cells`` are the live row's materialized cells as the
+        chain walk's last Get returned them; a move writes the non-null
+        ones into the new row verbatim (CopyData, line 7) inside the
+        line-4 Put.  Returns the view key that is live after this
+        propagation.
         """
         new_key = raw_value if view.accepts_key(raw_value) else NULL_VIEW_KEY
         base_col = view_column(base_key, BASE_KEY_COLUMN)
@@ -285,23 +307,26 @@ class ViewMaintainer:
             })
             return live_key
 
-        # Line 4: write the new row (live self-pointer), marked Init so
-        # concurrent readers do not observe it until initialized.  This
-        # branch MUST stay sequential: unmarking Init before the old live
-        # row is staled could let a reader observe two accessible live
-        # rows for one base key (the Section IV-F invariant).
+        # Lines 4 and 7 in one Put: the new row (live self-pointer),
+        # marked Init so concurrent readers do not observe it yet, and
+        # the old live row's materialized cells, verbatim (why that is
+        # safe: the module docstring).  The copy runs even when the old
+        # live row is the (possibly virtual) NULL anchor: materialized
+        # updates that propagated before any view-key update park their
+        # cells there.
+        # This branch MUST stay sequential: unmarking Init before the old
+        # live row is staled could let a reader observe two accessible
+        # live rows for one base key (the Section IV-F invariant).
+        copied = {column: cell for column, cell in live_cells.items()
+                  if cell.timestamp != NULL_TIMESTAMP}
+        if copied:
+            self.metrics.rows_copied += 1
         yield from self._view_put(coordinator, view.name, new_key, {
             base_col: Cell(base_key, row_ts),
             next_col: Cell(new_key, row_ts),
             init_col: Cell(True, row_ts),
+            **copied,
         })
-        # Line 7: copy view-materialized cells to the new row.  This runs
-        # even when the old live row is the (possibly virtual) NULL
-        # anchor: materialized updates that propagated before any
-        # view-key update park their cells there, and the copy carries
-        # them into the view.
-        yield from self._copy_data(coordinator, view, base_key,
-                                   live_key, new_key)
         # Line 8: make the old live row stale.  For a pristine chain this
         # creates the NULL anchor row, giving later NULL guesses a path
         # to the live row.

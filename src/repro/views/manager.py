@@ -307,16 +307,29 @@ class ViewManager:
     def outbox_pending(self, view_name: Optional[str] = None) -> int:
         """Unresolved outbox records, optionally for one view only.
 
-        The scrubber consults this to defer digest comparison while
-        propagation is merely behind (backlog, not divergence) — folded
-        deltas awaiting a flush count as backlog too: lazy maintenance
-        is lag, never divergence."""
+        Folded deltas awaiting a flush count too: lazy maintenance is
+        lag, never divergence."""
         if view_name is None:
             return (sum(outbox.depth for outbox in self._outboxes.values())
                     + self.skew.pending_chains())
         return (sum(outbox.pending_for(view_name)
                     for outbox in self._outboxes.values())
                 + self.skew.pending_chains(view_name))
+
+    def outbox_backlog(self, view_name: str) -> int:
+        """:meth:`outbox_pending` for one view, less the records
+        sleeping in a retry backoff: what the scrubber defers on, so
+        digests are not compared while propagation is merely behind
+        (backlog, not divergence).
+
+        A sleeping record has failed a full round of guesses and given
+        its worker slot back; when its predecessor on the chain was lost
+        to a crash it is waiting for a row only the scrubber can write,
+        and a scrubber that waited for it in turn would wait out its
+        whole round budget."""
+        return self.outbox_pending(view_name) - sum(
+            outbox.backing_off[view_name]
+            for outbox in self._outboxes.values())
 
     def outbox_stats(self, hot_key_count: int = 5) -> Dict[str, Any]:
         """Queue depth / lag / coalescing counters across node outboxes.

@@ -73,7 +73,7 @@ record has resolved) is what session barriers and the scrubber consult.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.records import ColumnName
@@ -195,6 +195,9 @@ class NodeOutbox:
         self.depth = 0             # parked + started records
         self.max_depth = 0
         self.view_depths: Dict[str, int] = {}
+        # Per view, started records sleeping in a retry backoff with
+        # their worker slot given back (views.drive keeps the count).
+        self.backing_off: Dict[str, int] = defaultdict(int)
         # Lifetime appends per (view, base key) chain: the producer-side
         # hot-key ranking ``outbox_stats()`` reports for skew auditing.
         self.chain_appends: Dict[Tuple[str, Hashable], int] = {}

@@ -6,10 +6,12 @@ Next).  Stale rows are invisible to applications.  A view may legitimately
 contain several live rows under one view key (several base rows share the
 view key), so the result is a list.
 
-Rows marked with the ``Init`` cell are mid-initialization by a concurrent
-view-key propagation (Section IV-F); the reader spins briefly until the
-marker clears, which guarantees it never observes a half-copied row or
-two accessible live rows for one base row.
+Rows marked with the ``Init`` cell are mid-move by a concurrent view-key
+propagation (Section IV-F): the old live row is not stale yet.  The
+reader spins briefly until the marker clears, which guarantees it never
+observes two accessible live rows for one base row.  (It could not
+observe a half-copied one: the copied cells arrive in the same apply as
+the marker.)
 """
 
 from __future__ import annotations

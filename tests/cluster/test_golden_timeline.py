@@ -1,16 +1,24 @@
 """The simulation did not move: one recorded timeline, asserted exactly.
 
-``fixtures/timeline-golden.json`` was recorded at the commit *before*
-the RPC, quorum and CPU paths lost their same-instant heap hops (every
-RPC still a ``Process``, every quorum round its own ``rpc_timeout``
-timer, every queued CPU request a grant event).  Those hops advance no
-simulated clock, so removing them may change how many events the kernel
-pops but not *when* anything happens: this test replays the recorded
-workload and requires every op to complete at the same ``repr``-exact
-instant, return the same results, and leave byte-identical base and
-view tables.  It runs on the default (jittered) link models, so one
-reordered RNG draw — a return delay sampled before instead of after a
-neighbour's forward delay — shifts every later timestamp and fails it.
+``fixtures/timeline-golden.json`` pins *when* everything happens in one
+small closed-loop run: the test replays the recorded workload and
+requires every op to complete at the same ``repr``-exact instant,
+return the same results, and leave byte-identical base and view tables.
+A change to how the simulator runs — fewer kernel events per RPC, a
+different heap layout, an allocation saved — must leave it green: work
+that advances no simulated clock may change how many events the kernel
+pops but not when anything completes.  It runs on the default
+(jittered) link models, so one reordered RNG draw — a return delay
+sampled before instead of after a neighbour's forward delay — shifts
+every later timestamp and fails it.
+
+Last re-recorded by PR 20, which was meant to move the simulation: a
+view-key move became four view-table quorum rounds instead of six
+(CopyData rides the chain walk's last Get and the line-4 Put), so every
+view-key Put here finishes propagating two round trips sooner — the
+first op to differ is the fourth, at 1.8712 ms instead of 1.8790.  The
+recording before that one dated from the commit before PR 17 and
+survived it unchanged.
 
 Re-record (only for a change that is *meant* to move the simulation)::
 

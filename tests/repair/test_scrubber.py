@@ -196,3 +196,35 @@ def test_round_without_views_is_skipped():
     cluster.run_until_idle()
     assert scrubber.metrics.rounds >= 1
     assert scrubber.metrics.rounds == scrubber.metrics.skipped_rounds
+
+
+def test_scrubber_does_not_wait_for_a_record_only_it_can_unwedge():
+    """A view-key move on key 5 is lost to a coordinator crash; the next
+    Put of key 5 guesses the row the lost move never wrote and retries
+    to its round budget (200 rounds, over a second) for a row only the
+    scrubber can create.  The backlog deferral must not count that
+    record while it sleeps between rounds, or scrubber and record wait
+    on each other."""
+    cluster = build()
+    populate(cluster, 12)
+    lose_one_propagation(cluster, key=5, ts=100)
+    env = cluster.env
+    env.process(cluster.client(coordinator_id=1).put(
+        "T", 5, {"vk": "after"}, 2, 101))
+    run_for(cluster, 10.0)         # acked; the record is failing rounds
+    manager = cluster.view_manager
+    assert manager.maintainer.metrics.retry_rounds >= 2
+    assert divergent_base_keys(cluster, VIEW) == [5]
+
+    interval = 20.0
+    scrubber = cluster.start_scrubber(interval=interval, rate_limit=0.05)
+    run_for(cluster, 5 * interval)
+    assert divergent_base_keys(cluster, VIEW) == []
+    assert scrubber.metrics.repairs_applied >= 1
+    scrubber.stop()
+    cluster.run_until_idle()
+    # The repair wrote the row the record was waiting for.
+    assert manager.abandoned_propagations == 0
+    assert check_view(cluster, VIEW) == []
+    rows = cluster.sync_client().get_view("V", "after", ["m"])
+    assert [row.base_key for row in rows] == [5]

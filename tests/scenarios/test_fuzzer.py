@@ -133,6 +133,17 @@ def test_fuzz_passing_seeds_report_nothing():
     assert fuzz([FAILING_SEED], scrub=True, shrink=False) == []
 
 
+@pytest.mark.parametrize("seed", [60, 208, 322, 355])
+def test_seeds_that_took_every_base_replica_down_under_a_retry_loop(seed):
+    """Pinned: each of these histories has a propagation reach its
+    fourth failed round — the guess refresh — while all three replicas
+    of its base row are down.  The refresh raised ``UnavailableError``
+    out of the record's process and aborted the run; CI's smoke ran
+    ``range(40)`` and never met it."""
+    result = replay_schedule(generate_schedule(seed), scrub=True)
+    assert result.ok, result.violations
+
+
 @pytest.mark.slow
 def test_fuzz_sweep_with_scrubber():
     """Tier 2: a wider sweep; the scrubber must heal every seed."""

@@ -60,6 +60,15 @@ def test_speed_is_measured_in_one_place():
             if "repro.bench" in path.read_text()] == []
 
 
+def test_copy_data_has_no_round_of_its_own():
+    """A view-key move reads the view table once per chain hop and
+    nowhere else: CopyData's Get is the walk's last hop and its Put is
+    Algorithm 2 line 4."""
+    source = (SRC / "views" / "maintenance.py").read_text()
+    assert source.count("self._view_get(") == 1
+    assert _files_mentioning("_copy_data") == []
+
+
 def test_replica_merge_has_one_seam():
     """LWW row merging, the replica diff and the background wait for
     replica replies each live in one place: ``merge_rows`` /

@@ -347,3 +347,181 @@ def test_propagation_is_idempotent(driver):
     assert driver.view_row("b")["k"].is_live
     assert driver.get_view("b", ["m"])[0]["m"] == "x"
     assert check_view(driver.cluster, VIEW) == []
+
+
+# ---------------------------------------------------------------------------
+# CopyData rides the chain walk's last Get and the line-4 Put
+# ---------------------------------------------------------------------------
+
+
+def _moved_row(driver):
+    """k: vk = a @10 with m = payload @11, ready to move to another key."""
+    first_insert(driver, view_key="a", ts=10)
+    driver.base_put("k", {"m": "payload"}, 11)
+    driver.propagate("k", driver.guess("a", 10), {"m": "payload"}, 11)
+
+
+def test_view_key_move_sends_18_rpcs_four_view_rounds(monkeypatch):
+    """The cost of one view-key move through the whole stack at default
+    config, N = 3: base Get + base Put + chain walk (one hop) + new row
+    + stale pointer + Init unmark = (2 + 4) x 3 RPCs.  CopyData has no
+    round of its own (it was a Get and a Put: 24 RPCs)."""
+    from repro.cluster import ClusterConfig
+    from repro.cluster.coordinator import Coordinator
+
+    cluster = Cluster(ClusterConfig(seed=5))
+    cluster.create_table("T")
+    cluster.create_view(ViewDefinition("V", "T", "sec", ("payload",)))
+    client = cluster.sync_client()
+    client.put("T", "k", {"sec": "a", "payload": "p"})
+    client.settle()
+
+    rounds = []
+    for kind in ("scatter_read", "scatter_write"):
+        real = getattr(Coordinator, kind)
+
+        def counted(self, table, *args, _kind=kind, _real=real):
+            rounds.append((table, _kind))
+            return _real(self, table, *args)
+
+        monkeypatch.setattr(Coordinator, kind, counted)
+    sent = cluster.network.messages_sent
+    client.put("T", "k", {"sec": "b"})
+    client.settle()
+    assert cluster.network.messages_sent - sent == 18
+    assert sorted(kind for table, kind in rounds if table == "V") == [
+        "scatter_read", "scatter_write", "scatter_write", "scatter_write"]
+    (row,) = client.get_view("V", "b", ["payload"])
+    assert (row.base_key, row["payload"]) == ("k", "p")
+    assert client.get_view("V", "a", ["payload"]) == []
+
+
+def test_new_row_appears_with_its_copied_cells_and_init_in_one_apply(driver):
+    """At every replica the apply that first makes B / Next visible on
+    the new row also carries the copied materialized cell and the Init
+    marker: there is no half-copied row for Init to hide."""
+    _moved_row(driver)
+    cluster = driver.cluster
+    replicas = cluster.replicas_for("V", "b")
+    first_applies = {}
+    after_line_4 = {}
+    for replica in replicas:
+        real = replica.engine.apply
+
+        def spy(table, key, cells, _node=replica.node_id, _real=real):
+            if (table, key) == ("V", "b"):
+                first_applies.setdefault(_node, dict(cells))
+            return _real(table, key, cells)
+
+        replica.engine.apply = spy
+
+    real_put = driver.maintainer._view_put
+
+    def view_put(coordinator, view_name, view_key, cells):
+        yield from real_put(coordinator, view_name, view_key, cells)
+        if view_key == "b" and not after_line_4:
+            # Line 4 has its majority; line 8 has not been sent.
+            after_line_4.update(
+                (replica.node_id, replica.engine.read_row("V", "b"))
+                for replica in replicas)
+
+    driver.maintainer._view_put = view_put
+    driver.base_put("k", {"vk": "b"}, 20)
+    driver.propagate("k", driver.guess("a", 10), {"vk": "b"}, 20)
+
+    assert set(first_applies) == {replica.node_id for replica in replicas}
+    for cells in first_applies.values():
+        assert set(cells) == {("k", "B"), ("k", "Next"), ("k", "Init"),
+                              ("k", "m")}
+        # Verbatim: the value and the *old row's* scaled timestamp.
+        assert cells[("k", "m")].value == "payload"
+        assert cells[("k", "m")].timestamp < cells[("k", "Next")].timestamp
+        assert cells[("k", "Init")].value is True
+    written = [row for row in after_line_4.values() if row]
+    assert len(written) >= 2                    # a majority, maybe all
+    for row in written:
+        assert row[("k", "m")].value == "payload"
+        assert row[("k", "Init")].value is True
+    assert driver.maintainer.metrics.rows_copied == 1
+
+
+def test_view_get_racing_a_move_never_sees_the_new_row_without_its_data(
+        driver):
+    _moved_row(driver)
+    env = driver.cluster.env
+    seen = []
+
+    def reader():
+        from repro.views.read import view_get
+
+        coordinator = driver.cluster.coordinator(1)
+        while not seen or seen[-1][0] != "b":
+            for view_key in ("a", "b"):
+                rows = yield from view_get(env, coordinator, VIEW, view_key,
+                                           ("m",), 2)
+                seen.extend((view_key, row["m"]) for row in rows)
+            yield env.timeout(0.01)
+
+    driver.base_put("k", {"vk": "b"}, 20)
+    racing = env.process(reader())
+    driver.propagate("k", driver.guess("a", 10), {"vk": "b"}, 20)
+    env.run(until=racing)
+    assert ("a", "payload") in seen             # it did race the move
+    assert set(seen) == {("a", "payload"), ("b", "payload")}
+
+
+def _walk(driver, guess, columns=()):
+    return driver.run(driver.maintainer.get_live_key(
+        driver.coordinator, VIEW, "k", guess, columns))
+
+
+def test_chain_walk_returns_cells_parked_on_the_null_anchor(driver):
+    """A materialized update that propagates before any view-key update
+    parks its cell on the NULL anchor; the walk from the pristine-NULL
+    guess hands it back — beside the *virtual* anchor, no Next pointer
+    exists yet — and the first view-key write copies it."""
+    driver.base_put("k", {"m": "early"}, 5)
+    driver.propagate("k", driver.guess(None, -1, virtual=True),
+                     {"m": "early"}, 5)
+    live_key, live_ts, cells = _walk(
+        driver, driver.guess(None, -1, virtual=True), (("k", "m"),))
+    assert (live_key, live_ts) == (NULL_VIEW_KEY, -1)
+    assert cells[("k", "m")].value == "early"
+    driver.base_put("k", {"vk": "a"}, 10)
+    driver.propagate("k", driver.guess(None, -1, virtual=True),
+                     {"vk": "a"}, 10)
+    assert driver.get_view("a", ["m"])[0]["m"] == "early"
+
+
+def test_chain_walk_returns_the_live_rows_cells_not_a_stale_hops(driver):
+    _moved_row(driver)
+    driver.base_put("k", {"vk": "b"}, 20)
+    driver.propagate("k", driver.guess("a", 10), {"vk": "b"}, 20)
+    driver.base_put("k", {"m": "newer"}, 30)
+    driver.propagate("k", driver.guess("b", 20), {"m": "newer"}, 30)
+    # "a" still holds m = payload; the walk from it ends at "b".
+    live_key, live_ts, cells = _walk(driver, driver.guess("a", 10),
+                                     (("k", "m"),))
+    assert (live_key, live_ts) == ("b", 20)
+    assert {column: cell.value for column, cell in cells.items()} == {
+        ("k", "m"): "newer"}
+    assert _walk(driver, driver.guess("a", 10)) == ("b", 20, {})
+
+
+def test_only_a_view_key_update_reads_the_copy_columns(driver):
+    _moved_row(driver)
+    reads = []
+    real_get = driver.maintainer._view_get
+
+    def view_get(coordinator, view_name, view_key, columns):
+        reads.append(columns)
+        return (yield from real_get(coordinator, view_name, view_key,
+                                    columns))
+
+    driver.maintainer._view_get = view_get
+    driver.base_put("k", {"m": "x"}, 12)
+    driver.propagate("k", driver.guess("a", 10), {"m": "x"}, 12)
+    assert reads == [(("k", "Next"),)]
+    driver.base_put("k", {"vk": "b"}, 20)
+    driver.propagate("k", driver.guess("a", 10), {"vk": "b"}, 20)
+    assert reads[1:] == [(("k", "Next"), ("k", "m"))]

@@ -139,3 +139,29 @@ def test_a_record_sleeping_in_backoff_holds_no_worker(monkeypatch):
     cluster.run_until_idle()
     assert manager.abandoned_propagations == 2
     assert rounds == {"w1": 200, "w2": 200}
+
+
+def test_guess_refresh_with_every_base_replica_down_is_one_more_failed_round(
+        monkeypatch):
+    """Every fourth failed round re-reads the guesses from the base
+    row's replicas.  With all of them down that read is unavailable — a
+    transient shortfall like any failed round, not an error that may
+    escape the record's process and abort the run."""
+    cluster = build(propagation_max_rounds=6)
+    rounds = _fail_rounds_for(monkeypatch, cluster, ["k1"])
+    replicas = {node.node_id for node in cluster.replicas_for("T", "k1")}
+    (outsider,) = set(range(cluster.config.nodes)) - replicas
+    env = cluster.env
+    env.process(cluster.client(coordinator_id=outsider).put(
+        "T", "k1", {"vk": "s1"}, 2))
+    while rounds["k1"] < 1:        # acked, first round failed
+        run_for(cluster, 0.5)
+    for node_id in replicas:
+        cluster.fail_node(node_id)
+    run_for(cluster, 100.0)        # past round 4's refresh, to the budget
+    manager = cluster.view_manager
+    assert rounds["k1"] == 6
+    assert manager.abandoned_propagations == 1
+    for node_id in replicas:
+        cluster.recover_node(node_id)
+    cluster.run_until_idle()
