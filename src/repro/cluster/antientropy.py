@@ -1,8 +1,7 @@
 """Anti-entropy repair: reconcile replicas of a row or table.
 
 ``repair_row`` is the core primitive (compare replicas, push LWW winners
-back); ``repair_table`` sweeps every key; :class:`AntiEntropyService` runs
-periodic sweeps in the background when enabled.  This is the heavyweight
+back); ``repair_table`` sweeps every key.  This is the heavyweight
 eventual-delivery mechanism that catches whatever hinted handoff and read
 repair miss (e.g. hints lost because their holder also failed).
 """
@@ -18,7 +17,7 @@ from repro.common.records import merge_rows, stale_cells
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
 
-__all__ = ["repair_row", "repair_table", "AntiEntropyService"]
+__all__ = ["repair_row", "repair_table"]
 
 
 def repair_row(cluster: "Cluster", table: str, key: Hashable):
@@ -58,39 +57,11 @@ def repair_table(cluster: "Cluster", table: str):
     """Reconcile every key of ``table``; a simulation process.
 
     The key universe is the union of keys across alive replicas (a real
-    system would walk Merkle trees; a full sweep is equivalent for our
-    in-memory scale).  Returns the number of rows that needed repair.
+    system would exchange Merkle trees; a full sweep is equivalent for
+    our in-memory scale).  Returns the number of rows that needed repair.
     """
     repaired_rows = 0
     for key in sorted(cluster.table_keys(table), key=repr):
         if (yield from repair_row(cluster, table, key)):
             repaired_rows += 1
     return repaired_rows
-
-
-class AntiEntropyService:
-    """Optional periodic background repair over a set of tables."""
-
-    def __init__(self, cluster: "Cluster", tables, interval: float):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.cluster = cluster
-        self.tables = list(tables)
-        self.interval = interval
-        self.sweeps = 0
-        self._stopped = False
-        self._process = cluster.env.process(self._loop(), name="anti-entropy")
-
-    def stop(self) -> None:
-        """Stop sweeping after the current cycle."""
-        self._stopped = True
-
-    def _loop(self):
-        while not self._stopped:
-            yield self.cluster.env.timeout(self.interval)
-            if self._stopped:
-                return
-            for table in self.tables:
-                yield self.cluster.env.process(
-                    repair_table(self.cluster, table))
-            self.sweeps += 1

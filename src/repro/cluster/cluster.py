@@ -20,7 +20,7 @@ from typing import (
     Tuple,
 )
 
-from repro.cluster.antientropy import AntiEntropyService, repair_row, repair_table
+from repro.cluster.antientropy import repair_row, repair_table
 from repro.cluster.config import ClusterConfig
 from repro.cluster.coordinator import Coordinator, QuorumDeadlines
 from repro.cluster.hints import HintService
@@ -66,9 +66,8 @@ class Cluster:
         self.hints = HintService(self)
         self._placement_cache: Dict[Tuple[str, Hashable],
                                     Tuple[StorageNode, ...]] = {}
-        # One rpc_timeout for every quorum round: one deadline queue.
-        self.quorum_deadlines = QuorumDeadlines(self.env,
-                                                self.config.rpc_timeout)
+        # One deadline queue for every quorum round of the cluster.
+        self.quorum_deadlines = QuorumDeadlines(self.env)
         self._coordinators = [Coordinator(node, self) for node in self.nodes]
         self._next_client_id = 0
         self._next_coordinator = 0
@@ -303,21 +302,6 @@ class Cluster:
         """Anti-entropy over a whole table; returns the process."""
         return self.env.process(repair_table(self, table))
 
-    def merkle_repair_table(self, table: str, depth: int = 6):
-        """Merkle-tree anti-entropy over a table; returns the process.
-
-        Exchanges hash trees per replica pair and transfers only rows in
-        divergent buckets — far cheaper than :meth:`repair_table` when
-        replicas mostly agree (see :mod:`repro.cluster.merkle`).
-        """
-        from repro.cluster.merkle import merkle_repair
-
-        return self.env.process(merkle_repair(self, table, depth))
-
-    def start_anti_entropy(self, tables, interval: float) -> AntiEntropyService:
-        """Start periodic background repair of ``tables``."""
-        return AntiEntropyService(self, tables, interval)
-
     def start_scrubber(self, view_names=None, **overrides):
         """Start a background view scrubber (see :mod:`repro.repair`).
 
@@ -361,7 +345,7 @@ class Cluster:
         """Run until no events remain (in-flight work fully drains).
 
         Only meaningful when no perpetual background service is running
-        (periodic anti-entropy, a ``StaleRowCollector``, a
+        (a ``ViewScrubber``, a ``StaleRowCollector``, a
         ``ChaosMonkey``): those reschedule themselves forever, so the
         event queue never empties — use ``run(until=...)`` around them,
         or stop the service first.

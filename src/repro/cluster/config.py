@@ -77,10 +77,6 @@ class ClusterConfig:
     replica_link: LatencyModel = field(
         default_factory=lambda: ShiftedExponential(base=0.06, jitter_mean=0.02))
 
-    # Coordinator RPC timeout: a quorum operation fails if fewer than the
-    # required responses arrive within this budget.
-    rpc_timeout: float = 200.0
-
     # Probability that any single message is silently lost in transit.
     message_loss: float = 0.0
 
@@ -120,32 +116,13 @@ class ClusterConfig:
 
     # Skew-adaptive maintenance (repro.views.skew).  When enabled,
     # per-node decayed update counters classify (view, base key) chains
-    # heavy/light: a chain is promoted to lazy maintenance when its
-    # decayed count reaches ``skew_promote_threshold`` and demoted below
-    # ``skew_demote_threshold`` (hysteresis); counts halve every
-    # ``skew_decay_half_life`` ms.  The tracker is per coordinator and
-    # promotion must beat wedge formation — a chain only folds records
-    # started *after* it turns heavy — so the threshold sits low (two
-    # closely spaced starts) and the half-life spans many head-key
-    # inter-arrivals; tail keys, hundreds of ms apart per node, still
-    # decay back out.  These are the values extension E5 is measured
-    # under.  Heavy-chain records fold into per-chain delta buffers
-    # flushed every ``skew_fold_interval`` ms (or earlier by a read).
+    # heavy/light and heavy-chain records fold into per-chain delta
+    # buffers flushed on a tick (or earlier by a read).  The thresholds,
+    # half-life and tick are constants of ``repro.views.skew``.
     skew_adaptive: bool = False
-    skew_promote_threshold: float = 2.0
-    skew_demote_threshold: float = 1.0
-    skew_decay_half_life: float = 800.0
-    skew_fold_interval: float = 20.0
     # Hot-view read-through cache capacity in result entries; 0 disables
     # the cache (repro.views.skew.HotViewCache).
     view_cache_capacity: int = 0
-
-    # Freshness subsystem (repro.freshness).  A bounded-staleness read
-    # that escalates compensates at most this many lagging base keys per
-    # read; 0 means unlimited.  When the cap truncates the key set the
-    # read cannot claim its bound (certificate ``bound_met`` False) —
-    # it compensates the oldest keys first and reports the residual.
-    freshness_compensation_limit: int = 0
 
     # Root seed for all RNG streams.
     seed: int = 0
@@ -161,8 +138,6 @@ class ClusterConfig:
             raise ValueError("cores_per_node must be >= 1")
         if not 0.0 <= self.message_loss < 1.0:
             raise ValueError("message_loss must be in [0, 1)")
-        if self.rpc_timeout <= 0:
-            raise ValueError("rpc_timeout must be positive")
         if self.max_pending_propagations < 1:
             raise ValueError("max_pending_propagations must be >= 1")
         if self.propagation_concurrency not in ("locks", "propagators"):
@@ -171,19 +146,6 @@ class ClusterConfig:
                 f"got {self.propagation_concurrency!r}")
         if self.propagation_max_rounds < 1:
             raise ValueError("propagation_max_rounds must be >= 1")
-        if self.freshness_compensation_limit < 0:
-            raise ValueError(
-                "freshness_compensation_limit must be non-negative")
-        if self.skew_promote_threshold <= 0:
-            raise ValueError("skew_promote_threshold must be positive")
-        if not 0 < self.skew_demote_threshold <= self.skew_promote_threshold:
-            raise ValueError(
-                "skew_demote_threshold must be in "
-                "(0, skew_promote_threshold]")
-        if self.skew_decay_half_life <= 0:
-            raise ValueError("skew_decay_half_life must be positive")
-        if self.skew_fold_interval <= 0:
-            raise ValueError("skew_fold_interval must be positive")
         if self.view_cache_capacity < 0:
             raise ValueError("view_cache_capacity must be non-negative")
 

@@ -34,11 +34,16 @@ from repro.common.quorum import validate_quorum
 from repro.errors import QuorumError, UnavailableError
 from repro.sim.kernel import Environment, Event
 
-__all__ = ["QuorumDeadlines", "ResponseCollector", "Coordinator"]
+__all__ = ["RPC_TIMEOUT", "QuorumDeadlines", "ResponseCollector",
+           "Coordinator"]
+
+# A quorum round fails if fewer than the required responses arrive
+# within this budget (ms).
+RPC_TIMEOUT = 200.0
 
 
 class QuorumDeadlines:
-    """The ``rpc_timeout`` of every quorum round of one cluster.
+    """The :data:`RPC_TIMEOUT` of every quorum round of one cluster.
 
     The timeout is one value per cluster, so deadlines fall due in the
     order their collectors were created: a FIFO of collectors and a
@@ -49,7 +54,7 @@ class QuorumDeadlines:
     expired at exactly its creation time plus ``timeout``.
     """
 
-    def __init__(self, env: Environment, timeout: float):
+    def __init__(self, env: Environment, timeout: float = RPC_TIMEOUT):
         self.env = env
         self.timeout = timeout
         # (deadline, collector), oldest first; the timer is armed for
@@ -82,7 +87,7 @@ class ResponseCollector:
 
     ``wait(count)`` returns an event that fires with the first ``count``
     responses (or fails with :class:`QuorumError` if the cluster's
-    ``rpc_timeout`` — kept by ``deadlines`` — passes first).  ``settled``
+    :data:`RPC_TIMEOUT` — kept by ``deadlines`` — passes first).  ``settled``
     fires once every replica has responded or the timeout expired,
     carrying all responses received by then — Algorithm 1 uses this to
     keep gathering view-key guesses after the client was acked.

@@ -104,23 +104,3 @@ class LocalStorageEngine:
     def cell_count(self, table: str) -> int:
         """Total number of cells stored locally for ``table``."""
         return sum(len(row) for row in self._table(table).values())
-
-    # -- maintenance ----------------------------------------------------------
-
-    def purge_tombstones(self, table: str, older_than: int) -> int:
-        """Physically drop old tombstoned cells (Cassandra gc_grace).
-
-        Removes tombstones with timestamp < ``older_than`` and any rows
-        left empty.  Returns the number of cells removed.  Callers must
-        ensure the tombstones have reached every replica first.
-        """
-        rows = self._table(table)
-        purged = 0
-        empty_keys = []
-        for key, row in rows.items():
-            purged += row.purge_tombstones(older_than)
-            if len(row) == 0:
-                empty_keys.append(key)
-        for key in empty_keys:
-            del rows[key]
-        return purged

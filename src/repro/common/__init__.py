@@ -1,15 +1,7 @@
 """Shared record-store primitives: cells, timestamps, rings, quorums."""
 
 from repro.common.hashing import TokenRing, hash_key
-from repro.common.quorum import (
-    ALL,
-    ONE,
-    QUORUM,
-    QuorumSpec,
-    majority,
-    resolve_quorum,
-    validate_quorum,
-)
+from repro.common.quorum import majority, validate_quorum
 from repro.common.records import (
     NULL_TIMESTAMP,
     Cell,
@@ -36,9 +28,4 @@ __all__ = [
     "hash_key",
     "majority",
     "validate_quorum",
-    "resolve_quorum",
-    "QuorumSpec",
-    "ONE",
-    "QUORUM",
-    "ALL",
 ]

@@ -1,4 +1,4 @@
-"""Quorum arithmetic and consistency-level helpers (paper Section II).
+"""Quorum arithmetic (paper Section II).
 
 A Put waits for W of N replica acknowledgements; a Get waits for the first
 R of N replica responses.  ``W + R > N`` gives classical quorum consensus
@@ -8,18 +8,11 @@ consistency for latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import InvalidQuorumError
 
 __all__ = [
     "majority",
     "validate_quorum",
-    "resolve_quorum",
-    "QuorumSpec",
-    "ONE",
-    "QUORUM",
-    "ALL",
 ]
 
 
@@ -36,35 +29,3 @@ def validate_quorum(count: int, n: int, kind: str = "quorum") -> int:
         raise InvalidQuorumError(
             f"{kind} must be in [1, {n}], got {count}")
     return count
-
-
-@dataclass(frozen=True)
-class QuorumSpec:
-    """A symbolic consistency level resolved against a replication factor."""
-
-    name: str
-
-    def resolve(self, n: int) -> int:
-        """The concrete replica count this level requires for ``n`` replicas."""
-        if self.name == "ONE":
-            return 1
-        if self.name == "QUORUM":
-            return majority(n)
-        if self.name == "ALL":
-            return n
-        raise InvalidQuorumError(f"unknown consistency level {self.name!r}")
-
-    def __repr__(self) -> str:
-        return f"QuorumSpec({self.name})"
-
-
-ONE = QuorumSpec("ONE")
-QUORUM = QuorumSpec("QUORUM")
-ALL = QuorumSpec("ALL")
-
-
-def resolve_quorum(spec, n: int, kind: str = "quorum") -> int:
-    """Resolve an int or :class:`QuorumSpec` to a validated replica count."""
-    if isinstance(spec, QuorumSpec):
-        return spec.resolve(n)
-    return validate_quorum(int(spec), n, kind=kind)

@@ -198,19 +198,6 @@ class Row:
         """Columns whose cells are not NULL/tombstoned."""
         return (c for c, cell in self._cells.items() if not cell.is_null)
 
-    def purge_tombstones(self, older_than: int) -> int:
-        """Drop tombstoned cells with timestamp < ``older_than``.
-
-        Returns the number of cells removed.  Mirrors Cassandra's
-        gc_grace purge: only safe once every replica has seen the
-        tombstone (otherwise repair would resurrect the old value).
-        """
-        doomed = [column for column, cell in self._cells.items()
-                  if cell.tombstone and cell.timestamp < older_than]
-        for column in doomed:
-            del self._cells[column]
-        return len(doomed)
-
     def copy(self) -> "Row":
         """A shallow copy (cells are immutable, so this is safe)."""
         return Row(self._cells)

@@ -34,14 +34,6 @@ class ProcessError(SimulationError):
     """
 
 
-class InterruptError(SimulationError):
-    """A simulation process was interrupted by another process."""
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # ---------------------------------------------------------------------------
 # Cluster / storage
 # ---------------------------------------------------------------------------

@@ -188,7 +188,6 @@ def run_staleness_point(params: ExperimentParams,
                     rows=tuple((res.base_key, dict(res.values))
                                for res in fresh.results),
                     escalated=fresh.escalated,
-                    bound_met=bool(cert.bound_met),
                     issued_at=env.now))
             return
 
@@ -222,7 +221,6 @@ def run_staleness_point(params: ExperimentParams,
         "bound_hits": slo["bound_hits"],
         "escalations": slo["escalations"],
         "escalation_rate": (slo["escalations"] / bounded if bounded else 0.0),
-        "bound_misses": slo["bound_misses"],
         "compensated_keys": slo["compensated_keys"],
         "mean_latency_ms": (sum(latencies) / len(latencies)
                             if latencies else 0.0),

@@ -45,7 +45,6 @@ class BoundedReadObservation:
     as_of: float                 # certificate as_of (sim time)
     rows: Tuple[Tuple[Hashable, Dict[Any, Tuple[Any, int]]], ...]
     escalated: bool = False
-    bound_met: bool = True       # certificate claimed the bound
     issued_at: float = field(default=0.0, compare=False)
 
 
@@ -70,8 +69,6 @@ def check_bounded_reads(view: ViewDefinition, observations, applied
 
     failures: List[str] = []
     for index, obs in enumerate(observations):
-        if not obs.bound_met:
-            continue  # the read reported a residual; nothing was claimed
         horizon = obs.as_of - obs.bound_ms
         row_keys = {key for key, _values in obs.rows}
         for base_key, updates in vk_updates.items():

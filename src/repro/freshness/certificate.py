@@ -62,9 +62,9 @@ class StalenessCertificate:
     ``staleness_ms`` is the age of the oldest outstanding source at
     ``as_of``; 0.0 with provenance ``"fresh"`` when nothing is pending.
     For bounded reads ``bound_ms`` records the requested bound and
-    ``bound_met`` whether the read honored it (after compensation, if
-    any); ``compensated`` marks certificates rewritten by an escalated
-    read.
+    ``bound_met`` is True (the read honored it, after compensation if
+    any); both are None on an unbounded read.  ``compensated`` marks
+    certificates rewritten by an escalated read.
     """
 
     view_name: str
@@ -282,20 +282,15 @@ class FreshnessTracker:
 
     @staticmethod
     def residual_certificate(certificate: StalenessCertificate,
-                             sources: List[StaleSource], bound_ms: float,
-                             fully_compensated: bool
+                             sources: List[StaleSource], bound_ms: float
                              ) -> StalenessCertificate:
         """The certificate an escalated read serves after compensation.
 
         ``sources`` is the snapshot the certificate was derived from.
         Sources older than the bound were covered by base-table reads;
         the residual staleness is the oldest *remaining* source's age
-        (<= bound when fully compensated)."""
+        (<= bound)."""
         horizon = certificate.as_of - bound_ms
-        provenance = f"compensated({certificate.provenance})"
-        if not fully_compensated:
-            return replace(certificate, bound_ms=bound_ms, bound_met=False,
-                           compensated=True, provenance=provenance)
         residual = 0.0
         for source in sources:
             if source.origin < horizon:
@@ -303,7 +298,7 @@ class FreshnessTracker:
             residual = max(residual, certificate.as_of - source.origin)
         return replace(certificate, staleness_ms=min(residual, bound_ms),
                        bound_ms=bound_ms, bound_met=True, compensated=True,
-                       provenance=provenance)
+                       provenance=f"compensated({certificate.provenance})")
 
     # -- observability -----------------------------------------------------
 

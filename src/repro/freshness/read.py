@@ -94,8 +94,7 @@ def fresh_view_get(manager, coordinator, view_name: str, view_key: Any,
                                      max_staleness_ms, results)
         slo.observe(view_name, fresh.certificate.staleness_ms, bounded=True,
                     escalated=True,
-                    compensated_keys=len(fresh.compensated_keys),
-                    bound_met=bool(fresh.certificate.bound_met))
+                    compensated_keys=len(fresh.compensated_keys))
     if session is not None:
         session.note_certificate(fresh.certificate)
     return fresh
@@ -109,11 +108,6 @@ def _escalate(manager, coordinator, view: ViewDefinition, view_key: Any,
     tracker = manager.freshness
     horizon = certificate.as_of - bound_ms
     lagging = tracker.lagging_keys(sources, horizon)
-    limit = manager.config.freshness_compensation_limit
-    fully = limit == 0 or len(lagging) <= limit
-    if not fully:
-        # Oldest first: the cap sheds the *least* stale keys.
-        lagging = sorted(lagging, key=lambda e: (e[1], repr(e[0])))[:limit]
     quorum = manager.maintainer.quorum
     by_key: Dict[Hashable, ViewResult] = {res.base_key: res
                                           for res in results}
@@ -166,8 +160,7 @@ def _escalate(manager, coordinator, view: ViewDefinition, view_key: Any,
                           keys=len(compensated),
                           staleness=round(certificate.staleness_ms, 3),
                           bound=bound_ms)
-    served = tracker.residual_certificate(certificate, sources, bound_ms,
-                                          fully)
+    served = tracker.residual_certificate(certificate, sources, bound_ms)
     ordered = tuple(by_key[key] for key in sorted(by_key, key=repr))
     return FreshViewRead(ordered, served, escalated=True,
                          compensated_keys=tuple(compensated))

@@ -27,14 +27,13 @@ class FreshnessSLO:
         self.reads_bounded = 0
         self.bound_hits = 0
         self.escalations = 0
-        self.bound_misses = 0
         self.compensated_keys = 0
         self._histograms: Dict[str, List[int]] = {}
         self._max_served: Dict[str, float] = {}
 
     def observe(self, view_name: str, staleness_ms: float, *,
                 bounded: bool, escalated: bool = False,
-                compensated_keys: int = 0, bound_met: bool = True) -> None:
+                compensated_keys: int = 0) -> None:
         """Record one fresh-path read's served staleness."""
         if bounded:
             self.reads_bounded += 1
@@ -42,8 +41,6 @@ class FreshnessSLO:
                 self.escalations += 1
             else:
                 self.bound_hits += 1
-            if not bound_met:
-                self.bound_misses += 1
         else:
             self.reads_unbounded += 1
         self.compensated_keys += compensated_keys
@@ -77,7 +74,6 @@ class FreshnessSLO:
             "reads_bounded": self.reads_bounded,
             "bound_hits": self.bound_hits,
             "escalations": self.escalations,
-            "bound_misses": self.bound_misses,
             "compensated_keys": self.compensated_keys,
             "max_served_staleness_ms": dict(self._max_served),
             "histograms": {view: self.histogram(view)

@@ -1,10 +1,10 @@
 """Divergence detection between a base table and its materialized views.
 
-Anti-entropy (``repro.cluster.antientropy`` / ``repro.cluster.merkle``)
-converges replicas *of the same table*; it never compares a base table
-against its views, so a propagation lost to a coordinator crash leaves
-the view diverged forever (the paper's Section VIII caveat).  This
-module defines what "diverged" means and finds it cheaply:
+Anti-entropy (``repro.cluster.antientropy``) converges replicas *of
+the same table*; it never compares a base table against its views, so
+a propagation lost to a coordinator crash leaves the view diverged
+forever (the paper's Section VIII caveat).  This module defines what
+"diverged" means and finds it cheaply:
 
 - A base row's **canonical form** is the view-relevant state a fully
   successful propagation would leave behind: the expected live view key

@@ -1,10 +1,10 @@
 """The view scrubber: a background detect-and-repair loop per cluster.
 
-Modelled on the other background services (``AntiEntropyService``,
-``StaleRowCollector``): a simulation process wakes every ``interval``
-ms, compares each target view's canonical digest trees, and for dirty
-hash ranges verifies rows with quorum reads and repairs confirmed
-divergences through the ordinary propagation machinery.  Knobs
+Modelled on the other background service (``StaleRowCollector``): a
+simulation process wakes every ``interval`` ms, compares each target
+view's canonical digest trees, and for dirty hash ranges verifies rows
+with quorum reads and repairs confirmed divergences through the
+ordinary propagation machinery.  Knobs
 (keyword arguments of :class:`ViewScrubber`):
 
 ``interval``

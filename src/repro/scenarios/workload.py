@@ -301,7 +301,6 @@ class ScenarioWorkload(BaseWorkload):
                 rows=tuple((res.base_key, dict(res.values))
                            for res in fresh.results),
                 escalated=fresh.escalated,
-                bound_met=bool(fresh.certificate.bound_met),
                 issued_at=env.now))
             return
         self.bounded_reads_failed += 1

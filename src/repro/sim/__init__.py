@@ -1,8 +1,7 @@
 """Discrete-event simulation substrate (kernel, resources, RNG, latencies)."""
 
-from repro.sim.kernel import AllOf, AnyOf, Environment, Event, Process, Timeout
+from repro.sim.kernel import Environment, Event, Process, Timeout
 from repro.sim.latency import (
-    Exponential,
     Fixed,
     LatencyModel,
     LogNormal,
@@ -17,8 +16,6 @@ __all__ = [
     "Event",
     "Process",
     "Timeout",
-    "AllOf",
-    "AnyOf",
     "Resource",
     "Semaphore",
     "RandomStreams",
@@ -26,7 +23,6 @@ __all__ = [
     "LatencyModel",
     "Fixed",
     "Uniform",
-    "Exponential",
     "ShiftedExponential",
     "LogNormal",
 ]

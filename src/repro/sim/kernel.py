@@ -26,9 +26,6 @@ Core concepts
 ``Timeout``
     An event that fires after a fixed virtual-time delay.
 
-``AllOf`` / ``AnyOf``
-    Condition events over several sub-events.
-
 Determinism: events scheduled for the same instant fire in scheduling order
 (FIFO, via a monotone sequence counter in the heap entry), so a simulation
 with a fixed RNG seed is fully reproducible.
@@ -54,17 +51,15 @@ outside the loop).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
-from repro.errors import InterruptError, ProcessError, SimulationError, StopSimulation
+from repro.errors import ProcessError, SimulationError, StopSimulation
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
-    "AnyOf",
     "PENDING",
     "advance",
 ]
@@ -262,35 +257,6 @@ class Initialize(Event):
         heapq.heappush(env._heap, (env._now, URGENT, env._eid, self))
 
 
-class Interruption(Event):
-    """Internal event delivering an :class:`InterruptError` to a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any):
-        super().__init__(process.env)
-        self._ok = False
-        self._value = InterruptError(cause)
-        self._defused = True
-        self.process = process
-        self.callbacks = [self._deliver]
-        self.env._schedule(self, URGENT, 0.0)
-
-    def _deliver(self, event: "Event") -> None:
-        process = self.process
-        if process.is_alive:
-            # Detach the process from whatever it was waiting on, then
-            # resume it with the interrupt exception.
-            target = process._target
-            if target is not None and target.callbacks is not None:
-                try:
-                    target.callbacks.remove(process._resume)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-            process._target = None
-            process._resume(event)
-
-
 class Process(Event):
     """A running simulation coroutine.
 
@@ -299,14 +265,13 @@ class Process(Event):
     returns (success, with the return value) or raises (failure).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
@@ -315,29 +280,19 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`InterruptError` into the process at its yield point."""
-        if not self.is_alive:
-            raise SimulationError(f"{self.name} has already terminated")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        Interruption(self, cause)
-
     # -- kernel interface ---------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         env = self.env
         env._active = self
         try:
-            self._target = advance(self._generator, event, self._resume)
+            advance(self._generator, event, self._resume)
         except StopIteration as stop:
-            self._target = None
             self._ok = True
             self._value = stop.value
             env._eid += 1
             heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self))
         except BaseException as exc:
-            self._target = None
             self._ok = False
             self._value = exc
             env._eid += 1
@@ -385,69 +340,6 @@ def advance(generator: Generator, event: Event,
         event = result
 
 
-class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf`."""
-
-    __slots__ = ("_events", "_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("events belong to different environments")
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.add_callback(self._check)
-        # Empty condition triggers immediately.
-        if not self._events and not self.triggered:
-            self.succeed(self._result())
-
-    def _result(self) -> dict:
-        return {
-            event: event._value
-            for event in self._events
-            if event.callbacks is None and event._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._satisfied():
-            self.succeed(self._result())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when every sub-event has triggered (fails fast on failure)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count == len(self._events)
-
-
-class AnyOf(_Condition):
-    """Triggers when at least one sub-event has triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-
 class Environment:
     """The simulation environment: virtual clock plus event heap."""
 
@@ -464,11 +356,6 @@ class Environment:
     def now(self) -> float:
         """Current virtual time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active
 
     # -- fault injection / observation ---------------------------------------
 
@@ -515,14 +402,6 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     # -- scheduling / running -------------------------------------------------
 

@@ -15,7 +15,6 @@ __all__ = [
     "LatencyModel",
     "Fixed",
     "Uniform",
-    "Exponential",
     "ShiftedExponential",
     "LogNormal",
 ]
@@ -68,24 +67,6 @@ class Uniform(LatencyModel):
     @property
     def mean(self) -> float:
         return (self.low + self.high) / 2.0
-
-
-@dataclass(frozen=True)
-class Exponential(LatencyModel):
-    """Exponential delay with the given mean."""
-
-    mean_value: float
-
-    def __post_init__(self):
-        if self.mean_value <= 0:
-            raise ValueError(f"mean must be positive, got {self.mean_value}")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.expovariate(1.0 / self.mean_value)
-
-    @property
-    def mean(self) -> float:
-        return self.mean_value
 
 
 @dataclass(frozen=True)

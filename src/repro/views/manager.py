@@ -328,7 +328,7 @@ class ViewManager:
         and a scrubber that waited for it in turn would wait out its
         whole round budget."""
         return self.outbox_pending(view_name) - sum(
-            outbox.backing_off[view_name]
+            outbox.backing_off.get(view_name, 0)
             for outbox in self._outboxes.values())
 
     def outbox_stats(self, hot_key_count: int = 5) -> Dict[str, Any]:

@@ -15,8 +15,8 @@ Heavy/light classification
 :class:`UpdateFrequencyTracker` keeps one exponentially-decayed counter
 per (view, base key) chain, fed by the records the node's outbox starts
 (one ``observe`` per started record).  A chain is *promoted* to heavy when
-its decayed count crosses ``skew_promote_threshold`` and *demoted* only
-after it falls below the lower ``skew_demote_threshold`` — the
+its decayed count crosses :data:`PROMOTE_THRESHOLD` and *demoted* only
+after it falls below the lower :data:`DEMOTE_THRESHOLD` — the
 hysteresis band keeps a key from flapping between modes at the
 threshold.  Decay follows a half-life: a count ``c`` observed ``dt`` ms
 ago contributes ``c * 0.5 ** (dt / half_life)`` now, so classification
@@ -38,7 +38,7 @@ LWW winner (intermediate view-key transitions the eager path would have
 written as stale rows are simply never materialized).
 
 Deltas flush on two triggers: a periodic *fold tick* (every
-``skew_fold_interval`` ms while any delta is pending), and
+:data:`FOLD_INTERVAL` ms while any delta is pending), and
 *merge-on-read* — a view Get first flushes every pending delta whose
 affected-key set contains the requested view key, so session
 read-your-writes barriers keep their meaning (the barrier releases when
@@ -89,6 +89,21 @@ ChainKey = Tuple[str, Hashable]
 _FLUSH_RETRIABLE = (PropagationError, QuorumError, NodeDownError,
                     CoordinatorCrashError)
 FLUSH_MAX_ATTEMPTS = 12
+
+# The heavy/light policy, part of the maintenance procedure rather than
+# an operator's setting (these are the values extension E5 is measured
+# under).  A chain turns heavy when its decayed count reaches
+# PROMOTE_THRESHOLD and light again below DEMOTE_THRESHOLD; counts
+# halve every DECAY_HALF_LIFE ms.  The tracker is per coordinator and
+# promotion must beat wedge formation — a chain only folds records
+# started *after* it turns heavy — so the threshold sits low (two
+# closely spaced starts) and the half-life spans many head-key
+# inter-arrivals; tail keys, hundreds of ms apart per node, still decay
+# back out.  Pending deltas flush every FOLD_INTERVAL ms.
+PROMOTE_THRESHOLD = 2.0
+DEMOTE_THRESHOLD = 1.0
+DECAY_HALF_LIFE = 800.0
+FOLD_INTERVAL = 20.0
 
 
 class UpdateFrequencyTracker:
@@ -150,14 +165,6 @@ class UpdateFrequencyTracker:
     def heavy_count(self) -> int:
         """Chains currently classified heavy."""
         return len(self._heavy)
-
-    def hottest(self, n: int, now: float) -> List[Tuple[str, Hashable, float]]:
-        """Top ``n`` chains by decayed count: ``(view, key, count)``."""
-        ranked = sorted(
-            ((self._decayed(chain, now), chain) for chain in self._counts),
-            key=lambda item: (-item[0], repr(item[1])))
-        return [(chain[0], chain[1], round(count, 3))
-                for count, chain in ranked[:n] if count > 0.0]
 
 
 class PendingDelta:
@@ -322,7 +329,6 @@ class SkewService:
         config = manager.config
         self.enabled = config.skew_adaptive
         self.cache = HotViewCache(config.view_cache_capacity)
-        self.fold_interval = config.skew_fold_interval
         self._trackers: Dict[int, UpdateFrequencyTracker] = {}
         self._deltas: Dict[ChainKey, PendingDelta] = {}
         # chain -> (gate event, delta being flushed); readers that need
@@ -341,9 +347,7 @@ class SkewService:
         if self.enabled:
             for node in self.cluster.nodes:
                 self._trackers[node.node_id] = UpdateFrequencyTracker(
-                    config.skew_promote_threshold,
-                    config.skew_demote_threshold,
-                    config.skew_decay_half_life)
+                    PROMOTE_THRESHOLD, DEMOTE_THRESHOLD, DECAY_HALF_LIFE)
             self.env.process(self._fold_loop(), name="skew-fold-tick")
 
     # -- classification (started outbox records) ----------------------------
@@ -441,19 +445,6 @@ class SkewService:
         """Chains currently classified heavy, summed over nodes."""
         return sum(t.heavy_count for t in self._trackers.values())
 
-    def hottest(self, n: int = 5) -> List[Tuple[str, Hashable, float]]:
-        """Cluster-wide top-``n`` chains by decayed update count."""
-        merged: Dict[ChainKey, float] = {}
-        now = self.env.now
-        for tracker in self._trackers.values():
-            for view_name, key, count in tracker.hottest(n, now):
-                merged[(view_name, key)] = (
-                    merged.get((view_name, key), 0.0) + count)
-        ranked = sorted(merged.items(),
-                        key=lambda item: (-item[1], repr(item[0])))
-        return [(chain[0], chain[1], round(count, 3))
-                for chain, count in ranked[:n]]
-
     def stats(self) -> Dict[str, Any]:
         return {
             "enabled": self.enabled,
@@ -515,7 +506,7 @@ class SkewService:
                 self._idle = self.env.event()
                 yield self._idle
                 self._idle = None
-            yield self.env.timeout(self.fold_interval)
+            yield self.env.timeout(FOLD_INTERVAL)
             for chain in list(self._deltas):
                 delta = self._deltas.get(chain)
                 if delta is None:

@@ -1,7 +1,6 @@
 """Workload generation and measurement harness."""
 
 from repro.workloads.generators import (
-    FixedKey,
     KeyChooser,
     RangeKeys,
     UniformKeys,
@@ -18,14 +17,12 @@ from repro.workloads.runner import (
     write_op,
 )
 from repro.workloads.stats import LatencyRecorder, RunResult
-from repro.workloads.ycsb import WORKLOADS, YcsbWorkload, make_op as ycsb_op
 
 __all__ = [
     "KeyChooser",
     "UniformKeys",
     "RangeKeys",
     "ZipfianKeys",
-    "FixedKey",
     "value_string",
     "run_closed_loop",
     "measure_latency",
@@ -36,7 +33,4 @@ __all__ = [
     "mixed_op",
     "LatencyRecorder",
     "RunResult",
-    "YcsbWorkload",
-    "WORKLOADS",
-    "ycsb_op",
 ]

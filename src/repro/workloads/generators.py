@@ -2,12 +2,13 @@
 
 Key choosers encapsulate the access skew of a workload: uniform over a
 population (the paper's read/write experiments), a restricted key range
-(the update-skew experiment, Figure 8), or Zipfian (YCSB-style, used by
-the ablation benches).
+(the update-skew experiment, Figure 8), or Zipfian (``ext_skew`` and
+the skew scenarios).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from typing import Hashable, List
@@ -17,7 +18,6 @@ __all__ = [
     "UniformKeys",
     "RangeKeys",
     "ZipfianKeys",
-    "FixedKey",
     "value_string",
 ]
 
@@ -95,27 +95,11 @@ class ZipfianKeys(KeyChooser):
         self._cdf[-1] = 1.0
 
     def choose(self, rng: random.Random) -> int:
-        import bisect
-
         return bisect.bisect_left(self._cdf, rng.random())
 
     @property
     def population(self) -> int:
         return self.count
-
-
-class FixedKey(KeyChooser):
-    """Always the same key (the degenerate range of Figure 8)."""
-
-    def __init__(self, key: Hashable):
-        self.key = key
-
-    def choose(self, rng: random.Random) -> Hashable:
-        return self.key
-
-    @property
-    def population(self) -> int:
-        return 1
 
 
 _VALUE_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"

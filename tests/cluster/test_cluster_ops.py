@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.cluster.coordinator import RPC_TIMEOUT
 from repro.common import Cell
 from repro.errors import ClusterError, NodeDownError
 
@@ -245,20 +246,20 @@ def _converged_cluster(rows=20):
 
 def test_repair_row_waits_out_silent_replicas_together():
     """Replicas that are up but never answer cost the sweep one
-    ``rpc_timeout`` between them (they are all read at once and waited
+    ``RPC_TIMEOUT`` between them (they are all read at once and waited
     for through one collector), not one each in turn."""
     cluster = _converged_cluster(rows=1)
     env = cluster.env
     cluster.network.message_loss = 1.0  # all three replicas: up, silent
     start = env.now
     assert env.run(until=cluster.repair_row("T", 0)) == 0
-    assert env.now == start + cluster.config.rpc_timeout
+    assert env.now == start + RPC_TIMEOUT
 
 
 def test_repair_table_leaves_no_timer_of_its_own_on_the_heap():
     """A sweep waits on the cluster's deadline queue like any quorum
     round, so what it leaves behind is that queue's one armed timer —
-    due ``rpc_timeout`` after the sweep's first read — and nothing per
+    due ``RPC_TIMEOUT`` after the sweep's first read — and nothing per
     RPC (a private timer per RPC left 60 dead heap entries here)."""
     cluster = _converged_cluster()
     env = cluster.env
@@ -266,21 +267,21 @@ def test_repair_table_leaves_no_timer_of_its_own_on_the_heap():
     start = env.now
     assert env.run(until=cluster.repair_table("T")) == 0
     assert len(env._heap) == 1
-    assert env.peek() == start + cluster.config.rpc_timeout
+    assert env.peek() == start + RPC_TIMEOUT
 
 
 def test_draining_after_repair_table_stops_at_the_cluster_deadline():
     """``run_until_idle()`` after a sweep ends where it would after the
     sweep's *first* quorum round (the one armed deadline), however long
     the sweep ran: no RPC of the sweep holds the clock for another
-    ``rpc_timeout`` past its own send time."""
+    ``RPC_TIMEOUT`` past its own send time."""
     cluster = _converged_cluster()
     env = cluster.env
     start = env.now
     env.run(until=cluster.repair_table("T"))
     assert env.now > start
     cluster.run_until_idle()
-    assert env.now == start + cluster.config.rpc_timeout
+    assert env.now == start + RPC_TIMEOUT
 
 
 def test_hint_replay_is_one_hint_at_a_time():
@@ -298,7 +299,7 @@ def test_hint_replay_is_one_hint_at_a_time():
     network.message_loss = 1.0  # the target comes back up, but silent
     cluster.recover_node(target.node_id)
     recovered, sent = env.now, network.messages_sent
-    timeout = cluster.config.rpc_timeout
+    timeout = RPC_TIMEOUT
     replay = recovered + cluster.hints.replay_interval
     cluster.run(until=replay + timeout - 1.0)
     assert network.messages_sent == sent + 1
@@ -329,19 +330,44 @@ def test_table_keys_and_converged_rows_read_local_engines():
     assert cluster.converged_rows("T", ["k", "nowhere"]) == {"k": merged}
 
 
-def test_periodic_anti_entropy_converges_without_reads():
+def test_repair_table_after_outage_converges_every_replica():
+    """No read repair, no hints, no reads: the sweep alone brings a
+    replica that was down for five writes level with the others."""
     cluster = build_cluster(read_repair=False, hinted_handoff=False)
-    client = cluster.sync_client()
-    replicas = cluster.replicas_for("T", "k")
-    down = replicas[0]
+    client = cluster.sync_client(coordinator_id=0)
+    for i in range(20):
+        client.put("T", i, {"a": f"v{i}"}, w=3)
+    client.settle()
+    down = next(node for node in cluster.nodes if node.node_id != 0)
     down.mark_down()
-    client.put("T", "k", {"a": "missed"}, w=2)
-    down.mark_up()
-    service = cluster.start_anti_entropy(["T"], interval=50.0)
-    cluster.run(until=200.0)
-    service.stop()
-    assert down.engine.read("T", "k", ("a",))["a"].value == "missed"
-    assert service.sweeps >= 1
+    for i in range(5):
+        client.put("T", i, {"a": f"updated{i}"}, w=2)
+    client.settle()
+    cluster.recover_node(down.node_id)
+    cluster.run_until_idle()
+    missed = [i for i in range(5) if down in cluster.replicas_for("T", i)]
+    repaired_rows = cluster.env.run(until=cluster.repair_table("T"))
+    cluster.run_until_idle()
+    assert repaired_rows == len(missed) >= 1  # one stale replica per row
+    for i in range(20):
+        expected = f"updated{i}" if i < 5 else f"v{i}"
+        for replica in cluster.replicas_for("T", i):
+            assert replica.engine.read("T", i, ("a",))["a"].value == expected
+
+
+def test_repair_table_handles_deletion_divergence():
+    cluster = build_cluster(read_repair=False)
+    client = cluster.sync_client()
+    client.put("T", "k", {"a": "v"}, w=3)
+    ts = client.put("T", "k", {"a": None}, w=3)
+    client.settle()
+    # One replica misses the tombstone (hand-rollback).
+    victim = cluster.replicas_for("T", "k")[0]
+    victim.engine._tables["T"]["k"]._cells["a"] = Cell.make("v", ts - 1)
+    assert cluster.env.run(until=cluster.repair_table("T")) == 1
+    cluster.run_until_idle()
+    cell = victim.engine.read("T", "k", ("a",))["a"]
+    assert cell.tombstone and cell.timestamp == ts
 
 
 def test_write_survives_coordinator_other_than_replica():

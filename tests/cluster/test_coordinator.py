@@ -314,7 +314,7 @@ def test_collectors_created_in_the_same_instant_all_expire():
 
 def test_healthy_quorum_rounds_leave_no_timers_on_the_heap():
     """Eight closed-loop clients, 2,000 rounds: a timer per round would
-    keep ``rpc_timeout`` worth of dead entries on the heap (~1,800 at
+    keep ``RPC_TIMEOUT`` worth of dead entries on the heap (~1,800 at
     this rate); the deadline queue keeps one."""
     cluster = Cluster(ClusterConfig(seed=3))
     cluster.create_table("T")

@@ -5,14 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common import (
-    ALL,
-    ONE,
-    QUORUM,
     TimestampOracle,
     TokenRing,
     hash_key,
     majority,
-    resolve_quorum,
     validate_quorum,
 )
 from repro.errors import InvalidQuorumError
@@ -127,20 +123,6 @@ def test_validate_quorum_bounds():
         validate_quorum(0, 3)
     with pytest.raises(InvalidQuorumError):
         validate_quorum(4, 3)
-
-
-def test_quorum_specs_resolve():
-    assert ONE.resolve(3) == 1
-    assert QUORUM.resolve(3) == 2
-    assert QUORUM.resolve(4) == 3
-    assert ALL.resolve(3) == 3
-
-
-def test_resolve_quorum_accepts_both_forms():
-    assert resolve_quorum(2, 3) == 2
-    assert resolve_quorum(QUORUM, 5) == 3
-    with pytest.raises(InvalidQuorumError):
-        resolve_quorum(9, 3)
 
 
 @given(st.integers(min_value=1, max_value=99))

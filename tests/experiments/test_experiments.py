@@ -167,20 +167,21 @@ def test_ext_skew_quick(quick):
 
 def test_skew_adaptive_alone_selects_the_measured_policy(quick):
     """E5's adaptive column is what ``skew_adaptive=True`` gives by
-    itself: the tracker defaults are the values it was measured under,
+    itself: the tracker constants are the values it was measured under,
     not a second policy nobody runs."""
     from repro.experiments.ext_skew import (
         adaptive_overrides,
         run_skew_point,
         skew_config,
     )
+    from repro.views import skew
 
     bare = skew_config(0, skew_adaptive=True, view_cache_capacity=64)
     # Equal configs run the same cell: the simulation is a function of
     # its config (tests/views/test_determinism.py).
     assert bare == skew_config(0, **adaptive_overrides())
-    assert (bare.skew_promote_threshold, bare.skew_demote_threshold,
-            bare.skew_decay_half_life, bare.skew_fold_interval
+    assert (skew.PROMOTE_THRESHOLD, skew.DEMOTE_THRESHOLD,
+            skew.DECAY_HALF_LIFE, skew.FOLD_INTERVAL
             ) == (2.0, 1.0, 800.0, 20.0)
     cell = run_skew_point(bare, theta=1.2,
                           population=quick.zipf_population,

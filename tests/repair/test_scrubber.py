@@ -58,6 +58,20 @@ def test_clean_view_costs_only_digest_comparisons():
     assert metrics.clean_rounds == metrics.rounds
 
 
+def test_scrub_round_over_an_idle_view_leaves_backing_off_empty():
+    """``outbox_backlog`` only reads the per-view sleeper counts: asking
+    about a view nothing ever backed off on inserts no zero entry."""
+    cluster = build()
+    populate(cluster, 4)
+    scrubber = cluster.start_scrubber(interval=20.0)
+    run_for(cluster, 100.0)
+    scrubber.stop()
+    cluster.run_until_idle()
+    assert scrubber.metrics.rounds >= 2
+    assert [dict(outbox.backing_off)
+            for outbox in cluster.view_manager._outboxes.values()] == [{}] * 4
+
+
 def test_scrubber_repairs_lost_propagation():
     cluster = build()
     populate(cluster, 12)

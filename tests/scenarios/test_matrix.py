@@ -19,8 +19,14 @@ from repro.scenarios import (
     ScenarioWorkload,
     default_config,
 )
+from repro.views import skew
 
 pytestmark = pytest.mark.scenario
+
+
+@pytest.fixture(autouse=True)
+def faster_tick(monkeypatch):
+    monkeypatch.setattr(skew, "FOLD_INTERVAL", 10.0)
 
 # The matrix rows: name -> factory for a fresh adversary stack.
 ADVERSARY_STACKS = {
@@ -39,7 +45,6 @@ ADVERSARY_STACKS = {
 # second matrix dimension.
 ADAPTIVE_OVERRIDES = dict(
     skew_adaptive=True,
-    skew_fold_interval=10.0,
     view_cache_capacity=32,
 )
 

@@ -11,6 +11,8 @@ conservation (folded records accounted), session guarantees, and the
 skew-drained invariant (no pending delta survives quiescence).
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,13 +24,20 @@ from repro.scenarios import (
     ScenarioWorkload,
     default_config,
 )
+from repro.views import skew
 from repro.workloads import ZipfianKeys
 
 pytestmark = pytest.mark.scenario
 
+
+@pytest.fixture(autouse=True, scope="module")
+def faster_tick():
+    # Module-scoped: hypothesis rejects function-scoped fixtures.
+    with mock.patch.object(skew, "FOLD_INTERVAL", 10.0):
+        yield
+
 ADAPTIVE = dict(
     skew_adaptive=True,
-    skew_fold_interval=10.0,
     view_cache_capacity=32,
 )
 

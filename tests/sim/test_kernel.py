@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro.errors import InterruptError, ProcessError, SimulationError
+from repro.errors import ProcessError, SimulationError
 from repro.sim import Environment
 
 
@@ -269,108 +269,6 @@ def test_multiple_waiters_on_one_event():
     env.process(trigger())
     env.run()
     assert sorted(got) == [("a", "x"), ("b", "x")]
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    got = []
-
-    def proc():
-        t1 = env.timeout(1.0, value="one")
-        t2 = env.timeout(5.0, value="five")
-        results = yield env.all_of([t1, t2])
-        got.append((env.now, sorted(results.values())))
-
-    env.process(proc())
-    env.run()
-    assert got == [(5.0, ["five", "one"])]
-
-
-def test_any_of_fires_on_first_event():
-    env = Environment()
-    got = []
-
-    def proc():
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-        results = yield env.any_of([t1, t2])
-        got.append((env.now, list(results.values())))
-
-    env.process(proc())
-    env.run()
-    assert got == [(1.0, ["fast"])]
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-    got = []
-
-    def proc():
-        yield env.all_of([])
-        got.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert got == [0.0]
-
-
-def test_interrupt_raises_in_target():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-            log.append("finished")
-        except InterruptError as exc:
-            log.append(("interrupted", exc.cause, env.now))
-
-    def attacker(target):
-        yield env.timeout(2.0)
-        target.interrupt("because")
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run()
-    assert log == [("interrupted", "because", 2.0)]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1.0)
-
-    def late(target):
-        yield env.timeout(5.0)
-        target.interrupt()
-
-    target = env.process(quick())
-    env.process(late(target))
-    with pytest.raises(ProcessError):
-        env.run()
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except InterruptError:
-            pass
-        yield env.timeout(1.0)
-        log.append(env.now)
-
-    def attacker(target):
-        yield env.timeout(2.0)
-        target.interrupt()
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run()
-    assert log == [3.0]
 
 
 def test_yielding_non_event_fails_process():

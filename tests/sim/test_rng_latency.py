@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.sim import (
-    Exponential,
     Fixed,
     LogNormal,
     RandomStreams,
@@ -90,18 +89,6 @@ def test_uniform_rejects_bad_range():
         Uniform(2.0, 1.0)
     with pytest.raises(ValueError):
         Uniform(-1.0, 1.0)
-
-
-def test_exponential_mean(rng):
-    model = Exponential(2.0)
-    samples = [model.sample(rng) for _ in range(20000)]
-    assert abs(sum(samples) / len(samples) - 2.0) < 0.1
-    assert all(s >= 0 for s in samples)
-
-
-def test_exponential_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Exponential(0.0)
 
 
 def test_shifted_exponential(rng):

@@ -107,8 +107,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ClusterConfig(message_loss=1.0)
     with pytest.raises(ValueError):
-        ClusterConfig(rpc_timeout=0)
-    with pytest.raises(ValueError):
         ClusterConfig(max_pending_propagations=0)
     with pytest.raises(ValueError):
         ClusterConfig(propagation_concurrency="bogus")
@@ -124,6 +122,9 @@ def test_config_validation():
     "scrub_rate_limit", "scrub_degraded_backoff", "hint_replay_interval",
     "lock_service_latency", "skew_flush_max_attempts",
     "propagation_retry_backoff", "propagation_retry_backoff_cap",
+    "rpc_timeout", "skew_promote_threshold", "skew_demote_threshold",
+    "skew_decay_half_life", "skew_fold_interval",
+    "freshness_compensation_limit",
 ])
 def test_single_valued_knobs_are_not_config_fields(field):
     """No caller ever set these to anything but the default; they are

@@ -20,7 +20,7 @@ import pytest
 
 from repro.scenarios import SCENARIO_VIEW, Scenario, default_config
 from repro.scenarios.fuzzer import ScheduleWorkload
-from repro.views import live_state_digest, state_digest
+from repro.views import live_state_digest, skew, state_digest
 
 pytestmark = pytest.mark.scenario
 
@@ -40,13 +40,15 @@ def make_ops(*, count=36, gap, hot_every=2, keys=5, view_keys=4):
     return ops
 
 
-def run_mode(adaptive, ops, *, seed=1, **skew_overrides):
+@pytest.fixture(autouse=True)
+def faster_tick(monkeypatch):
+    monkeypatch.setattr(skew, "FOLD_INTERVAL", 10.0)
+
+
+def run_mode(adaptive, ops, *, seed=1):
     overrides = {}
     if adaptive:
-        overrides = dict(skew_adaptive=True,
-                         skew_fold_interval=10.0,
-                         view_cache_capacity=64)
-        overrides.update(skew_overrides)
+        overrides = dict(skew_adaptive=True, view_cache_capacity=64)
     scenario = Scenario(
         f"differential-{'adaptive' if adaptive else 'eager'}",
         config=default_config(seed=seed, **overrides),
@@ -72,14 +74,15 @@ def session_reads(scenario, view_keys=4):
     return reads
 
 
-def test_paced_history_is_byte_identical():
+def test_paced_history_is_byte_identical(monkeypatch):
     """Nothing promotes: every cell of both tables matches exactly."""
     ops = make_ops(gap=25.0)
     # A short half-life decays per-key counts between 25 ms-spaced
     # arrivals, so the tracker never classifies anything heavy and the
     # adaptive run degenerates to plain eager maintenance.
-    adaptive, adaptive_result = run_mode(
-        True, ops, skew_decay_half_life=5.0, skew_promote_threshold=6.0)
+    monkeypatch.setattr(skew, "DECAY_HALF_LIFE", 5.0)
+    monkeypatch.setattr(skew, "PROMOTE_THRESHOLD", 6.0)
+    adaptive, adaptive_result = run_mode(True, ops)
     eager, eager_result = run_mode(False, ops)
     assert adaptive.cluster.view_manager.folded_propagations == 0
     assert adaptive_result.base_digest == eager_result.base_digest

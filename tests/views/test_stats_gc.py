@@ -212,35 +212,6 @@ def test_gc_unknown_view_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Tombstone purge (space reclamation)
-# ---------------------------------------------------------------------------
-
-
-def total_view_cells(cluster):
-    return sum(node.engine.cell_count("V") for node in cluster.nodes
-               if node.engine.has_table("V"))
-
-
-def test_purge_reclaims_space_after_gc():
-    cluster, client = build()
-    for i in range(8):
-        client.put("T", "k", {"vk": f"g{i}", "m": i})
-    client.settle()
-    before = total_view_cells(cluster)
-    run_gc(cluster)
-    tombstoned = total_view_cells(cluster)
-    purged = sum(node.engine.purge_tombstones("V", FUTURE_CUTOFF)
-                 for node in cluster.nodes)
-    after = total_view_cells(cluster)
-    assert purged > 0
-    assert after < before
-    assert check_view(cluster, VIEW) == []
-    # The view still answers correctly from the slimmed-down state.
-    (row,) = client.get_view("V", "g7", ["m"])
-    assert row["m"] == 7
-
-
-# ---------------------------------------------------------------------------
 # StaleRowCollector service
 # ---------------------------------------------------------------------------
 

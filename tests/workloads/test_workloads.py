@@ -6,7 +6,6 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.workloads import (
-    FixedKey,
     LatencyRecorder,
     RangeKeys,
     UniformKeys,
@@ -103,12 +102,6 @@ def test_zipfian_rank_frequencies_are_monotone():
         counts[chooser.choose(seeded)] += 1
     # Compare well-separated ranks so sampling noise cannot reorder them.
     assert counts[0] > counts[4] > counts[20]
-
-
-def test_fixed_key(rng):
-    chooser = FixedKey("hot")
-    assert chooser.choose(rng) == "hot"
-    assert chooser.population == 1
 
 
 def test_value_string(rng):
