@@ -257,8 +257,11 @@ class Cluster:
     # -- failure injection -----------------------------------------------------------
 
     def fail_node(self, node_id: int) -> None:
-        """Take ``node_id`` offline."""
+        """Take ``node_id`` offline; its volatile maintenance state
+        (the live rows it held) is gone when it returns."""
         self.node(node_id).mark_down()
+        if self.view_manager is not None:
+            self.view_manager.maintainer.forget_node(node_id)
 
     def recover_node(self, node_id: int) -> None:
         """Bring ``node_id`` back online and wake hint replay."""

@@ -185,9 +185,9 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
     env = manager.env
     exclusive = view.view_key_column in update_values
 
-    def job(executor):
+    def job(executor, turn):
         return _attempt_round(manager, executor, view, key, guesses,
-                              update_values, base_ts)
+                              update_values, base_ts, turn)
 
     rounds = 0
     while True:
@@ -240,22 +240,36 @@ def _retry_delay(manager, rounds: int) -> float:
 
 def _attempt_round(manager, coordinator, view: ViewDefinition,
                    key: Hashable, guesses: List[ViewKeyGuess],
-                   update_values: Dict[ColumnName, Any], base_ts: int):
-    """Try each guess once; True on success.
+                   update_values: Dict[ColumnName, Any], base_ts: int,
+                   turn: int):
+    """Try each guess once, all under the chain turn ``turn``; True on
+    success.
 
     ``PropagationError`` means the guess is not (yet) a valid chain
     entry point; ``QuorumError`` means a transient replica shortfall
     (loss, timeout) during an internal view Get/Put.  Both cases are
     retried on a later round — Algorithm 2's writes are idempotent,
-    so re-running a partially applied propagation is safe.
+    so re-running a partially applied propagation is safe, provided a
+    move cut short is re-entered at the row it was leaving (which then
+    leads ``guesses``).
     """
     for guess in guesses:
         try:
             yield from manager.maintainer.propagate_update(
-                coordinator, view, key, guess, update_values, base_ts)
+                coordinator, view, key, guess, update_values, base_ts,
+                turn)
             return True
-        except (PropagationError, QuorumError):
+        except PropagationError:
             continue
+        except QuorumError as exc:
+            # A move cut short names the row it was leaving: the one
+            # entry point below everything it may have written.  Any
+            # other guess could walk into the half-made row, so the
+            # round ends here and the next one starts from that row.
+            resume = getattr(exc, "interrupted_at", None)
+            if resume is not None:
+                guesses[:] = _merge_guesses((resume, *guesses))
+                return False
     return False
 
 

@@ -119,7 +119,7 @@ def _collect_all(cluster, view: ViewDefinition, cutoff_base_ts: int,
 def _collect_base_row(cluster, view: ViewDefinition, base_key: Hashable,
                       view_keys, cutoff_base_ts: int, coordinator_id: int):
     """Collect one base row's chain, serialized against propagation."""
-    def job(coordinator):
+    def job(coordinator, _turn):
         return _collect_under_serialization(
             cluster, view, base_key, view_keys, cutoff_base_ts,
             coordinator.node.node_id)

@@ -18,10 +18,12 @@ Every Get/Put inside propagation uses a majority quorum of the view's
 replicas, as Algorithm 2 prescribes.  A view-key move is four view-table
 quorum rounds, not the paper's six: the chain walk (one Get when the
 guess is the live row), the new row (line 4), the stale pointer (line 8)
-and the ``Init`` unmark.  ``CopyData`` (line 7: a Get of the old live
-row, then a Put of what it returned) has no rounds of its own — its Get
-is the walk's last hop, which reads that very row, and its Put is line
-4, which writes that very row.  Four things make that safe:
+and the ``Init`` unmark — three when the executor made the row live
+itself and nobody has held the chain since (below).  ``CopyData`` (line
+7: a Get of the old live row, then a Put of what it returned) has no
+rounds of its own — its Get is the walk's last hop, which reads that
+very row, and its Put is line 4, which writes that very row.  Four
+things make that safe:
 
 1. A view-key propagation owns its chain exclusively
    (``ViewManager.serialized``: the exclusive lock, or the row's
@@ -34,9 +36,35 @@ is the walk's last hop, which reads that very row, and its Put is line
    marker, so the half-copied row the marker exists to hide cannot
    exist: strictly fewer intermediate states than the six-round form.
 4. Every write is still idempotent.  A round retried after a partial
-   failure either ends its walk at the old live row and issues the same
-   writes again, or ends it at the new row and takes the same-key
-   refresh.
+   failure re-enters the chain at the row the move was leaving (the
+   failure names it, ``interrupted_at``): if that row is still live the
+   same writes are issued again, and if its stale pointer landed the
+   walk ends at the new row and takes the same-key refresh.  Any other
+   entry point could reach the half-made row first — a reused key sits
+   *above* the live row — and refresh it with the old row still live.
+
+Three rounds when the executor holds the row.  A move that ran to its
+end leaves, in the executor node's volatile memory, what it made live:
+``(live key, live base timestamp, non-null materialized cells, turn)``.
+``turn`` is the chain's fencing token: ``ViewManager.serialized`` numbers
+the jobs of a ``(view, base key)`` chain in the order they start, and
+every chain writer — outbox records, skew flushes, scrub repair,
+backfill, GC; exclusive or shared — passes through it.  The next
+view-key propagation on that node for that chain skips line 1's Get iff
+``entry.turn + 1 == turn``:
+
+- *Nobody has held the chain since*, so nothing has written the row: it
+  is what this node's own acknowledged rounds left.
+- *That is what a majority Get would merge to.*  The move ran because
+  the update was newer than the old live row, so its self-pointer beats
+  every pointer the reused key may carry, its copied cells are the old
+  row's verbatim, and its line-12 cells merge over them by LWW — which
+  is how the entry is built.
+- *Popped before use, stored only on success.*  A ``QuorumError`` or
+  ``PropagationError`` mid-round, a crash (``forget_node``), a shared
+  holder, a GC sweep and any other coordinator's turn all leave the next
+  propagation to walk.  Only moves store: a same-key refresh or a
+  not-newer insert leaves the live row as some earlier writer made it.
 
 New live rows stay marked inaccessible (``Init`` cell) until the old
 live row is stale, so concurrent view Gets never observe two accessible
@@ -45,12 +73,13 @@ live rows (Section IV-F).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.common.quorum import majority
 from repro.common.records import NULL_TIMESTAMP, Cell, ColumnName, cell_wins
-from repro.errors import PropagationError, ViewError
+from repro.errors import PropagationError, QuorumError, ViewError
 from repro.views.definition import (
     BASE_KEY_COLUMN,
     INIT_COLUMN,
@@ -110,11 +139,13 @@ class PropagationMetrics:
     propagations_succeeded: int = 0
     guess_failures: int = 0
     retry_rounds: int = 0
-    chain_hops: int = 0
+    chain_hops: int = 0  # Gets the chain walks made
+    walks_skipped: int = 0  # propagations whose executor held the live row
     rows_copied: int = 0  # view-key moves that carried materialized cells
 
     def hops_per_propagation(self) -> float:
-        """Average GetLiveKey hops per successful propagation."""
+        """Average GetLiveKey hops (Gets made) per successful
+        propagation; one that skipped its walk adds none."""
         if self.propagations_succeeded == 0:
             return 0.0
         return self.chain_hops / self.propagations_succeeded
@@ -134,6 +165,17 @@ class ViewMaintainer:
         # backfill — evicts the row it touched (cache coherence is
         # driven by the propagation stream, not TTLs).
         self.on_view_write = None
+        # What each node's last view-key move left live, per view:
+        # ``node id -> view name -> {base key: (live key, live base ts,
+        # ((column, cell), ...), turn)}``.  Volatile coordinator memory
+        # (see :meth:`forget_node`), consumed by :meth:`propagate_update`.
+        self._held: Dict[int, Dict[str, Dict[Hashable, tuple]]] = (
+            defaultdict(lambda: defaultdict(dict)))
+
+    def forget_node(self, node_id: int) -> None:
+        """Drop every live row ``node_id`` holds: a crashed coordinator
+        does not come back remembering what it wrote."""
+        self._held.pop(node_id, None)
 
     # -- low-level view I/O (majority quorums) ---------------------------------
 
@@ -207,24 +249,43 @@ class ViewMaintainer:
     def propagate_update(self, coordinator, view: ViewDefinition,
                          base_key: Hashable, guess: ViewKeyGuess,
                          update_values: Dict[ColumnName, Any],
-                         base_ts: int):
+                         base_ts: int, turn: Optional[int] = None):
         """Propagate one base update to the view (may raise
         :class:`PropagationError` if the guess fails; the caller retries
         with a different guess, per Algorithm 1).
 
         ``update_values`` holds the Put's watched columns (view key
-        and/or materialized), with raw application values.
+        and/or materialized), with raw application values.  ``turn`` is
+        the chain's fencing token from ``ViewManager.serialized``; a
+        caller outside serialization has none, so it always walks and
+        leaves nothing held.
         """
         self.metrics.propagations_started += 1
         moves_key = view.view_key_column in update_values
-        # A view-key update may move the row, so its walk also reads
-        # what CopyData would.
-        copy_columns = tuple(view_column(base_key, column)
-                             for column in view.materialized_columns
-                             ) if moves_key else ()
-        # Line 1: find the live row from the guess.
-        live_key, live_ts, live_cells = yield from self.get_live_key(
-            coordinator, view, base_key, guess, copy_columns)
+        # Popped before use, whoever propagates: an entry outlives only
+        # the turn that stored it, and only if this one succeeds.
+        held = self._held[coordinator.node.node_id][view.name]
+        entry = held.pop(base_key, None)
+        if moves_key and entry is not None and entry[3] + 1 == turn:
+            # Line 1 without the Get: nobody has held the chain since
+            # this node made ``live_key`` live, so the row is what it
+            # wrote.
+            live_key, live_ts, cells, _ = entry
+            live_cells = dict(cells)
+            self.metrics.walks_skipped += 1
+            self.cluster.trace("chain", "live row held", view=view.name,
+                               base_key=base_key, live=live_key)
+        else:
+            # Line 1: find the live row from the guess.  A view-key
+            # update may move the row, so its walk also reads what
+            # CopyData would.
+            copy_columns = tuple(view_column(base_key, column)
+                                 for column in view.materialized_columns
+                                 ) if moves_key else ()
+            live_key, live_ts, merged = yield from self.get_live_key(
+                coordinator, view, base_key, guess, copy_columns)
+            live_cells = {column: cell for column, cell in merged.items()
+                          if cell.timestamp != NULL_TIMESTAMP}
 
         target_key = live_key
         if moves_key:
@@ -247,6 +308,19 @@ class ViewMaintainer:
             yield from self._view_put(coordinator, view.name, target_key,
                                       materialized)
         self.metrics.propagations_succeeded += 1
+        if turn is not None and target_key != live_key:
+            # A move: every round was acknowledged by a majority and
+            # every cell written beats what the row held (the update is
+            # newer than the old live row), so a majority Get of
+            # ``target_key`` now merges to the copied cells plus the
+            # line-12 ones by LWW.  (``held`` was fetched before the
+            # rounds: if the node failed meanwhile, ``forget_node`` has
+            # dropped that dict and this entry goes with it.)
+            for column, cell in materialized.items():
+                if cell_wins(cell, live_cells.get(column)):
+                    live_cells[column] = cell
+            held[base_key] = (target_key, base_ts,
+                              tuple(live_cells.items()), turn)
         return target_key
 
     def _propagate_view_key(self, coordinator, view: ViewDefinition,
@@ -255,11 +329,12 @@ class ViewMaintainer:
                             live_cells: Dict[ColumnName, Cell]):
         """The view-key-update branch of Algorithm 2 (lines 3-10).
 
-        ``live_cells`` are the live row's materialized cells as the
-        chain walk's last Get returned them; a move writes the non-null
-        ones into the new row verbatim (CopyData, line 7) inside the
-        line-4 Put.  Returns the view key that is live after this
-        propagation.
+        ``live_cells`` are the live row's non-null materialized cells,
+        as the chain walk's last Get returned them or as this node left
+        them; a move writes them into the new row verbatim (CopyData,
+        line 7) inside the line-4 Put.  Returns the view key that is
+        live after this propagation: other than ``live_key`` exactly
+        when the row moved.
         """
         new_key = raw_value if view.accepts_key(raw_value) else NULL_VIEW_KEY
         base_col = view_column(base_key, BASE_KEY_COLUMN)
@@ -317,24 +392,32 @@ class ViewMaintainer:
         # This branch MUST stay sequential: unmarking Init before the old
         # live row is staled could let a reader observe two accessible
         # live rows for one base key (the Section IV-F invariant).
-        copied = {column: cell for column, cell in live_cells.items()
-                  if cell.timestamp != NULL_TIMESTAMP}
-        if copied:
+        if live_cells:
             self.metrics.rows_copied += 1
-        yield from self._view_put(coordinator, view.name, new_key, {
-            base_col: Cell(base_key, row_ts),
-            next_col: Cell(new_key, row_ts),
-            init_col: Cell(True, row_ts),
-            **copied,
-        })
-        # Line 8: make the old live row stale.  For a pristine chain this
-        # creates the NULL anchor row, giving later NULL guesses a path
-        # to the live row.
-        yield from self._view_put(coordinator, view.name, live_key, {
-            next_col: Cell(new_key, stale_ts),
-        })
-        # Unmark Init: the new live row is now fully initialized.
-        yield from self._view_put(coordinator, view.name, new_key, {
-            init_col: Cell.make(None, stale_ts),
-        })
+        try:
+            yield from self._view_put(coordinator, view.name, new_key, {
+                base_col: Cell(base_key, row_ts),
+                next_col: Cell(new_key, row_ts),
+                init_col: Cell(True, row_ts),
+                **live_cells,
+            })
+            # Line 8: make the old live row stale.  For a pristine chain
+            # this creates the NULL anchor row, giving later NULL guesses
+            # a path to the live row.
+            yield from self._view_put(coordinator, view.name, live_key, {
+                next_col: Cell(new_key, stale_ts),
+            })
+            # Unmark Init: the new live row is now fully initialized.
+            yield from self._view_put(coordinator, view.name, new_key, {
+                init_col: Cell.make(None, stale_ts),
+            })
+        except QuorumError as exc:
+            # The half-made row can already end a walk that enters the
+            # chain above it (a reused key; the NULL-anchor guess of a
+            # re-drive), and that walk's same-key refresh would unmark
+            # it with the old live row never made stale.  Name the row
+            # the retry must enter at instead.
+            exc.interrupted_at = ViewKeyGuess(
+                live_key, live_ts, allow_virtual=live_ts == NULL_TIMESTAMP)
+            raise
         return new_key

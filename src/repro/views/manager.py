@@ -70,6 +70,9 @@ class ViewManager:
         self._joins: Dict[str, "JoinViewDefinition"] = {}
         self._by_table: Dict[str, List[ViewDefinition]] = {}
         self._outboxes: Dict[int, NodeOutbox] = {}
+        # Fencing tokens: jobs started per chain, view name -> base key
+        # -> count (see serialized).
+        self._turns: Dict[str, Dict[Hashable, int]] = {}
         # Observability.
         self.completed_propagations = 0
         self.lost_propagations = 0
@@ -122,6 +125,7 @@ class ViewManager:
                 f"a table named {definition.name!r} already exists")
         self.cluster.create_table(definition.name)
         self._views[definition.name] = definition
+        self._turns[definition.name] = {}
         self._by_table.setdefault(definition.base_table, []).append(definition)
 
     def view(self, name: str) -> ViewDefinition:
@@ -258,22 +262,35 @@ class ViewManager:
 
     def serialized(self, coordinator, view: ViewDefinition, key: Hashable,
                    exclusive: bool, job: Callable):
-        """Run ``job(executor)`` — a generator — serialized against other
-        work on the ``(view, key)`` chain; returns the job's result.
+        """Run ``job(executor, turn)`` — a generator — serialized against
+        other work on the ``(view, key)`` chain; returns the job's result.
 
         Under ``"locks"`` the executor is the caller's coordinator,
         holding the base row's lock (shared, or ``exclusive`` for work
         that can move the view key) for exactly the job's duration;
         under ``"propagators"`` it is the row's dedicated propagator,
         whose per-key job chain is the serialization.
+
+        ``turn`` numbers the chain's jobs in the order they start: the
+        fencing token a lock service's sequencer or a propagator's job
+        counter provides.  Every chain writer passes here, so a job
+        whose turn directly follows that of its executor's last move
+        knows nobody has held the chain in between
+        (``ViewMaintainer.propagate_update``).
         """
+        turns = self._turns[view.name]
+
+        def numbered(executor):
+            turn = turns[key] = turns.get(key, 0) + 1
+            return job(executor, turn)
+
         if self.propagators is not None:
             result = yield self.propagators.submit(
-                coordinator.node.node_id, view.name, key, job)
+                coordinator.node.node_id, view.name, key, numbered)
             return result
         yield from self.locks.acquire(view.name, key, exclusive)
         try:
-            result = yield from job(coordinator)
+            result = yield from numbered(coordinator)
         finally:
             self.locks.release(view.name, key, exclusive)
         return result

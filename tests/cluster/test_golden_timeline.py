@@ -12,13 +12,15 @@ pops but not when anything completes.  It runs on the default
 sampled before instead of after a neighbour's forward delay — shifts
 every later timestamp and fails it.
 
-Last re-recorded by PR 20, which was meant to move the simulation: a
-view-key move became four view-table quorum rounds instead of six
-(CopyData rides the chain walk's last Get and the line-4 Put), so every
-view-key Put here finishes propagating two round trips sooner — the
-first op to differ is the fourth, at 1.8712 ms instead of 1.8790.  The
-recording before that one dated from the commit before PR 17 and
-survived it unchanged.
+Last re-recorded by PR 22, which was meant to move the simulation: a
+view-key move by the coordinator that last moved the row makes no chain
+walk (three view-table quorum rounds instead of four), so each client's
+second and later Puts of a key it wrote last finish propagating one
+round trip sooner — the first op to differ is the 35th (client 1's
+tenth, a Get), at 12.8619 ms instead of 12.8953.  PR 20 re-recorded it
+for the six-to-four-round change (CopyData rides the chain walk's last
+Get and the line-4 Put); the recording before that one dated from the
+commit before PR 17 and survived it unchanged.
 
 Re-record (only for a change that is *meant* to move the simulation)::
 

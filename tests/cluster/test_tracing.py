@@ -89,15 +89,24 @@ def test_view_maintenance_emits_traces():
     cluster.create_table("T")
     cluster.create_view(ViewDefinition("V", "T", "vk", ("m",)))
     cluster.enable_tracing()
-    client = cluster.sync_client()
+    client = cluster.sync_client(0)
     client.put("T", "k", {"vk": "a", "m": 1})
     client.put("T", "k", {"vk": "b"})
     client.settle()
+    other = cluster.sync_client(1)
+    other.put("T", "k", {"vk": "c"})
+    other.settle()
     counts = cluster.tracer.counts()
-    assert counts.get("base_put", 0) == 2
-    assert counts.get("propagation", 0) >= 2
-    assert counts.get("propagate", 0) >= 2   # view-key update branches
-    assert counts.get("chain", 0) >= 1       # GetLiveKey resolutions
+    assert counts.get("base_put", 0) == 3
+    assert counts.get("propagation", 0) >= 3
+    assert counts.get("propagate", 0) >= 3   # view-key update branches
+    # How each move found its live row: the first insert anchors
+    # virtually (no line), the coordinator that made "a" live still held
+    # it, and the other coordinator had to walk (GetLiveKey).
+    chain = cluster.tracer.events("chain")
+    assert [(event.message, event.fields["live"]) for event in chain] == [
+        ("live row held", "a"), ("live row resolved", "b")]
+    assert chain[1].fields["hops"] == 1
     # The trace tells the story: the second put found "a" live and
     # moved live-ness to "b".
     moves = cluster.tracer.events("propagate")

@@ -1,0 +1,118 @@
+"""Hit == walk: every chain walk a propagation skipped, made anyway.
+
+A view-key propagation whose executor still holds the live row (it made
+the row live and nobody has held the chain since —
+``ViewMaintainer.propagate_update``) makes no ``GetLiveKey`` Get.  Here
+a test-only wrapper issues that Get on every such hit, before the
+propagation runs, and records any difference between what the walk
+returns and what the executor remembered: live key, live timestamp and
+the non-null materialized cells must be identical.
+
+Run over the adversary x eager/adaptive matrix and over fuzzed
+histories, under both serializers — the fuzzer and the matrix
+themselves run only ``"locks"``.  Tier 2 (the CI ``scenarios`` job).
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from repro.common.records import NULL_TIMESTAMP
+from repro.errors import PropagationError, QuorumError
+from repro.scenarios import (
+    Scenario,
+    ScenarioWorkload,
+    default_config,
+    generate_schedule,
+    replay_schedule,
+)
+from repro.views import ViewKeyGuess, skew
+from repro.views.maintenance import ViewMaintainer
+from repro.views.versioned import view_column
+
+from tests.scenarios.test_matrix import ADAPTIVE_OVERRIDES, ADVERSARY_STACKS
+
+pytestmark = [pytest.mark.scenario, pytest.mark.slow]
+
+SERIALIZERS = ("locks", "propagators")
+FUZZ_SEEDS = range(120)
+
+
+@pytest.fixture(autouse=True)
+def faster_tick(monkeypatch):
+    monkeypatch.setattr(skew, "FOLD_INTERVAL", 10.0)
+
+
+@pytest.fixture
+def shadow(monkeypatch):
+    """Wrap ``propagate_update``: on a hit, first walk from the held row
+    with the columns CopyData reads and compare.  An adversary may eat
+    the extra Get (``QuorumError``); that hit goes uncompared."""
+    seen = SimpleNamespace(hits=0, compared=0, mismatches=[])
+    real = ViewMaintainer.propagate_update
+
+    def shadowed(self, coordinator, view, base_key, guess, update_values,
+                 base_ts, turn=None):
+        entry = self._held[coordinator.node.node_id][view.name].get(base_key)
+        if (entry is not None and view.view_key_column in update_values
+                and entry[3] + 1 == turn):
+            seen.hits += 1
+            live_key, live_ts, cells, _ = entry
+            columns = tuple(view_column(base_key, column)
+                            for column in view.materialized_columns)
+            try:
+                key, ts, merged = yield from self.get_live_key(
+                    coordinator, view, base_key,
+                    ViewKeyGuess(live_key, live_ts), columns)
+            except QuorumError:
+                pass
+            except PropagationError as exc:
+                seen.mismatches.append((base_key, entry, repr(exc)))
+            else:
+                seen.compared += 1
+                walked = (key, ts, {
+                    column: cell for column, cell in merged.items()
+                    if cell.timestamp != NULL_TIMESTAMP})
+                if walked != (live_key, live_ts, dict(cells)):
+                    seen.mismatches.append((base_key, entry, walked))
+        result = yield from real(self, coordinator, view, base_key, guess,
+                                 update_values, base_ts, turn)
+        return result
+
+    monkeypatch.setattr(ViewMaintainer, "propagate_update", shadowed)
+    return seen
+
+
+@pytest.mark.parametrize("serializer", SERIALIZERS)
+def test_every_hit_equals_its_walk_across_the_scenario_matrix(shadow,
+                                                              serializer):
+    for stack_name in sorted(ADVERSARY_STACKS):
+        for overrides in ({}, ADAPTIVE_OVERRIDES):
+            before = shadow.compared
+            scenario = Scenario(
+                f"shadow/{stack_name}",
+                config=default_config(seed=17,
+                                      propagation_concurrency=serializer,
+                                      **overrides),
+                workload=ScenarioWorkload(ops=200),
+                adversaries=ADVERSARY_STACKS[stack_name](),
+            )
+            result = scenario.run()
+            assert result.ok, (result.name, overrides,
+                               result.violations[:5])
+            assert shadow.mismatches == [], (stack_name, overrides)
+            # Not vacuous, cell by cell.
+            assert shadow.compared > before, (stack_name, overrides)
+
+
+@pytest.mark.parametrize("serializer", SERIALIZERS)
+def test_every_hit_equals_its_walk_across_fuzzed_histories(shadow,
+                                                           serializer):
+    for seed in FUZZ_SEEDS:
+        result = replay_schedule(
+            generate_schedule(seed),
+            config_overrides={"propagation_concurrency": serializer})
+        assert result.ok, (seed, result.violations[:5])
+        assert shadow.mismatches == [], seed
+    assert shadow.compared > 0
+    assert shadow.hits >= shadow.compared

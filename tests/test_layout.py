@@ -71,6 +71,23 @@ def test_copy_data_has_no_round_of_its_own():
     assert _files_mentioning("_copy_data") == []
 
 
+def test_serialized_is_the_only_turn_mint():
+    """A held live row is believed on the strength of the chain's turn
+    numbers, so they are counted in one place — ``ViewManager.serialized``,
+    the seam every chain writer passes — and the Get they let a
+    propagation skip has one call site to skip."""
+    assert _files_mentioning("_turns") == ["views/manager.py"]
+    source = (SRC / "views" / "manager.py").read_text()
+    (serialized,) = [node for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "serialized"]
+    mint = "turns[key] = turns.get(key, 0) + 1"
+    assert source.count("turns[key]") == 1
+    assert mint in ast.get_source_segment(source, serialized)
+    assert sum(path.read_text().count(".get_live_key(")
+               for path in SRC.rglob("*.py")) == 1
+
+
 def test_replica_merge_has_one_seam():
     """LWW row merging, the replica diff and the background wait for
     replica replies each live in one place: ``merge_rows`` /

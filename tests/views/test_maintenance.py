@@ -8,8 +8,19 @@ extensions (deletions, multi-column updates, first inserts).
 import pytest
 
 from repro.cluster import Cluster
-from repro.errors import PropagationError
-from repro.views import NULL_VIEW_KEY, ViewDefinition, check_view
+from repro.common import Cell
+from repro.errors import PropagationError, QuorumError
+from repro.views import (
+    NULL_VIEW_KEY,
+    BaseUpdate,
+    ReferenceViewModel,
+    ViewDefinition,
+    ViewKeyGuess,
+    check_view,
+    collect_stale_rows,
+)
+from repro.views.drive import propagate_with_retries
+from repro.views.read import view_get
 
 from tests.views.conftest import DirectDriver, make_config
 
@@ -361,20 +372,20 @@ def _moved_row(driver):
     driver.propagate("k", driver.guess("a", 10), {"m": "payload"}, 11)
 
 
-def test_view_key_move_sends_18_rpcs_four_view_rounds(monkeypatch):
-    """The cost of one view-key move through the whole stack at default
-    config, N = 3: base Get + base Put + chain walk (one hop) + new row
-    + stale pointer + Init unmark = (2 + 4) x 3 RPCs.  CopyData has no
-    round of its own (it was a Get and a Put: 24 RPCs)."""
+def _count_one_move(monkeypatch, mover_is_the_holder: bool):
+    """Load ``k`` under ``a`` through one coordinator, then move it to
+    ``b`` through the same one or another; returns ``(RPCs sent,
+    view-table round kinds, a client)`` for the move alone."""
     from repro.cluster import ClusterConfig
     from repro.cluster.coordinator import Coordinator
 
     cluster = Cluster(ClusterConfig(seed=5))
     cluster.create_table("T")
     cluster.create_view(ViewDefinition("V", "T", "sec", ("payload",)))
-    client = cluster.sync_client()
-    client.put("T", "k", {"sec": "a", "payload": "p"})
-    client.settle()
+    holder = cluster.sync_client(0)
+    mover = holder if mover_is_the_holder else cluster.sync_client(1)
+    holder.put("T", "k", {"sec": "a", "payload": "p"})
+    holder.settle()
 
     rounds = []
     for kind in ("scatter_read", "scatter_write"):
@@ -386,11 +397,38 @@ def test_view_key_move_sends_18_rpcs_four_view_rounds(monkeypatch):
 
         monkeypatch.setattr(Coordinator, kind, counted)
     sent = cluster.network.messages_sent
-    client.put("T", "k", {"sec": "b"})
-    client.settle()
-    assert cluster.network.messages_sent - sent == 18
-    assert sorted(kind for table, kind in rounds if table == "V") == [
+    mover.put("T", "k", {"sec": "b"})
+    mover.settle()
+    return (cluster.network.messages_sent - sent,
+            sorted(kind for table, kind in rounds if table == "V"), mover)
+
+
+def test_view_key_move_sends_18_rpcs_four_view_rounds(monkeypatch):
+    """The cost of one view-key move through the whole stack at default
+    config, N = 3, by a coordinator that does not hold the live row (a
+    different one made it live): base Get + base Put + chain walk (one
+    hop) + new row + stale pointer + Init unmark = (2 + 4) x 3 RPCs.
+    CopyData has no round of its own (it was a Get and a Put: 24 RPCs)."""
+    sent, view_rounds, client = _count_one_move(
+        monkeypatch, mover_is_the_holder=False)
+    assert sent == 18
+    assert view_rounds == [
         "scatter_read", "scatter_write", "scatter_write", "scatter_write"]
+    (row,) = client.get_view("V", "b", ["payload"])
+    assert (row.base_key, row["payload"]) == ("k", "p")
+    assert client.get_view("V", "a", ["payload"]) == []
+
+
+def test_repeat_view_key_move_by_the_same_executor_sends_15_rpcs_three_view_rounds(
+        monkeypatch):
+    """The coordinator that made the row live moves it again, nobody
+    having held the chain in between: base Get + base Put + new row +
+    stale pointer + Init unmark = (2 + 3) x 3 RPCs, and no read of the
+    view table at all — the copied payload comes from what it wrote."""
+    sent, view_rounds, client = _count_one_move(
+        monkeypatch, mover_is_the_holder=True)
+    assert sent == 15
+    assert view_rounds == ["scatter_write", "scatter_write", "scatter_write"]
     (row,) = client.get_view("V", "b", ["payload"])
     assert (row.base_key, row["payload"]) == ("k", "p")
     assert client.get_view("V", "a", ["payload"]) == []
@@ -525,3 +563,212 @@ def test_only_a_view_key_update_reads_the_copy_columns(driver):
     driver.base_put("k", {"vk": "b"}, 20)
     driver.propagate("k", driver.guess("a", 10), {"vk": "b"}, 20)
     assert reads[1:] == [(("k", "Next"), ("k", "m"))]
+
+
+# ---------------------------------------------------------------------------
+# Three rounds when the executor holds the row: what the fence is for
+# ---------------------------------------------------------------------------
+
+
+class ManagedChain:
+    """Base row ``k`` of a *registered* view, moved by hand: each update
+    is committed to the base table with no propagation and then driven
+    through ``propagate_with_retries`` — so through
+    ``ViewManager.serialized`` and its turn numbers — by a chosen
+    coordinator from a chosen guess."""
+
+    def __init__(self):
+        self.cluster = Cluster(make_config())
+        self.cluster.create_table("B")
+        self.cluster.create_view(VIEW)
+        self.manager = self.cluster.view_manager
+        self.metrics = self.manager.maintainer.metrics
+        self.reference = ReferenceViewModel(VIEW)
+
+    def run(self, generator):
+        process = self.cluster.env.process(generator)
+        return self.cluster.env.run(until=process)
+
+    def propagate(self, node, values, ts, guess):
+        """One update of ``k`` through ``node``; returns ``(view-table
+        Gets made, walks skipped)`` for it."""
+        coordinator = self.cluster.coordinator(node)
+        cells = {column: Cell.make(value, ts)
+                 for column, value in values.items()}
+        self.run(coordinator.put("B", "k", cells, 3))
+        hops, skipped = self.metrics.chain_hops, self.metrics.walks_skipped
+        guesses = [ViewKeyGuess.from_cell(
+            VIEW, None if guess is None else Cell.make(*guess))]
+        self.run(propagate_with_retries(
+            self.manager, coordinator, VIEW, "B", "k", guesses,
+            dict(values), ts))
+        for column, value in values.items():
+            self.reference.propagate(BaseUpdate("k", column, value, ts))
+        return (self.metrics.chain_hops - hops,
+                self.metrics.walks_skipped - skipped)
+
+    def before_view_put(self, number, action):
+        """Call ``action()`` just before the ``number``-th view-table
+        Put from now is sent, once."""
+        maintainer = self.manager.maintainer
+        real_put = maintainer._view_put
+        puts = [0]
+
+        def view_put(coordinator, view_name, view_key, cells):
+            puts[0] += 1
+            if puts[0] == number:
+                maintainer._view_put = real_put
+                action()
+            yield from real_put(coordinator, view_name, view_key, cells)
+
+        maintainer._view_put = view_put
+
+    def fail_view_put(self, number):
+        """Make that Put raise ``QuorumError`` instead."""
+        def fail():
+            raise QuorumError("injected", required=2, received=0)
+
+        self.before_view_put(number, fail)
+
+    def violations(self):
+        return check_view(self.cluster, VIEW, self.reference)
+
+    def get_view(self, view_key):
+        rows = self.run(view_get(self.cluster.env,
+                                 self.cluster.coordinator(2), VIEW, view_key,
+                                 ("m",), 2))
+        return [(row.base_key, row["m"]) for row in rows]
+
+
+A, B = 0, 1  # two coordinators
+
+
+def test_a_move_by_another_coordinator_fences_the_held_row():
+    """A makes ``b`` live, B moves the row on to ``c``, then A moves it
+    again from a base-read guess taken before B's write.  A's memory
+    says ``b`` is live; B's turn in between says not to believe it, so
+    A walks (``b`` -> ``c``) and moves ``c``.
+
+    Fails if the ``turn`` comparison in ``propagate_update`` is deleted:
+    A then writes ``d`` off ``b``, whose newer stale pointer orphans the
+    live ``c`` — two accessible live rows, and the NULL anchor's chain
+    ends at the wrong one."""
+    chain = ManagedChain()
+    assert chain.propagate(A, {"vk": "a", "m": "p"}, 10, None) == (0, 0)
+    assert chain.propagate(A, {"vk": "b"}, 20, ("a", 10)) == (0, 1)
+    assert chain.propagate(B, {"vk": "c"}, 30, ("b", 20)) == (1, 0)
+    assert chain.propagate(A, {"vk": "d"}, 40, ("b", 20)) == (2, 0)
+    assert chain.violations() == []
+    assert chain.get_view("d") == [("k", "p")]
+    assert [chain.get_view(key) for key in "abc"] == [[], [], []]
+    # And B, fenced by A's turn in the same way.
+    assert chain.propagate(B, {"vk": "e"}, 50, ("c", 30)) == (2, 0)
+    assert chain.violations() == []
+
+
+def test_a_round_that_fails_after_line_4_walks_on_its_retry():
+    """The held row is popped before use and stored again only by a
+    move that ran to its end: the retry of one cut short after line 4
+    makes the Get."""
+    chain = ManagedChain()
+    chain.propagate(A, {"vk": "a", "m": "p"}, 10, None)
+    chain.fail_view_put(2)  # line 8 of the next move
+    assert chain.propagate(A, {"vk": "b"}, 20, ("a", 10)) == (1, 1)
+    assert chain.metrics.retry_rounds == 1
+    assert chain.violations() == []
+    assert chain.get_view("b") == [("k", "p")]
+    # The completed retry stored what it made live.
+    assert chain.propagate(A, {"vk": "c"}, 30, ("b", 20)) == (0, 1)
+
+
+def test_the_retry_of_an_interrupted_move_enters_at_the_row_it_was_leaving():
+    """``b`` -> ``a`` reuses a key *above* the live row, driven from the
+    NULL anchor as every re-drive is, and is cut short after line 4.  A
+    retry from the same guess would end its walk at the half-made ``a``
+    (anchor -> ``a``, now self-pointing), refresh it and unmark it with
+    ``b`` never made stale: two accessible live rows.  The retry enters
+    at ``b`` instead and finishes the move."""
+    chain = ManagedChain()
+    chain.propagate(A, {"vk": "a", "m": "p"}, 10, None)
+    chain.propagate(B, {"vk": "b"}, 20, ("a", 10))
+    chain.fail_view_put(2)
+    assert chain.propagate(A, {"vk": "a"}, 30, None) == (4, 0)
+    assert chain.violations() == []
+    assert chain.get_view("a") == [("k", "p")]
+    assert chain.get_view("b") == []
+
+
+def test_a_payload_only_propagation_between_two_moves_forces_a_walk():
+    """A shared holder writes the live row without moving it: A's copy
+    of the row's cells is behind, and B's turn says so."""
+    chain = ManagedChain()
+    chain.propagate(A, {"vk": "a", "m": "older"}, 10, None)
+    assert chain.propagate(B, {"m": "newer"}, 20, ("a", 10)) == (1, 0)
+    assert chain.propagate(A, {"vk": "b"}, 30, ("a", 10)) == (1, 0)
+    assert chain.violations() == []
+    assert chain.get_view("b") == [("k", "newer")]
+
+
+def test_a_gc_sweep_between_two_moves_forces_a_walk():
+    chain = ManagedChain()
+    chain.propagate(A, {"vk": "a", "m": "p"}, 10, None)
+    assert chain.propagate(A, {"vk": "b"}, 20, ("a", 10)) == (0, 1)
+    report = chain.run(collect_stale_rows(chain.cluster, VIEW, 10**6, B))
+    assert report.rows_pruned == 1  # "a"; GC held the chain to do it
+    assert chain.propagate(A, {"vk": "c"}, 30, ("b", 20)) == (1, 0)
+    assert check_view(chain.cluster, VIEW) == []
+    assert chain.get_view("c") == [("k", "p")]
+
+
+def test_a_coordinator_that_failed_and_recovered_walks():
+    """The held rows are volatile: a crashed coordinator does not come
+    back remembering them."""
+    chain = ManagedChain()
+    chain.propagate(A, {"vk": "a", "m": "p"}, 10, None)
+    assert chain.propagate(A, {"vk": "b"}, 20, ("a", 10)) == (0, 1)
+    chain.cluster.fail_node(A)
+    chain.cluster.recover_node(A)
+    assert chain.propagate(A, {"vk": "c"}, 30, ("b", 20)) == (1, 0)
+    assert chain.propagate(A, {"vk": "d"}, 40, ("c", 30)) == (0, 1)
+    assert chain.violations() == []
+
+
+def test_a_move_that_outlives_its_coordinators_crash_leaves_nothing_held():
+    """The simulation lets a propagation in flight run on through its
+    node's failure; what it made live is not remembered either."""
+    chain = ManagedChain()
+    chain.propagate(A, {"vk": "a", "m": "p"}, 10, None)
+
+    def crash_and_return():
+        chain.cluster.fail_node(A)
+        chain.cluster.recover_node(A)
+
+    chain.before_view_put(2, crash_and_return)
+    assert chain.propagate(A, {"vk": "b"}, 20, ("a", 10)) == (0, 1)
+    assert chain.propagate(A, {"vk": "c"}, 30, ("b", 20)) == (1, 0)
+    assert chain.violations() == []
+
+
+def test_a_propagation_lost_to_a_coordinator_crash_leaves_nothing_held():
+    """The crash path runs no Algorithm 2 at all: the row A holds after
+    it is still the one its last completed move made live."""
+    cluster = Cluster(make_config())
+    cluster.create_table("B")
+    cluster.create_view(VIEW)
+    cluster.enable_tracing()
+    manager = cluster.view_manager
+    client = cluster.sync_client(A)
+    client.put("B", "k", {"vk": "a"})
+    client.put("B", "k", {"vk": "b"})
+    client.settle()
+    lose = [True]
+    manager.add_crash_hook(lambda *_args: lose.pop() if lose else False)
+    client.put("B", "k", {"vk": "lost"})
+    client.settle()
+    assert manager.lost_propagations == 1
+    client.put("B", "k", {"vk": "c"})
+    client.settle()
+    assert [(event.message, event.fields["live"])
+            for event in cluster.tracer.events("chain")] == [
+        ("live row held", "a"), ("live row held", "b")]
+    assert check_view(cluster, VIEW) == []
