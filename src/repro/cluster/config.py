@@ -109,16 +109,13 @@ class ClusterConfig:
     # (per-base-row lock service) or "propagators" (dedicated propagators
     # via consistent hashing).
     propagation_concurrency: str = "locks"
-    # Rounds of view-key-guess retries in Algorithm 1 (backing off
-    # between rounds, see ``repro.views.drive``) before the propagation
-    # is abandoned loudly.
-    propagation_max_rounds: int = 200
 
     # Skew-adaptive maintenance (repro.views.skew).  When enabled,
     # per-node decayed update counters classify (view, base key) chains
-    # heavy/light and heavy-chain records fold into per-chain delta
-    # buffers flushed on a tick (or earlier by a read).  The thresholds,
-    # half-life and tick are constants of ``repro.views.skew``.
+    # heavy/light, and a heavy chain's outbox records fold into one
+    # survivor that re-drives the row's current state after a short
+    # window.  The thresholds, half-life and window are constants of
+    # ``repro.views.skew``.
     skew_adaptive: bool = False
     # Hot-view read-through cache capacity in result entries; 0 disables
     # the cache (repro.views.skew.HotViewCache).
@@ -144,8 +141,6 @@ class ClusterConfig:
             raise ValueError(
                 "propagation_concurrency must be 'locks' or 'propagators', "
                 f"got {self.propagation_concurrency!r}")
-        if self.propagation_max_rounds < 1:
-            raise ValueError("propagation_max_rounds must be >= 1")
         if self.view_cache_capacity < 0:
             raise ValueError("view_cache_capacity must be non-negative")
 

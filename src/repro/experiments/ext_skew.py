@@ -6,17 +6,18 @@ hot row is a full propagation queued on that row's chain, and
 closed-loop clients stall behind the backpressure tokens the queue
 holds.  ``repro.views.skew`` answers with
 adaptive maintenance: a decayed update-frequency tracker classifies
-chains heavy/light with hysteresis; heavy chains fold updates into a
-per-key delta that is flushed by re-propagating the base row's *current*
-state (on a fold tick or on a read barrier), bypassing the per-update
-chain entirely.
+chains heavy/light with hysteresis; a heavy chain's outbox records take
+no token and fold into one survivor per node, which after a short
+window re-propagates the base row's *current* state, bypassing the
+per-update chain entirely.
 
 This experiment sweeps a Zipfian exponent and runs the same closed-loop
 view-key-update workload twice per point — eager-only versus adaptive —
-then drains (fold + flush + outbox) and counts residual divergence.
-Expected shape: identical throughput at low skew (nothing promotes),
-then a widening gap as the head key heats up, reaching >= 2x at
-``theta >= 1.2`` with zero divergent rows after quiescence either way.
+then drains the outboxes and counts residual divergence.
+Expected shape: near-identical throughput at low skew (little
+promotes), then a widening gap as the head key heats up, reaching
+>= 2x at ``theta >= 1.2`` with zero divergent rows after quiescence
+either way.
 """
 
 from __future__ import annotations
@@ -35,35 +36,16 @@ from repro.experiments.scenarios import (
 from repro.repair import divergent_base_keys
 from repro.workloads import ZipfianKeys, run_closed_loop, write_op
 
-__all__ = ["run", "run_skew_point", "adaptive_overrides", "skew_config"]
-
-# Retry budget shared by both maintenance modes.  In adaptive mode a
-# record can be waiting for a view row nobody will write: its
-# predecessor transition was folded on another node, and a flush
-# materializes only the row's *current* state.  Such a record (4-8 per
-# run) spends its whole budget holding a backpressure token — ~1.5 s
-# with the default 200 rounds and 8 ms backoff cap, longer than the
-# run; ~130 ms with 24.  Measured at theta = 1.2: adaptive 2,707 req/s
-# with the cap (2.35x eager), 1,885 without (1.64x).  Eager is the same
-# either way except at theta = 0.9, where 44 records abandon and leave
-# one row to the scrubber.
-_MAX_ROUNDS = 24
-
-
-def skew_config(seed: int = 0, **overrides) -> ClusterConfig:
-    """The cluster config both maintenance modes run under."""
-    defaults = dict(propagation_max_rounds=_MAX_ROUNDS)
-    defaults.update(overrides)
-    return experiment_config(seed=seed, **defaults)
+__all__ = ["run", "run_skew_point", "adaptive_overrides"]
 
 
 def adaptive_overrides() -> dict:
     """The ClusterConfig knobs that switch on adaptive maintenance.
 
     The tracker policy (promote after a couple of closely spaced
-    updates, demote with hysteresis) and the fold tick are
-    ``ClusterConfig``'s defaults; the experiment adds a modest hot-view
-    cache on the read path.
+    updates, demote with hysteresis) and the fold window are constants
+    of ``repro.views.skew``; the experiment adds a modest hot-view cache
+    on the read path.
     """
     return dict(skew_adaptive=True, view_cache_capacity=64)
 
@@ -82,10 +64,15 @@ def run_skew_point(config: ClusterConfig, *, theta: float, population: int,
     op = write_op(TABLE, ZipfianKeys(population, theta), SEC_COLUMN,
                   w=write_quorum)
     summary = run_closed_loop(cluster, op, clients, duration, warmup)
-    # Quiesce: fold ticks fire, deltas flush, the outbox drains.
+    # Quiesce: fold windows close, the outboxes drain.
+    manager = cluster.view_manager
+    env = cluster.env
+    drain_from = env.now
+    while manager.pending_propagations:
+        cluster.run(until=env.now + 1.0)
+    drain_ms = env.now - drain_from
     cluster.run_until_idle()
 
-    manager = cluster.view_manager
     view = mv_view_definition(materialize_payload=False)
 
     # Same-key updates racing through *different* coordinators can leave
@@ -93,8 +80,6 @@ def run_skew_point(config: ClusterConfig, *, theta: float, population: int,
     # nodes); that is standing-scrubber territory in both modes, so
     # quiescence mirrors the scenario runner: converge replicas, then
     # scrub until the divergence oracle is empty.
-    pre_scrub = len(divergent_base_keys(cluster, view))
-    env = cluster.env
     env.run(until=cluster.repair_table(TABLE))
     env.run(until=cluster.repair_table(view.name))
     scrub_rounds = 0
@@ -108,21 +93,12 @@ def run_skew_point(config: ClusterConfig, *, theta: float, population: int,
         env.run(until=cluster.repair_table(view.name))
 
     skew = manager.skew_stats()
-    outbox = manager.outbox_stats(hot_key_count=3)
     return {
         "throughput": summary.throughput,
-        "operations": summary.operations,
-        "folded": manager.folded_propagations,
-        "flushed_records": skew["flushed_records"],
-        "dropped_records": skew["dropped_records"],
-        "pending_chains": skew["pending_chains"],
+        "folded": skew["folded_records"],
         "heavy_keys": skew["heavy_keys"],
-        "promotions": skew["promotions"],
-        "demotions": skew["demotions"],
-        "hot_keys": outbox["hot_keys"],
-        "lock_wait_ms": manager.locks.stats()["wait_time_total"],
-        "pre_scrub_divergent": pre_scrub,
-        "scrub_rounds": scrub_rounds,
+        "abandoned": manager.abandoned_propagations,
+        "drain_ms": drain_ms,
         "divergent_rows": len(divergent_base_keys(cluster, view)),
     }
 
@@ -136,15 +112,18 @@ def run(params: Optional[ExperimentParams] = None) -> FigureResult:
               f"({params.zipf_clients} clients updating the view key over "
               f"{params.zipf_population} keys; eager vs adaptive)",
         columns=("theta", "eager_throughput", "adaptive_throughput",
-                 "speedup", "folded", "heavy_keys", "divergent_rows"),
-        notes="adaptive folds heavy chains into lazy deltas; expected "
-              ">=2x over eager at theta >= 1.2, zero residual divergence",
+                 "speedup", "folded", "heavy_keys", "abandoned",
+                 "drain_ms", "divergent_rows"),
+        notes="adaptive folds a heavy chain's records into one survivor "
+              "per node; expected >=2x over eager at theta >= 1.2, zero "
+              "residual divergence; abandoned and drain_ms (outboxes "
+              "empty after the last client op) are the adaptive run's",
     )
     for theta in params.zipf_thetas:
         cells = {}
         for mode, overrides in (("eager", {}),
                                 ("adaptive", adaptive_overrides())):
-            config = skew_config(params.seed, **overrides)
+            config = experiment_config(seed=params.seed, **overrides)
             cells[mode] = run_skew_point(
                 config, theta=theta,
                 population=params.zipf_population,
@@ -157,6 +136,7 @@ def run(params: Optional[ExperimentParams] = None) -> FigureResult:
                    if eager["throughput"] else float("inf"))
         result.add_row(theta, eager["throughput"], adaptive["throughput"],
                        round(speedup, 2), adaptive["folded"],
-                       adaptive["heavy_keys"],
+                       adaptive["heavy_keys"], adaptive["abandoned"],
+                       round(adaptive["drain_ms"]),
                        eager["divergent_rows"] + adaptive["divergent_rows"])
     return result

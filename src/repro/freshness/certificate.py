@@ -4,18 +4,15 @@ The view pipeline already knows, at every instant, exactly which
 acknowledged base updates have not yet taken effect in a view:
 
 - **outbox lag** — appended-but-unresolved :class:`OutboxRecord`\\ s
-  (including riders of coalesced winners), each stamped with its append
-  time;
-- **fold backlog** — per-chain :class:`PendingDelta`\\ s parked by the
-  skew-adaptive maintainer, stamped with the append time of the oldest
-  folded record;
+  (including riders of coalesced winners, so every update folded into
+  a heavy chain's survivor), each stamped with its append time;
 - **wounds** — chains whose propagation *failed* (coordinator crash,
-  retry abandonment, exhausted fold flush, confirmed scrub
-  divergence, cross-coordinator misordering).  A wound has no resolve
+  retry abandonment, confirmed scrub divergence, cross-coordinator
+  misordering).  A wound has no resolve
   event; it stays open until the row is re-propagated or a quorum-level
   ``verify_row`` confirms the row clean.
 
-The :class:`FreshnessTracker` folds all three into a per-view
+The :class:`FreshnessTracker` folds both into a per-view
 :class:`StalenessCertificate`: the age of the *oldest* outstanding
 source, plus the provenance of that binding source.  The certificate is
 conservative — every update invisible to a quorum view read is covered
@@ -52,7 +49,7 @@ class StaleSource:
 
     key: Hashable
     origin: float       # simulated time the lag began (update append/ack)
-    provenance: str     # "outbox-lag" | "fold-backlog" | a wound provenance
+    provenance: str     # "outbox-lag" | a wound provenance
 
 
 @dataclass(frozen=True)
@@ -236,8 +233,6 @@ class FreshnessTracker:
         for outbox in self.manager._outboxes.values():
             for key, appended_at in outbox.unresolved_for(view_name):
                 out.append(StaleSource(key, appended_at, "outbox-lag"))
-        for key, origin in self.manager.skew.pending_sources(view_name):
-            out.append(StaleSource(key, origin, "fold-backlog"))
         for (name, key), wound in self._wounds.items():
             if name == view_name:
                 out.append(StaleSource(key, wound.origin, wound.provenance))

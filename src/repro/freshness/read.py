@@ -1,12 +1,12 @@
 """Bounded-staleness view reads: serve, or escalate and compensate.
 
 The fresh read path (``ViewManager.view_get_fresh``) runs the normal
-read prologue (session barrier, lazy-delta flush), snapshots the view's
+read prologue (the session barrier), snapshots the view's
 staleness sources, and derives a :class:`StalenessCertificate`.  Within
 ``max_staleness_ms`` the view result is served as-is with the
 certificate attached (a *bound hit*).  Over the bound the read
 **escalates**: the tracker names exactly which base keys have a source
-older than the bound (the outbox/fold backlog plus open wounds give a
+older than the bound (the outbox backlog plus open wounds give a
 bounded key set — never a table scan), and a per-key quorum read of the
 base table *compensates*: fresh base state is merged over the view
 result, rows the base no longer maps to this view key are dropped, and
@@ -73,7 +73,7 @@ def fresh_view_get(manager, coordinator, view_name: str, view_key: Any,
         # Completed propagations committed at the maintainer's majority;
         # only a majority view read is guaranteed to observe them.
         r = max(r, manager.maintainer.quorum)
-    yield from read_barrier(manager, coordinator, view, view_key, session)
+    yield from read_barrier(manager, coordinator, view, session)
     tracker = manager.freshness
     sources = tracker.sources(view_name)
     certificate = tracker.certificate(view_name, max_staleness_ms,

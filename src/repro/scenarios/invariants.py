@@ -18,15 +18,12 @@ stop*:
     (barriers wait for *resolution*, not success).
 ``OutboxConservation``
     No propagation vanishes without an accounting entry: appended
-    records minus coalesced equals completed + lost + abandoned +
-    folded, and the queues are empty at quiescence.
-``SkewDrained``
-    Heavy/light maintenance left nothing behind: every folded record
-    was either flushed or loudly dropped to the scrubber, and no delta
-    chain is still pending after fold + drain.
+    records minus coalesced (folded ones included) equals completed +
+    lost + abandoned, and the queues are empty at quiescence.
 ``BoundedQueueDepth``
-    Backpressure held: the propagation backlog never exceeded its
-    configured bound, even under burst adversaries.
+    Backpressure held: the records holding a token never exceeded the
+    configured bound, even under burst adversaries, and the heavy
+    records that hold none never exceeded two per chain.
 ``NoLeakedLocks``
     The concurrency-control lock service holds no locks once quiesced.
 ``ClusterHealed``
@@ -54,7 +51,6 @@ __all__ = [
     "ViewOracleAgreement",
     "SessionReadYourWrites",
     "OutboxConservation",
-    "SkewDrained",
     "BoundedQueueDepth",
     "NoLeakedLocks",
     "ClusterHealed",
@@ -164,8 +160,7 @@ class SessionReadYourWrites(Invariant):
         violations = []
         manager = scenario.cluster.view_manager
         failures_excuse = (manager.lost_propagations
-                           + manager.abandoned_propagations
-                           + manager.skew.dropped_records) > 0
+                           + manager.abandoned_propagations) > 0
         key_ts = scenario.workload.key_update_timestamps(
             scenario.view.view_key_column)
         for obs in scenario.workload.observations:
@@ -211,8 +206,7 @@ class OutboxConservation(Invariant):
                 f"worker slots still held after quiescence: {held}")
         resolved = (manager.completed_propagations
                     + manager.lost_propagations
-                    + manager.abandoned_propagations
-                    + manager.folded_propagations)
+                    + manager.abandoned_propagations)
         survivors = stats["appended"] - stats["coalesced"]
         if survivors != resolved:
             violations.append(
@@ -220,52 +214,32 @@ class OutboxConservation(Invariant):
                 f"coalesced {stats['coalesced']} = {survivors}, but "
                 f"completed {manager.completed_propagations} + lost "
                 f"{manager.lost_propagations} + abandoned "
-                f"{manager.abandoned_propagations} + folded "
-                f"{manager.folded_propagations} = {resolved}")
-        return violations
-
-
-class SkewDrained(Invariant):
-    """Lazy maintenance fully drained: folded == flushed + dropped."""
-
-    name = "skew-drained"
-
-    def check(self, scenario) -> List[str]:
-        skew = scenario.cluster.view_manager.skew
-        violations = []
-        pending = skew.pending_chains()
-        if pending != 0:
-            violations.append(
-                f"{pending} delta chains still pending after quiescence")
-        accounted = skew.flushed_records + skew.dropped_records
-        if skew.folded_records != accounted:
-            violations.append(
-                f"fold accounting broken: folded {skew.folded_records} != "
-                f"flushed {skew.flushed_records} + dropped "
-                f"{skew.dropped_records}")
+                f"{manager.abandoned_propagations} = {resolved}")
         return violations
 
 
 class BoundedQueueDepth(Invariant):
-    """Backpressure held: backlog never exceeded its configured bound."""
+    """Backpressure held: records with a token never exceeded the
+    configured bound, nor those without one two per chain."""
 
     name = "bounded-queue-depth"
 
     def check(self, scenario) -> List[str]:
-        config = scenario.cluster.config
+        bound = scenario.cluster.config.max_pending_propagations
         violations = []
-        # Per-coordinator semaphore: total in-flight propagations can
-        # reach nodes * max_pending_propagations, never more.
-        bound = config.nodes * config.max_pending_propagations
-        if scenario.max_pending_seen > bound:
-            violations.append(
-                f"pending propagations peaked at "
-                f"{scenario.max_pending_seen} > bound {bound}")
-        stats = scenario.cluster.view_manager.outbox_stats()
-        if stats["max_depth"] > config.max_pending_propagations:
-            violations.append(
-                f"outbox max depth {stats['max_depth']} > "
-                f"bound {config.max_pending_propagations}")
+        for node_id, outbox in sorted(
+                scenario.cluster.view_manager._outboxes.items()):
+            # The peak each outbox kept itself, not a sample of it.
+            if outbox.max_depth > bound:
+                violations.append(
+                    f"node {node_id}: outbox depth peaked at "
+                    f"{outbox.max_depth} > bound {bound}")
+            # Heavy records take no token; a chain has at most a
+            # started and a parked one per node.
+            if outbox.max_token_free > 2 * len(outbox.chain_appends):
+                violations.append(
+                    f"node {node_id}: {outbox.max_token_free} token-free "
+                    f"records over {len(outbox.chain_appends)} chains")
         return violations
 
 
@@ -318,7 +292,6 @@ STANDING_INVARIANTS = (
     ViewOracleAgreement(),
     SessionReadYourWrites(),
     OutboxConservation(),
-    SkewDrained(),
     BoundedQueueDepth(),
     NoLeakedLocks(),
     ClusterHealed(),

@@ -130,7 +130,6 @@ class Scenario:
         self.client_ids: set = set()
         self.arrival_scale = 1.0
         # Monitor peaks (see _monitor()).
-        self.max_pending_seen = 0
         self.max_locks_seen = 0
         # Damage the runner (not its adversary) had to heal at
         # quiescence; the ClusterHealed invariant reports these.
@@ -188,14 +187,12 @@ class Scenario:
                 f"{self.event_budget} (livelock or retry storm?)")
 
     def _monitor(self):
-        """Sample queue depths; peaks feed BoundedQueueDepth."""
+        """Sample the lock table's size; its peak is reported."""
         cluster = self.cluster
         env = cluster.env
         manager = cluster.view_manager
         while not self._monitor_stop:
             yield env.timeout(self.monitor_interval)
-            self.max_pending_seen = max(self.max_pending_seen,
-                                        manager.pending_propagations)
             self.max_locks_seen = max(self.max_locks_seen,
                                       manager.locks.active_locks)
 
@@ -350,7 +347,6 @@ class Scenario:
             "completed_propagations": manager.completed_propagations,
             "lost_propagations": manager.lost_propagations,
             "abandoned_propagations": manager.abandoned_propagations,
-            "max_pending_seen": self.max_pending_seen,
             "max_locks_seen": self.max_locks_seen,
             "adversaries": {adversary.label: adversary.describe()
                             for adversary in self.adversaries},

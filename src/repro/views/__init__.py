@@ -39,7 +39,6 @@ from repro.views.read import ViewResult, view_get
 from repro.views.session import Session, SessionManager
 from repro.views.skew import (
     HotViewCache,
-    PendingDelta,
     SkewService,
     UpdateFrequencyTracker,
 )
@@ -99,6 +98,5 @@ __all__ = [
     "compute_stats",
     "SkewService",
     "UpdateFrequencyTracker",
-    "PendingDelta",
     "HotViewCache",
 ]

@@ -7,8 +7,8 @@ against *one* view-key guess.  This module is what runs around it
 set built from the base-row replicas' answers, and the retry loop over
 those guesses.
 :func:`repropagate_row` is the same loop aimed at a base row's *current*
-state: the "converge this chain" primitive behind lazy-delta flushes
-(:mod:`repro.views.skew`), scrub repair (:mod:`repro.repair`) and
+state: the "converge this chain" primitive behind folded records
+(:mod:`repro.views.outbox`), scrub repair (:mod:`repro.repair`) and
 backfill.  Every function takes the
 :class:`~repro.views.manager.ViewManager` whose counters, RNG stream
 and services it uses.
@@ -24,13 +24,18 @@ from repro.errors import (
     PropagationError,
     QuorumError,
 )
+from repro.views import skew
 from repro.views.definition import NEXT_COLUMN, ViewDefinition
 from repro.views.maintenance import ViewKeyGuess
 from repro.views.outbox import NodeOutbox
 from repro.views.versioned import PHASE_STALE, view_column, view_timestamp
 
 __all__ = ["process_record", "propagate_with_retries", "repropagate_row",
-           "RETRY_BACKOFF", "RETRY_BACKOFF_CAP"]
+           "MAX_ROUNDS", "RETRY_BACKOFF", "RETRY_BACKOFF_CAP"]
+
+# Rounds of guesses (or of base reads, for a re-drive) before a
+# propagation is abandoned to the scrubber: about 1.5 s of backoff.
+MAX_ROUNDS = 200
 
 # Backoff between rounds of view-key-guess retries (ms): the first
 # retry waits up to RETRY_BACKOFF, doubling per round up to
@@ -59,9 +64,16 @@ def process_record(manager, outbox: NodeOutbox, record):
     """Propagate one started outbox record (Algorithm 1 lines 4-7); the
     process the outbox's start callable spawns."""
     view, key, base_ts = record.view, record.key, record.base_ts
+    if record.heavy:
+        # The fold window: appends to the chain ride on this record
+        # (NodeOutbox.append) until it starts working, which is after
+        # FOLD_INTERVAL and then in turn, one heavy record per node.
+        yield manager.env.timeout(skew.FOLD_INTERVAL)
+        yield outbox.heavy_turn.acquire()
     # The node's maintenance capacity: held from here to the end, except
-    # across backoff sleeps (see propagate_with_retries).
+    # across backoff sleeps (see _back_off).
     yield outbox.workers.acquire()
+    record.open = False
     try:
         # Gather guesses from every source round trip (Alg. 1:
         # propagation starts only after the Get has heard from all
@@ -71,19 +83,6 @@ def process_record(manager, outbox: NodeOutbox, record):
         for collector, extract in record.sources:
             responses = yield collector.settled
             gathered.append((responses, extract))
-        # Heavy/light fork (repro.views.skew): records for heavy
-        # chains fold into a per-chain delta — no scheduling delay,
-        # no locks, no chain walk — and resolve immediately, so the
-        # backpressure token returns at once.  The fold invalidates
-        # the hot-view cache for every key the record could move
-        # before resolving, keeping session barriers honest.
-        if manager.skew.should_fold(outbox.node_id, view, key):
-            manager.skew.fold(outbox.node_id, record, gathered)
-            manager.folded_propagations += 1
-            manager.cluster.trace("propagation", "folded into skew delta",
-                                  view=view.name, key=key, ts=base_ts)
-            record.resolve()
-            return
         # Scheduling delay: maintenance work queues behind other
         # maintenance work.
         yield manager.env.timeout(
@@ -91,22 +90,37 @@ def process_record(manager, outbox: NodeOutbox, record):
         coordinator = manager.cluster.coordinator(outbox.node_id)
         _maybe_crash(manager, coordinator, view, key, base_ts)
 
-        guesses = _merge_guesses(
-            ViewKeyGuess.from_cell(view,
-                                   extract(response, view.view_key_column))
-            for responses, extract in gathered for response in responses)
-        origin = record.appended_at
-        manager.freshness.eager_begin(view.name, key, outbox.node_id,
-                                      origin, base_ts)
-        success = False
-        try:
-            yield from propagate_with_retries(
-                manager, coordinator, view, record.table, key, guesses,
-                record.update_values, base_ts, outbox=outbox)
-            success = True
-        finally:
-            manager.freshness.eager_end(view.name, key, outbox.node_id,
-                                        origin, base_ts, success)
+        if record.folded:
+            # The record stands for updates it cannot replay; all of
+            # them are in the base row by now, so converge the chain on
+            # that.
+            manager.cluster.trace("propagation", "re-driving current state",
+                                  view=view.name, key=key, ts=base_ts,
+                                  riders=len(record.riders))
+            yield from _redrive(manager, coordinator, view, key, outbox)
+        else:
+            guesses = _merge_guesses(
+                ViewKeyGuess.from_cell(
+                    view, extract(response, view.view_key_column))
+                for responses, extract in gathered for response in responses)
+            if manager.skew.enabled:
+                # The row a guess names may have been folded away on
+                # another node and never be written: rather than sleep
+                # on for it, end every round at the entry points that
+                # need no luck.
+                guesses.extend(_sure_guesses(manager, outbox, view, key))
+            origin = record.appended_at
+            manager.freshness.eager_begin(view.name, key, outbox.node_id,
+                                          origin, base_ts)
+            success = False
+            try:
+                yield from propagate_with_retries(
+                    manager, coordinator, view, record.table, key, guesses,
+                    record.update_values, base_ts, outbox=outbox)
+                success = True
+            finally:
+                manager.freshness.eager_end(view.name, key, outbox.node_id,
+                                            origin, base_ts, success)
         manager.completed_propagations += 1
         manager.cluster.trace("propagation", "completed", view=view.name,
                               key=key, ts=base_ts)
@@ -127,7 +141,39 @@ def process_record(manager, outbox: NodeOutbox, record):
     finally:
         outbox.workers.release()
         outbox.done(record)
-        outbox.backpressure.release()
+        # What admitted the record: its Put's token, or its own turn.
+        (outbox.heavy_turn if record.heavy
+         else outbox.backpressure).release()
+
+
+def _redrive(manager, coordinator, view: ViewDefinition, key: Hashable,
+             outbox: NodeOutbox):
+    """:func:`repropagate_row` for a started record: a base read that
+    misses its quorum is one more failed round, not the end."""
+    rounds = 0
+    while True:
+        try:
+            yield from repropagate_row(manager, coordinator, view, key,
+                                       outbox=outbox)
+            return
+        except QuorumError as exc:
+            rounds += 1
+            if rounds >= MAX_ROUNDS:
+                raise PropagationError(
+                    f"base row {key!r} could not be read to re-drive view "
+                    f"{view.name!r} after {rounds} rounds") from exc
+        yield from _back_off(manager, view, outbox, rounds)
+
+
+def _sure_guesses(manager, outbox: NodeOutbox, view: ViewDefinition,
+                  key: Hashable) -> List[ViewKeyGuess]:
+    """Chain entry points that exist whatever has propagated, nearest
+    first: the row this node's last move made live, if it holds one,
+    then the never-written NULL, whose anchor is as many hops from the
+    live row as the row has ever moved (see :func:`repropagate_row`)."""
+    held = manager.maintainer.held_guess(outbox.node_id, view, key)
+    pristine = ViewKeyGuess.from_cell(view, None)
+    return [pristine] if held is None else [held, pristine]
 
 
 def _maybe_crash(manager, coordinator, view: ViewDefinition, key: Hashable,
@@ -167,22 +213,16 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
                            update_values: Dict[ColumnName, Any],
                            base_ts: int,
                            outbox: Optional[NodeOutbox] = None):
-    """Algorithm 1 lines 5-7: retry guesses until one propagates.
+    """Algorithm 1 lines 5-7: retry guesses until one propagates, or
+    raise :class:`PropagationError` after :data:`MAX_ROUNDS` rounds.
 
     Locks (or the propagator's turn) are released between rounds —
     holding them across a failed round would block the very propagation
     that must run before the retry can succeed.  The same goes for the
-    worker slot the caller holds on ``outbox``: it is given back for
-    the length of each backoff sleep and re-taken before the next
-    round, and for that long the record counts in
-    ``outbox.backing_off`` — it has failed a full round of guesses and
-    may be waiting for a row only the scrubber can write, so the
-    scrubber's backlog deferral must not wait for it in turn.
-    Re-drives of a row's current state (:func:`repropagate_row`) hold
-    no worker and pass no outbox.
+    worker slot a record's process holds on ``outbox``
+    (:func:`_back_off`); scrub repair and backfill hold no worker and
+    pass no outbox.
     """
-    config = manager.config
-    env = manager.env
     exclusive = view.view_key_column in update_values
 
     def job(executor, turn):
@@ -192,7 +232,7 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
     rounds = 0
     while True:
         rounds += 1
-        if rounds > config.propagation_max_rounds:
+        if rounds > MAX_ROUNDS:
             raise PropagationError(
                 f"update for base key {key!r} could not be propagated "
                 f"to view {view.name!r} after {rounds - 1} rounds")
@@ -203,13 +243,7 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
         manager.maintainer.metrics.retry_rounds += 1
         manager.cluster.trace("propagation", "round failed; backing off",
                               view=view.name, key=key, round=rounds)
-        if outbox is not None:
-            outbox.workers.release()
-            outbox.backing_off[view.name] += 1
-        yield env.timeout(_retry_delay(manager, rounds))
-        if outbox is not None:
-            outbox.backing_off[view.name] -= 1
-            yield outbox.workers.acquire()
+        yield from _back_off(manager, view, outbox, rounds)
         if rounds % 4 == 0:
             # Refresh guesses from the base replicas: slow peers may
             # have propagated by now, giving us a valid entry point.
@@ -225,6 +259,23 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
                          view, response.cells.get(view.view_key_column))
                      for response in responses)
             guesses[:] = _merge_guesses((*guesses, *fresh))
+
+
+def _back_off(manager, view: ViewDefinition,
+              outbox: Optional[NodeOutbox], rounds: int):
+    """Sleep before retry round ``rounds + 1``.  A record's process
+    gives its worker slot on ``outbox`` back for the length of the
+    sleep and re-takes it after, and for that long counts in
+    ``outbox.backing_off`` — it has failed a full round and may be
+    waiting for a row only the scrubber can write, so the scrubber's
+    backlog deferral must not wait for it in turn."""
+    if outbox is not None:
+        outbox.workers.release()
+        outbox.backing_off[view.name] += 1
+    yield manager.env.timeout(_retry_delay(manager, rounds))
+    if outbox is not None:
+        outbox.backing_off[view.name] -= 1
+        yield outbox.workers.acquire()
 
 
 def _retry_delay(manager, rounds: int) -> float:
@@ -275,7 +326,8 @@ def _attempt_round(manager, coordinator, view: ViewDefinition,
 
 def repropagate_row(manager, coordinator, view: ViewDefinition,
                     base_key: Hashable, r: Optional[int] = None,
-                    strays: Tuple[Any, ...] = ()):
+                    strays: Tuple[Any, ...] = (),
+                    outbox: Optional[NodeOutbox] = None):
     """Propagate one base row's current state into ``view``; a process.
 
     Repair is deliberately *not* a special write path.  A diverged row
@@ -289,7 +341,9 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     base timestamps, replaying already-propagated state is an LWW
     no-op, and replaying lost state lands exactly where the original
     propagation would have put it — repaired views are
-    indistinguishable from never-diverged ones.  Lazy-delta flushes and
+    indistinguishable from never-diverged ones.  Folded outbox records
+    (which pass the ``outbox`` whose worker slot they hold, and try the
+    row their node holds before the NULL anchor) and
     ``ViewManager.backfill`` share the routine (an initial load is just
     a repair of every base row against an empty view).
 
@@ -327,12 +381,13 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     try:
         # The view-key cell first: this creates/refreshes the live row
         # the materialized cells are then written into.
-        pristine = [ViewKeyGuess.from_cell(view, None)]
+        pristine = ([ViewKeyGuess.from_cell(view, None)] if outbox is None
+                    else _sure_guesses(manager, outbox, view, base_key))
         yield from propagate_with_retries(
             manager, coordinator, view, view.base_table, base_key, pristine,
             {view.view_key_column: (None if key_cell.tombstone
                                     else key_cell.value)},
-            key_cell.timestamp)
+            key_cell.timestamp, outbox=outbox)
         # Where the row now lives: its current view key, or the NULL
         # anchor for a deleted / predicate-rejected one.
         live = ViewKeyGuess.from_cell(view, key_cell)
@@ -343,7 +398,7 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
             yield from propagate_with_retries(
                 manager, coordinator, view, view.base_table, base_key,
                 [live], {column: (None if cell.tombstone else cell.value)},
-                cell.timestamp)
+                cell.timestamp, outbox=outbox)
         if strays:
             next_col = view_column(base_key, NEXT_COLUMN)
             stale_ts = view_timestamp(key_cell.timestamp, PHASE_STALE)

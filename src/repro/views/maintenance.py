@@ -48,7 +48,7 @@ end leaves, in the executor node's volatile memory, what it made live:
 ``(live key, live base timestamp, non-null materialized cells, turn)``.
 ``turn`` is the chain's fencing token: ``ViewManager.serialized`` numbers
 the jobs of a ``(view, base key)`` chain in the order they start, and
-every chain writer — outbox records, skew flushes, scrub repair,
+every chain writer — outbox records (folded ones too), scrub repair,
 backfill, GC; exclusive or shared — passes through it.  The next
 view-key propagation on that node for that chain skips line 1's Get iff
 ``entry.turn + 1 == turn``:
@@ -161,7 +161,7 @@ class ViewMaintainer:
         self.metrics = PropagationMetrics()
         # Optional write hook ``(view_name, view_key) -> None``: the
         # manager points this at the hot-view cache's invalidation so
-        # every view write — propagation, delta flush, scrub repair,
+        # every view write — propagation, re-drive, scrub repair,
         # backfill — evicts the row it touched (cache coherence is
         # driven by the propagation stream, not TTLs).
         self.on_view_write = None
@@ -171,6 +171,14 @@ class ViewMaintainer:
         # (see :meth:`forget_node`), consumed by :meth:`propagate_update`.
         self._held: Dict[int, Dict[str, Dict[Hashable, tuple]]] = (
             defaultdict(lambda: defaultdict(dict)))
+
+    def held_guess(self, node_id: int, view: ViewDefinition,
+                   base_key: Hashable) -> Optional[ViewKeyGuess]:
+        """The row ``node_id``'s last move of the chain made live, as a
+        guess.  No fence needed for that: the row exists, and the live
+        row is as many hops on as others have moved it since."""
+        entry = self._held[node_id][view.name].get(base_key)
+        return None if entry is None else ViewKeyGuess(entry[0], entry[1])
 
     def forget_node(self, node_id: int) -> None:
         """Drop every live row ``node_id`` holds: a crashed coordinator

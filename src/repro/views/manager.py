@@ -19,7 +19,9 @@ that decides how same-chain work is serialized (Section IV-F,
 
 Each node's outbox is bounded by ``max_pending_propagations`` (parked
 plus started records); base Puts block while it is full, and coalescing
-returns the superseded record's slot immediately.
+returns the superseded record's slot immediately.  Records of a chain
+the skew tracker calls heavy take no slot: they fold into one survivor
+per chain (:mod:`repro.views.outbox`, *Folding*).
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ class ViewManager:
         self.completed_propagations = 0
         self.lost_propagations = 0
         self.abandoned_propagations = 0
-        self.folded_propagations = 0
         self.read_stats = view_read.ViewReadStats()
         self._crash_hooks: List[Callable] = []  # see add_crash_hook
         # One log per node; each starts a process per record as the
@@ -86,13 +87,13 @@ class ViewManager:
             self._outboxes[node.node_id] = NodeOutbox(
                 self.env, node.node_id,
                 self.config.max_pending_propagations, self._start_record)
-        # Skew-adaptive maintenance + hot-view cache (repro.views.skew);
-        # inert (no processes, no cache) unless configured on.
+        # Heavy/light classifier + hot-view cache (repro.views.skew);
+        # inert (nothing heavy, no cache) unless configured on.
         self.skew = SkewService(self)
         if self.skew.cache.enabled:
             self.maintainer.on_view_write = self.skew.cache.invalidate
         # Freshness subsystem (repro.freshness): staleness certificates
-        # derived from outbox/fold/wound metadata, plus the SLO
+        # derived from outbox/wound metadata, plus the SLO
         # accounting for bounded-staleness reads.
         self.freshness = FreshnessTracker(self)
         self.freshness_slo = FreshnessSLO()
@@ -103,8 +104,8 @@ class ViewManager:
 
     @property
     def pending_propagations(self) -> int:
-        """Propagations accepted but not yet resolved (queued, in-flight,
-        or folded into an unflushed delta)."""
+        """Propagations accepted but not yet resolved (parked or
+        started, with a backpressure token or without)."""
         return self.outbox_pending()
 
     # -- registry -----------------------------------------------------------
@@ -236,9 +237,11 @@ class ViewManager:
                            views=[view.name for view in affected])
         outbox = self._outboxes[coordinator.node.node_id]
         for view in affected:
-            # Back-pressure: block the Put while the node's outbox
-            # (queued + in-flight records) is full.
-            yield outbox.backpressure.acquire()
+            heavy = self.skew.observe(outbox.node_id, view, key)
+            if not heavy:
+                # Back-pressure: block the Put while the node's outbox
+                # (queued + in-flight records) is full.
+                yield outbox.backpressure.acquire()
             # The completion event resolves when the record's
             # propagation does; session barriers use the outbox
             # offset instead, so nobody is obligated to consume it.
@@ -251,7 +254,7 @@ class ViewManager:
                 if column in view.watched_columns
             }
             record = outbox.append(view, table, key, update_values, base_ts,
-                                   (collector, extract), completion)
+                                   (collector, extract), completion, heavy)
             if outbox.coalesced != before:
                 self.cluster.trace(
                     "outbox", "coalesced superseded update",
@@ -322,16 +325,13 @@ class ViewManager:
     # -- outbox observability -----------------------------------------------
 
     def outbox_pending(self, view_name: Optional[str] = None) -> int:
-        """Unresolved outbox records, optionally for one view only.
-
-        Folded deltas awaiting a flush count too: lazy maintenance is
-        lag, never divergence."""
+        """Parked and started outbox records, optionally for one view
+        only; heavy records (no token) count like any other."""
         if view_name is None:
-            return (sum(outbox.depth for outbox in self._outboxes.values())
-                    + self.skew.pending_chains())
-        return (sum(outbox.pending_for(view_name)
-                    for outbox in self._outboxes.values())
-                + self.skew.pending_chains(view_name))
+            return sum(outbox.depth + outbox.token_free
+                       for outbox in self._outboxes.values())
+        return sum(outbox.pending_for(view_name)
+                   for outbox in self._outboxes.values())
 
     def outbox_backlog(self, view_name: str) -> int:
         """:meth:`outbox_pending` for one view, less the records
@@ -370,7 +370,7 @@ class ViewManager:
             "max_depth": max(
                 (o.max_depth for o in self._outboxes.values()), default=0),
             "lag": sum(o.lag for o in self._outboxes.values()),
-            "folded": self.folded_propagations,
+            "folded": sum(o.folded for o in self._outboxes.values()),
             "hot_keys": [
                 {"view": chain[0], "key": chain[1], "appends": count}
                 for chain, count in ranked[:hot_key_count]
@@ -389,9 +389,11 @@ class ViewManager:
         }
 
     def skew_stats(self) -> Dict[str, Any]:
-        """Heavy/light maintenance and hot-view cache counters."""
+        """Heavy/light classification and hot-view cache counters, with
+        the records the outboxes folded because of it."""
         stats = self.skew.stats()
-        stats["folded_propagations"] = self.folded_propagations
+        stats["folded_records"] = sum(
+            outbox.folded for outbox in self._outboxes.values())
         return stats
 
     # -- view reads (Algorithm 4 + Section V) ---------------------------------------
@@ -400,8 +402,7 @@ class ViewManager:
                  columns: Tuple[ColumnName, ...], r: int, session=None):
         """Read live rows for ``view_key``; blocks on session barriers."""
         view = self.view(view_name)
-        yield from view_read.read_barrier(self, coordinator, view, view_key,
-                                          session)
+        yield from view_read.read_barrier(self, coordinator, view, session)
         results = yield from view_read.cached_view_get(
             self, coordinator, view, view_key, columns, r)
         return results

@@ -45,6 +45,21 @@ the winner, and its completion event (plus its seq in the watermark
 bookkeeping) resolves when the winner's propagation does, so session
 barriers registered against the older offset remain exact.
 
+Folding
+-------
+
+A record appended as *heavy* (its chain is frequently updated on this
+node, :mod:`repro.views.skew`) coalesces unconditionally.  It supersedes
+the chain's newest parked record whether or not it subsumes it, and
+when nothing is parked behind a started heavy record that is still
+``open`` — waiting out its fold window, not yet working — it rides on
+that one instead.  A survivor that absorbed a record it does not
+subsume is ``folded``: it cannot replay what it stands for, so whoever
+runs it re-drives the base row's current state rather than its own
+update (:func:`repro.views.drive.process_record`).  Intermediate view-key
+transitions of a folded chain are never materialized; LWW makes the
+live row the same.
+
 Backpressure and workers
 ------------------------
 
@@ -54,6 +69,9 @@ backpressure.acquire()`` before appending, so base Puts block — rather
 than queue unboundedly — once the node's maintenance backlog is full.
 Coalescing releases the superseded record's token immediately, which is
 what lets a hot key absorb an arbitrarily long burst in bounded space.
+Heavy records hold no token — a chain has at most a started one and a
+parked one per node, however many Puts they stand for — and are counted
+in ``token_free`` instead of ``depth``.
 
 How many started records *work* at once is the node's finite
 maintenance capacity: :data:`WORKERS` worker slots (``workers``), which
@@ -95,12 +113,13 @@ class OutboxRecord:
 
     __slots__ = ("seq", "view", "table", "key", "update_values", "base_ts",
                  "sources", "completion", "riders", "superseded",
-                 "appended_at")
+                 "appended_at", "heavy", "open", "folded")
 
     def __init__(self, seq: int, view: ViewDefinition, table: str,
                  key: Hashable, update_values: Dict[ColumnName, Any],
                  base_ts: int, source: Tuple[object, object],
-                 completion: Event, appended_at: float = 0.0):
+                 completion: Event, appended_at: float = 0.0,
+                 heavy: bool = False):
         self.seq = seq
         self.view = view
         self.table = table
@@ -116,6 +135,12 @@ class OutboxRecord:
         self.completion = completion
         self.riders: List[Event] = []
         self.superseded = False
+        # Folding (module docstring): a heavy record holds no token and
+        # is ``open`` to riders until whoever runs it closes its window;
+        # ``folded`` once it stands for an update it does not subsume.
+        self.heavy = heavy
+        self.open = heavy
+        self.folded = False
 
     @property
     def chain_key(self) -> Tuple[str, Hashable]:
@@ -174,12 +199,18 @@ class NodeOutbox:
         # when it resolves (and coalescing releases the loser's token).
         self.backpressure = Semaphore(env, tokens=capacity)
         self.workers = Semaphore(env, tokens=WORKERS)
+        # A heavy record's admission, taken by the record itself once
+        # its window is over: no Put waits for it, so heavy records work
+        # one at a time and the other worker stays with the records
+        # clients are blocked on.  One waiting its turn is still open —
+        # a busy node folds more per survivor, not more survivors.
+        self.heavy_turn = Semaphore(env, tokens=1)
         # ``start(outbox, record)`` is called as each record's chain
         # becomes free; whoever runs the record ends with :meth:`done`.
         self._start = start
-        # chain_key -> records parked behind the chain's started record;
-        # a chain has an entry (possibly empty) exactly while one runs.
-        self._parked: Dict[Tuple[str, Hashable], deque] = {}
+        # chain_key -> the chain's started record, then the records
+        # parked behind it; a chain has an entry exactly while one runs.
+        self._chains: Dict[Tuple[str, Hashable], deque] = {}
         # Watermark bookkeeping: seqs resolved above the watermark.
         self._resolved_seqs: Set[int] = set()
         # seq -> record, for every appended-but-unresolved record; the
@@ -191,10 +222,13 @@ class NodeOutbox:
         # Observability.
         self.appended = 0          # == last assigned seq
         self.coalesced = 0
+        self.folded = 0            # coalesced without being subsumed
         self.low_watermark = 0     # every seq <= this has resolved
-        self.depth = 0             # parked + started records
+        self.depth = 0             # parked + started records with a token
         self.max_depth = 0
-        self.view_depths: Dict[str, int] = {}
+        self.token_free = 0        # parked + started heavy records
+        self.max_token_free = 0
+        self.view_depths: Dict[str, int] = {}   # both kinds, per view
         # Per view, started records sleeping in a retry backoff with
         # their worker slot given back (views.drive keeps the count).
         self.backing_off: Dict[str, int] = defaultdict(int)
@@ -206,58 +240,89 @@ class NodeOutbox:
 
     def append(self, view: ViewDefinition, table: str, key: Hashable,
                update_values: Dict[ColumnName, Any], base_ts: int,
-               source: Tuple[object, object],
-               completion: Event) -> OutboxRecord:
-        """Append one record (caller holds a backpressure token).
+               source: Tuple[object, object], completion: Event,
+               heavy: bool = False) -> OutboxRecord:
+        """Append one record (caller holds a backpressure token, unless
+        the record is ``heavy``).
 
         Attempts to coalesce with the newest parked record of the same
         ``(view, key)`` chain; on success the older record is marked
         superseded, rides on the new one, and its token is released.
-        Starts the record at once if its chain is free.
+        A heavy record coalesces unconditionally, or rides on the
+        started record whose window is open (module docstring,
+        *Folding*).  Starts the record at once if its chain is free.
         """
         self.appended += 1
         record = OutboxRecord(self.appended, view, table, key,
                               dict(update_values), base_ts, source,
-                              completion, appended_at=self.env.now)
+                              completion, appended_at=self.env.now,
+                              heavy=heavy)
         self._unresolved[record.seq] = record
         completion.add_callback(lambda _event: self._mark_resolved(record.seq))
         chain = record.chain_key
         self.chain_appends[chain] = self.chain_appends.get(chain, 0) + 1
-        parked = self._parked.get(chain)
-        target = parked[-1] if parked else None
-        if target is not None and record.supersedes(target):
-            target.superseded = True
-            record.sources = target.sources + record.sources
-            record.riders = [*target.riders, target.completion]
-            target.riders = []
-            self.coalesced += 1
-            self.depth -= 1
-            self.view_depths[view.name] -= 1
-            self.backpressure.release()
-        self.depth += 1
-        self.view_depths[view.name] = self.view_depths.get(view.name, 0) + 1
-        if self.depth > self.max_depth:
-            self.max_depth = self.depth
-        if parked is None:
-            self._parked[chain] = deque()
-            self._start(self, record)
+        queue = self._chains.get(chain)
+        if queue is None:
+            queue = self._chains[chain] = deque()
+        elif len(queue) == 1:
+            # The started record is no coalesce target, except for a
+            # heavy record while its fold window is open.
+            started = queue[0]
+            if heavy and started.open:
+                record.superseded = True
+                started.riders.append(completion)
+                started.folded = True
+                self.coalesced += 1
+                self.folded += 1
+                return record
         else:
-            parked.append(record)
+            target = queue[-1]
+            subsumes = record.supersedes(target)
+            if subsumes or heavy:
+                target.superseded = True
+                record.sources = target.sources + record.sources
+                record.riders = [*target.riders, target.completion]
+                target.riders = []
+                record.folded = target.folded or not subsumes
+                if heavy:
+                    # The survivor dates from the oldest update it
+                    # stands for (staleness, wound origin).
+                    record.appended_at = target.appended_at
+                self.coalesced += 1
+                self.folded += not subsumes
+                self._count(target, -1)
+                if not target.heavy:
+                    self.backpressure.release()
+                queue.pop()
+        queue.append(record)
+        self._count(record, +1)
+        if len(queue) == 1:
+            self._start(self, record)
         return record
 
     def done(self, record: OutboxRecord) -> None:
         """Finish a started record: start its chain's next parked record
-        (superseded ones were resolved by their winner; nothing to run)."""
-        chain = record.chain_key
-        self.depth -= 1
-        self.view_depths[record.view.name] -= 1
-        parked = self._parked[chain]
-        while parked:
-            successor = parked.popleft()
-            if not successor.superseded:
-                self._start(self, successor)
-                return
-        del self._parked[chain]
+        (superseded ones left the queue when they were coalesced)."""
+        queue = self._chains[record.chain_key]
+        queue.popleft()
+        self._count(record, -1)
+        if queue:
+            self._start(self, queue[0])
+        else:
+            del self._chains[record.chain_key]
+
+    def _count(self, record: OutboxRecord, sign: int) -> None:
+        """One record entering (+1) or leaving (-1) the chain queues."""
+        name = record.view.name
+        self.view_depths[name] = self.view_depths.get(name, 0) + sign
+        if record.heavy:
+            self.token_free += sign
+            if self.token_free > self.max_token_free:
+                self.max_token_free = self.token_free
+        else:
+            self.depth += sign
+            if self.depth > self.max_depth:
+                self.max_depth = self.depth
 
     # -- watermark ---------------------------------------------------------
 
@@ -277,7 +342,7 @@ class NodeOutbox:
         return self.appended - self.low_watermark
 
     def pending_for(self, view_name: str) -> int:
-        """Unresolved records targeting ``view_name``."""
+        """Parked and started records targeting ``view_name``."""
         return self.view_depths.get(view_name, 0)
 
     def unresolved_for(self, view_name: str

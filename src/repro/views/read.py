@@ -119,9 +119,10 @@ def view_get(env, coordinator, view: ViewDefinition, view_key: Any,
         yield env.timeout(_SPIN_INTERVAL)
 
 
-def read_barrier(manager, coordinator, view: ViewDefinition, view_key: Any,
-                 session):
-    """Session barrier + lazy-delta flush preceding any view read."""
+def read_barrier(manager, coordinator, view: ViewDefinition, session):
+    """The session barrier preceding a view read.  Records of a heavy
+    chain resolve when the survivor they fold into does, so the offsets
+    a session registered are barrier enough for lazy maintenance too."""
     if session is not None:
         if session.coordinator_id != coordinator.node.node_id:
             raise SessionError(
@@ -136,11 +137,6 @@ def read_barrier(manager, coordinator, view: ViewDefinition, view_key: Any,
                                   session=session.session_id,
                                   pending=pending)
         yield from manager.sessions.barrier(session, view.name)
-    # Merge-on-read: lazy (heavy-key) deltas that could hide this
-    # view key's live rows must materialize before the read — the
-    # session barrier above only waited for records to *resolve*,
-    # which for a folded record happens at fold time.
-    yield from manager.skew.flush_for_read(coordinator, view, view_key)
 
 
 def cached_view_get(manager, coordinator, view: ViewDefinition,

@@ -169,17 +169,17 @@ def test_skew_adaptive_alone_selects_the_measured_policy(quick):
     """E5's adaptive column is what ``skew_adaptive=True`` gives by
     itself: the tracker constants are the values it was measured under,
     not a second policy nobody runs."""
-    from repro.experiments.ext_skew import (
-        adaptive_overrides,
-        run_skew_point,
-        skew_config,
-    )
-    from repro.views import skew
+    from repro.experiments.calibration import experiment_config
+    from repro.experiments.ext_skew import adaptive_overrides, run_skew_point
+    from repro.views import drive, skew
 
-    bare = skew_config(0, skew_adaptive=True, view_cache_capacity=64)
+    bare = experiment_config(seed=0, skew_adaptive=True,
+                             view_cache_capacity=64)
     # Equal configs run the same cell: the simulation is a function of
     # its config (tests/views/test_determinism.py).
-    assert bare == skew_config(0, **adaptive_overrides())
+    assert bare == experiment_config(seed=0, **adaptive_overrides())
+    # Both columns run under the one round budget there is.
+    assert drive.MAX_ROUNDS == 200
     assert (skew.PROMOTE_THRESHOLD, skew.DEMOTE_THRESHOLD,
             skew.DECAY_HALF_LIFE, skew.FOLD_INTERVAL
             ) == (2.0, 1.0, 800.0, 20.0)

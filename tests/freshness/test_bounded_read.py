@@ -59,7 +59,8 @@ def test_bound_hit_serves_from_the_view():
 
 def test_escalation_compensates_a_lost_data_update(monkeypatch):
     """A wounded chain's stale payload is healed from the base table."""
-    cluster, client = build(propagation_max_rounds=3)
+    monkeypatch.setattr(drive, "MAX_ROUNDS", 3)
+    cluster, client = build()
     client.put("T", "k1", {"sec": "s1", "payload": "old"}, w=2)
     client.settle()
 
@@ -100,7 +101,8 @@ def test_escalation_compensates_a_lost_data_update(monkeypatch):
 def test_escalation_drops_a_row_the_base_moved_away(monkeypatch):
     """A lost view-key move: the stale row under the old view key must
     not be served by a bounded read."""
-    cluster, client = build(propagation_max_rounds=3)
+    monkeypatch.setattr(drive, "MAX_ROUNDS", 3)
+    cluster, client = build()
     client.put("T", "k1", {"sec": "s1", "payload": "p0"}, w=2)
     client.settle()
 
@@ -124,7 +126,8 @@ def test_escalation_drops_a_row_the_base_moved_away(monkeypatch):
 
 
 def test_escalation_compensates_every_lagging_key(monkeypatch):
-    cluster, client = build(propagation_max_rounds=3)
+    monkeypatch.setattr(drive, "MAX_ROUNDS", 3)
+    cluster, client = build()
     for key in ("k1", "k2"):
         client.put("T", key, {"sec": "s1", "payload": "old"}, w=2)
     client.settle()
@@ -161,7 +164,8 @@ def test_negative_bound_is_rejected():
 
 
 def test_snapshot_surfaces_freshness_counters(monkeypatch):
-    cluster, client = build(propagation_max_rounds=3)
+    monkeypatch.setattr(drive, "MAX_ROUNDS", 3)
+    cluster, client = build()
     client.put("T", "k1", {"sec": "s1", "payload": "old"}, w=2)
     client.settle()
     break_propagation(cluster, monkeypatch)

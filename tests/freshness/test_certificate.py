@@ -17,11 +17,7 @@ class _Clock:
 
 def make_tracker():
     clock = _Clock()
-    manager = SimpleNamespace(
-        env=clock,
-        _outboxes={},
-        skew=SimpleNamespace(pending_sources=lambda view_name: []),
-    )
+    manager = SimpleNamespace(env=clock, _outboxes={})
     return FreshnessTracker(manager), clock
 
 
@@ -161,8 +157,7 @@ def test_unresolved_outbox_record_is_a_source():
     outbox = NodeOutbox(env, node_id=0, capacity=4,
                         start=lambda _outbox, _record: None)
     tracker = FreshnessTracker(SimpleNamespace(
-        env=env, _outboxes={0: outbox},
-        skew=SimpleNamespace(pending_sources=lambda view_name: [])))
+        env=env, _outboxes={0: outbox}))
     env.run(until=10.0)
     record = outbox.append(ViewDefinition("V", "T", "vk", ("m",)), "T", "k1",
                            {"m": "x"}, 100, (None, None), env.event())
@@ -179,12 +174,12 @@ def test_lagging_keys_min_merges_per_key():
     sources = [
         StaleSource("k1", 40.0, "outbox-lag"),
         StaleSource("k1", 20.0, "crash-lost"),
-        StaleSource("k2", 80.0, "fold-backlog"),
+        StaleSource("k2", 80.0, "retries-abandoned"),
         StaleSource("k3", 95.0, "outbox-lag"),
     ]
     lagging = FreshnessTracker.lagging_keys(sources, horizon=90.0)
     assert lagging == [("k1", 20.0, "crash-lost"),
-                       ("k2", 80.0, "fold-backlog")]
+                       ("k2", 80.0, "retries-abandoned")]
 
 
 def test_residual_certificate_after_full_compensation():

@@ -12,6 +12,8 @@ certificate time, with no lost-propagation excuse — compensation has to
 cover exactly what the failures broke.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,14 +25,22 @@ from repro.scenarios import (
     ScenarioWorkload,
     default_config,
 )
+from repro.views import drive
 
 pytestmark = pytest.mark.scenario
+
+
+@pytest.fixture(autouse=True, scope="module")
+def shorter_round_budget():
+    # Module-scoped: hypothesis rejects function-scoped fixtures.
+    with mock.patch.object(drive, "MAX_ROUNDS", 20):
+        yield
 
 
 def run_storm(*, seed, ops, bounded_fraction=0.3):
     scenario = Scenario(
         f"freshness-property-{seed}",
-        config=default_config(seed=seed, propagation_max_rounds=20),
+        config=default_config(seed=seed),
         workload=ScenarioWorkload(ops=ops,
                                   bounded_read_fraction=bounded_fraction),
         adversaries=[BurstArrivals(), CrashLoop(victim=0)],

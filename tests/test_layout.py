@@ -41,8 +41,27 @@ def test_there_is_one_limit_on_running_propagations(word):
     assert _files_mentioning(word) == []
 
 
+@pytest.mark.parametrize("word", [
+    "flush_for_read", "PendingDelta", "FLUSH_MAX_ATTEMPTS",
+])
+def test_lazy_maintenance_rides_the_outbox(word):
+    """A heavy chain's fold is the outbox's coalescing rule and its
+    flush is the surviving record's own run: no second queue, retry
+    policy or read barrier beside the outbox's."""
+    assert _files_mentioning(word) == []
+
+
+def test_skew_service_is_a_classifier():
+    """``views/skew.py`` decides what is heavy and caches hot reads; it
+    drives nothing and starts no process."""
+    source = (SRC / "views" / "skew.py").read_text()
+    assert "repropagate_row" not in source
+    assert "env.process" not in source
+    assert source.count("\n") <= 330
+
+
 def test_config_and_snapshot_stay_small():
-    assert len(dataclasses.fields(ClusterConfig)) <= 18
+    assert len(dataclasses.fields(ClusterConfig)) <= 17
     assert len(dataclasses.fields(ClusterSnapshot)) <= 18
 
 

@@ -112,8 +112,6 @@ def test_config_validation():
         ClusterConfig(propagation_concurrency="bogus")
     with pytest.raises(ValueError):
         ClusterConfig(cores_per_node=0)
-    with pytest.raises(ValueError):
-        ClusterConfig(propagation_max_rounds=0)
 
 
 @pytest.mark.parametrize("field", [
@@ -124,7 +122,7 @@ def test_config_validation():
     "propagation_retry_backoff", "propagation_retry_backoff_cap",
     "rpc_timeout", "skew_promote_threshold", "skew_demote_threshold",
     "skew_decay_half_life", "skew_fold_interval",
-    "freshness_compensation_limit",
+    "freshness_compensation_limit", "propagation_max_rounds",
 ])
 def test_single_valued_knobs_are_not_config_fields(field):
     """No caller ever set these to anything but the default; they are

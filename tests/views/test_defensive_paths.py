@@ -99,11 +99,12 @@ def test_reader_waits_out_a_clearing_init_marker():
 
 def test_propagation_gives_up_loudly_after_max_rounds(monkeypatch):
     """A guess set that can never succeed must abort with a clear error
-    after propagation_max_rounds, not hang."""
+    after drive.MAX_ROUNDS, not hang."""
     from repro.errors import ProcessError
 
     monkeypatch.setattr(drive, "RETRY_BACKOFF", 0.1)
-    cluster = Cluster(make_config(propagation_max_rounds=3))
+    monkeypatch.setattr(drive, "MAX_ROUNDS", 3)
+    cluster = Cluster(make_config())
     cluster.create_table("T")
     cluster.create_view(VIEW)
     manager = cluster.view_manager

@@ -84,7 +84,7 @@ def test_paced_history_is_byte_identical(monkeypatch):
     monkeypatch.setattr(skew, "PROMOTE_THRESHOLD", 6.0)
     adaptive, adaptive_result = run_mode(True, ops)
     eager, eager_result = run_mode(False, ops)
-    assert adaptive.cluster.view_manager.folded_propagations == 0
+    assert adaptive.cluster.view_manager.outbox_stats()["folded"] == 0
     assert adaptive_result.base_digest == eager_result.base_digest
     assert adaptive_result.view_digest == eager_result.view_digest
     assert (state_digest(adaptive.cluster, "T")
@@ -99,7 +99,7 @@ def test_hot_history_matches_live_state_and_reads():
     eager, eager_result = run_mode(False, ops)
     # The hot key actually promoted and folded — the differential would
     # be vacuous otherwise.
-    assert adaptive.cluster.view_manager.folded_propagations > 0
+    assert adaptive.cluster.view_manager.outbox_stats()["folded"] > 0
     # Base tables are byte-identical regardless of maintenance mode.
     assert adaptive_result.base_digest == eager_result.base_digest
     # Live view content is identical even though the backing tables

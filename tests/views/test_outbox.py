@@ -191,15 +191,18 @@ def test_outbox_stats_shape():
 
 def _bare_outbox():
     """A NodeOutbox whose start callable only records what it was
-    handed, plus an appender for base row 0."""
+    handed, plus an appender for base row 0 (which takes the token a
+    light record's Put would have)."""
     env = Environment()
     started = []
     outbox = NodeOutbox(env, node_id=0, capacity=8,
                         start=lambda _outbox, record: started.append(record))
 
-    def append(**values):
+    def append(heavy=False, **values):
+        if not heavy:
+            outbox.backpressure.acquire()
         return outbox.append(VIEW, "T", 0, values, 100 + outbox.appended,
-                             (None, None), env.event())
+                             (None, None), env.event(), heavy)
     return outbox, started, append
 
 
@@ -235,6 +238,66 @@ def test_superseded_parked_records_never_start():
     assert started == [first, third]
     outbox.done(third)
     assert outbox.depth == 0 and len(started) == 2
+
+
+def test_heavy_records_fold_into_one_survivor_without_tokens():
+    """A heavy record rides on the started one while its window is
+    open, and supersedes the parked one after — view-key moves
+    included, which a light record never coalesces.  None of them holds
+    a token; the survivors know they cannot replay what they absorbed
+    and date from the oldest update they stand for."""
+    outbox, started, append = _bare_outbox()
+    env = outbox.env
+    first = append(heavy=True, vk="a")
+    assert started == [first] and first.open and not first.folded
+    rider = append(heavy=True, vk="b")
+    assert rider.superseded and first.riders == [rider.completion]
+    assert first.folded
+    first.open = False                  # whoever runs it starts working
+    env.run(until=5.0)
+    parked = append(heavy=True, vk="c")
+    env.run(until=9.0)
+    survivor = append(heavy=True, vk="d")
+    assert parked.superseded and not survivor.superseded
+    assert survivor.folded and survivor.appended_at == 5.0
+    assert survivor.riders == [parked.completion]
+    assert (outbox.coalesced, outbox.folded) == (2, 2)
+    assert (outbox.depth, outbox.token_free) == (0, 2)
+    assert outbox.backpressure.tokens == 8
+    outbox.done(first)
+    assert started == [first, survivor]
+    outbox.done(survivor)
+    assert outbox.token_free == 0 and outbox.pending_for(VIEW.name) == 0
+    # All four seqs resolve with their survivors.
+    first.resolve()
+    survivor.resolve()
+    env.run()
+    assert outbox.low_watermark == 4 and outbox.lag == 0
+
+
+def test_heavy_record_takes_over_a_light_parked_records_place():
+    """A chain that turns heavy with light records still parked: the
+    heavy record supersedes the newest of them and gives its token
+    back; one that subsumes its target stays replayable."""
+    outbox, started, append = _bare_outbox()
+    first, second = append(vk="a"), append(vk="b")
+    assert outbox.backpressure.tokens == 6
+    heavy = append(heavy=True, vk="c")
+    assert second.superseded and heavy.folded
+    assert outbox.backpressure.tokens == 7
+    assert (outbox.depth, outbox.token_free) == (1, 1)
+    same = append(heavy=True, vk="c", m="x")
+    assert heavy.superseded and same.folded      # inherited
+    assert (outbox.coalesced, outbox.folded) == (2, 1)
+    outbox.done(first)
+    assert started == [first, same]
+
+    other, started, append = _bare_outbox()
+    append(m="v0")
+    parked = append(heavy=True, m="v1")
+    refresh = append(heavy=True, m="v2")
+    assert parked.superseded and not refresh.folded
+    assert (other.coalesced, other.folded) == (1, 0)
 
 
 def test_chain_order_survives_busy_consumers_end_to_end():

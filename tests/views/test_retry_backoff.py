@@ -7,7 +7,7 @@ the tests that need other values monkeypatch them)
 and jitters each delay into ``[d/2, d)`` from the deterministic
 ``view-propagation`` RNG stream — so retries spread out, while identical
 seeds still replay identically.  A propagation that fails every round
-is abandoned after ``propagation_max_rounds``, and while it sleeps
+is abandoned after ``drive.MAX_ROUNDS``, and while it sleeps
 between rounds it holds none of the node's maintenance workers.
 """
 
@@ -108,7 +108,8 @@ def _fail_rounds_for(monkeypatch, cluster, wedged_keys):
 
 
 def test_round_budget_exhaustion_is_retries_abandoned(monkeypatch):
-    cluster = build(propagation_max_rounds=6)
+    monkeypatch.setattr(drive, "MAX_ROUNDS", 6)
+    cluster = build()
     rounds = _fail_rounds_for(monkeypatch, cluster, ["k1"])
     client = cluster.sync_client(coordinator_id=1)
     client.put("T", "k1", {"vk": "s1", "m": "p"}, w=2)
@@ -147,7 +148,8 @@ def test_guess_refresh_with_every_base_replica_down_is_one_more_failed_round(
     row's replicas.  With all of them down that read is unavailable — a
     transient shortfall like any failed round, not an error that may
     escape the record's process and abort the run."""
-    cluster = build(propagation_max_rounds=6)
+    monkeypatch.setattr(drive, "MAX_ROUNDS", 6)
+    cluster = build()
     rounds = _fail_rounds_for(monkeypatch, cluster, ["k1"])
     replicas = {node.node_id for node in cluster.replicas_for("T", "k1")}
     (outsider,) = set(range(cluster.config.nodes)) - replicas
