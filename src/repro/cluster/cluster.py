@@ -22,7 +22,11 @@ from typing import (
 
 from repro.cluster.antientropy import repair_row, repair_table
 from repro.cluster.config import ClusterConfig
-from repro.cluster.coordinator import Coordinator, QuorumDeadlines
+from repro.cluster.coordinator import (
+    READ_HEDGE,
+    Coordinator,
+    QuorumDeadlines,
+)
 from repro.cluster.hints import HintService
 from repro.cluster.network import Network
 from repro.cluster.node import StorageNode
@@ -66,8 +70,10 @@ class Cluster:
         self.hints = HintService(self)
         self._placement_cache: Dict[Tuple[str, Hashable],
                                     Tuple[StorageNode, ...]] = {}
-        # One deadline queue for every quorum round of the cluster.
+        # One deadline queue for every quorum round of the cluster, and
+        # one for the hedge of every read that skipped a replica.
         self.quorum_deadlines = QuorumDeadlines(self.env)
+        self.read_hedges = QuorumDeadlines(self.env, READ_HEDGE)
         self._coordinators = [Coordinator(node, self) for node in self.nodes]
         self._next_client_id = 0
         self._next_coordinator = 0

@@ -1,11 +1,20 @@
 """Coordinator logic: quorum scatter/gather over replica sets.
 
-Any node can coordinate any request (multi-master, paper Section II).  The
-coordinator broadcasts to all N replicas of the target key, waits for the
-first W acknowledgements (Put) or R responses (Get), merges responses by
-timestamp, and returns.  Late responses keep arriving in the background —
-:class:`ResponseCollector` tracks them, which is exactly what Algorithm 1
-needs when it keeps collecting view-key versions after acking the client.
+Any node can coordinate any request (multi-master, paper Section II).  A
+Put is broadcast to all N replicas of the target key and returns on the
+first W acknowledgements.  A Get is sent to R of the alive replicas —
+the coordinator's own node first when it is one, the others taken in
+turn — and returns their answers merged by timestamp; the replicas it
+skipped are asked only if those R answers are not all in
+:data:`READ_HEDGE` after the request went out, so a healthy R = 1 read
+is one RPC and a lost message, a partition or a gray-slow replica costs
+the hedge plus a round trip, not :data:`RPC_TIMEOUT`.  Any R of N
+intersect a write quorum as well as the first R of N do.
+
+The one broadcast read left is Algorithm 1's (``scatter_read(...,
+every_replica=True)``): it wants every replica's view-key version, and
+late responses keep arriving in the background —
+:class:`ResponseCollector` tracks them — after the client was acked.
 
 Also implements the eventual-delivery helpers: read repair and hinted
 handoff.
@@ -34,18 +43,28 @@ from repro.common.quorum import validate_quorum
 from repro.errors import QuorumError, UnavailableError
 from repro.sim.kernel import Environment, Event
 
-__all__ = ["RPC_TIMEOUT", "QuorumDeadlines", "ResponseCollector",
-           "Coordinator"]
+__all__ = ["RPC_TIMEOUT", "READ_HEDGE", "QuorumDeadlines",
+           "ResponseCollector", "Coordinator"]
 
 # A quorum round fails if fewer than the required responses arrive
 # within this budget (ms).
 RPC_TIMEOUT = 200.0
 
+# A quorum read asks the replicas it skipped if the R it asked have not
+# all answered within this long (ms).  Far inside RPC_TIMEOUT, and
+# beyond what a read waits in a saturated but healthy replica's CPU
+# queue: a hedge sent to a cluster that is merely busy adds two reads to
+# it (at 5 ms the skewed mvbench workload hedged 2.5 % of its reads and
+# lost 13 % of its throughput to them; at 20 ms none).
+READ_HEDGE = 20.0
+
 
 class QuorumDeadlines:
-    """The :data:`RPC_TIMEOUT` of every quorum round of one cluster.
+    """One delay, kept for every quorum round of one cluster: the
+    :data:`RPC_TIMEOUT` of every round, and (a second instance) the
+    :data:`READ_HEDGE` of every read that skipped a replica.
 
-    The timeout is one value per cluster, so deadlines fall due in the
+    The delay is one value per queue, so deadlines fall due in the
     order their collectors were created: a FIFO of collectors and a
     single armed timer, for the oldest collector still unsettled, stand
     in for a timer per round.  A collector that settles in time costs
@@ -57,13 +76,15 @@ class QuorumDeadlines:
     def __init__(self, env: Environment, timeout: float = RPC_TIMEOUT):
         self.env = env
         self.timeout = timeout
-        # (deadline, collector), oldest first; the timer is armed for
+        # (deadline, watched), oldest first; the timer is armed for
         # the head whenever the queue is not empty.
-        self._queue: Deque[Tuple[float, "ResponseCollector"]] = deque()
+        self._queue: Deque[Tuple[float, object]] = deque()
 
-    def watch(self, collector: "ResponseCollector") -> None:
-        """Expire ``collector`` ``timeout`` from now unless it settles."""
-        self._queue.append((self.env.now + self.timeout, collector))
+    def watch(self, watched) -> None:
+        """Call ``watched._expire()`` ``timeout`` from now unless its
+        ``is_settled`` turns true first (a :class:`ResponseCollector`,
+        or the :class:`_Hedge` of one)."""
+        self._queue.append((self.env.now + self.timeout, watched))
         if len(self._queue) == 1:
             self._arm()
 
@@ -88,7 +109,7 @@ class ResponseCollector:
     ``wait(count)`` returns an event that fires with the first ``count``
     responses (or fails with :class:`QuorumError` if the cluster's
     :data:`RPC_TIMEOUT` — kept by ``deadlines`` — passes first).  ``settled``
-    fires once every replica has responded or the timeout expired,
+    fires once every replica asked has responded or the timeout expired,
     carrying all responses received by then — Algorithm 1 uses this to
     keep gathering view-key guesses after the client was acked.
 
@@ -149,10 +170,12 @@ class ResponseCollector:
                 event.succeed_now(list(self.responses))
         return event
 
-    @property
-    def response_count(self) -> int:
-        """Responses received so far."""
-        return len(self.responses)
+    def extend(self, events: List[Event]) -> None:
+        """More replicas were asked (a read's hedge): their replies
+        count with the first ones', and ``settled`` waits for them."""
+        self._total += len(events)
+        for event in events:
+            event.add_callback(self._on_response)
 
     # -- internals -----------------------------------------------------------
 
@@ -212,6 +235,33 @@ class ResponseCollector:
                 self._settled.defuse().fail(exc)
 
 
+class _Hedge:
+    """The replicas one quorum read skipped, on the cluster's
+    :data:`READ_HEDGE` queue: asked if the read has not settled — its R
+    answers all in — by the time the queue calls."""
+
+    __slots__ = ("coordinator", "collector", "skipped", "request")
+
+    def __init__(self, coordinator: "Coordinator",
+                 collector: ResponseCollector, skipped, request):
+        self.coordinator = coordinator
+        self.collector = collector
+        self.skipped = skipped
+        self.request = request
+
+    @property
+    def is_settled(self) -> bool:
+        return self.collector.is_settled
+
+    def _expire(self) -> None:
+        if not self.collector.is_settled:
+            coordinator = self.coordinator
+            coordinator.hedged_reads += 1
+            coordinator._collect(
+                [node for node in self.skipped if not node.is_down],
+                self.request, into=self.collector)
+
+
 class Coordinator:
     """The coordination role of one storage node."""
 
@@ -220,22 +270,36 @@ class Coordinator:
         self.cluster = cluster
         self.env = cluster.env
         self.config = cluster.config
+        # Reads that skipped a replica: counted to take the other
+        # replicas in turn, and how many of them had to hedge.
+        self._partial_reads = 0
+        self.hedged_reads = 0
 
     # -- scatter primitives ----------------------------------------------------
 
-    def _collect(self, nodes, request) -> ResponseCollector:
+    def _collect(self, nodes, request,
+                 into: Optional[ResponseCollector] = None
+                 ) -> ResponseCollector:
         """Send ``request`` to each of ``nodes``; one collector for the
-        replies, its timeout kept by the cluster's deadline queue."""
+        replies (``into``, when they join a round already under way),
+        its timeout kept by the cluster's deadline queue."""
         rpc = self.cluster.network.rpc
         src_id = self.node.node_id
-        return ResponseCollector(
-            self.env, [rpc(src_id, node, request) for node in nodes],
-            self.cluster.quorum_deadlines)
+        events = [rpc(src_id, node, request) for node in nodes]
+        if into is not None:
+            into.extend(events)
+            return into
+        return ResponseCollector(self.env, events,
+                                 self.cluster.quorum_deadlines)
 
     def _scatter(self, table: str, key: Hashable, request, required: int,
-                 kind: str, hint: Optional[WriteRequest] = None
-                 ) -> ResponseCollector:
-        """Broadcast ``request`` to the alive replicas of ``key``.
+                 kind: str, hint: Optional[WriteRequest] = None,
+                 every_replica: bool = True) -> ResponseCollector:
+        """Send ``request`` to the alive replicas of ``key``: all of
+        them, or with ``every_replica`` false (a quorum read) to
+        ``required`` of them — this node first if it is one, the others
+        in turn — and to the rest only if those have not all answered
+        after :data:`READ_HEDGE`.
 
         Raises :class:`UnavailableError` if fewer than ``required``
         replicas are alive.  With ``hint`` (a write), down replicas get
@@ -253,7 +317,19 @@ class Coordinator:
                 if replica.is_down:
                     self.cluster.hints.add(self.node.node_id,
                                            replica.node_id, hint)
-        return self._collect(alive, request)
+        if every_replica or len(alive) == required:
+            return self._collect(alive, request)
+        node = self.node
+        others = [replica for replica in alive if replica is not node]
+        self._partial_reads += 1
+        turn = self._partial_reads % len(others)
+        order = others[turn:] + others[:turn]
+        if len(others) < len(alive):
+            order.insert(0, node)
+        collector = self._collect(order[:required], request)
+        self.cluster.read_hedges.watch(
+            _Hedge(self, collector, order[required:], request))
+        return collector
 
     def scatter_write(self, table: str, key: Hashable,
                       cells: Dict[ColumnName, Cell],
@@ -268,18 +344,21 @@ class Coordinator:
         return self._scatter(table, key, request, required, "W", hint=request)
 
     def scatter_read(self, table: str, key: Hashable,
-                     columns: Tuple[ColumnName, ...],
-                     required: int) -> ResponseCollector:
-        """Broadcast a column read to all alive replicas of ``key``."""
+                     columns: Tuple[ColumnName, ...], required: int,
+                     every_replica: bool = False) -> ResponseCollector:
+        """Send a column read to ``required`` alive replicas of ``key``
+        (the rest on a hedge), or with ``every_replica`` — Algorithm 1,
+        which wants each replica's version — to all of them."""
         return self._scatter(table, key,
                              ReadRequest(table, key, tuple(columns)),
-                             required, "R")
+                             required, "R", every_replica=every_replica)
 
     def scatter_read_row(self, table: str, key: Hashable,
                          required: int) -> ResponseCollector:
-        """Broadcast a whole-row read to all alive replicas of ``key``."""
+        """Send a whole-row read to ``required`` alive replicas of
+        ``key`` (the rest on a hedge)."""
         return self._scatter(table, key, ReadRowRequest(table, key),
-                             required, "R")
+                             required, "R", every_replica=False)
 
     def scatter_get_then_put(self, table: str, key: Hashable,
                              cells: Dict[ColumnName, Cell],

@@ -179,9 +179,9 @@ class StorageNode:
         return ReadResponse(self.node_id, cells)
 
     def _handle_read_row(self, request: ReadRowRequest):
-        cells = self.engine.read_row(request.table, request.key)
-        yield self.charge(self.service.read_cost(max(1, len(cells))))
-        # Re-read after the service delay so the response reflects the
+        width = self.engine.row_width(request.table, request.key)
+        yield self.charge(self.service.read_cost(max(1, width)))
+        # Read after the service delay so the response reflects the
         # state at completion time (the delay models work, not staleness).
         cells = self.engine.read_row(request.table, request.key)
         return ReadRowResponse(self.node_id, cells)

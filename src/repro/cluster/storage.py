@@ -93,6 +93,12 @@ class LocalStorageEngine:
             return {}
         return dict(row.items())
 
+    def row_width(self, table: str, key: Hashable) -> int:
+        """How many cells the row holds (0 if absent): what a whole-row
+        read is priced by, without copying the row."""
+        row = self._table(table).get(key)
+        return 0 if row is None else len(row)
+
     def keys(self, table: str) -> Iterator[Hashable]:
         """Iterate over locally stored row keys of ``table``."""
         return iter(self._table(table))

@@ -251,7 +251,8 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
             # transient shortfall, so keep the guesses in hand.
             try:
                 collector = coordinator.scatter_read(
-                    table, key, (view.view_key_column,), 1)
+                    table, key, (view.view_key_column,), 1,
+                    every_replica=True)
             except QuorumError:
                 continue
             responses = yield collector.settled

@@ -222,8 +222,10 @@ class ViewManager:
                 return response.pre_cells.get(column)
         else:
             # The prototype's two-step path (Alg. 1 lines 2-3): Get the
-            # current view keys, then Put.
-            collector = coordinator.scatter_read(table, key, read_columns, w)
+            # current view keys — every replica's version, so all N are
+            # asked — then Put.
+            collector = coordinator.scatter_read(table, key, read_columns, w,
+                                                 every_replica=True)
             yield collector.wait(w)
             put_collector = coordinator.scatter_write(table, key, cells, w)
             yield put_collector.wait(w)

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.cluster.coordinator import QuorumDeadlines, ResponseCollector
+from repro.cluster.coordinator import (
+    READ_HEDGE,
+    RPC_TIMEOUT,
+    QuorumDeadlines,
+    ResponseCollector,
+)
 from repro.common import Cell
 from repro.errors import QuorumError, UnavailableError
 from repro.sim import Environment
@@ -315,7 +320,11 @@ def test_collectors_created_in_the_same_instant_all_expire():
 def test_healthy_quorum_rounds_leave_no_timers_on_the_heap():
     """Eight closed-loop clients, 2,000 rounds: a timer per round would
     keep ``RPC_TIMEOUT`` worth of dead entries on the heap (~1,800 at
-    this rate); the deadline queue keeps one."""
+    this rate); the deadline queue keeps one.  Every Get here skips a
+    replica (R = 1 and R = 2 in turn), so each is also on the hedge
+    queue: a hedge timer per read would add ``READ_HEDGE`` worth
+    (~28 on top of the 26 seen); that queue keeps one as well, and no
+    hedge fires."""
     cluster = Cluster(ClusterConfig(seed=3))
     cluster.create_table("T")
     env = cluster.env
@@ -329,7 +338,7 @@ def test_healthy_quorum_rounds_leave_no_timers_on_the_heap():
         for i in range(250):
             key = f"k{(index * 7 + i) % 40}"
             if i % 2:
-                yield from handle.get("T", key, ("c",), r=2)
+                yield from handle.get("T", key, ("c",), r=1 + i // 2 % 2)
             else:
                 yield from handle.put("T", key, {"c": i}, w=2)
             rounds[0] += 1
@@ -339,7 +348,9 @@ def test_healthy_quorum_rounds_leave_no_timers_on_the_heap():
         env.process(client(cluster.client(), index))
     cluster.run_until_idle()
     assert rounds[0] == 2000
-    assert deepest[0] < 64
+    assert deepest[0] < 40
+    assert not cluster.read_hedges._queue
+    assert hedges_fired(cluster) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +362,11 @@ def build_cluster(**overrides):
     cluster = Cluster(make_config(**overrides))
     cluster.create_table("T")
     return cluster
+
+
+def hedges_fired(cluster) -> int:
+    return sum(cluster.coordinator(node.node_id).hedged_reads
+               for node in cluster.nodes)
 
 
 def run_proc(cluster, generator):
@@ -499,6 +515,157 @@ def test_get_row_merges_all_columns():
     merged = run_proc(cluster, coordinator.get_row("T", "k", r=3))
     assert merged["a"].value == 1
     assert merged["b"].value == 2
+
+
+# ---------------------------------------------------------------------------
+# A quorum Get asks R replicas; the rest only on a hedge
+# ---------------------------------------------------------------------------
+
+
+def replica_and_outsider(cluster, key="k"):
+    """``(a coordinator that is a replica of key, one that is not)``."""
+    replicas = cluster.replicas_for("T", key)
+    (outsider,) = [node for node in cluster.nodes if node not in replicas]
+    return (cluster.coordinator(replicas[0].node_id),
+            cluster.coordinator(outsider.node_id))
+
+
+@pytest.mark.parametrize("read", [
+    lambda coordinator, r: coordinator.get("T", "k", ("a",), r=r),
+    lambda coordinator, r: coordinator.get_row("T", "k", r=r),
+], ids=["get", "get_row"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_a_get_sends_r_rpcs(read, r):
+    cluster = build_cluster()
+    run_proc(cluster, read(cluster.coordinator(0), r))
+    cluster.run_until_idle()
+    assert cluster.network.messages_sent == r
+    assert hedges_fired(cluster) == 0
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_own_replica_is_asked_first_and_the_others_in_turn(r):
+    cluster = build_cluster()
+    replicas = cluster.replicas_for("T", "k")
+    insider, outsider = replica_and_outsider(cluster)
+    for _ in range(300):
+        run_proc(cluster, insider.get("T", "k", ("a",), r=r))
+    own, *others = [replica.requests_handled for replica in replicas]
+    assert own == 300
+    assert sum(others) == 300 * (r - 1)
+    assert abs(others[0] - others[1]) <= 1
+    for replica in replicas:
+        replica.requests_handled = 0
+    for _ in range(300):
+        run_proc(cluster, outsider.get("T", "k", ("a",), r=r))
+    handled = [replica.requests_handled for replica in replicas]
+    assert sum(handled) == 300 * r
+    assert max(handled) - min(handled) <= 1
+
+
+def _partitioned(cluster, coordinator, victim):
+    cluster.partition(coordinator.node.node_id, victim.node_id)
+
+
+def _gray_slow(cluster, coordinator, victim):
+    """A read takes the victim's CPU 60 ms: well past the hedge."""
+    cluster.slow_node(victim.node_id, cpu_factor=200)
+
+
+def _message_lost(cluster, coordinator, victim):
+    """The next message sent — the first read's request, whichever
+    replica it goes to — is lost; every later one arrives."""
+    lose = iter([True])
+    cluster.network._lost = lambda: next(lose, False)
+
+
+@pytest.mark.parametrize("fault", [_partitioned, _message_lost, _gray_slow])
+def test_get_with_its_chosen_replica_failing_answers_after_the_hedge(fault):
+    """Three R = 1 reads by a coordinator that is no replica of the key
+    take the three replicas in turn, so exactly one of them picks the
+    faulty one (or loses its request): it asks the other two
+    ``READ_HEDGE`` later and answers one round trip after that, not at
+    ``RPC_TIMEOUT``."""
+    cluster = build_cluster()
+    _, outsider = replica_and_outsider(cluster)
+    run_proc(cluster, outsider.put("T", "k", {"a": Cell.make(7, 5)}, w=3))
+    cluster.run_until_idle()
+    fault(cluster, outsider, cluster.replicas_for("T", "k")[1])
+    round_trip = 1.0    # 0.2 of links, the coordinator's and a replica's CPU
+    took = []
+    for _ in range(3):
+        start = cluster.env.now
+        merged = run_proc(cluster, outsider.get("T", "k", ("a",), r=1))
+        assert merged["a"] == Cell.make(7, 5)
+        took.append(cluster.env.now - start)
+    assert outsider.hedged_reads == 1
+    (hedged,) = [elapsed for elapsed in took if elapsed > round_trip]
+    assert READ_HEDGE < hedged < READ_HEDGE + 2 * round_trip < RPC_TIMEOUT
+
+
+def test_get_fails_at_creation_plus_rpc_timeout_when_fewer_than_r_answer():
+    """The hedge does not extend the reply deadline: the two replicas a
+    majority Get can reach at all — one asked at once, one by the hedge
+    — are one short, and the Get raises when its collector is
+    ``RPC_TIMEOUT`` old."""
+    cluster = build_cluster()
+    insider, _ = replica_and_outsider(cluster)
+    own, second, third = cluster.replicas_for("T", "k")
+    cluster.partition(own.node_id, second.node_id)
+    cluster.partition(own.node_id, third.node_id)
+    created = []
+    real = type(insider)._scatter
+
+    def scatter(*args, **kwargs):
+        created.append(cluster.env.now)
+        return real(insider, *args, **kwargs)
+
+    insider._scatter = scatter
+    with pytest.raises(QuorumError) as caught:
+        run_proc(cluster, insider.get("T", "k", ("a",), r=2))
+    assert caught.value.received == 1
+    assert cluster.env.now == created[0] + RPC_TIMEOUT
+    assert insider.hedged_reads == 1
+    assert cluster.network.messages_sent == 3
+
+
+def test_get_succeeds_when_r_alive_replicas_answer_whichever_were_asked():
+    """Any R of the alive replicas will do: with one down the read goes
+    to the other two, with nothing left to hedge to."""
+    cluster = build_cluster()
+    insider, outsider = replica_and_outsider(cluster)
+    run_proc(cluster, insider.put("T", "k", {"a": Cell.make(7, 5)}, w=3))
+    cluster.run_until_idle()
+    sent = cluster.network.messages_sent
+    cluster.replicas_for("T", "k")[1].mark_down()
+    for r in (1, 2):
+        merged = run_proc(cluster, outsider.get("T", "k", ("a",), r=r))
+        assert merged["a"] == Cell.make(7, 5)
+    assert cluster.network.messages_sent - sent == 3
+    with pytest.raises(UnavailableError):
+        run_proc(cluster, outsider.get("T", "k", ("a",), r=3))
+
+
+def test_failure_free_run_fires_no_hedge():
+    """Four closed-loop clients on the default (jittered) links: no
+    healthy read is ``READ_HEDGE`` late."""
+    cluster = Cluster(ClusterConfig(seed=11))
+    cluster.create_table("T")
+    env = cluster.env
+
+    def client(handle, index):
+        for i in range(300):
+            key = f"k{(index * 5 + i) % 30}"
+            if i % 3:
+                yield from handle.get("T", key, ("c",), r=1 + i % 2)
+            else:
+                yield from handle.put("T", key, {"c": i})
+
+    for index in range(4):
+        env.process(client(cluster.client(), index))
+    cluster.run_until_idle()
+    assert hedges_fired(cluster) == 0
+    assert cluster.network.messages_dropped == 0
 
 
 def test_index_read_scatters_to_all_nodes():

@@ -12,15 +12,17 @@ pops but not when anything completes.  It runs on the default
 sampled before instead of after a neighbour's forward delay — shifts
 every later timestamp and fails it.
 
-Last re-recorded by PR 22, which was meant to move the simulation: a
-view-key move by the coordinator that last moved the row makes no chain
-walk (three view-table quorum rounds instead of four), so each client's
-second and later Puts of a key it wrote last finish propagating one
-round trip sooner — the first op to differ is the 35th (client 1's
-tenth, a Get), at 12.8619 ms instead of 12.8953.  PR 20 re-recorded it
-for the six-to-four-round change (CopyData rides the chain walk's last
-Get and the line-4 Put); the recording before that one dated from the
-commit before PR 17 and survived it unchanged.
+Last re-recorded by PR 24, which was meant to move the simulation: a
+quorum Get asks R alive replicas (the coordinator's own first), not all
+N, so every Get draws fewer link delays and no longer returns on the
+fastest R of three — the first op to differ is the very first to
+complete (client 1's first, an R = 2 Get), at 0.6507 ms instead of
+0.6765.  PR 22 re-recorded it for the three-round move by the
+coordinator that holds the live row (first difference: the 35th op, at
+12.8619 ms instead of 12.8953), PR 20 for the six-to-four-round change
+(CopyData rides the chain walk's last Get and the line-4 Put); the
+recording before that one dated from the commit before PR 17 and
+survived it unchanged.
 
 Re-record (only for a change that is *meant* to move the simulation)::
 

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.cluster.messages import ReadRequest, ReadResponse, WriteAck, WriteRequest
+from repro.cluster.messages import (
+    ReadRequest,
+    ReadResponse,
+    ReadRowRequest,
+    WriteAck,
+    WriteRequest,
+)
 from repro.cluster.network import CLIENT
 from repro.common import Cell
 from repro.errors import ClusterError, NoSuchTableError
@@ -51,6 +57,28 @@ def test_rpc_read_response():
     response, _ = rpc_once(cluster, 2, node, ReadRequest("T", "k", ("a",)))
     assert isinstance(response, ReadResponse)
     assert response.cells["a"] == Cell.make(5, 3)
+
+
+def test_row_read_is_priced_by_width_and_copies_the_row_once():
+    """A whole-row read costs ``read_cost(cells held)`` — an absent row
+    as one cell — and makes one ``read_row`` (the answer, taken after
+    the service delay): pricing it is a ``len``, not a second copy."""
+    cluster = build_cluster()
+    node = cluster.nodes[0]
+    cells = {column: Cell.make(column, 3) for column in "abcde"}
+    node.engine.apply("T", "wide", cells)
+    copies = []
+    real = node.engine.read_row
+    node.engine.read_row = lambda *args: copies.append(args) or real(*args)
+    service = cluster.config.service
+    for key, held in (("wide", cells), ("absent", {})):
+        start = cluster.env.now
+        response, when = rpc_once(cluster, 2, node, ReadRowRequest("T", key),
+                                  horizon=start + 500.0)
+        assert response.cells == held
+        assert when - start == pytest.approx(
+            0.2 + service.read_cost(max(1, len(held))))
+    assert copies == [("T", "wide"), ("T", "absent")]
 
 
 def test_rpc_to_down_node_never_fires():

@@ -125,6 +125,26 @@ def test_replica_merge_has_one_seam():
     assert _files_mentioning("RPC_TIMEOUT") == ["cluster/coordinator.py"]
 
 
+def test_replica_rpcs_have_one_seam():
+    """Every request a coordinator sends a replica — a round's first
+    fan-out, a read's hedge, an index scan — leaves through
+    ``Coordinator._collect``, where ``_scatter`` has decided who is
+    asked; the two background paths that talk replica to replica
+    (anti-entropy, hint replay) are the only other senders.  A quorum
+    Get has no fan-out of its own, and the hedge delay is one constant
+    with one queue."""
+    assert sorted(_files_mentioning("network.rpc")) == [
+        "cluster/antientropy.py", "cluster/coordinator.py",
+        "cluster/hints.py"]
+    source = (SRC / "cluster" / "coordinator.py").read_text()
+    assert [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+            and "network.rpc" in ast.get_source_segment(source, node)
+            ] == ["_collect"]
+    assert sorted(_files_mentioning("READ_HEDGE")) == [
+        "cluster/cluster.py", "cluster/coordinator.py"]
+
+
 # Exports that nothing outside ``tests/`` reaches, each with the reason
 # it stays.  Five at most: a sixth means the rule below has stopped
 # being applied.

@@ -160,6 +160,36 @@ def test_combined_get_then_put_mode():
     assert check_view(cluster, VIEW) == []
 
 
+def test_base_put_on_divergent_replicas_hands_algorithm_1_every_version(
+        monkeypatch):
+    """A quorum Get asks R replicas; Algorithm 1's Get (lines 2-3) is
+    not one: propagation needs every base replica's view-key version as
+    a chain entry point, so even a W = 1 Put asks all N."""
+    from repro.common import Cell
+    from repro.views.outbox import NodeOutbox
+
+    cluster, client = build()
+    for index, replica in enumerate(cluster.replicas_for("T", "k")):
+        replica.engine.apply(
+            "T", "k", {"vk": Cell.make(f"v{index}", 10 + index)})
+    records = []
+    real = NodeOutbox.append
+
+    def append(self, *args):
+        records.append(real(self, *args))
+        return records[-1]
+
+    monkeypatch.setattr(NodeOutbox, "append", append)
+    client.put("T", "k", {"vk": "new"}, w=1)
+    client.settle()
+    (record,) = records
+    ((collector, extract),) = record.sources
+    assert sorted(extract(response, "vk").value
+                  for response in collector.responses) == ["v0", "v1", "v2"]
+    assert sum(cluster.coordinator(node.node_id).hedged_reads
+               for node in cluster.nodes) == 0
+
+
 @pytest.mark.parametrize("mode", ["locks", "propagators"])
 def test_all_concurrency_modes_work_sequentially(mode):
     cluster, client = build(propagation_concurrency=mode)
