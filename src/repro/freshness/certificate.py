@@ -6,11 +6,23 @@ acknowledged base updates have not yet taken effect in a view:
 - **outbox lag** — appended-but-unresolved :class:`OutboxRecord`\\ s
   (including riders of coalesced winners, so every update folded into
   a heavy chain's survivor), each stamped with its append time;
-- **wounds** — chains whose propagation *failed* (coordinator crash,
-  retry abandonment, confirmed scrub divergence, cross-coordinator
-  misordering).  A wound has no resolve
-  event; it stays open until the row is re-propagated or a quorum-level
-  ``verify_row`` confirms the row clean.
+- **wounds** — chains a propagation demonstrably left wrong: its
+  coordinator crashed with the record in volatile state
+  (``crash-lost``), its retries ran out (``retries-abandoned``), a scrub
+  ``verify_row`` confirmed a divergence (``scrub-*``), or a view-key
+  move was cut short after its new row was written (``move-interrupted``:
+  another coordinator's walk can end at the half-made row and leave two
+  live rows).  A wound has no resolve event; it stays open until the row
+  is re-propagated or a quorum-level ``verify_row`` confirms the row
+  clean.
+
+Records merely being in flight together is *not* a wound.  Every chain
+writer runs under ``ViewManager.serialized`` (the paper's Section IV-F
+locks or dedicated propagators), and Theorem 1 makes serialized
+propagations converge whatever order they run in: two coordinators'
+records overlapping in time, or an older-timestamped one executing after
+a newer one, each stay covered by their own outbox-lag source until they
+resolve, and leave the view right when they do.
 
 The :class:`FreshnessTracker` folds both into a per-view
 :class:`StalenessCertificate`: the age of the *oldest* outstanding
@@ -37,7 +49,7 @@ propagation is mid-flight on the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 __all__ = ["FreshnessTracker", "StaleSource", "StalenessCertificate",
            "Wound"]
@@ -108,19 +120,14 @@ class FreshnessTracker:
         self.manager = manager
         self.env = manager.env
         self._wounds: Dict[ChainKey, Wound] = {}
-        # Eager-execution ordering state per chain.  ``_eager_inflight``
-        # holds the origins of propagations currently executing;
-        # ``_last_eager`` the (base_ts, executor, origin) of the newest
-        # successfully executed one.  Two concurrent executors, or an
-        # older-timestamped record executing after a newer one landed
-        # from a *different* executor, can strand a stale live row that
-        # per-node chain FIFOs cannot order away — both wound the chain.
+        # Origins of the propagations currently executing, per chain:
+        # only the heal veto reads it.  Overlap itself opens no wound —
+        # the chain is serialized (Section IV-F), and serialized
+        # propagations converge in any order (Theorem 1).
         self._eager_inflight: Dict[ChainKey, List[float]] = {}
-        self._last_eager: Dict[ChainKey, Tuple[int, Any, float]] = {}
         # Observability.
         self.wounds_opened = 0
         self.wounds_healed = 0
-        self.overlap_wounds = 0
 
     # -- wounds ------------------------------------------------------------
 
@@ -148,8 +155,7 @@ class FreshnessTracker:
         self.note_wound(divergence.view_name, divergence.base_key,
                         detected_at, f"scrub-{divergence.kind}")
 
-    def note_repaired(self, view_name: str, key: Hashable,
-                      base_ts: Optional[int] = None) -> None:
+    def note_repaired(self, view_name: str, key: Hashable) -> None:
         """A re-propagation of the row's *current* base state committed
         at quorum: the chain's wound (if any) is healed — unless another
         propagation is still mid-flight and may land stale state after
@@ -183,34 +189,17 @@ class FreshnessTracker:
     def open_wounds(self) -> int:
         return len(self._wounds)
 
-    # -- eager execution ordering ------------------------------------------
+    # -- in-flight propagations --------------------------------------------
 
-    def eager_begin(self, view_name: str, key: Hashable, executor: Any,
-                    origin: float, base_ts: int) -> None:
-        """A propagation for ``(view, key)`` starts executing on
-        ``executor`` (a node id, or ``"repair"``).
+    def eager_begin(self, view_name: str, key: Hashable,
+                    origin: float) -> None:
+        """A propagation for ``(view, key)`` whose update entered the
+        pipeline at ``origin`` starts executing: until :meth:`eager_end`
+        it vetoes healing the chain's wound."""
+        self._eager_inflight.setdefault((view_name, key), []).append(origin)
 
-        Wounds the chain when it overlaps another in-flight execution,
-        or reorders behind a newer-timestamped record already executed
-        by a *different* executor — the two shapes that can strand a
-        stale live row no same-node FIFO can prevent."""
-        chain = (view_name, key)
-        inflight = self._eager_inflight.get(chain)
-        if inflight:
-            self.overlap_wounds += 1
-            self.note_wound(view_name, key, min(origin, min(inflight)),
-                            "cross-coordinator-overlap")
-        else:
-            last = self._last_eager.get(chain)
-            if (last is not None and last[0] > base_ts
-                    and last[1] != executor):
-                self.overlap_wounds += 1
-                self.note_wound(view_name, key, min(origin, last[2]),
-                                "cross-coordinator-reorder")
-        self._eager_inflight.setdefault(chain, []).append(origin)
-
-    def eager_end(self, view_name: str, key: Hashable, executor: Any,
-                  origin: float, base_ts: int, success: bool) -> None:
+    def eager_end(self, view_name: str, key: Hashable,
+                  origin: float) -> None:
         chain = (view_name, key)
         inflight = self._eager_inflight.get(chain)
         if inflight is not None:
@@ -220,10 +209,6 @@ class FreshnessTracker:
                 pass
             if not inflight:
                 del self._eager_inflight[chain]
-        if success:
-            last = self._last_eager.get(chain)
-            if last is None or base_ts >= last[0]:
-                self._last_eager[chain] = (base_ts, executor, origin)
 
     # -- certificates ------------------------------------------------------
 
@@ -303,5 +288,4 @@ class FreshnessTracker:
             "open_wounds": self.open_wounds,
             "wounds_opened": self.wounds_opened,
             "wounds_healed": self.wounds_healed,
-            "overlap_wounds": self.overlap_wounds,
         }

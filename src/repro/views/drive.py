@@ -110,17 +110,14 @@ def process_record(manager, outbox: NodeOutbox, record):
                 # need no luck.
                 guesses.extend(_sure_guesses(manager, outbox, view, key))
             origin = record.appended_at
-            manager.freshness.eager_begin(view.name, key, outbox.node_id,
-                                          origin, base_ts)
-            success = False
+            manager.freshness.eager_begin(view.name, key, origin)
             try:
                 yield from propagate_with_retries(
                     manager, coordinator, view, record.table, key, guesses,
-                    record.update_values, base_ts, outbox=outbox)
-                success = True
+                    record.update_values, base_ts, outbox=outbox,
+                    origin=origin)
             finally:
-                manager.freshness.eager_end(view.name, key, outbox.node_id,
-                                            origin, base_ts, success)
+                manager.freshness.eager_end(view.name, key, origin)
         manager.completed_propagations += 1
         manager.cluster.trace("propagation", "completed", view=view.name,
                               key=key, ts=base_ts)
@@ -212,7 +209,8 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
                            guesses: List[ViewKeyGuess],
                            update_values: Dict[ColumnName, Any],
                            base_ts: int,
-                           outbox: Optional[NodeOutbox] = None):
+                           outbox: Optional[NodeOutbox] = None,
+                           origin: Optional[float] = None):
     """Algorithm 1 lines 5-7: retry guesses until one propagates, or
     raise :class:`PropagationError` after :data:`MAX_ROUNDS` rounds.
 
@@ -221,13 +219,16 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
     that must run before the retry can succeed.  The same goes for the
     worker slot a record's process holds on ``outbox``
     (:func:`_back_off`); scrub repair and backfill hold no worker and
-    pass no outbox.
+    pass no outbox.  ``origin`` is when the update entered the pipeline
+    (default: now), the origin of the wound an interrupted move opens.
     """
     exclusive = view.view_key_column in update_values
+    if origin is None:
+        origin = manager.env.now
 
     def job(executor, turn):
         return _attempt_round(manager, executor, view, key, guesses,
-                              update_values, base_ts, turn)
+                              update_values, base_ts, turn, origin)
 
     rounds = 0
     while True:
@@ -293,7 +294,7 @@ def _retry_delay(manager, rounds: int) -> float:
 def _attempt_round(manager, coordinator, view: ViewDefinition,
                    key: Hashable, guesses: List[ViewKeyGuess],
                    update_values: Dict[ColumnName, Any], base_ts: int,
-                   turn: int):
+                   turn: int, origin: float):
     """Try each guess once, all under the chain turn ``turn``; True on
     success.
 
@@ -321,6 +322,11 @@ def _attempt_round(manager, coordinator, view: ViewDefinition,
             resume = getattr(exc, "interrupted_at", None)
             if resume is not None:
                 guesses[:] = _merge_guesses((resume, *guesses))
+                # Another coordinator's walk may end at the half-made
+                # row before this retry runs, refresh it and leave two
+                # live rows behind: evidence the chain may be wrong.
+                manager.freshness.note_wound(view.name, key, origin,
+                                             "move-interrupted")
                 return False
     return False
 
@@ -376,9 +382,7 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
         return False
     tracker = manager.freshness
     origin = manager.env.now
-    tracker.eager_begin(view.name, base_key, "repair", origin,
-                        key_cell.timestamp)
-    success = False
+    tracker.eager_begin(view.name, base_key, origin)
     try:
         # The view-key cell first: this creates/refreshes the live row
         # the materialized cells are then written into.
@@ -388,7 +392,7 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
             manager, coordinator, view, view.base_table, base_key, pristine,
             {view.view_key_column: (None if key_cell.tombstone
                                     else key_cell.value)},
-            key_cell.timestamp, outbox=outbox)
+            key_cell.timestamp, outbox=outbox, origin=origin)
         # Where the row now lives: its current view key, or the NULL
         # anchor for a deleted / predicate-rejected one.
         live = ViewKeyGuess.from_cell(view, key_cell)
@@ -409,12 +413,10 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
                 yield from manager.maintainer._view_put(
                     coordinator, view.name, stray,
                     {next_col: Cell(live.key, stale_ts)})
-        success = True
     finally:
-        tracker.eager_end(view.name, base_key, "repair", origin,
-                          key_cell.timestamp, success)
+        tracker.eager_end(view.name, base_key, origin)
     # A committed repair re-drove the row's *current* majority-visible
     # base state through the full chain walk: any wound on the chain is
     # covered (quorum-level evidence, unlike a digest-clean round).
-    tracker.note_repaired(view.name, base_key, key_cell.timestamp)
+    tracker.note_repaired(view.name, base_key)
     return True

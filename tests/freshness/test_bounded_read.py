@@ -6,6 +6,8 @@ from repro.cluster.client import ClientHandle, SyncClient
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import ClusterSnapshot
+from repro.errors import QuorumError
+from repro.freshness.certificate import StaleSource
 from repro.views import drive
 from repro.views.definition import ViewDefinition
 
@@ -143,6 +145,98 @@ def test_escalation_compensates_every_lagging_key(monkeypatch):
     assert fresh.compensated_keys == ("k1", "k2")
     assert fresh.certificate.bound_met is True
     assert [res["payload"] for res in fresh] == ["new", "new"]
+
+
+def test_overlapping_records_from_two_coordinators_open_no_wound():
+    """Two coordinators' records on one chain in flight at once: the
+    chain's lock serializes them, both succeed, and the view is right —
+    no wound, so a bound the (empty) outbox lag meets is a bound hit."""
+    cluster, client = build()
+    client.put("T", "k1", {"sec": "s1", "payload": "p0"}, w=2, timestamp=10)
+    client.settle()
+    for node, ts in ((0, 20), (2, 30)):
+        cluster.env.process(cluster.client(coordinator_id=node).put(
+            "T", "k1", {"sec": f"s{ts // 10}", "payload": f"p{ts}"}, 2, ts))
+    client.settle()
+    locks = cluster.view_manager.locks.stats()
+    assert locks["contentions"] >= 1  # the second record waited on the first
+    tracker = cluster.view_manager.freshness
+    assert tracker.open_wounds == 0
+    assert tracker.wounds_opened == 0
+
+    cluster.run(until=cluster.env.now + 50.0)
+    fresh = client.get_view_fresh("V", "s3", COLUMNS, r=2,
+                                  max_staleness_ms=5.0)
+    assert not fresh.escalated
+    assert fresh.compensated_keys == ()
+    assert fresh.certificate.bound_met is True
+    assert [res["payload"] for res in fresh] == ["p30"]
+
+
+def test_reordered_records_from_two_coordinators_open_no_wound():
+    """An older-timestamped record executing after a newer one another
+    coordinator already landed: LWW makes it a no-op, not a wound."""
+    cluster, client = build()
+    for node, ts in ((0, 30), (2, 20)):
+        cluster.sync_client(node).put(
+            "T", "k1", {"sec": f"s{ts // 10}", "payload": f"p{ts}"}, 2, ts)
+        client.settle()
+    assert cluster.view_manager.completed_propagations == 2
+    assert cluster.view_manager.freshness.wounds_opened == 0
+
+    cluster.run(until=cluster.env.now + 50.0)
+    fresh = client.get_view_fresh("V", "s3", COLUMNS, r=2,
+                                  max_staleness_ms=5.0)
+    assert not fresh.escalated
+    assert [res["payload"] for res in fresh] == ["p30"]
+    assert len(client.get_view("V", "s2", COLUMNS, r=2)) == 0
+
+
+def test_an_interrupted_move_wounds_its_chain_until_repropagated(
+        monkeypatch):
+    """A view-key move cut short after line 4 leaves a half-made row
+    another coordinator's walk could finish wrongly: the chain is
+    wounded from the record's append, bounded reads compensate the key,
+    and a re-propagation of the row heals it."""
+    cluster, client = build()
+    client.put("T", "k1", {"sec": "s1", "payload": "p0"}, w=2, timestamp=10)
+    client.settle()
+    manager = cluster.view_manager
+    tracker = manager.freshness
+    tracer = cluster.enable_tracing()
+    real_put = manager.maintainer._view_put
+    puts = []
+
+    def view_put(coordinator, view_name, view_key, cells):
+        puts.append(view_key)
+        if len(puts) == 2:  # line 8 of the move s1 -> s2
+            raise QuorumError("injected", required=2, received=0)
+        yield from real_put(coordinator, view_name, view_key, cells)
+
+    monkeypatch.setattr(manager.maintainer, "_view_put", view_put)
+    client.put("T", "k1", {"sec": "s2"}, w=2, timestamp=20)
+    appended_at = tracer.events("base_put")[-1].at
+    client.settle()
+    assert puts[:2] == ["s2", "s1"]
+    assert manager.completed_propagations == 2  # the retry finished it
+    assert tracker.sources("V") == [
+        StaleSource("k1", appended_at, "move-interrupted")]
+
+    cluster.run(until=cluster.env.now + 50.0)
+    fresh = client.get_view_fresh("V", "s2", COLUMNS, r=2,
+                                  max_staleness_ms=5.0)
+    assert fresh.escalated
+    assert fresh.compensated_keys == ("k1",)
+    assert [res["payload"] for res in fresh] == ["p0"]
+
+    repair = cluster.env.process(drive.repropagate_row(
+        manager, cluster.coordinator(0), manager.view("V"), "k1"))
+    cluster.run(until=repair)
+    assert tracker.open_wounds == 0
+    assert tracker.wounds_healed == 1
+    healed = client.get_view_fresh("V", "s2", COLUMNS, r=2,
+                                   max_staleness_ms=5.0)
+    assert not healed.escalated
 
 
 def test_session_records_the_served_certificate():

@@ -2,14 +2,17 @@
 
 Hypothesis drives scenario workloads where a slice of the view reads
 carry a ``max_staleness_ms`` bound, under ``BurstArrivals`` (update
-pileups stretch propagation lag) stacked with ``CrashLoop`` (a
-crash-looping coordinator loses propagations outright — the staleness
-the wound ledger exists to track).  Every bounded read is replayed
-against the acknowledged-update oracle by the standing
-``FreshnessBoundHonored`` invariant: a read that claimed its bound must
-reflect every update acknowledged at least that long before the read's
-certificate time, with no lost-propagation excuse — compensation has to
-cover exactly what the failures broke.
+pileups stretch propagation lag) stacked with ``CrashLoop`` (one node
+crash-loops).  ``CrashLoop`` only fails its victim: records the victim
+had already started keep running and resolve.  A crash hook therefore
+loses every record whose coordinator is down when it comes to
+propagate — the volatile work a real crash takes with it, and the
+staleness the wound ledger exists to track (``crash-lost``).  Every
+bounded read is replayed against the acknowledged-update oracle by the
+standing ``FreshnessBoundHonored`` invariant: a read that claimed its
+bound must reflect every update acknowledged at least that long before
+the read's certificate time, with no lost-propagation excuse —
+compensation has to cover exactly what the failures broke.
 """
 
 from unittest import mock
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.freshness.certificate import FreshnessTracker
 from repro.scenarios import (
     BurstArrivals,
     CrashLoop,
@@ -45,6 +49,8 @@ def run_storm(*, seed, ops, bounded_fraction=0.3):
                                   bounded_read_fraction=bounded_fraction),
         adversaries=[BurstArrivals(), CrashLoop(victim=0)],
     )
+    scenario.build().view_manager.add_crash_hook(
+        lambda coordinator, _view, _key, _ts: coordinator.node.is_down)
     result = scenario.run()
     assert result.ok, (result.name, result.violations[:5], result.stats)
     return scenario, result
@@ -65,17 +71,32 @@ def test_bounded_reads_honor_their_bound_under_burst_and_crashloop(
     assert result.stats["bounded_reads_failed"] == 0
 
 
-def test_storms_actually_escalate():
+def test_storms_actually_escalate(monkeypatch):
     """The invariant is not vacuous: crash-lost propagations force
-    bounded reads off the fast path and into compensation."""
+    bounded reads off the fast path and into compensation, and nothing
+    else does."""
+    lagging = []
+    spied = FreshnessTracker.lagging_keys
+
+    def spy(sources, horizon):
+        keys = spied(sources, horizon)
+        lagging.extend(keys)
+        return keys
+
+    monkeypatch.setattr(FreshnessTracker, "lagging_keys", staticmethod(spy))
     escalations = 0
     compensated = 0
+    lost = 0
     for seed in (1, 2, 3, 4):
         scenario, result = run_storm(seed=seed, ops=140,
                                      bounded_fraction=0.4)
         slo = result.stats["freshness"]["slo"]
         escalations += slo["escalations"]
         compensated += slo["compensated_keys"]
+        lost += result.stats["lost_propagations"]
         assert result.stats["bounded_reads"] > 0
+    assert lost > 0
     assert escalations > 0
-    assert compensated > 0
+    assert compensated == len(lagging) > 0
+    assert {provenance for _key, _origin, provenance in lagging} == {
+        "crash-lost"}
