@@ -117,9 +117,6 @@ class ClusterConfig:
     # window.  The thresholds, half-life and window are constants of
     # ``repro.views.skew``.
     skew_adaptive: bool = False
-    # Hot-view read-through cache capacity in result entries; 0 disables
-    # the cache (repro.views.skew.HotViewCache).
-    view_cache_capacity: int = 0
 
     # Root seed for all RNG streams.
     seed: int = 0
@@ -141,8 +138,6 @@ class ClusterConfig:
             raise ValueError(
                 "propagation_concurrency must be 'locks' or 'propagators', "
                 f"got {self.propagation_concurrency!r}")
-        if self.view_cache_capacity < 0:
-            raise ValueError("view_cache_capacity must be non-negative")
 
     def with_overrides(self, **kwargs) -> "ClusterConfig":
         """A copy of this config with the given fields replaced."""

@@ -36,18 +36,7 @@ from repro.experiments.scenarios import (
 from repro.repair import divergent_base_keys
 from repro.workloads import ZipfianKeys, run_closed_loop, write_op
 
-__all__ = ["run", "run_skew_point", "adaptive_overrides"]
-
-
-def adaptive_overrides() -> dict:
-    """The ClusterConfig knobs that switch on adaptive maintenance.
-
-    The tracker policy (promote after a couple of closely spaced
-    updates, demote with hysteresis) and the fold window are constants
-    of ``repro.views.skew``; the experiment adds a modest hot-view cache
-    on the read path.
-    """
-    return dict(skew_adaptive=True, view_cache_capacity=64)
+__all__ = ["run", "run_skew_point"]
 
 
 def run_skew_point(config: ClusterConfig, *, theta: float, population: int,
@@ -121,9 +110,9 @@ def run(params: Optional[ExperimentParams] = None) -> FigureResult:
     )
     for theta in params.zipf_thetas:
         cells = {}
-        for mode, overrides in (("eager", {}),
-                                ("adaptive", adaptive_overrides())):
-            config = experiment_config(seed=params.seed, **overrides)
+        for mode, adaptive in (("eager", False), ("adaptive", True)):
+            config = experiment_config(seed=params.seed,
+                                       skew_adaptive=adaptive)
             cells[mode] = run_skew_point(
                 config, theta=theta,
                 population=params.zipf_population,

@@ -35,7 +35,8 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 from repro.common.records import NULL_TIMESTAMP, ColumnName
 from repro.freshness.certificate import StalenessCertificate
 from repro.views.definition import BASE_KEY_COLUMN, ViewDefinition
-from repro.views.read import ViewResult, cached_view_get, read_barrier
+from repro.views import read as view_read
+from repro.views.read import ViewResult, read_barrier
 
 __all__ = ["FreshViewRead", "fresh_view_get"]
 
@@ -78,8 +79,10 @@ def fresh_view_get(manager, coordinator, view_name: str, view_key: Any,
     sources = tracker.sources(view_name)
     certificate = tracker.certificate(view_name, max_staleness_ms,
                                       sources=sources)
-    results = yield from cached_view_get(manager, coordinator, view, view_key,
-                                         columns, r)
+    yield coordinator.node.charge(manager.config.service.coordinator)
+    results = yield from view_read.view_get(
+        manager.env, coordinator, view, view_key, columns, r,
+        stats=manager.read_stats)
     slo = manager.freshness_slo
     if not bounded:
         slo.observe(view_name, certificate.staleness_ms, bounded=False)

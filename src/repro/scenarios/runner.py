@@ -232,11 +232,6 @@ class Scenario:
         cluster.env.run(until=cluster.repair_table(SCENARIO_TABLE))
         cluster.env.run(until=cluster.repair_table(self.view.name))
         cluster.run_until_idle()
-
-        # Cache coherence is driven by the propagation stream; the
-        # replica-level anti-entropy above rewrote view rows beneath it,
-        # so converged-state judging starts from a cold cache.
-        manager.skew.cache.clear()
         self.workload.resolve_ambiguous(cluster)
 
     def _record_unhealed(self) -> None:

@@ -37,11 +37,7 @@ from repro.views.model import (
 from repro.views.propagators import PropagatorPool
 from repro.views.read import ViewResult, view_get
 from repro.views.session import Session, SessionManager
-from repro.views.skew import (
-    HotViewCache,
-    SkewService,
-    UpdateFrequencyTracker,
-)
+from repro.views.skew import SkewService, UpdateFrequencyTracker
 from repro.views.stats import ViewStats, compute_stats
 from repro.views.versioned import (
     NULL_VIEW_KEY,
@@ -98,5 +94,4 @@ __all__ = [
     "compute_stats",
     "SkewService",
     "UpdateFrequencyTracker",
-    "HotViewCache",
 ]

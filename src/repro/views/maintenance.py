@@ -159,12 +159,6 @@ class ViewMaintainer:
         self.env = cluster.env
         self.quorum = majority(cluster.config.replication_factor)
         self.metrics = PropagationMetrics()
-        # Optional write hook ``(view_name, view_key) -> None``: the
-        # manager points this at the hot-view cache's invalidation so
-        # every view write — propagation, re-drive, scrub repair,
-        # backfill — evicts the row it touched (cache coherence is
-        # driven by the propagation stream, not TTLs).
-        self.on_view_write = None
         # What each node's last view-key move left live, per view:
         # ``node id -> view name -> {base key: (live key, live base ts,
         # ((column, cell), ...), turn)}``.  Volatile coordinator memory
@@ -195,8 +189,6 @@ class ViewMaintainer:
     def _view_put(self, coordinator, view_name: str, view_key: Any,
                   cells: Dict[ColumnName, Cell]):
         yield from coordinator.put(view_name, view_key, cells, self.quorum)
-        if self.on_view_write is not None:
-            self.on_view_write(view_name, view_key)
 
     # -- Algorithm 3: GetLiveKey -------------------------------------------------
 

@@ -11,7 +11,7 @@ base-table Put touches view-relevant columns (paper Algorithm 1):
    :class:`~repro.views.outbox.NodeOutbox`.
 
 What happens after the append is :mod:`repro.views.drive`; the session
-barrier and the cached Algorithm 4 read are in :mod:`repro.views.read`.
+barrier and the Algorithm 4 read are in :mod:`repro.views.read`.
 The manager holds the state they share (counters, the
 ``view-propagation`` RNG stream, the outboxes) and the one function
 that decides how same-chain work is serialized (Section IV-F,
@@ -87,11 +87,9 @@ class ViewManager:
             self._outboxes[node.node_id] = NodeOutbox(
                 self.env, node.node_id,
                 self.config.max_pending_propagations, self._start_record)
-        # Heavy/light classifier + hot-view cache (repro.views.skew);
-        # inert (nothing heavy, no cache) unless configured on.
+        # Heavy/light classifier (repro.views.skew); inert (nothing
+        # heavy) unless configured on.
         self.skew = SkewService(self)
-        if self.skew.cache.enabled:
-            self.maintainer.on_view_write = self.skew.cache.invalidate
         # Freshness subsystem (repro.freshness): staleness certificates
         # derived from outbox/wound metadata, plus the SLO
         # accounting for bounded-staleness reads.
@@ -391,8 +389,8 @@ class ViewManager:
         }
 
     def skew_stats(self) -> Dict[str, Any]:
-        """Heavy/light classification and hot-view cache counters, with
-        the records the outboxes folded because of it."""
+        """Heavy/light classification counters, with the records the
+        outboxes folded because of it."""
         stats = self.skew.stats()
         stats["folded_records"] = sum(
             outbox.folded for outbox in self._outboxes.values())
@@ -405,8 +403,10 @@ class ViewManager:
         """Read live rows for ``view_key``; blocks on session barriers."""
         view = self.view(view_name)
         yield from view_read.read_barrier(self, coordinator, view, session)
-        results = yield from view_read.cached_view_get(
-            self, coordinator, view, view_key, columns, r)
+        yield coordinator.node.charge(self.config.service.coordinator)
+        results = yield from view_read.view_get(
+            self.env, coordinator, view, view_key, columns, r,
+            stats=self.read_stats)
         return results
 
     def view_get_fresh(self, coordinator, view_name: str, view_key: Any,

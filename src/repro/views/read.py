@@ -12,6 +12,10 @@ reader spins briefly until the marker clears, which guarantees it never
 observes two accessible live rows for one base row.  (It could not
 observe a half-copied one: the copied cells arrive in the same apply as
 the marker.)
+
+Both read paths (``ViewManager.view_get`` and the freshness read) run
+:func:`read_barrier`, charge the coordinator and call :func:`view_get`
+through this module's attribute, which mvbench's tracer wraps.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from repro.views.versioned import (
     split_wide_row,
 )
 
-__all__ = ["ViewReadStats", "ViewResult", "view_get", "read_barrier",
-           "cached_view_get"]
+__all__ = ["ViewReadStats", "ViewResult", "view_get", "read_barrier"]
 
 # Spin parameters for Init-marked rows.
 _SPIN_INTERVAL = 0.2
@@ -138,22 +141,3 @@ def read_barrier(manager, coordinator, view: ViewDefinition, session):
                                   pending=pending)
         yield from manager.sessions.barrier(session, view.name)
 
-
-def cached_view_get(manager, coordinator, view: ViewDefinition,
-                    view_key: Any, columns: Tuple[ColumnName, ...], r: int):
-    """The cache + Algorithm 4 core, after barriers have run."""
-    yield coordinator.node.charge(manager.config.service.coordinator)
-    cache = manager.skew.cache
-    if cache.enabled:
-        cached = cache.lookup(view.name, view_key, columns, r)
-        if cached is not None:
-            return cached
-        token = cache.version(view.name, view_key)
-    results = yield from view_get(manager.env, coordinator, view, view_key,
-                                  columns, r, stats=manager.read_stats)
-    if cache.enabled:
-        # Read-through populate, guarded by the version token: a
-        # propagation that invalidated this key while our quorum
-        # read was in flight wins — the stale result is not stored.
-        cache.store(view.name, view_key, columns, r, token, results)
-    return results

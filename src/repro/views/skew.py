@@ -1,4 +1,4 @@
-"""Skew-adaptive view maintenance: heavy/light keys and a hot-row cache.
+"""Skew-adaptive view maintenance: the heavy/light key classifier.
 
 Figure 8 is the design's weak spot: when updates concentrate on few base
 rows, every view-key transition serializes on the per-(view, base key)
@@ -6,7 +6,7 @@ chain FIFO and the exclusive propagation lock, the backpressure tokens
 fill with queued transitions, and write throughput collapses exactly
 where a skewed workload concentrates.  The remedy is heavy/light
 partitioning: one maintenance procedure with a threshold.  This module
-is the threshold (and a read cache); the procedure is the outbox's.
+is the threshold; the procedure is the outbox's.
 
 Heavy/light classification
 --------------------------
@@ -35,32 +35,15 @@ concurrent updates landed in the base table, the view ends at the LWW
 winner (intermediate view-key transitions an eager chain would have
 left as stale rows are never materialized).  Riders resolve when the
 survivor does, so session offsets stay exact.
-
-Hot-view cache
---------------
-
-:class:`HotViewCache` is a bounded LRU over view Get results, keyed by
-``(view, view key, columns, r)``.  Coherence is driven by the
-propagation stream: every view write (propagation, re-drive, scrub
-repair, backfill) invalidates the written view key via the maintainer's
-write hook — before the writing record resolves, so a barrier-released
-session read can never hit a stale entry for its own write.  A per-key
-version counter closes the read-through race: a result read before an
-invalidation is never stored after it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Set, Tuple
 
 from repro.views.definition import ViewDefinition
 
-__all__ = [
-    "UpdateFrequencyTracker",
-    "HotViewCache",
-    "SkewService",
-]
+__all__ = ["UpdateFrequencyTracker", "SkewService"]
 
 ChainKey = Tuple[str, Hashable]
 
@@ -142,121 +125,17 @@ class UpdateFrequencyTracker:
         return len(self._heavy)
 
 
-class HotViewCache:
-    """Bounded LRU of view Get results with versioned invalidation."""
-
-    def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, List]" = OrderedDict()
-        # (view, view_key) -> set of full cache keys (columns/r variants).
-        self._by_key: Dict[Tuple[str, Any], Set[Tuple]] = {}
-        # (view, view_key) -> version; bumped on every invalidation so a
-        # read that began before the invalidation cannot store after it.
-        self._versions: Dict[Tuple[str, Any], int] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.evictions = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @staticmethod
-    def _full_key(view: str, view_key: Any, columns: Tuple, r: int) -> Tuple:
-        return (view, view_key, tuple(columns), r)
-
-    def lookup(self, view: str, view_key: Any, columns: Tuple,
-               r: int) -> Optional[List]:
-        """A cached result list, or None on miss (counts either way)."""
-        if not self.enabled:
-            return None
-        full = self._full_key(view, view_key, columns, r)
-        entry = self._entries.get(full)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(full)
-        self.hits += 1
-        return list(entry)
-
-    def version(self, view: str, view_key: Any) -> int:
-        """The read-through guard token: pass back to :meth:`store`."""
-        return self._versions.get((view, view_key), 0)
-
-    def store(self, view: str, view_key: Any, columns: Tuple, r: int,
-              token: int, results: List) -> bool:
-        """Populate after a miss; dropped if invalidated since ``token``."""
-        if not self.enabled:
-            return False
-        if self._versions.get((view, view_key), 0) != token:
-            return False
-        full = self._full_key(view, view_key, columns, r)
-        self._entries[full] = list(results)
-        self._entries.move_to_end(full)
-        self._by_key.setdefault((view, view_key), set()).add(full)
-        while len(self._entries) > self.capacity:
-            evicted, _value = self._entries.popitem(last=False)
-            self.evictions += 1
-            variants = self._by_key.get((evicted[0], evicted[1]))
-            if variants is not None:
-                variants.discard(evicted)
-                if not variants:
-                    del self._by_key[(evicted[0], evicted[1])]
-        return True
-
-    def invalidate(self, view: str, view_key: Any) -> None:
-        """Drop every cached variant of one view row; bump its version."""
-        if not self.enabled:
-            return
-        key = (view, view_key)
-        self._versions[key] = self._versions.get(key, 0) + 1
-        variants = self._by_key.pop(key, None)
-        if not variants:
-            return
-        self.invalidations += 1
-        for full in variants:
-            self._entries.pop(full, None)
-
-    def clear(self) -> None:
-        """Drop everything (anti-entropy repair rewrote replicas under
-        us; versions are kept so in-flight reads still cannot store)."""
-        if not self.enabled:
-            return
-        for full in self._entries:
-            key = (full[0], full[1])
-            self._versions[key] = self._versions.get(key, 0) + 1
-        self._entries.clear()
-        self._by_key.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-        }
-
-
 class SkewService:
-    """The heavy/light classifier and the hot-view cache of one manager.
+    """The heavy/light classifier of one manager.
 
     Owned by :class:`~repro.views.manager.ViewManager`; consulted by
-    ``base_put`` before each outbox append (:meth:`observe`), by the
-    view read path (the cache), and by the observability surface.
+    ``base_put`` before each outbox append (:meth:`observe`) and by the
+    observability surface.
     """
 
     def __init__(self, manager):
         self.env = manager.env
-        config = manager.config
-        self.enabled = config.skew_adaptive
-        self.cache = HotViewCache(config.view_cache_capacity)
+        self.enabled = manager.config.skew_adaptive
         self._trackers: Dict[int, UpdateFrequencyTracker] = {}
         if self.enabled:
             for node in manager.cluster.nodes:
@@ -285,5 +164,4 @@ class SkewService:
             "heavy_keys": self.heavy_keys,
             "promotions": sum(t.promotions for t in self._trackers.values()),
             "demotions": sum(t.demotions for t in self._trackers.values()),
-            "cache": self.cache.stats(),
         }

@@ -165,19 +165,31 @@ def test_ext_skew_quick(quick):
     assert top[2] >= top[1]
 
 
-def test_skew_adaptive_alone_selects_the_measured_policy(quick):
+def test_skew_adaptive_alone_selects_the_measured_policy(quick,
+                                                        monkeypatch):
     """E5's adaptive column is what ``skew_adaptive=True`` gives by
     itself: the tracker constants are the values it was measured under,
     not a second policy nobody runs."""
+    from repro.experiments import ext_skew
     from repro.experiments.calibration import experiment_config
-    from repro.experiments.ext_skew import adaptive_overrides, run_skew_point
     from repro.views import drive, skew
 
-    bare = experiment_config(seed=0, skew_adaptive=True,
-                             view_cache_capacity=64)
+    run_skew_point = ext_skew.run_skew_point
+    configs = []
+
+    def record(config, **_kwargs):
+        configs.append(config)
+        return dict(throughput=1.0, folded=0, heavy_keys=0, abandoned=0,
+                    drain_ms=0.0, divergent_rows=0)
+
+    monkeypatch.setattr(ext_skew, "run_skew_point", record)
+    ext_skew.run(quick)
     # Equal configs run the same cell: the simulation is a function of
     # its config (tests/views/test_determinism.py).
-    assert bare == experiment_config(seed=0, **adaptive_overrides())
+    bare = experiment_config(seed=quick.seed, skew_adaptive=True)
+    assert configs[1::2] == [bare] * len(quick.zipf_thetas)
+    assert configs[0::2] == ([experiment_config(seed=quick.seed)]
+                             * len(quick.zipf_thetas))
     # Both columns run under the one round budget there is.
     assert drive.MAX_ROUNDS == 200
     assert (skew.PROMOTE_THRESHOLD, skew.DEMOTE_THRESHOLD,

@@ -43,10 +43,7 @@ ADVERSARY_STACKS = {
 
 # The adaptive heavy/light maintenance knobs (repro.views.skew): the
 # second matrix dimension.
-ADAPTIVE_OVERRIDES = dict(
-    skew_adaptive=True,
-    view_cache_capacity=32,
-)
+ADAPTIVE_OVERRIDES = dict(skew_adaptive=True)
 
 
 def run_cell(stack_name: str, *, seed: int = 17, ops: int = 120,

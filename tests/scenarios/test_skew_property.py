@@ -37,10 +37,7 @@ def faster_tick():
     with mock.patch.object(skew, "FOLD_INTERVAL", 10.0):
         yield
 
-ADAPTIVE = dict(
-    skew_adaptive=True,
-    view_cache_capacity=32,
-)
+ADAPTIVE = dict(skew_adaptive=True)
 
 
 def run_storm(*, seed, theta, ops, population=12):

@@ -52,16 +52,27 @@ def test_lazy_maintenance_rides_the_outbox(word):
 
 
 def test_skew_service_is_a_classifier():
-    """``views/skew.py`` decides what is heavy and caches hot reads; it
-    drives nothing and starts no process."""
+    """``views/skew.py`` decides what is heavy; it drives nothing and
+    starts no process."""
     source = (SRC / "views" / "skew.py").read_text()
     assert "repropagate_row" not in source
     assert "env.process" not in source
-    assert source.count("\n") <= 330
+    assert source.count("\n") <= 180
+
+
+@pytest.mark.parametrize("word", [
+    "HotViewCache", "view_cache_capacity", "on_view_write",
+    "cached_view_get",
+])
+def test_view_reads_have_one_path(word):
+    """A view Get is the session barrier and Algorithm 4, read from R
+    replicas: no result cache in front of it, no write hook to keep one
+    coherent and no knob to size it."""
+    assert _files_mentioning(word) == []
 
 
 def test_config_and_snapshot_stay_small():
-    assert len(dataclasses.fields(ClusterConfig)) <= 17
+    assert len(dataclasses.fields(ClusterConfig)) <= 16
     assert len(dataclasses.fields(ClusterSnapshot)) <= 18
 
 

@@ -123,12 +123,15 @@ def test_config_validation():
     "rpc_timeout", "skew_promote_threshold", "skew_demote_threshold",
     "skew_decay_half_life", "skew_fold_interval",
     "freshness_compensation_limit", "propagation_max_rounds",
+    "view_cache_capacity",
 ])
 def test_single_valued_knobs_are_not_config_fields(field):
     """No caller ever set these to anything but the default; they are
-    constants or constructor defaults where they are used."""
+    constants or constructor defaults where they are used.
+    ``view_cache_capacity`` is gone with the feature it sized: view
+    reads have no result cache."""
     with pytest.raises(TypeError):
-        ClusterConfig(**{field: 1})
+        ClusterConfig(**{field: 64})
 
 
 def test_one_propagation_pipeline_two_concurrency_mechanisms():

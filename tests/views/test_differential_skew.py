@@ -48,7 +48,7 @@ def faster_tick(monkeypatch):
 def run_mode(adaptive, ops, *, seed=1):
     overrides = {}
     if adaptive:
-        overrides = dict(skew_adaptive=True, view_cache_capacity=64)
+        overrides = dict(skew_adaptive=True)
     scenario = Scenario(
         f"differential-{'adaptive' if adaptive else 'eager'}",
         config=default_config(seed=seed, **overrides),

@@ -1,7 +1,7 @@
-"""Heavy/light adaptive maintenance: tracker, cache, folding, RYW.
+"""Heavy/light adaptive maintenance: tracker, folding, RYW.
 
-Unit tests for the pure pieces (decayed counters with hysteresis, the
-versioned LRU cache) plus full-stack tests of folding: a hammered key
+Unit tests for the pure piece (decayed counters with hysteresis) plus
+full-stack tests of folding: a hammered key
 promotes, its outbox records fold into one survivor, the survivor
 re-drives the row's current state once its window closes, and the view
 converges to exactly the eager outcome — while session
@@ -10,11 +10,10 @@ read-your-writes holds because riders resolve with their survivor.
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import Cluster
 from repro.repair import divergent_base_keys
 from repro.sim.latency import Fixed
 from repro.views import (
-    HotViewCache,
     UpdateFrequencyTracker,
     ViewDefinition,
     check_view,
@@ -106,78 +105,6 @@ def test_tracker_rejects_bad_parameters():
         UpdateFrequencyTracker(2.0, 1.0, half_life=0.0)
 
 
-# -- HotViewCache -------------------------------------------------------------
-
-
-def test_cache_hit_miss_and_lru_eviction():
-    cache = HotViewCache(2)
-    assert cache.lookup("V", "a", ("m",), 2) is None
-    cache.store("V", "a", ("m",), 2, cache.version("V", "a"), ["row-a"])
-    cache.store("V", "b", ("m",), 2, cache.version("V", "b"), ["row-b"])
-    assert cache.lookup("V", "a", ("m",), 2) == ["row-a"]  # refreshes LRU
-    cache.store("V", "c", ("m",), 2, cache.version("V", "c"), ["row-c"])
-    # "b" was least-recently-used: evicted, "a" survives.
-    assert cache.lookup("V", "b", ("m",), 2) is None
-    assert cache.lookup("V", "a", ("m",), 2) == ["row-a"]
-    stats = cache.stats()
-    assert stats["evictions"] == 1
-    assert stats["entries"] == 2
-    assert stats["hits"] == 2 and stats["misses"] == 2
-
-
-def test_cache_invalidation_drops_all_variants():
-    cache = HotViewCache(8)
-    cache.store("V", "a", ("m",), 1, cache.version("V", "a"), ["r1"])
-    cache.store("V", "a", ("m", "n"), 2, cache.version("V", "a"), ["r2"])
-    cache.store("V", "b", ("m",), 1, cache.version("V", "b"), ["r3"])
-    cache.invalidate("V", "a")
-    assert cache.lookup("V", "a", ("m",), 1) is None
-    assert cache.lookup("V", "a", ("m", "n"), 2) is None
-    assert cache.lookup("V", "b", ("m",), 1) == ["r3"]
-    assert cache.stats()["invalidations"] == 1
-
-
-def test_cache_version_guard_blocks_stale_store():
-    """A read that began before an invalidation cannot populate after."""
-    cache = HotViewCache(8)
-    token = cache.version("V", "a")
-    cache.invalidate("V", "a")  # concurrent write lands mid-read
-    assert not cache.store("V", "a", ("m",), 2, token, ["stale"])
-    assert cache.lookup("V", "a", ("m",), 2) is None
-    # With the post-invalidation token the store goes through.
-    assert cache.store("V", "a", ("m",), 2, cache.version("V", "a"),
-                       ["fresh"])
-    assert cache.lookup("V", "a", ("m",), 2) == ["fresh"]
-
-
-def test_cache_clear_keeps_version_guard():
-    cache = HotViewCache(8)
-    cache.store("V", "a", ("m",), 2, cache.version("V", "a"), ["r"])
-    token = cache.version("V", "a")
-    cache.clear()
-    assert len(cache) == 0
-    assert not cache.store("V", "a", ("m",), 2, token, ["stale"])
-
-
-def test_cache_capacity_zero_is_disabled():
-    cache = HotViewCache(0)
-    assert not cache.enabled
-    assert not cache.store("V", "a", ("m",), 2, 0, ["r"])
-    assert cache.lookup("V", "a", ("m",), 2) is None
-    assert cache.stats()["misses"] == 0  # disabled lookups do not count
-
-
-# -- config validation --------------------------------------------------------
-
-
-@pytest.mark.parametrize("overrides", [
-    dict(view_cache_capacity=-1),
-])
-def test_config_rejects_bad_skew_knobs(overrides):
-    with pytest.raises(ValueError):
-        ClusterConfig(nodes=4, replication_factor=3, **overrides)
-
-
 # -- folding through the full stack --------------------------------------------
 
 
@@ -231,7 +158,7 @@ def test_read_your_writes_through_fold():
     """A session view read right after a folded Put must observe it:
     the Put's record resolves with the survivor it folded into, so the
     barrier holds the read until that one has written the view."""
-    cluster = build(**ADAPTIVE, view_cache_capacity=16)
+    cluster = build(**ADAPTIVE)
     # Promote the chain first so the session Put itself folds.
     drive(cluster, [(0, {"vk": f"g{i % 2}", "m": f"w{i}"}, 100 + i)
                     for i in range(10)])
@@ -253,31 +180,11 @@ def test_read_your_writes_through_fold():
     assert divergent_base_keys(cluster, VIEW) == []
 
 
-def test_view_cache_serves_repeat_reads_and_invalidates_on_write():
-    cluster = build(**ADAPTIVE, view_cache_capacity=16)
-    drive(cluster, [(0, {"vk": "a", "m": "v0"}, 100)])
-    client = cluster.sync_client(coordinator_id=1)
-    assert [r.values["m"][0] for r in client.get_view("V", "a", ("m",), r=2)
-            ] == ["v0"]
-    assert [r.values["m"][0] for r in client.get_view("V", "a", ("m",), r=2)
-            ] == ["v0"]
-    cache = cluster.view_manager.skew.cache
-    assert cache.stats()["hits"] == 1
-    # A write through the propagation stream invalidates the entry and
-    # the next read sees the new value.
-    client.put("T", 0, {"m": "v1"}, w=2, timestamp=200)
-    client.settle()
-    assert cache.stats()["invalidations"] >= 1
-    assert [r.values["m"][0] for r in client.get_view("V", "a", ("m",), r=2)
-            ] == ["v1"]
-
-
 def test_disabled_service_is_inert():
-    """Default config: nothing heavy, no folding, no cache."""
+    """Default config: nothing heavy, no folding."""
     cluster = build()
     skew = cluster.view_manager.skew
     assert not skew.enabled
-    assert not skew.cache.enabled
     drive(cluster, [(0, {"vk": f"g{i}", "m": f"v{i}"}, 100 + i)
                     for i in range(10)])
     assert not skew.observe(1, VIEW, 0)
@@ -289,14 +196,12 @@ def test_disabled_service_is_inert():
 
 
 def test_skew_stats_shape():
-    cluster = build(**ADAPTIVE, view_cache_capacity=8)
+    cluster = build(**ADAPTIVE)
     stats = cluster.view_manager.skew_stats()
     expected = {"enabled", "folded_records", "heavy_keys", "promotions",
-                "demotions", "cache"}
+                "demotions"}
     assert set(stats) == expected
     assert stats["enabled"] is True
-    assert set(stats["cache"]) == {"hits", "misses", "invalidations",
-                                   "evictions", "entries"}
 
 
 def test_light_record_behind_another_coordinators_fold_is_not_stranded():
