@@ -23,18 +23,23 @@ __all__ = ["repair_row", "repair_table"]
 def repair_row(cluster: "Cluster", table: str, key: Hashable):
     """Reconcile all alive replicas of one row; a simulation process.
 
-    Reads the full row from every alive replica, merges per-cell LWW
-    winners, and writes any cells a replica is missing or holds stale
-    back to it, one replica at a time.  Replicas that do not answer
-    within the cluster's timeout (one wait for all of them) are left
-    for a later sweep.  Returns the number of replicas that needed
+    The row's first alive replica coordinates the sweep, as a Cassandra
+    repair coordinator does: it reads the full row from every alive
+    replica (its own copy in process, the others over the link), merges
+    per-cell LWW winners, and writes any cells a replica is missing or
+    holds stale back to it, one replica at a time.  Replicas that do not
+    answer within the cluster's timeout (one wait for all of them) are
+    left for a later sweep.  Returns the number of replicas that needed
     repair.
     """
     replicas = [r for r in cluster.replicas_for(table, key) if not r.is_down]
+    if not replicas:
+        return 0
+    src_id = replicas[0].node_id
     request = ReadRowRequest(table, key)
     responses = yield ResponseCollector(
         cluster.env,
-        [cluster.network.rpc(replica.node_id, replica, request)
+        [cluster.network.rpc(src_id, replica, request)
          for replica in replicas],
         cluster.quorum_deadlines).settled
     winners = merge_rows(response.cells for response in responses)
@@ -46,7 +51,7 @@ def repair_row(cluster: "Cluster", table: str, key: Hashable):
         missing = stale_cells(winners, held[replica.node_id])
         if missing:
             repaired += 1
-            ack = cluster.network.rpc(replica.node_id, replica,
+            ack = cluster.network.rpc(src_id, replica,
                                       WriteRequest(table, key, missing))
             yield ResponseCollector(cluster.env, [ack],
                                     cluster.quorum_deadlines).settled

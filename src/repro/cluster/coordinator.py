@@ -11,6 +11,11 @@ is one RPC and a lost message, a partition or a gray-slow replica costs
 the hedge plus a round trip, not :data:`RPC_TIMEOUT`.  Any R of N
 intersect a write quorum as well as the first R of N do.
 
+"Own node first" means in process: the own node's copy is read (and a
+Put's written) as a loopback, which ``Network.rpc`` serves as its CPU
+charge with no link.  This module sends every request the same way and
+never asks whether the replica is local.
+
 The one broadcast read left is Algorithm 1's (``scatter_read(...,
 every_replica=True)``): it wants every replica's view-key version, and
 late responses keep arriving in the background —

@@ -1,11 +1,18 @@
 """Simulated network: latency, loss, partitions, RPC plumbing.
 
-``Network.rpc`` is three timers: the request's one-way delay, the
-service time the node's handler charges to its CPU, and the response's
-return delay; the returned event fires with the response when the third
-one does.  If the destination is down, partitioned away, or the message
-is lost, the event simply never fires — exactly like a dropped packet;
-callers protect themselves with quorum timeouts.
+A remote ``Network.rpc`` is three timers: the request's one-way delay,
+the service time the node's handler charges to its CPU, and the
+response's return delay; the returned event fires with the response
+when the third one does.  If the destination is down, partitioned away,
+or the message is lost, the event simply never fires — exactly like a
+dropped packet; callers protect themselves with quorum timeouts.
+
+A request a node sends to itself is a *loopback*, served in process the
+way a Cassandra coordinator reads and applies its own replica (its local
+read or mutation stage, not the messaging layer): the same handler and
+the same CPU charge, but no link, so it is the charge's timer alone.  It
+draws no delay, and loss, partitions and link slowdowns cannot touch it;
+a down node still drops it.
 """
 
 from __future__ import annotations
@@ -45,6 +52,9 @@ class Network:
         # Gray failures: per-endpoint delay inflation factors (slow NIC,
         # overloaded switch port) — the node answers, just late.
         self._slowdowns: Dict[int, float] = {}
+        # What starts a loopback's handler (a remote one is started by
+        # its fired request timer): a processed event carrying None.
+        self._sent = env.event().succeed_now()
         # Counters for observability/tests.
         self.messages_sent = 0
         self.messages_dropped = 0
@@ -125,34 +135,46 @@ class Network:
         the request or response is dropped (down node, partition, loss);
         handler exceptions fail the event.
 
-        A delivered RPC costs three kernel events, the ones that advance
-        the clock (see :class:`_Call`): the forward delay is drawn here,
-        at send; the return delay when the handler finishes.
+        A delivered remote RPC costs three kernel events, the ones that
+        advance the clock (see :class:`_Call`): the forward delay is
+        drawn here, at send; the return delay when the handler finishes.
+        A loopback (``src_id`` is ``dst``'s own id) costs one, its CPU
+        charge: the handler's first step runs here, inside the caller,
+        and the reply is triggered from the charge's callback.  That is
+        safe because every handler's first yield is its charge, so
+        nothing is applied or woken from inside the caller.  Either way
+        it counts in ``messages_sent``: requests handed to a replica.
         """
         self.messages_sent += 1
         call = _Call(self, src_id, dst, request)
-        Timeout(self.env, self.one_way_delay(src_id, dst.node_id)
-                ).callbacks.append(call.deliver)
+        if call.local:
+            call.deliver(self._sent)
+        else:
+            Timeout(self.env, self.one_way_delay(src_id, dst.node_id)
+                    ).callbacks.append(call.deliver)
         return call.reply
 
 
 class _Call:
     """One RPC in flight; its bound methods are the timers' callbacks.
 
-    ``deliver`` runs when the request's delay has passed: it makes the
-    drop checks, calls ``dst.dispatch(request)`` and steps the handler
-    generator it returns, in place (RPCs are the most common unit of
-    work in the simulation; a ``Process`` per message would add a start
-    event and a completion event that advance no clock).  ``step``
-    resumes the handler after each event it waits on — its CPU charge —
-    and, when it returns, arms the reply timer carrying the response.
-    ``arrive`` runs when that delay has passed, repeats the partition and
-    loss checks, and triggers ``reply`` in place, so whoever waits on it
-    (a quorum collector, and through it the coordinator) continues
-    inside the same kernel event.
+    ``deliver`` runs when the request's delay has passed (a loopback's
+    at send): it makes the drop checks, calls ``dst.dispatch(request)``
+    and steps the handler generator it returns, in place (RPCs are the
+    most common unit of work in the simulation; a ``Process`` per
+    message would add a start event and a completion event that advance
+    no clock).  ``step`` resumes the handler after each event it waits
+    on — its CPU charge — and, when it returns, arms the reply timer
+    carrying the response.  ``arrive`` runs when that delay has passed,
+    repeats the partition and loss checks, and triggers ``reply`` in
+    place, so whoever waits on it (a quorum collector, and through it
+    the coordinator) continues inside the same kernel event.  A
+    loopback crosses no link: its only drop check is the down node, and
+    ``step`` triggers ``reply`` itself.
     """
 
-    __slots__ = ("network", "src_id", "dst", "request", "reply", "handler")
+    __slots__ = ("network", "src_id", "dst", "request", "reply", "handler",
+                 "local")
 
     def __init__(self, network: Network, src_id: int, dst: "StorageNode",
                  request: Any):
@@ -162,6 +184,7 @@ class _Call:
         self.request = request
         self.reply = Event(network.env)
         self.handler = None
+        self.local = src_id == dst.node_id
 
     def _dropped(self) -> bool:
         network = self.network
@@ -175,7 +198,7 @@ class _Call:
         if self.dst.is_down:
             self.network.messages_dropped += 1
             return
-        if self._dropped():
+        if not self.local and self._dropped():
             return
         try:
             self.handler = self.dst.dispatch(self.request)
@@ -188,6 +211,9 @@ class _Call:
         try:
             advance(self.handler, event, self.step)
         except StopIteration as done:
+            if self.local:
+                self.reply.succeed_now(done.value)
+                return
             network = self.network
             Timeout(network.env,
                     network.one_way_delay(self.dst.node_id, self.src_id),

@@ -247,10 +247,12 @@ def _converged_cluster(rows=20):
 def test_repair_row_waits_out_silent_replicas_together():
     """Replicas that are up but never answer cost the sweep one
     ``RPC_TIMEOUT`` between them (they are all read at once and waited
-    for through one collector), not one each in turn."""
+    for through one collector), not one each in turn.  The sweep's
+    coordinator, the row's first replica, reads its own copy in process;
+    the other two are the silent ones."""
     cluster = _converged_cluster(rows=1)
     env = cluster.env
-    cluster.network.message_loss = 1.0  # all three replicas: up, silent
+    cluster.network.message_loss = 1.0  # the two remote replicas: up, silent
     start = env.now
     assert env.run(until=cluster.repair_row("T", 0)) == 0
     assert env.now == start + RPC_TIMEOUT

@@ -12,9 +12,19 @@ pops but not when anything completes.  It runs on the default
 sampled before instead of after a neighbour's forward delay — shifts
 every later timestamp and fails it.
 
-Last re-recorded by PR 24, which was meant to move the simulation: a
-quorum Get asks R alive replicas (the coordinator's own first), not all
-N, so every Get draws fewer link delays and no longer returns on the
+Last re-recorded for the loopback, which was meant to move the
+simulation: a coordinator serves its own replica in process, with no
+link delay drawn for it, so every later draw shifts.  The first op to
+complete is now client 3's first (a view-key Put, W = 2), at 0.8436 ms
+instead of 0.8896.  Client 1's first Get (R = 2), the first to complete
+before, waits on its one remote replica's delays, drawn from the
+shifted stream: 0.8826 ms instead of 0.6507.  The last op completes at
+90.51 ms instead of 94.26.
+
+Before that it was re-recorded for another change meant to move the
+simulation: a quorum Get asks R alive replicas (the coordinator's own
+first), not all N, so every Get draws fewer link delays and no longer
+returns on the
 fastest R of three — the first op to differ is the very first to
 complete (client 1's first, an R = 2 Get), at 0.6507 ms instead of
 0.6765.  PR 22 re-recorded it for the three-round move by the

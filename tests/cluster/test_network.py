@@ -213,13 +213,14 @@ def test_unknown_request_type_fails_rpc_event():
     assert caught == ["unknown request type object"]
 
 
-def count_events(cluster, request):
-    """Kernel events popped for one delivered RPC, by type name."""
+def count_events(cluster, request, src_id=1):
+    """Kernel events popped for one delivered RPC to node 0, by type
+    name."""
     popped = []
     cluster.env.set_event_watcher(
         lambda event: popped.append(type(event).__name__))
     fired = []
-    cluster.network.rpc(1, cluster.nodes[0], request).add_callback(
+    cluster.network.rpc(src_id, cluster.nodes[0], request).add_callback(
         lambda event: fired.append((event.value, cluster.env.now)))
     cluster.run_until_idle()
     assert len(fired) == 1
@@ -241,3 +242,69 @@ def test_delivered_write_rpc_is_four_kernel_events():
     # The fourth is the write's deferred CPU work, off the reply path.
     assert sorted(count_events(cluster, request)) == [
         "Timeout", "Timeout", "_Hold", "_Hold"]
+
+
+# -- loopback: a node serving its own request in process -------------------
+
+
+def test_loopback_read_is_one_kernel_event_its_cpu_charge():
+    """A request a node sends to itself crosses no link: no request
+    timer, no reply timer, only the handler's CPU charge."""
+    cluster = build_cluster()
+    assert count_events(cluster, ReadRequest("T", "k", ("a",)),
+                        src_id=0) == ["_Hold"]
+
+
+def test_loopback_read_completes_after_exactly_its_service_time():
+    cluster = build_cluster()
+    node = cluster.nodes[0]
+    node.engine.apply("T", "k", {"a": Cell.make(5, 3)})
+    response, when = rpc_once(cluster, 0, node, ReadRequest("T", "k", ("a",)))
+    assert response.cells["a"] == Cell.make(5, 3)
+    assert when == cluster.config.service.read_cost(1)
+    assert cluster.network.messages_sent == 1
+
+
+def test_loopback_write_is_two_kernel_events():
+    cluster = build_cluster()
+    request = WriteRequest("T", "k", {"a": Cell.make(1, 10)})
+    # The charge that acknowledges it and the deferred CPU work.
+    assert count_events(cluster, request, src_id=0) == ["_Hold", "_Hold"]
+    assert cluster.nodes[0].engine.read("T", "k", ("a",))["a"] == Cell.make(
+        1, 10)
+
+
+def test_loopback_ignores_link_loss_and_slowdown_and_draws_nothing():
+    """Loss and a gray-slow link act on messages; a loopback is none,
+    so it neither drops nor slows, and takes no draw from the network's
+    random stream."""
+    cluster = build_cluster()
+    node = cluster.nodes[0]
+    cluster.network.message_loss = 1.0  # every message on a link lost
+    cluster.network.set_slowdown(0, 10.0)
+    state = cluster.network._rng.getstate()
+    response, when = rpc_once(cluster, 0, node, ReadRequest("T", "k", ("a",)))
+    assert isinstance(response, ReadResponse)
+    assert when == cluster.config.service.read_cost(1)
+    assert cluster.network._rng.getstate() == state
+    assert cluster.network.messages_dropped == 0
+
+
+def test_loopback_still_pays_a_slow_cpu():
+    cluster = build_cluster()
+    node = cluster.nodes[0]
+    node.set_cpu_slowdown(4.0)
+    _, when = rpc_once(cluster, 0, node, ReadRequest("T", "k", ("a",)))
+    assert when == pytest.approx(4.0 * cluster.config.service.read_cost(1))
+
+
+def test_loopback_to_a_down_node_is_dropped_and_counted():
+    cluster = build_cluster()
+    node = cluster.nodes[0]
+    node.mark_down()
+    response, when = rpc_once(cluster, 0, node,
+                              WriteRequest("T", "k", {"a": Cell.make(1, 0)}))
+    assert response is None and when is None
+    assert cluster.network.messages_sent == 1
+    assert cluster.network.messages_dropped == 1
+    assert node.requests_handled == 0

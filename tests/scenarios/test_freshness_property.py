@@ -87,7 +87,13 @@ def test_storms_actually_escalate(monkeypatch):
     escalations = 0
     compensated = 0
     lost = 0
-    for seed in (1, 2, 3, 4):
+    # The seeds are the first four from 1 whose storm loses a record,
+    # escalates a bounded read and compensates only crash-lost keys.
+    # They were 1-4 while a coordinator reached its own replica over
+    # the link.  Since it serves itself in process, propagations finish
+    # sooner and fewer are left for the victim's crash to take: seeds
+    # 1-4 lose nothing, and 2 escalates on outbox lag alone.
+    for seed in (5, 6, 10, 12):
         scenario, result = run_storm(seed=seed, ops=140,
                                      bounded_fraction=0.4)
         slo = result.stats["freshness"]["slo"]

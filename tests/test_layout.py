@@ -156,6 +156,16 @@ def test_replica_rpcs_have_one_seam():
         "cluster/cluster.py", "cluster/coordinator.py"]
 
 
+def test_a_loopback_is_decided_in_one_place():
+    """Whether a request crosses a link is ``Network.rpc``'s call: a node
+    that sends to itself is served in process there.  No sender — the
+    coordinator above all — grows a "local" path of its own beside it."""
+    locality = re.compile(
+        r"\bsrc_id\s*==\s*[\w.]*node_id\b|\bnode_id\s*==\s*src_id\b")
+    assert [str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+            if locality.search(path.read_text())] == ["cluster/network.py"]
+
+
 # Exports that nothing outside ``tests/`` reaches, each with the reason
 # it stays.  Five at most: a sixth means the rule below has stopped
 # being applied.
