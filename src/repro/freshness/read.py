@@ -62,9 +62,9 @@ def fresh_view_get(manager, coordinator, view_name: str, view_key: Any,
                    max_staleness_ms: Optional[float], session):
     """The fresh read path; a simulation process.
 
-    Order matters: the certificate is taken *before* the view quorum
-    read, so a source resolving mid-read can only make the result
-    fresher than certified, never staler.
+    Order matters: the certificate is taken *before* the view read (its
+    Get is the one coordinator charge), so a source resolving mid-read
+    can only make the result fresher than certified, never staler.
     """
     view = manager.view(view_name)
     bounded = max_staleness_ms is not None
@@ -79,7 +79,6 @@ def fresh_view_get(manager, coordinator, view_name: str, view_key: Any,
     sources = tracker.sources(view_name)
     certificate = tracker.certificate(view_name, max_staleness_ms,
                                       sources=sources)
-    yield coordinator.node.charge(manager.config.service.coordinator)
     results = yield from view_read.view_get(
         manager.env, coordinator, view, view_key, columns, r,
         stats=manager.read_stats)

@@ -400,10 +400,9 @@ class ViewManager:
 
     def view_get(self, coordinator, view_name: str, view_key: Any,
                  columns: Tuple[ColumnName, ...], r: int, session=None):
-        """Read live rows for ``view_key``; blocks on session barriers."""
+        """Algorithm 4 behind the session barrier, priced like a base Get."""
         view = self.view(view_name)
         yield from view_read.read_barrier(self, coordinator, view, session)
-        yield coordinator.node.charge(self.config.service.coordinator)
         results = yield from view_read.view_get(
             self.env, coordinator, view, view_key, columns, r,
             stats=self.read_stats)

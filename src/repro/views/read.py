@@ -14,8 +14,9 @@ observe a half-copied one: the copied cells arrive in the same apply as
 the marker.)
 
 Both read paths (``ViewManager.view_get`` and the freshness read) run
-:func:`read_barrier`, charge the coordinator and call :func:`view_get`
-through this module's attribute, which mvbench's tracer wraps.
+:func:`read_barrier`, then :func:`view_get` through this module's
+attribute (mvbench's tracer wraps it).  Neither adds a coordinator
+charge: the Get below pays it, so a view Get is priced like a base Get.
 """
 
 from __future__ import annotations

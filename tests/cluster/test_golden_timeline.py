@@ -12,14 +12,21 @@ pops but not when anything completes.  It runs on the default
 sampled before instead of after a neighbour's forward delay — shifts
 every later timestamp and fails it.
 
-Last re-recorded for the loopback, which was meant to move the
-simulation: a coordinator serves its own replica in process, with no
-link delay drawn for it, so every later draw shifts.  The first op to
-complete is now client 3's first (a view-key Put, W = 2), at 0.8436 ms
-instead of 0.8896.  Client 1's first Get (R = 2), the first to complete
-before, waits on its one remote replica's delays, drawn from the
-shifted stream: 0.8826 ms instead of 0.6507.  The last op completes at
-90.51 ms instead of 94.26.
+Last re-recorded when a view Get stopped charging the coordinator
+twice (once around Algorithm 4, once in its wide-row Get), which was
+meant to move the simulation.  The first op to differ is the third to
+complete: client 2's first (a view Get, R = 2), now at 0.9250 ms
+instead of 1.0074.  Client 1's first Get, its link delays now drawn in
+a different order, completes at 1.0074 ms instead of 0.8826.  The last
+op completes at 89.73 ms instead of 90.51.
+
+Before that it was re-recorded for the loopback: a coordinator serves
+its own replica in process, with no link delay drawn for it, so every
+later draw shifts.  The first op to complete became client 3's first
+(a view-key Put, W = 2), at 0.8436 ms instead of 0.8896.  Client 1's
+first Get (R = 2), the first to complete before, waited on its one
+remote replica's delays, drawn from the shifted stream: 0.8826 ms
+instead of 0.6507.  The last op completed at 90.51 ms instead of 94.26.
 
 Before that it was re-recorded for another change meant to move the
 simulation: a quorum Get asks R alive replicas (the coordinator's own

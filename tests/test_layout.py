@@ -71,6 +71,21 @@ def test_view_reads_have_one_path(word):
     assert _files_mentioning(word) == []
 
 
+def test_a_client_request_pays_the_coordinator_overhead_once():
+    """The coordinator's request overhead is charged by the quorum
+    operations of ``Coordinator`` and, for an MV Put's two rounds, once
+    by ``base_put``.  A view Get pays its wide-row Get's charge alone:
+    a second charge around it would price it as two requests."""
+    assert sorted(_files_mentioning("service.coordinator")) == [
+        "cluster/coordinator.py", "views/manager.py"]
+    source = (SRC / "views" / "manager.py").read_text()
+    (base_put,) = [node for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "base_put"]
+    assert source.count("service.coordinator") == 1
+    assert "service.coordinator" in ast.get_source_segment(source, base_put)
+
+
 def test_config_and_snapshot_stay_small():
     assert len(dataclasses.fields(ClusterConfig)) <= 16
     assert len(dataclasses.fields(ClusterSnapshot)) <= 18

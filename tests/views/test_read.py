@@ -102,6 +102,39 @@ def test_view_get_with_full_quorum():
     assert row["m"] == "x"
 
 
+READS = {
+    "get": ("T", "k", lambda client: client.get("T", "k", ["m"])),
+    "get_view": ("V", "a", lambda client: client.get_view("V", "a", ["m"])),
+    "get_view_fresh": ("V", "a", lambda client: client.get_view_fresh(
+        "V", "a", ["m"], max_staleness_ms=None)),
+}
+
+
+@pytest.mark.parametrize("holds_replica", [True, False])
+@pytest.mark.parametrize("read", sorted(READS))
+def test_a_view_get_is_charged_like_a_base_get(read, holds_replica):
+    """One client request, one coordinator charge: on an idle cluster an
+    R = 1 read adds ``service.coordinator`` to its coordinator's CPU,
+    plus the replica read's cost when it reads its own copy — a base
+    Get (columns asked) and a view Get (row width) alike."""
+    cluster, writer = build()
+    writer.put("T", "k", {"vk": "a", "m": "x"}, w=3)
+    writer.settle()
+    table, key, send = READS[read]
+    holders = {node.node_id for node in cluster.replicas_for(table, key)}
+    (node_id,) = ([min(holders)] if holds_replica
+                  else set(range(len(cluster.nodes))) - holders)
+    node = cluster.node(node_id)
+    service = cluster.config.service
+    expected = service.coordinator
+    if holds_replica:
+        expected += service.read_cost(
+            1 if table == "T" else node.engine.row_width(table, key))
+    before = node.busy_time
+    assert send(cluster.sync_client(node_id))
+    assert node.busy_time - before == pytest.approx(expected)
+
+
 def test_many_base_rows_under_one_view_key():
     _cluster, client = build()
     for i in range(25):
