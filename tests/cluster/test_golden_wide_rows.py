@@ -1,0 +1,120 @@
+"""The simulation did not move, on the paths the first recording skips.
+
+``test_golden_timeline.py`` reads at R = 2 and spreads twelve base rows
+over five view keys, so its view rows stay narrow.  This recording pins
+the other half of the read path: 64 base rows re-keyed among three view
+keys until every view row carries tens of stale entries beside its live
+ones, read by R = 1 view Gets and by bounded ``get_view_fresh`` reads
+(whose view Get is raised to the maintainer's majority and which may
+escalate to base-table Gets), beside R = 1 base Gets and W = 1 Puts,
+with odd clients under a session so barriers run.  Every op must
+complete at the same ``repr``-exact instant, return the same results
+(rows and staleness certificates) and leave byte-identical base and
+view tables.
+
+Re-record (only for a change that is *meant* to move the simulation)::
+
+    PYTHONPATH=src python tests/cluster/test_golden_wide_rows.py
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from repro.cluster import Cluster, ClusterConfig
+from repro.views import ViewDefinition, state_digest
+
+FIXTURE = Path(__file__).parent / "fixtures" / "timeline-wide-rows.json"
+
+SEED = 29
+CLIENTS = 4
+OPS_PER_CLIENT = 150
+KEYS = 64
+VIEW_KEYS = 3
+KINDS = ("put", "get_view", "put", "get", "put", "get_view_fresh")
+BOUND_MS = 5.0
+
+
+def _row(result):
+    return (result.base_key, sorted(result.values.items()))
+
+
+def run_timeline(cluster=None) -> dict:
+    """Four closed-loop clients x 150 ops on a 4-node cluster with one
+    view; returns the recording (and leaves ``cluster`` drained)."""
+    cluster = cluster or Cluster(ClusterConfig(seed=SEED))
+    cluster.create_table("T")
+    cluster.create_view(ViewDefinition("V", "T", "sec", ("payload",)))
+    env = cluster.env
+    timeline = []
+    results = hashlib.sha256()
+
+    def client(index, handle):
+        rng = random.Random(SEED * 1000 + index)
+        if index % 2:
+            handle.begin_session()
+        for i in range(OPS_PER_CLIENT):
+            kind = KINDS[(i + index) % len(KINDS)]
+            key = rng.randrange(KEYS)
+            view_key = f"s{rng.randrange(VIEW_KEYS)}"
+            if kind == "put":
+                result = yield from handle.put(
+                    "T", key, {"sec": view_key, "payload": f"p{index}.{i}"},
+                    w=1)
+            elif kind == "get":
+                result = yield from handle.get("T", key, ("payload",), r=1)
+            elif kind == "get_view":
+                rows = yield from handle.get_view(
+                    "V", view_key, ("payload", "B"), r=1)
+                result = [_row(row) for row in rows]
+            else:
+                fresh = yield from handle.get_view_fresh(
+                    "V", view_key, ("payload",), r=1,
+                    max_staleness_ms=BOUND_MS)
+                result = ([_row(row) for row in fresh], fresh.certificate,
+                          fresh.escalated, fresh.compensated_keys)
+            results.update(repr((index, i, result)).encode("utf-8"))
+            timeline.append([index, i, kind, repr(env.now)])
+
+    for index in range(CLIENTS):
+        env.process(client(index, cluster.client()))
+    cluster.run_until_idle()
+    return {
+        "seed": SEED,
+        "timeline": timeline,
+        "results_digest": results.hexdigest(),
+        "base_digest": state_digest(cluster, "T"),
+        "view_digest": state_digest(cluster, "V"),
+    }
+
+
+def test_wide_row_timeline_matches_the_recording_exactly():
+    golden = json.loads(FIXTURE.read_text())
+    cluster = Cluster(ClusterConfig(seed=SEED))
+    actual = run_timeline(cluster)
+    assert len(actual["timeline"]) == CLIENTS * OPS_PER_CLIENT
+    for got, want in zip(actual["timeline"], golden["timeline"]):
+        assert got == want
+    assert actual == golden
+    # What the recording is for: tens of stale entries in every view row,
+    # Init-marked rows met by readers, and bounded reads both served
+    # from the view and escalated.
+    rows = cluster.converged_rows("V")
+    for view_key in (f"s{n}" for n in range(VIEW_KEYS)):
+        nexts = [cell.value for (_base, column), cell in rows[view_key].items()
+                 if column == "Next"]
+        stale = sum(1 for value in nexts if value != view_key)
+        assert stale >= 20, (view_key, stale, len(nexts))
+    stats = cluster.view_manager.freshness_stats()
+    assert stats["init_spins"] > 0
+    assert stats["slo"]["bound_hits"] > 0 and stats["slo"]["escalations"] > 0
+
+
+if __name__ == "__main__":
+    recording = run_timeline()
+    ops = ",\n".join("  " + json.dumps(op) for op in recording.pop("timeline"))
+    head = json.dumps(recording, indent=1)[:-2]  # reopen the object
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(f'{head},\n "timeline": [\n{ops}\n ]\n}}\n')
+    print(f"recorded {FIXTURE}")
