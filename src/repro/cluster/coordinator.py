@@ -386,10 +386,19 @@ class Coordinator:
 
     def get(self, table: str, key: Hashable,
             columns: Tuple[ColumnName, ...], r: int):
-        """Quorum Get: merged per-column cells from the first R responses."""
+        """Quorum Get: merged per-column cells from the first R responses.
+
+        At R = 1 the one response is the answer: its cells (a
+        never-written column as :meth:`Cell.null`), with no merge and no
+        read repair, whose diff against the one replica is empty.
+        """
         yield self.node.charge(self.config.service.coordinator)
         collector = self.scatter_read(table, key, columns, r)
         responses = yield collector.wait(r)
+        if r == 1:
+            cells = responses[0].cells
+            null = Cell.null()
+            return {column: cells.get(column) or null for column in columns}
         merged = {column: merge_cells(response.cells.get(column)
                                       for response in responses)
                   for column in columns}
@@ -397,10 +406,13 @@ class Coordinator:
         return merged
 
     def get_row(self, table: str, key: Hashable, r: int):
-        """Quorum whole-row Get: merged cells of every column seen."""
+        """Quorum whole-row Get: merged cells of every column seen (at
+        R = 1 the one response's, with no merge and no read repair)."""
         yield self.node.charge(self.config.service.coordinator)
         collector = self.scatter_read_row(table, key, r)
         responses = yield collector.wait(r)
+        if r == 1:
+            return responses[0].cells
         merged = merge_rows([response.cells for response in responses])
         self._maybe_read_repair(table, key, responses, merged)
         return merged

@@ -5,7 +5,8 @@ a :class:`Resource` with ``cores_per_node`` slots, and the local fragments
 of any native secondary indexes.  Handlers charge the CPU for a
 service-time interval (``yield self.charge(cost)``) and then perform the
 storage operation atomically (no yields between reading and writing
-local state).
+local state).  A write's deferred work is booked on the CPU without an
+event: it delays later charges, and nobody waits for it.
 """
 
 from __future__ import annotations
@@ -111,18 +112,23 @@ class StorageNode:
 
     # -- CPU accounting -------------------------------------------------------------
 
-    def charge(self, duration: float) -> Event:
-        """Charge ``duration`` ms of CPU, queuing FIFO behind other work.
-
-        Returns the event that fires when the work is done, the core
-        already given back.  Handlers ``yield`` it; work nobody waits
-        for (the deferred part of a write) just calls this.  One kernel
-        event per charge either way (:meth:`Resource.hold`).
-        """
+    def _priced(self, duration: float) -> float:
+        """``duration`` ms of CPU work as this node runs it (inflated by
+        a gray slowdown), counted in ``busy_time``."""
         if self.cpu_slowdown != 1.0:
             duration *= self.cpu_slowdown
         self.busy_time += duration
-        return self.cpu.hold(duration)
+        return duration
+
+    def charge(self, duration: float) -> Event:
+        """Charge ``duration`` ms of CPU, queuing FIFO behind other work.
+
+        Returns the event that fires when the work is done: one kernel
+        event, the timer at its end (:meth:`Resource.hold`).  Handlers
+        ``yield`` it.  Work nobody waits for, the deferred part of a
+        write, is booked by :meth:`_apply_write` with no event at all.
+        """
+        return self.cpu.hold(self._priced(duration))
 
     # -- dispatch -------------------------------------------------------------------
 
@@ -163,7 +169,7 @@ class StorageNode:
         # this node's CPU asynchronously, off the acknowledgement path.
         background = self.service.write_background
         if background > 0:
-            self.charge(background)
+            self.cpu.defer(self._priced(background))
         return bool(changed)
 
     def _handle_write(self, request: WriteRequest):

@@ -91,7 +91,7 @@ class LocalStorageEngine:
         row = self._table(table).get(key)
         if row is None:
             return {}
-        return dict(row.items())
+        return row.cells()
 
     def row_width(self, table: str, key: Hashable) -> int:
         """How many cells the row holds (0 if absent): what a whole-row

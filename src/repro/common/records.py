@@ -111,7 +111,9 @@ def merge_cells(cells: Iterable[Optional[Cell]]) -> Cell:
     for cell in cells:
         if cell is None:
             continue
-        if winner is None or cell_wins(cell, winner):
+        # Replicas usually hold the very object one write sent them all:
+        # it cannot beat itself.
+        if winner is None or (cell is not winner and cell_wins(cell, winner)):
             winner = cell
     return winner if winner is not None else Cell.null()
 
@@ -131,8 +133,12 @@ def merge_rows(rows: Iterable[Dict[ColumnName, Optional[Cell]]]
     merged: Dict[ColumnName, Cell] = {}
     for row in rows:
         for column, cell in row.items():
-            if cell is not None and (column not in merged
-                                     or cell_wins(cell, merged[column])):
+            if cell is None:
+                continue
+            held = merged.get(column)
+            # The same object on two replicas (one write sent it to
+            # both) is no contest.
+            if held is None or (held is not cell and cell_wins(cell, held)):
                 merged[column] = cell
     return merged
 
@@ -190,9 +196,9 @@ class Row:
         """Iterate over column names present in the row."""
         return iter(self._cells)
 
-    def items(self) -> Iterator[Tuple[ColumnName, Cell]]:
-        """Iterate over ``(column, cell)`` pairs."""
-        return iter(self._cells.items())
+    def cells(self) -> Dict[ColumnName, Cell]:
+        """A copy of every stored cell, by column (a whole-row read)."""
+        return dict(self._cells)
 
     def live_columns(self) -> Iterator[ColumnName]:
         """Columns whose cells are not NULL/tombstoned."""

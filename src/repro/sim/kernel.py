@@ -34,7 +34,11 @@ Performance notes: this kernel is the hot path of every run (mvbench's
 ``sim.kernel.*`` rows, see ``benchmarks/mvbench/README.md``), and what a
 run costs is, to first order, the number of events popped off the heap.
 So the cheapest event is the one never scheduled: only an event that
-advances the clock needs the heap.  A hand-off *within* one instant —
+advances the clock *for someone waiting on it* needs the heap.  A CPU
+is the instant each core next falls free (``sim/resources.py``): work
+somebody waits on is one timer at its computed end, however long it
+queued, and work nobody waits on (a write's deferred part) moves a
+core's free time and is no event at all.  A hand-off *within* one instant —
 a reply reaching its quorum collector, the collector waking the waiting
 coordinator — goes through :meth:`Event.succeed_now`, which runs the
 callbacks inside the caller instead of one pop later, and code that

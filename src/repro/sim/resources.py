@@ -1,11 +1,15 @@
 """Shared-resource primitives for the simulation kernel.
 
-``Resource`` models a server with fixed capacity (e.g. the CPU cores of a
-storage node): a process ``yield``s ``resource.hold(service_time)`` to
-occupy a slot for that long, queuing FIFO behind other work, or takes and
-returns a slot by hand with ``request()`` / ``release()``.  Queuing at
-resources is what produces realistic throughput saturation in the
-cluster experiments.
+``Resource`` models a server with fixed capacity (the CPU cores of a
+storage node) and one FIFO queue.  It is kept as the instant each core
+next falls free, so a unit of work of known length is *booked*, not
+waited for slot by slot: it takes the core that falls free first, starts
+then (or now, if that is earlier) and ends its length later.  A process
+that waits on the work ``yield``s ``resource.hold(service_time)``, one
+timer at the computed end; work nobody waits on (``defer``) only moves
+a core's free time forward and schedules nothing.  Queuing at resources
+is what produces realistic throughput saturation in the cluster
+experiments.
 
 ``Semaphore`` is a counting semaphore whose tokens can start at zero and
 grow: the back-pressure and worker-slot bookkeeping of view maintenance
@@ -14,139 +18,71 @@ grow: the back-pressure and worker-slot bookkeeping of view maintenance
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import Optional
 
-from repro.errors import SimulationError
-from repro.sim.kernel import NORMAL, PENDING, Environment, Event
+from repro.sim.kernel import Environment, Event
 
 __all__ = ["Resource", "Semaphore"]
 
 
-class _Hold(Event):
-    """The event of one :meth:`Resource.hold`: fires when the hold ends.
-
-    Its first callback is the resource's ``release``, so the slot is
-    free again before any waiter resumes — and is freed even when
-    nobody waits on the event at all.
-    """
-
-    __slots__ = ("duration",)
-
-    def __init__(self, resource: "Resource", duration: float):
-        if duration < 0:
-            raise ValueError(f"negative duration {duration}")
-        # Inlined Event.__init__ (one hold per CPU charge).
-        self.env = resource.env
-        self.callbacks = [resource.release]
-        self._ok = True
-        self._value = PENDING
-        self._defused = False
-        self.duration = duration
-
-    def _start(self) -> None:
-        """The slot is ours: schedule the end of the hold."""
-        self._value = None
-        self.env._schedule(self, NORMAL, self.duration)
-
-
 class Resource:
-    """A FIFO-queued resource with fixed ``capacity`` slots.
+    """``capacity`` identical slots behind one FIFO queue.
 
-    Usage from a process, for work of a known length::
+    Work is served in the order it is submitted, each unit on the slot
+    that falls free first: exactly the schedule of a queue whose slots
+    are handed on as they free, with no event spent on a hand-off.
+    Timers that end at the same instant fire in the order their work
+    was submitted.  Usage from a process::
 
         yield resource.hold(service_time)
 
-    or, to keep a slot across other waits::
-
-        yield resource.request()
-        try:
-            ...
-        finally:
-            resource.release()
-
-    Both kinds of waiter share one FIFO queue.
-
-    Note: do not interrupt a process while it is waiting on
-    ``request()`` — its queued grant would later fire unowned and leak a
-    slot.  (Nothing in this library interrupts resource waiters; the
-    caveat matters only for user code combining ``Process.interrupt``
-    with resources.  A ``hold()`` cannot leak: it releases itself.)
+    and, for work whose end nobody waits on, ``resource.defer(length)``.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.env = env
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        # A heap: the instant each slot next falls free.
+        self._free = [env.now] * capacity
 
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
-    def request(self, hold: Optional[float] = None) -> Event:
-        """Return an event that fires when a slot is acquired.
-
-        With ``hold`` the slot is kept for that long and given back
-        without the caller's help, and the event fires when the hold
-        *ends* — see :meth:`hold`, which is the way to ask for that.
-        """
-        event = Event(self.env) if hold is None else _Hold(self, hold)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self._grant(event)
-        else:
-            self._waiters.append(event)
-        return event
-
-    @staticmethod
-    def _grant(waiter: Event) -> None:
-        if type(waiter) is _Hold:
-            waiter._start()
-        else:
-            waiter.succeed()
-
-    def release(self, _ended: Optional[Event] = None) -> None:
-        """Release a held slot, handing it to the oldest waiter if any.
-
-        A waiting ``request()`` is granted (it resumes one heap pop
-        later); a waiting ``hold()`` is scheduled to end ``duration``
-        from now, directly.  Also the first callback of every hold's
-        event, hence the ignored argument.
-        """
-        if self._in_use <= 0:
-            raise SimulationError("release() without a matching request()")
-        if self._waiters:
-            # Hand the slot directly to the next waiter; _in_use unchanged.
-            self._grant(self._waiters.popleft())
-        else:
-            self._in_use -= 1
+    def _book(self, duration: float) -> float:
+        """Queue ``duration`` of work; the instant it ends."""
+        if duration < 0:
+            raise ValueError(f"negative duration {duration}")
+        free = self._free
+        start = free[0]
+        now = self.env._now
+        if start < now:
+            start = now
+        end = start + duration
+        heapq.heapreplace(free, end)
+        return end
 
     def hold(self, duration: float) -> Event:
         """Occupy a slot for ``duration``; the event fires when it ends.
 
-        One event per hold whether or not it queues: with a slot free
-        the hold starts now; otherwise it waits its turn behind earlier
-        ``request()`` and ``hold()`` calls and the ``release()`` that
-        frees its slot schedules its end, with no grant event in
-        between.  The slot is released before the event's waiters
-        resume.  Usage: ``yield resource.hold(service_time)``.
+        One kernel event, the timer at the end, whether or not the work
+        queues.  Work that must wait for a slot goes through
+        :meth:`request`.
         """
-        if self._in_use < self.capacity:
-            # Uncontended, the common case: skip request().
-            event = _Hold(self, duration)
-            self._in_use += 1
-            event._start()
-            return event
-        return self.request(duration)
+        if self._free[0] > self.env._now:
+            return self.request(duration)
+        return self.env.timeout_at(self._book(duration))
+
+    def request(self, duration: float) -> Event:
+        """A :meth:`hold` that finds every slot busy: it starts when the
+        first one falls free.  A separate method so the queued waits can
+        be counted by wrapping it (mvbench's
+        ``sim.resources.cpu_requests_queued_per_op``)."""
+        return self.env.timeout_at(self._book(duration))
+
+    def defer(self, duration: float) -> None:
+        """Occupy a slot for ``duration`` with work nobody waits on: it
+        delays later work exactly as a :meth:`hold` would, and schedules
+        no event."""
+        self._book(duration)
 
 
 class Semaphore:

@@ -1,10 +1,18 @@
 """Reading from versioned views: Algorithm 4 of the paper.
 
-A view Get fetches the wide row for the requested view key, splits it into
-per-base-key entries, and returns only the *live* entries (self-pointing
-Next).  Stale rows are invisible to applications.  A view may legitimately
-contain several live rows under one view key (several base rows share the
-view key), so the result is a list.
+A view Get fetches the wide row for the requested view key and returns
+only its *live* entries (self-pointing Next).  Stale rows are invisible
+to applications.  A view may legitimately contain several live rows
+under one view key (several base rows share the view key), so the
+result is a list, sorted by ``repr`` of the base key.
+
+A versioned view keeps its stale entries (until a GC pass prunes
+them), so a row whose base rows change view key often is mostly stale
+entries.  :func:`live_results` decodes
+only the live ones: their base keys are read off the row's
+self-pointing ``Next`` cells, and their requested columns are looked up
+by wide-row name.  (:func:`~repro.views.versioned.split_wide_row`, which
+groups every entry, serves the invariant checkers and the scrubber.)
 
 Rows marked with the ``Init`` cell are mid-move by a concurrent view-key
 propagation (Section IV-F): the old live row is not stale yet.  The
@@ -24,16 +32,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.common.records import NULL_TIMESTAMP, ColumnName
+from repro.common.records import NULL_TIMESTAMP, Cell, ColumnName
 from repro.errors import SessionError, ViewError, ViewInitTimeoutError
-from repro.views.definition import BASE_KEY_COLUMN, INIT_COLUMN, ViewDefinition
-from repro.views.versioned import (
-    NULL_VIEW_KEY,
-    base_timestamp_of,
-    split_wide_row,
+from repro.views.definition import (
+    BASE_KEY_COLUMN,
+    INIT_COLUMN,
+    NEXT_COLUMN,
+    ViewDefinition,
 )
+from repro.views.versioned import NULL_VIEW_KEY, base_timestamp_of
 
-__all__ = ["ViewReadStats", "ViewResult", "view_get", "read_barrier"]
+__all__ = ["ViewReadStats", "ViewResult", "view_get", "live_results",
+           "read_barrier"]
 
 # Spin parameters for Init-marked rows.
 _SPIN_INTERVAL = 0.2
@@ -70,6 +80,45 @@ class ViewResult:
         return self.values[column][0]
 
 
+def live_results(view_key: Any, cells: Dict[ColumnName, Cell],
+                 columns: Tuple[ColumnName, ...]
+                 ) -> Optional[List[ViewResult]]:
+    """The live entries of the merged wide row ``cells`` stored under
+    ``view_key``, as :class:`ViewResult` sorted by ``repr`` of the base
+    key; ``None`` while one of them carries an ``Init`` mark.
+
+    A requested ``B`` reads as the base key with its Next pointer's
+    base timestamp; ``Next`` itself is plumbing and reads as unset.
+    """
+    live = [(name[0], cell) for name, cell in cells.items()
+            if isinstance(name, tuple) and len(name) == 2
+            and name[1] == NEXT_COLUMN
+            and not cell.is_null and cell.value == view_key]
+    live.sort(key=lambda entry: repr(entry[0]))
+    results: List[ViewResult] = []
+    for base_key, next_cell in live:
+        init_cell = cells.get((base_key, INIT_COLUMN))
+        if init_cell is not None and not init_cell.is_null:
+            return None
+        values: Dict[ColumnName, Tuple[Any, int]] = {}
+        for column in columns:
+            if column == BASE_KEY_COLUMN:
+                values[column] = (base_key,
+                                  base_timestamp_of(next_cell.timestamp))
+                continue
+            cell = (None if column == NEXT_COLUMN
+                    else cells.get((base_key, column)))
+            if cell is None or cell.timestamp == NULL_TIMESTAMP:
+                values[column] = (None, NULL_TIMESTAMP)
+            elif cell.is_null:
+                values[column] = (None, base_timestamp_of(cell.timestamp))
+            else:
+                values[column] = (cell.value,
+                                  base_timestamp_of(cell.timestamp))
+        results.append(ViewResult(base_key, values))
+    return results
+
+
 def view_get(env, coordinator, view: ViewDefinition, view_key: Any,
              columns: Tuple[ColumnName, ...], r: int,
              stats: Optional[ViewReadStats] = None):
@@ -84,32 +133,9 @@ def view_get(env, coordinator, view: ViewDefinition, view_key: Any,
         raise ViewError("the NULL view key is internal and cannot be read")
     spins = 0
     while True:
-        merged = yield from coordinator.get_row(view.name, view_key, r)
-        entries = split_wide_row(view_key, merged)
-        results: List[ViewResult] = []
-        initializing = False
-        for entry in entries:
-            if not entry.is_live:
-                continue
-            init_cell = entry.cells.get(INIT_COLUMN)
-            if init_cell is not None and not init_cell.is_null:
-                initializing = True
-                break
-            values: Dict[ColumnName, Tuple[Any, int]] = {}
-            for column in columns:
-                if column == BASE_KEY_COLUMN:
-                    values[column] = (entry.base_key, entry.base_ts)
-                    continue
-                cell = entry.cells.get(column)
-                if cell is None or cell.timestamp == NULL_TIMESTAMP:
-                    values[column] = (None, NULL_TIMESTAMP)
-                elif cell.is_null:
-                    values[column] = (None, base_timestamp_of(cell.timestamp))
-                else:
-                    values[column] = (cell.value,
-                                      base_timestamp_of(cell.timestamp))
-            results.append(ViewResult(entry.base_key, values))
-        if not initializing:
+        cells = yield from coordinator.get_row(view.name, view_key, r)
+        results = live_results(view_key, cells, columns)
+        if results is not None:
             return results
         spins += 1
         if stats is not None:

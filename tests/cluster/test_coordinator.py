@@ -3,13 +3,14 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import coordinator as coordinator_module
 from repro.cluster.coordinator import (
     READ_HEDGE,
     RPC_TIMEOUT,
     QuorumDeadlines,
     ResponseCollector,
 )
-from repro.common import Cell
+from repro.common import Cell, merge_cells, merge_rows
 from repro.errors import QuorumError, UnavailableError
 from repro.sim import Environment
 
@@ -504,6 +505,42 @@ def test_read_repair_pushes_what_replicas_lack_and_only_then(
     cluster.run_until_idle()
     for replica in replicas:
         assert replica.engine.read_row("T", "k") == converged
+
+
+@pytest.mark.parametrize("read, merge", [
+    (lambda coordinator: coordinator.get("T", "k", ("a", "b", "c"), r=1),
+     lambda replica: {column: merge_cells([cells[column]])
+                      for cells in [replica.engine.read("T", "k",
+                                                        ("a", "b", "c"))]
+                      for column in cells}),
+    (lambda coordinator: coordinator.get_row("T", "k", r=1),
+     lambda replica: merge_rows([replica.engine.read_row("T", "k")])),
+], ids=["get", "get_row"])
+def test_an_r1_read_is_its_one_response_and_repairs_nothing(
+        read, merge, monkeypatch):
+    """At R = 1 the answer is what merging the one response would give
+    (a never-written column as the NULL cell), yet no merge runs, and the
+    replica diff against that replica is empty: no read-repair write,
+    even while the replicas not asked disagree with it."""
+    cluster = build_cluster()
+    insider, _outsider = replica_and_outsider(cluster)
+    own = insider.node
+    own.engine.apply("T", "k", {"a": _OLD, "b": _DEAD})
+    for replica in cluster.replicas_for("T", "k"):
+        if replica is not own:
+            replica.engine.apply("T", "k", {"a": _NEW, "c": _ONLY})
+    expected = merge(own)
+    merges = []
+    for name in ("merge_cells", "merge_rows"):
+        monkeypatch.setattr(coordinator_module, name,
+                            lambda *args, name=name: merges.append(name))
+    merged = run_proc(cluster, read(insider))
+    cluster.run_until_idle()
+    assert merged == expected
+    assert merges == []
+    assert cluster.network.messages_sent == 1
+    assert [replica.engine.read_row("T", "k")["a"]
+            for replica in cluster.replicas_for("T", "k")].count(_OLD) == 1
 
 
 def test_get_row_merges_all_columns():

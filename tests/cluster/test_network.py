@@ -233,15 +233,18 @@ def test_delivered_read_rpc_is_exactly_three_kernel_events():
     the reply event itself is triggered in place."""
     cluster = build_cluster()
     assert count_events(cluster, ReadRequest("T", "k", ("a",))) == [
-        "Timeout", "_Hold", "Timeout"]
+        "Timeout", "Event", "Timeout"]
 
 
-def test_delivered_write_rpc_is_four_kernel_events():
+def test_delivered_write_rpc_is_three_kernel_events():
+    """The write's deferred CPU work is booked on the node's CPU, not
+    scheduled: it costs no event of its own."""
     cluster = build_cluster()
     request = WriteRequest("T", "k", {"a": Cell.make(1, 10)})
-    # The fourth is the write's deferred CPU work, off the reply path.
-    assert sorted(count_events(cluster, request)) == [
-        "Timeout", "Timeout", "_Hold", "_Hold"]
+    assert count_events(cluster, request) == ["Timeout", "Event", "Timeout"]
+    node = cluster.nodes[0]
+    assert node.busy_time == (cluster.config.service.write_cost(1)
+                              + cluster.config.service.write_background)
 
 
 # -- loopback: a node serving its own request in process -------------------
@@ -252,7 +255,7 @@ def test_loopback_read_is_one_kernel_event_its_cpu_charge():
     timer, no reply timer, only the handler's CPU charge."""
     cluster = build_cluster()
     assert count_events(cluster, ReadRequest("T", "k", ("a",)),
-                        src_id=0) == ["_Hold"]
+                        src_id=0) == ["Event"]
 
 
 def test_loopback_read_completes_after_exactly_its_service_time():
@@ -265,11 +268,11 @@ def test_loopback_read_completes_after_exactly_its_service_time():
     assert cluster.network.messages_sent == 1
 
 
-def test_loopback_write_is_two_kernel_events():
+def test_loopback_write_is_one_kernel_event():
     cluster = build_cluster()
     request = WriteRequest("T", "k", {"a": Cell.make(1, 10)})
-    # The charge that acknowledges it and the deferred CPU work.
-    assert count_events(cluster, request, src_id=0) == ["_Hold", "_Hold"]
+    # The charge that acknowledges it; the deferred CPU work is booked.
+    assert count_events(cluster, request, src_id=0) == ["Event"]
     assert cluster.nodes[0].engine.read("T", "k", ("a",))["a"] == Cell.make(
         1, 10)
 

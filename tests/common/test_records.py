@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common import records
 from repro.common import (
     NULL_TIMESTAMP,
     Cell,
@@ -187,7 +188,29 @@ def test_applying_its_stale_cells_brings_a_replica_to_the_merge(rows):
                        if cell is not None})
         for column, cell in stale_cells(winners, row).items():
             assert replica.apply(column, cell)  # nothing pushed in vain
-        assert dict(replica.items()) == winners
+        assert replica.cells() == winners
+
+
+def test_replicas_holding_the_same_cell_objects_merge_without_a_contest(
+        monkeypatch):
+    """One write sends one ``Cell`` object to every replica, so replicas
+    that agree usually hold the very same objects: merging them compares
+    nothing.  Equal but distinct cells are still compared."""
+    calls = []
+
+    def counting(challenger, incumbent):
+        calls.append((challenger, incumbent))
+        return cell_wins(challenger, incumbent)
+
+    monkeypatch.setattr(records, "cell_wins", counting)
+    written = {"a": Cell.make("v", 5), "b": Cell.make(None, 7)}
+    replicas = [dict(written), dict(written), {**written, "c": None}]
+    assert merge_rows(replicas) == written
+    assert merge_cells(replica["a"] for replica in replicas) is written["a"]
+    assert calls == []
+    assert merge_rows([{"a": Cell.make("v", 5)}, {"a": Cell.make("v", 5)}])
+    assert merge_cells([Cell.make("v", 5), Cell.make("v", 5)])
+    assert len(calls) == 2
 
 
 @given(rows=_replica_rows, columns=st.sets(st.sampled_from("abcd")))

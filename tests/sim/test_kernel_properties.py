@@ -44,29 +44,39 @@ def test_sequential_timeouts_sum(delays):
 @settings(max_examples=40, deadline=None)
 @given(
     capacity=st.integers(min_value=1, max_value=5),
-    jobs=st.lists(st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+    jobs=st.lists(st.tuples(st.integers(min_value=0, max_value=20),
+                            st.integers(min_value=0, max_value=10)),
                   min_size=1, max_size=25),
 )
 def test_resource_never_exceeds_capacity(capacity, jobs):
+    """Jobs ``(submitted at, length)`` (whole numbers, so every instant
+    is exact): never more than ``capacity`` in service at once, served
+    in submission order, and none waits while a slot is idle."""
     env = Environment()
     resource = Resource(env, capacity=capacity)
-    concurrency = {"current": 0, "peak": 0}
+    served = []  # (submitted, start, end), in submission order
 
-    def job(duration):
-        yield resource.request()
-        concurrency["current"] += 1
-        concurrency["peak"] = max(concurrency["peak"],
-                                  concurrency["current"])
-        yield env.timeout(duration)
-        concurrency["current"] -= 1
-        resource.release()
+    def job(submit_at, duration):
+        yield env.timeout(submit_at)
+        index = len(served)
+        served.append(None)
+        yield resource.hold(float(duration))
+        served[index] = (submit_at, env.now - duration, env.now)
 
-    for duration in jobs:
-        env.process(job(duration))
+    for submit_at, duration in sorted(jobs, key=lambda job: job[0]):
+        env.process(job(submit_at, duration))
     env.run()
-    assert concurrency["peak"] <= capacity
-    assert concurrency["current"] == 0
-    assert resource.in_use == 0
+    assert None not in served
+    for _submitted, start, end in served:
+        busy = sum(1 for _s, other_start, other_end in served
+                   if other_start <= start < other_end)
+        assert busy <= capacity
+    starts = [start for _submitted, start, _end in served]
+    assert starts == sorted(starts)
+    ends = {end for _submitted, _start, end in served}
+    for submitted, start, _end in served:
+        assert start >= submitted
+        assert start == submitted or start in ends
 
 
 @settings(max_examples=40, deadline=None)

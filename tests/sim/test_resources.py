@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim import Environment, Resource, Semaphore
 
 
@@ -23,40 +22,30 @@ def test_resource_grants_up_to_capacity_immediately():
     log = []
 
     def proc(name):
-        yield resource.request()
+        yield resource.hold(10.0)
         log.append((name, env.now))
-        yield env.timeout(10.0)
-        resource.release()
 
     for name in ("a", "b", "c"):
         env.process(proc(name))
     env.run()
-    # a and b acquire at t=0; c waits until a releases at t=10.
-    assert log == [("a", 0.0), ("b", 0.0), ("c", 10.0)]
+    # a and b start at t=0; c waits until a slot frees at t=10.
+    assert log == [("a", 10.0), ("b", 10.0), ("c", 20.0)]
 
 
 def test_resource_fifo_ordering():
+    """Work is served in submission order, not shortest first."""
     env = Environment()
     resource = Resource(env, capacity=1)
     order = []
 
-    def proc(name):
-        yield resource.request()
-        order.append(name)
-        yield env.timeout(1.0)
-        resource.release()
+    def proc(name, duration):
+        yield resource.hold(duration)
+        order.append((name, env.now))
 
-    for name in ("first", "second", "third"):
-        env.process(proc(name))
+    for name, duration in (("first", 3.0), ("second", 1.0), ("third", 2.0)):
+        env.process(proc(name, duration))
     env.run()
-    assert order == ["first", "second", "third"]
-
-
-def test_resource_release_without_request_rejected():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    with pytest.raises(SimulationError):
-        resource.release()
+    assert order == [("first", 3.0), ("second", 4.0), ("third", 6.0)]
 
 
 def test_resource_hold_serializes_on_one_slot():
@@ -72,31 +61,6 @@ def test_resource_hold_serializes_on_one_slot():
     env.process(proc("b"))
     env.run()
     assert done == [("a", 5.0), ("b", 10.0)]
-
-
-def test_resource_counters():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    snapshots = []
-
-    def holder():
-        yield resource.request()
-        yield env.timeout(5.0)
-        resource.release()
-
-    def waiter():
-        yield env.timeout(1.0)
-        request = resource.request()
-        snapshots.append((resource.in_use, resource.queue_length))
-        yield request
-        resource.release()
-
-    env.process(holder())
-    env.process(waiter())
-    env.run()
-    assert snapshots == [(1, 1)]
-    assert resource.in_use == 0
-    assert resource.queue_length == 0
 
 
 def test_resource_queueing_produces_serial_throughput():
@@ -116,49 +80,76 @@ def test_resource_queueing_produces_serial_throughput():
 
 
 def test_hold_and_request_waiters_share_one_fifo_queue():
+    """Waited-on holds, direct ``request()`` calls and deferred work take
+    their turns in one FIFO queue."""
     env = Environment()
     resource = Resource(env, capacity=1)
-    order = []
-
-    def by_hold(name, duration):
-        yield resource.hold(duration)
-        order.append((name, env.now))
-
-    def by_request(name, duration):
-        yield resource.request()
-        yield env.timeout(duration)
-        resource.release()
-        order.append((name, env.now))
-
-    env.process(by_hold("h1", 2.0))
-    env.process(by_request("r2", 3.0))
-    env.process(by_hold("h3", 1.0))
-    env.process(by_request("r4", 1.0))
-    env.process(by_hold("h5", 2.0))
+    ends = {"h1": resource.hold(2.0)}
+    resource.defer(3.0)                      # 2 .. 5, nobody waits
+    ends["h3"] = resource.hold(1.0)          # 5 .. 6
+    ends["r4"] = resource.request(1.0)       # 6 .. 7
+    ends["h5"] = resource.hold(2.0)          # 7 .. 9
+    done = []
+    for name, event in ends.items():
+        event.add_callback(lambda _e, name=name: done.append((name, env.now)))
     env.run()
-    assert order == [("h1", 2.0), ("r2", 5.0), ("h3", 6.0), ("r4", 7.0),
-                     ("h5", 9.0)]
-    assert resource.in_use == 0 and resource.queue_length == 0
+    assert done == [("h1", 2.0), ("h3", 6.0), ("r4", 7.0), ("h5", 9.0)]
+
+
+def test_only_a_hold_that_finds_every_slot_busy_goes_through_request():
+    """``request`` is the queued path, so wrapping it counts exactly the
+    waited-on work that had to queue; deferred work never passes it."""
+    env = Environment()
+    resource = Resource(env, capacity=2)
+    original = resource.request
+    calls = []
+
+    def counting(duration):
+        calls.append((env.now, duration))
+        return original(duration)
+
+    resource.request = counting
+    resource.hold(1.0)       # 0 .. 1
+    resource.defer(2.0)      # 0 .. 2
+    resource.hold(3.0)       # both slots busy: queued, 1 .. 4
+    resource.defer(0.5)      # queued too, but nobody waits: 2 .. 2.5
+    env.run(until=3.0)
+    resource.hold(5.0)       # a slot has been free since 2.5
+    env.run()
+    assert calls == [(0.0, 3.0)]
 
 
 def test_hold_never_exceeds_capacity():
+    """A hand-computed two-core FIFO schedule, start and end instants:
+    each unit takes the core that falls free first, starting then or at
+    its submission, whichever is later."""
     env = Environment()
     resource = Resource(env, capacity=2)
-    peak = []
-    env.set_event_watcher(lambda _e: peak.append(resource.in_use))
+    spans = {}
 
-    def job(duration):
+    def job(name, duration, submit_at):
+        yield env.timeout(submit_at)
         yield resource.hold(duration)
-        # The slot is already given back (or handed on) when we resume.
-        assert resource.in_use <= 2
+        spans[name] = (env.now - duration, env.now)
 
-    for duration in (3.0, 1.0, 2.0, 2.0, 1.0, 4.0, 0.5):
-        env.process(job(duration))
+    for name, duration, submit_at in (
+            ("a", 3.0, 0.0), ("b", 1.0, 0.0), ("c", 2.0, 0.0),
+            ("d", 2.0, 0.0), ("e", 1.0, 0.0), ("f", 4.0, 0.0),
+            ("g", 0.5, 0.0), ("h", 1.0, 6.0), ("i", 2.0, 6.5)):
+        env.process(job(name, duration, submit_at))
     env.run()
-    assert max(peak) == 2
-    # Two lanes, FIFO: 3 | 1, 2 until t=3; then 2, 0.5 | 1, 4 until t=8.
-    assert env.now == 8.0
-    assert resource.in_use == 0
+    assert spans == {
+        "a": (0.0, 3.0), "b": (0.0, 1.0),   # both cores free at t=0
+        "c": (1.0, 3.0),                    # b's core, free at 1
+        "d": (3.0, 5.0), "e": (3.0, 4.0),   # a's and c's, both free at 3
+        "f": (4.0, 8.0),                    # e's, free at 4
+        "g": (5.0, 5.5),                    # d's, free at 5
+        "h": (6.0, 7.0),                    # g's core has been free since 5.5
+        "i": (7.0, 9.0),                    # f's runs to 8, h's frees at 7
+    }
+    instants = sorted({t for span in spans.values() for t in span})
+    assert max(sum(1 for start, end in spans.values() if start <= t < end)
+               for t in instants) == 2
 
 
 def test_hold_frees_its_slot_when_nobody_waits_on_the_event():
@@ -166,7 +157,6 @@ def test_hold_frees_its_slot_when_nobody_waits_on_the_event():
     resource = Resource(env, capacity=1)
     resource.hold(2.0)   # fire and forget, running
     resource.hold(3.0)   # fire and forget, queued
-    assert (resource.in_use, resource.queue_length) == (1, 1)
     done = []
 
     def job():
@@ -176,7 +166,6 @@ def test_hold_frees_its_slot_when_nobody_waits_on_the_event():
     env.process(job())
     env.run()
     assert done == [6.0]
-    assert resource.in_use == 0
 
 
 def test_hold_frees_its_slot_when_the_waiting_generator_is_closed():
@@ -195,20 +184,48 @@ def test_hold_frees_its_slot_when_the_waiting_generator_is_closed():
     queued.close()
     env.run()
     assert env.now == 4.0    # both holds ran their length regardless
-    assert resource.in_use == 0 and resource.queue_length == 0
+    resource.hold(1.0)
+    env.run()
+    assert env.now == 5.0    # and the slot is free again
 
 
 def test_hold_is_one_kernel_event_queued_or_not():
+    """A queued hold's end is known when it is submitted: its one timer
+    is scheduled then, and no grant or hand-off event follows."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    popped = []
+    env.set_event_watcher(lambda event: popped.append((event, env.now)))
+    first = resource.hold(1.0)
+    queued = [resource.hold(1.0) for _ in range(4)]
+    env.run()
+    assert popped == list(zip([first, *queued], [1.0, 2.0, 3.0, 4.0, 5.0]))
+
+
+def test_deferred_work_delays_the_next_hold_and_pops_no_event():
     env = Environment()
     resource = Resource(env, capacity=1)
     popped = []
     env.set_event_watcher(popped.append)
-    first = resource.hold(1.0)
-    queued = [resource.hold(1.0) for _ in range(4)]
-    assert not any(hold.triggered for hold in queued)
+    resource.defer(3.0)
+    hold = resource.hold(2.0)
     env.run()
-    assert popped == [first, *queued]
-    assert env.now == 5.0
+    assert env.now == 5.0            # exactly the deferred length later
+    assert popped == [hold]
+
+
+def test_deferred_work_takes_one_core_of_several():
+    env = Environment()
+    resource = Resource(env, capacity=2)
+    resource.defer(3.0)
+    done = []
+    for duration in (1.0, 1.0):
+        resource.hold(duration).add_callback(
+            lambda _e: done.append(env.now))
+    env.run()
+    # The second core runs both holds while the first does the deferred
+    # work.
+    assert done == [1.0, 2.0]
 
 
 def test_hold_rejects_negative_duration():
@@ -216,7 +233,12 @@ def test_hold_rejects_negative_duration():
     resource = Resource(env, capacity=1)
     with pytest.raises(ValueError):
         resource.hold(-1.0)
-    assert resource.in_use == 0
+    with pytest.raises(ValueError):
+        resource.defer(-1.0)
+    # Nothing was booked: the next hold starts at once.
+    resource.hold(1.0)
+    env.run()
+    assert env.now == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,38 @@ def test_replica_rpcs_have_one_seam():
         "cluster/cluster.py", "cluster/coordinator.py"]
 
 
+def test_a_cpu_is_its_cores_free_times():
+    """A node's CPU books work onto the core that falls free first: no
+    slot is taken and handed back by hand, and there is no occupancy or
+    queue to read, only the instants the cores fall free."""
+    from repro.sim.resources import Resource
+    for name in ("release", "in_use", "queue_length"):
+        assert not hasattr(Resource, name), name
+
+
+def test_a_view_read_decodes_only_live_entries():
+    """Algorithm 4 reads a row's live entries off its self-pointing
+    ``Next`` cells; splitting a row into every entry, stale ones
+    included, is for the invariant checkers and the scrubber."""
+    source = (SRC / "views" / "read.py").read_text()
+    assert "VersionedEntry" not in source
+    assert "split_wide_row(" not in source
+
+
+def test_a_writes_deferred_cpu_work_schedules_no_event():
+    """Nobody waits on a replica write's background CPU work, so it is
+    booked on the node's CPU and costs no kernel event."""
+    source = (SRC / "cluster" / "node.py").read_text()
+    (apply_write,) = [node for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "_apply_write"]
+    body = ast.get_source_segment(source, apply_write)
+    assert "cpu.defer(" in body
+    for scheduling in ("charge(", "hold(", "request(", "timeout",
+                       "process(", "succeed("):
+        assert scheduling not in body, scheduling
+
+
 def test_a_loopback_is_decided_in_one_place():
     """Whether a request crosses a link is ``Network.rpc``'s call: a node
     that sends to itself is served in process there.  No sender — the

@@ -1,11 +1,16 @@
 """Tests for the view read path (Algorithm 4) details."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
+from repro.common.records import NULL_TIMESTAMP, Cell
 from repro.errors import ViewError
-from repro.views import NULL_VIEW_KEY, ViewDefinition
-from repro.views.read import ViewResult
+from repro.views import NULL_VIEW_KEY, ViewDefinition, split_wide_row
+from repro.views.definition import BASE_KEY_COLUMN, INIT_COLUMN, NEXT_COLUMN
+from repro.views.read import ViewResult, live_results
+from repro.views.versioned import base_timestamp_of
 
 from tests.views.conftest import make_config
 
@@ -143,3 +148,110 @@ def test_many_base_rows_under_one_view_key():
     rows = client.get_view("V", "busy", ["m"])
     assert len(rows) == 25
     assert sorted(row["m"] for row in rows) == [i * 2 for i in range(25)]
+
+
+# -- the live-entry decode against the split-every-entry one ---------------
+
+
+def decode_by_splitting(view_key, cells, columns):
+    """Algorithm 4's decode as it was before :func:`live_results`: split
+    the row into every entry, keep the live ones; ``None`` if one of
+    them is Init-marked.  The reference the decode is compared with."""
+    results = []
+    for entry in split_wide_row(view_key, cells):
+        if not entry.is_live:
+            continue
+        init_cell = entry.cells.get(INIT_COLUMN)
+        if init_cell is not None and not init_cell.is_null:
+            return None
+        values = {}
+        for column in columns:
+            if column == BASE_KEY_COLUMN:
+                values[column] = (entry.base_key, entry.base_ts)
+                continue
+            cell = entry.cells.get(column)
+            if cell is None or cell.timestamp == NULL_TIMESTAMP:
+                values[column] = (None, NULL_TIMESTAMP)
+            elif cell.is_null:
+                values[column] = (None, base_timestamp_of(cell.timestamp))
+            else:
+                values[column] = (cell.value,
+                                  base_timestamp_of(cell.timestamp))
+        results.append(ViewResult(entry.base_key, values))
+    return results
+
+
+ROW_KEY = "here"
+
+# Ints, strings and tuples: mixed types, no two equal keys of different
+# types (``1`` and ``1.0`` would be one dict key under two reprs).
+base_keys = st.one_of(st.integers(-30, 30), st.text(max_size=3),
+                      st.tuples(st.integers(0, 3), st.text(max_size=2)))
+stamps = st.integers(0, 400)
+# What a column of one entry may hold: never written (absent), the
+# never-written cell a merge yields, a tombstone, or a value.
+column_cells = st.one_of(
+    st.none(), st.just(Cell.null()),
+    stamps.map(lambda ts: Cell.make(None, ts)),
+    st.tuples(st.text(max_size=2), stamps).map(lambda vt: Cell.make(*vt)))
+next_cells = st.one_of(
+    st.none(),                                                 # no pointer
+    stamps.map(lambda ts: Cell.make(ROW_KEY, ts)),             # live
+    st.tuples(st.sampled_from(["elsewhere", NULL_VIEW_KEY]),   # stale
+              stamps).map(lambda vt: Cell.make(*vt)),
+    stamps.map(lambda ts: Cell.make(None, ts)))                # tombstoned
+init_cells = st.one_of(st.none(), stamps.map(lambda ts: Cell.make(None, ts)),
+                       stamps.map(lambda ts: Cell.make(True, ts)))
+entries = st.fixed_dictionaries({
+    NEXT_COLUMN: next_cells, INIT_COLUMN: init_cells,
+    BASE_KEY_COLUMN: st.booleans(), "m": column_cells, "n": column_cells})
+
+
+@st.composite
+def wide_rows(draw):
+    keys = draw(st.lists(base_keys, max_size=12, unique=True))
+    named = []
+    for base_key in keys:
+        entry = draw(entries)
+        if entry.pop(BASE_KEY_COLUMN):
+            entry[BASE_KEY_COLUMN] = Cell.make(base_key, 1)
+        named += [((base_key, column), cell)
+                  for column, cell in entry.items() if cell is not None]
+    # Names that are no entry's cell at all.
+    named += draw(st.lists(st.sampled_from([
+        ("loose", Cell.make("x", 3)), (("a", "b", "c"), Cell.make("y", 4))]),
+        max_size=2, unique=True))
+    return dict(draw(st.permutations(named)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=wide_rows(),
+       columns=st.lists(st.sampled_from(
+           ["m", "n", "never", BASE_KEY_COLUMN, INIT_COLUMN, NEXT_COLUMN]),
+           max_size=6))
+def test_live_entry_decode_matches_splitting_every_entry(cells, columns):
+    columns = tuple(columns)
+    assert (live_results(ROW_KEY, cells, columns)
+            == decode_by_splitting(ROW_KEY, cells, columns))
+
+
+def test_live_entry_decode_returns_live_rows_in_repr_order():
+    cells = {
+        ("b", NEXT_COLUMN): Cell.make(ROW_KEY, 16),
+        ("b", "m"): Cell.make("bee", 16),
+        (10, NEXT_COLUMN): Cell.make(ROW_KEY, 24),
+        (2, NEXT_COLUMN): Cell.make("elsewhere", 8),    # stale
+        (2, "m"): Cell.make("stale", 8),
+        (3, NEXT_COLUMN): Cell.make(ROW_KEY, 40),
+        (3, INIT_COLUMN): Cell.make(None, 41),          # unmarked
+        (3, "m"): Cell.make(None, 40),
+    }
+    rows = live_results(ROW_KEY, cells, ("m", BASE_KEY_COLUMN))
+    # By repr: "'b'" < "10" < "3".
+    assert rows == [
+        ViewResult("b", {"m": ("bee", 2), "B": ("b", 2)}),
+        ViewResult(10, {"m": (None, NULL_TIMESTAMP), "B": (10, 3)}),
+        ViewResult(3, {"m": (None, 5), "B": (3, 5)}),
+    ]
+    cells[("b", INIT_COLUMN)] = Cell.make(True, 17)
+    assert live_results(ROW_KEY, cells, ("m",)) is None
