@@ -1,0 +1,155 @@
+"""The fault injectors did not move.
+
+Every fault an injector deals goes through seven ``Cluster`` methods
+(``fail_node``, ``recover_node``, ``partition``, ``heal_partition``,
+``slow_node``, ``restore_node_speed``, ``set_clock_skew``) or through
+``Scenario.arrival_scale``.  This recording wraps those calls on each
+cluster instance and logs ``(env.now, call, args)``, ``repr``-exact,
+plus every arrival-scale change and the run's final
+``lost_propagations``, over:
+
+- every E4 stack (``ext_adversary.ADVERSARY_STACKS``, full size);
+- the committed shrunk reproducer ``shrunk-lost-propagation.json``;
+- two generated fuzz schedules holding all four fault kinds;
+- a quick E2 (``ext_repair``) and a quick E6 (``ext_staleness``) run,
+  whose propagation losses are armed on a bare cluster.
+
+A refactor of the injectors must leave the recording identical: the
+same faults, healed at the same instants, in the same order.
+
+Re-record (only for a change that is *meant* to move the faults)::
+
+    PYTHONPATH=src python tests/scenarios/test_fault_timeline.py
+"""
+
+import contextlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cluster import Cluster
+from repro.experiments import ext_adversary, ext_repair, ext_staleness
+from repro.experiments.calibration import ExperimentParams
+from repro.scenarios import (
+    Scenario,
+    generate_schedule,
+    load_schedule,
+    replay_schedule,
+)
+
+pytestmark = pytest.mark.scenario
+
+FIXTURE = Path(__file__).parent / "fixtures" / "fault-timeline.json"
+LOST_PROPAGATION = (Path(__file__).parent / "fixtures"
+                    / "shrunk-lost-propagation.json")
+
+FAULT_CALLS = ("fail_node", "recover_node", "partition", "heal_partition",
+               "slow_node", "restore_node_speed", "set_clock_skew")
+# Generated schedules whose faults include crash, partition, slow and lose.
+FUZZ_SEEDS = (1, 11)
+
+
+@contextlib.contextmanager
+def recording():
+    """Log the fault calls of every cluster built inside the block.
+
+    Yields a list that receives one ``(cluster, log)`` pair per cluster,
+    in construction order.
+    """
+    runs = []
+    original_init = Cluster.__init__
+    original_scale = Scenario.__dict__.get("arrival_scale")
+
+    def init(cluster, *args, **kwargs):
+        original_init(cluster, *args, **kwargs)
+        log = []
+        cluster._fault_log = log
+        runs.append((cluster, log))
+        for name in FAULT_CALLS:
+            call = getattr(cluster, name)
+
+            def logged(*call_args, _call=call, _name=name, **call_kwargs):
+                log.append([repr(cluster.env.now), _name,
+                            repr((call_args, sorted(call_kwargs.items())))])
+                return _call(*call_args, **call_kwargs)
+
+            setattr(cluster, name, logged)
+
+    def get_scale(scenario):
+        return scenario._logged_scale
+
+    def set_scale(scenario, value):
+        scenario._logged_scale = value
+        if scenario.cluster is not None:
+            scenario.cluster._fault_log.append(
+                [repr(scenario.cluster.env.now), "arrival_scale",
+                 repr(value)])
+
+    Cluster.__init__ = init
+    Scenario.arrival_scale = property(get_scale, set_scale)
+    try:
+        yield runs
+    finally:
+        Cluster.__init__ = original_init
+        if original_scale is None:
+            del Scenario.arrival_scale
+        else:
+            Scenario.arrival_scale = original_scale
+
+
+def _collect(runs, prefix, names=None):
+    out = {}
+    for index, (cluster, log) in enumerate(runs):
+        name = names[index] if names is not None else str(index)
+        lost = cluster.view_manager.lost_propagations
+        out[f"{prefix}/{name}"] = log + [["end", "lost_propagations",
+                                          repr(lost)]]
+    return out
+
+
+def record() -> dict:
+    """Run every covered injector; returns ``{run name: fault log}``."""
+    timeline = {}
+    with recording() as runs:
+        ext_adversary.run(ExperimentParams())
+    timeline.update(_collect(runs, "ext_adversary",
+                             list(ext_adversary.ADVERSARY_STACKS)))
+    with recording() as runs:
+        schedule, _expect = load_schedule(LOST_PROPAGATION)
+        replay_schedule(schedule, scrub=False)
+        replay_schedule(schedule, scrub=True)
+    timeline.update(_collect(runs, "shrunk-lost-propagation",
+                             ["no-scrub", "scrub"]))
+    for seed in FUZZ_SEEDS:
+        with recording() as runs:
+            replay_schedule(generate_schedule(seed))
+        timeline.update(_collect(runs, f"fuzz-seed{seed}"))
+    quick = ExperimentParams().quick()
+    with recording() as runs:
+        ext_repair.run(quick)
+    timeline.update(_collect(runs, "ext_repair", ["off", "on"]))
+    with recording() as runs:
+        ext_staleness.run(quick)
+    timeline.update(_collect(runs, "ext_staleness"))
+    return timeline
+
+
+def test_every_injector_deals_and_heals_the_recorded_faults():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    actual = record()
+    assert sorted(actual) == sorted(expected)
+    for name in expected:
+        assert actual[name] == expected[name], name
+
+
+def test_the_recording_covers_every_fault_kind():
+    calls = {entry[1] for log in json.loads(
+        FIXTURE.read_text(encoding="utf-8")).values() for entry in log}
+    assert set(FAULT_CALLS) | {"arrival_scale"} <= calls
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(record(), indent=1) + "\n",
+                       encoding="utf-8")
+    print(f"wrote {FIXTURE}")
