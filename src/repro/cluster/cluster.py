@@ -354,9 +354,9 @@ class Cluster:
         """Run until no events remain (in-flight work fully drains).
 
         Only meaningful when no perpetual background service is running
-        (a ``ViewScrubber``, a ``StaleRowCollector``, a
-        ``ChaosMonkey``): those reschedule themselves forever, so the
-        event queue never empties — use ``run(until=...)`` around them,
-        or stop the service first.
+        (a ``ViewScrubber``, a ``StaleRowCollector``, a started
+        ``repro.scenarios`` adversary): those reschedule themselves
+        forever, so the event queue never empties — use
+        ``run(until=...)`` around them, or stop the service first.
         """
         self.env.run()

@@ -71,8 +71,9 @@ class NodeDownError(ClusterError):
 class CoordinatorCrashError(ClusterError):
     """An injected coordinator crash lost an in-flight view propagation.
 
-    Raised inside the asynchronous propagation driver when a chaos hook
-    (``ChaosMonkey.crash_during_propagation``) fires; the driver counts
+    Raised inside the asynchronous propagation driver when a crash hook
+    (``Adversary.lose`` / ``lose_propagations`` in
+    :mod:`repro.scenarios.adversaries`) fires; the driver counts
     the propagation as lost instead of escalating, modelling the paper's
     Section VIII staleness caveat that the repair subsystem
     (:mod:`repro.repair`) exists to heal.

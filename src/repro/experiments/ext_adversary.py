@@ -47,17 +47,6 @@ ADVERSARY_STACKS: Dict[str, Callable[[], List[Adversary]]] = {
                         ClockSkew(max_skew_ms=1000.0), BurstArrivals()],
 }
 
-def _injections(scenario: Scenario) -> int:
-    """Total fault events the stack injected, summed across adversaries."""
-    total = 0
-    for adversary in scenario.adversaries:
-        for field in ("kills", "cuts_made", "slowdowns_injected",
-                      "skews_applied", "bursts"):
-            value = getattr(adversary, field, 0)
-            if isinstance(value, int):
-                total += value
-    return total
-
 
 def run(params: Optional[ExperimentParams] = None) -> FigureResult:
     """One row per adversary stack."""
@@ -79,7 +68,8 @@ def run(params: Optional[ExperimentParams] = None) -> FigureResult:
         cell = scenario.run()
         stats = cell.stats
         result.add_row(
-            stack_name, _injections(scenario),
+            stack_name,
+            sum(adversary.injections for adversary in scenario.adversaries),
             stats["acked_ops"], stats["completed_propagations"],
             stats.get("scrub", {}).get("repairs_applied", 0),
             len(cell.violations))

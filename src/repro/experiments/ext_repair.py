@@ -7,7 +7,8 @@ This experiment measures that failure mode and the repair subsystem's
 answer to it:
 
 1. Populate a base table with a view keyed on a group column.
-2. Run an update workload while a :class:`ChaosMonkey` hook
+2. Run an update workload while a propagation-loss hook
+   (:func:`~repro.scenarios.adversaries.lose_propagations`)
    deterministically crashes the coordinator of every ``stride``-th
    propagation mid-flight (the base write is acked, the view update is
    lost — ``ViewManager.lost_propagations`` counts them).
@@ -26,11 +27,11 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.cluster import Cluster
-from repro.cluster.chaos import ChaosMonkey
 from repro.errors import NodeDownError, QuorumError
 from repro.experiments.calibration import ExperimentParams, experiment_config
 from repro.experiments.results import FigureResult
 from repro.repair import divergent_base_keys
+from repro.scenarios import lose_propagations
 from repro.views import ViewDefinition
 
 __all__ = ["run", "TABLE", "VIEW_NAME"]
@@ -104,7 +105,6 @@ def _run_one(params: ExperimentParams,
 
     # Deterministic crash injection: every stride-th propagation loses
     # its coordinator (armed only now, so the initial load is exempt).
-    monkey = ChaosMonkey(cluster, auto=False)
     stride = max(2, params.repair_updates // max(1, params.repair_crashes))
     seen = [0]
 
@@ -112,9 +112,8 @@ def _run_one(params: ExperimentParams,
         seen[0] += 1
         return seen[0] % stride == 0
 
-    monkey.crash_during_propagation(count=params.repair_crashes,
-                                    downtime=_CRASH_DOWNTIME,
-                                    match=every_stride)
+    loss = lose_propagations(cluster, params.repair_crashes,
+                             _CRASH_DOWNTIME, match=every_stride)
 
     scrubber = None
     if scrub_on:
@@ -165,6 +164,6 @@ def _run_one(params: ExperimentParams,
     metrics = scrubber.metrics if scrubber is not None else None
     if scrubber is not None:
         scrubber.stop()
-    monkey.stop()
+    loss.stop()
     cluster.run_until_idle()
     return curve, lost, metrics

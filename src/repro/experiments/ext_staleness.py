@@ -11,7 +11,8 @@ keys.
 
 This experiment measures the price of that promise.  One cell per
 staleness bound (plus an unbounded cell): populate a grouped table, run
-an update workload while a :class:`ChaosMonkey` hook deterministically
+an update workload while a propagation-loss hook
+(:func:`~repro.scenarios.adversaries.lose_propagations`) deterministically
 crashes the coordinator of every ``stride``-th propagation (base write
 acked, view update lost — exactly the wounds the certificate tracks)
 with a background scrubber healing wounds on its own cadence, and
@@ -32,11 +33,11 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.cluster import Cluster
-from repro.cluster.chaos import ChaosMonkey
 from repro.errors import NodeDownError, QuorumError, ViewError
 from repro.experiments.calibration import ExperimentParams, experiment_config
 from repro.experiments.results import FigureResult
 from repro.freshness import BoundedReadObservation, check_bounded_reads
+from repro.scenarios import lose_propagations
 from repro.views import BaseUpdate, ViewDefinition
 
 __all__ = ["run", "run_staleness_point", "TABLE", "VIEW_NAME"]
@@ -95,7 +96,6 @@ def run_staleness_point(params: ExperimentParams,
     cluster.run_until_idle()
 
     # Deterministic crash injection, armed only after the load.
-    monkey = ChaosMonkey(cluster, auto=False)
     stride = max(2, params.staleness_updates
                  // max(1, params.staleness_crashes))
     seen = [0]
@@ -104,9 +104,8 @@ def run_staleness_point(params: ExperimentParams,
         seen[0] += 1
         return seen[0] % stride == 0
 
-    monkey.crash_during_propagation(count=params.staleness_crashes,
-                                    downtime=_CRASH_DOWNTIME,
-                                    match=every_stride)
+    loss = lose_propagations(cluster, params.staleness_crashes,
+                             _CRASH_DOWNTIME, match=every_stride)
     scrubber = cluster.start_scrubber(
         [VIEW_NAME], interval=_SCRUB_INTERVAL,
         row_budget=max(64, rows), rate_limit=0.05)
@@ -206,7 +205,7 @@ def run_staleness_point(params: ExperimentParams,
     env.process(read_launcher(), name="staleness-reads")
     cluster.run(until=horizon + 10 * _CRASH_DOWNTIME)
     scrubber.stop()
-    monkey.stop()
+    loss.stop()
     cluster.run_until_idle()
 
     manager = cluster.view_manager

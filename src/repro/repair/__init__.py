@@ -10,7 +10,8 @@ package is the self-healing loop that closes the gap:
 - :mod:`~repro.repair.scanner` — a token-range scanner walking base-table
   keys in budgeted, cursor-resumable batches;
 - :mod:`~repro.repair.detector` — canonical expected-vs-actual live-row
-  comparison with Merkle-digest range skip and quorum-read confirmation;
+  comparison, which names the dirty hash buckets once, and quorum-read
+  confirmation;
 - :func:`~repro.views.drive.repropagate_row` — repair by re-driving the
   row through the ordinary propagation machinery (idempotent via scaled
   timestamps), re-exported here;
@@ -26,7 +27,6 @@ from repro.repair.detector import (
     Divergence,
     actual_canonical_rows,
     canonical_base_row,
-    canonical_tree,
     canonical_view_entry,
     dirty_buckets,
     divergent_base_keys,
@@ -46,7 +46,6 @@ __all__ = [
     "ViewScrubber",
     "actual_canonical_rows",
     "canonical_base_row",
-    "canonical_tree",
     "canonical_view_entry",
     "dirty_buckets",
     "divergent_base_keys",

@@ -13,14 +13,13 @@ forever (the paper's Section VIII caveat).  This module defines what
   canonical form is derived from the view's live rows with scaled
   timestamps mapped back to base-update space, so the two sides are
   directly comparable.
-- Range-level skip reuses the Merkle hashing of ``cluster/merkle.py``:
-  both sides' canonical rows are folded into :class:`MerkleTree`s and
-  only buckets whose hashes differ are scanned row-by-row.  A clean view
-  costs one tree comparison per round.
+- Range-level skip compares the two sides row by row, once: the hash
+  buckets (:func:`~repro.repair.scanner.bucket_of`) of the keys whose
+  canonical rows differ are the only ones scanned with quorum reads.
 - Per-row confirmation (:func:`verify_row`) is protocol-level: a quorum
   read of the base row and a quorum read of the expected live view row
   (both charging simulated time), so transient replica skew seen by the
-  introspective digests is re-checked before any repair is issued.
+  introspective comparison is re-checked before any repair is issued.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.cluster.merkle import MerkleTree, differing_buckets
 from repro.common.records import Cell, ColumnName
+from repro.repair.scanner import bucket_of
 from repro.views.definition import INIT_COLUMN, ViewDefinition
 from repro.views.invariants import live_entries
 from repro.views.versioned import (
@@ -45,7 +44,6 @@ __all__ = [
     "canonical_view_entry",
     "expected_canonical_rows",
     "actual_canonical_rows",
-    "canonical_tree",
     "divergent_base_keys",
     "dirty_buckets",
     "verify_row",
@@ -55,7 +53,7 @@ __all__ = [
 # can never collide with it (leading NUL, like NULL_VIEW_KEY).
 LIVE_MARKER = "\x00__LIVE__"
 # Canonical marker for a base key with multiple live view rows — never
-# equal to any expected canonical form, so the digests always differ.
+# equal to any expected canonical form, so the comparison always differs.
 _CONFLICT_MARKER = "\x00__LIVE_CONFLICT__"
 
 
@@ -150,14 +148,10 @@ def actual_canonical_rows(cluster, view: ViewDefinition,
     return actual
 
 
-def canonical_tree(rows: Dict[Hashable, Dict[ColumnName, Cell]],
-                   depth: int) -> MerkleTree:
-    """Fold canonical rows into a Merkle tree for range comparison."""
-    tree = MerkleTree(depth)
-    for key in sorted(rows, key=repr):
-        tree.add_row(key, rows[key])
-    tree.seal()
-    return tree
+def _differing_keys(expected, actual) -> List[Hashable]:
+    keys = set(expected) | set(actual)
+    return sorted((key for key in keys
+                   if expected.get(key) != actual.get(key)), key=repr)
 
 
 def divergent_base_keys(cluster, view: ViewDefinition) -> List[Hashable]:
@@ -167,27 +161,23 @@ def divergent_base_keys(cluster, view: ViewDefinition) -> List[Hashable]:
     to sample divergence over time, and by tests as the oracle the
     scrubber must drive to empty.
     """
-    expected = expected_canonical_rows(cluster, view)
-    actual = actual_canonical_rows(cluster, view)
-    keys = set(expected) | set(actual)
-    return sorted((key for key in keys
-                   if expected.get(key) != actual.get(key)), key=repr)
+    return _differing_keys(expected_canonical_rows(cluster, view),
+                           actual_canonical_rows(cluster, view))
 
 
 def dirty_buckets(cluster, view: ViewDefinition, depth: int
                   ) -> Tuple[List[int], Dict[Hashable, Dict[Any,
                                                             VersionedEntry]]]:
-    """Hash buckets whose expected/actual canonical digests differ.
+    """The sorted hash buckets holding a key whose expected and actual
+    canonical rows differ.
 
     Returns the bucket list plus the live-entry map (reused by callers
     for stray-row checks, saving a second storage sweep).
     """
     live = live_entries(cluster, view)
-    expected = expected_canonical_rows(cluster, view)
-    actual = actual_canonical_rows(cluster, view, live)
-    tree_expected = canonical_tree(expected, depth)
-    tree_actual = canonical_tree(actual, depth)
-    return differing_buckets(tree_expected, tree_actual), live
+    keys = _differing_keys(expected_canonical_rows(cluster, view),
+                           actual_canonical_rows(cluster, view, live))
+    return sorted({bucket_of(key, depth) for key in keys}), live
 
 
 def verify_row(coordinator, view: ViewDefinition, base_key: Hashable,

@@ -4,7 +4,7 @@ One :class:`ScrubMetrics` instance accumulates over a scrubber's
 lifetime.  Besides plain work counters (ranges compared, rows scanned,
 repairs applied) it tracks *time-to-convergence*: the simulated time
 between the first confirmed divergence and the first subsequent round
-whose digest comparison found every range clean again.  The
+whose row comparison found every range clean again.  The
 ``ext_repair`` experiment reads these to plot bounded time-to-repair.
 """
 
@@ -45,7 +45,7 @@ class ScrubMetrics:
         self.converged_at = None
 
     def note_clean_round(self, now: float) -> None:
-        """A full round found every range digest clean at time ``now``."""
+        """A full round found every range clean at time ``now``."""
         self.clean_rounds += 1
         if self.first_divergence_at is not None and self.converged_at is None:
             self.converged_at = now

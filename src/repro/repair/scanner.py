@@ -2,10 +2,10 @@
 
 The scrubber must not monopolize the cluster: each round it verifies at
 most ``row_budget`` rows, resuming where the previous round stopped.
-Keys are grouped into the same hash buckets the Merkle digests use
-(:meth:`~repro.cluster.merkle.MerkleTree.bucket_of`), so the detector's
-range-level comparison and the scanner's walk order agree: a round asks
-the scanner for exactly the buckets whose digests differ, and the
+Keys are grouped into ``2**depth`` hash buckets (:func:`bucket_of`), the
+same ones the detector reports dirty
+(:func:`~repro.repair.detector.dirty_buckets`), so a round asks the
+scanner for exactly the buckets holding a divergent row, and the
 persistent cursor guarantees every dirty bucket is eventually visited
 even when one round's budget cannot cover them all.
 
@@ -19,9 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.cluster.merkle import MerkleTree
+from repro.common.hashing import hash_key
 
-__all__ = ["ScanPlan", "TokenRangeScanner"]
+__all__ = ["ScanPlan", "TokenRangeScanner", "bucket_of"]
+
+
+def bucket_of(key: Hashable, depth: int) -> int:
+    """The hash bucket of ``key`` among ``2**depth`` (stable across nodes).
+
+    The salt is the one the scrubber has always bucketed with: a new
+    salt would reshuffle every bucket and with it every scrub order.
+    """
+    return hash_key(key, salt="merkle") >> (64 - depth) if depth else 0
 
 
 @dataclass
@@ -70,7 +79,7 @@ class TokenRangeScanner:
         keys = self.cluster.table_keys(self.table).union(extra_keys)
         by_bucket: Dict[int, List[Hashable]] = {}
         for key in keys:
-            bucket = MerkleTree.bucket_of(key, self.depth)
+            bucket = bucket_of(key, self.depth)
             by_bucket.setdefault(bucket, []).append(key)
         for bucket_keys in by_bucket.values():
             bucket_keys.sort(key=repr)

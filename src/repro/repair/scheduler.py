@@ -2,9 +2,9 @@
 
 Modelled on the other background service (``StaleRowCollector``): a
 simulation process wakes every ``interval`` ms, compares each target
-view's canonical digest trees, and for dirty hash ranges verifies rows
-with quorum reads and repairs confirmed divergences through the
-ordinary propagation machinery.  Knobs
+view's canonical expected and actual rows, and for dirty hash ranges
+verifies rows with quorum reads and repairs confirmed divergences
+through the ordinary propagation machinery.  Knobs
 (keyword arguments of :class:`ViewScrubber`):
 
 ``interval``
@@ -13,7 +13,7 @@ ordinary propagation machinery.  Knobs
     Maximum rows verified per round, shared across views; the
     token-range scanner's persistent cursor resumes next round.
 ``range_depth``
-    Merkle tree depth — ``2**depth`` hash buckets per view.
+    Bucket depth — ``2**depth`` hash buckets per view.
 ``rate_limit``
     Minimum delay between two row verifications inside a round.
 ``degraded_backoff``
@@ -162,7 +162,7 @@ class ViewScrubber:
             self.metrics.note_clean_round(self.cluster.env.now)
 
     def _scrub_view(self, view, coordinator, budget: int):
-        """Digest-compare one view, then verify/repair dirty ranges.
+        """Compare one view's rows, then verify/repair dirty ranges.
 
         Returns ``(rows_spent, clean)``.
         """
@@ -172,7 +172,7 @@ class ViewScrubber:
         backlog = manager.outbox_backlog(view.name)
         if backlog:
             # Records for this view are still queued or working in the
-            # node outboxes (watermarks behind the log heads): any digest
+            # node outboxes (watermarks behind the log heads): any row
             # mismatch right now is ordinary propagation lag, not
             # divergence.  Defer this view to the next round instead of
             # burning quorum reads on rows that are about to heal
@@ -182,9 +182,9 @@ class ViewScrubber:
             cluster.trace("scrub", "deferred: outbox backlog",
                           view=view.name, backlog=backlog)
             return 0, False
-        # Exchanging digest trees: one replica round trip (the detector
-        # builds both trees from converged introspective state; the
-        # network cost of shipping them is still charged).
+        # Comparing the two sides: one replica round trip (the detector
+        # compares converged introspective state row by row; the
+        # network cost of exchanging range digests is still charged).
         peer = (coordinator.node.node_id + 1) % cluster.config.nodes
         if peer != coordinator.node.node_id:
             yield env.timeout(cluster.network.one_way_delay(
@@ -194,7 +194,7 @@ class ViewScrubber:
         self.metrics.ranges_skipped_clean += (1 << self.range_depth) - len(dirty)
         if not dirty:
             cluster.trace("scrub", "view clean", view=view.name)
-            # Digest trees compare an all-replica merge, which cannot
+            # The row comparison sees an all-replica merge, which cannot
             # prove quorum-read visibility: chains the freshness tracker
             # holds wounds for still need a per-key quorum verify_row
             # before their wounds may clear.
@@ -260,13 +260,13 @@ class ViewScrubber:
 
     def _verify_wounded(self, view, coordinator, budget: int, live):
         """Quorum-verify chains with open freshness wounds after a
-        digest-clean comparison; a simulation process.
+        clean row comparison; a simulation process.
 
-        Wounds record propagations that *failed* — the digest merge can
+        Wounds record propagations that *failed* — the all-replica merge can
         look converged while the failed chain's row is invisible to a
         majority read, so only a per-key ``verify_row`` (or a successful
         repair) may clear them.  This pass gathers healing evidence
-        only: a digest-clean round proved the all-replica merges agree,
+        only: a clean round proved the all-replica merges agree,
         so a per-key quorum divergence here is sub-majority replication
         lag (a hint still pending), not chain damage.  Re-driving the
         row would be actively wrong — ``repropagate_row`` reads base at

@@ -2,10 +2,12 @@
 
 Three layers, all deterministic under one seed:
 
-- **Adversaries** (:mod:`repro.scenarios.adversaries`): composable,
-  stackable fault injectors — partition storms, slow-node gray
-  failures, client clock skew, crash-loops, crash storms (the grown
-  :class:`~repro.cluster.chaos.ChaosMonkey`), and arrival bursts.
+- **Adversaries** (:mod:`repro.scenarios.adversaries`): the one fault
+  injector — composable, stackable partition storms, slow-node gray
+  failures, client clock skew, crash-loops, crash storms and arrival
+  bursts, all dealing and healing faults through the books of the
+  :class:`Adversary` base class, plus :func:`lose_propagations`, which
+  arms the paper's lost propagation on a bare cluster.
 - **Scenarios** (:mod:`repro.scenarios.runner`): a runner wiring a
   workload, an adversary stack, and a cluster config; after forcing
   quiescence it checks the standing invariant suite
@@ -23,6 +25,7 @@ from repro.scenarios.adversaries import (
     CrashStorm,
     GrayFailure,
     PartitionStorm,
+    lose_propagations,
 )
 from repro.scenarios.fuzzer import (
     FuzzFailure,
@@ -69,6 +72,7 @@ __all__ = [
     "CrashLoop",
     "CrashStorm",
     "BurstArrivals",
+    "lose_propagations",
     "Invariant",
     "ViewOracleAgreement",
     "SessionReadYourWrites",

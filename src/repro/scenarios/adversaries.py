@@ -1,24 +1,30 @@
-"""Composable adversaries: deterministic fault injectors for scenarios.
+"""Composable adversaries: the one fault injector.
 
 An :class:`Adversary` is a reusable fault-injection strategy a
 :class:`~repro.scenarios.runner.Scenario` starts alongside its workload
-and stops before quiescence.  The contract:
+and stops before quiescence.  Every fault it deals goes through one set
+of books on the base class:
 
-- :meth:`~Adversary.start` spawns simulation processes that inject
-  faults, drawing all randomness from a dedicated
-  :class:`~repro.sim.rng.RandomStreams` stream derived from the
-  adversary's label — so a scenario is bit-for-bit reproducible from
-  the cluster seed, and stacking adversaries never perturbs each
-  other's random choices.
-- :meth:`~Adversary.stop` halts injection and *heals every effect the
-  adversary caused* (recovers nodes, heals partitions, restores
-  speeds, clears skews).  The runner's ``ClusterHealed`` invariant
-  asserts this cleanup actually happened.
+- **One method per fault kind.**  :meth:`~Adversary.crash` a node for a
+  downtime, :meth:`~Adversary.cut` a node pair, :meth:`~Adversary.slow`
+  a node, :meth:`~Adversary.skew` a client clock,
+  :meth:`~Adversary.burst` the arrival rate, and
+  :meth:`~Adversary.lose` the next N propagations (the paper's §VIII
+  failure: the coordinator crashes between acking a base Put and
+  propagating it).  Each method inflicts the fault, counts it in
+  ``injections``, remembers how to heal it, and schedules that heal.
+- **One** :meth:`~Adversary.stop`.  It disarms every propagation hook
+  the adversary armed and heals exactly what the adversary still holds.
+  A crashed node someone else already recovered is not recovered twice
+  (``recover_node`` on an up node would re-trigger hint replay).  The
+  runner's ``ClusterHealed`` invariant checks that nothing was missed.
 
-Adversaries stack: a scenario runs any list of them concurrently, and
-each keeps its own books (cuts it made, nodes it downed) so healing is
-scoped to its own damage.  The provided set covers the failure modes
-the paper's design must tolerate:
+Subclasses only choose *when* and *what*, drawing every random value
+from a dedicated :class:`~repro.sim.rng.RandomStreams` stream derived
+from the adversary's label — so a scenario is bit-for-bit reproducible
+from the cluster seed, and stacking adversaries never perturbs each
+other's random choices.  The provided set covers the failure modes the
+paper's design must tolerate:
 
 ``PartitionStorm``
     Random transient network cuts between node pairs.
@@ -34,20 +40,22 @@ the paper's design must tolerate:
     One node — by default the scrub coordinator — crash-loops: short
     uptime, crash, short downtime, repeat.
 ``CrashStorm``
-    Random node crashes across the cluster; wraps
-    :class:`~repro.cluster.chaos.ChaosMonkey`, growing it into the
-    composable framework.
+    Random node crashes across the cluster, at most ``max_down`` of
+    them at once, optionally only among ``targets``.
 ``BurstArrivals``
     Open-loop arrival-rate bursts: periodically multiplies the
     workload's arrival rate (via ``Scenario.arrival_scale``), driving
     the propagation backlog toward its backpressure bound.
+
+Experiments that run no :class:`~repro.scenarios.runner.Scenario` arm
+the §VIII loss on a bare cluster with :func:`lose_propagations`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.cluster.chaos import ChaosMonkey
 from repro.sim.latency import LatencyModel, Uniform
 
 __all__ = [
@@ -58,11 +66,12 @@ __all__ = [
     "CrashLoop",
     "CrashStorm",
     "BurstArrivals",
+    "lose_propagations",
 ]
 
 
 class Adversary:
-    """Base class: a start/stop fault injector bound to a scenario."""
+    """Base class: a start/stop fault injector and its books."""
 
     name = "adversary"
 
@@ -71,6 +80,12 @@ class Adversary:
         # Unique per scenario run; assigned by Scenario.run() before
         # start() so stacked same-type adversaries get distinct streams.
         self.label = self.name
+        self.injections = 0
+        # What this adversary still holds: fault key -> the call that
+        # heals it (insertion order is the order stop() heals in).
+        self._held: Dict[Tuple, Callable[[], None]] = {}
+        # Propagation hooks armed by lose(): (view manager, hook).
+        self._hooks: List[Tuple[Any, Callable]] = []
 
     def rng(self, scenario):
         """This adversary's dedicated deterministic random stream."""
@@ -80,13 +95,174 @@ class Adversary:
         """Begin injecting faults (spawn simulation processes)."""
         self._stopped = False
 
-    def stop(self, scenario) -> None:
-        """Stop injecting and heal every effect this adversary caused."""
+    def stop(self, scenario=None) -> None:
+        """Stop injecting, disarm every hook and heal what is still held."""
         self._stopped = True
+        for manager, hook in self._hooks:
+            manager.remove_crash_hook(hook)
+        self._hooks.clear()
+        for key in list(self._held):
+            self._heal(key)
 
     def describe(self) -> str:
         """One-line summary for scenario reports."""
         return self.label
+
+    # -- the books -----------------------------------------------------------
+
+    def holds(self, kind: str) -> int:
+        """How many faults of ``kind`` this adversary holds right now."""
+        return sum(1 for key in self._held if key[0] == kind)
+
+    def _inflict(self, env, key: Tuple, heal: Callable[[], None],
+                 delay=None):
+        """Book one dealt fault; returns its heal process, if any.
+
+        ``delay`` is a duration in ms, or a callable drawn when the heal
+        process starts; None holds the fault until :meth:`stop`.
+        """
+        self.injections += 1
+        self._held[key] = heal
+        if delay is None:
+            return None
+        return env.process(self._heal_after(env, key, delay),
+                           name=f"{self.label}-heal")
+
+    def _heal_after(self, env, key: Tuple, delay):
+        if callable(delay):
+            delay = delay()
+        yield env.timeout(delay)
+        self._heal(key)
+
+    def _heal(self, key: Tuple) -> None:
+        heal = self._held.pop(key, None)
+        if heal is not None:
+            heal()
+
+    # -- one method per fault kind --------------------------------------------
+
+    def crash(self, cluster, node_id: int, downtime):
+        """Fail ``node_id`` and recover it after ``downtime``.
+
+        Skipped (returns None) when the node is already down or is the
+        last one up; otherwise returns the heal process.
+        """
+        alive = [node.node_id for node in cluster.nodes if not node.is_down]
+        if node_id not in alive or len(alive) < 2:
+            return None
+        cluster.fail_node(node_id)
+
+        def revive() -> None:
+            if cluster.node(node_id).is_down:
+                cluster.recover_node(node_id)
+
+        return self._inflict(cluster.env, ("crash", node_id), revive,
+                             downtime)
+
+    def cut(self, cluster, a: int, b: int, duration):
+        """Partition nodes ``a`` and ``b`` for ``duration`` ms.
+
+        Skipped (returns None) while this adversary already holds the
+        cut; otherwise returns the heal process.
+        """
+        key = ("cut", (a, b))
+        if key in self._held:
+            return None
+        cluster.partition(a, b)
+        return self._inflict(cluster.env, key,
+                             partial(cluster.heal_partition, a, b), duration)
+
+    def slow(self, cluster, node_id: int, cpu_factor: float,
+             link_factor: float, duration):
+        """Gray-fail ``node_id`` for ``duration`` ms.
+
+        Skipped (returns None) while this adversary already slows the
+        node; otherwise returns the heal process.
+        """
+        key = ("slow", node_id)
+        if key in self._held:
+            return None
+        cluster.slow_node(node_id, cpu_factor=cpu_factor,
+                          link_factor=link_factor)
+        return self._inflict(cluster.env, key,
+                             partial(cluster.restore_node_speed, node_id),
+                             duration)
+
+    def skew(self, cluster, client_id: int, offset_ms: float) -> None:
+        """Skew a client's clock by ``offset_ms`` until :meth:`stop`."""
+        cluster.set_clock_skew(client_id, offset_ms)
+        self._inflict(cluster.env, ("skew", client_id),
+                      partial(cluster.set_clock_skew, client_id, 0.0))
+
+    def burst(self, scenario, factor: float, duration):
+        """Multiply the scenario's arrival rate by ``factor`` for
+        ``duration`` ms; returns the heal process (None while a burst of
+        this adversary is still on)."""
+        key = ("burst",)
+        if key in self._held:
+            return None
+        scenario.arrival_scale *= factor
+
+        def end() -> None:
+            scenario.arrival_scale /= factor
+
+        return self._inflict(scenario.cluster.env, key, end, duration)
+
+    def lose(self, cluster, count: int, downtime: float, *,
+             view_name: Optional[str] = None,
+             base_key: Optional[Hashable] = None,
+             match: Optional[Callable] = None):
+        """Lose the next ``count`` matching propagations (§VIII).
+
+        Arms a crash hook in the cluster's view manager: when an
+        asynchronous propagation matching the filters (``view_name``,
+        ``base_key``, and/or ``match(view, base_key, base_ts) -> bool``)
+        is about to run, it is counted as lost
+        (``ViewManager.lost_propagations``) — the base Put was already
+        acknowledged, so the view silently diverges — and its coordinator
+        is :meth:`crash`-ed for ``downtime`` ms (skipped if that would
+        take the last node down).  The hook disarms itself after
+        ``count`` losses, and :meth:`stop` disarms it early.  Returns
+        the hook.
+        """
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        manager = cluster.view_manager
+        if manager is None:
+            raise ValueError("cluster has no view manager; create a view "
+                             "before arming propagation losses")
+        remaining = [count]
+
+        def hook(coordinator, view, key, base_ts) -> bool:
+            if view_name is not None and view.name != view_name:
+                return False
+            if base_key is not None and key != base_key:
+                return False
+            if match is not None and not match(view, key, base_ts):
+                return False
+            remaining[0] -= 1
+            if remaining[0] <= 0:
+                manager.remove_crash_hook(hook)
+                self._hooks.remove((manager, hook))
+            self.crash(cluster, coordinator.node.node_id, downtime)
+            return True
+
+        manager.add_crash_hook(hook)
+        self._hooks.append((manager, hook))
+        return hook
+
+
+def lose_propagations(cluster, count: int, downtime: float,
+                      **filters) -> Adversary:
+    """Arm :meth:`Adversary.lose` on a bare cluster.
+
+    For experiments and tests that run no scenario: returns the
+    adversary holding the loss, whose ``stop()`` disarms the hook and
+    recovers any coordinator still down.
+    """
+    adversary = Adversary()
+    adversary.lose(cluster, count, downtime, **filters)
+    return adversary
 
 
 class PartitionStorm(Adversary):
@@ -111,23 +287,11 @@ class PartitionStorm(Adversary):
         self.pause = pause or Uniform(20.0, 60.0)
         self.duration = duration or Uniform(10.0, 40.0)
         self.max_cuts = max_cuts
-        self.cuts_made = 0
-        self._active: Set[Tuple[int, int]] = set()
 
     def start(self, scenario) -> None:
         super().start(scenario)
         scenario.cluster.env.process(self._loop(scenario),
                                      name=f"{self.label}-loop")
-
-    def stop(self, scenario) -> None:
-        super().stop(scenario)
-        for pair in list(self._active):
-            self._heal(scenario, pair)
-
-    def _heal(self, scenario, pair: Tuple[int, int]) -> None:
-        if pair in self._active:
-            self._active.discard(pair)
-            scenario.cluster.heal_partition(*pair)
 
     def _loop(self, scenario):
         cluster = scenario.cluster
@@ -138,22 +302,12 @@ class PartitionStorm(Adversary):
             yield env.timeout(self.pause.sample(rng))
             if self._stopped:
                 return
-            if len(self._active) >= self.max_cuts or nodes < 2:
+            if self.holds("cut") >= self.max_cuts or nodes < 2:
                 continue
             a, b = rng.sample(range(nodes), 2)
             pair = (min(a, b), max(a, b))
-            if pair in self._active:
-                continue
-            cluster.partition(*pair)
-            self._active.add(pair)
-            self.cuts_made += 1
-            env.process(self._heal_later(scenario, pair,
-                                         self.duration.sample(rng)),
-                        name=f"{self.label}-heal")
-
-    def _heal_later(self, scenario, pair, delay):
-        yield scenario.cluster.env.timeout(delay)
-        self._heal(scenario, pair)
+            if ("cut", pair) not in self._held:
+                self.cut(cluster, *pair, self.duration.sample(rng))
 
 
 class GrayFailure(Adversary):
@@ -182,23 +336,11 @@ class GrayFailure(Adversary):
         self.cpu_factor = cpu_factor
         self.link_factor = link_factor
         self.max_slow = max_slow
-        self.slowdowns_injected = 0
-        self._slowed: Set[int] = set()
 
     def start(self, scenario) -> None:
         super().start(scenario)
         scenario.cluster.env.process(self._loop(scenario),
                                      name=f"{self.label}-loop")
-
-    def stop(self, scenario) -> None:
-        super().stop(scenario)
-        for node_id in list(self._slowed):
-            self._restore(scenario, node_id)
-
-    def _restore(self, scenario, node_id: int) -> None:
-        if node_id in self._slowed:
-            self._slowed.discard(node_id)
-            scenario.cluster.restore_node_speed(node_id)
 
     def _loop(self, scenario):
         cluster = scenario.cluster
@@ -208,24 +350,15 @@ class GrayFailure(Adversary):
             yield env.timeout(self.pause.sample(rng))
             if self._stopped:
                 return
-            if len(self._slowed) >= self.max_slow:
+            if self.holds("slow") >= self.max_slow:
                 continue
             candidates = [node.node_id for node in cluster.nodes
-                          if node.node_id not in self._slowed]
+                          if ("slow", node.node_id) not in self._held]
             if not candidates:
                 continue
             victim = rng.choice(candidates)
-            cluster.slow_node(victim, cpu_factor=self.cpu_factor,
-                              link_factor=self.link_factor)
-            self._slowed.add(victim)
-            self.slowdowns_injected += 1
-            env.process(self._restore_later(scenario, victim,
-                                            self.duration.sample(rng)),
-                        name=f"{self.label}-restore")
-
-    def _restore_later(self, scenario, node_id, delay):
-        yield scenario.cluster.env.timeout(delay)
-        self._restore(scenario, node_id)
+            self.slow(cluster, victim, self.cpu_factor, self.link_factor,
+                      self.duration.sample(rng))
 
 
 class ClockSkew(Adversary):
@@ -249,20 +382,11 @@ class ClockSkew(Adversary):
             raise ValueError("max_skew_ms must be non-negative")
         self.pause = pause or Uniform(30.0, 90.0)
         self.max_skew_ms = max_skew_ms
-        self.skews_applied = 0
-        self._skewed: Set[int] = set()
 
     def start(self, scenario) -> None:
         super().start(scenario)
         scenario.cluster.env.process(self._loop(scenario),
                                      name=f"{self.label}-loop")
-
-    def stop(self, scenario) -> None:
-        super().stop(scenario)
-        cluster = scenario.cluster
-        for client_id in list(self._skewed):
-            cluster.set_clock_skew(client_id, 0.0)
-        self._skewed.clear()
 
     def _loop(self, scenario):
         cluster = scenario.cluster
@@ -273,10 +397,8 @@ class ClockSkew(Adversary):
             if self._stopped:
                 return
             for client_id in sorted(scenario.client_ids):
-                offset = rng.uniform(-self.max_skew_ms, self.max_skew_ms)
-                cluster.set_clock_skew(client_id, offset)
-                self._skewed.add(client_id)
-                self.skews_applied += 1
+                self.skew(cluster, client_id,
+                          rng.uniform(-self.max_skew_ms, self.max_skew_ms))
 
 
 class CrashLoop(Adversary):
@@ -298,24 +420,12 @@ class CrashLoop(Adversary):
         self.victim = victim
         self.uptime = uptime or Uniform(30.0, 80.0)
         self.downtime = downtime or Uniform(10.0, 30.0)
-        self.kills = 0
-        self._downed = False
 
     def start(self, scenario) -> None:
         super().start(scenario)
         scenario.cluster.node(self.victim)  # validates the id
         scenario.cluster.env.process(self._loop(scenario),
                                      name=f"{self.label}-loop")
-
-    def stop(self, scenario) -> None:
-        super().stop(scenario)
-        self._revive(scenario)
-
-    def _revive(self, scenario) -> None:
-        if self._downed:
-            self._downed = False
-            if scenario.cluster.node(self.victim).is_down:
-                scenario.cluster.recover_node(self.victim)
 
     def _loop(self, scenario):
         cluster = scenario.cluster
@@ -325,25 +435,23 @@ class CrashLoop(Adversary):
             yield env.timeout(self.uptime.sample(rng))
             if self._stopped:
                 return
-            alive = [node.node_id for node in cluster.nodes
-                     if not node.is_down]
-            if self.victim not in alive or len(alive) < 2:
-                continue
-            cluster.fail_node(self.victim)
-            self._downed = True
-            self.kills += 1
-            yield env.timeout(self.downtime.sample(rng))
-            self._revive(scenario)
+            # A skipped crash draws no downtime.
+            revival = self.crash(cluster, self.victim,
+                                 partial(self.downtime.sample, rng))
+            if revival is not None:
+                yield revival
 
 
 class CrashStorm(Adversary):
-    """Random node crashes cluster-wide, via a wrapped ChaosMonkey.
+    """Random node crashes cluster-wide.
 
-    Grows :class:`~repro.cluster.chaos.ChaosMonkey` into the composable
-    framework: the monkey's random fail/recover loop runs with a
-    dedicated stream, and ``stop`` delegates to ``ChaosMonkey.stop``
-    (which revives everything it downed, tolerating nodes some other
-    adversary's cleanup already revived).
+    Every ``pause`` sample, if fewer than ``max_down`` of this storm's
+    crashes are down, a random alive node (only among ``targets`` when
+    given — e.g. the coordinators a workload uses, to stress the
+    propagation driver rather than replica availability) is crashed for
+    a ``downtime`` sample.  With ``max_down=1`` on the paper's 4-node /
+    N=3 topology a majority of every replica set stays reachable, so
+    quorum operations and view maintenance must keep working throughout.
     """
 
     name = "crash-storm"
@@ -353,31 +461,44 @@ class CrashStorm(Adversary):
                  max_down: int = 1,
                  targets: Optional[List[int]] = None):
         super().__init__()
-        self.pause = pause
-        self.downtime = downtime
+        if max_down < 1:
+            raise ValueError("max_down must be >= 1")
+        if targets is not None and not targets:
+            raise ValueError("targets must name at least one node")
+        self.pause = pause or Uniform(20.0, 60.0)
+        self.downtime = downtime or Uniform(10.0, 40.0)
         self.max_down = max_down
-        self.targets = targets
-        self.monkey: Optional[ChaosMonkey] = None
-
-    @property
-    def kills(self) -> int:
-        return self.monkey.kills if self.monkey is not None else 0
+        self.targets = None if targets is None else sorted(set(targets))
 
     def start(self, scenario) -> None:
         super().start(scenario)
-        self.monkey = ChaosMonkey(
-            scenario.cluster,
-            rng=self.rng(scenario),
-            pause=self.pause,
-            downtime=self.downtime,
-            max_down=self.max_down,
-            targets=self.targets,
-        )
+        cluster = scenario.cluster
+        if self.max_down >= cluster.config.nodes:
+            raise ValueError("max_down must leave at least one node up")
+        for node_id in self.targets or ():
+            cluster.node(node_id)  # validates the id
+        cluster.env.process(self._loop(scenario), name=f"{self.label}-loop")
 
-    def stop(self, scenario) -> None:
-        super().stop(scenario)
-        if self.monkey is not None:
-            self.monkey.stop()
+    def _loop(self, scenario):
+        cluster = scenario.cluster
+        env = cluster.env
+        rng = self.rng(scenario)
+        while not self._stopped:
+            yield env.timeout(self.pause.sample(rng))
+            if self._stopped:
+                return
+            if self.holds("crash") >= self.max_down:
+                continue
+            alive = [node.node_id for node in cluster.nodes
+                     if not node.is_down]
+            candidates = [node_id for node_id in alive
+                          if self.targets is None or node_id in self.targets]
+            if candidates and len(alive) > 1:
+                # The downtime is drawn when the revival process starts,
+                # after this loop's next pause: every recorded run
+                # depends on that order of the stream.
+                self.crash(cluster, rng.choice(candidates),
+                           partial(self.downtime.sample, rng))
 
 
 class BurstArrivals(Adversary):
@@ -401,22 +522,11 @@ class BurstArrivals(Adversary):
         self.pause = pause or Uniform(40.0, 100.0)
         self.duration = duration or Uniform(20.0, 50.0)
         self.factor = factor
-        self.bursts = 0
-        self._bursting = False
 
     def start(self, scenario) -> None:
         super().start(scenario)
         scenario.cluster.env.process(self._loop(scenario),
                                      name=f"{self.label}-loop")
-
-    def stop(self, scenario) -> None:
-        super().stop(scenario)
-        self._end_burst(scenario)
-
-    def _end_burst(self, scenario) -> None:
-        if self._bursting:
-            self._bursting = False
-            scenario.arrival_scale /= self.factor
 
     def _loop(self, scenario):
         env = scenario.cluster.env
@@ -425,10 +535,7 @@ class BurstArrivals(Adversary):
             yield env.timeout(self.pause.sample(rng))
             if self._stopped:
                 return
-            if self._bursting:
-                continue
-            scenario.arrival_scale *= self.factor
-            self._bursting = True
-            self.bursts += 1
-            yield env.timeout(self.duration.sample(rng))
-            self._end_burst(scenario)
+            ended = self.burst(scenario, self.factor,
+                               self.duration.sample(rng))
+            if ended is not None:
+                yield ended

@@ -250,39 +250,19 @@ class ScheduleWorkload(BaseWorkload):
 
 
 class ScheduledFaults(Adversary):
-    """Injects a schedule's fault entries at their recorded times."""
+    """Replays a schedule's fault entries at their recorded times
+    through the :class:`Adversary` fault methods."""
 
     name = "scheduled-faults"
 
     def __init__(self, faults: List[Dict[str, Any]]):
         super().__init__()
         self.faults = sorted(faults, key=lambda e: e["t"])
-        self._downed: set = set()
-        self._cuts: set = set()
-        self._slowed: set = set()
-        self._monkey = None
 
     def start(self, scenario) -> None:
         super().start(scenario)
         scenario.cluster.env.process(self._driver(scenario),
                                      name=f"{self.label}-driver")
-
-    def stop(self, scenario) -> None:
-        super().stop(scenario)
-        cluster = scenario.cluster
-        if self._monkey is not None:
-            self._monkey.stop()
-            self._monkey = None
-        for node_id in sorted(self._downed):
-            if cluster.node(node_id).is_down:
-                cluster.recover_node(node_id)
-        self._downed.clear()
-        for pair in sorted(self._cuts):
-            cluster.heal_partition(*pair)
-        self._cuts.clear()
-        for node_id in sorted(self._slowed):
-            cluster.restore_node_speed(node_id)
-        self._slowed.clear()
 
     def _driver(self, scenario):
         cluster = scenario.cluster
@@ -294,66 +274,14 @@ class ScheduledFaults(Adversary):
                 return
             kind = entry["kind"]
             if kind == "lose":
-                self._arm_loss(scenario, entry)
+                self.lose(cluster, entry["count"], entry["down"])
             elif kind == "crash":
-                self._crash(scenario, entry)
+                self.crash(cluster, entry["node"], entry["down"])
             elif kind == "partition":
-                pair = (entry["a"], entry["b"])
-                if pair not in self._cuts:
-                    cluster.partition(*pair)
-                    self._cuts.add(pair)
-                    env.process(self._heal_cut(scenario, pair,
-                                               entry["duration"]),
-                                name=f"{self.label}-heal")
+                self.cut(cluster, entry["a"], entry["b"], entry["duration"])
             elif kind == "slow":
-                node_id = entry["node"]
-                if node_id not in self._slowed:
-                    cluster.slow_node(node_id, cpu_factor=entry["cpu"],
-                                      link_factor=entry["link"])
-                    self._slowed.add(node_id)
-                    env.process(self._restore(scenario, node_id,
-                                              entry["duration"]),
-                                name=f"{self.label}-restore")
-
-    def _arm_loss(self, scenario, entry) -> None:
-        """Deterministically lose the next ``count`` propagations."""
-        from repro.cluster.chaos import ChaosMonkey
-
-        if self._monkey is None:
-            self._monkey = ChaosMonkey(scenario.cluster,
-                                       rng=self.rng(scenario), auto=False)
-        self._monkey.crash_during_propagation(count=entry["count"],
-                                              downtime=entry["down"])
-
-    def _crash(self, scenario, entry) -> None:
-        cluster = scenario.cluster
-        node_id = entry["node"]
-        alive = [node.node_id for node in cluster.nodes if not node.is_down]
-        if node_id not in alive or len(alive) < 2:
-            return
-        cluster.fail_node(node_id)
-        self._downed.add(node_id)
-        cluster.env.process(self._revive(scenario, node_id, entry["down"]),
-                            name=f"{self.label}-revive")
-
-    def _revive(self, scenario, node_id, delay):
-        yield scenario.cluster.env.timeout(delay)
-        if node_id in self._downed:
-            self._downed.discard(node_id)
-            if scenario.cluster.node(node_id).is_down:
-                scenario.cluster.recover_node(node_id)
-
-    def _heal_cut(self, scenario, pair, delay):
-        yield scenario.cluster.env.timeout(delay)
-        if pair in self._cuts:
-            self._cuts.discard(pair)
-            scenario.cluster.heal_partition(*pair)
-
-    def _restore(self, scenario, node_id, delay):
-        yield scenario.cluster.env.timeout(delay)
-        if node_id in self._slowed:
-            self._slowed.discard(node_id)
-            scenario.cluster.restore_node_speed(node_id)
+                self.slow(cluster, entry["node"], entry["cpu"],
+                          entry["link"], entry["duration"])
 
 
 def replay_schedule(schedule: Schedule, *, scrub: bool = True,

@@ -38,18 +38,17 @@ def run_for(cluster, duration):
 def lose_one_propagation(cluster, key, ts, *, downtime=10.0):
     """Apply one update whose propagation is deterministically lost.
 
-    Returns the ChaosMonkey used (already drained: the base write is
-    acked and durable, the view update is gone, the crashed coordinator
-    has recovered).
+    Returns the adversary holding the loss (already drained: the base
+    write is acked and durable, the view update is gone, the crashed
+    coordinator has recovered).
     """
-    from repro.cluster.chaos import ChaosMonkey
+    from repro.scenarios import lose_propagations
 
-    monkey = ChaosMonkey(cluster, auto=False)
-    monkey.crash_during_propagation(base_key=key, count=1, downtime=downtime)
+    loss = lose_propagations(cluster, 1, downtime, base_key=key)
     client = cluster.sync_client(coordinator_id=1)
     client.put("T", key, {"vk": "lost"}, w=2, timestamp=ts)
     # Bounded run (never run_until_idle here: a scrubber may be ticking):
     # long enough for the crash, the node's recovery, and any surviving
     # in-flight work to drain.
     run_for(cluster, downtime * 5)
-    return monkey
+    return loss

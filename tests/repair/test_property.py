@@ -18,9 +18,9 @@ interleaving and is irrelevant to repair correctness.)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.chaos import ChaosMonkey
 from repro.errors import NodeDownError, QuorumError
 from repro.repair import divergent_base_keys
+from repro.scenarios import Adversary
 from repro.views import (
     NULL_VIEW_KEY,
     BaseUpdate,
@@ -57,7 +57,7 @@ def test_scrub_after_crashes_restores_oracle_agreement(updates,
     env = cluster.env
     manager = cluster.view_manager
 
-    monkey = ChaosMonkey(cluster, auto=False)
+    loss = Adversary()
     seen = [0]
     lost = []
 
@@ -70,8 +70,7 @@ def test_scrub_after_crashes_restores_oracle_agreement(updates,
         return False
 
     if crash_indices:
-        monkey.crash_during_propagation(count=len(crash_indices),
-                                        downtime=10.0, match=crash_these)
+        loss.lose(cluster, len(crash_indices), 10.0, match=crash_these)
 
     applied = []
 
@@ -98,7 +97,7 @@ def test_scrub_after_crashes_restores_oracle_agreement(updates,
 
     process = env.process(workload())
     env.run(until=process)
-    monkey.stop()
+    loss.stop()
     cluster.run_until_idle()  # drain in-flight propagation and revivals
 
     scrubber = cluster.start_scrubber(interval=20.0, rate_limit=0.05)

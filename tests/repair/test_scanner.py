@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster.merkle import MerkleTree
 from repro.repair import TokenRangeScanner
+from repro.repair.scanner import bucket_of
 
 from tests.repair.conftest import build, populate
 
@@ -31,9 +31,18 @@ def test_snapshot_groups_keys_by_merkle_bucket():
     for bucket, keys in snapshot.items():
         assert keys == sorted(keys, key=repr)
         for key in keys:
-            assert MerkleTree.bucket_of(key, DEPTH) == bucket
+            assert bucket_of(key, DEPTH) == bucket
             seen.add(key)
     assert seen == set(range(24))
+
+
+def test_bucket_assignment_stable_and_in_range():
+    for depth in (1, 4, 8):
+        for key in range(100):
+            bucket = bucket_of(key, depth)
+            assert 0 <= bucket < (1 << depth)
+            assert bucket == bucket_of(key, depth)
+    assert {bucket_of(key, 0) for key in range(10)} == {0}
 
 
 def test_snapshot_includes_extra_keys():

@@ -6,6 +6,8 @@ under the cluster seed — the properties the scenario matrix and the
 fuzzer build on.
 """
 
+import random
+
 import pytest
 
 from repro.scenarios import (
@@ -17,6 +19,8 @@ from repro.scenarios import (
     PartitionStorm,
     Scenario,
     ScenarioWorkload,
+    ScheduledFaults,
+    ScheduleWorkload,
     default_config,
 )
 
@@ -49,7 +53,7 @@ def assert_healed(scenario):
 def test_partition_storm_cuts_and_heals():
     adversary = PartitionStorm()
     scenario, result = run_with([adversary])
-    assert adversary.cuts_made >= 1
+    assert adversary.injections >= 1
     assert result.ok, result.violations
     assert_healed(scenario)
 
@@ -57,7 +61,7 @@ def test_partition_storm_cuts_and_heals():
 def test_gray_failure_slows_and_restores():
     adversary = GrayFailure(cpu_factor=6.0, link_factor=6.0)
     scenario, result = run_with([adversary])
-    assert adversary.slowdowns_injected >= 1
+    assert adversary.injections >= 1
     assert result.ok, result.violations
     assert_healed(scenario)
 
@@ -65,7 +69,7 @@ def test_gray_failure_slows_and_restores():
 def test_clock_skew_inverts_timestamps_and_clears():
     adversary = ClockSkew(max_skew_ms=2000.0)
     scenario, result = run_with([adversary], ops=80)
-    assert adversary.skews_applied >= 1
+    assert adversary.injections >= 1
     # Skew actually produced timestamp inversions relative to issue
     # order somewhere in the applied history.
     timestamps = [u.timestamp for u in scenario.workload.applied]
@@ -77,17 +81,16 @@ def test_clock_skew_inverts_timestamps_and_clears():
 def test_crash_loop_kills_scrub_coordinator():
     adversary = CrashLoop(victim=0)
     scenario, result = run_with([adversary], ops=80)
-    assert adversary.kills >= 1
+    assert adversary.injections >= 1
     assert result.ok, result.violations
     assert_healed(scenario)
 
 
-def test_crash_storm_wraps_chaos_monkey():
+def test_crash_storm_kills_and_heals():
     adversary = CrashStorm()
     scenario, result = run_with([adversary], ops=80)
-    assert adversary.kills >= 1
-    assert adversary.monkey is not None
-    assert adversary.monkey.down_nodes == []
+    assert adversary.injections >= 1
+    assert adversary.holds("crash") == 0
     assert result.ok, result.violations
     assert_healed(scenario)
 
@@ -95,7 +98,7 @@ def test_crash_storm_wraps_chaos_monkey():
 def test_burst_arrivals_scales_and_restores():
     adversary = BurstArrivals(factor=25.0)
     scenario, result = run_with([adversary], ops=80, mean_gap=4.0)
-    assert adversary.bursts >= 1
+    assert adversary.injections >= 1
     assert scenario.arrival_scale == 1.0
     assert result.ok, result.violations
     assert_healed(scenario)
@@ -110,7 +113,7 @@ def test_adversaries_are_deterministic_under_seed():
         _scenario, result = run_with(
             [adversary, PartitionStorm()], seed=29, ops=40)
         digests.add(result.digest)
-        kills.add(adversary.kills)
+        kills.add(adversary.injections)
     assert len(digests) == 1
     assert len(kills) == 1
 
@@ -133,3 +136,71 @@ def test_adversary_parameter_validation():
         ClockSkew(max_skew_ms=-1.0)
     with pytest.raises(ValueError):
         BurstArrivals(factor=1.0)
+    # A storm that could crash nothing fails where it is built.
+    with pytest.raises(ValueError):
+        CrashStorm(max_down=0)
+    with pytest.raises(ValueError):
+        CrashStorm(targets=[])
+
+
+def test_a_skipped_crash_draws_no_downtime():
+    """A crash loop draws a downtime only for a crash it deals: while its
+    victim is held down by someone else, each cycle costs the stream one
+    uptime draw and nothing more, which keeps every later draw in place."""
+    scenario = Scenario("unit", config=default_config(seed=3))
+    cluster = scenario.build()
+    loop = CrashLoop(victim=1)
+    cluster.fail_node(1)
+    loop.start(scenario)
+    stream = loop.rng(scenario)
+    replica = random.Random()
+    replica.setstate(stream.getstate())
+    cluster.run(until=85.0)  # one uptime (30-80 ms) elapsed, the next drawn
+    loop.stop()
+    assert loop.injections == 0
+    for _ in range(2):
+        loop.uptime.sample(replica)
+    assert stream.random() == replica.random()
+
+
+# A fault of every kind, each held far past the end of three Puts.
+HELD = 10_000.0
+EVERY_KIND = [
+    {"t": 0.5, "kind": "crash", "node": 3, "down": HELD},
+    {"t": 0.5, "kind": "partition", "a": 0, "b": 1, "duration": HELD},
+    {"t": 0.5, "kind": "slow", "node": 2, "cpu": 4.0, "link": 4.0,
+     "duration": HELD},
+    # Armed for more losses than the Puts can supply: still armed at stop.
+    {"t": 0.5, "kind": "lose", "count": 50, "down": HELD},
+]
+THREE_PUTS = [{"t": 1.0 + i, "kind": "put", "key": f"k{i}",
+               "cells": {"vk": "g0", "m": f"m{i}"}, "ts": 100 + i}
+              for i in range(3)]
+
+
+def replay_faults(faults):
+    adversary = ScheduledFaults(faults)
+    scenario = Scenario("unit", config=default_config(seed=5),
+                        workload=ScheduleWorkload(THREE_PUTS),
+                        adversaries=[adversary])
+    return adversary, scenario, scenario.run()
+
+
+def test_scheduled_faults_heal_every_kind_on_stop():
+    adversary, scenario, result = replay_faults(EVERY_KIND)
+    # Crash, cut and slow, plus at least one coordinator the loss took.
+    assert adversary.injections >= 4
+    assert scenario.cluster.view_manager.lost_propagations >= 1
+    assert adversary.holds("crash") == adversary.holds("cut") == 0
+    assert adversary.holds("slow") == 0
+    assert result.ok, result.violations
+    assert_healed(scenario)
+
+
+def test_stop_disarms_a_loss_whose_count_was_never_reached():
+    """A stopped injector leaves no hook behind for every later
+    propagation to consult."""
+    _adversary, scenario, _result = replay_faults(EVERY_KIND[3:])
+    manager = scenario.cluster.view_manager
+    assert 1 <= manager.lost_propagations < 50
+    assert manager._crash_hooks == []

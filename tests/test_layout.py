@@ -10,7 +10,8 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import ClusterSnapshot
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def test_view_manager_stays_split():
@@ -69,6 +70,22 @@ def test_view_reads_have_one_path(word):
     replicas: no result cache in front of it, no write hook to keep one
     coherent and no knob to size it."""
     assert _files_mentioning(word) == []
+
+
+@pytest.mark.parametrize("word", [
+    "ChaosMonkey", "MerkleTree", "cluster.chaos", "cluster.merkle",
+])
+def test_there_is_one_fault_injector(word):
+    """Faults are dealt and healed through the books of
+    ``scenarios.adversaries.Adversary``, and the scrubber compares rows,
+    not in-process hash trees: no second injector, no tree, and no
+    document pointing at either."""
+    paths = [path for top in ("src", "docs", "examples", "benchmarks")
+             for path in (ROOT / top).rglob("*")
+             if path.suffix in (".py", ".md")]
+    paths += [ROOT / "README.md", ROOT / "DESIGN.md"]
+    assert [str(path.relative_to(ROOT)) for path in paths
+            if word in path.read_text()] == []
 
 
 def test_a_client_request_pays_the_coordinator_overhead_once():

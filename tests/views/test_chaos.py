@@ -1,16 +1,18 @@
-"""Chaos tests: view maintenance under random node failures.
+"""Crash-storm tests: view maintenance under random node failures.
 
 With at most one of four nodes down at a time (N = 3), every replica set
 keeps a majority, so quorum operations and Algorithm 1/2 must keep
 working.  After the storm ends and anti-entropy repairs the tables, the
-versioned view must satisfy every invariant and match the oracle.
+versioned view must satisfy every invariant and match the oracle.  The
+second half pins the lifecycle rules of the books every adversary keeps
+(``repro.scenarios.adversaries.Adversary``).
 """
 
 import pytest
 
 from repro.cluster import Cluster
-from repro.cluster.chaos import ChaosMonkey
 from repro.errors import NodeDownError, QuorumError
+from repro.scenarios import Adversary, CrashStorm, Scenario
 from repro.views import (
     BaseUpdate,
     ReferenceViewModel,
@@ -23,32 +25,43 @@ from tests.views.conftest import make_config
 VIEW = ViewDefinition("V", "T", "vk", ("m",))
 
 
+def storm_scenario(**config):
+    """A built (not run) scenario: cluster, table T and view V."""
+    scenario = Scenario(config=make_config(**config))
+    scenario.build()
+    return scenario
+
+
 def test_chaos_monkey_validation():
-    cluster = Cluster(make_config())
+    """A crash storm rejects an impossible budget at construction, and
+    one that would take every node down when it meets the cluster."""
     with pytest.raises(ValueError):
-        ChaosMonkey(cluster, max_down=0)
+        CrashStorm(max_down=0)
     with pytest.raises(ValueError):
-        ChaosMonkey(cluster, max_down=4)
+        CrashStorm(targets=[])
+    with pytest.raises(ValueError):
+        CrashStorm(max_down=4).start(storm_scenario())
 
 
 def test_chaos_monkey_kills_and_recovers():
-    cluster = Cluster(make_config())
-    cluster.create_table("T")
-    monkey = ChaosMonkey(cluster)
+    scenario = storm_scenario()
+    cluster = scenario.cluster
+    storm = CrashStorm()
+    storm.start(scenario)
     cluster.run(until=500.0)
-    monkey.stop()
+    storm.stop()
     cluster.run_until_idle()
-    assert monkey.kills >= 2
-    assert monkey.recoveries == monkey.kills
+    assert storm.injections >= 2
+    assert storm.holds("crash") == 0
     assert all(not node.is_down for node in cluster.nodes)
 
 
 @pytest.mark.parametrize("mode", ["locks", "propagators"])
 def test_view_maintenance_survives_chaos(mode):
-    cluster = Cluster(make_config(propagation_concurrency=mode, seed=23))
-    cluster.create_table("T")
-    cluster.create_view(VIEW)
-    monkey = ChaosMonkey(cluster)
+    scenario = storm_scenario(propagation_concurrency=mode, seed=23)
+    cluster = scenario.cluster
+    storm = CrashStorm()
+    storm.start(scenario)
     env = cluster.env
     reference = ReferenceViewModel(VIEW)
     applied = []
@@ -81,7 +94,7 @@ def test_view_maintenance_survives_chaos(mode):
 
     process = env.process(workload())
     env.run(until=process)
-    monkey.stop()
+    storm.stop()
     cluster.run_until_idle()
     # Heal any replica-level divergence left by the outages.
     for table in ("T", "V"):
@@ -92,8 +105,8 @@ def test_view_maintenance_survives_chaos(mode):
     for update in applied:
         reference.propagate(update)
     violations = check_view(cluster, VIEW, reference)
-    assert violations == [], (mode, monkey.kills, violations[:5])
-    assert monkey.kills >= 1  # the storm actually did something
+    assert violations == [], (mode, storm.injections, violations[:5])
+    assert storm.injections >= 1  # the storm actually did something
 
     # And the view still answers queries: one live row per base row that
     # the oracle says is in the view (rows that only ever received
@@ -108,78 +121,77 @@ def test_view_maintenance_survives_chaos(mode):
 
 
 # ---------------------------------------------------------------------------
-# Revive/stop lifecycle edge cases
+# Lifecycle of the books
 # ---------------------------------------------------------------------------
+
+
+def counting_recoveries(cluster):
+    """Record every ``recover_node`` call on ``cluster``."""
+    calls = []
+    original = cluster.recover_node
+    cluster.recover_node = (
+        lambda node_id: (calls.append(node_id), original(node_id)))
+    return calls
 
 
 def test_revive_skips_externally_recovered_node():
     """A node someone else already healed must not be recovered twice.
 
     ``recover_node`` on an up node would re-trigger hint replay; the
-    monkey must only settle its own books (drop the id, count the
-    recovery) when it finds its victim already up.
+    adversary must only settle its own books when it finds its victim
+    already up.
     """
     cluster = Cluster(make_config())
     cluster.create_table("T")
-    monkey = ChaosMonkey(cluster, auto=False)
-    cluster.fail_node(1)
-    monkey._down.append(1)
-    cluster.recover_node(1)  # external actor heals the node first
-
-    recover_calls = []
-    original = cluster.recover_node
-    cluster.recover_node = (
-        lambda node_id: (recover_calls.append(node_id), original(node_id)))
-    try:
-        monkey.stop()
-    finally:
-        cluster.recover_node = original
-    assert recover_calls == []
-    assert monkey.down_nodes == []
-    assert monkey.recoveries == 1
+    adversary = Adversary()
+    adversary.crash(cluster, 1, 50.0)
+    cluster.recover_node(1)  # an external actor heals the node first
+    calls = counting_recoveries(cluster)
+    adversary.stop()
+    assert calls == []
+    assert adversary.holds("crash") == 0
+    assert adversary.injections == 1
 
 
 def test_pending_revive_after_stop_is_noop():
-    """stop() revives everything; a pending _revive then fires idly."""
+    """stop() heals everything; the pending revival then fires idly."""
     cluster = Cluster(make_config())
     cluster.create_table("T")
-    monkey = ChaosMonkey(cluster, auto=False)
-    cluster.fail_node(2)
-    monkey._down.append(2)
-    cluster.env.process(monkey._revive(2, downtime=50.0),
-                        name="chaos-revive")
-    monkey.stop()
+    adversary = Adversary()
+    adversary.crash(cluster, 2, 50.0)
+    calls = counting_recoveries(cluster)
+    adversary.stop()
     assert not cluster.node(2).is_down
-    assert monkey.recoveries == 1
-    cluster.run(until=200.0)  # the timer fires; node no longer owed
+    assert calls == [2]
+    cluster.run(until=200.0)  # the timer fires; the node is no longer held
     assert not cluster.node(2).is_down
-    assert monkey.recoveries == 1
-    assert monkey.down_nodes == []
+    assert calls == [2]
 
 
 def test_stop_is_idempotent():
     cluster = Cluster(make_config())
     cluster.create_table("T")
-    monkey = ChaosMonkey(cluster, auto=False)
-    cluster.fail_node(3)
-    monkey._down.append(3)
-    monkey.stop()
-    monkey.stop()
-    assert monkey.recoveries == 1
+    adversary = Adversary()
+    adversary.crash(cluster, 3, 50.0)
+    calls = counting_recoveries(cluster)
+    adversary.stop()
+    adversary.stop()
+    assert calls == [3]
     assert not cluster.node(3).is_down
 
 
 def test_crash_hook_inert_after_stop():
-    """An armed propagation-crash hook never fires once stopped."""
+    """stop() disarms an armed propagation loss: it never fires."""
     cluster = Cluster(make_config())
     cluster.create_table("T")
     cluster.create_view(VIEW)
-    monkey = ChaosMonkey(cluster, auto=False)
-    monkey.crash_during_propagation(count=1)
-    monkey.stop()
+    adversary = Adversary()
+    adversary.lose(cluster, 1, 10.0)
+    adversary.stop()
+    assert cluster.view_manager._crash_hooks == []
     client = cluster.sync_client()
     client.put("T", "k", {"vk": "a", "m": 1})
     client.settle()
-    assert monkey.kills == 0
+    assert adversary.injections == 0
     assert cluster.view_manager.lost_propagations == 0
     assert cluster.view_manager.completed_propagations >= 1

@@ -119,7 +119,7 @@ def test_propagation_gives_up_loudly_after_max_rounds(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Merkle comparison properties
+# Dirty-bucket properties
 # ---------------------------------------------------------------------------
 
 
@@ -130,20 +130,23 @@ def test_propagation_gives_up_loudly_after_max_rounds(monkeypatch):
     mutations=st.sets(st.integers(0, 60), max_size=5),
 )
 def test_merkle_diff_detects_exactly_the_divergent_buckets(rows, mutations):
-    from repro.cluster.merkle import MerkleTree, differing_buckets
+    """A bucket is flagged iff it holds a mutated row."""
+    from unittest import mock
+
+    from repro.repair import detector
+    from repro.repair.scanner import bucket_of
 
     depth = 5
-    a, b = MerkleTree(depth), MerkleTree(depth)
-    for key in sorted(rows):
-        cells = {"c": Cell.make(rows[key], 1)}
-        a.add_row(key, cells)
-        if key in mutations:
-            b.add_row(key, {"c": Cell.make(rows[key] + 1000, 2)})
-        else:
-            b.add_row(key, cells)
-    a.seal()
-    b.seal()
-    found = set(differing_buckets(a, b))
-    expected = {MerkleTree.bucket_of(key, depth)
-                for key in mutations if key in rows}
-    assert found == expected
+    expected = {key: {"c": Cell.make(value, 1)}
+                for key, value in rows.items()}
+    actual = {key: ({"c": Cell.make(rows[key] + 1000, 2)}
+                    if key in mutations else dict(cells))
+              for key, cells in expected.items()}
+    with mock.patch.object(detector, "live_entries", return_value={}), \
+            mock.patch.object(detector, "expected_canonical_rows",
+                              return_value=expected), \
+            mock.patch.object(detector, "actual_canonical_rows",
+                              return_value=actual):
+        found, _live = detector.dirty_buckets(None, None, depth)
+    assert found == sorted({bucket_of(key, depth)
+                            for key in mutations if key in rows})

@@ -20,9 +20,9 @@ shape of the same workload).
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.chaos import ChaosMonkey
 from repro.errors import NodeDownError, QuorumError
 from repro.repair import divergent_base_keys
+from repro.scenarios import Adversary
 from repro.views import (
     NULL_VIEW_KEY,
     BaseUpdate,
@@ -60,7 +60,7 @@ def test_outbox_converges_to_oracle_under_crashes_and_bursts(
     env = cluster.env
     manager = cluster.view_manager
 
-    monkey = ChaosMonkey(cluster, auto=False)
+    loss = Adversary()
     seen = [0]
     lost = []
 
@@ -73,8 +73,7 @@ def test_outbox_converges_to_oracle_under_crashes_and_bursts(
         return False
 
     if crash_indices:
-        monkey.crash_during_propagation(count=len(crash_indices),
-                                        downtime=10.0, match=crash_these)
+        loss.lose(cluster, len(crash_indices), 10.0, match=crash_these)
 
     applied = []
 
@@ -102,7 +101,7 @@ def test_outbox_converges_to_oracle_under_crashes_and_bursts(
 
     process = env.process(workload())
     env.run(until=process)
-    monkey.stop()
+    loss.stop()
     cluster.run_until_idle()  # drain the logs and any revivals
 
     # Backpressure held: bursts queued, but never past the bound.

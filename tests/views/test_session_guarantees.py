@@ -168,12 +168,11 @@ def test_session_get_survives_crashed_propagation():
     ``CoordinatorCrashError`` into the client's Get.  The client then
     simply observes the (diverged) view — the row is missing until the
     scrubber heals it."""
-    from repro.cluster.chaos import ChaosMonkey
     from repro.errors import NodeDownError, QuorumError
+    from repro.scenarios import lose_propagations
 
     cluster = build(propagation_delay=Fixed(5.0))
-    monkey = ChaosMonkey(cluster, auto=False)
-    monkey.crash_during_propagation(count=1, downtime=10.0)
+    loss = lose_propagations(cluster, 1, 10.0)
     client = cluster.client(coordinator_id=0)
     env = cluster.env
     results = {}
@@ -197,7 +196,7 @@ def test_session_get_survives_crashed_propagation():
 
     process = env.process(scenario())
     env.run(until=process)
-    monkey.stop()
+    loss.stop()
     cluster.run_until_idle()
     assert results["rows"] == []
     assert cluster.view_manager.lost_propagations == 1
