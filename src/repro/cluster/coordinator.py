@@ -2,19 +2,25 @@
 
 Any node can coordinate any request (multi-master, paper Section II).  A
 Put is broadcast to all N replicas of the target key and returns on the
-first W acknowledgements.  A Get is sent to R of the alive replicas —
-the coordinator's own node first when it is one, the others taken in
-turn — and returns their answers merged by timestamp; the replicas it
-skipped are asked only if those R answers are not all in
-:data:`READ_HEDGE` after the request went out, so a healthy R = 1 read
-is one RPC and a lost message, a partition or a gray-slow replica costs
-the hedge plus a round trip, not :data:`RPC_TIMEOUT`.  Any R of N
-intersect a write quorum as well as the first R of N do.
+first W acknowledgements.  A Get is sent to the R alive replicas that
+can start serving it soonest, and returns their answers merged by
+timestamp.  The coordinator's own node can start when its own CPU falls
+free; another replica when the CPU free-at it stamped on its last reply
+to this node (``Network.reply_stamps``) falls due, plus a link round
+trip — what Cassandra's dynamic snitch and C3 rank by, and no more than
+a real coordinator could know.  Ties keep the fixed order, the own node
+first and the others taken in turn, so an idle cluster reads exactly as
+that order does.  The replicas it skipped are asked only if those R
+answers are not all in :data:`READ_HEDGE` after the request went out,
+so a healthy R = 1 read is one RPC and a lost message, a partition or a
+gray-slow replica costs the hedge plus a round trip, not
+:data:`RPC_TIMEOUT`.  Any R of N intersect a write quorum as well as
+the first R of N do.
 
-"Own node first" means in process: the own node's copy is read (and a
-Put's written) as a loopback, which ``Network.rpc`` serves as its CPU
-charge with no link.  This module sends every request the same way and
-never asks whether the replica is local.
+The own node is read in process: its copy is read (and a Put's
+written) as a loopback, which ``Network.rpc`` serves as its CPU charge
+with no link.  This module sends every request the same way and never
+asks whether the replica is local.
 
 The one broadcast read left is Algorithm 1's (``scatter_read(...,
 every_replica=True)``): it wants every replica's view-key version, and
@@ -279,6 +285,9 @@ class Coordinator:
         # replicas in turn, and how many of them had to hedge.
         self._partial_reads = 0
         self.hedged_reads = 0
+        # What asking another replica adds to its stamped free-at: the
+        # request's and the reply's mean link delays.
+        self._round_trip = 2 * cluster.network.replica_link.mean
 
     # -- scatter primitives ----------------------------------------------------
 
@@ -301,10 +310,13 @@ class Coordinator:
                  kind: str, hint: Optional[WriteRequest] = None,
                  every_replica: bool = True) -> ResponseCollector:
         """Send ``request`` to the alive replicas of ``key``: all of
-        them, or with ``every_replica`` false (a quorum read) to
-        ``required`` of them — this node first if it is one, the others
-        in turn — and to the rest only if those have not all answered
-        after :data:`READ_HEDGE`.
+        them, or with ``every_replica`` false (a quorum read) to the
+        ``required`` of them that can start serving it soonest — this
+        node when its CPU falls free, another replica when the free-at
+        it stamped on its last reply here falls due, plus a round trip,
+        ties kept in the fixed order (this node first if it is one, the
+        others in turn) — and to the rest only if those have not all
+        answered after :data:`READ_HEDGE`.
 
         Raises :class:`UnavailableError` if fewer than ``required``
         replicas are alive.  With ``hint`` (a write), down replicas get
@@ -331,6 +343,28 @@ class Coordinator:
         order = others[turn:] + others[:turn]
         if len(others) < len(alive):
             order.insert(0, node)
+        # Rank by when each replica could start serving: this node by
+        # its own CPU, the others by the free-at each stamped on its
+        # last reply here, one round trip later.
+        now = self.env.now
+        round_trip = self._round_trip
+        stamps = self.cluster.network.reply_stamps
+        src_id = node.node_id
+        ready = []
+        for replica in order:
+            if replica is node:
+                free = node.cpu.free_at
+                ready.append(free if free > now else now)
+            else:
+                free = stamps.get((src_id, replica.node_id), now)
+                ready.append((free if free > now else now) + round_trip)
+        # The ``required`` earliest go first, each the first of its
+        # equals; the rest keep the order.
+        for slot in range(required):
+            best = ready.index(min(ready[slot:]), slot)
+            if best != slot:
+                order.insert(slot, order.pop(best))
+                ready.insert(slot, ready.pop(best))
         collector = self._collect(order[:required], request)
         self.cluster.read_hedges.watch(
             _Hedge(self, collector, order[required:], request))

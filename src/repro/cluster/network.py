@@ -5,7 +5,11 @@ the service time the node's handler charges to its CPU, and the
 response's return delay; the returned event fires with the response
 when the third one does.  If the destination is down, partitioned away,
 or the message is lost, the event simply never fires — exactly like a
-dropped packet; callers protect themselves with quorum timeouts.
+dropped packet; callers protect themselves with quorum timeouts.  A
+reply that arrives also records, in ``reply_stamps``, the instant its
+replica's CPU would next fall free as of the handler's return: the
+load a replica piggybacks on its replies, which coordinators rank
+replicas by.
 
 A request a node sends to itself is a *loopback*, served in process the
 way a Cassandra coordinator reads and applies its own replica (its local
@@ -55,6 +59,10 @@ class Network:
         # What starts a loopback's handler (a remote one is started by
         # its fired request timer): a processed event carrying None.
         self._sent = env.event().succeed_now()
+        # (sender, replica) -> the replica's ``cpu.free_at`` as its
+        # handler returned, stamped on its last reply that reached the
+        # sender: what a coordinator knows of a peer's queue.
+        self.reply_stamps: Dict[Tuple[int, int], float] = {}
         # Counters for observability/tests.
         self.messages_sent = 0
         self.messages_dropped = 0
@@ -168,13 +176,16 @@ class _Call:
     carrying the response.  ``arrive`` runs when that delay has passed,
     repeats the partition and loss checks, and triggers ``reply`` in
     place, so whoever waits on it (a quorum collector, and through it
-    the coordinator) continues inside the same kernel event.  A
-    loopback crosses no link: its only drop check is the down node, and
-    ``step`` triggers ``reply`` itself.
+    the coordinator) continues inside the same kernel event.  A remote
+    reply carries the replica's CPU free-at as of its handler's return,
+    recorded in ``Network.reply_stamps`` when the reply arrives (a
+    dropped reply records nothing).  A loopback crosses no link: its
+    only drop check is the down node, ``step`` triggers ``reply``
+    itself, and it stamps nothing — a node reads its own CPU.
     """
 
     __slots__ = ("network", "src_id", "dst", "request", "reply", "handler",
-                 "local")
+                 "local", "stamp")
 
     def __init__(self, network: Network, src_id: int, dst: "StorageNode",
                  request: Any):
@@ -215,12 +226,16 @@ class _Call:
                 self.reply.succeed_now(done.value)
                 return
             network = self.network
+            dst = self.dst
+            self.stamp = dst.cpu.free_at
             Timeout(network.env,
-                    network.one_way_delay(self.dst.node_id, self.src_id),
+                    network.one_way_delay(dst.node_id, self.src_id),
                     done.value).callbacks.append(self.arrive)
         except Exception as exc:  # surface handler errors to the caller
             self.reply.fail(exc)
 
     def arrive(self, timer: Event) -> None:
         if not self._dropped():
+            self.network.reply_stamps[self.src_id, self.dst.node_id] = \
+                self.stamp
             self.reply.succeed_now(timer._value)

@@ -32,6 +32,9 @@ class ScrubMetrics:
     repairs_applied: int = 0
     repair_failures: int = 0
     rows_skipped_unavailable: int = 0
+    # Rows left unjudged: a record of the chain was appended after the
+    # round's backlog check, so the comparison may have raced it.
+    rows_skipped_in_flight: int = 0
     # Mid-round coordinator re-elections: the scrub coordinator crashed
     # (e.g. a crash-loop adversary) and a live node took over the round.
     coordinator_switches: int = 0

@@ -30,7 +30,7 @@ operator hook); ``stop()`` ends it.  All activity is counted in
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, Hashable, List, Optional
 
 from repro.errors import PropagationError, QuorumError
 from repro.repair.detector import dirty_buckets, verify_row
@@ -39,6 +39,18 @@ from repro.repair.scanner import TokenRangeScanner
 from repro.views.drive import repropagate_row
 
 __all__ = ["ViewScrubber"]
+
+
+def _chain_appends(manager, view_name: str) -> Dict[Hashable, int]:
+    """Records ever appended per base key of ``view_name``, over every
+    node's outbox: a key whose count moved between two instants had a
+    record appended in between."""
+    counts: Dict[Hashable, int] = {}
+    for outbox in manager._outboxes.values():
+        for (name, key), appended in outbox.chain_appends.items():
+            if name == view_name:
+                counts[key] = counts.get(key, 0) + appended
+    return counts
 
 
 class ViewScrubber:
@@ -182,6 +194,12 @@ class ViewScrubber:
             cluster.trace("scrub", "deferred: outbox backlog",
                           view=view.name, backlog=backlog)
             return 0, False
+        # A row is judged only if no record of its chain was appended
+        # since this check.  One appended later may be caught mid-move
+        # (between its new-row and stale-pointer writes), or have moved
+        # the row behind the live-row snapshot taken below: either reads
+        # as a divergence that is not there.
+        appends = _chain_appends(manager, view.name)
         # Comparing the two sides: one replica round trip (the detector
         # compares converged introspective state row by row; the
         # network cost of exchanging range digests is still charged).
@@ -234,6 +252,12 @@ class ViewScrubber:
                     tuple(live.get(key, ())))
             except QuorumError:
                 self.metrics.rows_skipped_unavailable += 1
+                continue
+            if (_chain_appends(manager, view.name).get(key, 0)
+                    != appends.get(key, 0)):
+                self.metrics.rows_skipped_in_flight += 1
+                cluster.trace("scrub", "skipped: chain written since the check",
+                              view=view.name, key=key)
                 continue
             if divergence is None:
                 # Incidental quorum-level cleanliness evidence: an open

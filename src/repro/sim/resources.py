@@ -47,6 +47,12 @@ class Resource:
         # A heap: the instant each slot next falls free.
         self._free = [env.now] * capacity
 
+    @property
+    def free_at(self) -> float:
+        """The instant the first slot falls free (in the past while one
+        is idle): when work submitted now would start, at the earliest."""
+        return self._free[0]
+
     def _book(self, duration: float) -> float:
         """Queue ``duration`` of work; the instant it ends."""
         if duration < 0:

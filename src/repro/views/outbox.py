@@ -233,7 +233,9 @@ class NodeOutbox:
         # their worker slot given back (views.drive keeps the count).
         self.backing_off: Dict[str, int] = defaultdict(int)
         # Lifetime appends per (view, base key) chain: the producer-side
-        # hot-key ranking ``outbox_stats()`` reports for skew auditing.
+        # hot-key ranking ``outbox_stats()`` reports for skew auditing,
+        # and the scrubber's proof that no record joined a chain while
+        # it verified the row.
         self.chain_appends: Dict[Tuple[str, Hashable], int] = {}
 
     # -- producer side -----------------------------------------------------

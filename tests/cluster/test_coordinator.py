@@ -640,6 +640,161 @@ def test_get_with_its_chosen_replica_failing_answers_after_the_hedge(fault):
     assert READ_HEDGE < hedged < READ_HEDGE + 2 * round_trip < RPC_TIMEOUT
 
 
+# ---------------------------------------------------------------------------
+# A partial read asks the replicas that can start serving it soonest
+# ---------------------------------------------------------------------------
+
+
+def queue_behind_next_request(node, ms):
+    """Other work reaches ``node`` while its next request is in service:
+    ``ms`` on every core, booked right behind that request's charge."""
+    def charge(duration):
+        del node.charge
+        event = node.charge(duration)
+        for _ in range(node.config.cores_per_node):
+            node.cpu.defer(ms)
+        return event
+    node.charge = charge
+
+
+def book_every_core(node, ms):
+    for _ in range(node.config.cores_per_node):
+        node.cpu.defer(ms)
+
+
+def asked_by_one_read(cluster, coordinator, r):
+    """The replicas one partial read sends its request to."""
+    before = [replica.requests_handled
+              for replica in cluster.replicas_for("T", "k")]
+    coordinator.scatter_read("T", "k", ("a",), r)
+    cluster.env.run(until=cluster.env.now + 1.0)
+    return [replica for replica, handled in zip(
+        cluster.replicas_for("T", "k"), before)
+        if replica.requests_handled > handled]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("insider", [True, False], ids=["replica", "outsider"])
+def test_on_an_idle_cluster_the_choice_is_own_node_then_in_turn(insider, r):
+    """With nothing queued anywhere every replica ties, and ties keep
+    the order: this node first when it is a replica, the others taken in
+    turn."""
+    cluster = build_cluster()
+    coordinator = replica_and_outsider(cluster)[0 if insider else 1]
+    run_proc(cluster, coordinator.put("T", "k", {"a": Cell.make(7, 5)}, w=3))
+    cluster.run_until_idle()
+    own = coordinator.node
+    others = [replica for replica in cluster.replicas_for("T", "k")
+              if replica is not own]
+    for read in range(1, 7):
+        turn = read % len(others)
+        order = ([own] if insider else []) + others[turn:] + others[:turn]
+        assert asked_by_one_read(cluster, coordinator, r) == sorted(
+            order[:r], key=cluster.replicas_for("T", "k").index)
+        cluster.run_until_idle()
+    assert hedges_fired(cluster) == 0
+
+
+@pytest.mark.parametrize("own_backlog, home", [(3.0, False), (0.15, True)])
+def test_an_r1_read_leaves_a_backlogged_own_cpu_for_the_earliest_stamp(
+        own_backlog, home):
+    """This node's CPU is booked ahead: 3 ms, more than a round trip
+    (0.2 ms on these links), or 0.15 ms, less.  Of the other two,
+    ``second`` — next in turn — said on its last reply that it was
+    booked 5 ms ahead, ``first`` that it was idle."""
+    cluster = build_cluster()
+    insider, _ = replica_and_outsider(cluster)
+    own, first, second = cluster.replicas_for("T", "k")
+    queue_behind_next_request(second, 5.0)
+    run_proc(cluster, insider.put("T", "k", {"a": Cell.make(7, 5)}, w=3))
+    stamps = cluster.network.reply_stamps
+    assert stamps[own.node_id, second.node_id] > cluster.env.now + 1.0
+    assert stamps[own.node_id, first.node_id] < cluster.env.now
+    now = cluster.env.now
+    for _ in range(own.config.cores_per_node):
+        own.cpu.defer(now + own_backlog - max(own.cpu.free_at, now))
+    assert own.cpu.free_at == pytest.approx(now + own_backlog)
+    assert asked_by_one_read(cluster, insider, 1) == [
+        own if home else first]
+
+
+def test_load_booked_after_a_replicas_last_reply_is_not_seen():
+    """No oracle.  The replica first in turn said on its last reply that
+    it was booked 5 ms ahead, so the read is ranked; the next in turn is
+    loaded 50 ms deep only *after* it last answered this coordinator.
+    Its stamp ties with the third replica's, and the tie keeps the turn:
+    it is the one asked."""
+    cluster = build_cluster()
+    _, outsider = replica_and_outsider(cluster)
+    # The first partial read's turn is 1: replicas 1, 2, then 0.
+    _, first, in_turn = cluster.replicas_for("T", "k")
+    queue_behind_next_request(first, 5.0)
+    run_proc(cluster, outsider.put("T", "k", {"a": Cell.make(7, 5)}, w=3))
+    assert cluster.network.reply_stamps[
+        outsider.node.node_id, first.node_id] > cluster.env.now + 1.0
+    book_every_core(in_turn, 50.0)
+    assert asked_by_one_read(cluster, outsider, 1) == [in_turn]
+
+
+def test_a_reply_stamps_its_replicas_free_at_when_its_handler_returned():
+    """The replica's CPU is booked 5 ms behind the read: its reply says
+    so on arrival.  A loopback crosses no link and stamps nothing."""
+    cluster = build_cluster()
+    insider, outsider = replica_and_outsider(cluster)
+    replica = cluster.replicas_for("T", "k")[1]
+    queue_behind_next_request(replica, 5.0)
+    outsider.scatter_read("T", "k", ("a",), 1)
+    cluster.run_until_idle()
+    stamp = cluster.network.reply_stamps[outsider.node.node_id,
+                                         replica.node_id]
+    assert stamp == replica.cpu.free_at > 5.0
+    own = insider.node.node_id
+    run_proc(cluster, insider.get("T", "k", ("a",), r=1))
+    assert (own, own) not in cluster.network.reply_stamps
+
+
+def test_a_dropped_reply_leaves_the_stamp_as_it_was():
+    """The request is served, but the link is cut before the reply
+    arrives: the coordinator learns nothing."""
+    cluster = build_cluster()
+    _, outsider = replica_and_outsider(cluster)
+    run_proc(cluster, outsider.put("T", "k", {"a": Cell.make(7, 5)}, w=3))
+    cluster.run_until_idle()
+    replica = cluster.replicas_for("T", "k")[1]
+    key = (outsider.node.node_id, replica.node_id)
+    stamp = cluster.network.reply_stamps[key]
+    queue_behind_next_request(replica, 5.0)
+    handled = replica.requests_handled
+    outsider.scatter_read("T", "k", ("a",), 1)
+    cluster.env.run(until=cluster.env.now + 0.2)   # served, not answered
+    assert replica.requests_handled == handled + 1
+    cluster.partition(*key)
+    cluster.run_until_idle()
+    assert cluster.network.messages_dropped == 1
+    assert cluster.network.reply_stamps[key] == stamp
+
+
+def test_the_hedge_asks_exactly_the_replicas_the_ranking_skipped():
+    """The ranking sends an R = 1 read to ``first`` (see above), whose
+    link is cut: the hedge asks this node and ``second``, once each."""
+    cluster = build_cluster()
+    insider, _ = replica_and_outsider(cluster)
+    own, first, second = cluster.replicas_for("T", "k")
+    queue_behind_next_request(second, 5.0)
+    run_proc(cluster, insider.put("T", "k", {"a": Cell.make(7, 5)}, w=3))
+    cluster.partition(own.node_id, first.node_id)
+    book_every_core(own, 3.0)
+    before = [replica.requests_handled for replica in (own, first, second)]
+    sent = cluster.network.messages_sent
+    collector = insider.scatter_read("T", "k", ("a",), 1)
+    (response,) = cluster.env.run(until=collector.wait(1))
+    assert response.cells["a"] == Cell.make(7, 5)
+    assert insider.hedged_reads == 1
+    assert cluster.network.messages_sent - sent == 3
+    assert [replica.requests_handled - handled for replica, handled
+            in zip((own, first, second), before)] == [1, 0, 1]
+
+
 def test_get_fails_at_creation_plus_rpc_timeout_when_fewer_than_r_answer():
     """The hedge does not extend the reply deadline: the two replicas a
     majority Get can reach at all — one asked at once, one by the hedge

@@ -12,8 +12,18 @@ pops but not when anything completes.  It runs on the default
 sampled before instead of after a neighbour's forward delay — shifts
 every later timestamp and fails it.
 
-Last re-recorded when a view Get stopped charging the coordinator
-twice (once around Algorithm 4, once in its wide-row Get), which was
+Last re-recorded when a partial read began to rank its replicas by
+when each could start serving it (its own CPU's free-at, or the free-at
+a peer stamped on its last reply plus a round trip), which was meant to
+move the simulation.  The first read routed elsewhere is node 3's
+chain-walk Get of the view's NULL anchor (R = 2) at 0.9734 ms: it asked
+nodes 3 and 2, where the fixed turn asked 3 and 0.  The first op to
+differ is the fifth to complete: client 3's second (a Get, R = 2), now
+at 1.5052 ms instead of 1.5907.  The last op completes at 87.93 ms
+instead of 89.73.
+
+Before that it was re-recorded when a view Get stopped charging the
+coordinator twice (once around Algorithm 4, once in its wide-row Get), which was
 meant to move the simulation.  The first op to differ is the third to
 complete: client 2's first (a view Get, R = 2), now at 0.9250 ms
 instead of 1.0074.  Client 1's first Get, its link delays now drawn in

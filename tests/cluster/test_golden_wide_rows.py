@@ -12,6 +12,15 @@ complete at the same ``repr``-exact instant, return the same results
 (rows and staleness certificates) and leave byte-identical base and
 view tables.
 
+Re-recorded when a partial read began to rank its replicas by when each
+could start serving it, which was meant to move the simulation.  The
+first read routed elsewhere is node 0's chain-walk Get of the view's
+NULL anchor (R = 2) at 0.9608 ms: its own CPU was booked more than a
+round trip ahead, so it asked nodes 2 and 3 where the fixed order asked
+0 and 2.  The first op to differ is the fifth to complete: client 3's
+second (a W = 1 Put), now at 1.1034 ms instead of 1.0480.  The last op
+completes at 343.73 ms instead of 356.29.
+
 Re-record (only for a change that is *meant* to move the simulation)::
 
     PYTHONPATH=src python tests/cluster/test_golden_wide_rows.py

@@ -212,6 +212,58 @@ def test_round_without_views_is_skipped():
     assert scrubber.metrics.rounds == scrubber.metrics.skipped_rounds
 
 
+def test_a_row_moved_after_the_backlog_check_is_not_judged(monkeypatch):
+    """A scrub round checks the backlog, compares rows, then verifies
+    every key of each dirty bucket.  Key 5 lost its propagation; while
+    the round verifies the first key of 5's bucket, a client moves a
+    later key to a new view key and its propagation completes.
+    The round's live-row snapshot still shows the old row, so judging
+    that key would "repair" a move that is no divergence and wound its
+    chain.  It is skipped; only key 5 is found and repaired."""
+    from repro.repair import scheduler
+    from repro.repair.scanner import bucket_of
+
+    cluster = build()
+    populate(cluster, 64)
+    lose_one_propagation(cluster, key=5, ts=100)
+    scrubber = cluster.start_scrubber(interval=10_000.0, rate_limit=0.05)
+    bucket = sorted((key for key in range(64)
+                     if bucket_of(key, scrubber.range_depth)
+                     == bucket_of(5, scrubber.range_depth)), key=repr)
+    moved = [key for key in bucket if key != 5][-1]
+    assert bucket.index(moved) > 0
+    env = cluster.env
+    verify_row = scheduler.verify_row
+    calls = []
+
+    def verify_then_move(coordinator, view, key, quorum, live_keys):
+        calls.append(key)
+        divergence = yield from verify_row(coordinator, view, key, quorum,
+                                           live_keys)
+        if len(calls) == 1:
+            yield from cluster.client(coordinator_id=2).put(
+                "T", moved, {"vk": "moved"}, 2, 200)
+            yield env.timeout(50.0)     # its propagation completes
+        return divergence
+
+    monkeypatch.setattr(scheduler, "verify_row", verify_then_move)
+    env.run(until=env.process(scrubber.run_round()))
+    scrubber.stop()
+    cluster.run_until_idle()
+
+    assert calls == bucket
+    metrics = scrubber.metrics
+    assert metrics.rows_skipped_in_flight == 1
+    assert metrics.divergences_found == metrics.repairs_applied == 1
+    # Key 5's crash-lost wound is the only one; the repair healed it.
+    tracker = cluster.view_manager.freshness
+    assert tracker.wounds_opened == tracker.wounds_healed == 1
+    assert divergent_base_keys(cluster, VIEW) == []
+    assert check_view(cluster, VIEW) == []
+    rows = cluster.sync_client().get_view("V", "moved", ["m"])
+    assert [row.base_key for row in rows] == [moved]
+
+
 def test_scrubber_does_not_wait_for_a_record_only_it_can_unwedge():
     """A view-key move on key 5 is lost to a coordinator crash; the next
     Put of key 5 guesses the row the lost move never wrote and retries

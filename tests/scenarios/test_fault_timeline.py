@@ -17,6 +17,31 @@ plus every arrival-scale change and the run's final
 A refactor of the injectors must leave the recording identical: the
 same faults, healed at the same instants, in the same order.
 
+Re-recorded once for a change to the workload under the injectors, not
+to them: a partial read ranks its replicas by when each could start
+serving it.  Only runs that route a read elsewhere moved, each after
+its first such read.
+
+- gray-failure: node 1's chain-walk Get of the view's NULL anchor
+  (R = 2) at 117.89 ms asked nodes 2 and 3 where the fixed order asked
+  2 and 0.  The workload ends sooner, so ``stop()``'s heal (four
+  ``restore_node_speed`` calls and the arrival scale) moved from
+  723.18 to 717.26 ms.  Every fault it dealt is unchanged.
+- E6's three quick cells: node 0's chain-walk Get of ``BASE_BY_GRP``'s
+  NULL anchor at 26.75 ms was the first.  Their crashes fire on a
+  propagation count, so each crash and recovery moved by at most
+  0.04 ms (the first: 240.0348 to 240.0494 ms in cell 0).
+
+E2 routes one read elsewhere per run and deals the same faults.  The
+shrunk reproducer and the fuzz schedules route none and are identical.
+
+In the same change the scrubber stopped judging a row whose chain had a
+record appended after the round's backlog check.  Two E4 runs had
+"repaired" such rows, moves caught in flight: two in clock-skew, one in
+burst-arrivals.  Without those no-op repairs each run quiesces 0.596 ms sooner, so only
+``stop()``'s heal moved: 528.47 to 527.87 ms and 387.62 to 387.03 ms.
+Every fault they dealt is unchanged.
+
 Re-record (only for a change that is *meant* to move the faults)::
 
     PYTHONPATH=src python tests/scenarios/test_fault_timeline.py

@@ -228,6 +228,22 @@ def test_deferred_work_takes_one_core_of_several():
     assert done == [1.0, 2.0]
 
 
+def test_free_at_is_when_the_first_core_falls_free():
+    env = Environment(initial_time=4.0)
+    resource = Resource(env, capacity=2)
+    assert resource.free_at == 4.0
+    resource.defer(3.0)
+    assert resource.free_at == 4.0          # the second core is idle
+    resource.hold(1.0)
+    assert resource.free_at == 5.0
+    env.run()
+    assert env.now == 5.0 and resource.free_at == 5.0
+    env.run(until=9.0)
+    assert resource.free_at == 5.0          # in the past: a core is idle
+    with pytest.raises(AttributeError):
+        resource.free_at = 0.0
+
+
 def test_hold_rejects_negative_duration():
     env = Environment()
     resource = Resource(env, capacity=1)

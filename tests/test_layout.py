@@ -195,6 +195,36 @@ def test_a_cpu_is_its_cores_free_times():
     from repro.sim.resources import Resource
     for name in ("release", "in_use", "queue_length"):
         assert not hasattr(Resource, name), name
+    # ``free_at`` is the one read-out: the free times stay private.
+    touching = [str(path.relative_to(ROOT))
+                for top in ("src", "tests", "benchmarks", "examples")
+                for path in (ROOT / top).rglob("*.py")
+                if re.search(r"[.]_free\b", path.read_text())]
+    assert touching == ["src/repro/sim/resources.py"]
+
+
+def test_a_replica_is_ranked_by_what_its_replies_said():
+    """A partial read ranks replicas by what a real coordinator knows:
+    its own CPU, and the free-at each peer stamped on its last reply to
+    it.  The stamp is written in one place, when a reply arrives, and
+    read for ranking in one, ``Coordinator._scatter``; the coordinator
+    reads no CPU but its own node's.  (No knob rides with it: see
+    ``test_config_and_snapshot_stay_small``.)"""
+    assert sorted(_files_mentioning("reply_stamps")) == [
+        "cluster/coordinator.py", "cluster/network.py"]
+    network = (SRC / "cluster" / "network.py").read_text()
+    assert network.count("reply_stamps[") == 1
+    (arrive,) = [node for node in ast.walk(ast.parse(network))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "arrive"]
+    assert "reply_stamps[" in ast.get_source_segment(network, arrive)
+    source = (SRC / "cluster" / "coordinator.py").read_text()
+    assert [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+            and "reply_stamps" in ast.get_source_segment(source, node)
+            ] == ["_scatter"]
+    assert set(re.findall(r"(\w+)\.cpu\b", source)) == {"node"}
+    assert "node = self.node" in source
 
 
 def test_a_view_read_decodes_only_live_entries():
