@@ -319,9 +319,8 @@ class Cluster:
         rows through normal propagation — the self-healing complement to
         replica anti-entropy, which never compares a base table against
         its views.  ``view_names`` defaults to every registered view;
-        keyword overrides (``interval``, ``row_budget``, ``range_depth``,
-        ``rate_limit``, ``degraded_backoff``, ``coordinator_id``) are
-        :class:`~repro.repair.ViewScrubber`'s.
+        keyword overrides (``interval``, ``row_budget``, ``rate_limit``)
+        are :class:`~repro.repair.ViewScrubber`'s.
         """
         from repro.repair import ViewScrubber  # late: avoids cycle
 

@@ -16,8 +16,8 @@ package is the self-healing loop that closes the gap:
   row through the ordinary propagation machinery (idempotent via scaled
   timestamps), re-exported here;
 - :mod:`~repro.repair.scheduler` — the :class:`ViewScrubber` background
-  process (interval, row budget, rate limit, degraded backoff,
-  pause/resume);
+  process (interval, row budget, rate limit) and the one rule for
+  which rows it may judge while propagation is in flight;
 - :mod:`~repro.repair.metrics` — counters and time-to-convergence.
 
 Start one with :meth:`Cluster.start_scrubber`.

@@ -23,8 +23,7 @@ class ScrubMetrics:
     rounds: int = 0
     clean_rounds: int = 0
     backoff_rounds: int = 0
-    skipped_rounds: int = 0  # paused, or no alive coordinator
-    deferred_backlog: int = 0  # view skipped: outbox records still pending
+    skipped_rounds: int = 0  # no target view, or no alive coordinator
     ranges_compared: int = 0
     ranges_skipped_clean: int = 0
     rows_scanned: int = 0
@@ -32,8 +31,9 @@ class ScrubMetrics:
     repairs_applied: int = 0
     repair_failures: int = 0
     rows_skipped_unavailable: int = 0
-    # Rows left unjudged: a record of the chain was appended after the
-    # round's backlog check, so the comparison may have raced it.
+    # Rows left unjudged: work was in flight on the chain when the rows
+    # were compared, or its epoch moved before the verify returned
+    # (``ViewManager.chain_epoch``).
     rows_skipped_in_flight: int = 0
     # Mid-round coordinator re-elections: the scrub coordinator crashed
     # (e.g. a crash-loop adversary) and a live node took over the round.

@@ -159,7 +159,7 @@ def _redrive(manager, coordinator, view: ViewDefinition, key: Hashable,
                 raise PropagationError(
                     f"base row {key!r} could not be read to re-drive view "
                     f"{view.name!r} after {rounds} rounds") from exc
-        yield from _back_off(manager, view, outbox, rounds)
+        yield from _back_off(manager, view, key, outbox, rounds)
 
 
 def _sure_guesses(manager, outbox: NodeOutbox, view: ViewDefinition,
@@ -244,7 +244,7 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
         manager.maintainer.metrics.retry_rounds += 1
         manager.cluster.trace("propagation", "round failed; backing off",
                               view=view.name, key=key, round=rounds)
-        yield from _back_off(manager, view, outbox, rounds)
+        yield from _back_off(manager, view, key, outbox, rounds)
         if rounds % 4 == 0:
             # Refresh guesses from the base replicas: slow peers may
             # have propagated by now, giving us a valid entry point.
@@ -263,20 +263,21 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
             guesses[:] = _merge_guesses((*guesses, *fresh))
 
 
-def _back_off(manager, view: ViewDefinition,
+def _back_off(manager, view: ViewDefinition, key: Hashable,
               outbox: Optional[NodeOutbox], rounds: int):
     """Sleep before retry round ``rounds + 1``.  A record's process
     gives its worker slot on ``outbox`` back for the length of the
-    sleep and re-takes it after, and for that long counts in
-    ``outbox.backing_off`` — it has failed a full round and may be
-    waiting for a row only the scrubber can write, so the scrubber's
-    backlog deferral must not wait for it in turn."""
+    sleep and re-takes it after, and for that long its chain is in
+    ``outbox.sleeping`` — it has failed a full round and may be waiting
+    for a row only the scrubber can write, so the scrubber must not
+    count it as work in flight (``ViewManager.chain_epoch``)."""
+    chain = (view.name, key)
     if outbox is not None:
         outbox.workers.release()
-        outbox.backing_off[view.name] += 1
+        outbox.sleeping.add(chain)
     yield manager.env.timeout(_retry_delay(manager, rounds))
     if outbox is not None:
-        outbox.backing_off[view.name] -= 1
+        outbox.sleeping.discard(chain)
         yield outbox.workers.acquire()
 
 

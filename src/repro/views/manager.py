@@ -26,6 +26,7 @@ per chain (:mod:`repro.views.outbox`, *Folding*).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.common.records import Cell, ColumnName
@@ -75,6 +76,8 @@ class ViewManager:
         # Fencing tokens: jobs started per chain, view name -> base key
         # -> count (see serialized).
         self._turns: Dict[str, Dict[Hashable, int]] = {}
+        # Per chain: base Puts written but not yet appended (base_put).
+        self._puts_in_flight: Counter = Counter()
         # Observability.
         self.completed_propagations = 0
         self.lost_propagations = 0
@@ -208,60 +211,66 @@ class ViewManager:
         yield coordinator.node.charge(self.config.service.coordinator)
         read_columns = tuple(dict.fromkeys(
             view.view_key_column for view in affected))
-
-        if self.config.combined_get_then_put:
-            # Single round trip: each replica reads its pre-update view
-            # keys and applies the write atomically.
-            collector = coordinator.scatter_get_then_put(
-                table, key, cells, read_columns, w)
-            yield collector.wait(w)
-
-            def extract(response, column):
-                return response.pre_cells.get(column)
-        else:
+        combined = self.config.combined_get_then_put
+        if not combined:
             # The prototype's two-step path (Alg. 1 lines 2-3): Get the
             # current view keys — every replica's version, so all N are
             # asked — then Put.
             collector = coordinator.scatter_read(table, key, read_columns, w,
                                                  every_replica=True)
             yield collector.wait(w)
-            put_collector = coordinator.scatter_write(table, key, cells, w)
-            yield put_collector.wait(w)
 
-            def extract(response, column):
-                return response.cells.get(column)
+        def extract(response, column):
+            return (response.pre_cells if combined
+                    else response.cells).get(column)
 
-        base_ts = max(cell.timestamp for cell in cells.values())
-        self.cluster.trace("base_put", "acked; scheduling propagation",
-                           table=table, key=key, ts=base_ts,
-                           views=[view.name for view in affected])
-        outbox = self._outboxes[coordinator.node.node_id]
-        for view in affected:
-            heavy = self.skew.observe(outbox.node_id, view, key)
-            if not heavy:
-                # Back-pressure: block the Put while the node's outbox
-                # (queued + in-flight records) is full.
-                yield outbox.backpressure.acquire()
-            # The completion event resolves when the record's
-            # propagation does; session barriers use the outbox
-            # offset instead, so nobody is obligated to consume it.
-            completion = self.env.event().defuse()
-            before = outbox.coalesced
-            # A Put's watched columns as raw values (None for tombstones).
-            update_values = {
-                column: (None if cell.tombstone else cell.value)
-                for column, cell in cells.items()
-                if column in view.watched_columns
-            }
-            record = outbox.append(view, table, key, update_values, base_ts,
-                                   (collector, extract), completion, heavy)
-            if outbox.coalesced != before:
-                self.cluster.trace(
-                    "outbox", "coalesced superseded update",
-                    view=view.name, key=key, seq=record.seq)
-            if session is not None:
-                self.sessions.register_offset(session, view.name,
-                                              outbox, record.seq)
+        # In flight on each chain from its first replica write until its
+        # records are appended, or it fails (see chain_epoch).
+        chains = [(view.name, key) for view in affected]
+        self._puts_in_flight.update(chains)
+        try:
+            if combined:
+                # Single round trip: each replica reads its pre-update
+                # view keys and applies the write atomically.
+                collector = coordinator.scatter_get_then_put(
+                    table, key, cells, read_columns, w)
+                yield collector.wait(w)
+            else:
+                yield coordinator.scatter_write(table, key, cells, w).wait(w)
+            base_ts = max(cell.timestamp for cell in cells.values())
+            self.cluster.trace("base_put", "acked; scheduling propagation",
+                               table=table, key=key, ts=base_ts,
+                               views=[view.name for view in affected])
+            outbox = self._outboxes[coordinator.node.node_id]
+            for view in affected:
+                heavy = self.skew.observe(outbox.node_id, view, key)
+                if not heavy:
+                    # Back-pressure: block the Put while the node's outbox
+                    # (queued + in-flight records) is full.
+                    yield outbox.backpressure.acquire()
+                # The completion event resolves when the record's
+                # propagation does; session barriers use the outbox
+                # offset instead, so nobody is obligated to consume it.
+                completion = self.env.event().defuse()
+                before = outbox.coalesced
+                # The watched columns as raw values (None for tombstones).
+                update_values = {
+                    column: (None if cell.tombstone else cell.value)
+                    for column, cell in cells.items()
+                    if column in view.watched_columns
+                }
+                record = outbox.append(view, table, key, update_values,
+                                       base_ts, (collector, extract),
+                                       completion, heavy)
+                if outbox.coalesced != before:
+                    self.cluster.trace(
+                        "outbox", "coalesced superseded update",
+                        view=view.name, key=key, seq=record.seq)
+                if session is not None:
+                    self.sessions.register_offset(session, view.name,
+                                                  outbox, record.seq)
+        finally:
+            self._puts_in_flight.subtract(chains)
 
     def serialized(self, coordinator, view: ViewDefinition, key: Hashable,
                    exclusive: bool, job: Callable):
@@ -298,6 +307,19 @@ class ViewManager:
             self.locks.release(view.name, key, exclusive)
         return result
 
+    def chain_epoch(self, view_name: str, key: Hashable):
+        """The chain's epoch — (records ever appended, jobs ever started
+        through :meth:`serialized`) — or None while a base Put is between
+        its first replica write and its append, or a started record is
+        awake (one asleep in a retry backoff may wait for a scrub repair)."""
+        chain = (view_name, key)
+        outboxes = self._outboxes.values()
+        if self._puts_in_flight[chain] or any(o.working(chain)
+                                              for o in outboxes):
+            return None
+        return (sum(o.chain_appends.get(chain, 0) for o in outboxes),
+                self._turns[view_name].get(key, 0))
+
     # -- fault injection -----------------------------------------------------
 
     def add_crash_hook(self, hook: Callable) -> None:
@@ -333,21 +355,6 @@ class ViewManager:
         return sum(outbox.pending_for(view_name)
                    for outbox in self._outboxes.values())
 
-    def outbox_backlog(self, view_name: str) -> int:
-        """:meth:`outbox_pending` for one view, less the records
-        sleeping in a retry backoff: what the scrubber defers on, so
-        digests are not compared while propagation is merely behind
-        (backlog, not divergence).
-
-        A sleeping record has failed a full round of guesses and given
-        its worker slot back; when its predecessor on the chain was lost
-        to a crash it is waiting for a row only the scrubber can write,
-        and a scrubber that waited for it in turn would wait out its
-        whole round budget."""
-        return self.outbox_pending(view_name) - sum(
-            outbox.backing_off.get(view_name, 0)
-            for outbox in self._outboxes.values())
-
     def outbox_stats(self, hot_key_count: int = 5) -> Dict[str, Any]:
         """Queue depth / lag / coalescing counters across node outboxes.
 
@@ -356,10 +363,9 @@ class ViewManager:
         heavy/light classification."""
         appended = sum(o.appended for o in self._outboxes.values())
         coalesced = sum(o.coalesced for o in self._outboxes.values())
-        hot: Dict[Tuple[str, Hashable], int] = {}
+        hot: Counter = Counter()
         for o in self._outboxes.values():
-            for chain, count in o.chain_appends.items():
-                hot[chain] = hot.get(chain, 0) + count
+            hot.update(o.chain_appends)
         ranked = sorted(hot.items(),
                         key=lambda item: (-item[1], repr(item[0])))
         return {

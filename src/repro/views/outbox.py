@@ -78,20 +78,24 @@ maintenance capacity: :data:`WORKERS` worker slots (``workers``), which
 a record takes before it does anything and gives back when it finishes
 — and also for the length of every retry backoff sleep, because a
 record sleeping until its predecessor's row appears must not keep that
-predecessor (often another node's record) from getting a worker.
+predecessor (often another node's record) from getting a worker.  For
+that long its chain is in ``sleeping``, and the scrubber does not count
+it as work in flight (:meth:`NodeOutbox.working`): its predecessor may
+have been lost to a crash, and then the row it waits for is one only
+the scrubber's repair writes.
 
 Starting is at-most-once *by design*: a record leaves the pending log
 when it starts, before its propagation runs, so a coordinator crash
 mid-propagation loses the update exactly as the paper's prototype would
 (Section VIII) — that divergence window is what the repair scrubber
 exists to close.  The ``low_watermark`` (highest seq below which every
-record has resolved) is what session barriers and the scrubber consult.
+record has resolved) is what session barriers consult.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
+from collections import deque
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.records import ColumnName
@@ -229,13 +233,12 @@ class NodeOutbox:
         self.token_free = 0        # parked + started heavy records
         self.max_token_free = 0
         self.view_depths: Dict[str, int] = {}   # both kinds, per view
-        # Per view, started records sleeping in a retry backoff with
-        # their worker slot given back (views.drive keeps the count).
-        self.backing_off: Dict[str, int] = defaultdict(int)
+        # Chains whose started record sleeps in a retry backoff with its
+        # worker slot given back (views.drive keeps the set).
+        self.sleeping: Set[Tuple[str, Hashable]] = set()
         # Lifetime appends per (view, base key) chain: the producer-side
         # hot-key ranking ``outbox_stats()`` reports for skew auditing,
-        # and the scrubber's proof that no record joined a chain while
-        # it verified the row.
+        # and half of a chain's epoch (``ViewManager.chain_epoch``).
         self.chain_appends: Dict[Tuple[str, Hashable], int] = {}
 
     # -- producer side -----------------------------------------------------
@@ -342,6 +345,11 @@ class NodeOutbox:
     def lag(self) -> int:
         """Records appended but not yet covered by the watermark."""
         return self.appended - self.low_watermark
+
+    def working(self, chain: Tuple[str, Hashable]) -> bool:
+        """True while ``chain`` has a started record here that is not
+        asleep in a retry backoff."""
+        return chain in self._chains and chain not in self.sleeping
 
     def pending_for(self, view_name: str) -> int:
         """Parked and started records targeting ``view_name``."""

@@ -150,6 +150,36 @@ def test_serialized_is_the_only_turn_mint():
                for path in SRC.rglob("*.py")) == 1
 
 
+@pytest.mark.parametrize("word", [
+    "outbox_backlog", "backing_off", "deferred_backlog", "_verify_wounded",
+    "_chain_appends",
+])
+def test_the_scrubber_defers_nothing_view_wide(word):
+    """A scrub round judges row by row under one per-chain rule: no
+    view-wide backlog deferral, no per-view sleeper counts, no append
+    snapshot and no second verify loop beside the row loop."""
+    assert _files_mentioning(word) == []
+
+
+def test_a_chains_in_flight_answer_is_one_manager_method():
+    """Whether work is in flight on a chain is answered by
+    ``ViewManager.chain_epoch`` alone: the scrubber reads no outbox or
+    turn state of its own, and nothing else asks an outbox whether a
+    chain is working."""
+    repair = "".join(path.read_text()
+                     for path in (SRC / "repair").rglob("*.py"))
+    for word in ("_outboxes", "_turns", "_puts_in_flight", "chain_appends",
+                 "sleeping", ".working("):
+        assert word not in repair, word
+    assert _files_mentioning(".working(") == ["views/manager.py"]
+    assert _files_mentioning("_puts_in_flight") == ["views/manager.py"]
+    source = (SRC / "views" / "manager.py").read_text()
+    (method,) = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef)
+                 and ".working(" in ast.get_source_segment(source, node)]
+    assert method.name == "chain_epoch"
+
+
 def test_replica_merge_has_one_seam():
     """LWW row merging, the replica diff and the background wait for
     replica replies each live in one place: ``merge_rows`` /

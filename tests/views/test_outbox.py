@@ -144,9 +144,9 @@ def test_burst_queue_depth_bounded_by_backpressure():
 
 
 def test_scrubber_defers_while_outbox_has_backlog():
-    """Propagation lag is not divergence: the scrubber must skip a view
-    whose records are still queued instead of issuing repairs that race
-    them."""
+    """Propagation lag is not divergence: the scrubber must leave a row
+    unjudged while its chain's record is still working instead of
+    issuing repairs that race it."""
     cluster = build(propagation_delay=Fixed(100.0))
     populate(cluster, 3)  # settles: no backlog yet
 
@@ -158,7 +158,7 @@ def test_scrubber_defers_while_outbox_has_backlog():
 
     scrubber = cluster.start_scrubber(interval=5.0)
     run_for(cluster, 30.0)  # several rounds inside the backlog window
-    assert scrubber.metrics.deferred_backlog >= 1
+    assert scrubber.metrics.rows_skipped_in_flight >= 1
     assert scrubber.metrics.divergences_found == 0
     assert scrubber.metrics.repairs_applied == 0
 
