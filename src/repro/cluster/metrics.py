@@ -165,12 +165,6 @@ class UtilizationReport:
         return (self.end.completed_propagations
                 - self.begin.completed_propagations)
 
-    @property
-    def scrub_repairs(self) -> int:
-        """Scrubber repairs applied during the window."""
-        return (self.end.scrub_repairs_applied
-                - self.begin.scrub_repairs_applied)
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (f"window {self.window:.0f} ms: cpu mean "

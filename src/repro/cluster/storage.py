@@ -11,7 +11,7 @@ views; those live in the node/coordinator layers above it.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, Optional, Tuple
 
 from repro.common.records import Cell, ColumnName, Row
 from repro.errors import NoSuchTableError, TableExistsError
@@ -36,10 +36,6 @@ class LocalStorageEngine:
     def has_table(self, name: str) -> bool:
         """True if ``name`` has been created locally."""
         return name in self._tables
-
-    def table_names(self) -> List[str]:
-        """All locally created tables."""
-        return list(self._tables)
 
     def _table(self, name: str) -> Dict[Hashable, Row]:
         try:
@@ -102,11 +98,3 @@ class LocalStorageEngine:
     def keys(self, table: str) -> Iterator[Hashable]:
         """Iterate over locally stored row keys of ``table``."""
         return iter(self._table(table))
-
-    def row_count(self, table: str) -> int:
-        """Number of locally stored rows in ``table``."""
-        return len(self._table(table))
-
-    def cell_count(self, table: str) -> int:
-        """Total number of cells stored locally for ``table``."""
-        return sum(len(row) for row in self._table(table).values())

@@ -200,10 +200,6 @@ class Row:
         """A copy of every stored cell, by column (a whole-row read)."""
         return dict(self._cells)
 
-    def live_columns(self) -> Iterator[ColumnName]:
-        """Columns whose cells are not NULL/tombstoned."""
-        return (c for c, cell in self._cells.items() if not cell.is_null)
-
     def copy(self) -> "Row":
         """A shallow copy (cells are immutable, so this is safe)."""
         return Row(self._cells)

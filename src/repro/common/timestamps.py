@@ -50,8 +50,3 @@ class TimestampOracle:
             candidate = self._last + (1 << _CLIENT_BITS)
         self._last = candidate
         return candidate
-
-    @staticmethod
-    def client_of(timestamp: int) -> int:
-        """Recover the client id embedded in a timestamp (for debugging)."""
-        return timestamp & _CLIENT_MASK

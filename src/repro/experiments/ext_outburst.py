@@ -113,7 +113,7 @@ def run_burst(config, *, keys: int, steady_ops: int, burst_ops: int,
     peak = {"steady": 0, "burst": 0, "drain": 0}
 
     def sampler():
-        while not (done[0] and manager.outbox_pending() == 0):
+        while not (done[0] and manager.pending_propagations == 0):
             yield env.timeout(sample_every)
             stats = manager.outbox_stats()
             curve.append((phase[0], env.now - start, stats["depth"],

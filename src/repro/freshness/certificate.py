@@ -42,8 +42,12 @@ rounds: the digests compare an all-replica merge, while reads see only
 a majority quorum, so a partially-written row can look digest-clean yet
 be quorum-invisible.  Wounds therefore clear only through quorum-level
 evidence — a successful re-propagation, or a per-key ``verify_row``
-that started after the wound was opened, and never while another
-propagation is mid-flight on the chain.
+that started after the wound was last touched — and on that evidence
+alone.  Another record still in flight on the chain does not hold the
+wound open: it is covered by its own ``outbox-lag`` source until it
+resolves, opens a wound of its own if it fails (``crash-lost``,
+``retries-abandoned``, ``move-interrupted``), and otherwise lands what
+Theorem 1 says any order of serialized propagations converges to.
 """
 
 from __future__ import annotations
@@ -85,10 +89,6 @@ class StalenessCertificate:
     bound_met: Optional[bool] = None
     compensated: bool = False
 
-    @property
-    def is_fresh(self) -> bool:
-        return self.open_sources == 0
-
     def within(self, bound_ms: float) -> bool:
         """Does this certificate already satisfy ``bound_ms``?"""
         return self.staleness_ms <= bound_ms
@@ -120,11 +120,6 @@ class FreshnessTracker:
         self.manager = manager
         self.env = manager.env
         self._wounds: Dict[ChainKey, Wound] = {}
-        # Origins of the propagations currently executing, per chain:
-        # only the heal veto reads it.  Overlap itself opens no wound —
-        # the chain is serialized (Section IV-F), and serialized
-        # propagations converge in any order (Theorem 1).
-        self._eager_inflight: Dict[ChainKey, List[float]] = {}
         # Observability.
         self.wounds_opened = 0
         self.wounds_healed = 0
@@ -157,24 +152,19 @@ class FreshnessTracker:
 
     def note_repaired(self, view_name: str, key: Hashable) -> None:
         """A re-propagation of the row's *current* base state committed
-        at quorum: the chain's wound (if any) is healed — unless another
-        propagation is still mid-flight and may land stale state after
-        this repair."""
-        chain = (view_name, key)
-        if chain in self._eager_inflight:
-            return
-        if self._wounds.pop(chain, None) is not None:
+        at quorum: the chain's wound (if any) is healed, even with a
+        record still in flight on the chain — that record is covered by
+        its own ``outbox-lag`` source until it resolves, and opens a
+        wound of its own if it fails."""
+        if self._wounds.pop((view_name, key), None) is not None:
             self.wounds_healed += 1
 
     def note_verified_clean(self, view_name: str, key: Hashable,
                             verified_since: float) -> None:
         """A quorum-level ``verify_row`` started at ``verified_since``
         found the row clean: wounds observed before the verification
-        began are healed.  Concurrent in-flight propagations veto the
-        clear (they may still land stale state)."""
+        began are healed."""
         chain = (view_name, key)
-        if chain in self._eager_inflight:
-            return
         wound = self._wounds.get(chain)
         if wound is not None and wound.created < verified_since:
             del self._wounds[chain]
@@ -188,27 +178,6 @@ class FreshnessTracker:
     @property
     def open_wounds(self) -> int:
         return len(self._wounds)
-
-    # -- in-flight propagations --------------------------------------------
-
-    def eager_begin(self, view_name: str, key: Hashable,
-                    origin: float) -> None:
-        """A propagation for ``(view, key)`` whose update entered the
-        pipeline at ``origin`` starts executing: until :meth:`eager_end`
-        it vetoes healing the chain's wound."""
-        self._eager_inflight.setdefault((view_name, key), []).append(origin)
-
-    def eager_end(self, view_name: str, key: Hashable,
-                  origin: float) -> None:
-        chain = (view_name, key)
-        inflight = self._eager_inflight.get(chain)
-        if inflight is not None:
-            try:
-                inflight.remove(origin)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            if not inflight:
-                del self._eager_inflight[chain]
 
     # -- certificates ------------------------------------------------------
 

@@ -97,8 +97,6 @@ def fresh_view_get(manager, coordinator, view_name: str, view_key: Any,
         slo.observe(view_name, fresh.certificate.staleness_ms, bounded=True,
                     escalated=True,
                     compensated_keys=len(fresh.compensated_keys))
-    if session is not None:
-        session.note_certificate(fresh.certificate)
     return fresh
 
 

@@ -46,10 +46,6 @@ class LocalIndexFragment:
         """Base keys whose indexed column currently equals ``value``."""
         return set(self._postings.get(value, ()))
 
-    def entry_count(self) -> int:
-        """Total number of (value, key) postings in the fragment."""
-        return sum(len(keys) for keys in self._postings.values())
-
     def rebuild(self, rows: Iterable[Tuple[Hashable, Optional[Cell]]]) -> None:
         """Rebuild the fragment from ``(key, cell)`` pairs (bootstrap)."""
         self._postings.clear()
@@ -78,7 +74,3 @@ class IndexSchema:
         writes ask on every request.
         """
         return self._indexed.get(table, _NO_COLUMNS)
-
-    def is_indexed(self, table: str, column: ColumnName) -> bool:
-        """True if ``table.column`` has a secondary index."""
-        return column in self._indexed.get(table, ())

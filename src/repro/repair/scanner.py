@@ -62,11 +62,6 @@ class TokenRangeScanner:
         # of re-scanning its prefix forever.
         self._offset = 0
 
-    @property
-    def cursor(self) -> int:
-        """The bucket the next round starts from."""
-        return self._cursor
-
     def snapshot(self, extra_keys: Iterable[Hashable] = ()
                  ) -> Dict[int, List[Hashable]]:
         """The current key universe grouped by bucket.

@@ -79,9 +79,6 @@ class Schedule:
     ops: List[Dict[str, Any]] = field(default_factory=list)
     faults: List[Dict[str, Any]] = field(default_factory=list)
 
-    def entry_count(self) -> int:
-        return len(self.ops) + len(self.faults)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "format": SCHEDULE_FORMAT,

@@ -413,10 +413,6 @@ class Environment:
         self._eid += 1
         heapq.heappush(self._heap, (self._now + delay, priority, self._eid, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     def step(self) -> None:
         """Process the next scheduled event."""
         if not self._heap:

@@ -35,7 +35,3 @@ class RandomStreams:
         if name not in self._streams:
             self._streams[name] = random.Random(derive_seed(self.root_seed, name))
         return self._streams[name]
-
-    def fork(self, name: str) -> "RandomStreams":
-        """A child factory whose streams are independent of this one's."""
-        return RandomStreams(derive_seed(self.root_seed, f"fork:{name}"))

@@ -12,6 +12,13 @@ state: the "converge this chain" primitive behind folded records
 backfill.  Every function takes the
 :class:`~repro.views.manager.ViewManager` whose counters, RNG stream
 and services it uses.
+
+The freshness tracker hears only outcomes from here, never that a run
+has begun: a started record that fails opens a wound
+(``_EXPECTED_FAILURES``, or ``move-interrupted`` when a move is cut
+short), and a committed :func:`repropagate_row` heals one.  A record
+still running needs no report: its own ``outbox-lag`` source covers it
+until it resolves.
 """
 
 from __future__ import annotations
@@ -109,15 +116,10 @@ def process_record(manager, outbox: NodeOutbox, record):
                 # on for it, end every round at the entry points that
                 # need no luck.
                 guesses.extend(_sure_guesses(manager, outbox, view, key))
-            origin = record.appended_at
-            manager.freshness.eager_begin(view.name, key, origin)
-            try:
-                yield from propagate_with_retries(
-                    manager, coordinator, view, record.table, key, guesses,
-                    record.update_values, base_ts, outbox=outbox,
-                    origin=origin)
-            finally:
-                manager.freshness.eager_end(view.name, key, origin)
+            yield from propagate_with_retries(
+                manager, coordinator, view, record.table, key, guesses,
+                record.update_values, base_ts, outbox=outbox,
+                origin=record.appended_at)
         manager.completed_propagations += 1
         manager.cluster.trace("propagation", "completed", view=view.name,
                               key=key, ts=base_ts)
@@ -381,43 +383,37 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     key_cell = merged[view.view_key_column]
     if key_cell.timestamp < 0:
         return False
-    tracker = manager.freshness
-    origin = manager.env.now
-    tracker.eager_begin(view.name, base_key, origin)
-    try:
-        # The view-key cell first: this creates/refreshes the live row
-        # the materialized cells are then written into.
-        pristine = ([ViewKeyGuess.from_cell(view, None)] if outbox is None
-                    else _sure_guesses(manager, outbox, view, base_key))
+    # The view-key cell first: this creates/refreshes the live row the
+    # materialized cells are then written into.
+    pristine = ([ViewKeyGuess.from_cell(view, None)] if outbox is None
+                else _sure_guesses(manager, outbox, view, base_key))
+    yield from propagate_with_retries(
+        manager, coordinator, view, view.base_table, base_key, pristine,
+        {view.view_key_column: (None if key_cell.tombstone
+                                else key_cell.value)},
+        key_cell.timestamp, outbox=outbox)
+    # Where the row now lives: its current view key, or the NULL anchor
+    # for a deleted / predicate-rejected one.
+    live = ViewKeyGuess.from_cell(view, key_cell)
+    for column in view.materialized_columns:
+        cell = merged[column]
+        if cell.timestamp < 0:
+            continue
         yield from propagate_with_retries(
-            manager, coordinator, view, view.base_table, base_key, pristine,
-            {view.view_key_column: (None if key_cell.tombstone
-                                    else key_cell.value)},
-            key_cell.timestamp, outbox=outbox, origin=origin)
-        # Where the row now lives: its current view key, or the NULL
-        # anchor for a deleted / predicate-rejected one.
-        live = ViewKeyGuess.from_cell(view, key_cell)
-        for column in view.materialized_columns:
-            cell = merged[column]
-            if cell.timestamp < 0:
+            manager, coordinator, view, view.base_table, base_key,
+            [live], {column: (None if cell.tombstone else cell.value)},
+            cell.timestamp, outbox=outbox)
+    if strays:
+        next_col = view_column(base_key, NEXT_COLUMN)
+        stale_ts = view_timestamp(key_cell.timestamp, PHASE_STALE)
+        for stray in strays:
+            if stray == live.key:
                 continue
-            yield from propagate_with_retries(
-                manager, coordinator, view, view.base_table, base_key,
-                [live], {column: (None if cell.tombstone else cell.value)},
-                cell.timestamp, outbox=outbox)
-        if strays:
-            next_col = view_column(base_key, NEXT_COLUMN)
-            stale_ts = view_timestamp(key_cell.timestamp, PHASE_STALE)
-            for stray in strays:
-                if stray == live.key:
-                    continue
-                yield from manager.maintainer._view_put(
-                    coordinator, view.name, stray,
-                    {next_col: Cell(live.key, stale_ts)})
-    finally:
-        tracker.eager_end(view.name, base_key, origin)
+            yield from manager.maintainer._view_put(
+                coordinator, view.name, stray,
+                {next_col: Cell(live.key, stale_ts)})
     # A committed repair re-drove the row's *current* majority-visible
     # base state through the full chain walk: any wound on the chain is
     # covered (quorum-level evidence, unlike a digest-clean round).
-    tracker.note_repaired(view.name, base_key)
+    manager.freshness.note_repaired(view.name, base_key)
     return True

@@ -107,7 +107,8 @@ class ViewManager:
     def pending_propagations(self) -> int:
         """Propagations accepted but not yet resolved (parked or
         started, with a backpressure token or without)."""
-        return self.outbox_pending()
+        return sum(outbox.depth + outbox.token_free
+                   for outbox in self._outboxes.values())
 
     # -- registry -----------------------------------------------------------
 
@@ -345,15 +346,6 @@ class ViewManager:
             pass
 
     # -- outbox observability -----------------------------------------------
-
-    def outbox_pending(self, view_name: Optional[str] = None) -> int:
-        """Parked and started outbox records, optionally for one view
-        only; heavy records (no token) count like any other."""
-        if view_name is None:
-            return sum(outbox.depth + outbox.token_free
-                       for outbox in self._outboxes.values())
-        return sum(outbox.pending_for(view_name)
-                   for outbox in self._outboxes.values())
 
     def outbox_stats(self, hot_key_count: int = 5) -> Dict[str, Any]:
         """Queue depth / lag / coalescing counters across node outboxes.

@@ -71,7 +71,10 @@ Coalescing releases the superseded record's token immediately, which is
 what lets a hot key absorb an arbitrarily long burst in bounded space.
 Heavy records hold no token — a chain has at most a started one and a
 parked one per node, however many Puts they stand for — and are counted
-in ``token_free`` instead of ``depth``.
+in ``token_free`` instead of ``depth``.  ``depth + token_free``, summed
+over nodes, is the one pending count
+(``ViewManager.pending_propagations``); the outbox keeps no per-view
+tally.
 
 How many started records *work* at once is the node's finite
 maintenance capacity: :data:`WORKERS` worker slots (``workers``), which
@@ -80,9 +83,10 @@ a record takes before it does anything and gives back when it finishes
 record sleeping until its predecessor's row appears must not keep that
 predecessor (often another node's record) from getting a worker.  For
 that long its chain is in ``sleeping``, and the scrubber does not count
-it as work in flight (:meth:`NodeOutbox.working`): its predecessor may
-have been lost to a crash, and then the row it waits for is one only
-the scrubber's repair writes.
+it as work in flight (:meth:`NodeOutbox.working`, read by
+``ViewManager.chain_epoch`` alone): its predecessor may have been lost
+to a crash, and then the row it waits for is one only the scrubber's
+repair writes.
 
 Starting is at-most-once *by design*: a record leaves the pending log
 when it starts, before its propagation runs, so a coordinator crash
@@ -232,7 +236,6 @@ class NodeOutbox:
         self.max_depth = 0
         self.token_free = 0        # parked + started heavy records
         self.max_token_free = 0
-        self.view_depths: Dict[str, int] = {}   # both kinds, per view
         # Chains whose started record sleeps in a retry backoff with its
         # worker slot given back (views.drive keeps the set).
         self.sleeping: Set[Tuple[str, Hashable]] = set()
@@ -318,8 +321,6 @@ class NodeOutbox:
 
     def _count(self, record: OutboxRecord, sign: int) -> None:
         """One record entering (+1) or leaving (-1) the chain queues."""
-        name = record.view.name
-        self.view_depths[name] = self.view_depths.get(name, 0) + sign
         if record.heavy:
             self.token_free += sign
             if self.token_free > self.max_token_free:
@@ -350,10 +351,6 @@ class NodeOutbox:
         """True while ``chain`` has a started record here that is not
         asleep in a retry backoff."""
         return chain in self._chains and chain not in self.sleeping
-
-    def pending_for(self, view_name: str) -> int:
-        """Parked and started records targeting ``view_name``."""
-        return self.view_depths.get(view_name, 0)
 
     def unresolved_for(self, view_name: str
                        ) -> List[Tuple[Hashable, float]]:

@@ -40,9 +40,6 @@ class Session:
     coordinator_id: int
     # view name -> {outbox: highest registered seq}.
     _offsets: Dict[str, Dict[object, int]] = field(default_factory=dict)
-    # view name -> the last staleness certificate a fresh-path read
-    # served to this session (repro.freshness).
-    _certificates: Dict[str, object] = field(default_factory=dict)
     ended: bool = False
 
     def pending_barriers(self, view_name: str) -> int:
@@ -51,22 +48,6 @@ class Session:
         return sum(1 for outbox, seq
                    in self._offsets.get(view_name, {}).items()
                    if seq > outbox.low_watermark)
-
-    def note_certificate(self, certificate) -> None:
-        """Record the certificate attached to a fresh-path view read so
-        the client can inspect what staleness its session observed."""
-        self._certificates[certificate.view_name] = certificate
-
-    def last_certificate(self, view_name: str):
-        """The most recent staleness certificate served to this session
-        for ``view_name``, or None if no fresh-path read ran."""
-        return self._certificates.get(view_name)
-
-    @property
-    def pending_count(self) -> int:
-        """Total pending propagations across views."""
-        return sum(self.pending_barriers(view_name)
-                   for view_name in self._offsets)
 
 
 class SessionManager:

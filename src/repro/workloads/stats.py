@@ -40,14 +40,6 @@ class LatencyRecorder:
                           round(p / 100.0 * (len(ordered) - 1))))
         return ordered[rank]
 
-    @property
-    def minimum(self) -> float:
-        return min(self._samples) if self._samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self._samples) if self._samples else 0.0
-
 
 @dataclass
 class RunResult:

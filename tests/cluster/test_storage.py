@@ -17,7 +17,7 @@ def engine():
 def test_create_and_has_table(engine):
     assert engine.has_table("T")
     assert not engine.has_table("U")
-    assert engine.table_names() == ["T"]
+    assert list(engine.keys("T")) == []
 
 
 def test_duplicate_table_rejected(engine):
@@ -88,8 +88,7 @@ def test_keys_and_counts(engine):
     for i in range(5):
         engine.apply("T", f"k{i}", {"a": Cell.make(i, 1), "b": Cell.make(i, 1)})
     assert sorted(engine.keys("T")) == [f"k{i}" for i in range(5)]
-    assert engine.row_count("T") == 5
-    assert engine.cell_count("T") == 10
+    assert [engine.row_width("T", key) for key in engine.keys("T")] == [2] * 5
 
 
 def test_wide_row_tuple_columns(engine):

@@ -165,8 +165,11 @@ def test_oracle_tracks_clock():
 
 
 def test_oracle_client_id_roundtrip():
-    oracle = TimestampOracle(client_id=37, now_fn=lambda: 1.0)
-    assert TimestampOracle.client_of(oracle.next()) == 37
+    """Two clients drawing at the same instant are told apart by their
+    ids alone: the timestamps differ by exactly the id difference."""
+    first = TimestampOracle(client_id=0, now_fn=lambda: 1.0).next()
+    other = TimestampOracle(client_id=37, now_fn=lambda: 1.0).next()
+    assert other - first == 37
 
 
 def test_oracle_rejects_bad_client_id():

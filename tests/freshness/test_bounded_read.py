@@ -41,7 +41,7 @@ def test_unbounded_read_serves_with_certificate():
     assert len(fresh) == 1
     assert fresh.results[0]["payload"] == "p0"
     assert not fresh.escalated
-    assert fresh.certificate.is_fresh
+    assert fresh.certificate.open_sources == 0
     assert fresh.certificate.bound_ms is None
 
 
@@ -240,14 +240,20 @@ def test_an_interrupted_move_wounds_its_chain_until_repropagated(
 
 
 def test_session_records_the_served_certificate():
+    """A session's fresh read is certified after its barrier: the
+    session's own Put has propagated by then, so the certificate served
+    with the row names no open source."""
     cluster, client = build()
     client.begin_session()
     client.put("T", "k1", {"sec": "s1", "payload": "p0"}, w=2)
+    assert cluster.view_manager.pending_propagations == 1
     fresh = client.get_view_fresh("V", "s1", COLUMNS, r=2,
                                   max_staleness_ms=50.0)
-    session = client.handle.session
-    assert session.last_certificate("V") == fresh.certificate
-    assert session.last_certificate("missing") is None
+    assert [res["payload"] for res in fresh] == ["p0"]
+    certificate = fresh.certificate
+    assert (certificate.provenance, certificate.open_sources) == ("fresh", 0)
+    assert certificate.bound_ms == 50.0 and certificate.bound_met
+    assert not fresh.escalated
     client.end_session()
 
 

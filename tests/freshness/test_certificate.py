@@ -6,8 +6,12 @@ import pytest
 
 from repro.freshness.certificate import FreshnessTracker, StaleSource
 from repro.freshness.slo import HISTOGRAM_BOUNDS, FreshnessSLO
+from repro.scenarios import lose_propagations
 from repro.sim import Environment
-from repro.views import NodeOutbox, ViewDefinition
+from repro.sim.latency import Fixed
+from repro.views import NodeOutbox, ViewDefinition, check_view
+
+from tests.repair.conftest import VIEW, build, populate, run_for
 
 
 class _Clock:
@@ -66,51 +70,86 @@ def test_wound_merge_refreshes_created_time():
 
 
 def test_inflight_propagation_vetoes_clearing():
-    tracker, clock = make_tracker()
-    clock.now = 10.0
-    tracker.note_wound("V", "k1", 5.0, "crash-lost")
-    tracker.eager_begin("V", "k1", 9.0)
-    tracker.note_repaired("V", "k1")
+    """The one rule that still holds a heal back is the scrubber's: it
+    judges no row whose chain has a record awake.  Key 5's update of
+    ``m`` is lost to a crash, then a later update of ``m`` is working
+    (its scheduling delay) while a round compares rows, so the round
+    leaves the wounded row unjudged.  That record lands the later
+    value, and the first verify after it resolves heals the wound."""
+    cluster = build(propagation_delay=Fixed(30.0))
+    populate(cluster, 12)
+    lose_propagations(cluster, 1, 10.0, base_key=5)
+    cluster.sync_client(coordinator_id=1).put("T", 5, {"m": "lost"},
+                                              w=2, timestamp=100)
+    run_for(cluster, 50.0)
+    env = cluster.env
+    manager = cluster.view_manager
+    tracker = manager.freshness
+    assert [source.provenance for source in tracker.sources("V")] == [
+        "crash-lost"]
+    env.process(cluster.client(coordinator_id=2).put(
+        "T", 5, {"m": "later"}, 2, 101))
+    run_for(cluster, 5.0)
+    assert manager.chain_epoch("V", 5) is None   # the record is awake
+
+    scrubber = cluster.start_scrubber(interval=10_000.0)
+    env.run(until=env.process(scrubber.run_round()))
+    metrics = scrubber.metrics
+    assert metrics.rows_skipped_in_flight == 1
+    assert metrics.rows_scanned == 0
     assert tracker.open_wounds == 1
-    tracker.note_verified_clean("V", "k1", verified_since=20.0)
-    assert tracker.open_wounds == 1
-    tracker.eager_end("V", "k1", 9.0)
-    tracker.note_repaired("V", "k1")
-    assert tracker.open_wounds == 0
+
+    while manager.pending_propagations:
+        run_for(cluster, 1.0)
+    assert tracker.open_wounds == 1              # no verify yet
+    env.run(until=env.process(scrubber.run_round()))
+    assert metrics.rows_scanned == 1
+    assert metrics.divergences_found == metrics.repairs_applied == 0
+    assert tracker.open_wounds == 0 and tracker.wounds_healed == 1
+    scrubber.stop()
+    cluster.run_until_idle()
+    assert check_view(cluster, VIEW) == []
+
+
+def _drain_without_wounds(puts):
+    """Run ``(coordinator, vk, timestamp)`` Puts of base key 5, one
+    after another as listed, each issued before any record has
+    finished; once drained the view is right and no wound was ever
+    opened.  Returns the cluster."""
+    cluster = build(propagation_delay=Fixed(5.0))
+    populate(cluster, 12)
+    env = cluster.env
+    for coordinator, vk, ts in puts:
+        env.process(cluster.client(coordinator_id=coordinator).put(
+            "T", 5, {"vk": vk, "m": f"m{ts}"}, 2, ts))
+        run_for(cluster, 1.0)
+    manager = cluster.view_manager
+    assert manager.pending_propagations == len(puts)   # all overlap
+    cluster.run_until_idle()
+    assert manager.pending_propagations == 0
+    assert check_view(cluster, VIEW) == []
+    assert manager.freshness.wounds_opened == 0
+    assert manager.freshness.sources("V") == []
+    return cluster
 
 
 def test_in_flight_executions_open_no_wound():
     """Chains are serialized, and serialized propagations converge in
-    any order: executions overlapping, or ending out of order, are
-    bookkeeping for the heal veto and nothing else."""
-    tracker, clock = make_tracker()
-    tracker.eager_begin("V", "k1", 8.0)
-    clock.now = 10.0
-    tracker.eager_begin("V", "k1", 9.0)
-    tracker.eager_end("V", "k1", 9.0)
-    tracker.eager_end("V", "k1", 8.0)
-    assert tracker.wounds_opened == 0
-    assert tracker.sources("V") == []
+    any order: two coordinators' records of one chain working at once
+    open no wound."""
+    _drain_without_wounds([(0, "a", 108), (1, "b", 109)])
 
 
 def test_same_executor_reorder_is_safe():
     """A newer update landing before an older one on the same chain
     opens no wound."""
-    tracker, clock = make_tracker()
-    tracker.eager_begin("V", "k1", 9.0)
-    tracker.eager_end("V", "k1", 9.0)
-    tracker.eager_begin("V", "k1", 8.0)
-    tracker.eager_end("V", "k1", 8.0)
-    assert tracker.open_wounds == 0
+    cluster = _drain_without_wounds([(1, "b", 109), (0, "a", 108)])
+    rows = cluster.sync_client().get_view("V", "b", ["m"])
+    assert [(row.base_key, row["m"]) for row in rows] == [(5, "m109")]
 
 
 def test_newer_base_ts_after_older_is_safe():
-    tracker, clock = make_tracker()
-    tracker.eager_begin("V", "k1", 8.0)
-    tracker.eager_end("V", "k1", 8.0)
-    tracker.eager_begin("V", "k1", 9.0)
-    tracker.eager_end("V", "k1", 9.0)
-    assert tracker.open_wounds == 0
+    _drain_without_wounds([(0, "a", 108), (1, "b", 109), (0, "a", 110)])
 
 
 # -- certificates ------------------------------------------------------------
@@ -120,7 +159,7 @@ def test_certificate_fresh_when_no_sources():
     tracker, clock = make_tracker()
     clock.now = 123.0
     cert = tracker.certificate("V")
-    assert cert.is_fresh
+    assert cert.open_sources == 0
     assert cert.staleness_ms == 0.0
     assert cert.provenance == "fresh"
     assert cert.within(0.0)
@@ -153,7 +192,7 @@ def test_unresolved_outbox_record_is_a_source():
     assert cert.provenance == "outbox-lag"
     record.resolve()
     env.run()
-    assert tracker.certificate("V").is_fresh
+    assert tracker.certificate("V").open_sources == 0
 
 
 def test_lagging_keys_min_merges_per_key():

@@ -79,14 +79,23 @@ def test_plan_budget_truncates_and_cursor_resumes():
     budget = total // 3
     remaining = {bucket: set(keys) for bucket, keys in snapshot.items()}
     rounds = 0
+    resume = None
     while any(remaining.values()):
         wanted = [bucket for bucket, keys in remaining.items() if keys]
         plan = scanner.plan(wanted, budget, snapshot)
         assert plan.rows, "a round with dirty buckets must make progress"
-        if not plan.covered_all:
-            # The cursor parks on the first bucket the budget could not
-            # (fully) cover — always one still wanted.
-            assert scanner.cursor in set(wanted)
+        if resume is not None:
+            # The cursor parked where the last budget ran out: this
+            # round starts at the first key that budget cut off.
+            assert plan.rows[0] == resume
+        # Every wanted key in ring order from this round's first bucket.
+        ring = [(bucket, key)
+                for step in range(scanner.buckets)
+                for bucket in [(plan.rows[0][0] + step) % scanner.buckets]
+                if bucket in wanted
+                for key in sorted(remaining[bucket], key=repr)]
+        assert plan.rows == ring[:len(plan.rows)]
+        resume = None if plan.covered_all else ring[len(plan.rows)]
         for bucket, key in plan.rows:
             remaining[bucket].discard(key)
         rounds += 1

@@ -164,13 +164,22 @@ def test_the_scrubber_defers_nothing_view_wide(word):
 def test_a_chains_in_flight_answer_is_one_manager_method():
     """Whether work is in flight on a chain is answered by
     ``ViewManager.chain_epoch`` alone: the scrubber reads no outbox or
-    turn state of its own, and nothing else asks an outbox whether a
-    chain is working."""
+    turn state of its own, the freshness tracker keeps no in-flight list
+    to veto heals with, and nothing else asks an outbox whether a chain
+    is working.  How much work is pending is
+    ``ViewManager.pending_propagations`` alone: no per-view count."""
+    for word in ("eager_begin", "eager_end", "_eager_inflight",
+                 "outbox_pending", "pending_for", "view_depths"):
+        assert _files_mentioning(word) == [], word
     repair = "".join(path.read_text()
                      for path in (SRC / "repair").rglob("*.py"))
     for word in ("_outboxes", "_turns", "_puts_in_flight", "chain_appends",
                  "sleeping", ".working("):
         assert word not in repair, word
+    freshness = "".join(path.read_text()
+                        for path in (SRC / "freshness").rglob("*.py"))
+    for word in ("_puts_in_flight", "sleeping", ".working("):
+        assert word not in freshness, word
     assert _files_mentioning(".working(") == ["views/manager.py"]
     assert _files_mentioning("_puts_in_flight") == ["views/manager.py"]
     source = (SRC / "views" / "manager.py").read_text()
@@ -290,13 +299,14 @@ def test_a_loopback_is_decided_in_one_place():
             if locality.search(path.read_text())] == ["cluster/network.py"]
 
 
-# Exports that nothing outside ``tests/`` reaches, each with the reason
-# it stays.  Five at most: a sixth means the rule below has stopped
-# being applied.
+# Public names that nothing outside ``tests/`` reaches, each with the
+# reason it stays.  Five at most: a sixth means the rule below has
+# stopped being applied.
 UNREACHED_ON_PURPOSE = {
     "__version__",         # package metadata: read by people and packaging, called by nothing
     "live_state_digest",   # the reference the eager/adaptive and golden differential tests compare
     "expected_view_rows",  # Definition 1 spelled out: the oracle (views/model.py) tests check the cluster against
+    "current_view",        # Definition 2 spelled out: the oracle's non-versioned view state Vn
     "load_schedule",       # reads back the reproducers ``fuzz`` saves; a person replays them (docs/testing.md)
 }
 
@@ -338,15 +348,15 @@ def _definitions(tree):
             yield None, _names_used([node])
 
 
-def _names_reached_outside_tests():
+def _names_reached_outside_tests(roots=()):
     """Every identifier reachable from the roots: ``benchmarks/``,
     ``examples/``, CI's entry points, the client API ``docs/usage.md``
-    documents and whatever ``src/repro`` runs on import (which includes
-    ``python -m repro.experiments``).  By name only — two methods
-    called ``stop`` keep each other alive — so it errs towards
-    keeping."""
+    documents, whatever ``src/repro`` runs on import (which includes
+    ``python -m repro.experiments``) and the names in ``roots``.  By
+    name only — two methods called ``stop`` keep each other alive — so
+    it errs towards keeping."""
     root = SRC.parents[1]
-    reached = set()
+    reached = set(roots)
     for base in (root / "benchmarks", root / "examples"):
         for path in base.rglob("*.py"):
             tree = ast.parse(path.read_text())
@@ -373,15 +383,32 @@ def _names_reached_outside_tests():
     return reached
 
 
+def _public_definitions(tree):
+    """Names of a module's public functions and classes, and of its
+    classes' public methods and properties."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, functions))
+
+
 def test_every_export_is_reached_outside_tests():
     """A name stays in ``src/repro`` if something outside ``tests/``
-    reaches it; what only its own tests reach is deleted with them
-    (not dropped from ``__all__`` while the code stays)."""
+    reaches it — an ``__all__`` export, and every public function,
+    class, method and property besides; what only its own tests reach
+    is deleted with them (not dropped from ``__all__`` while the code
+    stays).  What an allow-listed name uses is reached through it."""
     assert len(UNREACHED_ON_PURPOSE) <= 5
     reached = _names_reached_outside_tests()
     assert UNREACHED_ON_PURPOSE.isdisjoint(reached), "stale allow-list entry"
-    reached |= UNREACHED_ON_PURPOSE
-    unreached = []
+    reached = _names_reached_outside_tests(UNREACHED_ON_PURPOSE)
+    unreached = [f"{path.relative_to(SRC.parent)}: {name}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for name in _public_definitions(ast.parse(path.read_text()))
+                 if not name.startswith("_") and name not in reached]
     for init in sorted(SRC.rglob("__init__.py")):
         for node in ast.parse(init.read_text()).body:
             if (isinstance(node, ast.Assign)

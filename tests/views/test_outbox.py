@@ -154,7 +154,7 @@ def test_scrubber_defers_while_outbox_has_backlog():
     client = cluster.client(coordinator_id=1)
     env.process(client.put("T", 0, {"m": "late"}, 2, 10))
     run_for(cluster, 2.0)  # record appended; its scheduling delay ~100 ms
-    assert cluster.view_manager.outbox_pending(VIEW.name) == 1
+    assert cluster.view_manager.pending_propagations == 1
 
     scrubber = cluster.start_scrubber(interval=5.0)
     run_for(cluster, 30.0)  # several rounds inside the backlog window
@@ -164,7 +164,7 @@ def test_scrubber_defers_while_outbox_has_backlog():
 
     scrubber.stop()
     cluster.run_until_idle()
-    assert cluster.view_manager.outbox_pending(VIEW.name) == 0
+    assert cluster.view_manager.pending_propagations == 0
     assert divergent_base_keys(cluster, VIEW) == []
 
 
@@ -267,7 +267,7 @@ def test_heavy_records_fold_into_one_survivor_without_tokens():
     outbox.done(first)
     assert started == [first, survivor]
     outbox.done(survivor)
-    assert outbox.token_free == 0 and outbox.pending_for(VIEW.name) == 0
+    assert outbox.depth + outbox.token_free == 0
     # All four seqs resolve with their survivors.
     first.resolve()
     survivor.resolve()

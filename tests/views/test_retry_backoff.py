@@ -135,7 +135,7 @@ def test_a_record_sleeping_in_backoff_holds_no_worker(monkeypatch):
     assert manager.completed_propagations == 1
     assert manager.abandoned_propagations == 0     # still retrying
     assert min(rounds.values()) >= 2
-    assert manager.outbox_pending() == 2
+    assert manager.pending_propagations == 2
 
     cluster.run_until_idle()
     assert manager.abandoned_propagations == 2

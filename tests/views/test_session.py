@@ -51,9 +51,9 @@ def test_register_and_auto_discard(env, outbox):
     manager = SessionManager(env)
     session = manager.create(0)
     put(env, outbox, manager, session, resolve_at=5.0)
-    assert session.pending_count == 1
+    assert session.pending_barriers("V") == 1
     env.run()
-    assert session.pending_count == 0
+    assert session.pending_barriers("V") == 0
 
 
 def test_barrier_blocks_until_pending_complete(env, outbox):
@@ -89,7 +89,7 @@ def test_failed_resolution_releases_the_barrier(env, outbox):
     env.process(getter())
     env.run()
     assert log == [4.0]
-    assert session.pending_count == 0
+    assert session.pending_barriers("V") == 0
 
 
 def test_barrier_without_pending_is_instant(env):
