@@ -29,12 +29,13 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.common.records import Cell, ColumnName
 from repro.repair.scanner import bucket_of
-from repro.views.definition import INIT_COLUMN, ViewDefinition
+from repro.views.definition import ViewDefinition
 from repro.views.invariants import live_entries
 from repro.views.versioned import (
     NULL_VIEW_KEY,
     VersionedEntry,
     base_timestamp_of,
+    is_initializing,
     split_wide_row,
 )
 
@@ -209,8 +210,7 @@ def verify_row(coordinator, view: ViewDefinition, base_key: Hashable,
     if entry is None or not entry.is_live:
         return Divergence(view.name, base_key, "missing-live-row",
                           f"expected live row under {expected_live!r}")
-    init_cell = entry.cells.get(INIT_COLUMN)
-    if init_cell is not None and not init_cell.is_null:
+    if is_initializing(entry.next_cell):
         return Divergence(view.name, base_key, "stuck-init",
                           f"row {expected_live!r} still marked Init")
     if canonical_view_entry(view, entry) != expected:

@@ -9,7 +9,6 @@ dedicated propagators), and session guarantees.
 from repro.views.backfill import BackfillReport
 from repro.views.definition import (
     BASE_KEY_COLUMN,
-    INIT_COLUMN,
     NEXT_COLUMN,
     ViewDefinition,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "ViewDefinition",
     "BASE_KEY_COLUMN",
     "NEXT_COLUMN",
-    "INIT_COLUMN",
     "NULL_VIEW_KEY",
     "ViewManager",
     "ViewMaintainer",

@@ -19,16 +19,15 @@ from typing import Any, Callable, FrozenSet, Iterable, Optional, Tuple
 from repro.common.records import ColumnName
 from repro.errors import ViewDefinitionError
 
-__all__ = ["ViewDefinition", "BASE_KEY_COLUMN", "NEXT_COLUMN", "INIT_COLUMN"]
+__all__ = ["ViewDefinition", "BASE_KEY_COLUMN", "NEXT_COLUMN"]
 
-# Reserved column names inside view rows (paper Figures 1-2 use "B"/"Next";
-# "Init" is the inaccessibility marker of Section IV-F that hides live rows
-# from readers until they are fully initialized).
+# Reserved column names inside view rows (paper Figures 1-2 use "B"/"Next").
+# Only Next is stored (see repro.views.versioned); "Init", the Section IV-F
+# mark, is a phase of Next's timestamp but stays reserved as a name.
 BASE_KEY_COLUMN = "B"
 NEXT_COLUMN = "Next"
-INIT_COLUMN = "Init"
 
-_RESERVED = frozenset({BASE_KEY_COLUMN, NEXT_COLUMN, INIT_COLUMN})
+_RESERVED = frozenset({BASE_KEY_COLUMN, NEXT_COLUMN, "Init"})
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ each base row:
    the most recent).  This caps ``GetLiveKey`` walk lengths.
 2. **Prunes** stale rows older than the horizon that no other row
    points at (after compaction, that is all of them except the NULL
-   anchor): the structural cells (``Next``, ``B``) are tombstoned, which
-   removes the row from the versioned view.  Leftover materialized cells
-   from the row's live days are retained (invisible to readers) because
-   CopyData's verbatim-timestamp copies must be able to supersede state
-   under a reused key; see the inline comment in the sweep.
+   anchor): the ``Next`` pointer is tombstoned, which removes the row
+   from the versioned view.  Leftover materialized cells from the row's
+   live days are retained (invisible to readers) because CopyData's
+   verbatim-timestamp copies must be able to supersede state under a
+   reused key; see the inline comment in the sweep.
 
 Safety
 ------
@@ -230,21 +230,17 @@ def _sweep_base_row(cluster, view: ViewDefinition, base_key: Hashable,
                 report.rows_compacted += 1
             report.skipped_pinned += 1
             continue
-        # Old, unreferenced stale row: prune its structural cells.  The
-        # Next tombstone is what deletes the *row* (without a pointer it
-        # is no longer part of the versioned view).  Leftover
-        # materialized cells from when the row was live are deliberately
-        # NOT tombstoned: CopyData copies cells verbatim (value and
-        # timestamp) when a key is reused, and a prune tombstone at the
-        # same base timestamp would permanently shadow the re-copied
-        # value.  The leftovers are invisible to readers and are simply
-        # overwritten if the key returns.
-        tombstones = {
-            next_col: Cell.make(
-                None, view_timestamp(entry.base_ts, PHASE_PRUNE)),
-            view_column(base_key, "B"): Cell.make(
-                None, view_timestamp(entry.base_ts, PHASE_PRUNE)),
-        }
+        # Old, unreferenced stale row: tombstone its pointer, which is
+        # what deletes the *row* (without a pointer it is no longer part
+        # of the versioned view).  Leftover materialized cells from when
+        # the row was live are deliberately NOT tombstoned: CopyData
+        # copies cells verbatim (value and timestamp) when a key is
+        # reused, and a prune tombstone at the same base timestamp would
+        # permanently shadow the re-copied value.  The leftovers are
+        # invisible to readers and are simply overwritten if the key
+        # returns.
+        tombstones = {next_col: Cell.make(
+            None, view_timestamp(entry.base_ts, PHASE_PRUNE))}
         yield from coordinator.put(view.name, view_key, tombstones, quorum)
         report.rows_pruned += 1
         report.cells_tombstoned += len(tombstones)

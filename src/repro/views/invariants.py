@@ -7,7 +7,8 @@ cluster state against Definition 3 / Theorem 1:
   view-row keys its entries appear under;
 - every stale row's pointer chain reaches the live row, with no cycles
   and no dangling pointers;
-- no row is left marked ``Init`` once propagation has quiesced;
+- no row is left marked inaccessible (a ``PHASE_ROW`` self-pointer)
+  once propagation has quiesced;
 - against a :class:`~repro.views.model.ReferenceViewModel` fed with the
   same updates in propagation order: the live key, its timestamp, the
   materialized values, and the stale-key set all match the oracle.
@@ -23,9 +24,14 @@ import hashlib
 from typing import Any, Dict, Hashable, List, Optional
 
 from repro.common.records import Cell, ColumnName
-from repro.views.definition import INIT_COLUMN, ViewDefinition
+from repro.views.definition import ViewDefinition
 from repro.views.model import ReferenceViewModel
-from repro.views.versioned import NULL_VIEW_KEY, VersionedEntry, split_wide_row
+from repro.views.versioned import (
+    NULL_VIEW_KEY,
+    VersionedEntry,
+    is_initializing,
+    split_wide_row,
+)
 
 __all__ = [
     "merged_view_state",
@@ -172,9 +178,7 @@ def check_view(cluster, view: ViewDefinition,
         live_key = live_keys[0]
 
         for view_key, entry in entries.items():
-            init_cell = entry.cells.get(INIT_COLUMN)
-            if (init_cell is not None and not init_cell.is_null
-                    and not allow_initializing):
+            if is_initializing(entry.next_cell) and not allow_initializing:
                 violations.append(
                     f"base key {base_key!r}: row {view_key!r} still "
                     "marked Init after quiescence")

@@ -17,8 +17,8 @@ distributed view table:
 Every Get/Put inside propagation uses a majority quorum of the view's
 replicas, as Algorithm 2 prescribes.  A view-key move is four view-table
 quorum rounds, not the paper's six: the chain walk (one Get when the
-guess is the live row), the new row (line 4), the stale pointer (line 8)
-and the ``Init`` unmark — three when the executor made the row live
+guess is the live row), the new marked row (line 4), the stale pointer
+(line 8) and the unmark — three when the executor made the row live
 itself and nobody has held the chain since (below).  ``CopyData`` (line
 7: a Get of the old live row, then a Put of what it returned) has no
 rounds of its own — its Get is the walk's last hop, which reads that
@@ -32,8 +32,8 @@ things make that safe:
    separate Get would have returned are the cells the last hop returned.
 2. Copied cells keep their own values *and* scaled timestamps, so even
    an interleaving that (1) forbids would merge by ordinary LWW.
-3. The copy lands in the same per-replica atomic apply as the ``Init``
-   marker, so the half-copied row the marker exists to hide cannot
+3. The copy lands in the same per-replica atomic apply as the marked
+   self-pointer, so the half-copied row the mark exists to hide cannot
    exist: strictly fewer intermediate states than the six-round form.
 4. Every write is still idempotent.  A round retried after a partial
    failure re-enters the chain at the row the move was leaving (the
@@ -66,9 +66,9 @@ view-key propagation on that node for that chain skips line 1's Get iff
   propagation to walk.  Only moves store: a same-key refresh or a
   not-newer insert leaves the live row as some earlier writer made it.
 
-New live rows stay marked inaccessible (``Init`` cell) until the old
-live row is stale, so concurrent view Gets never observe two accessible
-live rows (Section IV-F).
+New live rows stay marked inaccessible (self-pointer at ``PHASE_ROW``,
+unmarked at ``PHASE_LIVE``) until the old live row is stale, so
+concurrent view Gets never observe two accessible live rows (IV-F).
 """
 
 from __future__ import annotations
@@ -80,14 +80,10 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 from repro.common.quorum import majority
 from repro.common.records import NULL_TIMESTAMP, Cell, ColumnName, cell_wins
 from repro.errors import PropagationError, QuorumError, ViewError
-from repro.views.definition import (
-    BASE_KEY_COLUMN,
-    INIT_COLUMN,
-    NEXT_COLUMN,
-    ViewDefinition,
-)
+from repro.views.definition import NEXT_COLUMN, ViewDefinition
 from repro.views.versioned import (
     NULL_VIEW_KEY,
+    PHASE_LIVE,
     PHASE_ROW,
     PHASE_STALE,
     base_timestamp_of,
@@ -337,10 +333,9 @@ class ViewMaintainer:
         when the row moved.
         """
         new_key = raw_value if view.accepts_key(raw_value) else NULL_VIEW_KEY
-        base_col = view_column(base_key, BASE_KEY_COLUMN)
         next_col = view_column(base_key, NEXT_COLUMN)
-        init_col = view_column(base_key, INIT_COLUMN)
         row_ts = view_timestamp(base_ts, PHASE_ROW)
+        unmark_ts = view_timestamp(base_ts, PHASE_LIVE)
         stale_ts = view_timestamp(base_ts, PHASE_STALE)
 
         self.cluster.trace(
@@ -349,16 +344,14 @@ class ViewMaintainer:
             ts=base_ts)
 
         if new_key == live_key:
-            # Same-key refresh.  Coalesce line 4 and the Init unmark into
-            # one quorum put: the Init marker would be tombstoned
-            # immediately (stale_ts > row_ts wins under LWW), so writing
-            # the tombstone directly produces the same final cells while
-            # skipping a write round trip.  No reader-visible state is
-            # added — the Init-marked intermediate simply never exists.
+            # Same-key refresh: line 4 and the unmark coalesced into one
+            # quorum Put of the accessible self-pointer.  The marked
+            # intermediate would be superseded at once (PHASE_LIVE beats
+            # PHASE_ROW), so it never exists.  A row still marked by a
+            # newer update's move stays marked: its PHASE_ROW pointer
+            # beats this one.
             yield from self._view_put(coordinator, view.name, new_key, {
-                base_col: Cell(base_key, row_ts),
-                next_col: Cell(new_key, row_ts),
-                init_col: Cell.make(None, stale_ts),
+                next_col: Cell(new_key, unmark_ts),
             })
             return new_key
 
@@ -369,36 +362,31 @@ class ViewMaintainer:
         if not update_is_newer:
             # Line 10 coalesced: the new row enters the view already
             # stale, pointing at the live row.  The uncoalesced sequence
-            # (live self-pointer marked Init, then stale pointer, then
-            # unmark) exposes two extra intermediate states that no
-            # correctness argument needs; writing the final cells in one
-            # put is strictly safer and two round trips cheaper.  The
-            # self-pointer at row_ts is never written — the stale pointer
-            # at stale_ts would immediately supersede it anyway.
+            # (marked self-pointer, then stale pointer) exposes an extra
+            # intermediate state that no correctness argument needs;
+            # writing the final pointer in one Put is strictly safer and
+            # cheaper.  On a reused key it also retires the old
+            # self-pointer, and with it any mark that pointer carried.
             yield from self._view_put(coordinator, view.name, new_key, {
-                base_col: Cell(base_key, row_ts),
                 next_col: Cell(live_key, stale_ts),
-                init_col: Cell.make(None, stale_ts),
             })
             return live_key
 
-        # Lines 4 and 7 in one Put: the new row (live self-pointer),
-        # marked Init so concurrent readers do not observe it yet, and
+        # Lines 4 and 7 in one Put: the new row, its self-pointer at
+        # PHASE_ROW so concurrent readers treat it as inaccessible, and
         # the old live row's materialized cells, verbatim (why that is
         # safe: the module docstring).  The copy runs even when the old
         # live row is the (possibly virtual) NULL anchor: materialized
         # updates that propagated before any view-key update park their
         # cells there.
-        # This branch MUST stay sequential: unmarking Init before the old
+        # This branch MUST stay sequential: unmarking before the old
         # live row is staled could let a reader observe two accessible
         # live rows for one base key (the Section IV-F invariant).
         if live_cells:
             self.metrics.rows_copied += 1
         try:
             yield from self._view_put(coordinator, view.name, new_key, {
-                base_col: Cell(base_key, row_ts),
                 next_col: Cell(new_key, row_ts),
-                init_col: Cell(True, row_ts),
                 **live_cells,
             })
             # Line 8: make the old live row stale.  For a pristine chain
@@ -407,9 +395,9 @@ class ViewMaintainer:
             yield from self._view_put(coordinator, view.name, live_key, {
                 next_col: Cell(new_key, stale_ts),
             })
-            # Unmark Init: the new live row is now fully initialized.
+            # Unmark: the new live row is now fully initialized.
             yield from self._view_put(coordinator, view.name, new_key, {
-                init_col: Cell.make(None, stale_ts),
+                next_col: Cell(new_key, unmark_ts),
             })
         except QuorumError as exc:
             # The half-made row can already end a walk that enters the

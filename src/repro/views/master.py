@@ -42,12 +42,9 @@ from repro.errors import (
     ViewExistsError,
 )
 from repro.sim.kernel import Event
-from repro.views.definition import (
-    BASE_KEY_COLUMN,
-    NEXT_COLUMN,
-    ViewDefinition,
-)
+from repro.views.definition import NEXT_COLUMN, ViewDefinition
 from repro.views.versioned import (
+    PHASE_LIVE,
     PHASE_ROW,
     PHASE_STALE,
     view_column,
@@ -204,12 +201,10 @@ class MasterBasedViews:
 
         if new_key != old_key:
             if new_key is not None:
-                # Write the new live row (self-pointer + base key).
+                # The new live row, unmarked: ordered propagation.
                 row_cells = {
-                    view_column(base_key, BASE_KEY_COLUMN):
-                        Cell(base_key, view_timestamp(ts, PHASE_ROW)),
                     view_column(base_key, NEXT_COLUMN):
-                        Cell(new_key, view_timestamp(ts, PHASE_ROW)),
+                        Cell(new_key, view_timestamp(ts, PHASE_LIVE)),
                 }
                 for column in view.materialized_columns:
                     if column in values and values[column] is not None:
@@ -226,8 +221,6 @@ class MasterBasedViews:
                 # Tombstone the old row outright - ordered propagation
                 # guarantees nothing will ever need it again.
                 dead = {
-                    view_column(base_key, BASE_KEY_COLUMN):
-                        Cell.make(None, view_timestamp(ts, PHASE_STALE)),
                     view_column(base_key, NEXT_COLUMN):
                         Cell.make(None, view_timestamp(ts, PHASE_STALE)),
                 }

@@ -14,12 +14,12 @@ self-pointing ``Next`` cells, and their requested columns are looked up
 by wide-row name.  (:func:`~repro.views.versioned.split_wide_row`, which
 groups every entry, serves the invariant checkers and the scrubber.)
 
-Rows marked with the ``Init`` cell are mid-move by a concurrent view-key
-propagation (Section IV-F): the old live row is not stale yet.  The
-reader spins briefly until the marker clears, which guarantees it never
-observes two accessible live rows for one base row.  (It could not
-observe a half-copied one: the copied cells arrive in the same apply as
-the marker.)
+A live row whose self-pointer is still marked (``is_initializing``) is
+mid-move by a concurrent view-key propagation (Section IV-F): the old
+live row is not stale yet.  The reader spins briefly until the unmark,
+which guarantees it never observes two accessible live rows for one base
+row.  (It could not observe a half-copied one: the copied cells arrive
+in the same apply as the marked pointer.)
 
 Both read paths (``ViewManager.view_get`` and the freshness read) run
 :func:`read_barrier`, then :func:`view_get` through this module's
@@ -36,16 +36,19 @@ from repro.common.records import NULL_TIMESTAMP, Cell, ColumnName
 from repro.errors import SessionError, ViewError, ViewInitTimeoutError
 from repro.views.definition import (
     BASE_KEY_COLUMN,
-    INIT_COLUMN,
     NEXT_COLUMN,
     ViewDefinition,
 )
-from repro.views.versioned import NULL_VIEW_KEY, base_timestamp_of
+from repro.views.versioned import (
+    NULL_VIEW_KEY,
+    base_timestamp_of,
+    is_initializing,
+)
 
 __all__ = ["ViewReadStats", "ViewResult", "view_get", "live_results",
            "read_barrier"]
 
-# Spin parameters for Init-marked rows.
+# Spin parameters for marked (initializing) rows.
 _SPIN_INTERVAL = 0.2
 _MAX_SPINS = 2000
 
@@ -54,7 +57,7 @@ _MAX_SPINS = 2000
 class ViewReadStats:
     """Read-path counters shared by every view Get of one manager.
 
-    ``init_spins`` counts individual waits on an Init-marked row;
+    ``init_spins`` counts individual waits on a marked row;
     ``init_timeouts`` counts reads that exhausted the spin budget and
     raised :class:`~repro.errors.ViewInitTimeoutError`.
     """
@@ -85,7 +88,7 @@ def live_results(view_key: Any, cells: Dict[ColumnName, Cell],
                  ) -> Optional[List[ViewResult]]:
     """The live entries of the merged wide row ``cells`` stored under
     ``view_key``, as :class:`ViewResult` sorted by ``repr`` of the base
-    key; ``None`` while one of them carries an ``Init`` mark.
+    key; ``None`` while one of them is still marked.
 
     A requested ``B`` reads as the base key with its Next pointer's
     base timestamp; ``Next`` itself is plumbing and reads as unset.
@@ -97,8 +100,7 @@ def live_results(view_key: Any, cells: Dict[ColumnName, Cell],
     live.sort(key=lambda entry: repr(entry[0]))
     results: List[ViewResult] = []
     for base_key, next_cell in live:
-        init_cell = cells.get((base_key, INIT_COLUMN))
-        if init_cell is not None and not init_cell.is_null:
+        if is_initializing(next_cell):
             return None
         values: Dict[ColumnName, Tuple[Any, int]] = {}
         for column in columns:
@@ -126,7 +128,7 @@ def view_get(env, coordinator, view: ViewDefinition, view_key: Any,
 
     A simulation process; yields a list of :class:`ViewResult` sorted by
     base key.  ``r`` is the read quorum for the underlying wide-row Get.
-    Exhausting the Init spin budget raises
+    Exhausting the spin budget on a marked row raises
     :class:`~repro.errors.ViewInitTimeoutError` (counted in ``stats``).
     """
     if view_key == NULL_VIEW_KEY:

@@ -7,15 +7,18 @@ A view is stored as a regular replicated table whose row key is the *view
 key*.  Because several base rows can share one view key, each view row is
 a *wide row*: every cell is namespaced by the base key it belongs to, so
 the cell ``V[k_V, (k_B, c)]`` is "column ``c`` of base row ``k_B``'s entry
-under view key ``k_V``".  The reserved columns are:
+under view key ``k_V``".  An entry stores only its ``(k_B, "Next")``
+cell and its materialized cells:
 
-``(k_B, "B")``
-    The base key (paper Definition 1); redundant with the column name but
-    kept for fidelity and introspection.
 ``(k_B, "Next")``
     The versioning pointer.  A *self-pointer* (value == the row's view
     key) marks the live row; any other value marks a stale row pointing
-    at a more recent view key for ``k_B``.
+    at a more recent view key for ``k_B``.  A self-pointer at
+    ``PHASE_ROW`` is still marked inaccessible (Section IV-F's ``Init``,
+    :func:`is_initializing`); the unmark rewrites it at ``PHASE_LIVE``.
+
+The paper's ``B`` column is not stored: readers take the base key from
+the cell names, at the ``Next`` pointer's base timestamp.
 
 The NULL anchor
 ---------------
@@ -31,32 +34,34 @@ to applications (no client ever Gets the sentinel key).
 Sub-timestamps
 --------------
 
-One base-table update triggers several view Puts (create row, copy data,
-mark stale) that must apply in intra-propagation order even though they
-share the base update's timestamp.  View cells therefore carry *scaled*
-timestamps ``base_ts * TS_SCALE + phase``: the stale-marking phase beats
-the row-creation phase of the same update, and any later base update
-beats both.  Propagation retries stay idempotent because re-writing an
-old phase never overwrites a newer one.
+One base-table update triggers several view Puts (marked row with its
+copied data, stale pointer, unmark) that must apply in intra-propagation
+order even though they share the base update's timestamp.  View cells
+therefore carry *scaled* timestamps ``base_ts * TS_SCALE + phase``: each
+phase beats the lower ones of the same update, any later base update
+beats them all, and a retried Put never overwrites a newer phase (a
+re-sent line 4 cannot re-mark an unmarked row).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 from repro.common.records import Cell, ColumnName
-from repro.views.definition import BASE_KEY_COLUMN, NEXT_COLUMN
+from repro.views.definition import NEXT_COLUMN
 
 __all__ = [
     "NULL_VIEW_KEY",
     "TS_SCALE",
     "PHASE_ROW",
+    "PHASE_LIVE",
     "PHASE_STALE",
     "PHASE_COMPACT",
     "PHASE_PRUNE",
     "view_timestamp",
     "base_timestamp_of",
+    "is_initializing",
     "view_column",
     "split_wide_row",
     "VersionedEntry",
@@ -70,12 +75,13 @@ NULL_VIEW_KEY = "\x00__VIEW_KEY_NULL__"
 # same base update supersede lower ones; all phases stay strictly below
 # any later base update's cells.
 TS_SCALE = 8
-PHASE_ROW = 1      # row creation (Alg. 2 line 4), materialized writes (l. 12)
-PHASE_STALE = 2    # stale-marking pointer writes (Alg. 2 lines 8 and 10)
-PHASE_COMPACT = 3  # GC chain compaction (repoint a stale row to the live row)
-PHASE_PRUNE = 4    # GC pruning tombstones (remove a stale row entirely)
+PHASE_ROW = 1      # marked row creation (Alg. 2 line 4), materialized (l. 12)
+PHASE_LIVE = 2     # accessible self-pointer (unmark, same-key refresh)
+PHASE_STALE = 3    # stale-marking pointer writes (Alg. 2 lines 8 and 10)
+PHASE_COMPACT = 4  # GC chain compaction (repoint a stale row to the live row)
+PHASE_PRUNE = 5    # GC pruning tombstones (remove a stale row entirely)
 
-_PHASES = (PHASE_ROW, PHASE_STALE, PHASE_COMPACT, PHASE_PRUNE)
+_PHASES = (PHASE_ROW, PHASE_LIVE, PHASE_STALE, PHASE_COMPACT, PHASE_PRUNE)
 
 
 def view_timestamp(base_ts: int, phase: int) -> int:
@@ -93,6 +99,12 @@ def base_timestamp_of(view_ts: int) -> int:
     if view_ts < 0:
         return view_ts
     return view_ts // TS_SCALE
+
+
+def is_initializing(next_cell: Cell) -> bool:
+    """True if a live row's ``Next`` cell still marks it inaccessible:
+    a self-pointer at ``PHASE_ROW`` (Algorithm 2 line 4, not unmarked)."""
+    return next_cell.timestamp % TS_SCALE == PHASE_ROW
 
 
 def view_column(base_key: Hashable, column: ColumnName) -> Tuple:
@@ -144,7 +156,6 @@ def split_wide_row(view_key: Any,
     entries = []
     for base_key, columns in grouped.items():
         next_cell = columns.pop(NEXT_COLUMN, Cell.null())
-        columns.pop(BASE_KEY_COLUMN, None)
         entries.append(VersionedEntry(view_key, base_key, next_cell, columns))
     entries.sort(key=lambda entry: repr(entry.base_key))
     return entries

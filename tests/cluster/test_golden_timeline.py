@@ -12,8 +12,16 @@ pops but not when anything completes.  It runs on the default
 sampled before instead of after a neighbour's forward delay — shifts
 every later timestamp and fails it.
 
-Last re-recorded when a partial read began to rank its replicas by
-when each could start serving it (its own CPU's free-at, or the free-at
+Last re-recorded when a view entry shrank from four cells (``B``,
+``Next``, ``Init``, payload) to two (``Next``, payload; the Init mark
+became a phase of the self-pointer's timestamp), which was meant to
+move the simulation: every view-row write and whole-row read is
+charged for fewer cells.  The first op to differ is the seventh to
+complete: client 1's second (a view Get, R = 2), now at 1.8012 ms
+instead of 1.8272.  The last op completes at 86.02 ms instead of 87.93.
+
+Before that it was re-recorded when a partial read began to rank its
+replicas by when each could start serving it (its own CPU's free-at, or the free-at
 a peer stamped on its last reply plus a round trip), which was meant to
 move the simulation.  The first read routed elsewhere is node 3's
 chain-walk Get of the view's NULL anchor (R = 2) at 0.9734 ms: it asked

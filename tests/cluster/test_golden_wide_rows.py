@@ -12,12 +12,21 @@ complete at the same ``repr``-exact instant, return the same results
 (rows and staleness certificates) and leave byte-identical base and
 view tables.
 
-Re-recorded when a partial read began to rank its replicas by when each
-could start serving it, which was meant to move the simulation.  The
-first read routed elsewhere is node 0's chain-walk Get of the view's
-NULL anchor (R = 2) at 0.9608 ms: its own CPU was booked more than a
-round trip ahead, so it asked nodes 2 and 3 where the fixed order asked
-0 and 2.  The first op to differ is the fifth to complete: client 3's
+Last re-recorded when a view entry shrank from four cells (``B``,
+``Next``, ``Init``, payload) to two (``Next``, payload; the Init mark
+became a phase of the self-pointer's timestamp), which was meant to
+move the simulation: every view-row write and whole-row read is
+charged for fewer cells, so the wide rows here read about half as
+wide.  The first op to differ is the tenth to complete: client 1's
+fourth (a W = 1 Put), now at 2.4511 ms instead of 2.4535.  The last op
+completes at 291.54 ms instead of 343.73.
+
+Before that it was re-recorded when a partial read began to rank its
+replicas by when each could start serving it, which was meant to move
+the simulation.  The first read routed elsewhere is node 0's chain-walk
+Get of the view's NULL anchor (R = 2) at 0.9608 ms: its own CPU was
+booked more than a round trip ahead, so it asked nodes 2 and 3 where
+the fixed order asked 0 and 2.  The first op to differ is the fifth to complete: client 3's
 second (a W = 1 Put), now at 1.1034 ms instead of 1.0480.  The last op
 completes at 343.73 ms instead of 356.29.
 

@@ -1,4 +1,7 @@
-"""A stuck Init marker raises a typed error instead of failing silently.
+"""A stuck Init mark raises a typed error instead of failing silently.
+
+The mark is the live row's self-pointer at ``PHASE_ROW``; the unmark
+rewrites it at ``PHASE_LIVE``.
 
 Algorithm 4 spins while a row is mid-initialization; if the initializer
 died, the old behavior exhausted ``_MAX_SPINS`` invisibly.  Readers now
@@ -16,7 +19,7 @@ from repro.common import Cell
 from repro.errors import ViewError, ViewInitTimeoutError
 from repro.sim.latency import Fixed
 from repro.views.definition import ViewDefinition
-from repro.views.versioned import PHASE_ROW, view_timestamp
+from repro.views.versioned import PHASE_LIVE, PHASE_ROW, view_timestamp
 
 
 def build():
@@ -29,12 +32,10 @@ def build():
 
 
 def wedge_init_marker(cluster, view_key, base_key):
-    """Plant a never-clearing Init cell on every replica of the row."""
+    """Plant a never-clearing mark (a self-pointer at ``PHASE_ROW``) on
+    every replica of the row."""
     stuck_ts = view_timestamp(10 ** 9, PHASE_ROW)
-    cells = {
-        (base_key, "Next"): Cell(view_key, stuck_ts),
-        (base_key, "Init"): Cell(True, stuck_ts),
-    }
+    cells = {(base_key, "Next"): Cell(view_key, stuck_ts)}
     for replica in cluster.replicas_for("V", view_key):
         replica.engine.apply("V", view_key, cells)
 
@@ -68,10 +69,10 @@ def test_transient_init_spins_without_timing_out():
 
     def clear_marker():
         yield cluster.env.timeout(5.0)
-        clear_ts = view_timestamp(10 ** 9 + 1, PHASE_ROW)
+        clear_ts = view_timestamp(10 ** 9, PHASE_LIVE)
         for replica in cluster.replicas_for("V", "s1"):
             replica.engine.apply(
-                "V", "s1", {("k1", "Init"): Cell.make(None, clear_ts)})
+                "V", "s1", {("k1", "Next"): Cell("s1", clear_ts)})
 
     cluster.env.process(clear_marker())
     rows = client.get_view("V", "s1", ("payload",), r=2)

@@ -54,6 +54,24 @@ by its scheduled revival at 676.16 ms (the heal was at 676.84 ms).
 Every other run is identical, and so is every fault dealt before the
 final heals.
 
+Re-recorded again when a view entry shrank from four cells to two (no
+stored ``B``; the Init mark became a phase of the self-pointer's
+timestamp), which charges every view-row write and read for fewer
+cells, so workloads finish sooner.  In E4 only ``stop()``'s final heal
+moved, and it is the first entry to differ in each stack:
+partition-storm 1946.81 to 1945.68 ms, clock-skew 527.87 to 524.73,
+crash-loop 643.36 to 624.93, burst-arrivals 387.03 to 384.97, stacked
+2130.74 to 2127.13.  Gray-failure's workload now ends at 712.29 ms,
+before node 3's scheduled restore at 712.84, so ``stop()`` releases
+node 3 (the heal was at 717.18).  Crash-storm's ends at 651.97 ms,
+before node 3's scheduled crash at 653.44, so that crash and its
+recovery are no longer dealt (the heal was at 656.84).  E2 and E6
+crash on a propagation count, so each crash moved by at most 0.031 ms;
+the first entry to differ is E6 cell 0's first crash, 240.0494 to
+240.0348 ms.  The shrunk reproducer, the fuzz schedules and E2 with
+the scrubber off are identical, and every run loses as many
+propagations as before.
+
 Re-record (only for a change that is *meant* to move the faults)::
 
     PYTHONPATH=src python tests/scenarios/test_fault_timeline.py

@@ -90,10 +90,12 @@ def test_storms_actually_escalate(monkeypatch):
     # The seeds are the first four from 1 whose storm loses a record,
     # escalates a bounded read and compensates only crash-lost keys.
     # They were 1-4 while a coordinator reached its own replica over
-    # the link.  Since it serves itself in process, propagations finish
-    # sooner and fewer are left for the victim's crash to take: seeds
-    # 1-4 lose nothing, and 2 escalates on outbox lag alone.
-    for seed in (5, 6, 10, 12):
+    # the link, then 5, 6, 10 and 12 once it served itself in process.
+    # Since a view entry is two cells, not four, every view-row read
+    # and apply is cheaper, so the runs take other paths: seed 5 now
+    # escalates on outbox lag alone, 6, 10 and 12 lose nothing, and the
+    # rule picks 2, 13, 14 and 18.
+    for seed in (2, 13, 14, 18):
         scenario, result = run_storm(seed=seed, ops=140,
                                      bounded_fraction=0.4)
         slo = result.stats["freshness"]["slo"]

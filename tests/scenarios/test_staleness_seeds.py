@@ -5,7 +5,7 @@ every cell every bounded read honors its bound against the
 acknowledged-update oracle, no more wounds heal than opened, and the
 unbounded cell never escalates.  Escalation rates are not asserted to
 rise monotonically as the bound tightens: across seeds they need not
-(seeds 6 and 9 do not), which ``benchmarks/test_ext_staleness.py``
+(seeds 1 and 2 do not), which ``benchmarks/test_ext_staleness.py``
 checks at seed 0 only.
 """
 

@@ -275,6 +275,16 @@ def test_a_view_read_decodes_only_live_entries():
     assert "split_wide_row(" not in source
 
 
+def test_a_view_entry_stores_only_its_pointer_and_its_cells():
+    """``B`` is read off the entry's cell names and the Init mark is the
+    self-pointer's timestamp phase, so no module keeps an Init column or
+    writes a ``B`` cell into a view row."""
+    assert _files_mentioning("INIT_COLUMN") == []
+    writes_b = re.compile(r"view_column\([^()]*,\s*BASE_KEY_COLUMN\s*\)")
+    assert [str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+            if writes_b.search(path.read_text())] == []
+
+
 def test_a_writes_deferred_cpu_work_schedules_no_event():
     """Nobody waits on a replica write's background CPU work, so it is
     booked on the node's CPU and costs no kernel event."""

@@ -10,7 +10,12 @@ from repro.errors import ViewError
 from repro.views import ViewDefinition, ViewKeyGuess, drive
 from repro.views.maintenance import ViewMaintainer
 from repro.views.read import view_get
-from repro.views.versioned import PHASE_ROW, PHASE_STALE, view_timestamp
+from repro.views.versioned import (
+    PHASE_LIVE,
+    PHASE_ROW,
+    PHASE_STALE,
+    view_timestamp,
+)
 
 from tests.views.conftest import make_config
 
@@ -48,12 +53,11 @@ def test_pointer_cycle_detected_not_infinite():
 
 
 def test_stuck_init_marker_times_out_reader():
-    """An Init marker that never clears must eventually raise, not spin
-    forever."""
+    """A mark (self-pointer at PHASE_ROW) that never clears must
+    eventually raise, not spin forever."""
     cluster = build()
     plant(cluster, "a", {
         ("k", "Next"): Cell("a", view_timestamp(10, PHASE_ROW)),
-        ("k", "Init"): Cell(True, view_timestamp(10, PHASE_ROW)),
     })
     coordinator = cluster.coordinator(0)
 
@@ -67,11 +71,11 @@ def test_stuck_init_marker_times_out_reader():
 
 
 def test_reader_waits_out_a_clearing_init_marker():
-    """An Init marker that DOES clear releases the spinning reader."""
+    """A mark that DOES clear (the unmark rewrites the self-pointer at
+    PHASE_LIVE) releases the spinning reader."""
     cluster = build()
     plant(cluster, "a", {
         ("k", "Next"): Cell("a", view_timestamp(10, PHASE_ROW)),
-        ("k", "Init"): Cell(True, view_timestamp(10, PHASE_ROW)),
         ("k", "m"): Cell("x", view_timestamp(10, PHASE_ROW)),
     })
     coordinator = cluster.coordinator(0)
@@ -86,7 +90,7 @@ def test_reader_waits_out_a_clearing_init_marker():
     def clearer():
         yield env.timeout(5.0)
         plant(cluster, "a", {
-            ("k", "Init"): Cell.make(None, view_timestamp(10, PHASE_STALE)),
+            ("k", "Next"): Cell("a", view_timestamp(10, PHASE_LIVE)),
         })
 
     rp = env.process(reader())

@@ -18,6 +18,15 @@ strengths:
 
 The digests are SHA-256 over sorted ``repr``s, so the fixture is stable
 across Python versions.
+
+The three paced ``view_digest`` values were re-recorded once, from the
+outbox, when a view entry shrank from four cells to two (no stored
+``B``; the Init mark became a phase of the self-pointer's timestamp).
+The first view write to differ is the first propagation's line-4 Put
+(``k0`` into ``g0``), which no longer carries a ``B`` or ``Init`` cell.
+Every base digest, live-state digest and session read is unchanged;
+the bursty schedule's ``view_digest`` (not asserted) is still the
+reference run's.
 """
 
 import json

@@ -70,7 +70,8 @@ def test_detects_lingering_init_marker():
     cluster, client = build()
     client.put("T", "k", {"vk": "a"})
     client.settle()
-    plant(cluster, "a", {("k", "Init"): Cell(True, view_timestamp(10 ** 15, PHASE_ROW))})
+    # The Init mark: a self-pointer at PHASE_ROW, newer than the row's.
+    plant(cluster, "a", {("k", "Next"): Cell("a", view_timestamp(10 ** 15, PHASE_ROW))})
     violations = check_view(cluster, VIEW)
     assert any("Init" in v for v in violations)
     # allow_initializing suppresses exactly that class.

@@ -21,6 +21,7 @@ from repro.views import (
 )
 from repro.views.drive import propagate_with_retries
 from repro.views.read import view_get
+from repro.views.versioned import is_initializing
 
 from tests.views.conftest import DirectDriver, make_config
 
@@ -439,9 +440,10 @@ def test_repeat_view_key_move_by_the_same_executor_sends_15_rpcs_three_view_roun
 
 
 def test_new_row_appears_with_its_copied_cells_and_init_in_one_apply(driver):
-    """At every replica the apply that first makes B / Next visible on
-    the new row also carries the copied materialized cell and the Init
-    marker: there is no half-copied row for Init to hide."""
+    """At every replica the apply that first makes Next visible on the
+    new row also carries the copied materialized cell, and that Next is
+    the Init mark (a self-pointer at PHASE_ROW): there is no half-copied
+    row for the mark to hide."""
     _moved_row(driver)
     cluster = driver.cluster
     replicas = cluster.replicas_for("V", "b")
@@ -473,17 +475,16 @@ def test_new_row_appears_with_its_copied_cells_and_init_in_one_apply(driver):
 
     assert set(first_applies) == {replica.node_id for replica in replicas}
     for cells in first_applies.values():
-        assert set(cells) == {("k", "B"), ("k", "Next"), ("k", "Init"),
-                              ("k", "m")}
+        assert set(cells) == {("k", "Next"), ("k", "m")}
         # Verbatim: the value and the *old row's* scaled timestamp.
         assert cells[("k", "m")].value == "payload"
         assert cells[("k", "m")].timestamp < cells[("k", "Next")].timestamp
-        assert cells[("k", "Init")].value is True
+        assert is_initializing(cells[("k", "Next")])
     written = [row for row in after_line_4.values() if row]
     assert len(written) >= 2                    # a majority, maybe all
     for row in written:
         assert row[("k", "m")].value == "payload"
-        assert row[("k", "Init")].value is True
+        assert is_initializing(row[("k", "Next")])
     assert driver.maintainer.metrics.rows_copied == 1
 
 

@@ -8,9 +8,9 @@ from repro.cluster import Cluster
 from repro.common.records import NULL_TIMESTAMP, Cell
 from repro.errors import ViewError
 from repro.views import NULL_VIEW_KEY, ViewDefinition, split_wide_row
-from repro.views.definition import BASE_KEY_COLUMN, INIT_COLUMN, NEXT_COLUMN
+from repro.views.definition import BASE_KEY_COLUMN, NEXT_COLUMN
 from repro.views.read import ViewResult, live_results
-from repro.views.versioned import base_timestamp_of
+from repro.views.versioned import base_timestamp_of, is_initializing
 
 from tests.views.conftest import make_config
 
@@ -156,13 +156,12 @@ def test_many_base_rows_under_one_view_key():
 def decode_by_splitting(view_key, cells, columns):
     """Algorithm 4's decode as it was before :func:`live_results`: split
     the row into every entry, keep the live ones; ``None`` if one of
-    them is Init-marked.  The reference the decode is compared with."""
+    them is still marked.  The reference the decode is compared with."""
     results = []
     for entry in split_wide_row(view_key, cells):
         if not entry.is_live:
             continue
-        init_cell = entry.cells.get(INIT_COLUMN)
-        if init_cell is not None and not init_cell.is_null:
+        if is_initializing(entry.next_cell):
             return None
         values = {}
         for column in columns:
@@ -194,17 +193,15 @@ column_cells = st.one_of(
     st.none(), st.just(Cell.null()),
     stamps.map(lambda ts: Cell.make(None, ts)),
     st.tuples(st.text(max_size=2), stamps).map(lambda vt: Cell.make(*vt)))
+# A live pointer's stamp runs over every phase, so some are marked.
 next_cells = st.one_of(
     st.none(),                                                 # no pointer
     stamps.map(lambda ts: Cell.make(ROW_KEY, ts)),             # live
     st.tuples(st.sampled_from(["elsewhere", NULL_VIEW_KEY]),   # stale
               stamps).map(lambda vt: Cell.make(*vt)),
     stamps.map(lambda ts: Cell.make(None, ts)))                # tombstoned
-init_cells = st.one_of(st.none(), stamps.map(lambda ts: Cell.make(None, ts)),
-                       stamps.map(lambda ts: Cell.make(True, ts)))
 entries = st.fixed_dictionaries({
-    NEXT_COLUMN: next_cells, INIT_COLUMN: init_cells,
-    BASE_KEY_COLUMN: st.booleans(), "m": column_cells, "n": column_cells})
+    NEXT_COLUMN: next_cells, "m": column_cells, "n": column_cells})
 
 
 @st.composite
@@ -213,8 +210,6 @@ def wide_rows(draw):
     named = []
     for base_key in keys:
         entry = draw(entries)
-        if entry.pop(BASE_KEY_COLUMN):
-            entry[BASE_KEY_COLUMN] = Cell.make(base_key, 1)
         named += [((base_key, column), cell)
                   for column, cell in entry.items() if cell is not None]
     # Names that are no entry's cell at all.
@@ -227,7 +222,7 @@ def wide_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(cells=wide_rows(),
        columns=st.lists(st.sampled_from(
-           ["m", "n", "never", BASE_KEY_COLUMN, INIT_COLUMN, NEXT_COLUMN]),
+           ["m", "n", "never", BASE_KEY_COLUMN, NEXT_COLUMN]),
            max_size=6))
 def test_live_entry_decode_matches_splitting_every_entry(cells, columns):
     columns = tuple(columns)
@@ -242,8 +237,7 @@ def test_live_entry_decode_returns_live_rows_in_repr_order():
         (10, NEXT_COLUMN): Cell.make(ROW_KEY, 24),
         (2, NEXT_COLUMN): Cell.make("elsewhere", 8),    # stale
         (2, "m"): Cell.make("stale", 8),
-        (3, NEXT_COLUMN): Cell.make(ROW_KEY, 40),
-        (3, INIT_COLUMN): Cell.make(None, 41),          # unmarked
+        (3, NEXT_COLUMN): Cell.make(ROW_KEY, 42),       # unmarked
         (3, "m"): Cell.make(None, 40),
     }
     rows = live_results(ROW_KEY, cells, ("m", BASE_KEY_COLUMN))
@@ -253,5 +247,5 @@ def test_live_entry_decode_returns_live_rows_in_repr_order():
         ViewResult(10, {"m": (None, NULL_TIMESTAMP), "B": (10, 3)}),
         ViewResult(3, {"m": (None, 5), "B": (3, 5)}),
     ]
-    cells[("b", INIT_COLUMN)] = Cell.make(True, 17)
+    cells[("b", NEXT_COLUMN)] = Cell.make(ROW_KEY, 17)  # marked
     assert live_results(ROW_KEY, cells, ("m",)) is None
