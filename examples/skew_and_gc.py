@@ -5,7 +5,8 @@ The paper's Figure 8 shows write throughput collapsing as updates
 concentrate on few rows — every view-key update leaves a stale row, and
 GetLiveKey must walk growing pointer chains.  This example reproduces
 the effect at demo scale and then shows the stale-row collector (this
-repo's extension) compacting the mess away.
+repo's extension) pruning the mess away; the only pointer it repoints
+is each row's NULL anchor, straight at the live row.
 
 Run:  python examples/skew_and_gc.py
 """
@@ -50,7 +51,7 @@ def main() -> None:
     cluster.run_until_idle()
     after = compute_stats(cluster, VIEW)
     print(f"  GC pass:   pruned {report.rows_pruned} rows, "
-          f"compacted {report.rows_compacted} pointers")
+          f"repointed {report.rows_compacted} NULL anchors")
     print(f"  after GC:  {after.describe()}")
 
     violations = check_view(cluster, VIEW)

@@ -146,8 +146,7 @@ def stale_row_gc(params: Optional[ExperimentParams] = None,
     """Hot-range rekeying with and without the stale-row collector.
 
     The paper's versioned views accumulate stale rows forever; the GC
-    extension (``repro.views.gc``) compacts chains and prunes old rows.
-    Reported: view size and chain statistics after a hot-range run.
+    extension (``repro.views.gc``) prunes old rows.  Reported: view size and chain statistics after a hot-range run.
     """
     from repro.views import StaleRowCollector, check_view, compute_stats
 

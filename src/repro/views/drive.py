@@ -169,7 +169,8 @@ def _sure_guesses(manager, outbox: NodeOutbox, view: ViewDefinition,
     """Chain entry points that exist whatever has propagated, nearest
     first: the row this node's last move made live, if it holds one,
     then the never-written NULL, whose anchor is as many hops from the
-    live row as the row has ever moved (see :func:`repropagate_row`)."""
+    live row as the row has moved since the last serialized walk from
+    it repointed it (see :func:`repropagate_row`)."""
     held = manager.maintainer.held_guess(outbox.node_id, view, key)
     pristine = ViewKeyGuess.from_cell(view, None)
     return [pristine] if held is None else [held, pristine]
@@ -347,8 +348,10 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     never-written-NULL guess, whose virtual anchor makes it a universal
     chain entry point — ``GetLiveKey`` walks from the NULL anchor to
     whatever row is currently live), then propagate each materialized
-    cell at its own timestamp.  Because every view write carries scaled
-    base timestamps, replaying already-propagated state is an LWW
+    cell at its own timestamp.  The walk takes one hop per move since
+    the last one, which repointed the anchor at the live row
+    (``ViewMaintainer.compact_anchor``).  Because every view write carries
+    scaled base timestamps, replaying already-propagated state is an LWW
     no-op, and replaying lost state lands exactly where the original
     propagation would have put it — repaired views are
     indistinguishable from never-diverged ones.  Folded outbox records

@@ -5,19 +5,15 @@ conclusion recommends the technique for "views for which the underlying
 base data (especially the view keys) are updated infrequently": every
 view-key update leaves a stale row behind, forever.  This module adds
 the natural production extension — a background collector that, for
-each base row:
-
-1. **Compacts** chains: stale rows older than a safety horizon are
-   repointed directly at the live row (still a valid Definition 3
-   state — ``Next`` must lead to a more recent key, and the live key is
-   the most recent).  This caps ``GetLiveKey`` walk lengths.
-2. **Prunes** stale rows older than the horizon that no other row
-   points at (after compaction, that is all of them except the NULL
-   anchor): the ``Next`` pointer is tombstoned, which removes the row
-   from the versioned view.  Leftover materialized cells from the row's
-   live days are retained (invisible to readers) because CopyData's
-   verbatim-timestamp copies must be able to supersede state under a
-   reused key; see the inline comment in the sweep.
+each base row, only **prunes**: a stale row older than a safety
+horizon that no other row points at has its ``Next`` pointer
+tombstoned, which removes the row from the versioned view (its
+leftover materialized cells stay; see the inline comment in the sweep).
+Every pointer J -> K has ``ts(J.Next) <= ts(K.Next)``, so an old row is
+pinned only by older rows: pruning cascades from the oldest, one layer
+per sweep, to a fixpoint.  The anchor, never pruned, is repointed at
+the live row when old by :meth:`ViewMaintainer.compact_anchor`, the
+maintainer's write a serialized walk from the anchor also ends with.
 
 Safety
 ------
@@ -35,10 +31,10 @@ Two rows are exempt: live rows, and the NULL-anchor entry (it is the
 entry point for NULL guesses; pruning it could let a pristine-NULL
 guess from a badly lagging replica anchor a second chain).
 
-GC writes use dedicated timestamp phases (``PHASE_COMPACT`` <
-``PHASE_PRUNE``, both above the update's own phases and below any later
-update), so collection is idempotent, replicas converge under plain
-LWW, and a reused view key always supersedes the GC tombstones.
+Prune tombstones use a dedicated timestamp phase (``PHASE_PRUNE``,
+above every other phase, below any later update), so collection is
+idempotent, replicas converge under plain LWW, and a reused view key
+always supersedes the GC tombstones.
 
 Collection serializes with update propagation through
 :meth:`ViewManager.serialized` (per-base-row exclusive locks or the
@@ -48,14 +44,13 @@ dedicated propagator chain).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List
+from typing import Hashable, List
 
 from repro.common.records import Cell
-from repro.views.definition import ViewDefinition
+from repro.views.definition import NEXT_COLUMN, ViewDefinition
 from repro.views.invariants import collect_entries, entries_for_base_key
 from repro.views.versioned import (
     NULL_VIEW_KEY,
-    PHASE_COMPACT,
     PHASE_PRUNE,
     view_column,
     view_timestamp,
@@ -66,14 +61,13 @@ __all__ = ["GCReport", "collect_stale_rows", "StaleRowCollector"]
 
 @dataclass
 class GCReport:
-    """Outcome of one collection pass over a view."""
+    """Outcome of one collection pass over a view.  ``rows_compacted``
+    counts NULL-anchor repoints, the only rows GC repoints."""
 
     base_rows_examined: int = 0
     rows_compacted: int = 0
     rows_pruned: int = 0
-    cells_tombstoned: int = 0
     skipped_recent: int = 0
-    skipped_anchor: int = 0
     skipped_pinned: int = 0  # old rows still pointed at by another row
 
     def merge(self, other: "GCReport") -> None:
@@ -81,9 +75,7 @@ class GCReport:
         self.base_rows_examined += other.base_rows_examined
         self.rows_compacted += other.rows_compacted
         self.rows_pruned += other.rows_pruned
-        self.cells_tombstoned += other.cells_tombstoned
         self.skipped_recent += other.skipped_recent
-        self.skipped_anchor += other.skipped_anchor
         self.skipped_pinned += other.skipped_pinned
 
 
@@ -92,8 +84,8 @@ def collect_stale_rows(cluster, view: ViewDefinition, cutoff_base_ts: int,
     """One collection pass over ``view``; a simulation process.
 
     Stale rows whose pointer timestamp is **older than**
-    ``cutoff_base_ts`` are compacted/pruned.  Returns a
-    :class:`GCReport`.
+    ``cutoff_base_ts`` are pruned (the NULL anchor repointed).  Returns
+    a :class:`GCReport`.
     """
     manager = cluster.view_manager
     if manager is None or not manager.is_view(view.name):
@@ -133,9 +125,9 @@ def _collect_under_serialization(cluster, view: ViewDefinition,
                                  cutoff_base_ts: int, coordinator_id: int):
     """Sweep one base row's chain to a fixpoint.
 
-    A first sweep compacts chains (every old stale row repointed at the
-    live row); that unpins the intermediate rows, so a follow-up sweep
-    can prune them.  Loops until a sweep changes nothing.
+    Each sweep prunes the old rows nothing points at (and repoints an
+    old anchor), unpinning the rows they pointed at for the next sweep.
+    Loops until a sweep changes nothing.
     """
     report = GCReport(base_rows_examined=1)
     previous = None
@@ -146,10 +138,8 @@ def _collect_under_serialization(cluster, view: ViewDefinition,
         changed = delta.rows_compacted + delta.rows_pruned
         report.rows_compacted += delta.rows_compacted
         report.rows_pruned += delta.rows_pruned
-        report.cells_tombstoned += delta.cells_tombstoned
         # Skip counters reflect the final sweep only (stable state).
         report.skipped_recent = delta.skipped_recent
-        report.skipped_anchor = delta.skipped_anchor
         report.skipped_pinned = delta.skipped_pinned
         if changed == 0:
             return report
@@ -171,7 +161,7 @@ def _collect_under_serialization(cluster, view: ViewDefinition,
 def _sweep_base_row(cluster, view: ViewDefinition, base_key: Hashable,
                     view_keys, cutoff_base_ts: int, coordinator_id: int):
     coordinator = cluster.coordinator(coordinator_id)
-    quorum = cluster.view_manager.maintainer.quorum
+    maintainer = cluster.view_manager.maintainer
     report = GCReport()
     entries = entries_for_base_key(cluster, view, view_keys, base_key)
     live_keys = [vk for vk, entry in entries.items() if entry.is_live]
@@ -179,55 +169,26 @@ def _sweep_base_row(cluster, view: ViewDefinition, base_key: Hashable,
         # Mid-flight or broken state: leave it for the next pass.
         return report
     live_key = live_keys[0]
-    # Compaction timestamps derive from the *live* row's base timestamp,
-    # not the stale entry's own.  An entry's base_ts is frozen by its
-    # stale pointer, so deriving the compact timestamp from it makes
-    # compaction one-shot per entry: once the live key moves on, a
-    # re-compaction toward the new live row would carry the same
-    # timestamp as the previous one and lose under LWW forever (the
-    # sweep then never reaches a fixpoint).  The live row's base_ts is
-    # strictly monotone across live-key changes, so deriving from it
-    # keeps repeated compactions of the same entry supersedable, while
-    # PHASE_COMPACT < PHASE_PRUNE keeps the eventual prune tombstone
-    # winning over the freshened pointer.
-    compact_base_ts = entries[live_key].base_ts
+    pinned = {entry.next_key for entry in entries.values()
+              if not entry.is_live}
 
-    incoming: Dict = {}
-    for view_key, entry in entries.items():
-        if not entry.is_live:
-            incoming.setdefault(entry.next_key, set()).add(view_key)
-
-    next_col = view_column(base_key, "Next")
     for view_key, entry in sorted(entries.items(), key=lambda kv: repr(kv[0])):
         if entry.is_live:
             continue
         if view_key == NULL_VIEW_KEY:
-            report.skipped_anchor += 1
-            # Still compact the anchor's pointer so chains through it
-            # stay short (the anchor itself is never pruned).
+            # Never pruned: repointed, so the chain behind it unpins.
             if entry.next_key != live_key and entry.base_ts < cutoff_base_ts:
-                yield from coordinator.put(view.name, view_key, {
-                    next_col: Cell(live_key,
-                                   view_timestamp(max(entry.base_ts,
-                                                      compact_base_ts),
-                                                  PHASE_COMPACT)),
-                }, quorum)
+                yield from maintainer.compact_anchor(
+                    coordinator, view, base_key, entry.base_ts, live_key,
+                    entries[live_key].base_ts)
                 report.rows_compacted += 1
             continue
         if entry.base_ts >= cutoff_base_ts:
             report.skipped_recent += 1
             continue
-        if incoming.get(view_key):
-            # Another row still points here: compact (repoint to live)
-            # but do not prune; the pointer sources go first.
-            if entry.next_key != live_key:
-                yield from coordinator.put(view.name, view_key, {
-                    next_col: Cell(live_key,
-                                   view_timestamp(max(entry.base_ts,
-                                                      compact_base_ts),
-                                                  PHASE_COMPACT)),
-                }, quorum)
-                report.rows_compacted += 1
+        if view_key in pinned:
+            # Another row still points here: the older pointer sources
+            # go first, and a later sweep prunes this one.
             report.skipped_pinned += 1
             continue
         # Old, unreferenced stale row: tombstone its pointer, which is
@@ -239,11 +200,11 @@ def _sweep_base_row(cluster, view: ViewDefinition, base_key: Hashable,
         # permanently shadow the re-copied value.  The leftovers are
         # invisible to readers and are simply overwritten if the key
         # returns.
-        tombstones = {next_col: Cell.make(
-            None, view_timestamp(entry.base_ts, PHASE_PRUNE))}
-        yield from coordinator.put(view.name, view_key, tombstones, quorum)
+        yield from coordinator.put(view.name, view_key, {
+            view_column(base_key, NEXT_COLUMN): Cell.make(
+                None, view_timestamp(entry.base_ts, PHASE_PRUNE)),
+        }, maintainer.quorum)
         report.rows_pruned += 1
-        report.cells_tombstoned += len(tombstones)
     return report
 
 

@@ -66,6 +66,11 @@ view-key propagation on that node for that chain skips line 1's Get iff
   propagation to walk.  Only moves store: a same-key refresh or a
   not-newer insert leaves the live row as some earlier writer made it.
 
+Path compression: a serialized walk from the NULL anchor (every
+re-drive's entry point) of more than two hops ends by repointing the
+anchor at the live row, :meth:`ViewMaintainer.compact_anchor`, which GC
+calls too.  Walks from other guesses, and unserialized ones, write nothing.
+
 New live rows stay marked inaccessible (self-pointer at ``PHASE_ROW``,
 unmarked at ``PHASE_LIVE``) until the old live row is stale, so
 concurrent view Gets never observe two accessible live rows (IV-F).
@@ -83,6 +88,7 @@ from repro.errors import PropagationError, QuorumError, ViewError
 from repro.views.definition import NEXT_COLUMN, ViewDefinition
 from repro.views.versioned import (
     NULL_VIEW_KEY,
+    PHASE_COMPACT,
     PHASE_LIVE,
     PHASE_ROW,
     PHASE_STALE,
@@ -190,7 +196,8 @@ class ViewMaintainer:
 
     def get_live_key(self, coordinator, view: ViewDefinition,
                      base_key: Hashable, guess: ViewKeyGuess,
-                     columns: Tuple[ColumnName, ...] = ()):
+                     columns: Tuple[ColumnName, ...] = (),
+                     compact: bool = False):
         """Walk Next pointers from ``guess`` to the live row.
 
         Returns ``(live_key, live_base_ts, cells)``.  Every hop reads
@@ -206,6 +213,8 @@ class ViewMaintainer:
         definition and first propagation is serialized per base row.
         Cells parked on that anchor by earlier materialized-column
         updates come back in ``cells`` like any live row's.
+        ``compact`` (the guess is the NULL anchor, the caller holds the
+        chain's turn) ends a walk of over two hops with :meth:`compact_anchor`.
         """
         current = guess.key
         next_column = view_column(base_key, NEXT_COLUMN)
@@ -232,13 +241,34 @@ class ViewMaintainer:
                     f"for base key {base_key!r} (writing update not yet "
                     "propagated)")
             self.metrics.chain_hops += 1
+            pointer_ts = base_timestamp_of(next_cell.timestamp)
             if next_cell.value == current:
                 self.cluster.trace(
                     "chain", "live row resolved", view=view.name,
                     base_key=base_key, live=current, hops=hops)
-                return (current, base_timestamp_of(next_cell.timestamp),
-                        merged)
+                if compact and hops > 2:
+                    yield from self.compact_anchor(
+                        coordinator, view, base_key, entry_ts, current,
+                        pointer_ts)
+                return current, pointer_ts, merged
+            if hops == 1:
+                entry_ts = pointer_ts
             current = next_cell.value
+
+    def compact_anchor(self, coordinator, view: ViewDefinition,
+                       base_key: Hashable, anchor_ts: int, live_key: Any,
+                       live_ts: int):
+        """Repoint the NULL anchor's ``Next`` (base timestamp
+        ``anchor_ts``) straight at the live row: union-find path
+        compression on the one entry point every chain has.  The stamp
+        derives from the live row's base timestamp, which grows with
+        every move; one derived from the anchor's own alone would repeat
+        once the live key moved on and lose under LWW forever."""
+        yield from self._view_put(coordinator, view.name, NULL_VIEW_KEY, {
+            view_column(base_key, NEXT_COLUMN): Cell(
+                live_key, view_timestamp(max(anchor_ts, live_ts),
+                                         PHASE_COMPACT)),
+        })
 
     # -- Algorithm 2: PropagateUpdate ---------------------------------------------------
 
@@ -279,7 +309,8 @@ class ViewMaintainer:
                                  for column in view.materialized_columns
                                  ) if moves_key else ()
             live_key, live_ts, merged = yield from self.get_live_key(
-                coordinator, view, base_key, guess, copy_columns)
+                coordinator, view, base_key, guess, copy_columns,
+                compact=turn is not None and guess.key == NULL_VIEW_KEY)
             live_cells = {column: cell for column, cell in merged.items()
                           if cell.timestamp != NULL_TIMESTAMP}
 

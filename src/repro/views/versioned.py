@@ -78,7 +78,7 @@ TS_SCALE = 8
 PHASE_ROW = 1      # marked row creation (Alg. 2 line 4), materialized (l. 12)
 PHASE_LIVE = 2     # accessible self-pointer (unmark, same-key refresh)
 PHASE_STALE = 3    # stale-marking pointer writes (Alg. 2 lines 8 and 10)
-PHASE_COMPACT = 4  # GC chain compaction (repoint a stale row to the live row)
+PHASE_COMPACT = 4  # NULL anchor repointed at the live row (compact_anchor)
 PHASE_PRUNE = 5    # GC pruning tombstones (remove a stale row entirely)
 
 _PHASES = (PHASE_ROW, PHASE_LIVE, PHASE_STALE, PHASE_COMPACT, PHASE_PRUNE)

@@ -72,6 +72,17 @@ the first entry to differ is E6 cell 0's first crash, 240.0494 to
 the scrubber off are identical, and every run loses as many
 propagations as before.
 
+Re-recorded when a serialized walk from the NULL anchor that takes more
+than two hops began to end by repointing the anchor at the live row it
+found, one more quorum Put.  Only gray-failure moved.  Its first such
+walk is node 3's for base key ``k2`` at 504.97 ms (five hops, to
+``g3``); the second is node 0's for ``k4`` at 689.11 ms (three hops).
+The workload now ends at 716.97 ms instead of 712.29, after node 3's
+scheduled restore at 712.84 ms, which is dealt again and is the first
+entry to differ.  ``stop()``'s heal (four ``restore_node_speed`` calls
+and the arrival scale) moved to 716.97 ms.  Every other run is
+identical.
+
 Re-record (only for a change that is *meant* to move the faults)::
 
     PYTHONPATH=src python tests/scenarios/test_fault_timeline.py

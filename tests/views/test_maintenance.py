@@ -17,9 +17,10 @@ from repro.views import (
     ViewDefinition,
     ViewKeyGuess,
     check_view,
+    collect_entries,
     collect_stale_rows,
 )
-from repro.views.drive import propagate_with_retries
+from repro.views.drive import propagate_with_retries, repropagate_row
 from repro.views.read import view_get
 from repro.views.versioned import is_initializing
 
@@ -777,3 +778,59 @@ def test_a_propagation_lost_to_a_coordinator_crash_leaves_nothing_held():
             for event in cluster.tracer.events("chain")] == [
         ("live row held", "a"), ("live row held", "b")]
     assert check_view(cluster, VIEW) == []
+
+
+# ---------------------------------------------------------------------------
+# Path compression on the NULL anchor
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("moves", [16, 64, 256])
+def test_a_second_re_drive_finds_the_anchor_one_hop_from_the_live_row(
+        moves):
+    """Coordinator 0 moves one row ``moves`` times, holding the live row
+    so no move walks.  The first re-drive from coordinator 2 walks the
+    whole chain from the NULL anchor — one Get per move, one more for
+    the anchor and one for the materialized column's walk — and ends by
+    repointing the anchor at the live row, so the second takes three."""
+    cluster = Cluster(make_config())
+    cluster.create_table("B")
+    cluster.create_view(VIEW)
+    client = cluster.sync_client(0)
+    client.put("B", "k", {"vk": "g0", "m": "p"})
+    for i in range(1, moves):
+        client.put("B", "k", {"vk": f"g{i}"})
+    client.settle()
+    metrics = cluster.view_manager.maintainer.metrics
+    hops = []
+    for _ in range(2):
+        before = metrics.chain_hops
+        process = cluster.env.process(repropagate_row(
+            cluster.view_manager, cluster.coordinator(2), VIEW, "k"))
+        cluster.env.run(until=process)
+        hops.append(metrics.chain_hops - before)
+    assert hops == [moves + 2, 3]
+    anchor = collect_entries(cluster, VIEW)["k"][NULL_VIEW_KEY]
+    assert anchor.next_key == f"g{moves - 1}"
+    assert check_view(cluster, VIEW) == []
+
+
+def test_a_walk_from_a_stale_guess_repoints_nothing():
+    """Only the anchor is compressed: a serialized walk that enters
+    three hops back from the live row writes no pointer, so ``a``, the
+    anchor and every row between keep their ``Next`` cells."""
+    chain = ManagedChain()
+    chain.propagate(A, {"vk": "a", "m": "p"}, 10, None)
+    for ts, (old, new) in zip((20, 30, 40), ("ab", "bc", "cd")):
+        chain.propagate(B, {"vk": new}, ts, (old, ts - 10))
+
+    def pointers():
+        return {key: entry.next_cell for key, entry
+                in collect_entries(chain.cluster, VIEW)["k"].items()}
+
+    before = pointers()
+    assert chain.propagate(A, {"m": "q"}, 50, ("a", 10)) == (4, 0)
+    assert pointers() == before
+    assert chain.get_view("d") == [("k", "q")]
+    assert chain.violations() == []
+

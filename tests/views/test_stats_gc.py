@@ -106,12 +106,15 @@ def test_gc_prunes_old_stale_rows():
     assert before.stale_rows == 6  # g0..g4 + anchor
 
     report = run_gc(cluster)
-    assert report.rows_pruned >= 1
+    assert report.rows_pruned == 5
+    # Pruning cascades from the oldest row; only the anchor is repointed.
+    assert report.rows_compacted <= 1
     after = compute_stats(cluster, VIEW)
-    # Only the anchor survives as a stale row (compacted, never pruned).
+    # Only the anchor survives as a stale row (repointed, never pruned).
     assert after.stale_rows == 1
     assert after.anchor_rows == 1
     assert after.live_rows == 1
+    assert collect_entries(cluster, VIEW)["k"][NULL_VIEW_KEY].next_key == "g5"
     assert check_view(cluster, VIEW) == []
 
 
@@ -255,14 +258,14 @@ def test_collector_validation():
 
 
 def test_gc_recompacts_after_live_key_moves_again():
-    """Regression: compaction must stay repeatable per entry.
+    """Regression: the anchor repoint must stay repeatable.
 
-    The anchor (or any pinned row) gets compacted toward the live row
-    once; when a later update moves the live key, the next collection
-    pass must be able to re-compact it toward the *new* live row.  The
-    compact timestamp used to derive from the stale entry's own (frozen)
-    base timestamp, so the second compaction could never win LWW and the
-    sweep's fixpoint loop re-issued the same doomed put forever.
+    The anchor gets repointed at the live row once; when a later update
+    moves the live key, the next collection pass must be able to
+    repoint it at the *new* live row.  The repoint's timestamp used to
+    derive from the anchor's own (frozen) base timestamp, so the second
+    one could never win LWW and the sweep's fixpoint loop re-issued the
+    same doomed put forever.
     """
     cluster, client = build()
     client.put("T", "k", {"vk": "a"}, timestamp=1_000_000)
