@@ -47,9 +47,6 @@ class ClusterSnapshot:
     freshness_compensated_keys: int = 0
     freshness_open_wounds: int = 0
     freshness_wounds_opened: int = 0
-    # View read-path health: Init-marker spin retries and timeouts.
-    view_init_spins: int = 0
-    view_init_timeouts: int = 0
 
     @staticmethod
     def capture(cluster) -> "ClusterSnapshot":
@@ -82,8 +79,6 @@ class ClusterSnapshot:
             freshness_compensated_keys=slo.get("compensated_keys", 0),
             freshness_open_wounds=freshness.get("open_wounds", 0),
             freshness_wounds_opened=freshness.get("wounds_opened", 0),
-            view_init_spins=freshness.get("init_spins", 0),
-            view_init_timeouts=freshness.get("init_timeouts", 0),
         )
 
 

@@ -117,17 +117,5 @@ class PropagationError(ViewError):
     """
 
 
-class ViewInitTimeoutError(ViewError):
-    """A view read gave up waiting on an Init-marked row.
-
-    Algorithm 4 spins while a row carries the Init marker (a view-key
-    move is in flight).  When the spin budget runs out — the moving
-    coordinator crashed, or the move is wedged behind a partition — the
-    read raises this instead of silently returning a possibly
-    half-visible row.  Counted per manager in ``read_stats`` and
-    surfaced as ``view_init_timeouts`` in ``ClusterSnapshot``.
-    """
-
-
 class SessionError(ViewError):
     """Session-guarantee bookkeeping error (e.g. unknown session id)."""

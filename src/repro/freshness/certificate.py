@@ -9,12 +9,11 @@ acknowledged base updates have not yet taken effect in a view:
 - **wounds** — chains a propagation demonstrably left wrong: its
   coordinator crashed with the record in volatile state
   (``crash-lost``), its retries ran out (``retries-abandoned``), a scrub
-  ``verify_row`` confirmed a divergence (``scrub-*``), or a view-key
-  move was cut short after its new row was written (``move-interrupted``:
-  another coordinator's walk can end at the half-made row and leave two
-  live rows).  A wound has no resolve event; it stays open until the row
-  is re-propagated or a quorum-level ``verify_row`` confirms the row
-  clean.
+  ``verify_row`` confirmed a divergence (``scrub-*``).  A wound has no
+  resolve event; it stays open until the row is re-propagated or a
+  quorum-level ``verify_row`` confirms the row clean.  A view-key move
+  cut short between its two Puts is not a wound: its record retries,
+  and the next move's walk finishes it from any entry point.
 
 Records merely being in flight together is *not* a wound.  Every chain
 writer runs under ``ViewManager.serialized`` (the paper's Section IV-F
@@ -46,7 +45,7 @@ that started after the wound was last touched — and on that evidence
 alone.  Another record still in flight on the chain does not hold the
 wound open: it is covered by its own ``outbox-lag`` source until it
 resolves, opens a wound of its own if it fails (``crash-lost``,
-``retries-abandoned``, ``move-interrupted``), and otherwise lands what
+``retries-abandoned``), and otherwise lands what
 Theorem 1 says any order of serialized propagations converges to.
 """
 

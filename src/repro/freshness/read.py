@@ -80,8 +80,7 @@ def fresh_view_get(manager, coordinator, view_name: str, view_key: Any,
     certificate = tracker.certificate(view_name, max_staleness_ms,
                                       sources=sources)
     results = yield from view_read.view_get(
-        manager.env, coordinator, view, view_key, columns, r,
-        stats=manager.read_stats)
+        coordinator, view, view_key, columns, r)
     slo = manager.freshness_slo
     if not bounded:
         slo.observe(view_name, certificate.staleness_ms, bounded=False)

@@ -35,7 +35,6 @@ from repro.views.versioned import (
     NULL_VIEW_KEY,
     VersionedEntry,
     base_timestamp_of,
-    is_initializing,
     split_wide_row,
 )
 
@@ -64,8 +63,7 @@ class Divergence:
 
     view_name: str
     base_key: Hashable
-    kind: str  # "stray-live-rows" | "missing-live-row" | "stuck-init"
-               # | "content-mismatch"
+    kind: str  # "stray-live-rows" | "missing-live-row" | "content-mismatch"
     detail: str = ""
     # View keys holding unexpected live rows for this base key (set for
     # kind == "stray-live-rows"); the repairer demotes them explicitly,
@@ -210,9 +208,6 @@ def verify_row(coordinator, view: ViewDefinition, base_key: Hashable,
     if entry is None or not entry.is_live:
         return Divergence(view.name, base_key, "missing-live-row",
                           f"expected live row under {expected_live!r}")
-    if is_initializing(entry.next_cell):
-        return Divergence(view.name, base_key, "stuck-init",
-                          f"row {expected_live!r} still marked Init")
     if canonical_view_entry(view, entry) != expected:
         return Divergence(view.name, base_key, "content-mismatch",
                           f"live row under {expected_live!r} does not match "

@@ -43,7 +43,6 @@ from repro.scenarios.runner import (
     default_config,
 )
 from repro.scenarios.workload import (
-    READ_RETRIABLE,
     RETRIABLE,
     BaseWorkload,
 )
@@ -238,7 +237,7 @@ class ScheduleWorkload(BaseWorkload):
                 yield from client.get_view(
                     scenario.view.name, entry["view_key"],
                     scenario.view.materialized_columns, self.r)
-            except READ_RETRIABLE:
+            except RETRIABLE:
                 yield env.timeout(self.retry_backoff)
                 continue
             self.reads_done += 1

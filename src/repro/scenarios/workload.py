@@ -32,7 +32,6 @@ from repro.errors import (
     CoordinatorCrashError,
     NodeDownError,
     QuorumError,
-    ViewInitTimeoutError,
 )
 from repro.freshness import BoundedReadObservation
 from repro.views.model import BaseUpdate
@@ -47,9 +46,6 @@ __all__ = [
 # Exceptions a retry loop rides out: the coordinator is down (or died
 # mid-operation) or a quorum could not be assembled.
 RETRIABLE = (NodeDownError, QuorumError, CoordinatorCrashError)
-# Reads additionally ride out an Init-marked row that outlives the spin
-# budget (a crashed propagation holds the marker until repair).
-READ_RETRIABLE = RETRIABLE + (ViewInitTimeoutError,)
 
 
 @dataclass
@@ -291,7 +287,7 @@ class ScenarioWorkload(BaseWorkload):
                 fresh = yield from client.get_view_fresh(
                     scenario.view.name, view_key, columns, self.r,
                     max_staleness_ms=bound)
-            except READ_RETRIABLE:
+            except RETRIABLE:
                 yield env.timeout(self.retry_backoff)
                 continue
             self.bounded_reads_done += 1
@@ -331,7 +327,7 @@ class ScenarioWorkload(BaseWorkload):
             try:
                 results = yield from client.get_view(
                     scenario.view.name, view_key, columns, self.r)
-            except READ_RETRIABLE:
+            except RETRIABLE:
                 yield env.timeout(self.retry_backoff)
                 continue
             self.reads_done += 1

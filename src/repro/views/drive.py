@@ -15,9 +15,9 @@ and services it uses.
 
 The freshness tracker hears only outcomes from here, never that a run
 has begun: a started record that fails opens a wound
-(``_EXPECTED_FAILURES``, or ``move-interrupted`` when a move is cut
-short), and a committed :func:`repropagate_row` heals one.  A record
-still running needs no report: its own ``outbox-lag`` source covers it
+(``_EXPECTED_FAILURES``), and a committed :func:`repropagate_row` heals
+one.  A record still running needs no report, even one whose move a
+``QuorumError`` cut short: its own ``outbox-lag`` source covers it
 until it resolves.
 """
 
@@ -118,8 +118,7 @@ def process_record(manager, outbox: NodeOutbox, record):
                 guesses.extend(_sure_guesses(manager, outbox, view, key))
             yield from propagate_with_retries(
                 manager, coordinator, view, record.table, key, guesses,
-                record.update_values, base_ts, outbox=outbox,
-                origin=record.appended_at)
+                record.update_values, base_ts, outbox=outbox)
         manager.completed_propagations += 1
         manager.cluster.trace("propagation", "completed", view=view.name,
                               key=key, ts=base_ts)
@@ -212,8 +211,7 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
                            guesses: List[ViewKeyGuess],
                            update_values: Dict[ColumnName, Any],
                            base_ts: int,
-                           outbox: Optional[NodeOutbox] = None,
-                           origin: Optional[float] = None):
+                           outbox: Optional[NodeOutbox] = None):
     """Algorithm 1 lines 5-7: retry guesses until one propagates, or
     raise :class:`PropagationError` after :data:`MAX_ROUNDS` rounds.
 
@@ -222,16 +220,13 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
     that must run before the retry can succeed.  The same goes for the
     worker slot a record's process holds on ``outbox``
     (:func:`_back_off`); scrub repair and backfill hold no worker and
-    pass no outbox.  ``origin`` is when the update entered the pipeline
-    (default: now), the origin of the wound an interrupted move opens.
+    pass no outbox.
     """
     exclusive = view.view_key_column in update_values
-    if origin is None:
-        origin = manager.env.now
 
     def job(executor, turn):
         return _attempt_round(manager, executor, view, key, guesses,
-                              update_values, base_ts, turn, origin)
+                              update_values, base_ts, turn)
 
     rounds = 0
     while True:
@@ -298,17 +293,17 @@ def _retry_delay(manager, rounds: int) -> float:
 def _attempt_round(manager, coordinator, view: ViewDefinition,
                    key: Hashable, guesses: List[ViewKeyGuess],
                    update_values: Dict[ColumnName, Any], base_ts: int,
-                   turn: int, origin: float):
+                   turn: int):
     """Try each guess once, all under the chain turn ``turn``; True on
     success.
 
     ``PropagationError`` means the guess is not (yet) a valid chain
     entry point; ``QuorumError`` means a transient replica shortfall
-    (loss, timeout) during an internal view Get/Put.  Both cases are
-    retried on a later round — Algorithm 2's writes are idempotent,
-    so re-running a partially applied propagation is safe, provided a
-    move cut short is re-entered at the row it was leaving (which then
-    leads ``guesses``).
+    (loss, timeout) during an internal view Get/Put.  Both fall through
+    to the next guess and are retried on a later round — Algorithm 2's
+    writes are idempotent, and a move cut between its two Puts is
+    finished by whichever move walks into it next, from any entry point
+    (``ViewMaintainer.get_live_key``).
     """
     for guess in guesses:
         try:
@@ -316,22 +311,8 @@ def _attempt_round(manager, coordinator, view: ViewDefinition,
                 coordinator, view, key, guess, update_values, base_ts,
                 turn)
             return True
-        except PropagationError:
+        except (PropagationError, QuorumError):
             continue
-        except QuorumError as exc:
-            # A move cut short names the row it was leaving: the one
-            # entry point below everything it may have written.  Any
-            # other guess could walk into the half-made row, so the
-            # round ends here and the next one starts from that row.
-            resume = getattr(exc, "interrupted_at", None)
-            if resume is not None:
-                guesses[:] = _merge_guesses((resume, *guesses))
-                # Another coordinator's walk may end at the half-made
-                # row before this retry runs, refresh it and leave two
-                # live rows behind: evidence the chain may be wrong.
-                manager.freshness.note_wound(view.name, key, origin,
-                                             "move-interrupted")
-                return False
     return False
 
 

@@ -5,10 +5,9 @@ cluster state against Definition 3 / Theorem 1:
 
 - exactly one live row (self-pointing Next) per base key, across all the
   view-row keys its entries appear under;
-- every stale row's pointer chain reaches the live row, with no cycles
-  and no dangling pointers;
-- no row is left marked inaccessible (a ``PHASE_ROW`` self-pointer)
-  once propagation has quiesced;
+- every stale row's pointer chain reaches the live row, with no cycles,
+  no dangling pointers and no cut move left unfinished (every hop lands,
+  :func:`~repro.views.versioned.hop_lands`);
 - against a :class:`~repro.views.model.ReferenceViewModel` fed with the
   same updates in propagation order: the live key, its timestamp, the
   materialized values, and the stale-key set all match the oracle.
@@ -29,7 +28,7 @@ from repro.views.model import ReferenceViewModel
 from repro.views.versioned import (
     NULL_VIEW_KEY,
     VersionedEntry,
-    is_initializing,
+    hop_lands,
     split_wide_row,
 )
 
@@ -157,8 +156,7 @@ def live_entries(cluster, view: ViewDefinition
 
 
 def check_view(cluster, view: ViewDefinition,
-               reference: Optional[ReferenceViewModel] = None,
-               allow_initializing: bool = False) -> List[str]:
+               reference: Optional[ReferenceViewModel] = None) -> List[str]:
     """Validate a view's versioned structure; returns violation strings.
 
     With ``reference``, also checks semantic agreement with the
@@ -176,12 +174,6 @@ def check_view(cluster, view: ViewDefinition,
                 f"found {sorted(map(repr, live_keys))}")
             continue
         live_key = live_keys[0]
-
-        for view_key, entry in entries.items():
-            if is_initializing(entry.next_cell) and not allow_initializing:
-                violations.append(
-                    f"base key {base_key!r}: row {view_key!r} still "
-                    "marked Init after quiescence")
 
         for view_key, entry in entries.items():
             if entry.is_live:
@@ -209,19 +201,24 @@ def check_view(cluster, view: ViewDefinition,
 def _check_chain(base_key: Hashable, start_key: Any,
                  entries: Dict[Any, VersionedEntry],
                  live_key: Any) -> List[str]:
-    """Walk one stale row's chain; it must terminate at the live row."""
+    """Walk one stale row's chain; it must terminate at the live row,
+    every hop landing as ``get_live_key`` requires."""
     seen = {start_key}
     current = entries[start_key]
     while True:
         next_key = current.next_key
+        next_entry = entries.get(next_key)
+        if next_entry is None:
+            return [f"base key {base_key!r}: stale row {start_key!r} "
+                    f"points to missing row {next_key!r} (a cut move "
+                    "left unfinished)"]
+        if not hop_lands(current.next_cell, next_entry.next_cell):
+            return [f"base key {base_key!r}: cut move "
+                    f"{current.view_key!r} → {next_key!r} left unfinished"]
         if next_key in seen:
             return [f"base key {base_key!r}: pointer cycle through "
                     f"{sorted(map(repr, seen))}"]
         seen.add(next_key)
-        next_entry = entries.get(next_key)
-        if next_entry is None:
-            return [f"base key {base_key!r}: stale row {start_key!r} "
-                    f"points to missing row {next_key!r}"]
         if next_entry.is_live:
             if next_key != live_key:
                 return [f"base key {base_key!r}: chain from {start_key!r} "

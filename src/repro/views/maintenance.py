@@ -15,15 +15,16 @@ distributed view table:
   (handled through the NULL anchor, see :mod:`repro.views.versioned`).
 
 Every Get/Put inside propagation uses a majority quorum of the view's
-replicas, as Algorithm 2 prescribes.  A view-key move is four view-table
-quorum rounds, not the paper's six: the chain walk (one Get when the
-guess is the live row), the new marked row (line 4), the stale pointer
-(line 8) and the unmark — three when the executor made the row live
-itself and nobody has held the chain since (below).  ``CopyData`` (line
-7: a Get of the old live row, then a Put of what it returned) has no
-rounds of its own — its Get is the walk's last hop, which reads that
-very row, and its Put is line 4, which writes that very row.  Four
-things make that safe:
+replicas, as Algorithm 2 prescribes.  A view-key move is three
+view-table quorum rounds, not the paper's six: the chain walk (one Get
+when the guess is the live row), the stale pointer (line 8) and the new
+live row (line 4) — two when the executor made the row live itself and
+nobody has held the chain since (below).  ``CopyData`` (line 7: a Get
+of the old live row, then a Put of what it returned) has no rounds of
+its own — its Get is the walk's last hop, which reads that very row,
+and its Put is line 4, which writes that very row.  The paper's unmark
+has no round either: there is no Init mark.  Four things make that
+safe:
 
 1. A view-key propagation owns its chain exclusively
    (``ViewManager.serialized``: the exclusive lock, or the row's
@@ -32,18 +33,22 @@ things make that safe:
    separate Get would have returned are the cells the last hop returned.
 2. Copied cells keep their own values *and* scaled timestamps, so even
    an interleaving that (1) forbids would merge by ordinary LWW.
-3. The copy lands in the same per-replica atomic apply as the marked
-   self-pointer, so the half-copied row the mark exists to hide cannot
-   exist: strictly fewer intermediate states than the six-round form.
-4. Every write is still idempotent.  A round retried after a partial
-   failure re-enters the chain at the row the move was leaving (the
-   failure names it, ``interrupted_at``): if that row is still live the
-   same writes are issued again, and if its stale pointer landed the
-   walk ends at the new row and takes the same-key refresh.  Any other
-   entry point could reach the half-made row first — a reused key sits
-   *above* the live row — and refresh it with the old row still live.
+3. Line 8 comes first, and line 4 writes the new row already live with
+   the copied cells in the same per-replica atomic apply.  The mark
+   existed so a reader never sees two live rows for one base row
+   (Section IV-F); with the old row stale before the new one appears
+   there is at most one, and none in between — ordinary staleness,
+   which a view read may show anyway.  Nor can a reader see the new
+   row without its data.  This is cheaper than the paper's algorithm:
+   an extension beyond it, not a reading of it.
+4. Every write is idempotent, and every entry point is safe.  A move
+   cut between its two Puts leaves the old row J pointing at a key K
+   whose entry is missing, or older on a reused key.  The walk refuses
+   that hop (``versioned.hop_lands``): the next view-key move's walk
+   finishes the move (K live at the cut's timestamp with J's cells),
+   and any other walk writes J, whose cells that finish copies.
 
-Three rounds when the executor holds the row.  A move that ran to its
+Two rounds when the executor holds the row.  A move that ran to its
 end leaves, in the executor node's volatile memory, what it made live:
 ``(live key, live base timestamp, non-null materialized cells, turn)``.
 ``turn`` is the chain's fencing token: ``ViewManager.serialized`` numbers
@@ -69,11 +74,8 @@ view-key propagation on that node for that chain skips line 1's Get iff
 Path compression: a serialized walk from the NULL anchor (every
 re-drive's entry point) of more than two hops ends by repointing the
 anchor at the live row, :meth:`ViewMaintainer.compact_anchor`, which GC
-calls too.  Walks from other guesses, and unserialized ones, write nothing.
-
-New live rows stay marked inaccessible (self-pointer at ``PHASE_ROW``,
-unmarked at ``PHASE_LIVE``) until the old live row is stale, so
-concurrent view Gets never observe two accessible live rows (IV-F).
+calls too.  Walks from other guesses, and unserialized ones, write
+nothing but the finish of a cut move.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.common.quorum import majority
 from repro.common.records import NULL_TIMESTAMP, Cell, ColumnName, cell_wins
-from repro.errors import PropagationError, QuorumError, ViewError
+from repro.errors import PropagationError, ViewError
 from repro.views.definition import NEXT_COLUMN, ViewDefinition
 from repro.views.versioned import (
     NULL_VIEW_KEY,
@@ -93,6 +95,7 @@ from repro.views.versioned import (
     PHASE_ROW,
     PHASE_STALE,
     base_timestamp_of,
+    hop_lands,
     view_column,
     view_timestamp,
 )
@@ -197,7 +200,7 @@ class ViewMaintainer:
     def get_live_key(self, coordinator, view: ViewDefinition,
                      base_key: Hashable, guess: ViewKeyGuess,
                      columns: Tuple[ColumnName, ...] = (),
-                     compact: bool = False):
+                     compact: bool = False, moving: bool = False):
         """Walk Next pointers from ``guess`` to the live row.
 
         Returns ``(live_key, live_base_ts, cells)``.  Every hop reads
@@ -215,11 +218,22 @@ class ViewMaintainer:
         updates come back in ``cells`` like any live row's.
         ``compact`` (the guess is the NULL anchor, the caller holds the
         chain's turn) ends a walk of over two hops with :meth:`compact_anchor`.
+
+        A hop from row J to the key K its pointer names at base
+        timestamp t is taken only if it lands (``versioned.hop_lands``).
+        Otherwise the move to K was cut after its line 8, and
+        ``moving`` says who finishes it.  A view-key move (``moving``,
+        which holds the chain exclusively and read J's ``columns``)
+        writes K live at t with J's cells in one Put and returns K.  Any
+        other walk returns J: J still holds the row's cells, so a
+        materialized-only update lands there and the finishing move
+        copies it on.
         """
         current = guess.key
         next_column = view_column(base_key, NEXT_COLUMN)
         read_columns = (next_column, *columns)
         hops = 0
+        left = None  # (key, Next cell, cells) of the row the walk left
         while True:
             hops += 1
             if hops > _MAX_CHAIN_HOPS:
@@ -230,8 +244,24 @@ class ViewMaintainer:
             merged = yield from self._view_get(
                 coordinator, view.name, current, read_columns)
             next_cell = merged.pop(next_column)
+            if left is not None and not hop_lands(left[1], next_cell):
+                left_key, pointer, left_cells = left
+                cut_ts = base_timestamp_of(pointer.timestamp)
+                self.cluster.trace(
+                    "chain", "cut move", view=view.name, base_key=base_key,
+                    left=left_key, target=current, finished=moving)
+                if not moving:
+                    return left_key, cut_ts, left_cells
+                cells = {column: cell for column, cell in left_cells.items()
+                         if cell.timestamp != NULL_TIMESTAMP}
+                yield from self._view_put(coordinator, view.name, current, {
+                    next_column: Cell(current,
+                                      view_timestamp(cut_ts, PHASE_LIVE)),
+                    **cells,
+                })
+                return current, cut_ts, cells
             if next_cell.is_null:
-                if hops == 1 and guess.allow_virtual:
+                if guess.allow_virtual:
                     # Pristine chain: nothing has propagated for this
                     # base row.  Anchor at the virtual NULL row.
                     return NULL_VIEW_KEY, NULL_TIMESTAMP, merged
@@ -253,6 +283,7 @@ class ViewMaintainer:
                 return current, pointer_ts, merged
             if hops == 1:
                 entry_ts = pointer_ts
+            left = (current, next_cell, merged)
             current = next_cell.value
 
     def compact_anchor(self, coordinator, view: ViewDefinition,
@@ -310,7 +341,8 @@ class ViewMaintainer:
                                  ) if moves_key else ()
             live_key, live_ts, merged = yield from self.get_live_key(
                 coordinator, view, base_key, guess, copy_columns,
-                compact=turn is not None and guess.key == NULL_VIEW_KEY)
+                compact=turn is not None and guess.key == NULL_VIEW_KEY,
+                moving=moves_key)
             live_cells = {column: cell for column, cell in merged.items()
                           if cell.timestamp != NULL_TIMESTAMP}
 
@@ -365,8 +397,7 @@ class ViewMaintainer:
         """
         new_key = raw_value if view.accepts_key(raw_value) else NULL_VIEW_KEY
         next_col = view_column(base_key, NEXT_COLUMN)
-        row_ts = view_timestamp(base_ts, PHASE_ROW)
-        unmark_ts = view_timestamp(base_ts, PHASE_LIVE)
+        live_stamp = view_timestamp(base_ts, PHASE_LIVE)
         stale_ts = view_timestamp(base_ts, PHASE_STALE)
 
         self.cluster.trace(
@@ -375,14 +406,10 @@ class ViewMaintainer:
             ts=base_ts)
 
         if new_key == live_key:
-            # Same-key refresh: line 4 and the unmark coalesced into one
-            # quorum Put of the accessible self-pointer.  The marked
-            # intermediate would be superseded at once (PHASE_LIVE beats
-            # PHASE_ROW), so it never exists.  A row still marked by a
-            # newer update's move stays marked: its PHASE_ROW pointer
-            # beats this one.
+            # Same-key refresh: line 4 alone, the self-pointer at this
+            # update's stamp.
             yield from self._view_put(coordinator, view.name, new_key, {
-                next_col: Cell(new_key, unmark_ts),
+                next_col: Cell(new_key, live_stamp),
             })
             return new_key
 
@@ -392,51 +419,31 @@ class ViewMaintainer:
             else None)
         if not update_is_newer:
             # Line 10 coalesced: the new row enters the view already
-            # stale, pointing at the live row.  The uncoalesced sequence
-            # (marked self-pointer, then stale pointer) exposes an extra
-            # intermediate state that no correctness argument needs;
-            # writing the final pointer in one Put is strictly safer and
-            # cheaper.  On a reused key it also retires the old
-            # self-pointer, and with it any mark that pointer carried.
+            # stale, pointing at the live row.  Writing the final
+            # pointer in one Put exposes no intermediate state.  On a
+            # reused key it also retires the old self-pointer.
             yield from self._view_put(coordinator, view.name, new_key, {
                 next_col: Cell(live_key, stale_ts),
             })
             return live_key
 
-        # Lines 4 and 7 in one Put: the new row, its self-pointer at
-        # PHASE_ROW so concurrent readers treat it as inaccessible, and
-        # the old live row's materialized cells, verbatim (why that is
-        # safe: the module docstring).  The copy runs even when the old
-        # live row is the (possibly virtual) NULL anchor: materialized
-        # updates that propagated before any view-key update park their
-        # cells there.
-        # This branch MUST stay sequential: unmarking before the old
-        # live row is staled could let a reader observe two accessible
-        # live rows for one base key (the Section IV-F invariant).
+        # Line 8 first, so no Init mark is needed (module docstring,
+        # point 3): make the old live row stale.  For a pristine chain
+        # this creates the NULL anchor row, giving later NULL guesses a
+        # path to the live row.
         if live_cells:
             self.metrics.rows_copied += 1
-        try:
-            yield from self._view_put(coordinator, view.name, new_key, {
-                next_col: Cell(new_key, row_ts),
-                **live_cells,
-            })
-            # Line 8: make the old live row stale.  For a pristine chain
-            # this creates the NULL anchor row, giving later NULL guesses
-            # a path to the live row.
-            yield from self._view_put(coordinator, view.name, live_key, {
-                next_col: Cell(new_key, stale_ts),
-            })
-            # Unmark: the new live row is now fully initialized.
-            yield from self._view_put(coordinator, view.name, new_key, {
-                next_col: Cell(new_key, unmark_ts),
-            })
-        except QuorumError as exc:
-            # The half-made row can already end a walk that enters the
-            # chain above it (a reused key; the NULL-anchor guess of a
-            # re-drive), and that walk's same-key refresh would unmark
-            # it with the old live row never made stale.  Name the row
-            # the retry must enter at instead.
-            exc.interrupted_at = ViewKeyGuess(
-                live_key, live_ts, allow_virtual=live_ts == NULL_TIMESTAMP)
-            raise
+        yield from self._view_put(coordinator, view.name, live_key, {
+            next_col: Cell(new_key, stale_ts),
+        })
+        # Lines 4 and 7 in one Put: the new row, already live, and the
+        # old live row's materialized cells, verbatim (why that is safe:
+        # the module docstring).  The copy runs even when the old live
+        # row is the (possibly virtual) NULL anchor: materialized
+        # updates that propagated before any view-key update park their
+        # cells there.
+        yield from self._view_put(coordinator, view.name, new_key, {
+            next_col: Cell(new_key, live_stamp),
+            **live_cells,
+        })
         return new_key

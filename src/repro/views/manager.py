@@ -82,7 +82,6 @@ class ViewManager:
         self.completed_propagations = 0
         self.lost_propagations = 0
         self.abandoned_propagations = 0
-        self.read_stats = view_read.ViewReadStats()
         self._crash_hooks: List[Callable] = []  # see add_crash_hook
         # One log per node; each starts a process per record as the
         # record's chain becomes free.
@@ -402,8 +401,7 @@ class ViewManager:
         view = self.view(view_name)
         yield from view_read.read_barrier(self, coordinator, view, session)
         results = yield from view_read.view_get(
-            self.env, coordinator, view, view_key, columns, r,
-            stats=self.read_stats)
+            coordinator, view, view_key, columns, r)
         return results
 
     def view_get_fresh(self, coordinator, view_name: str, view_key: Any,
@@ -424,11 +422,9 @@ class ViewManager:
         return result
 
     def freshness_stats(self) -> Dict[str, Any]:
-        """Freshness tracker + SLO + read-path counters."""
+        """Freshness tracker + SLO counters."""
         stats = self.freshness.stats()
         stats["slo"] = self.freshness_slo.stats()
-        stats["init_spins"] = self.read_stats.init_spins
-        stats["init_timeouts"] = self.read_stats.init_timeouts
         return stats
 
     # -- backfill (views defined over populated tables) --------------------------------

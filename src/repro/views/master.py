@@ -201,7 +201,7 @@ class MasterBasedViews:
 
         if new_key != old_key:
             if new_key is not None:
-                # The new live row, unmarked: ordered propagation.
+                # The new live row: ordered propagation.
                 row_cells = {
                     view_column(base_key, NEXT_COLUMN):
                         Cell(new_key, view_timestamp(ts, PHASE_LIVE)),
@@ -263,5 +263,5 @@ class MasterBasedViews:
 
         view = self.view(view_name)
         results = yield from view_read.view_get(
-            self.env, coordinator, view, view_key, tuple(columns), r)
+            coordinator, view, view_key, tuple(columns), r)
         return results

@@ -14,12 +14,13 @@ self-pointing ``Next`` cells, and their requested columns are looked up
 by wide-row name.  (:func:`~repro.views.versioned.split_wide_row`, which
 groups every entry, serves the invariant checkers and the scrubber.)
 
-A live row whose self-pointer is still marked (``is_initializing``) is
-mid-move by a concurrent view-key propagation (Section IV-F): the old
-live row is not stale yet.  The reader spins briefly until the unmark,
-which guarantees it never observes two accessible live rows for one base
-row.  (It could not observe a half-copied one: the copied cells arrive
-in the same apply as the marked pointer.)
+A view Get never waits.  A view-key move makes the old live row stale
+before it writes the new one (Section IV-F without the Init mark, see
+:mod:`repro.views.maintenance`), so the view never holds two live rows
+for one base row — it holds none while a move is between its two Puts,
+which is ordinary staleness — and a reader never sees a half-copied
+one: the copied cells arrive in the same apply as the new row's
+self-pointer.
 
 Both read paths (``ViewManager.view_get`` and the freshness read) run
 :func:`read_barrier`, then :func:`view_get` through this module's
@@ -30,40 +31,18 @@ charge: the Get below pays it, so a view Get is priced like a base Get.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 from repro.common.records import NULL_TIMESTAMP, Cell, ColumnName
-from repro.errors import SessionError, ViewError, ViewInitTimeoutError
+from repro.errors import SessionError, ViewError
 from repro.views.definition import (
     BASE_KEY_COLUMN,
     NEXT_COLUMN,
     ViewDefinition,
 )
-from repro.views.versioned import (
-    NULL_VIEW_KEY,
-    base_timestamp_of,
-    is_initializing,
-)
+from repro.views.versioned import NULL_VIEW_KEY, base_timestamp_of
 
-__all__ = ["ViewReadStats", "ViewResult", "view_get", "live_results",
-           "read_barrier"]
-
-# Spin parameters for marked (initializing) rows.
-_SPIN_INTERVAL = 0.2
-_MAX_SPINS = 2000
-
-
-@dataclass
-class ViewReadStats:
-    """Read-path counters shared by every view Get of one manager.
-
-    ``init_spins`` counts individual waits on a marked row;
-    ``init_timeouts`` counts reads that exhausted the spin budget and
-    raised :class:`~repro.errors.ViewInitTimeoutError`.
-    """
-
-    init_spins: int = 0
-    init_timeouts: int = 0
+__all__ = ["ViewResult", "view_get", "live_results", "read_barrier"]
 
 
 @dataclass(frozen=True)
@@ -84,11 +63,10 @@ class ViewResult:
 
 
 def live_results(view_key: Any, cells: Dict[ColumnName, Cell],
-                 columns: Tuple[ColumnName, ...]
-                 ) -> Optional[List[ViewResult]]:
+                 columns: Tuple[ColumnName, ...]) -> List[ViewResult]:
     """The live entries of the merged wide row ``cells`` stored under
     ``view_key``, as :class:`ViewResult` sorted by ``repr`` of the base
-    key; ``None`` while one of them is still marked.
+    key.
 
     A requested ``B`` reads as the base key with its Next pointer's
     base timestamp; ``Next`` itself is plumbing and reads as unset.
@@ -100,8 +78,6 @@ def live_results(view_key: Any, cells: Dict[ColumnName, Cell],
     live.sort(key=lambda entry: repr(entry[0]))
     results: List[ViewResult] = []
     for base_key, next_cell in live:
-        if is_initializing(next_cell):
-            return None
         values: Dict[ColumnName, Tuple[Any, int]] = {}
         for column in columns:
             if column == BASE_KEY_COLUMN:
@@ -121,34 +97,17 @@ def live_results(view_key: Any, cells: Dict[ColumnName, Cell],
     return results
 
 
-def view_get(env, coordinator, view: ViewDefinition, view_key: Any,
-             columns: Tuple[ColumnName, ...], r: int,
-             stats: Optional[ViewReadStats] = None):
+def view_get(coordinator, view: ViewDefinition, view_key: Any,
+             columns: Tuple[ColumnName, ...], r: int):
     """Algorithm 4: return live rows matching ``view_key``.
 
     A simulation process; yields a list of :class:`ViewResult` sorted by
     base key.  ``r`` is the read quorum for the underlying wide-row Get.
-    Exhausting the spin budget on a marked row raises
-    :class:`~repro.errors.ViewInitTimeoutError` (counted in ``stats``).
     """
     if view_key == NULL_VIEW_KEY:
         raise ViewError("the NULL view key is internal and cannot be read")
-    spins = 0
-    while True:
-        cells = yield from coordinator.get_row(view.name, view_key, r)
-        results = live_results(view_key, cells, columns)
-        if results is not None:
-            return results
-        spins += 1
-        if stats is not None:
-            stats.init_spins += 1
-        if spins > _MAX_SPINS:
-            if stats is not None:
-                stats.init_timeouts += 1
-            raise ViewInitTimeoutError(
-                f"view {view.name!r} row {view_key!r} stuck initializing "
-                f"after {spins - 1} spins")
-        yield env.timeout(_SPIN_INTERVAL)
+    cells = yield from coordinator.get_row(view.name, view_key, r)
+    return live_results(view_key, cells, columns)
 
 
 def read_barrier(manager, coordinator, view: ViewDefinition, session):

@@ -13,9 +13,10 @@ cell and its materialized cells:
 ``(k_B, "Next")``
     The versioning pointer.  A *self-pointer* (value == the row's view
     key) marks the live row; any other value marks a stale row pointing
-    at a more recent view key for ``k_B``.  A self-pointer at
-    ``PHASE_ROW`` is still marked inaccessible (Section IV-F's ``Init``,
-    :func:`is_initializing`); the unmark rewrites it at ``PHASE_LIVE``.
+    at a more recent view key for ``k_B``.  There is no Init mark
+    (Section IV-F's ``Init``): a move points the old row at the new key
+    first and writes the new row already live, so a stale pointer may
+    name a row not written yet (a *cut move*, see :func:`hop_lands`).
 
 The paper's ``B`` column is not stored: readers take the base key from
 the cell names, at the ``Next`` pointer's base timestamp.
@@ -34,13 +35,15 @@ to applications (no client ever Gets the sentinel key).
 Sub-timestamps
 --------------
 
-One base-table update triggers several view Puts (marked row with its
-copied data, stale pointer, unmark) that must apply in intra-propagation
-order even though they share the base update's timestamp.  View cells
-therefore carry *scaled* timestamps ``base_ts * TS_SCALE + phase``: each
-phase beats the lower ones of the same update, any later base update
-beats them all, and a retried Put never overwrites a newer phase (a
-re-sent line 4 cannot re-mark an unmarked row).
+One base-table update triggers several view Puts (stale pointer, new
+live row with its copied data, materialized cells) that share the base
+update's timestamp.  View cells therefore carry *scaled* timestamps
+``base_ts * TS_SCALE + phase``: each phase beats the lower ones of the
+same update, any later base update beats them all, and a retried Put
+never overwrites a newer phase.  Chain order is decided on base
+timestamps alone (:func:`hop_lands`): a finished move leaves the old
+row's pointer at ``(t, PHASE_STALE)`` and the new row's at
+``(t, PHASE_LIVE)``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ __all__ = [
     "PHASE_PRUNE",
     "view_timestamp",
     "base_timestamp_of",
-    "is_initializing",
+    "hop_lands",
     "view_column",
     "split_wide_row",
     "VersionedEntry",
@@ -75,8 +78,8 @@ NULL_VIEW_KEY = "\x00__VIEW_KEY_NULL__"
 # same base update supersede lower ones; all phases stay strictly below
 # any later base update's cells.
 TS_SCALE = 8
-PHASE_ROW = 1      # marked row creation (Alg. 2 line 4), materialized (l. 12)
-PHASE_LIVE = 2     # accessible self-pointer (unmark, same-key refresh)
+PHASE_ROW = 1      # materialized cells (Alg. 2 line 12)
+PHASE_LIVE = 2     # self-pointer (new live row, same-key refresh)
 PHASE_STALE = 3    # stale-marking pointer writes (Alg. 2 lines 8 and 10)
 PHASE_COMPACT = 4  # NULL anchor repointed at the live row (compact_anchor)
 PHASE_PRUNE = 5    # GC pruning tombstones (remove a stale row entirely)
@@ -101,10 +104,19 @@ def base_timestamp_of(view_ts: int) -> int:
     return view_ts // TS_SCALE
 
 
-def is_initializing(next_cell: Cell) -> bool:
-    """True if a live row's ``Next`` cell still marks it inaccessible:
-    a self-pointer at ``PHASE_ROW`` (Algorithm 2 line 4, not unmarked)."""
-    return next_cell.timestamp % TS_SCALE == PHASE_ROW
+def hop_lands(pointer: Cell, target_next: Cell) -> bool:
+    """True if a walk may hop along the stale ``pointer`` (a row's
+    ``Next``, naming key K at base timestamp t) to K, whose own ``Next``
+    is ``target_next``: K holds a pointer at base timestamp >= t, so the
+    move that wrote ``pointer`` wrote K too, or a later move left K.
+
+    Anything else is a *cut move*: the move's line 8 landed and its new
+    row did not (yet).  K then holds no entry, or an older one on a
+    reused key (the a->b@10, b->a@11 "cycle") that must not be walked.
+    """
+    return (not target_next.is_null
+            and base_timestamp_of(target_next.timestamp)
+            >= base_timestamp_of(pointer.timestamp))
 
 
 def view_column(base_key: Hashable, column: ColumnName) -> Tuple:

@@ -26,19 +26,22 @@ on the loopback comes back:
   4.5 on four nodes (4.52 measured; 5.52 while the view read charged
   the coordinator a second time);
 - a view-key Put drained to idle (base Get + Put, outbox record, lock
-  round trips, one-hop chain walk, three view writes) is six quorum
-  rounds — ~17 RPCs, the walk's majority Get asking two replicas, 11.9
-  of them replica writes — ~57 events (68.8 with an event per write's
-  deferred work, ~78 with that and every RPC crossing a link, 81 with
-  the broadcast Get, ~91 with CopyData's own Get, and 200-248 before
-  the RPC path lost its heap hops); a Put that also writes a
-  materialized column adds the line-12 round: ~20 RPCs, 14.9 of them
-  writes, ~65 events (80.2 with an event per deferred charge, ~91 with
-  that over links only, ~108 with CopyData's Get and Put);
+  round trips, one-hop chain walk, two view writes: the stale pointer,
+  then the new live row) is five quorum rounds — ~14 RPCs, the walk's
+  majority Get asking two replicas, 8.9 of them replica writes — ~49
+  events (~57 while a third view write unmarked the new row, 68.8 with
+  that and an event per write's deferred work, ~78 with that and every
+  RPC crossing a link, 81 with the broadcast Get, ~91 with CopyData's
+  own Get, and 200-248 before the RPC path lost its heap hops); a Put
+  that also writes a materialized column adds the line-12 round: ~17
+  RPCs, 11.9 of them writes, ~57 events (~66 with the unmark, 80.2
+  with that and an event per deferred charge, ~91 with that over links
+  only, ~108 with CopyData's Get and Put);
 - the same view-key Put through the coordinator that last moved the row
   (each client re-keying rows of its own) skips the chain walk's Get:
-  five quorum rounds — ~15 RPCs, 12 of them writes — ~52 events (64.3
-  with an event per deferred charge, ~72 with that over links only).
+  four quorum rounds — ~12 RPCs, 9 of them writes — ~44 events (~52
+  with the unmark, 64.3 with that and an event per deferred charge, ~72
+  with that over links only).
 
 Each test's name keeps the budget it was given when every RPC crossed a
 link and every deferred charge was an event; the bound it asserts is
@@ -117,38 +120,40 @@ def test_view_get_costs_at_most_5_events_per_op():
 
 def test_view_key_put_costs_at_most_95_events_drained_to_idle():
     """Nothing ever writes ``payload`` here, so the copy is empty: what
-    this budget pins is that CopyData's Get is gone (56.9 measured, 68.8
-    with an event per deferred charge, 77.7 with that and every RPC over
-    a link)."""
+    this budget pins is that CopyData's Get and the unmark are gone
+    (48.9 measured, 57.2 with the unmark, 68.8 with that and an event
+    per deferred charge, 77.7 with that and every RPC over a link)."""
 
     def operation(handle, rng, i):
         return handle.put("T", rng.randrange(200),
                           {"sec": f"s{rng.randrange(1000)}"})
 
-    assert events_per_op(_view_cluster(), operation) <= 62
+    assert events_per_op(_view_cluster(), operation) <= 53
 
 
 def test_view_key_and_payload_put_costs_at_most_105_events_drained_to_idle():
     """Every move after a key's first copies a ``payload`` cell, so
-    CopyData's Put is gone too (65.3 measured, 80.2 with an event per
-    deferred charge, 90.4 with that and every RPC over a link)."""
+    CopyData's Put is gone too (57.4 measured, 65.7 with the unmark,
+    80.2 with that and an event per deferred charge, 90.4 with that and
+    every RPC over a link)."""
 
     def operation(handle, rng, i):
         return handle.put("T", rng.randrange(200),
                           {"sec": f"s{rng.randrange(1000)}",
                            "payload": f"p{i}"})
 
-    assert events_per_op(_view_cluster(), operation) <= 72
+    assert events_per_op(_view_cluster(), operation) <= 63
 
 
 def test_repeat_view_key_put_by_the_same_coordinator_costs_at_most_79_events():
     """Each client re-keys five rows of its own, so nine moves in ten
     find the live row held by their coordinator and make no view-table
-    Get (52.3 measured, 64.3 with an event per deferred charge, 71.9
-    with that and every RPC over a link; 56.9 when every move walks)."""
+    Get (43.9 measured, 52.4 with the unmark, 64.3 with that and an
+    event per deferred charge, 71.9 with that and every RPC over a link;
+    48.9 when every move walks)."""
 
     def operation(handle, rng, i):
         return handle.put("T", (handle.client_id, i % 5),
                           {"sec": f"s{rng.randrange(1000)}"})
 
-    assert events_per_op(_view_cluster(), operation) <= 58
+    assert events_per_op(_view_cluster(), operation) <= 48

@@ -12,11 +12,18 @@ pops but not when anything completes.  It runs on the default
 sampled before instead of after a neighbour's forward delay — shifts
 every later timestamp and fails it.
 
-Last re-recorded when a view entry shrank from four cells (``B``,
-``Next``, ``Init``, payload) to two (``Next``, payload; the Init mark
-became a phase of the self-pointer's timestamp), which was meant to
-move the simulation: every view-row write and whole-row read is
-charged for fewer cells.  The first op to differ is the seventh to
+Last re-recorded when a view-key move lost its third view round: the
+old row is made stale first and the new row is written already live,
+so the Init mark and its unmark Put are gone, which was meant to move
+the simulation.  The first op to differ is the ninth to complete:
+client 0's third (a view Get, R = 2), now at 2.4124 ms instead of
+2.4037.  The last op completes at 75.28 ms instead of 86.02.
+
+Before that it was re-recorded when a view entry shrank from four cells
+(``B``, ``Next``, ``Init``, payload) to two (``Next``, payload; the
+Init mark became a phase of the self-pointer's timestamp), which was
+meant to move the simulation: every view-row write and whole-row read
+is charged for fewer cells.  The first op to differ is the seventh to
 complete: client 1's second (a view Get, R = 2), now at 1.8012 ms
 instead of 1.8272.  The last op completes at 86.02 ms instead of 87.93.
 

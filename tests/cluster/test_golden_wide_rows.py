@@ -12,12 +12,22 @@ complete at the same ``repr``-exact instant, return the same results
 (rows and staleness certificates) and leave byte-identical base and
 view tables.
 
-Last re-recorded when a view entry shrank from four cells (``B``,
-``Next``, ``Init``, payload) to two (``Next``, payload; the Init mark
-became a phase of the self-pointer's timestamp), which was meant to
-move the simulation: every view-row write and whole-row read is
-charged for fewer cells, so the wide rows here read about half as
-wide.  The first op to differ is the tenth to complete: client 1's
+Last re-recorded when a view-key move lost its third view round: the
+old row is made stale first and the new row is written already live,
+so the Init mark, its unmark Put and the readers' spin on it are gone,
+which was meant to move the simulation.  The first op to differ is the
+tenth to complete: client 1's fourth (a W = 1 Put), now at 2.4056 ms
+instead of 2.4511.  The last op completes at 260.99 ms instead of
+291.54.  Views now lag less: at the old 5 ms bound no bounded read
+escalated (5 of 100 did before), so the bound went to 4 ms, where 7
+escalate.
+
+Before that it was re-recorded when a view entry shrank from four
+cells (``B``, ``Next``, ``Init``, payload) to two (``Next``, payload;
+the Init mark became a phase of the self-pointer's timestamp), which
+was meant to move the simulation: every view-row write and whole-row
+read is charged for fewer cells, so the wide rows here read about half
+as wide.  The first op to differ is the tenth to complete: client 1's
 fourth (a W = 1 Put), now at 2.4511 ms instead of 2.4535.  The last op
 completes at 291.54 ms instead of 343.73.
 
@@ -51,7 +61,7 @@ OPS_PER_CLIENT = 150
 KEYS = 64
 VIEW_KEYS = 3
 KINDS = ("put", "get_view", "put", "get", "put", "get_view_fresh")
-BOUND_MS = 5.0
+BOUND_MS = 4.0  # low enough that some bounded reads escalate
 
 
 def _row(result):
@@ -116,8 +126,7 @@ def test_wide_row_timeline_matches_the_recording_exactly():
         assert got == want
     assert actual == golden
     # What the recording is for: tens of stale entries in every view row,
-    # Init-marked rows met by readers, and bounded reads both served
-    # from the view and escalated.
+    # and bounded reads both served from the view and escalated.
     rows = cluster.converged_rows("V")
     for view_key in (f"s{n}" for n in range(VIEW_KEYS)):
         nexts = [cell.value for (_base, column), cell in rows[view_key].items()
@@ -125,7 +134,6 @@ def test_wide_row_timeline_matches_the_recording_exactly():
         stale = sum(1 for value in nexts if value != view_key)
         assert stale >= 20, (view_key, stale, len(nexts))
     stats = cluster.view_manager.freshness_stats()
-    assert stats["init_spins"] > 0
     assert stats["slo"]["bound_hits"] > 0 and stats["slo"]["escalations"] > 0
 
 

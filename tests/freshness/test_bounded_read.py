@@ -194,10 +194,11 @@ def test_reordered_records_from_two_coordinators_open_no_wound():
 
 def test_an_interrupted_move_wounds_its_chain_until_repropagated(
         monkeypatch):
-    """A view-key move cut short after line 4 leaves a half-made row
-    another coordinator's walk could finish wrongly: the chain is
-    wounded from the record's append, bounded reads compensate the key,
-    and a re-propagation of the row heals it."""
+    """A view-key move cut after line 8 (its line-4 Put fails) wounds
+    nothing: the base row has no live row until the retry's walk
+    finishes the move, and meanwhile the key lags only through its
+    record's own ``outbox-lag`` source.  The retry heals it, so a
+    bounded read afterwards needs no compensation."""
     cluster, client = build()
     client.put("T", "k1", {"sec": "s1", "payload": "p0"}, w=2, timestamp=10)
     client.settle()
@@ -208,8 +209,8 @@ def test_an_interrupted_move_wounds_its_chain_until_repropagated(
     puts = []
 
     def view_put(coordinator, view_name, view_key, cells):
-        puts.append(view_key)
-        if len(puts) == 2:  # line 8 of the move s1 -> s2
+        puts.append((view_key, tracker.sources("V")))
+        if len(puts) == 2:  # line 4 of the move s1 -> s2, after line 8
             raise QuorumError("injected", required=2, received=0)
         yield from real_put(coordinator, view_name, view_key, cells)
 
@@ -217,26 +218,19 @@ def test_an_interrupted_move_wounds_its_chain_until_repropagated(
     client.put("T", "k1", {"sec": "s2"}, w=2, timestamp=20)
     appended_at = tracer.events("base_put")[-1].at
     client.settle()
-    assert puts[:2] == ["s2", "s1"]
+    assert [key for key, _sources in puts] == ["s1", "s2", "s2", "s2"]
+    # The retry's first Put finishes the cut move; until then the key
+    # lagged through its record alone.
+    assert puts[2][1] == [StaleSource("k1", appended_at, "outbox-lag")]
     assert manager.completed_propagations == 2  # the retry finished it
-    assert tracker.sources("V") == [
-        StaleSource("k1", appended_at, "move-interrupted")]
+    assert tracker.sources("V") == []
+    assert tracker.stats()["wounds_opened"] == 0
 
-    cluster.run(until=cluster.env.now + 50.0)
     fresh = client.get_view_fresh("V", "s2", COLUMNS, r=2,
                                   max_staleness_ms=5.0)
-    assert fresh.escalated
-    assert fresh.compensated_keys == ("k1",)
+    assert not fresh.escalated
     assert [res["payload"] for res in fresh] == ["p0"]
-
-    repair = cluster.env.process(drive.repropagate_row(
-        manager, cluster.coordinator(0), manager.view("V"), "k1"))
-    cluster.run(until=repair)
-    assert tracker.open_wounds == 0
-    assert tracker.wounds_healed == 1
-    healed = client.get_view_fresh("V", "s2", COLUMNS, r=2,
-                                   max_staleness_ms=5.0)
-    assert not healed.escalated
+    assert client.get_view("V", "s1", COLUMNS, r=2) == []
 
 
 def test_session_records_the_served_certificate():

@@ -83,6 +83,26 @@ entry to differ.  ``stop()``'s heal (four ``restore_node_speed`` calls
 and the arrival scale) moved to 716.97 ms.  Every other run is
 identical.
 
+Re-recorded when a view-key move lost its third view round (the old
+row is made stale first, the new row is written already live, and
+readers no longer wait out an Init mark).  Every fault dealt before
+each run's final heal is unchanged; what moved is when the workload
+ends.  Partition-storm ends at 1391.53 ms instead of 1945.68 (its
+readers no longer spin on marked rows across partitions), so the first
+entry to differ is ``stop()`` healing partition (2, 3) at 1391.53 ms,
+which the storm used to heal itself at 1407.65 ms, and the storm's
+eleven later partitions, and their heals, are no longer dealt.  Stacked ends at 2192.63 ms
+instead of 2127.13, so its first entry to differ is a newly dealt
+``fail_node(1)`` at 2132.55 ms, before the final heal.  In the other
+stacks only ``stop()``'s final heal moved, and it is the first entry to
+differ: gray-failure 716.97 to 714.03 ms, clock-skew 524.73 to 520.96,
+crash-loop 624.93 to 621.29, crash-storm 651.97 to 649.24,
+burst-arrivals 384.97 to 388.67.  E2 and E6 crash on a propagation
+count, so each crash moved by at most 0.15 ms; the first entry to
+differ is E2's first crash (scrubber off), 233.5809 to 233.5613 ms.
+The shrunk reproducer and the fuzz schedules are identical, and every
+run loses as many propagations as before.
+
 Re-record (only for a change that is *meant* to move the faults)::
 
     PYTHONPATH=src python tests/scenarios/test_fault_timeline.py

@@ -93,9 +93,11 @@ def test_storms_actually_escalate(monkeypatch):
     # the link, then 5, 6, 10 and 12 once it served itself in process.
     # Since a view entry is two cells, not four, every view-row read
     # and apply is cheaper, so the runs take other paths: seed 5 now
-    # escalates on outbox lag alone, 6, 10 and 12 lose nothing, and the
-    # rule picks 2, 13, 14 and 18.
-    for seed in (2, 13, 14, 18):
+    # escalated on outbox lag alone, 6, 10 and 12 lost nothing, and the
+    # rule picked 2, 13, 14 and 18.  A view-key move is one quorum round
+    # shorter since the Init mark went, so the runs moved again: seed 18
+    # now also escalates on outbox lag, and the rule picks 3, 6, 7 and 16.
+    for seed in (3, 6, 7, 16):
         scenario, result = run_storm(seed=seed, ops=140,
                                      bounded_fraction=0.4)
         slo = result.stats["freshness"]["slo"]

@@ -107,5 +107,5 @@ class DirectDriver:
     def get_view(self, view_key, columns, r=2):
         from repro.views.read import view_get
 
-        return self.run(view_get(self.cluster.env, self.coordinator,
-                                 self.view, view_key, tuple(columns), r))
+        return self.run(view_get(self.coordinator, self.view, view_key,
+                                 tuple(columns), r))

@@ -9,13 +9,7 @@ from repro.common import Cell
 from repro.errors import ViewError
 from repro.views import ViewDefinition, ViewKeyGuess, drive
 from repro.views.maintenance import ViewMaintainer
-from repro.views.read import view_get
-from repro.views.versioned import (
-    PHASE_LIVE,
-    PHASE_ROW,
-    PHASE_STALE,
-    view_timestamp,
-)
+from repro.views.versioned import PHASE_STALE, view_timestamp
 
 from tests.views.conftest import make_config
 
@@ -35,11 +29,13 @@ def plant(cluster, view_key, cells):
 
 
 def test_pointer_cycle_detected_not_infinite():
-    """A (corrupt) pointer cycle must raise, not walk forever."""
+    """A (corrupt) pointer cycle must raise, not walk forever.  Its two
+    pointers share a base timestamp, so every hop lands: a rising pair
+    (a -> b @ 10, b -> a @ 11) is a legal cut move, not a cycle."""
     cluster = build()
     # a -> b -> a, neither live.
     plant(cluster, "a", {("k", "Next"): Cell("b", view_timestamp(10, PHASE_STALE))})
-    plant(cluster, "b", {("k", "Next"): Cell("a", view_timestamp(11, PHASE_STALE))})
+    plant(cluster, "b", {("k", "Next"): Cell("a", view_timestamp(10, PHASE_STALE))})
     maintainer = ViewMaintainer(cluster)
     coordinator = cluster.coordinator(0)
 
@@ -50,55 +46,6 @@ def test_pointer_cycle_detected_not_infinite():
 
     process = cluster.env.process(proc())
     cluster.env.run(until=process)
-
-
-def test_stuck_init_marker_times_out_reader():
-    """A mark (self-pointer at PHASE_ROW) that never clears must
-    eventually raise, not spin forever."""
-    cluster = build()
-    plant(cluster, "a", {
-        ("k", "Next"): Cell("a", view_timestamp(10, PHASE_ROW)),
-    })
-    coordinator = cluster.coordinator(0)
-
-    def proc():
-        with pytest.raises(ViewError):
-            yield from view_get(cluster.env, coordinator, VIEW, "a",
-                                ("m",), 2)
-
-    process = cluster.env.process(proc())
-    cluster.env.run(until=process)
-
-
-def test_reader_waits_out_a_clearing_init_marker():
-    """A mark that DOES clear (the unmark rewrites the self-pointer at
-    PHASE_LIVE) releases the spinning reader."""
-    cluster = build()
-    plant(cluster, "a", {
-        ("k", "Next"): Cell("a", view_timestamp(10, PHASE_ROW)),
-        ("k", "m"): Cell("x", view_timestamp(10, PHASE_ROW)),
-    })
-    coordinator = cluster.coordinator(0)
-    env = cluster.env
-    outcome = {}
-
-    def reader():
-        rows = yield from view_get(env, coordinator, VIEW, "a", ("m",), 2)
-        outcome["rows"] = rows
-        outcome["at"] = env.now
-
-    def clearer():
-        yield env.timeout(5.0)
-        plant(cluster, "a", {
-            ("k", "Next"): Cell("a", view_timestamp(10, PHASE_LIVE)),
-        })
-
-    rp = env.process(reader())
-    env.process(clearer())
-    env.run(until=rp)
-    cluster.run_until_idle()
-    assert outcome["at"] >= 5.0
-    assert [r["m"] for r in outcome["rows"]] == ["x"]
 
 
 def test_propagation_gives_up_loudly_after_max_rounds(monkeypatch):

@@ -15,7 +15,7 @@ from repro.views import (
     merged_view_state,
 )
 from repro.views.invariants import entries_for_base_key, merged_view_rows
-from repro.views.versioned import PHASE_ROW, PHASE_STALE, view_timestamp
+from repro.views.versioned import PHASE_LIVE, PHASE_STALE, view_timestamp
 
 from tests.views.conftest import make_config
 
@@ -44,8 +44,8 @@ def test_clean_state_has_no_violations():
 
 def test_detects_two_live_rows():
     cluster, _client = build()
-    plant(cluster, "a", {("k", "Next"): Cell("a", view_timestamp(10, PHASE_ROW))})
-    plant(cluster, "b", {("k", "Next"): Cell("b", view_timestamp(20, PHASE_ROW))})
+    plant(cluster, "a", {("k", "Next"): Cell("a", view_timestamp(10, PHASE_LIVE))})
+    plant(cluster, "b", {("k", "Next"): Cell("b", view_timestamp(20, PHASE_LIVE))})
     violations = check_view(cluster, VIEW)
     assert any("exactly one live row" in v for v in violations)
 
@@ -60,22 +60,22 @@ def test_detects_zero_live_rows():
 
 def test_detects_dangling_pointer():
     cluster, _client = build()
-    plant(cluster, "live", {("k", "Next"): Cell("live", view_timestamp(30, PHASE_ROW))})
+    plant(cluster, "live", {("k", "Next"): Cell("live", view_timestamp(30, PHASE_LIVE))})
     plant(cluster, "stale", {("k", "Next"): Cell("missing", view_timestamp(10, PHASE_STALE))})
     violations = check_view(cluster, VIEW)
     assert any("missing row" in v for v in violations)
 
 
-def test_detects_lingering_init_marker():
-    cluster, client = build()
-    client.put("T", "k", {"vk": "a"})
-    client.settle()
-    # The Init mark: a self-pointer at PHASE_ROW, newer than the row's.
-    plant(cluster, "a", {("k", "Next"): Cell("a", view_timestamp(10 ** 15, PHASE_ROW))})
+def test_detects_an_unfinished_cut_move():
+    """A stale pointer to a row that holds only an older entry (the
+    move's line 8 landed, its new row did not) is a cut move: a walk
+    must not follow it, and after quiescence none may be left."""
+    cluster, _client = build()
+    plant(cluster, "live", {("k", "Next"): Cell("live", view_timestamp(30, PHASE_LIVE))})
+    plant(cluster, "x", {("k", "Next"): Cell("y", view_timestamp(20, PHASE_STALE))})
+    plant(cluster, "y", {("k", "Next"): Cell("live", view_timestamp(10, PHASE_STALE))})
     violations = check_view(cluster, VIEW)
-    assert any("Init" in v for v in violations)
-    # allow_initializing suppresses exactly that class.
-    assert check_view(cluster, VIEW, allow_initializing=True) == []
+    assert violations == ["base key 'k': cut move 'x' → 'y' left unfinished"]
 
 
 def test_detects_wrong_live_key_against_oracle():

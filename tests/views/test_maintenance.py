@@ -20,9 +20,15 @@ from repro.views import (
     collect_entries,
     collect_stale_rows,
 )
+from repro.views import drive
 from repro.views.drive import propagate_with_retries, repropagate_row
 from repro.views.read import view_get
-from repro.views.versioned import is_initializing
+from repro.views.versioned import (
+    PHASE_LIVE,
+    PHASE_STALE,
+    TS_SCALE,
+    view_timestamp,
+)
 
 from tests.views.conftest import DirectDriver, make_config
 
@@ -408,18 +414,18 @@ def _count_one_move(monkeypatch, mover_is_the_holder: bool):
 def test_view_key_move_sends_17_rpcs_four_view_rounds(monkeypatch):
     """The cost of one view-key move through the whole stack at default
     config, N = 3, by a coordinator that does not hold the live row (a
-    different one made it live): base Get + base Put + new row + stale
-    pointer + Init unmark = 5 x 3 RPCs, and the chain walk (one hop), a
-    majority Get that asks two replicas, not three: 17.  It was 18
-    while a Get was broadcast — PR 24 moved this count on purpose; the
-    base Get stays a broadcast because Algorithm 1 wants every
-    replica's view-key version.  CopyData has no round of its own (it
-    was a Get and a Put: 24 RPCs)."""
+    different one made it live): base Get + base Put + stale pointer +
+    new live row = 4 x 3 RPCs, and the chain walk (one hop), a majority
+    Get that asks two replicas, not three: 14 RPCs in three view rounds.
+    It was 17 while the new row was written marked and then unmarked
+    (the Init mark, one more Put), and 18 while a Get was broadcast; the
+    base Get stays a broadcast because Algorithm 1 wants every replica's
+    view-key version.  CopyData has no round of its own (it was a Get
+    and a Put: 24 RPCs)."""
     sent, view_rounds, client = _count_one_move(
         monkeypatch, mover_is_the_holder=False)
-    assert sent == 17
-    assert view_rounds == [
-        "scatter_read", "scatter_write", "scatter_write", "scatter_write"]
+    assert sent == 14
+    assert view_rounds == ["scatter_read", "scatter_write", "scatter_write"]
     (row,) = client.get_view("V", "b", ["payload"])
     assert (row.base_key, row["payload"]) == ("k", "p")
     assert client.get_view("V", "a", ["payload"]) == []
@@ -428,13 +434,15 @@ def test_view_key_move_sends_17_rpcs_four_view_rounds(monkeypatch):
 def test_repeat_view_key_move_by_the_same_executor_sends_15_rpcs_three_view_rounds(
         monkeypatch):
     """The coordinator that made the row live moves it again, nobody
-    having held the chain in between: base Get + base Put + new row +
-    stale pointer + Init unmark = (2 + 3) x 3 RPCs, and no read of the
-    view table at all — the copied payload comes from what it wrote."""
+    having held the chain in between: base Get + base Put + stale
+    pointer + new live row = (2 + 2) x 3 = 12 RPCs in two view rounds
+    (15 and three while the Init mark cost an unmark), and no read of
+    the view table at all — the copied payload comes from what it
+    wrote."""
     sent, view_rounds, client = _count_one_move(
         monkeypatch, mover_is_the_holder=True)
-    assert sent == 15
-    assert view_rounds == ["scatter_write", "scatter_write", "scatter_write"]
+    assert sent == 12
+    assert view_rounds == ["scatter_write", "scatter_write"]
     (row,) = client.get_view("V", "b", ["payload"])
     assert (row.base_key, row["payload"]) == ("k", "p")
     assert client.get_view("V", "a", ["payload"]) == []
@@ -442,14 +450,17 @@ def test_repeat_view_key_move_by_the_same_executor_sends_15_rpcs_three_view_roun
 
 def test_new_row_appears_with_its_copied_cells_and_init_in_one_apply(driver):
     """At every replica the apply that first makes Next visible on the
-    new row also carries the copied materialized cell, and that Next is
-    the Init mark (a self-pointer at PHASE_ROW): there is no half-copied
-    row for the mark to hide."""
+    new row is already live (a self-pointer at PHASE_LIVE: there is no
+    Init mark to clear) and also carries the copied materialized cell,
+    and it is sent only after line 8 — the old row's stale pointer —
+    has its majority: the new row never appears beside a live old one,
+    nor without its data."""
     _moved_row(driver)
     cluster = driver.cluster
     replicas = cluster.replicas_for("V", "b")
+    old_replicas = cluster.replicas_for("V", "a")
     first_applies = {}
-    after_line_4 = {}
+    stale_when_sent = []
     for replica in replicas:
         real = replica.engine.apply
 
@@ -463,29 +474,26 @@ def test_new_row_appears_with_its_copied_cells_and_init_in_one_apply(driver):
     real_put = driver.maintainer._view_put
 
     def view_put(coordinator, view_name, view_key, cells):
+        if view_key == "b" and not stale_when_sent:
+            stale_when_sent.extend(
+                replica.node_id for replica in old_replicas
+                if replica.engine.read_row("V", "a")[("k", "Next")].value
+                == "b")
         yield from real_put(coordinator, view_name, view_key, cells)
-        if view_key == "b" and not after_line_4:
-            # Line 4 has its majority; line 8 has not been sent.
-            after_line_4.update(
-                (replica.node_id, replica.engine.read_row("V", "b"))
-                for replica in replicas)
 
     driver.maintainer._view_put = view_put
     driver.base_put("k", {"vk": "b"}, 20)
     driver.propagate("k", driver.guess("a", 10), {"vk": "b"}, 20)
 
+    assert len(stale_when_sent) >= 2            # line 8's majority, maybe all
     assert set(first_applies) == {replica.node_id for replica in replicas}
     for cells in first_applies.values():
         assert set(cells) == {("k", "Next"), ("k", "m")}
+        assert cells[("k", "Next")].value == "b"
+        assert cells[("k", "Next")].timestamp % TS_SCALE == PHASE_LIVE
         # Verbatim: the value and the *old row's* scaled timestamp.
         assert cells[("k", "m")].value == "payload"
         assert cells[("k", "m")].timestamp < cells[("k", "Next")].timestamp
-        assert is_initializing(cells[("k", "Next")])
-    written = [row for row in after_line_4.values() if row]
-    assert len(written) >= 2                    # a majority, maybe all
-    for row in written:
-        assert row[("k", "m")].value == "payload"
-        assert is_initializing(row[("k", "Next")])
     assert driver.maintainer.metrics.rows_copied == 1
 
 
@@ -501,7 +509,7 @@ def test_view_get_racing_a_move_never_sees_the_new_row_without_its_data(
         coordinator = driver.cluster.coordinator(1)
         while not seen or seen[-1][0] != "b":
             for view_key in ("a", "b"):
-                rows = yield from view_get(env, coordinator, VIEW, view_key,
+                rows = yield from view_get(coordinator, VIEW, view_key,
                                            ("m",), 2)
                 seen.extend((view_key, row["m"]) for row in rows)
             yield env.timeout(0.01)
@@ -572,7 +580,7 @@ def test_only_a_view_key_update_reads_the_copy_columns(driver):
 
 
 # ---------------------------------------------------------------------------
-# Three rounds when the executor holds the row: what the fence is for
+# Two rounds when the executor holds the row: what the fence is for
 # ---------------------------------------------------------------------------
 
 
@@ -640,9 +648,8 @@ class ManagedChain:
         return check_view(self.cluster, VIEW, self.reference)
 
     def get_view(self, view_key):
-        rows = self.run(view_get(self.cluster.env,
-                                 self.cluster.coordinator(2), VIEW, view_key,
-                                 ("m",), 2))
+        rows = self.run(view_get(self.cluster.coordinator(2), VIEW,
+                                 view_key, ("m",), 2))
         return [(row.base_key, row["m"]) for row in rows]
 
 
@@ -673,32 +680,36 @@ def test_a_move_by_another_coordinator_fences_the_held_row():
 
 
 def test_a_round_that_fails_after_line_4_walks_on_its_retry():
-    """The held row is popped before use and stored again only by a
-    move that ran to its end: the retry of one cut short after line 4
-    makes the Get."""
+    """A move cut at its line-4 Put, after line 8 made ``a`` point at
+    ``b``.  The held row is popped before use and stored again only by a
+    move that ran to its end, so the retry makes the Get — and its walk
+    finishes the cut move itself (the hop ``a`` -> ``b`` does not land:
+    ``b`` holds no entry), then takes the same-key refresh.  A refresh
+    stores nothing, so the next move walks too."""
     chain = ManagedChain()
     chain.propagate(A, {"vk": "a", "m": "p"}, 10, None)
-    chain.fail_view_put(2)  # line 8 of the next move
+    chain.fail_view_put(2)  # line 4 of the next move
     assert chain.propagate(A, {"vk": "b"}, 20, ("a", 10)) == (1, 1)
     assert chain.metrics.retry_rounds == 1
     assert chain.violations() == []
     assert chain.get_view("b") == [("k", "p")]
-    # The completed retry stored what it made live.
-    assert chain.propagate(A, {"vk": "c"}, 30, ("b", 20)) == (0, 1)
+    assert chain.get_view("a") == []
+    assert chain.propagate(A, {"vk": "c"}, 30, ("b", 20)) == (1, 0)
 
 
 def test_the_retry_of_an_interrupted_move_enters_at_the_row_it_was_leaving():
     """``b`` -> ``a`` reuses a key *above* the live row, driven from the
-    NULL anchor as every re-drive is, and is cut short after line 4.  A
-    retry from the same guess would end its walk at the half-made ``a``
-    (anchor -> ``a``, now self-pointing), refresh it and unmark it with
-    ``b`` never made stale: two accessible live rows.  The retry enters
-    at ``b`` instead and finishes the move."""
+    NULL anchor as every re-drive is, and is cut after line 8: ``b``
+    points at ``a`` @ 30 while ``a`` still holds its older stale pointer
+    back at ``b`` @ 20, a rising "cycle".  The retry needs no resume
+    point: from the same guess (the anchor, repointed at ``b`` by the
+    first attempt's three-hop walk) the hop ``b`` -> ``a`` does not land,
+    so the walk finishes the move there, ``a`` live with ``b``'s cells."""
     chain = ManagedChain()
     chain.propagate(A, {"vk": "a", "m": "p"}, 10, None)
     chain.propagate(B, {"vk": "b"}, 20, ("a", 10))
-    chain.fail_view_put(2)
-    assert chain.propagate(A, {"vk": "a"}, 30, None) == (4, 0)
+    chain.fail_view_put(3)  # after the anchor's repoint and line 8
+    assert chain.propagate(A, {"vk": "a"}, 30, None) == (5, 0)
     assert chain.violations() == []
     assert chain.get_view("a") == [("k", "p")]
     assert chain.get_view("b") == []
@@ -834,3 +845,99 @@ def test_a_walk_from_a_stale_guess_repoints_nothing():
     assert chain.get_view("d") == [("k", "q")]
     assert chain.violations() == []
 
+
+
+# ---------------------------------------------------------------------------
+# Cut moves: line 8 landed, the new row did not
+# ---------------------------------------------------------------------------
+
+
+def cut_move(chain, source, target, ts):
+    """Commit ``vk = target`` at ``ts`` to the base table and plant only
+    its move's line 8 — ``source`` points at ``target`` — on every
+    replica, as a move cut between its two Puts leaves it."""
+    coordinator = chain.cluster.coordinator(A)
+    chain.run(coordinator.put("B", "k", {"vk": Cell.make(target, ts)}, 3))
+    for replica in chain.cluster.replicas_for("V", source):
+        replica.engine.apply("V", source, {
+            ("k", "Next"): Cell(target, view_timestamp(ts, PHASE_STALE))})
+    chain.reference.propagate(BaseUpdate("k", "vk", target, ts))
+
+
+def cut_moves(chain):
+    """``(left, target, finished)`` of every cut move a walk met."""
+    return [(event.fields["left"], event.fields["target"],
+             event.fields["finished"])
+            for event in chain.cluster.tracer.events("chain")
+            if event.message == "cut move"]
+
+
+# Re-drives and retries run on a coordinator that holds no live row.
+C = 2
+
+
+def redrive(chain):
+    chain.run(repropagate_row(chain.manager, chain.cluster.coordinator(C),
+                              VIEW, "k"))
+
+
+def retry(chain, guess, values, ts):
+    chain.run(propagate_with_retries(
+        chain.manager, chain.cluster.coordinator(C), VIEW, "B", "k",
+        [ViewKeyGuess(*guess)], values, ts))
+
+
+@pytest.mark.parametrize("entry", ["anchor", "left row", "reused key"])
+def test_a_walk_finishes_a_cut_move_once_from_any_entry_point(
+        entry, monkeypatch):
+    """A move cut after line 8 leaves J pointing at K, where K holds no
+    entry, or (a reused key) an older stale one pointing back at J.  A
+    walk follows a pointer only to a row whose own pointer is at least
+    as new, so a view-key move's walk stops at J and finishes the move:
+    K live at the cut's timestamp with J's cells.  Walked from the NULL
+    anchor (a re-drive), from J, or from K itself, it does so once and
+    leaves exactly one live row."""
+    monkeypatch.setattr(drive, "MAX_ROUNDS", 3)
+    chain = ManagedChain()
+    chain.cluster.enable_tracing()
+    chain.propagate(A, {"vk": "a", "m": "p"}, 10, None)
+    if entry == "reused key":
+        chain.propagate(B, {"vk": "b"}, 20, ("a", 10))
+        cut_move(chain, "b", "a", 30)   # a -> b @ 20, b -> a @ 30
+        left, target = "b", "a"
+        retry(chain, ("a", 30), {"vk": "a"}, 30)
+    else:
+        cut_move(chain, "a", "b", 20)
+        left, target = "a", "b"
+        if entry == "anchor":
+            redrive(chain)
+        else:
+            retry(chain, ("a", 10), {"vk": "b"}, 20)
+    assert cut_moves(chain) == [(left, target, True)]
+    assert chain.violations() == []
+    assert chain.get_view(target) == [("k", "p")]
+    assert chain.get_view(left) == []
+    redrive(chain)
+    assert len(cut_moves(chain)) == 1
+    assert chain.violations() == []
+
+
+def test_a_payload_update_on_a_cut_chain_lands_on_the_row_left(monkeypatch):
+    """A materialized-only propagation shares the chain, so its walk
+    must not finish a cut move (another shared holder could be writing
+    the row it would copy).  It writes J, which still holds the row's
+    cells, and the move's finish later copies the new cell on."""
+    monkeypatch.setattr(drive, "MAX_ROUNDS", 3)
+    chain = ManagedChain()
+    chain.cluster.enable_tracing()
+    chain.propagate(A, {"vk": "a", "m": "p"}, 10, None)
+    cut_move(chain, "a", "b", 20)
+    chain.propagate(B, {"m": "q"}, 25, ("a", 10))
+    assert cut_moves(chain) == [("a", "b", False)]
+    assert collect_entries(chain.cluster, VIEW)["k"]["a"].cells[
+        "m"].value == "q"
+    assert chain.get_view("b") == []
+    retry(chain, ("a", 10), {"vk": "b"}, 20)
+    assert cut_moves(chain)[1:] == [("a", "b", True)]
+    assert chain.get_view("b") == [("k", "q")]
+    assert chain.violations() == []

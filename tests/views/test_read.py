@@ -10,7 +10,7 @@ from repro.errors import ViewError
 from repro.views import NULL_VIEW_KEY, ViewDefinition, split_wide_row
 from repro.views.definition import BASE_KEY_COLUMN, NEXT_COLUMN
 from repro.views.read import ViewResult, live_results
-from repro.views.versioned import base_timestamp_of, is_initializing
+from repro.views.versioned import base_timestamp_of
 
 from tests.views.conftest import make_config
 
@@ -155,14 +155,12 @@ def test_many_base_rows_under_one_view_key():
 
 def decode_by_splitting(view_key, cells, columns):
     """Algorithm 4's decode as it was before :func:`live_results`: split
-    the row into every entry, keep the live ones; ``None`` if one of
-    them is still marked.  The reference the decode is compared with."""
+    the row into every entry, keep the live ones.  The reference the
+    decode is compared with."""
     results = []
     for entry in split_wide_row(view_key, cells):
         if not entry.is_live:
             continue
-        if is_initializing(entry.next_cell):
-            return None
         values = {}
         for column in columns:
             if column == BASE_KEY_COLUMN:
@@ -193,7 +191,7 @@ column_cells = st.one_of(
     st.none(), st.just(Cell.null()),
     stamps.map(lambda ts: Cell.make(None, ts)),
     st.tuples(st.text(max_size=2), stamps).map(lambda vt: Cell.make(*vt)))
-# A live pointer's stamp runs over every phase, so some are marked.
+# A live pointer's stamp runs over every phase.
 next_cells = st.one_of(
     st.none(),                                                 # no pointer
     stamps.map(lambda ts: Cell.make(ROW_KEY, ts)),             # live
@@ -237,7 +235,7 @@ def test_live_entry_decode_returns_live_rows_in_repr_order():
         (10, NEXT_COLUMN): Cell.make(ROW_KEY, 24),
         (2, NEXT_COLUMN): Cell.make("elsewhere", 8),    # stale
         (2, "m"): Cell.make("stale", 8),
-        (3, NEXT_COLUMN): Cell.make(ROW_KEY, 42),       # unmarked
+        (3, NEXT_COLUMN): Cell.make(ROW_KEY, 42),
         (3, "m"): Cell.make(None, 40),
     }
     rows = live_results(ROW_KEY, cells, ("m", BASE_KEY_COLUMN))
@@ -247,5 +245,7 @@ def test_live_entry_decode_returns_live_rows_in_repr_order():
         ViewResult(10, {"m": (None, NULL_TIMESTAMP), "B": (10, 3)}),
         ViewResult(3, {"m": (None, 5), "B": (3, 5)}),
     ]
-    cells[("b", NEXT_COLUMN)] = Cell.make(ROW_KEY, 17)  # marked
-    assert live_results(ROW_KEY, cells, ("m",)) is None
+    # A self-pointer is live at any phase: there is no Init mark.
+    cells[("b", NEXT_COLUMN)] = Cell.make(ROW_KEY, 17)
+    assert [row.base_key for row in live_results(ROW_KEY, cells, ("m",))
+            ] == ["b", 10, 3]
