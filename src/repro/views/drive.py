@@ -37,8 +37,9 @@ from repro.views.maintenance import ViewKeyGuess
 from repro.views.outbox import NodeOutbox
 from repro.views.versioned import PHASE_STALE, view_column, view_timestamp
 
-__all__ = ["process_record", "propagate_with_retries", "repropagate_row",
-           "MAX_ROUNDS", "RETRY_BACKOFF", "RETRY_BACKOFF_CAP"]
+__all__ = ["process_record", "holds_live_rows", "propagate_with_retries",
+           "repropagate_row", "MAX_ROUNDS", "RETRY_BACKOFF",
+           "RETRY_BACKOFF_CAP"]
 
 # Rounds of guesses (or of base reads, for a re-drive) before a
 # propagation is abandoned to the scrubber: about 1.5 s of backoff.
@@ -86,10 +87,12 @@ def process_record(manager, outbox: NodeOutbox, record):
         # propagation starts only after the Get has heard from all
         # copies of the base row, or timed out).  A coalesced record
         # carries its riders' sources too, widening the guess set.
+        # A Put that skipped its read (holds_live_rows) has no collector.
         gathered = []
         for collector, extract in record.sources:
-            responses = yield collector.settled
-            gathered.append((responses, extract))
+            if collector is not None:
+                responses = yield collector.settled
+                gathered.append((responses, extract))
         # Scheduling delay: maintenance work queues behind other
         # maintenance work.
         yield manager.env.timeout(
@@ -110,11 +113,12 @@ def process_record(manager, outbox: NodeOutbox, record):
                 ViewKeyGuess.from_cell(
                     view, extract(response, view.view_key_column))
                 for responses, extract in gathered for response in responses)
-            if manager.skew.enabled:
+            if manager.skew.enabled or len(gathered) < len(record.sources):
                 # The row a guess names may have been folded away on
-                # another node and never be written: rather than sleep
-                # on for it, end every round at the entry points that
-                # need no luck.
+                # another node and never be written, and a Put that
+                # skipped its read named none: rather than sleep on for
+                # it, end every round at the entry points that need no
+                # luck.
                 guesses.extend(_sure_guesses(manager, outbox, view, key))
             yield from propagate_with_retries(
                 manager, coordinator, view, record.table, key, guesses,
@@ -170,9 +174,31 @@ def _sure_guesses(manager, outbox: NodeOutbox, view: ViewDefinition,
     then the never-written NULL, whose anchor is as many hops from the
     live row as the row has moved since the last serialized walk from
     it repointed it (see :func:`repropagate_row`)."""
-    held = manager.maintainer.held_guess(outbox.node_id, view, key)
+    held = manager.maintainer.held_row(outbox.node_id, view, key)
     pristine = ViewKeyGuess.from_cell(view, None)
-    return [pristine] if held is None else [held, pristine]
+    return ([pristine] if held is None
+            else [ViewKeyGuess(held.live_key, held.live_ts), pristine])
+
+
+def holds_live_rows(manager, node_id: int, views: List[ViewDefinition],
+                    key: Hashable):
+    """True if ``node_id`` holds each view's live row for ``key`` at
+    its chain's current turn (``ViewManager.peek_sequencer``), a process.
+    Each record of a Put made now would then skip its walk and never
+    read Algorithm 1's guesses, so ``base_put`` skips the Get that
+    collects them.  The peek is a prediction: if another job takes the
+    chain first, the record walks from :func:`_sure_guesses`.  It runs
+    only if the node holds a row for every view."""
+    held = [manager.maintainer.held_row(node_id, view, key)
+            for view in views]
+    if None in held or [row.turn for row in held] != (
+            yield from manager.peek_sequencer(views, key)):
+        return False
+    manager.maintainer.metrics.reads_skipped += 1
+    for view, row in zip(views, held):
+        manager.cluster.trace("chain", "base read skipped", view=view.name,
+                              base_key=key, live=row.live_key)
+    return True
 
 
 def _maybe_crash(manager, coordinator, view: ViewDefinition, key: Hashable,

@@ -50,7 +50,8 @@ safe:
 
 Two rounds when the executor holds the row.  A move that ran to its
 end leaves, in the executor node's volatile memory, what it made live:
-``(live key, live base timestamp, non-null materialized cells, turn)``.
+a :class:`HeldRow` ``(live key, live base timestamp, non-null
+materialized cells, turn)``.
 ``turn`` is the chain's fencing token: ``ViewManager.serialized`` numbers
 the jobs of a ``(view, base key)`` chain in the order they start, and
 every chain writer — outbox records (folded ones too), scrub repair,
@@ -71,6 +72,17 @@ view-key propagation on that node for that chain skips line 1's Get iff
   propagation to walk.  Only moves store: a same-key refresh or a
   not-newer insert leaves the live row as some earlier writer made it.
 
+The walk is the only reader of Algorithm 1's guesses, so a base Put
+whose coordinator holds each affected chain's row at the chain's
+current turn skips that every-replica Get too
+(``views.drive.holds_live_rows``): a repeat move is three quorum
+rounds in all, base Put, line 8 and line 4.  The turn it compares is a
+peek (``ViewManager.peek_sequencer``), a prediction and not a fence:
+the check above, at the record's own turn, still decides.  When
+another job took the chain in between, the record, which has no
+guesses of its own, walks from the held row, then from the NULL
+anchor.
+
 Path compression: a serialized walk from the NULL anchor (every
 re-drive's entry point) of more than two hops ends by repointing the
 anchor at the live row, :meth:`ViewMaintainer.compact_anchor`, which GC
@@ -82,7 +94,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, NamedTuple, Optional, Tuple
 
 from repro.common.quorum import majority
 from repro.common.records import NULL_TIMESTAMP, Cell, ColumnName, cell_wins
@@ -100,7 +112,7 @@ from repro.views.versioned import (
     view_timestamp,
 )
 
-__all__ = ["ViewKeyGuess", "PropagationMetrics", "ViewMaintainer"]
+__all__ = ["ViewKeyGuess", "HeldRow", "PropagationMetrics", "ViewMaintainer"]
 
 # Safety bound on chain walks: a cycle would indicate a maintenance bug,
 # so fail loudly rather than spin forever.
@@ -136,6 +148,16 @@ class ViewKeyGuess:
         return ViewKeyGuess(cell.value, cell.timestamp)
 
 
+class HeldRow(NamedTuple):
+    """What a node's last move of a chain made live (module docstring,
+    *Two rounds when the executor holds the row*)."""
+
+    live_key: Any
+    live_ts: int
+    cells: Tuple[Tuple[ColumnName, Cell], ...]  # non-null, materialized
+    turn: int  # the move's fencing token (ViewManager.serialized)
+
+
 @dataclass
 class PropagationMetrics:
     """Counters describing maintenance work (used by the skew analysis)."""
@@ -146,6 +168,7 @@ class PropagationMetrics:
     retry_rounds: int = 0
     chain_hops: int = 0  # Gets the chain walks made
     walks_skipped: int = 0  # propagations whose executor held the live row
+    reads_skipped: int = 0  # base Puts whose coordinator held every live row
     rows_copied: int = 0  # view-key moves that carried materialized cells
 
     def hops_per_propagation(self) -> float:
@@ -165,19 +188,18 @@ class ViewMaintainer:
         self.quorum = majority(cluster.config.replication_factor)
         self.metrics = PropagationMetrics()
         # What each node's last view-key move left live, per view:
-        # ``node id -> view name -> {base key: (live key, live base ts,
-        # ((column, cell), ...), turn)}``.  Volatile coordinator memory
-        # (see :meth:`forget_node`), consumed by :meth:`propagate_update`.
-        self._held: Dict[int, Dict[str, Dict[Hashable, tuple]]] = (
+        # ``node id -> view name -> {base key: HeldRow}``.  Volatile
+        # coordinator memory (see :meth:`forget_node`), consumed by
+        # :meth:`propagate_update`.
+        self._held: Dict[int, Dict[str, Dict[Hashable, HeldRow]]] = (
             defaultdict(lambda: defaultdict(dict)))
 
-    def held_guess(self, node_id: int, view: ViewDefinition,
-                   base_key: Hashable) -> Optional[ViewKeyGuess]:
-        """The row ``node_id``'s last move of the chain made live, as a
-        guess.  No fence needed for that: the row exists, and the live
-        row is as many hops on as others have moved it since."""
-        entry = self._held[node_id][view.name].get(base_key)
-        return None if entry is None else ViewKeyGuess(entry[0], entry[1])
+    def held_row(self, node_id: int, view: ViewDefinition,
+                 base_key: Hashable) -> Optional[HeldRow]:
+        """The row ``node_id``'s last move of the chain made live.  It
+        exists, and the live row is as many hops on as others have
+        moved it since; whether that is none is what ``turn`` tells."""
+        return self._held[node_id][view.name].get(base_key)
 
     def forget_node(self, node_id: int) -> None:
         """Drop every live row ``node_id`` holds: a crashed coordinator
@@ -323,12 +345,12 @@ class ViewMaintainer:
         # the turn that stored it, and only if this one succeeds.
         held = self._held[coordinator.node.node_id][view.name]
         entry = held.pop(base_key, None)
-        if moves_key and entry is not None and entry[3] + 1 == turn:
+        if moves_key and entry is not None and entry.turn + 1 == turn:
             # Line 1 without the Get: nobody has held the chain since
             # this node made ``live_key`` live, so the row is what it
             # wrote.
-            live_key, live_ts, cells, _ = entry
-            live_cells = dict(cells)
+            live_key, live_ts = entry.live_key, entry.live_ts
+            live_cells = dict(entry.cells)
             self.metrics.walks_skipped += 1
             self.cluster.trace("chain", "live row held", view=view.name,
                                base_key=base_key, live=live_key)
@@ -378,8 +400,8 @@ class ViewMaintainer:
             for column, cell in materialized.items():
                 if cell_wins(cell, live_cells.get(column)):
                     live_cells[column] = cell
-            held[base_key] = (target_key, base_ts,
-                              tuple(live_cells.items()), turn)
+            held[base_key] = HeldRow(target_key, base_ts,
+                                     tuple(live_cells.items()), turn)
         return target_key
 
     def _propagate_view_key(self, coordinator, view: ViewDefinition,

@@ -5,7 +5,9 @@ base-table Put touches view-relevant columns (paper Algorithm 1):
 
 1. read the current view-key versions from the base row's replicas (all
    versions, not just the latest) — combined with the Put into one
-   replica round trip when ``combined_get_then_put`` is enabled;
+   replica round trip when ``combined_get_then_put`` is enabled, and
+   skipped when no record would read them: the coordinator holds each
+   chain's live row at its current turn (``drive.holds_live_rows``);
 2. perform the base Put and acknowledge the client at W replicas;
 3. append the committed update to the coordinator node's
    :class:`~repro.views.outbox.NodeOutbox`.
@@ -41,7 +43,7 @@ from repro.freshness.slo import FreshnessSLO
 from repro.views import read as view_read
 from repro.views.backfill import backfill
 from repro.views.definition import ViewDefinition
-from repro.views.drive import process_record
+from repro.views.drive import holds_live_rows, process_record
 from repro.views.locks import LockService
 from repro.views.maintenance import ViewMaintainer
 from repro.views.outbox import NodeOutbox
@@ -212,10 +214,12 @@ class ViewManager:
         read_columns = tuple(dict.fromkeys(
             view.view_key_column for view in affected))
         combined = self.config.combined_get_then_put
-        if not combined:
+        collector = None
+        if not combined and not (yield from holds_live_rows(
+                self, coordinator.node.node_id, affected, key)):
             # The prototype's two-step path (Alg. 1 lines 2-3): Get the
             # current view keys — every replica's version, so all N are
-            # asked — then Put.
+            # asked — then Put.  Skipped when no record would use them.
             collector = coordinator.scatter_read(table, key, read_columns, w,
                                                  every_replica=True)
             yield collector.wait(w)
@@ -306,6 +310,14 @@ class ViewManager:
         finally:
             self.locks.release(view.name, key, exclusive)
         return result
+
+    def peek_sequencer(self, views: List[ViewDefinition], key: Hashable):
+        """The turn :meth:`serialized` last handed out on each view's chain
+        for ``key`` (0 before any), a process: a prediction, not a fence;
+        under locks, one round trip to the lock service's sequencer."""
+        if self.propagators is None and self.locks.latency:
+            yield self.env.timeout(self.locks.latency)
+        return [self._turns[view.name].get(key, 0) for view in views]
 
     def chain_epoch(self, view_name: str, key: Hashable):
         """The chain's epoch — (records ever appended, jobs ever started

@@ -22,7 +22,9 @@ record describes one Put's effect on one view:
 values (``None`` for tombstones); ``sources`` are the response
 collectors of the base-row round trips that observed the pre-update
 view keys (Algorithm 1's guesses are extracted from them when the
-record runs, after every replica has answered or timed out).
+record runs, after every replica has answered or timed out).  A Put
+that skipped that read, its coordinator holding the live row, appends
+a source with no collector (``views.drive.holds_live_rows``).
 
 Coalescing rule
 ---------------
@@ -137,8 +139,9 @@ class OutboxRecord:
         # Simulated append time: the freshness subsystem measures a
         # record's staleness contribution from here until it resolves.
         self.appended_at = appended_at
-        # (collector, extract) pairs; grows when superseded records fold
-        # their observed view-key versions into the winner's guess set.
+        # (collector, extract) pairs, collector None for a Put that
+        # skipped its read; grows when superseded records fold their
+        # observed view-key versions into the winner's guess set.
         self.sources: List[Tuple[object, object]] = [source]
         self.completion = completion
         self.riders: List[Event] = []

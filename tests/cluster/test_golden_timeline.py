@@ -12,12 +12,21 @@ pops but not when anything completes.  It runs on the default
 sampled before instead of after a neighbour's forward delay — shifts
 every later timestamp and fails it.
 
-Last re-recorded when a view-key move lost its third view round: the
-old row is made stale first and the new row is written already live,
-so the Init mark and its unmark Put are gone, which was meant to move
-the simulation.  The first op to differ is the ninth to complete:
-client 0's third (a view Get, R = 2), now at 2.4124 ms instead of
-2.4037.  The last op completes at 75.28 ms instead of 86.02.
+Last re-recorded when a base Put whose coordinator holds the chain's
+live row at the chain's current turn began to skip Algorithm 1's
+every-replica Get (its record skips the walk, the only reader of those
+guesses), which was meant to move the simulation: a repeat move by the
+same coordinator is three quorum rounds, not four.  The first op to
+differ is the 31st to complete: client 0's tenth (a view-key Put,
+W = 2), now at 8.6945 ms instead of 9.2263.  The last op completes at
+77.41 ms instead of 75.28.
+
+Before that it was re-recorded when a view-key move lost its third
+view round: the old row is made stale first and the new row is written
+already live, so the Init mark and its unmark Put are gone, which was
+meant to move the simulation.  The first op to differ is the ninth to
+complete: client 0's third (a view Get, R = 2), now at 2.4124 ms
+instead of 2.4037.  The last op completes at 75.28 ms instead of 86.02.
 
 Before that it was re-recorded when a view entry shrank from four cells
 (``B``, ``Next``, ``Init``, payload) to two (``Next``, payload; the

@@ -12,15 +12,22 @@ complete at the same ``repr``-exact instant, return the same results
 (rows and staleness certificates) and leave byte-identical base and
 view tables.
 
-Last re-recorded when a view-key move lost its third view round: the
-old row is made stale first and the new row is written already live,
-so the Init mark, its unmark Put and the readers' spin on it are gone,
-which was meant to move the simulation.  The first op to differ is the
-tenth to complete: client 1's fourth (a W = 1 Put), now at 2.4056 ms
-instead of 2.4511.  The last op completes at 260.99 ms instead of
-291.54.  Views now lag less: at the old 5 ms bound no bounded read
-escalated (5 of 100 did before), so the bound went to 4 ms, where 7
-escalate.
+Last re-recorded when a base Put whose coordinator holds the chain's
+live row at the chain's current turn began to skip Algorithm 1's
+every-replica Get, which was meant to move the simulation.  The first
+op to differ is the 43rd to complete: client 0's twelfth (a bounded
+``get_view_fresh``), now at 13.6670 ms instead of 13.6193.  The last op
+completes at 253.81 ms instead of 260.99.
+
+Before that it was re-recorded when a view-key move lost its third
+view round: the old row is made stale first and the new row is written
+already live, so the Init mark, its unmark Put and the readers' spin
+on it are gone, which was meant to move the simulation.  The first op
+to differ is the tenth to complete: client 1's fourth (a W = 1 Put),
+now at 2.4056 ms instead of 2.4511.  The last op completes at 260.99 ms
+instead of 291.54.  Views now lag less: at the old 5 ms bound no
+bounded read escalated (5 of 100 did before), so the bound went to
+4 ms, where 7 escalate.
 
 Before that it was re-recorded when a view entry shrank from four
 cells (``B``, ``Next``, ``Init``, payload) to two (``Next``, payload;

@@ -103,6 +103,32 @@ differ is E2's first crash (scrubber off), 233.5809 to 233.5613 ms.
 The shrunk reproducer and the fuzz schedules are identical, and every
 run loses as many propagations as before.
 
+Re-recorded when a base Put whose coordinator holds the chain's live
+row at the chain's current turn began to skip Algorithm 1's
+every-replica Get.  Every fault dealt before each E4 run's final heal
+is unchanged, except where a run now ends before a fault it used to
+deal; what moved is when the workload ends.  Partition-storm ends at
+1355.30 ms instead of 1391.53, so its first entry to differ is
+``stop()``'s heal (four ``restore_node_speed`` calls and the arrival
+scale) at 1355.30 ms, and the storm's partition (2, 3) at 1374.03 ms
+and its heal are no longer dealt.  Crash-loop ends at 585.47 ms,
+before its crash of node 0 at 588.75, so that crash and its recovery
+are no longer dealt.  Stacked ends at 2133.36 ms, before its partition
+(1, 2) at 2135.95, which with every fault after it is no longer dealt;
+``stop()`` recovers node 1 there instead of its revival at 2166.44.
+In the other stacks only ``stop()``'s final heal moved, and it is the
+first entry to differ: gray-failure 714.03 to 697.06 ms (now before
+node 3's scheduled restore at 712.84, which ``stop()`` deals instead),
+clock-skew 520.96 to 517.58, crash-storm 649.24 to 644.69,
+burst-arrivals 388.67 to 374.99.  E2 and E6 crash on a propagation
+count, so their crashes moved, E2's by at most 1.87 ms and E6's by at
+most 0.10 ms; the first entry to differ is each run's first crash,
+E2's (scrubber off) 233.5613 to 233.0880 ms.  Fuzz seed 1's first lost propagation crashes node 3 at
+204.529 ms instead of 204.479: that propagation's Put peeked at its
+chain's turn, found it moved on and read anyway, one lock-service
+round trip (0.05 ms) later.  The shrunk reproducer and fuzz seed 11
+are identical, and every run loses as many propagations as before.
+
 Re-record (only for a change that is *meant* to move the faults)::
 
     PYTHONPATH=src python tests/scenarios/test_fault_timeline.py

@@ -8,6 +8,15 @@ propagation runs, and records any difference between what the walk
 returns and what the executor remembered: live key, live timestamp and
 the non-null materialized cells must be identical.
 
+A base Put whose coordinator holds every touched chain's live row at
+the chain's current turn skips Algorithm 1's Get
+(``views.drive.holds_live_rows``), on a prediction that its record will
+skip the walk.  The wrapper also sorts those records by how the
+prediction fared when each first reached ``propagate_update``: the
+fence held (no job on the chain since the move), or it broke (another
+job took the chain first, so the record walked from the held row or
+the NULL anchor).  Both must occur, and every run must stay clean.
+
 Run over the adversary x eager/adaptive matrix and over fuzzed
 histories, under both serializers — the fuzzer and the matrix
 themselves run only ``"locks"``.  Tier 2 (the CI ``scenarios`` job).
@@ -26,7 +35,7 @@ from repro.scenarios import (
     generate_schedule,
     replay_schedule,
 )
-from repro.views import ViewKeyGuess, skew
+from repro.views import ViewKeyGuess, manager, skew
 from repro.views.maintenance import ViewMaintainer
 from repro.views.versioned import view_column
 
@@ -47,23 +56,36 @@ def faster_tick(monkeypatch):
 def shadow(monkeypatch):
     """Wrap ``propagate_update``: on a hit, first walk from the held row
     with the columns CopyData reads and compare.  An adversary may eat
-    the extra Get (``QuorumError``); that hit goes uncompared."""
-    seen = SimpleNamespace(hits=0, compared=0, mismatches=[])
+    the extra Get (``QuorumError``); that hit goes uncompared.  Records
+    whose Put skipped its read are known by their ``update_values``,
+    the dict a record's process hands ``propagate_update``."""
+    seen = SimpleNamespace(hits=0, compared=0, mismatches=[], readless={},
+                           fence_held=0, fence_broken=0)
     real = ViewMaintainer.propagate_update
+    real_process = manager.process_record
+
+    def watched(view_manager, outbox, record):
+        if any(collector is None for collector, _ in record.sources):
+            seen.readless[id(record.update_values)] = record
+        return real_process(view_manager, outbox, record)
 
     def shadowed(self, coordinator, view, base_key, guess, update_values,
                  base_ts, turn=None):
         entry = self._held[coordinator.node.node_id][view.name].get(base_key)
-        if (entry is not None and view.view_key_column in update_values
-                and entry[3] + 1 == turn):
+        fenced = entry is not None and entry.turn + 1 == turn
+        if seen.readless.pop(id(update_values), None) is not None:
+            if fenced:
+                seen.fence_held += 1
+            else:
+                seen.fence_broken += 1
+        if fenced and view.view_key_column in update_values:
             seen.hits += 1
-            live_key, live_ts, cells, _ = entry
             columns = tuple(view_column(base_key, column)
                             for column in view.materialized_columns)
             try:
                 key, ts, merged = yield from self.get_live_key(
                     coordinator, view, base_key,
-                    ViewKeyGuess(live_key, live_ts), columns)
+                    ViewKeyGuess(entry.live_key, entry.live_ts), columns)
             except QuorumError:
                 pass
             except PropagationError as exc:
@@ -73,13 +95,15 @@ def shadow(monkeypatch):
                 walked = (key, ts, {
                     column: cell for column, cell in merged.items()
                     if cell.timestamp != NULL_TIMESTAMP})
-                if walked != (live_key, live_ts, dict(cells)):
+                if walked != (entry.live_key, entry.live_ts,
+                              dict(entry.cells)):
                     seen.mismatches.append((base_key, entry, walked))
         result = yield from real(self, coordinator, view, base_key, guess,
                                  update_values, base_ts, turn)
         return result
 
     monkeypatch.setattr(ViewMaintainer, "propagate_update", shadowed)
+    monkeypatch.setattr(manager, "process_record", watched)
     return seen
 
 
@@ -103,6 +127,9 @@ def test_every_hit_equals_its_walk_across_the_scenario_matrix(shadow,
             assert shadow.mismatches == [], (stack_name, overrides)
             # Not vacuous, cell by cell.
             assert shadow.compared > before, (stack_name, overrides)
+    # A skipped read whose prediction held, and one whose fence broke.
+    assert shadow.fence_held > 0
+    assert shadow.fence_broken > 0
 
 
 @pytest.mark.parametrize("serializer", SERIALIZERS)
@@ -116,3 +143,5 @@ def test_every_hit_equals_its_walk_across_fuzzed_histories(shadow,
         assert shadow.mismatches == [], seed
     assert shadow.compared > 0
     assert shadow.hits >= shadow.compared
+    assert shadow.fence_held > 0
+    assert shadow.fence_broken > 0

@@ -383,7 +383,8 @@ def _moved_row(driver):
 def _count_one_move(monkeypatch, mover_is_the_holder: bool):
     """Load ``k`` under ``a`` through one coordinator, then move it to
     ``b`` through the same one or another; returns ``(RPCs sent,
-    view-table round kinds, a client)`` for the move alone."""
+    view-table round kinds, base-table reads, a client)`` for the move
+    alone."""
     from repro.cluster import ClusterConfig
     from repro.cluster.coordinator import Coordinator
 
@@ -408,7 +409,8 @@ def _count_one_move(monkeypatch, mover_is_the_holder: bool):
     mover.put("T", "k", {"sec": "b"})
     mover.settle()
     return (cluster.network.messages_sent - sent,
-            sorted(kind for table, kind in rounds if table == "V"), mover)
+            sorted(kind for table, kind in rounds if table == "V"),
+            rounds.count(("T", "scatter_read")), mover)
 
 
 def test_view_key_move_sends_17_rpcs_four_view_rounds(monkeypatch):
@@ -422,10 +424,11 @@ def test_view_key_move_sends_17_rpcs_four_view_rounds(monkeypatch):
     base Get stays a broadcast because Algorithm 1 wants every replica's
     view-key version.  CopyData has no round of its own (it was a Get
     and a Put: 24 RPCs)."""
-    sent, view_rounds, client = _count_one_move(
+    sent, view_rounds, base_reads, client = _count_one_move(
         monkeypatch, mover_is_the_holder=False)
     assert sent == 14
     assert view_rounds == ["scatter_read", "scatter_write", "scatter_write"]
+    assert base_reads == 1
     (row,) = client.get_view("V", "b", ["payload"])
     assert (row.base_key, row["payload"]) == ("k", "p")
     assert client.get_view("V", "a", ["payload"]) == []
@@ -434,15 +437,18 @@ def test_view_key_move_sends_17_rpcs_four_view_rounds(monkeypatch):
 def test_repeat_view_key_move_by_the_same_executor_sends_15_rpcs_three_view_rounds(
         monkeypatch):
     """The coordinator that made the row live moves it again, nobody
-    having held the chain in between: base Get + base Put + stale
-    pointer + new live row = (2 + 2) x 3 = 12 RPCs in two view rounds
-    (15 and three while the Init mark cost an unmark), and no read of
-    the view table at all — the copied payload comes from what it
-    wrote."""
-    sent, view_rounds, client = _count_one_move(
+    having held the chain in between: base Put + stale pointer + new
+    live row = 3 x 3 = 9 RPCs in two view rounds, and no read of the
+    view table or the base table at all — the copied payload comes from
+    what it wrote, and Algorithm 1's Get, whose guesses only a walk
+    would read, is skipped (``views.drive.holds_live_rows``).  It was 12
+    while that Get was made, and 15 and three view rounds while the
+    Init mark cost an unmark."""
+    sent, view_rounds, base_reads, client = _count_one_move(
         monkeypatch, mover_is_the_holder=True)
-    assert sent == 12
+    assert sent == 9
     assert view_rounds == ["scatter_write", "scatter_write"]
+    assert base_reads == 0
     (row,) = client.get_view("V", "b", ["payload"])
     assert (row.base_key, row["payload"]) == ("k", "p")
     assert client.get_view("V", "a", ["payload"]) == []
@@ -768,7 +774,8 @@ def test_a_move_that_outlives_its_coordinators_crash_leaves_nothing_held():
 
 def test_a_propagation_lost_to_a_coordinator_crash_leaves_nothing_held():
     """The crash path runs no Algorithm 2 at all: the row A holds after
-    it is still the one its last completed move made live."""
+    it is still the one its last completed move made live, so the lost
+    Put and the next one both skip their base read on it."""
     cluster = Cluster(make_config())
     cluster.create_table("B")
     cluster.create_view(VIEW)
@@ -787,8 +794,168 @@ def test_a_propagation_lost_to_a_coordinator_crash_leaves_nothing_held():
     client.settle()
     assert [(event.message, event.fields["live"])
             for event in cluster.tracer.events("chain")] == [
-        ("live row held", "a"), ("live row held", "b")]
+        ("live row held", "a"), ("base read skipped", "b"),
+        ("base read skipped", "b"), ("live row held", "b")]
     assert check_view(cluster, VIEW) == []
+
+
+# ---------------------------------------------------------------------------
+# Three rounds when the coordinator holds the row: Algorithm 1's Get skipped
+# ---------------------------------------------------------------------------
+
+
+def _base_reads(monkeypatch, cluster):
+    """Log the table of every Algorithm 1 Get (an every-replica read)
+    any coordinator of ``cluster`` sends from now on."""
+    from repro.cluster.coordinator import Coordinator
+
+    reads = []
+    real = Coordinator.scatter_read
+
+    def counted(self, table, *args, every_replica=False, **kwargs):
+        if every_replica:
+            reads.append(table)
+        return real(self, table, *args, every_replica=every_replica,
+                    **kwargs)
+
+    monkeypatch.setattr(Coordinator, "scatter_read", counted)
+    return reads
+
+
+def _chain_cluster(*views, **overrides):
+    cluster = Cluster(make_config(**overrides))
+    cluster.create_table("B")
+    for view in views or (VIEW,):
+        cluster.create_view(view)
+    return cluster
+
+
+@pytest.mark.parametrize("serializer", ["locks", "propagators"])
+def test_a_repeat_move_by_the_holder_sends_no_base_read(monkeypatch,
+                                                        serializer):
+    """The coordinator (under propagators: the row's propagator) that
+    made the row live moves it again: its record will skip the walk,
+    the only reader of Algorithm 1's guesses, so the Put skips the Get
+    that collects them."""
+    cluster = _chain_cluster(propagation_concurrency=serializer)
+    manager = cluster.view_manager
+    holder = (A if serializer == "locks"
+              else manager.propagators.propagator_for("V", "k"))
+    client = cluster.sync_client(holder)
+    reads = _base_reads(monkeypatch, cluster)
+    client.put("B", "k", {"vk": "a", "m": "p"})
+    client.settle()
+    assert reads == ["B"]  # nothing held yet
+    for view_key in "bcd":
+        client.put("B", "k", {"vk": view_key})
+        client.settle()
+    metrics = manager.maintainer.metrics
+    assert reads == ["B"]
+    assert (metrics.reads_skipped, metrics.walks_skipped) == (3, 3)
+    assert check_view(cluster, VIEW) == []
+    assert [(row.base_key, row["m"])
+            for row in client.get_view("V", "d", ["m"])] == [("k", "p")]
+
+
+def test_a_put_whose_held_row_another_coordinators_move_fenced_reads(
+        monkeypatch):
+    """A holds ``a`` at turn 1; B's move takes turn 2.  A's next Put
+    peeks, finds the chain moved on, and makes Algorithm 1's Get."""
+    cluster = _chain_cluster()
+    reads = _base_reads(monkeypatch, cluster)
+    holder, other = cluster.sync_client(A), cluster.sync_client(B)
+    holder.put("B", "k", {"vk": "a", "m": "p"})
+    holder.settle()
+    other.put("B", "k", {"vk": "b"})
+    other.settle()
+    holder.put("B", "k", {"vk": "c"})
+    holder.settle()
+    assert reads == ["B", "B", "B"]
+    assert cluster.view_manager.maintainer.metrics.reads_skipped == 0
+    assert check_view(cluster, VIEW) == []
+    assert [row.base_key for row in holder.get_view("V", "c", ["m"])] == [
+        "k"]
+
+
+def test_a_put_that_skipped_its_read_and_lost_the_race_walks_from_the_held_row():
+    """A's Put of ``b`` @ 20 skips its read on the strength of its peek,
+    and B's move to ``c`` @ 30 takes the chain before A's record does.
+    The fence breaks, so the record walks — from ``a``, the row A holds,
+    which B moved on — and enters ``b`` stale behind the newer ``c``."""
+    cluster = _chain_cluster()
+    manager = cluster.view_manager
+    maintainer = manager.maintainer
+    reference = ReferenceViewModel(VIEW)
+    env = cluster.env
+
+    def put(node, values, ts):
+        coordinator = cluster.coordinator(node)
+        cells = {column: Cell.make(value, ts)
+                 for column, value in values.items()}
+        env.run(until=env.process(
+            manager.base_put(coordinator, "B", "k", cells, 3)))
+        for column, value in values.items():
+            reference.propagate(BaseUpdate("k", column, value, ts))
+
+    walks = []
+    real_walk = maintainer.get_live_key
+
+    def walk(coordinator, view, base_key, guess, *args, **kwargs):
+        walks.append((coordinator.node.node_id, guess.key))
+        return (yield from real_walk(coordinator, view, base_key, guess,
+                                     *args, **kwargs))
+
+    maintainer.get_live_key = walk
+    put(A, {"vk": "a", "m": "p"}, 10)
+    cluster.run_until_idle()
+    # B's base write lands first, unpropagated; then A's Put skips its
+    # read and B's job is handed the chain while A's record still waits
+    # out its scheduling delay.
+    coordinator_b = cluster.coordinator(B)
+    env.run(until=env.process(coordinator_b.put(
+        "B", "k", {"vk": Cell.make("c", 30)}, 3)))
+    reference.propagate(BaseUpdate("k", "vk", "c", 30))
+    put(A, {"vk": "b"}, 20)
+    assert maintainer.metrics.reads_skipped == 1
+    env.process(propagate_with_retries(
+        manager, coordinator_b, VIEW, "B", "k",
+        [ViewKeyGuess("a", 10)], {"vk": "c"}, 30))
+    cluster.run_until_idle()
+    assert walks == [(A, NULL_VIEW_KEY), (B, "a"), (A, "a")]
+    assert maintainer.metrics.walks_skipped == 0
+    assert check_view(cluster, VIEW, reference) == []
+    client = cluster.sync_client(2)
+    assert [(row.base_key, row["m"])
+            for row in client.get_view("V", "c", ["m"])] == [("k", "p")]
+    assert client.get_view("V", "b", ["m"]) == []
+
+
+def test_a_table_with_two_views_reads_unless_both_chains_are_held_current(
+        monkeypatch):
+    """One Get serves every view the Put touches, so it is skipped only
+    if the coordinator holds each touched chain's live row at its
+    current turn."""
+    second = ViewDefinition("W", "B", "wk", ("m",))
+    cluster = _chain_cluster(VIEW, second)
+    reads = _base_reads(monkeypatch, cluster)
+    holder, other = cluster.sync_client(A), cluster.sync_client(B)
+    metrics = cluster.view_manager.maintainer.metrics
+
+    def put(client, values):
+        before = (len(reads), metrics.reads_skipped)
+        client.put("B", "k", values)
+        client.settle()
+        return len(reads) - before[0], metrics.reads_skipped - before[1]
+
+    assert put(holder, {"vk": "a", "wk": "x", "m": "p"}) == (1, 0)
+    assert put(holder, {"vk": "b", "wk": "y"}) == (0, 1)
+    assert put(other, {"wk": "z"}) == (1, 0)  # W's chain moves on
+    assert put(holder, {"vk": "c", "wk": "w"}) == (1, 0)  # W is fenced
+    assert put(holder, {"vk": "d"}) == (0, 1)  # V alone, held current
+    # W's record walked and made ``w`` live: A holds both again.
+    assert put(holder, {"vk": "e", "wk": "v"}) == (0, 1)
+    assert check_view(cluster, VIEW) == []
+    assert check_view(cluster, second) == []
 
 
 # ---------------------------------------------------------------------------
