@@ -12,13 +12,14 @@ per-node log.  This experiment measures that behaviour directly:
    subset through a single coordinator.
 4. Stop the clients and let the backlog *drain*.
 
-A sampler records the total outbox queue depth and watermark lag on a
-fixed cadence through all three phases.  Expected shape: depth ~0 while
-steady, climbing during the burst but **bounded** by
-``max_pending_propagations`` (backpressure throttles producers; hot-key
-coalescing collapses superseded refreshes), then decaying to zero during
-drain — after which the view shows **zero residual divergence** from the
-base table (the backlog was lag, never loss).
+A sampler records the total outbox queue depth and the count of
+unresolved records on a fixed cadence through all three phases.
+Expected shape: depth ~0 while steady, climbing during the burst but
+**bounded** by ``max_pending_propagations`` (backpressure throttles
+producers; hot-key coalescing collapses superseded refreshes), then
+decaying to zero during drain — after which the view shows **zero
+residual divergence** from the base table (the backlog was lag, never
+loss).
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def run_burst(config, *, keys: int, steady_ops: int, burst_ops: int,
         done[0] = True
 
     start = env.now
-    curve = []  # (phase, time_ms, queue_depth, watermark_lag)
+    curve = []  # (phase, time_ms, queue_depth, unresolved)
     peak = {"steady": 0, "burst": 0, "drain": 0}
 
     def sampler():
@@ -163,7 +164,7 @@ def run(params: Optional[ExperimentParams] = None) -> FigureResult:
         figure="Extension E3",
         title="Outbox queue depth over time: steady load, "
               f"{params.outburst_burst_factor:.0f}x write burst, drain",
-        columns=("phase", "time_ms", "queue_depth", "watermark_lag"),
+        columns=("phase", "time_ms", "queue_depth", "unresolved"),
     )
     for row in outcome["curve"]:
         result.add_row(*row)

@@ -201,8 +201,8 @@ class ViewManager:
         """Put with propagation; returns after W base-replica acks.
 
         Propagation to each affected view continues asynchronously; with
-        ``session`` the outbox offsets are registered for the Section V
-        guarantee.
+        ``session`` each record's completion event is registered for the
+        Section V guarantee.
         """
         affected = [view for view in self.views_on(table)
                     if view.affects(cells)]
@@ -253,8 +253,8 @@ class ViewManager:
                     # (queued + in-flight records) is full.
                     yield outbox.backpressure.acquire()
                 # The completion event resolves when the record's
-                # propagation does; session barriers use the outbox
-                # offset instead, so nobody is obligated to consume it.
+                # propagation does; a session barrier waits on it but
+                # never consumes a failure, so it is defused.
                 completion = self.env.event().defuse()
                 before = outbox.coalesced
                 # The watched columns as raw values (None for tombstones).
@@ -271,8 +271,7 @@ class ViewManager:
                         "outbox", "coalesced superseded update",
                         view=view.name, key=key, seq=record.seq)
                 if session is not None:
-                    self.sessions.register_offset(session, view.name,
-                                                  outbox, record.seq)
+                    self.sessions.register(session, view.name, completion)
         finally:
             self._puts_in_flight.subtract(chains)
 
@@ -390,7 +389,6 @@ class ViewManager:
                     "coalesced": o.coalesced,
                     "depth": o.depth,
                     "max_depth": o.max_depth,
-                    "low_watermark": o.low_watermark,
                     "lag": o.lag,
                 }
                 for node_id, o in sorted(self._outboxes.items())

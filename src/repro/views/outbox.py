@@ -43,9 +43,9 @@ row between view keys are never coalesced — each transition writes a
 distinct stale row that Algorithm 4 readers and the oracle both expect.
 
 The superseded record is not dropped silently: it becomes a *rider* on
-the winner, and its completion event (plus its seq in the watermark
-bookkeeping) resolves when the winner's propagation does, so session
-barriers registered against the older offset remain exact.
+the winner, and its completion event resolves when the winner's
+propagation does, so a session barrier waiting on the older record's
+completion stays exact.
 
 Folding
 -------
@@ -94,13 +94,12 @@ Starting is at-most-once *by design*: a record leaves the pending log
 when it starts, before its propagation runs, so a coordinator crash
 mid-propagation loses the update exactly as the paper's prototype would
 (Section VIII) — that divergence window is what the repair scrubber
-exists to close.  The ``low_watermark`` (highest seq below which every
-record has resolved) is what session barriers consult.
+exists to close.  A lost record still resolves (failed), which is what
+releases the session barriers waiting on its completion.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
@@ -222,19 +221,14 @@ class NodeOutbox:
         # chain_key -> the chain's started record, then the records
         # parked behind it; a chain has an entry exactly while one runs.
         self._chains: Dict[Tuple[str, Hashable], deque] = {}
-        # Watermark bookkeeping: seqs resolved above the watermark.
-        self._resolved_seqs: Set[int] = set()
         # seq -> record, for every appended-but-unresolved record; the
         # freshness tracker derives per-view staleness and lagging key
         # sets from this (records leave on resolve, riders included).
         self._unresolved: Dict[int, OutboxRecord] = {}
-        self._watermark_waiters: List[Tuple[int, int, Event]] = []
-        self._tie = 0
         # Observability.
         self.appended = 0          # == last assigned seq
         self.coalesced = 0
         self.folded = 0            # coalesced without being subsumed
-        self.low_watermark = 0     # every seq <= this has resolved
         self.depth = 0             # parked + started records with a token
         self.max_depth = 0
         self.token_free = 0        # parked + started heavy records
@@ -269,7 +263,8 @@ class NodeOutbox:
                               completion, appended_at=self.env.now,
                               heavy=heavy)
         self._unresolved[record.seq] = record
-        completion.add_callback(lambda _event: self._mark_resolved(record.seq))
+        completion.add_callback(
+            lambda _event: self._unresolved.pop(record.seq, None))
         chain = record.chain_key
         self.chain_appends[chain] = self.chain_appends.get(chain, 0) + 1
         queue = self._chains.get(chain)
@@ -333,22 +328,10 @@ class NodeOutbox:
             if self.depth > self.max_depth:
                 self.max_depth = self.depth
 
-    # -- watermark ---------------------------------------------------------
-
-    def wait_for(self, seq: int) -> Event:
-        """Event firing once every record up to ``seq`` has resolved."""
-        event = self.env.event()
-        if seq <= self.low_watermark:
-            event.succeed()
-        else:
-            self._tie += 1
-            heapq.heappush(self._watermark_waiters, (seq, self._tie, event))
-        return event
-
     @property
     def lag(self) -> int:
-        """Records appended but not yet covered by the watermark."""
-        return self.appended - self.low_watermark
+        """Records appended but not yet resolved (riders included)."""
+        return len(self._unresolved)
 
     def working(self, chain: Tuple[str, Hashable]) -> bool:
         """True while ``chain`` has a started record here that is not
@@ -363,20 +346,3 @@ class NodeOutbox:
         return [(record.key, record.appended_at)
                 for record in self._unresolved.values()
                 if record.view.name == view_name]
-
-    # -- internals ---------------------------------------------------------
-
-    def _mark_resolved(self, seq: int) -> None:
-        self._unresolved.pop(seq, None)
-        self._resolved_seqs.add(seq)
-        watermark = self.low_watermark
-        while watermark + 1 in self._resolved_seqs:
-            watermark += 1
-            self._resolved_seqs.remove(watermark)
-        if watermark == self.low_watermark:
-            return
-        self.low_watermark = watermark
-        waiters = self._watermark_waiters
-        while waiters and waiters[0][0] <= watermark:
-            _seq, _tie, event = heapq.heappop(waiters)
-            event.succeed()

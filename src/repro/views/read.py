@@ -111,9 +111,10 @@ def view_get(coordinator, view: ViewDefinition, view_key: Any,
 
 
 def read_barrier(manager, coordinator, view: ViewDefinition, session):
-    """The session barrier preceding a view read.  Records of a heavy
-    chain resolve when the survivor they fold into does, so the offsets
-    a session registered are barrier enough for lazy maintenance too."""
+    """The session barrier preceding a view read: the session's own
+    records for ``view`` resolve first.  Records of a heavy chain resolve
+    when the survivor they fold into does, so the completions a session
+    registered are barrier enough for lazy maintenance too."""
     if session is not None:
         if session.coordinator_id != coordinator.node.node_id:
             raise SessionError(

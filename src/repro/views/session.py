@@ -8,11 +8,12 @@ are complete.  The guarantee is read-your-own-propagations: the Get sees
 a view state at least as late as the one produced by the client's own
 earlier Puts.  It says nothing about other sessions' updates.
 
-A Put registers the sequence number its record received in its
-coordinator's :class:`~repro.views.outbox.NodeOutbox`.  A barrier waits
-for the outbox low-watermark to reach the session's highest registered
-offset per view — per-Put events are unnecessary because the log is
-totally ordered per node.
+A Put hands the session the completion event of each outbox record it
+appends (:class:`~repro.views.outbox.OutboxRecord`).  A barrier waits on
+the session's unresolved events for the view and nothing else: another
+client's record on the same coordinator, however long it retries, never
+holds it.  A record coalesced or folded into a survivor fires its event
+when the survivor resolves.
 
 The barrier waits for *resolution*, not success: a propagation lost to a
 crash or abandoned after retries is no longer pending, so it releases
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 from repro.errors import SessionError
 from repro.sim.kernel import Environment, Event
@@ -38,16 +39,21 @@ class Session:
 
     session_id: int
     coordinator_id: int
-    # view name -> {outbox: highest registered seq}.
-    _offsets: Dict[str, Dict[object, int]] = field(default_factory=dict)
+    # view name -> completion events of the session's records.
+    _pending: Dict[str, List[Event]] = field(default_factory=dict)
     ended: bool = False
 
+    def _unresolved(self, view_name: str) -> List[Event]:
+        """The session's events for ``view_name`` that have not fired;
+        drops the ones that have."""
+        events = self._pending.setdefault(view_name, [])
+        events[:] = [event for event in events if not event.triggered]
+        return events
+
     def pending_barriers(self, view_name: str) -> int:
-        """Barriers a view Get would block on right now: outbox offsets
-        the watermark has not reached."""
-        return sum(1 for outbox, seq
-                   in self._offsets.get(view_name, {}).items()
-                   if seq > outbox.low_watermark)
+        """Barriers a view Get would block on right now: the session's
+        records for ``view_name`` that have not resolved."""
+        return len(self._unresolved(view_name))
 
 
 class SessionManager:
@@ -56,44 +62,38 @@ class SessionManager:
     def __init__(self, env: Environment):
         self.env = env
         self._ids = itertools.count(1)
-        self._sessions: Dict[int, Session] = {}
         self.blocked_gets = 0
 
     def create(self, coordinator_id: int) -> Session:
         """Open a new session pinned to ``coordinator_id``."""
-        session = Session(next(self._ids), coordinator_id)
-        self._sessions[session.session_id] = session
-        return session
+        return Session(next(self._ids), coordinator_id)
 
     def end(self, session: Session) -> None:
         """Close a session (pending propagations keep running)."""
         session.ended = True
-        self._sessions.pop(session.session_id, None)
 
-    def register_offset(self, session: Session, view_name: str,
-                        outbox, seq: int) -> None:
-        """Record that the session's latest Put for ``view_name`` sits at
-        ``seq`` in ``outbox`` — the barrier target for later Gets."""
+    def register(self, session: Session, view_name: str,
+                 completion: Event) -> None:
+        """Record that one of the session's Puts appended a record for
+        ``view_name`` whose resolution fires ``completion`` — a barrier
+        target for later Gets."""
         if session.ended:
             raise SessionError(
                 f"session {session.session_id} has already ended")
-        offsets = session._offsets.setdefault(view_name, {})
-        if seq > offsets.get(outbox, 0):
-            offsets[outbox] = seq
+        session._unresolved(view_name).append(completion)
 
     def barrier(self, session: Session, view_name: str):
         """Process helper: block until the session's pending propagations
         to ``view_name`` have *resolved* (paper Section V enforcement).
 
-        Resolution — not success: the watermark advances when a record's
-        completion fires either way (propagation lost to a coordinator
-        crash, or abandoned after retries).  The failure stays recorded
-        in the view manager's counters; it is not re-raised into a
-        client Get that merely shares the session.
+        Resolution — not success: a record's completion fires either way
+        (propagation lost to a coordinator crash, or abandoned after
+        retries).  The failure stays recorded in the view manager's
+        counters; it is not re-raised into a client Get that merely
+        shares the session.
         """
-        waits = [outbox.wait_for(seq)
-                 for outbox, seq in session._offsets.get(view_name, {}).items()
-                 if seq > outbox.low_watermark]
+        # A copy: Puts registered after the Get began do not extend it.
+        waits = list(session._unresolved(view_name))
         if not waits:
             return
         self.blocked_gets += 1

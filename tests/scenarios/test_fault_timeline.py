@@ -129,6 +129,19 @@ chain's turn, found it moved on and read anyway, one lock-service
 round trip (0.05 ms) later.  The shrunk reproducer and fuzz seed 11
 are identical, and every run loses as many propagations as before.
 
+Re-recorded when a session barrier began to wait on the completions of
+the session's own records instead of its coordinator outbox's
+low-watermark, which also covered every other client's earlier record
+on that node.  Only partition-storm moved: its session reads no longer
+wait behind records stalled across a partition, so the workload ends
+at 1160.74 ms instead of 1355.30.  The first entry to differ is
+``stop()`` healing partition (0, 2) at 1160.74 ms, which the storm used
+to heal itself at 1181.40 ms; the storm's four later partitions and
+their heals are no longer dealt, and ``stop()``'s heal (four
+``restore_node_speed`` calls and the arrival scale) moved from 1355.30
+to 1160.74 ms.  Every other run is identical, and every run loses as
+many propagations as before.
+
 Re-record (only for a change that is *meant* to move the faults)::
 
     PYTHONPATH=src python tests/scenarios/test_fault_timeline.py

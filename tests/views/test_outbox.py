@@ -54,7 +54,7 @@ def test_hot_key_burst_coalesces_to_latest():
     assert manager.completed_propagations == (
         stats["appended"] - stats["coalesced"])
     assert manager.lost_propagations == 0
-    # Fully drained: no depth, watermark caught up to the log head.
+    # Fully drained: no depth, every record (riders too) resolved.
     assert stats["depth"] == 0
     assert stats["lag"] == 0
 
@@ -186,7 +186,7 @@ def test_outbox_stats_shape():
     assert all(entry["view"] == VIEW.name for entry in stats["hot_keys"])
     per_node = stats["per_node"][0]
     assert set(per_node) == {"appended", "coalesced", "depth", "max_depth",
-                             "low_watermark", "lag"}
+                             "lag"}
 
 
 def _bare_outbox():
@@ -272,7 +272,9 @@ def test_heavy_records_fold_into_one_survivor_without_tokens():
     first.resolve()
     survivor.resolve()
     env.run()
-    assert outbox.low_watermark == 4 and outbox.lag == 0
+    assert outbox.lag == 0
+    assert all(record.completion.triggered
+               for record in (first, rider, parked, survivor))
 
 
 def test_heavy_record_takes_over_a_light_parked_records_place():

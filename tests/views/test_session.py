@@ -24,11 +24,12 @@ def outbox(env):
 
 def put(env, outbox, manager, session, resolve_at, exc=None):
     """Append one record (a fresh base key each time, so nothing
-    coalesces), register its offset with the session, and resolve it —
-    with ``exc`` as a failed propagation — at ``resolve_at``."""
+    coalesces), register its completion with the session, and resolve
+    it — with ``exc`` as a failed propagation — at ``resolve_at``."""
+    completion = env.event()
     record = outbox.append(VIEW, "T", outbox.appended, {"m": "x"}, 100,
-                           (None, None), env.event())
-    manager.register_offset(session, "V", outbox, record.seq)
+                           (None, None), completion)
+    manager.register(session, "V", completion)
 
     def resolver():
         yield env.timeout(resolve_at - env.now)
@@ -143,9 +144,9 @@ def test_barrier_snapshot_ignores_later_registrations(env, outbox):
     assert log == [3.0]
 
 
-def test_register_on_ended_session_rejected(env, outbox):
+def test_register_on_ended_session_rejected(env):
     manager = SessionManager(env)
     session = manager.create(0)
     manager.end(session)
     with pytest.raises(SessionError):
-        manager.register_offset(session, "V", outbox, 1)
+        manager.register(session, "V", env.event())

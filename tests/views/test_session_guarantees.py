@@ -8,6 +8,7 @@ from repro.sim.latency import Fixed
 from repro.views import ViewDefinition
 
 from tests.views.conftest import make_config
+from tests.views.test_retry_backoff import _fail_rounds_for
 
 
 def build(**overrides):
@@ -139,6 +140,36 @@ def test_session_isolated_between_clients():
     env.run(until=rp)
     cluster.run_until_idle()
     assert times["read"] < 5.0
+
+
+def test_another_clients_wedged_record_does_not_hold_the_barrier(
+        monkeypatch):
+    """Section V promises a session its *own* propagations.  Another
+    client's record on the same coordinator fails every round until
+    the retry budget abandons it (about 1.3 s); the session's Put and
+    view read behind it must not wait for that."""
+    cluster = build()
+    _fail_rounds_for(monkeypatch, cluster, ["wedged"])
+    other = cluster.client(coordinator_id=1)
+    client = cluster.client(coordinator_id=1)
+    env = cluster.env
+    results = {}
+
+    def scenario():
+        yield from other.put("T", "wedged", {"vk": "w"}, 2)
+        client.begin_session()
+        yield from client.put("T", "mine", {"vk": "a", "m": "x"}, 2)
+        start = env.now
+        results["rows"] = yield from client.get_view("V", "a", ["m"], 2)
+        results["read"] = env.now - start
+        client.end_session()
+
+    process = env.process(scenario())
+    env.run(until=process)
+    cluster.run_until_idle()
+    assert [r["m"] for r in results["rows"]] == ["x"]
+    assert results["read"] < 50.0
+    assert cluster.view_manager.abandoned_propagations == 1
 
 
 def test_session_get_on_other_coordinator_rejected():
