@@ -132,8 +132,8 @@ class Cluster:
         """Every key of ``table`` some alive node stores locally.
 
         Operator tooling, not protocol: the key universe of a full-table
-        sweep (anti-entropy, backfill, the scrubber's scanner).  A down
-        node's keys are picked up by a later sweep.
+        sweep (anti-entropy, the scrubber's scanner and its load of a
+        new view).  A down node's keys are picked up by a later sweep.
         """
         keys: Set[Hashable] = set()
         for node in self.nodes:

@@ -16,8 +16,9 @@ package is the self-healing loop that closes the gap:
   row through the ordinary propagation machinery (idempotent via scaled
   timestamps), re-exported here;
 - :mod:`~repro.repair.scheduler` — the :class:`ViewScrubber` background
-  process (interval, row budget, rate limit) and the one rule for
-  which rows it may judge while propagation is in flight;
+  process (interval, row budget, rate limit), the one rule for which
+  rows it may judge while propagation is in flight, and ``load_view``,
+  its row loop loading a view created over a populated table;
 - :mod:`~repro.repair.metrics` — counters and time-to-convergence.
 
 Start one with :meth:`Cluster.start_scrubber`.

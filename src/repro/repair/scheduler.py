@@ -32,6 +32,9 @@ If it wakes and runs a round mid-verify, its turn moves the epoch.
 Every other chain of the view is judged meanwhile, so the scrubber runs
 under sustained writes.
 
+The same row loop, over every row of a base table, loads a view created
+over a populated one (:func:`load_view`).
+
 ``stop()`` ends the process.  All activity is counted in
 :class:`~repro.repair.metrics.ScrubMetrics` and traced under the
 ``scrub`` category.
@@ -47,7 +50,12 @@ from repro.repair.metrics import ScrubMetrics
 from repro.repair.scanner import TokenRangeScanner, bucket_of
 from repro.views.drive import repropagate_row
 
-__all__ = ["ViewScrubber"]
+__all__ = ["ViewScrubber", "load_view"]
+
+# A scrubber's default pace, and the load's (load_view): the delay
+# between rounds and between two row verifications in one.
+INTERVAL = 50.0
+RATE_LIMIT = 0.1
 
 
 class ViewScrubber:
@@ -62,9 +70,9 @@ class ViewScrubber:
     degraded_backoff = 4.0
 
     def __init__(self, cluster, view_names: Optional[List[str]] = None, *,
-                 interval: float = 50.0,
+                 interval: float = INTERVAL,
                  row_budget: int = 64,
-                 rate_limit: float = 0.1):
+                 rate_limit: float = RATE_LIMIT):
         self.cluster = cluster
         self.view_names = list(view_names) if view_names is not None else None
         self.interval = interval
@@ -95,18 +103,11 @@ class ViewScrubber:
 
     # -- the loop ----------------------------------------------------------
 
-    def _degraded(self) -> bool:
-        return any(node.is_down for node in self.cluster.nodes)
-
     def _loop(self):
         env = self.cluster.env
         while not self._stopped:
-            if self._degraded():
-                self.metrics.backoff_rounds += 1
-                delay = self.interval * self.degraded_backoff
-            else:
-                delay = self.interval
-            yield env.timeout(delay)
+            yield env.timeout(_pause(self.cluster, self.metrics,
+                                     self.interval))
             if self._stopped:
                 return
             yield env.process(self.run_round(), name="scrub-round")
@@ -119,11 +120,6 @@ class ViewScrubber:
                  else manager.view_names())
         return [manager.view(name) for name in names]
 
-    def _alive_coordinator(self):
-        return next((self.cluster.coordinator(node.node_id)
-                     for node in self.cluster.nodes if not node.is_down),
-                    None)
-
     def run_round(self):
         """One scrub round over every target view; a simulation process.
 
@@ -132,7 +128,7 @@ class ViewScrubber:
         """
         self.metrics.rounds += 1
         views = self._target_views()
-        coordinator = self._alive_coordinator()
+        coordinator = _alive_coordinator(self.cluster)
         if not views or coordinator is None:
             self.metrics.skipped_rounds += 1
             return
@@ -197,67 +193,125 @@ class ViewScrubber:
                    if bucket_of(key, self.range_depth) not in dirty]
         rows += wounded[:budget - len(rows)]
         # Each chain's epoch at the instant of the comparison.
-        epochs = {key: manager.chain_epoch(view.name, key)
-                  for key, _repair in rows}
-        spent = 0
-        for key, repair in rows:
-            if epochs[key] is None:
-                self.metrics.rows_skipped_in_flight += 1
-                cluster.trace("scrub", "skipped: chain in flight",
-                              view=view.name, key=key)
-                continue
-            if self.rate_limit > 0:
-                yield env.timeout(self.rate_limit)
-            if coordinator.node.is_down:
-                # Crash-loop resilience: the scrub coordinator died
-                # mid-round.  Re-elect a live node instead of burning
-                # the rest of the round's budget on guaranteed RPC
-                # timeouts (200 ms each against a dead coordinator).
-                coordinator = self._alive_coordinator()
-                if coordinator is None:
-                    return spent, False
-                self.metrics.coordinator_switches += 1
-                cluster.trace("scrub", "coordinator re-elected mid-round",
-                              view=view.name,
-                              coordinator=coordinator.node.node_id)
-            spent += 1
-            self.metrics.rows_scanned += 1
-            verify_started = env.now
-            try:
-                divergence = yield from verify_row(
-                    coordinator, view, key, manager.maintainer.quorum,
-                    tuple(live.get(key, ())))
-            except QuorumError:
-                self.metrics.rows_skipped_unavailable += 1
-                continue
-            if manager.chain_epoch(view.name, key) != epochs[key]:
-                self.metrics.rows_skipped_in_flight += 1
-                cluster.trace("scrub", "skipped: chain moved mid-verify",
-                              view=view.name, key=key)
-                continue
-            if divergence is None:
-                # Quorum-level cleanliness evidence: an open wound
-                # observed before this verify began can heal.
-                tracker.note_verified_clean(view.name, key, verify_started)
-                continue
-            tracker.note_divergence(divergence, verify_started)
-            if not repair:
-                cluster.trace("scrub",
-                              "wounded chain lagging quorum visibility",
-                              view=view.name, key=key, kind=divergence.kind)
-                continue
-            self.metrics.divergences_found += 1
-            self.metrics.note_divergence(env.now)
-            cluster.trace("scrub", "divergence confirmed", view=view.name,
-                          key=key, kind=divergence.kind)
-            try:
-                yield from repropagate_row(manager, coordinator, view, key,
-                                           strays=divergence.strays)
-            except (QuorumError, PropagationError):
-                self.metrics.repair_failures += 1
-                cluster.trace("scrub", "repair failed", view=view.name,
-                              key=key)
-            else:
-                self.metrics.repairs_applied += 1
-                cluster.trace("scrub", "repaired", view=view.name, key=key)
-        return spent, not dirty and not tracker.wounded_keys(view.name)
+        rows = [(key, repair, manager.chain_epoch(view.name, key),
+                 tuple(live.get(key, ()))) for key, repair in rows]
+        scanned = self.metrics.rows_scanned
+        settled = yield from _judge_rows(
+            cluster, view, coordinator, self.metrics, self.rate_limit, rows)
+        return self.metrics.rows_scanned - scanned, (
+            settled is not None and not dirty
+            and not tracker.wounded_keys(view.name))
+
+
+def _alive_coordinator(cluster):
+    return next((cluster.coordinator(node.node_id)
+                 for node in cluster.nodes if not node.is_down), None)
+
+
+def _pause(cluster, metrics: ScrubMetrics, interval: float) -> float:
+    """``interval``, ``degraded_backoff`` times longer while a node is down."""
+    if any(node.is_down for node in cluster.nodes):
+        metrics.backoff_rounds += 1
+        return interval * ViewScrubber.degraded_backoff
+    return interval
+
+
+def _judge_rows(cluster, view, coordinator, metrics: ScrubMetrics,
+                rate_limit: float, rows):
+    """The row loop, a process: verify each ``(key, repair, epoch,
+    live_keys)`` of ``rows`` under the chain rule (module docstring),
+    ``epoch`` taken when the row was compared, and repair a confirmed
+    divergence if ``repair``.  Returns the keys verified clean or
+    repaired, or None if no node is left to coordinate."""
+    env = cluster.env
+    manager = cluster.view_manager
+    tracker = manager.freshness
+    settled = set()
+    for key, repair, epoch, live_keys in rows:
+        if epoch is None:
+            metrics.rows_skipped_in_flight += 1
+            cluster.trace("scrub", "skipped: chain in flight",
+                          view=view.name, key=key)
+            continue
+        if rate_limit > 0:
+            yield env.timeout(rate_limit)
+        if coordinator.node.is_down:
+            # Crash-loop resilience: the scrub coordinator died
+            # mid-round.  Re-elect a live node instead of burning the
+            # rest of the round's budget on guaranteed RPC timeouts
+            # (200 ms each against a dead coordinator).
+            coordinator = _alive_coordinator(cluster)
+            if coordinator is None:
+                return None
+            metrics.coordinator_switches += 1
+            cluster.trace("scrub", "coordinator re-elected mid-round",
+                          view=view.name,
+                          coordinator=coordinator.node.node_id)
+        metrics.rows_scanned += 1
+        verify_started = env.now
+        try:
+            divergence = yield from verify_row(
+                coordinator, view, key, manager.maintainer.quorum,
+                live_keys)
+        except QuorumError:
+            metrics.rows_skipped_unavailable += 1
+            continue
+        if manager.chain_epoch(view.name, key) != epoch:
+            metrics.rows_skipped_in_flight += 1
+            cluster.trace("scrub", "skipped: chain moved mid-verify",
+                          view=view.name, key=key)
+            continue
+        if divergence is None:
+            # Quorum-level cleanliness evidence: an open wound observed
+            # before this verify began can heal.
+            tracker.note_verified_clean(view.name, key, verify_started)
+            settled.add(key)
+            continue
+        tracker.note_divergence(divergence, verify_started)
+        if not repair:
+            cluster.trace("scrub", "wounded chain lagging quorum visibility",
+                          view=view.name, key=key, kind=divergence.kind)
+            continue
+        metrics.divergences_found += 1
+        metrics.note_divergence(env.now)
+        cluster.trace("scrub", "divergence confirmed", view=view.name,
+                      key=key, kind=divergence.kind)
+        try:
+            yield from repropagate_row(manager, coordinator, view, key,
+                                       strays=divergence.strays)
+        except (QuorumError, PropagationError):
+            metrics.repair_failures += 1
+            cluster.trace("scrub", "repair failed", view=view.name, key=key)
+        else:
+            metrics.repairs_applied += 1
+            settled.add(key)
+            cluster.trace("scrub", "repaired", view=view.name, key=key)
+    return settled
+
+
+def load_view(cluster, view):
+    """``ViewManager.backfill``: load ``view`` over its populated base
+    table, a process returning its metrics.  The row loop runs over
+    every base row present at the start, each row's epoch taken as the
+    loop reaches it and with no stray check (a new view holds none),
+    round after round until each row is verified clean or repaired.  A
+    clean round never comes while writes continue; the rows they touch
+    re-drive themselves (their records fold while the load runs)."""
+    metrics = ScrubMetrics()
+    pending = sorted(cluster.table_keys(view.base_table), key=repr)
+    while pending:
+        metrics.rounds += 1
+        coordinator = _alive_coordinator(cluster)
+        if coordinator is None:
+            metrics.skipped_rounds += 1
+        else:
+            settled = yield from _judge_rows(
+                cluster, view, coordinator, metrics, RATE_LIMIT,
+                ((key, True, cluster.view_manager.chain_epoch(view.name, key),
+                  ()) for key in pending))
+            pending = [key for key in pending if key not in (settled or ())]
+        if pending:
+            yield cluster.env.timeout(_pause(cluster, metrics, INTERVAL))
+    cluster.trace("scrub", "view loaded", view=view.name,
+                  rows=metrics.rows_scanned, repairs=metrics.repairs_applied)
+    return metrics

@@ -12,7 +12,8 @@ The pipeline:
 
 - :func:`generate_schedule` derives a schedule from a seed.  Update
   timestamps are a random permutation of issue order, modelling
-  arbitrarily skewed client clocks.
+  arbitrarily skewed client clocks.  Every fifth seed also creates the
+  view (and starts its load) mid-history, over a populated table.
 - :func:`replay_schedule` executes a schedule through the ordinary
   :class:`~repro.scenarios.runner.Scenario` machinery — the ops become
   a :class:`ScheduleWorkload`, the faults a :class:`ScheduledFaults`
@@ -64,6 +65,8 @@ __all__ = [
 
 SCHEDULE_FORMAT = 1
 
+CREATE_VIEW_EVERY = 5  # seeds 4, 9, 14, ... create the view mid-history
+
 # Generated schedules are bounded histories; anything that needs more
 # kernel events than this is livelocked, and the replay reports it as
 # a violation instead of hanging.
@@ -112,7 +115,9 @@ def generate_schedule(seed: int, *, ops: int = 30, faults: int = 6,
     issue order (times 100): a Put issued later in wall-clock time can
     carry an *older* LWW timestamp, exactly what skewed client clocks
     produce.  Faults are crashes, partitions, and gray slowdowns with
-    bounded durations, all healed well inside the horizon.
+    bounded durations, all healed well inside the horizon.  A
+    ``create_view`` op is drawn after every other entry, which it leaves
+    as they would be without it.
     """
     rng = random.Random(derive_seed(seed, "scenario-fuzz"))
     schedule = Schedule(seed=seed)
@@ -167,6 +172,9 @@ def generate_schedule(seed: int, *, ops: int = 30, faults: int = 6,
                 "cpu": round(rng.uniform(2.0, 10.0), 1),
                 "link": round(rng.uniform(2.0, 10.0), 1),
                 "duration": round(rng.uniform(10.0, 60.0), 1)})
+    if seed % CREATE_VIEW_EVERY == CREATE_VIEW_EVERY - 1:
+        schedule.ops.append({"t": round(rng.uniform(1.0, horizon * 0.75), 1),
+                             "kind": "create_view"})
     schedule.ops.sort(key=lambda e: e["t"])
     schedule.faults.sort(key=lambda e: e["t"])
     return schedule
@@ -179,13 +187,15 @@ class ScheduleWorkload(BaseWorkload):
     delay later entries); the workload completes when the timeline is
     exhausted and every child has finished.  Retries rotate
     coordinators with the entry's fixed timestamp, exactly like the
-    random workload.
+    random workload.  A ``create_view`` entry creates the view and loads
+    it in one more child; view reads before it are not issued.
     """
 
     def __init__(self, ops: List[Dict[str, Any]], *, w: int = 2, r: int = 2,
                  max_attempts: int = 30, retry_backoff: float = 5.0):
         super().__init__()
         self.ops = sorted(ops, key=lambda e: e["t"])
+        self.creates_view = any(e["kind"] == "create_view" for e in self.ops)
         self.w = w
         self.r = r
         self.max_attempts = max_attempts
@@ -204,6 +214,10 @@ class ScheduleWorkload(BaseWorkload):
                 yield env.timeout(entry["t"] - env.now)
             if entry["kind"] == "put":
                 runner = self._do_put(scenario, pool, index, entry)
+            elif entry["kind"] == "create_view":
+                runner = self._create_view(scenario)
+            elif not cluster.view_manager.is_view(scenario.view.name):
+                continue
             else:
                 runner = self._do_read(scenario, pool, index, entry)
             children.append(env.process(runner, name=f"fuzz-op-{index}"))
@@ -227,6 +241,11 @@ class ScheduleWorkload(BaseWorkload):
             return
         self.record_ambiguous(SCENARIO_TABLE, entry["key"], entry["cells"],
                               entry["ts"])
+
+    def _create_view(self, scenario):
+        cluster = scenario.cluster
+        cluster.create_view(scenario.view)
+        yield from cluster.view_manager.backfill(scenario.view.name)
 
     def _do_read(self, scenario, pool, index, entry):
         env = scenario.cluster.env

@@ -7,7 +7,8 @@ suite (:mod:`repro.scenarios.invariants`).  The phases of ``run()``:
 
 1. **Build** — cluster from a deterministic config (one seed fixes the
    workload, every adversary, and the network), schema ``T`` with view
-   ``V`` keyed on ``vk`` materializing ``m``, background scrubber, and
+   ``V`` keyed on ``vk`` materializing ``m`` (or, for a workload that
+   creates ``V`` mid-history, no view yet), background scrubber, and
    a backlog monitor that samples queue depths for the bounded-depth
    invariant.
 2. **Storm** — adversaries start, the workload runs to completion
@@ -40,7 +41,8 @@ from repro.repair import divergent_base_keys
 from repro.scenarios.invariants import STANDING_INVARIANTS, Invariant
 from repro.scenarios.workload import BaseWorkload, ScenarioWorkload
 from repro.sim.latency import Fixed
-from repro.views import ReferenceViewModel, ViewDefinition, state_digest
+from repro.views import (ReferenceViewModel, ViewDefinition, ViewManager,
+                         state_digest)
 from repro.views.model import LogicalBaseTable
 
 __all__ = [
@@ -145,7 +147,11 @@ class Scenario:
         if self.cluster is None:
             self.cluster = Cluster(self.config)
             self.cluster.create_table(SCENARIO_TABLE)
-            self.cluster.create_view(self.view)
+            if self.workload.creates_view:
+                # The view comes mid-history, its manager from the start.
+                self.cluster.view_manager = ViewManager(self.cluster)
+            else:
+                self.cluster.create_view(self.view)
         return self.cluster
 
     # -- the run -------------------------------------------------------------

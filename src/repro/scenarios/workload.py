@@ -78,6 +78,8 @@ class SessionObservation:
 class BaseWorkload:
     """Bookkeeping shared by the random and schedule-driven workloads."""
 
+    creates_view = False  # True: it creates the view mid-history itself
+
     def __init__(self):
         self.applied: List[BaseUpdate] = []
         self.ambiguous: List[AmbiguousOp] = []

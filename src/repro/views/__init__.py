@@ -6,7 +6,6 @@ stale-row-filtering reads (Algorithm 4), concurrency control (locks or
 dedicated propagators), and session guarantees.
 """
 
-from repro.views.backfill import BackfillReport
 from repro.views.definition import (
     BASE_KEY_COLUMN,
     NEXT_COLUMN,
@@ -80,7 +79,6 @@ __all__ = [
     "merged_view_state",
     "state_digest",
     "live_state_digest",
-    "BackfillReport",
     "GCReport",
     "StaleRowCollector",
     "collect_stale_rows",

@@ -8,8 +8,9 @@ set built from the base-row replicas' answers, and the retry loop over
 those guesses.
 :func:`repropagate_row` is the same loop aimed at a base row's *current*
 state: the "converge this chain" primitive behind folded records
-(:mod:`repro.views.outbox`), scrub repair (:mod:`repro.repair`) and
-backfill.  Every function takes the
+(:mod:`repro.views.outbox`) and scrub repair (:mod:`repro.repair`),
+which is also how a view created over a populated table is loaded.
+Every function takes the
 :class:`~repro.views.manager.ViewManager` whose counters, RNG stream
 and services it uses.
 
@@ -113,12 +114,13 @@ def process_record(manager, outbox: NodeOutbox, record):
                 ViewKeyGuess.from_cell(
                     view, extract(response, view.view_key_column))
                 for responses, extract in gathered for response in responses)
-            if manager.skew.enabled or len(gathered) < len(record.sources):
+            if (manager.skew.enabled or len(gathered) < len(record.sources)
+                    or view.name in manager._loads):
                 # The row a guess names may have been folded away on
-                # another node and never be written, and a Put that
-                # skipped its read named none: rather than sleep on for
-                # it, end every round at the entry points that need no
-                # luck.
+                # another node, or by a re-drive while the view was
+                # loading, and never be written, and a Put that skipped
+                # its read named none: rather than sleep on for it, end
+                # every round at the entry points that need no luck.
                 guesses.extend(_sure_guesses(manager, outbox, view, key))
             yield from propagate_with_retries(
                 manager, coordinator, view, record.table, key, guesses,
@@ -245,8 +247,8 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
     holding them across a failed round would block the very propagation
     that must run before the retry can succeed.  The same goes for the
     worker slot a record's process holds on ``outbox``
-    (:func:`_back_off`); scrub repair and backfill hold no worker and
-    pass no outbox.
+    (:func:`_back_off`); scrub repair, a new view's load included,
+    holds no worker and passes no outbox.
     """
     exclusive = view.view_key_column in update_values
 
@@ -343,8 +345,7 @@ def _attempt_round(manager, coordinator, view: ViewDefinition,
 
 
 def repropagate_row(manager, coordinator, view: ViewDefinition,
-                    base_key: Hashable, r: Optional[int] = None,
-                    strays: Tuple[Any, ...] = (),
+                    base_key: Hashable, strays: Tuple[Any, ...] = (),
                     outbox: Optional[NodeOutbox] = None):
     """Propagate one base row's current state into ``view``; a process.
 
@@ -363,13 +364,13 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     propagation would have put it — repaired views are
     indistinguishable from never-diverged ones.  Folded outbox records
     (which pass the ``outbox`` whose worker slot they hold, and try the
-    row their node holds before the NULL anchor) and
-    ``ViewManager.backfill`` share the routine (an initial load is just
-    a repair of every base row against an empty view).
+    row their node holds before the NULL anchor) share the routine with
+    scrub repair, which also loads a view created over a populated
+    table.
 
-    ``r`` is the base-read quorum (defaults to the maintainer's majority
-    quorum, so repair keeps working while a minority of replicas is
-    down).  ``strays`` names view keys the detector found holding
+    The base read is at the majority quorum, so repair keeps working
+    while a minority of replicas is down.  ``strays`` names view keys
+    the detector found holding
     unexpected live rows for ``base_key``: replaying the winning state
     alone never touches them (the chain walk stops at the winner, so
     the replay is an LWW no-op), leaving an absorbing two-live-rows
@@ -378,21 +379,19 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     would have issued (Algorithm 2 line 8); under LWW the demotion only
     takes effect when the quorum-read base winner really is newer than
     the stray's live self-pointer, so a stray that is actually the
-    freshest state (base read lagging the view) is left untouched.
-    Returns True if the row had a view-key version to propagate, False
-    for rows the view has never seen (no view-key cell — parked
-    materialized state needs no row).  Raises
+    freshest state (base read lagging the view) is left untouched.  A
+    row whose view key was never written needs no view row (its parked
+    materialized state waits on the anchor).  Raises
     :class:`~repro.errors.QuorumError` if the base read cannot reach a
     quorum, and :class:`~repro.errors.PropagationError` if every retry
     round is exhausted.
     """
-    if r is None:
-        r = manager.maintainer.quorum
     columns = (view.view_key_column, *view.materialized_columns)
-    merged = yield from coordinator.get(view.base_table, base_key, columns, r)
+    merged = yield from coordinator.get(view.base_table, base_key, columns,
+                                        manager.maintainer.quorum)
     key_cell = merged[view.view_key_column]
     if key_cell.timestamp < 0:
-        return False
+        return
     # The view-key cell first: this creates/refreshes the live row the
     # materialized cells are then written into.
     pristine = ([ViewKeyGuess.from_cell(view, None)] if outbox is None
@@ -426,4 +425,3 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     # base state through the full chain walk: any wound on the chain is
     # covered (quorum-level evidence, unlike a digest-clean round).
     manager.freshness.note_repaired(view.name, base_key)
-    return True

@@ -54,8 +54,9 @@ a :class:`HeldRow` ``(live key, live base timestamp, non-null
 materialized cells, turn)``.
 ``turn`` is the chain's fencing token: ``ViewManager.serialized`` numbers
 the jobs of a ``(view, base key)`` chain in the order they start, and
-every chain writer — outbox records (folded ones too), scrub repair,
-backfill, GC; exclusive or shared — passes through it.  The next
+every chain writer — outbox records (folded ones too), scrub repair
+(which also loads a new view), GC; exclusive or shared — passes
+through it.  The next
 view-key propagation on that node for that chain skips line 1's Get iff
 ``entry.turn + 1 == turn``:
 

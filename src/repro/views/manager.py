@@ -19,11 +19,9 @@ The manager holds the state they share (counters, the
 that decides how same-chain work is serialized (Section IV-F,
 :meth:`ViewManager.serialized`).
 
-Each node's outbox is bounded by ``max_pending_propagations`` (parked
-plus started records); base Puts block while it is full, and coalescing
-returns the superseded record's slot immediately.  Records of a chain
-the skew tracker calls heavy take no slot: they fold into one survivor
-per chain (:mod:`repro.views.outbox`, *Folding*).
+Base Puts block while their node's outbox is full, and the records of
+a heavy chain, or of a view still loading (:meth:`ViewManager.backfill`),
+fold (:mod:`repro.views.outbox`).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from repro.freshness.certificate import FreshnessTracker
 from repro.freshness.read import fresh_view_get
 from repro.freshness.slo import FreshnessSLO
 from repro.views import read as view_read
-from repro.views.backfill import backfill
 from repro.views.definition import ViewDefinition
 from repro.views.drive import holds_live_rows, process_record
 from repro.views.locks import LockService
@@ -80,6 +77,7 @@ class ViewManager:
         self._turns: Dict[str, Dict[Hashable, int]] = {}
         # Per chain: base Puts written but not yet appended (base_put).
         self._puts_in_flight: Counter = Counter()
+        self._loads: Dict[str, bool] = {}  # backfilled: True while loading
         # Observability.
         self.completed_propagations = 0
         self.lost_propagations = 0
@@ -131,6 +129,18 @@ class ViewManager:
         self._views[definition.name] = definition
         self._turns[definition.name] = {}
         self._by_table.setdefault(definition.base_table, []).append(definition)
+
+    def backfill(self, view_name: str):
+        """Load a view as it is created over a populated table, safe under
+        writes; a process (``repair.scheduler.load_view``)."""
+        from repro.repair.scheduler import load_view  # late: avoids cycle
+
+        view = self.view(view_name)
+        self._loads[view.name] = True
+        try:
+            return (yield from load_view(self.cluster, view))
+        finally:
+            self._loads[view.name] = False
 
     def view(self, name: str) -> ViewDefinition:
         """Look up a registered view by name."""
@@ -215,7 +225,8 @@ class ViewManager:
             view.view_key_column for view in affected))
         combined = self.config.combined_get_then_put
         collector = None
-        if not combined and not (yield from holds_live_rows(
+        loading = all(self._loads.get(view.name) for view in affected)
+        if not (combined or loading) and not (yield from holds_live_rows(
                 self, coordinator.node.node_id, affected, key)):
             # The prototype's two-step path (Alg. 1 lines 2-3): Get the
             # current view keys — every replica's version, so all N are
@@ -265,7 +276,8 @@ class ViewManager:
                 }
                 record = outbox.append(view, table, key, update_values,
                                        base_ts, (collector, extract),
-                                       completion, heavy)
+                                       completion, heavy,
+                                       self._loads.get(view.name, False))
                 if outbox.coalesced != before:
                     self.cluster.trace(
                         "outbox", "coalesced superseded update",
@@ -436,13 +448,3 @@ class ViewManager:
         stats = self.freshness.stats()
         stats["slo"] = self.freshness_slo.stats()
         return stats
-
-    # -- backfill (views defined over populated tables) --------------------------------
-
-    def backfill(self, view_name: str, coordinator_id: int = 0,
-                 batch_size: int = 64, batch_pause: float = 0.0):
-        """Build a view's contents from existing base rows; a process
-        returning a :class:`~repro.views.backfill.BackfillReport` (see
-        :func:`repro.views.backfill.backfill`)."""
-        return backfill(self, view_name, coordinator_id, batch_size,
-                        batch_pause)

@@ -60,7 +60,8 @@ subsume is ``folded``: it cannot replay what it stands for, so whoever
 runs it re-drives the base row's current state rather than its own
 update (:func:`repro.views.drive.process_record`).  Intermediate view-key
 transitions of a folded chain are never materialized; LWW makes the
-live row the same.
+live row the same.  Every record appended while its view is still
+loading (``ViewManager.backfill``) is folded too.
 
 Backpressure and workers
 ------------------------
@@ -128,7 +129,7 @@ class OutboxRecord:
                  key: Hashable, update_values: Dict[ColumnName, Any],
                  base_ts: int, source: Tuple[object, object],
                  completion: Event, appended_at: float = 0.0,
-                 heavy: bool = False):
+                 heavy: bool = False, folded: bool = False):
         self.seq = seq
         self.view = view
         self.table = table
@@ -147,10 +148,11 @@ class OutboxRecord:
         self.superseded = False
         # Folding (module docstring): a heavy record holds no token and
         # is ``open`` to riders until whoever runs it closes its window;
-        # ``folded`` once it stands for an update it does not subsume.
+        # ``folded`` once it stands for an update it does not subsume,
+        # or from its append while its view is loading.
         self.heavy = heavy
         self.open = heavy
-        self.folded = False
+        self.folded = folded
 
     @property
     def chain_key(self) -> Tuple[str, Hashable]:
@@ -246,9 +248,10 @@ class NodeOutbox:
     def append(self, view: ViewDefinition, table: str, key: Hashable,
                update_values: Dict[ColumnName, Any], base_ts: int,
                source: Tuple[object, object], completion: Event,
-               heavy: bool = False) -> OutboxRecord:
+               heavy: bool = False, folded: bool = False) -> OutboxRecord:
         """Append one record (caller holds a backpressure token, unless
-        the record is ``heavy``).
+        the record is ``heavy``), ``folded`` if its view is loading: the
+        load may not have reached the chain, so it re-drives the row.
 
         Attempts to coalesce with the newest parked record of the same
         ``(view, key)`` chain; on success the older record is marked
@@ -261,7 +264,7 @@ class NodeOutbox:
         record = OutboxRecord(self.appended, view, table, key,
                               dict(update_values), base_ts, source,
                               completion, appended_at=self.env.now,
-                              heavy=heavy)
+                              heavy=heavy, folded=folded)
         self._unresolved[record.seq] = record
         completion.add_callback(
             lambda _event: self._unresolved.pop(record.seq, None))
@@ -289,7 +292,7 @@ class NodeOutbox:
                 record.sources = target.sources + record.sources
                 record.riders = [*target.riders, target.completion]
                 target.riders = []
-                record.folded = target.folded or not subsumes
+                record.folded = folded or target.folded or not subsumes
                 if heavy:
                     # The survivor dates from the oldest update it
                     # stands for (staleness, wound origin).

@@ -109,6 +109,28 @@ def test_shrinking_minimizes_and_still_fails():
     assert len(shrunk.ops) + len(shrunk.faults) <= 4
 
 
+def test_every_fifth_seed_creates_the_view_mid_history():
+    for seed in range(10):
+        kinds = [op["kind"] for op in generate_schedule(seed).ops]
+        assert kinds.count("create_view") == (seed % 5 == 4)
+
+
+def test_a_view_created_mid_history_loads_without_the_scrubber():
+    """Seed 214 creates the view after 20 Puts to a table with no view,
+    amid partitions and slow nodes, and one propagation is lost to an
+    armed crash.  With no scrubber, the load and the records folded
+    meanwhile leave every invariant holding and abandon nothing.
+    (Records replaying their deltas during the load, with no sure entry
+    points, left the view with a lost ``m``.)"""
+    schedule = generate_schedule(214)
+    (create,) = [op for op in schedule.ops if op["kind"] == "create_view"]
+    assert sum(op["kind"] == "put" and op["t"] < create["t"]
+               for op in schedule.ops) == 20
+    result = replay_schedule(schedule, scrub=False)
+    assert result.ok, result.violations
+    assert result.stats["abandoned_propagations"] == 0
+
+
 def test_event_budget_cuts_off_runaway_histories():
     schedule = generate_schedule(FAILING_SEED)
     result = replay_schedule(schedule, scrub=False, event_budget=50)

@@ -17,7 +17,9 @@ from repro.scenarios import (
     PartitionStorm,
     Scenario,
     ScenarioWorkload,
+    ScheduleWorkload,
     default_config,
+    generate_schedule,
 )
 from repro.views import skew
 
@@ -97,3 +99,30 @@ def test_matrix_seeds_sweep():
     """Tier 2: the stacked storm across several seeds."""
     for seed in (1, 2, 3):
         run_cell("stacked", seed=seed, ops=150)
+
+
+@pytest.mark.slow
+def test_create_view_mid_history_under_partition_and_crash_loop():
+    """Tier 2: 200 scheduled ops over 8 rows, with the view created and
+    its load started at 150 ms, under a partition storm stacked on a
+    crash loop of node 0 (the load's first coordinator).  No scrubber
+    runs, so the load, the chain rule and the folded records alone must
+    leave every invariant holding, and no propagation may be abandoned:
+    a record replaying its update against a chain the load had not
+    reached would retry until it was."""
+    schedule = generate_schedule(17, ops=200, faults=0, base_keys=8)
+    ops = [op for op in schedule.ops if op["kind"] != "create_view"]
+    assert sum(op["kind"] == "put" and op["t"] < 150.0 for op in ops) > 20
+    ops.append({"t": 150.0, "kind": "create_view"})
+    adversaries = [PartitionStorm(), CrashLoop(victim=0)]
+    scenario = Scenario(
+        "create-view-mid-history",
+        config=default_config(seed=17),
+        workload=ScheduleWorkload(ops),
+        adversaries=adversaries,
+        scrub=False,
+    )
+    result = scenario.run()
+    assert result.ok, (result.violations[:5], result.stats)
+    assert result.stats["abandoned_propagations"] == 0
+    assert all(adversary.injections > 0 for adversary in adversaries)

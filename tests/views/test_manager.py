@@ -260,9 +260,8 @@ def test_backfill_builds_view_over_existing_data():
     view = ViewDefinition("LATE", "T", "vk", ("m",))
     cluster.create_view(view)
     process = cluster.env.process(cluster.view_manager.backfill("LATE"))
-    report = cluster.env.run(until=process)
-    assert report.loaded == 6
-    assert report.skipped == ()
+    metrics = cluster.env.run(until=process)
+    assert metrics.repairs_applied == 6
     client.settle()
     results = client.get_view("LATE", "g0", ["m"])
     assert sorted((r.base_key, r["m"]) for r in results) == [
