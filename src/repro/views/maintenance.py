@@ -19,12 +19,17 @@ replicas, as Algorithm 2 prescribes.  A view-key move is three
 view-table quorum rounds, not the paper's six: the chain walk (one Get
 when the guess is the live row), the stale pointer (line 8) and the new
 live row (line 4) — two when the executor made the row live itself and
-nobody has held the chain since (below).  ``CopyData`` (line 7: a Get
-of the old live row, then a Put of what it returned) has no rounds of
-its own — its Get is the walk's last hop, which reads that very row,
-and its Put is line 4, which writes that very row.  The paper's unmark
-has no round either: there is no Init mark.  Four things make that
-safe:
+nobody has held the chain since, or when the job is the chain's first
+(both below).  ``CopyData`` (line 7: a Get of the old live row, then a
+Put of what it returned) has no rounds of its own — its Get is the
+walk's last hop, which reads that very row, and its Put is line 4,
+which writes that very row.  Nor does line 12 when the update also
+moves the key: its materialized cells ride the line-4 Put, merged over
+the copied cells by LWW (or the self-pointer's Put, on a same-key
+refresh).  Only an update that is not newer than the live row, whose
+row enters the view stale, still writes them to the live row in a
+round of its own.  The paper's unmark has no round either: there is no
+Init mark.  Four things make that safe:
 
 1. A view-key propagation owns its chain exclusively
    (``ViewManager.serialized``: the exclusive lock, or the row's
@@ -39,8 +44,9 @@ safe:
    (Section IV-F); with the old row stale before the new one appears
    there is at most one, and none in between — ordinary staleness,
    which a view read may show anyway.  Nor can a reader see the new
-   row without its data.  This is cheaper than the paper's algorithm:
-   an extension beyond it, not a reading of it.
+   row without its data, or with an old value of a column the same Put
+   rewrote.  This is cheaper than the paper's algorithm: an extension
+   beyond it, not a reading of it.
 4. Every write is idempotent, and every entry point is safe.  A move
    cut between its two Puts leaves the old row J pointing at a key K
    whose entry is missing, or older on a reused key.  The walk refuses
@@ -64,9 +70,9 @@ view-key propagation on that node for that chain skips line 1's Get iff
   is what this node's own acknowledged rounds left.
 - *That is what a majority Get would merge to.*  The move ran because
   the update was newer than the old live row, so its self-pointer beats
-  every pointer the reused key may carry, its copied cells are the old
-  row's verbatim, and its line-12 cells merge over them by LWW — which
-  is how the entry is built.
+  every pointer the reused key may carry, and its line-4 Put wrote the
+  old row's cells verbatim with the update's own merged over them by
+  LWW — which is what the entry holds.
 - *Popped before use, stored only on success.*  A ``QuorumError`` or
   ``PropagationError`` mid-round, a crash (``forget_node``), a shared
   holder, a GC sweep and any other coordinator's turn all leave the next
@@ -83,6 +89,20 @@ the check above, at the record's own turn, still decides.  When
 another job took the chain in between, the record, which has no
 guesses of its own, walks from the held row, then from the NULL
 anchor.
+
+First turn.  ``turn`` 1 is the chain's first job ever, and every chain
+writer passes through ``ViewManager.serialized``, the one place turns
+are minted (``tests/test_layout.py`` pins it), so no cell of the chain
+exists yet and a walk could only end at the virtual NULL anchor, with
+no cells.  That job takes the anchor as line 1's live row with no Get,
+whatever its guess: even one naming a row whose writer has not
+propagated, which a walk would fail.  A row's first multi-column Put —
+every bulk load's, and every row a new view's load repairs — is thus
+four quorum rounds, base Get, base Put, line 8 (which creates the
+anchor row) and line 4: 12 RPCs at N = 3, where it was six rounds and
+17 RPCs while it walked and wrote line 12 apart.  Its base Get stays:
+predicting turn 1 before the Put would cost a sequencer round trip
+under locks on every Put that holds no row.
 
 Path compression: a serialized walk from the NULL anchor (every
 re-drive's entry point) of more than two hops ends by repointing the
@@ -168,7 +188,7 @@ class PropagationMetrics:
     guess_failures: int = 0
     retry_rounds: int = 0
     chain_hops: int = 0  # Gets the chain walks made
-    walks_skipped: int = 0  # propagations whose executor held the live row
+    walks_skipped: int = 0  # no walk: a held live row, or the first turn
     reads_skipped: int = 0  # base Puts whose coordinator held every live row
     rows_copied: int = 0  # view-key moves that carried materialized cells
 
@@ -346,7 +366,14 @@ class ViewMaintainer:
         # the turn that stored it, and only if this one succeeds.
         held = self._held[coordinator.node.node_id][view.name]
         entry = held.pop(base_key, None)
-        if moves_key and entry is not None and entry.turn + 1 == turn:
+        if turn == 1:
+            # Line 1 without the Get, whatever the guess: the chain's
+            # first job ever, so no cell of it exists and the walk could
+            # only end at the virtual NULL anchor (module docstring,
+            # *First turn*).
+            live_key, live_ts, live_cells = NULL_VIEW_KEY, NULL_TIMESTAMP, {}
+            self.metrics.walks_skipped += 1
+        elif moves_key and entry is not None and entry.turn + 1 == turn:
             # Line 1 without the Get: nobody has held the chain since
             # this node made ``live_key`` live, so the row is what it
             # wrote.
@@ -369,38 +396,34 @@ class ViewMaintainer:
             live_cells = {column: cell for column, cell in merged.items()
                           if cell.timestamp != NULL_TIMESTAMP}
 
-        target_key = live_key
-        if moves_key:
-            target_key = yield from self._propagate_view_key(
-                coordinator, view, base_key,
-                update_values[view.view_key_column], base_ts,
-                live_key, live_ts, live_cells)
-
         materialized = {
             view_column(base_key, column):
                 Cell.make(value, view_timestamp(base_ts, PHASE_ROW))
             for column, value in update_values.items()
             if view.is_materialized(column)
         }
-        if materialized and target_key is not None:
-            # Line 12: write materialized cells to the (new) live row.
+        if moves_key:
+            target_key = yield from self._propagate_view_key(
+                coordinator, view, base_key,
+                update_values[view.view_key_column], base_ts,
+                live_key, live_ts, live_cells, materialized)
+        else:
+            # Line 12 alone: the materialized cells, to the live row.
             # Writing to the NULL anchor is deliberate: the walk of the
             # view-key update that re-enters the row into the view reads
             # them there and copies them to the new row.
-            yield from self._view_put(coordinator, view.name, target_key,
+            yield from self._view_put(coordinator, view.name, live_key,
                                       materialized)
+            target_key = live_key
         self.metrics.propagations_succeeded += 1
         if turn is not None and target_key != live_key:
             # A move: every round was acknowledged by a majority and
             # every cell written beats what the row held (the update is
             # newer than the old live row), so a majority Get of
-            # ``target_key`` now merges to the copied cells plus the
-            # line-12 ones by LWW.  (``held`` was fetched before the
-            # rounds: if the node failed meanwhile, ``forget_node`` has
-            # dropped that dict and this entry goes with it.)
-            for column, cell in materialized.items():
-                if cell_wins(cell, live_cells.get(column)):
-                    live_cells[column] = cell
+            # ``target_key`` now merges to ``live_cells``, the line-4
+            # Put's cells.  (``held`` was fetched before the rounds: if
+            # the node failed meanwhile, ``forget_node`` has dropped
+            # that dict and this entry goes with it.)
             held[base_key] = HeldRow(target_key, base_ts,
                                      tuple(live_cells.items()), turn)
         return target_key
@@ -408,15 +431,18 @@ class ViewMaintainer:
     def _propagate_view_key(self, coordinator, view: ViewDefinition,
                             base_key: Hashable, raw_value: Any, base_ts: int,
                             live_key: Any, live_ts: int,
-                            live_cells: Dict[ColumnName, Cell]):
-        """The view-key-update branch of Algorithm 2 (lines 3-10).
+                            live_cells: Dict[ColumnName, Cell],
+                            materialized: Dict[ColumnName, Cell]):
+        """The view-key-update branch of Algorithm 2 (lines 3-12).
 
         ``live_cells`` are the live row's non-null materialized cells,
         as the chain walk's last Get returned them or as this node left
         them; a move writes them into the new row verbatim (CopyData,
-        line 7) inside the line-4 Put.  Returns the view key that is
-        live after this propagation: other than ``live_key`` exactly
-        when the row moved.
+        line 7) inside the line-4 Put, with ``materialized`` — the
+        update's own cells, line 12 — merged over them by LWW, and
+        leaves ``live_cells`` holding that merge.  Returns the view key
+        that is live after this propagation: other than ``live_key``
+        exactly when the row moved.
         """
         new_key = raw_value if view.accepts_key(raw_value) else NULL_VIEW_KEY
         next_col = view_column(base_key, NEXT_COLUMN)
@@ -430,9 +456,10 @@ class ViewMaintainer:
 
         if new_key == live_key:
             # Same-key refresh: line 4 alone, the self-pointer at this
-            # update's stamp.
+            # update's stamp, with line 12's cells.
             yield from self._view_put(coordinator, view.name, new_key, {
                 next_col: Cell(new_key, live_stamp),
+                **materialized,
             })
             return new_key
 
@@ -448,6 +475,11 @@ class ViewMaintainer:
             yield from self._view_put(coordinator, view.name, new_key, {
                 next_col: Cell(live_key, stale_ts),
             })
+            if materialized:
+                # Line 12, in a round of its own: its target is the live
+                # row, not the one this branch wrote.
+                yield from self._view_put(coordinator, view.name, live_key,
+                                          materialized)
             return live_key
 
         # Line 8 first, so no Init mark is needed (module docstring,
@@ -459,12 +491,16 @@ class ViewMaintainer:
         yield from self._view_put(coordinator, view.name, live_key, {
             next_col: Cell(new_key, stale_ts),
         })
-        # Lines 4 and 7 in one Put: the new row, already live, and the
-        # old live row's materialized cells, verbatim (why that is safe:
-        # the module docstring).  The copy runs even when the old live
-        # row is the (possibly virtual) NULL anchor: materialized
-        # updates that propagated before any view-key update park their
-        # cells there.
+        # Lines 4, 7 and 12 in one Put: the new row, already live, the
+        # old live row's materialized cells, verbatim, and this update's
+        # merged over them as a replica's LWW would merge two Puts (why
+        # that is safe: the module docstring).  The copy runs even when
+        # the old live row is the (possibly virtual) NULL anchor:
+        # materialized updates that propagated before any view-key
+        # update park their cells there.
+        for column, cell in materialized.items():
+            if cell_wins(cell, live_cells.get(column)):
+                live_cells[column] = cell
         yield from self._view_put(coordinator, view.name, new_key, {
             next_col: Cell(new_key, live_stamp),
             **live_cells,

@@ -12,8 +12,18 @@ pops but not when anything completes.  It runs on the default
 sampled before instead of after a neighbour's forward delay — shifts
 every later timestamp and fails it.
 
-Last re-recorded when a base Put whose coordinator holds the chain's
-live row at the chain's current turn began to skip Algorithm 1's
+Last re-recorded when a chain's first job stopped walking (its turn is
+1, so it can only find the virtual NULL anchor) and a multi-column
+Put's line-12 cells began to ride its line-4 Put, which was meant to
+move the simulation: a row's first multi-column Put is four quorum
+rounds, not six.  The first op to differ is the fifth to complete:
+client 3's second (a Get, R = 2), now at 1.6838 ms instead of 1.5052,
+its link delays drawn from a stream client 3's first Put, which no
+longer walks, left shifted.  The last op completes at 63.82 ms instead
+of 77.41.
+
+Before that it was re-recorded when a base Put whose coordinator holds
+the chain's live row at the chain's current turn began to skip Algorithm 1's
 every-replica Get (its record skips the walk, the only reader of those
 guesses), which was meant to move the simulation: a repeat move by the
 same coordinator is three quorum rounds, not four.  The first op to

@@ -142,6 +142,35 @@ their heals are no longer dealt, and ``stop()``'s heal (four
 to 1160.74 ms.  Every other run is identical, and every run loses as
 many propagations as before.
 
+Re-recorded when a chain's first job stopped walking (its turn is 1,
+so it can only find the virtual NULL anchor) and a multi-column Put's
+line-12 cells began to ride its line-4 Put.  Every fault dealt before
+each E4 run's final heal is unchanged; what moved is when the workload
+ends, and with it which scheduled faults are still dealt.  The first
+entry to differ in each stack:
+
+- partition-storm: the storm heals partition (0, 2) itself at
+  1181.40 ms, where ``stop()`` healed it at 1160.74; it deals one more
+  partition, (2, 3) at 1199.81, and ``stop()``'s heal moved to
+  1210.79 ms.
+- gray-failure: ``stop()``'s heal (four ``restore_node_speed`` calls and
+  the arrival scale), 697.06 to 695.74 ms.
+- clock-skew: the workload ends at 512.29 ms, before the re-skew at
+  517.01, which is no longer dealt; ``stop()`` zeroes the skews there.
+- crash-loop: the workload ends at 624.77 ms instead of 585.47, so the
+  crash of node 0 at 588.75 ms and its recovery are dealt again.
+- crash-storm: ``stop()``'s heal, 644.69 to 645.15 ms.
+- burst-arrivals: the burst ends at 362.87 ms instead of 372.48, and
+  ``stop()``'s heal moved there from 374.99.
+- stacked: the partition (1, 2) at 2135.95 ms is dealt again, and the
+  workload ends at 2549.86 ms instead of 2133.36.
+
+E2 and E6 crash on a propagation count, so their crashes moved, E2's
+by at most 0.39 ms and E6's by at most 0.044 ms; the first entry to
+differ is each run's first crash, E2's (scrubber off) 233.0880 to
+232.8771 ms.  The shrunk reproducer and both fuzz schedules are
+identical, and every run loses as many propagations as before.
+
 Re-record (only for a change that is *meant* to move the faults)::
 
     PYTHONPATH=src python tests/scenarios/test_fault_timeline.py

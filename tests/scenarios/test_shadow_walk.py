@@ -8,6 +8,11 @@ propagation runs, and records any difference between what the walk
 returns and what the executor remembered: live key, live timestamp and
 the non-null materialized cells must be identical.
 
+A chain's first job (turn 1) makes no ``GetLiveKey`` Get either: no cell
+of the chain can exist yet, so it takes the virtual NULL anchor.  The
+wrapper walks from the never-written NULL on each of those too, and the
+walk must return that anchor with no cells.
+
 A base Put whose coordinator holds every touched chain's live row at
 the chain's current turn skips Algorithm 1's Get
 (``views.drive.holds_live_rows``), on a prediction that its record will
@@ -37,7 +42,7 @@ from repro.scenarios import (
 )
 from repro.views import ViewKeyGuess, manager, skew
 from repro.views.maintenance import ViewMaintainer
-from repro.views.versioned import view_column
+from repro.views.versioned import NULL_VIEW_KEY, view_column
 
 from tests.scenarios.test_matrix import ADAPTIVE_OVERRIDES, ADVERSARY_STACKS
 
@@ -55,12 +60,14 @@ def faster_tick(monkeypatch):
 @pytest.fixture
 def shadow(monkeypatch):
     """Wrap ``propagate_update``: on a hit, first walk from the held row
-    with the columns CopyData reads and compare.  An adversary may eat
-    the extra Get (``QuorumError``); that hit goes uncompared.  Records
-    whose Put skipped its read are known by their ``update_values``,
-    the dict a record's process hands ``propagate_update``."""
+    with the columns CopyData reads and compare; on a first turn, walk
+    from the never-written NULL and expect the bare virtual anchor.  An
+    adversary may eat the extra Get (``QuorumError``); that walk goes
+    uncompared.  Records whose Put skipped its read are known by their
+    ``update_values``, the dict a record's process hands
+    ``propagate_update``."""
     seen = SimpleNamespace(hits=0, compared=0, mismatches=[], readless={},
-                           fence_held=0, fence_broken=0)
+                           fence_held=0, fence_broken=0, first_turns=0)
     real = ViewMaintainer.propagate_update
     real_process = manager.process_record
 
@@ -78,10 +85,24 @@ def shadow(monkeypatch):
                 seen.fence_held += 1
             else:
                 seen.fence_broken += 1
-        if fenced and view.view_key_column in update_values:
+        columns = tuple(view_column(base_key, column)
+                        for column in view.materialized_columns)
+        if turn == 1:
+            try:
+                walked = yield from self.get_live_key(
+                    coordinator, view, base_key,
+                    ViewKeyGuess.from_cell(view, None), columns)
+            except QuorumError:
+                pass
+            else:
+                seen.first_turns += 1
+                key, ts, merged = walked
+                if (key, ts) != (NULL_VIEW_KEY, NULL_TIMESTAMP) or any(
+                        cell.timestamp != NULL_TIMESTAMP
+                        for cell in merged.values()):
+                    seen.mismatches.append((base_key, "first turn", walked))
+        elif fenced and view.view_key_column in update_values:
             seen.hits += 1
-            columns = tuple(view_column(base_key, column)
-                            for column in view.materialized_columns)
             try:
                 key, ts, merged = yield from self.get_live_key(
                     coordinator, view, base_key,
@@ -112,7 +133,7 @@ def test_every_hit_equals_its_walk_across_the_scenario_matrix(shadow,
                                                               serializer):
     for stack_name in sorted(ADVERSARY_STACKS):
         for overrides in ({}, ADAPTIVE_OVERRIDES):
-            before = shadow.compared
+            before = shadow.compared, shadow.first_turns
             scenario = Scenario(
                 f"shadow/{stack_name}",
                 config=default_config(seed=17,
@@ -125,8 +146,9 @@ def test_every_hit_equals_its_walk_across_the_scenario_matrix(shadow,
             assert result.ok, (result.name, overrides,
                                result.violations[:5])
             assert shadow.mismatches == [], (stack_name, overrides)
-            # Not vacuous, cell by cell.
-            assert shadow.compared > before, (stack_name, overrides)
+            # Not vacuous, cell by cell, and first turns were skipped.
+            assert shadow.compared > before[0], (stack_name, overrides)
+            assert shadow.first_turns > before[1], (stack_name, overrides)
     # A skipped read whose prediction held, and one whose fence broke.
     assert shadow.fence_held > 0
     assert shadow.fence_broken > 0
@@ -136,11 +158,13 @@ def test_every_hit_equals_its_walk_across_the_scenario_matrix(shadow,
 def test_every_hit_equals_its_walk_across_fuzzed_histories(shadow,
                                                            serializer):
     for seed in FUZZ_SEEDS:
+        first_turns = shadow.first_turns
         result = replay_schedule(
             generate_schedule(seed),
             config_overrides={"propagation_concurrency": serializer})
         assert result.ok, (seed, result.violations[:5])
         assert shadow.mismatches == [], seed
+        assert shadow.first_turns > first_turns, seed
     assert shadow.compared > 0
     assert shadow.hits >= shadow.compared
     assert shadow.fence_held > 0

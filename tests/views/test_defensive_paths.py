@@ -60,6 +60,11 @@ def test_propagation_gives_up_loudly_after_max_rounds(monkeypatch):
     cluster.create_view(VIEW)
     manager = cluster.view_manager
     coordinator = cluster.coordinator(0)
+    # The chain's first job succeeds whatever its guess (it walks
+    # nowhere), so one propagation comes first.
+    cluster.env.run(until=cluster.env.process(drive.propagate_with_retries(
+        manager, coordinator, VIEW, "T", "k",
+        [ViewKeyGuess.from_cell(VIEW, None)], {"m": "x"}, 5)))
     # A guess referencing a view key that will never exist, with no
     # refresh able to help (the base row has nothing either).
     hopeless = [ViewKeyGuess("never-there", 10)]

@@ -380,21 +380,19 @@ def _moved_row(driver):
     driver.propagate("k", driver.guess("a", 10), {"m": "payload"}, 11)
 
 
-def _count_one_move(monkeypatch, mover_is_the_holder: bool):
-    """Load ``k`` under ``a`` through one coordinator, then move it to
-    ``b`` through the same one or another; returns ``(RPCs sent,
-    view-table round kinds, base-table reads, a client)`` for the move
-    alone."""
+def _payload_cluster(**overrides):
     from repro.cluster import ClusterConfig
-    from repro.cluster.coordinator import Coordinator
 
-    cluster = Cluster(ClusterConfig(seed=5))
+    cluster = Cluster(ClusterConfig(seed=5, **overrides))
     cluster.create_table("T")
     cluster.create_view(ViewDefinition("V", "T", "sec", ("payload",)))
-    holder = cluster.sync_client(0)
-    mover = holder if mover_is_the_holder else cluster.sync_client(1)
-    holder.put("T", "k", {"sec": "a", "payload": "p"})
-    holder.settle()
+    return cluster
+
+
+def _count_one_put(monkeypatch, cluster, client, values):
+    """Put ``values`` to ``k`` through ``client`` and drain; returns
+    ``(RPCs sent, view-table round kinds, base-table reads)`` for it."""
+    from repro.cluster.coordinator import Coordinator
 
     rounds = []
     for kind in ("scatter_read", "scatter_write"):
@@ -406,11 +404,46 @@ def _count_one_move(monkeypatch, mover_is_the_holder: bool):
 
         monkeypatch.setattr(Coordinator, kind, counted)
     sent = cluster.network.messages_sent
-    mover.put("T", "k", {"sec": "b"})
-    mover.settle()
+    client.put("T", "k", values)
+    client.settle()
     return (cluster.network.messages_sent - sent,
             sorted(kind for table, kind in rounds if table == "V"),
-            rounds.count(("T", "scatter_read")), mover)
+            rounds.count(("T", "scatter_read")))
+
+
+def _count_one_move(monkeypatch, mover_is_the_holder: bool):
+    """Load ``k`` under ``a`` through one coordinator, then move it to
+    ``b`` through the same one or another; returns ``(RPCs sent,
+    view-table round kinds, base-table reads, a client)`` for the move
+    alone."""
+    cluster = _payload_cluster()
+    holder = cluster.sync_client(0)
+    mover = holder if mover_is_the_holder else cluster.sync_client(1)
+    holder.put("T", "k", {"sec": "a", "payload": "p"})
+    holder.settle()
+    return (*_count_one_put(monkeypatch, cluster, mover, {"sec": "b"}),
+            mover)
+
+
+@pytest.mark.parametrize("serializer", ["locks", "propagators"])
+def test_a_pristine_multi_column_insert_sends_12_rpcs_two_view_rounds(
+        monkeypatch, serializer):
+    """The first Put of a row, with a view key and a materialized
+    column: base Get + base Put + the NULL anchor's stale pointer (line
+    8) + the new live row carrying ``payload`` (line 4, with line 12's
+    cell) = 4 x 3 RPCs, and no view-table Get.  It was 17 in six rounds
+    while the chain's first job walked to the virtual anchor (a majority
+    Get, 2 RPCs) and line 12 was a third view Put of its own (3)."""
+    cluster = _payload_cluster(propagation_concurrency=serializer)
+    client = cluster.sync_client(0)
+    sent, view_rounds, base_reads = _count_one_put(
+        monkeypatch, cluster, client, {"sec": "a", "payload": "p"})
+    assert sent == 12
+    assert view_rounds == ["scatter_write", "scatter_write"]
+    assert base_reads == 1
+    assert cluster.view_manager.maintainer.metrics.chain_hops == 0
+    (row,) = client.get_view("V", "a", ["payload"])
+    assert (row.base_key, row["payload"]) == ("k", "p")
 
 
 def test_view_key_move_sends_17_rpcs_four_view_rounds(monkeypatch):
@@ -526,6 +559,38 @@ def test_view_get_racing_a_move_never_sees_the_new_row_without_its_data(
     env.run(until=racing)
     assert ("a", "payload") in seen             # it did race the move
     assert set(seen) == {("a", "payload"), ("b", "payload")}
+
+
+@pytest.mark.parametrize("serializer", ["locks", "propagators"])
+def test_a_view_get_racing_a_multi_column_move_never_sees_the_old_value(
+        serializer):
+    """``k`` moves from ``a`` to ``b`` and rewrites ``m`` in one Put.
+    The new row's first apply carries the new ``m`` merged over the
+    copied one, so no reader sees ``b`` with the old value — as one did
+    while line 12 wrote it a round after line 4.  The reader's node
+    holds no copy of ``b``, so it reads two remote replicas, neither of
+    them the writer's own."""
+    cluster = _chain_cluster(propagation_concurrency=serializer)
+    client = cluster.sync_client(A)
+    client.put("B", "k", {"vk": "a", "m": "old"})
+    client.settle()
+    env = cluster.env
+    seen = []
+
+    def reader():
+        coordinator = cluster.coordinator(1)
+        while ("b", "new") not in seen:
+            for view_key in ("a", "b"):
+                rows = yield from view_get(coordinator, VIEW, view_key,
+                                           ("m",), 2)
+                seen.extend((view_key, row["m"]) for row in rows)
+            yield env.timeout(0.01)
+
+    racing = env.process(reader())
+    client.put("B", "k", {"vk": "b", "m": "new"})
+    env.run(until=racing)
+    assert ("a", "old") in seen                 # it did race the move
+    assert set(seen) == {("a", "old"), ("b", "new")}
 
 
 def _walk(driver, guess, columns=()):
@@ -673,7 +738,7 @@ def test_a_move_by_another_coordinator_fences_the_held_row():
     live ``c`` — two accessible live rows, and the NULL anchor's chain
     ends at the wrong one."""
     chain = ManagedChain()
-    assert chain.propagate(A, {"vk": "a", "m": "p"}, 10, None) == (0, 0)
+    assert chain.propagate(A, {"vk": "a", "m": "p"}, 10, None) == (0, 1)
     assert chain.propagate(A, {"vk": "b"}, 20, ("a", 10)) == (0, 1)
     assert chain.propagate(B, {"vk": "c"}, 30, ("b", 20)) == (1, 0)
     assert chain.propagate(A, {"vk": "d"}, 40, ("b", 20)) == (2, 0)
@@ -851,10 +916,39 @@ def test_a_repeat_move_by_the_holder_sends_no_base_read(monkeypatch,
         client.settle()
     metrics = manager.maintainer.metrics
     assert reads == ["B"]
-    assert (metrics.reads_skipped, metrics.walks_skipped) == (3, 3)
+    # Four walks skipped: the first turn's and the three held rows'.
+    assert (metrics.reads_skipped, metrics.walks_skipped) == (3, 4)
     assert check_view(cluster, VIEW) == []
     assert [(row.base_key, row["m"])
             for row in client.get_view("V", "d", ["m"])] == [("k", "p")]
+
+
+@pytest.mark.parametrize("serializer", ["locks", "propagators"])
+def test_a_chains_first_job_walks_nowhere_whatever_its_guess(serializer):
+    """The chain's first turn takes the virtual NULL anchor with no Get,
+    even from a guess naming a row that does not exist: nothing of the
+    chain can exist before its first job.  The second job, from the same
+    guess, walks — and fails it (a payload update: a move would skip its
+    walk on the row the first job left held)."""
+    cluster = _chain_cluster(propagation_concurrency=serializer)
+    manager = cluster.view_manager
+    metrics = manager.maintainer.metrics
+    nowhere = [ViewKeyGuess("nowhere", 5)]
+
+    def one_round(values, ts):
+        def job(executor, turn):
+            return drive._attempt_round(manager, executor, VIEW, "k",
+                                        nowhere, values, ts, turn)
+
+        return cluster.env.run(until=cluster.env.process(manager.serialized(
+            cluster.coordinator(A), VIEW, "k", True, job)))
+
+    assert one_round({"vk": "a", "m": "p"}, 10) is True
+    assert (metrics.guess_failures, metrics.walks_skipped) == (0, 1)
+    assert one_round({"m": "q"}, 20) is False
+    assert (metrics.guess_failures, metrics.walks_skipped) == (1, 1)
+    rows = cluster.sync_client(2).get_view("V", "a", ["m"])
+    assert [(row.base_key, row["m"]) for row in rows] == [("k", "p")]
 
 
 def test_a_put_whose_held_row_another_coordinators_move_fenced_reads(
@@ -921,8 +1015,9 @@ def test_a_put_that_skipped_its_read_and_lost_the_race_walks_from_the_held_row()
         manager, coordinator_b, VIEW, "B", "k",
         [ViewKeyGuess("a", 10)], {"vk": "c"}, 30))
     cluster.run_until_idle()
-    assert walks == [(A, NULL_VIEW_KEY), (B, "a"), (A, "a")]
-    assert maintainer.metrics.walks_skipped == 0
+    # A's first Put took the chain's first turn, which walks nowhere.
+    assert walks == [(B, "a"), (A, "a")]
+    assert maintainer.metrics.walks_skipped == 1
     assert check_view(cluster, VIEW, reference) == []
     client = cluster.sync_client(2)
     assert [(row.base_key, row["m"])
