@@ -97,6 +97,12 @@ class ClientHandle:
                                         session=self.session)
         else:
             yield from coordinator.put(table, key, cells, w)
+            # A view registered while the write was in flight gets its
+            # records now (ViewManager.append_records).
+            manager = self.cluster.view_manager
+            if manager is not None and manager.views_affected(table, cells):
+                yield from manager.append_records(coordinator, table, key,
+                                                  cells, session=self.session)
         yield self._hop()
         return ts
 

@@ -295,8 +295,9 @@ def load_view(cluster, view):
     every base row present at the start, each row's epoch taken as the
     loop reaches it and with no stray check (a new view holds none),
     round after round until each row is verified clean or repaired.  A
-    clean round never comes while writes continue; the rows they touch
-    re-drive themselves (their records fold while the load runs)."""
+    clean round never comes while writes continue; a row a Put reaches
+    first enters the view whole by that Put's own propagation (the
+    view is ``ViewMaintainer.backfilled``)."""
     metrics = ScrubMetrics()
     pending = sorted(cluster.table_keys(view.base_table), key=repr)
     while pending:

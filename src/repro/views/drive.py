@@ -115,12 +115,12 @@ def process_record(manager, outbox: NodeOutbox, record):
                     view, extract(response, view.view_key_column))
                 for responses, extract in gathered for response in responses)
             if (manager.skew.enabled or len(gathered) < len(record.sources)
-                    or view.name in manager._loads):
+                    or view.name in manager.maintainer.backfilled):
                 # The row a guess names may have been folded away on
-                # another node, or by a re-drive while the view was
-                # loading, and never be written, and a Put that skipped
-                # its read named none: rather than sleep on for it, end
-                # every round at the entry points that need no luck.
+                # another node, or skipped by a load's re-drive, and
+                # never be written, and a Put that skipped its read
+                # named none: rather than sleep on for it, end every
+                # round at the entry points that need no luck.
                 guesses.extend(_sure_guesses(manager, outbox, view, key))
             yield from propagate_with_retries(
                 manager, coordinator, view, record.table, key, guesses,
@@ -241,7 +241,8 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
                            base_ts: int,
                            outbox: Optional[NodeOutbox] = None):
     """Algorithm 1 lines 5-7: retry guesses until one propagates, or
-    raise :class:`PropagationError` after :data:`MAX_ROUNDS` rounds.
+    raise :class:`PropagationError` after :data:`MAX_ROUNDS` rounds;
+    returns the chain turn (``ViewManager.serialized``) that propagated.
 
     Locks (or the propagator's turn) are released between rounds —
     holding them across a failed round would block the very propagation
@@ -253,8 +254,10 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
     exclusive = view.view_key_column in update_values
 
     def job(executor, turn):
-        return _attempt_round(manager, executor, view, key, guesses,
-                              update_values, base_ts, turn)
+        success = yield from _attempt_round(manager, executor, view, key,
+                                            guesses, update_values, base_ts,
+                                            turn)
+        return turn if success else None
 
     rounds = 0
     while True:
@@ -263,10 +266,10 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
             raise PropagationError(
                 f"update for base key {key!r} could not be propagated "
                 f"to view {view.name!r} after {rounds - 1} rounds")
-        success = yield from manager.serialized(coordinator, view, key,
-                                                exclusive, job)
-        if success:
-            return
+        turn = yield from manager.serialized(coordinator, view, key,
+                                             exclusive, job)
+        if turn is not None:
+            return turn
         manager.maintainer.metrics.retry_rounds += 1
         manager.cluster.trace("propagation", "round failed; backing off",
                               view=view.name, key=key, round=rounds)
@@ -356,8 +359,10 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     never-written-NULL guess, whose virtual anchor makes it a universal
     chain entry point — ``GetLiveKey`` walks from the NULL anchor to
     whatever row is currently live), then propagate each materialized
-    cell at its own timestamp.  The walk takes one hop per move since
-    the last one, which repointed the anchor at the live row
+    cell at its own timestamp — unless the view-key job was the chain's
+    first on a view created over data, which wrote them all
+    (``ViewMaintainer.writes_whole_row``).  The walk takes one hop per
+    move since the last one, which repointed the anchor at the live row
     (``ViewMaintainer.compact_anchor``).  Because every view write carries
     scaled base timestamps, replaying already-propagated state is an LWW
     no-op, and replaying lost state lands exactly where the original
@@ -396,7 +401,7 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     # materialized cells are then written into.
     pristine = ([ViewKeyGuess.from_cell(view, None)] if outbox is None
                 else _sure_guesses(manager, outbox, view, base_key))
-    yield from propagate_with_retries(
+    turn = yield from propagate_with_retries(
         manager, coordinator, view, view.base_table, base_key, pristine,
         {view.view_key_column: (None if key_cell.tombstone
                                 else key_cell.value)},
@@ -404,7 +409,9 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     # Where the row now lives: its current view key, or the NULL anchor
     # for a deleted / predicate-rejected one.
     live = ViewKeyGuess.from_cell(view, key_cell)
-    for column in view.materialized_columns:
+    # Then each materialized cell, unless that job wrote them all.
+    for column in (() if manager.maintainer.writes_whole_row(view, turn)
+                   else view.materialized_columns):
         cell = merged[column]
         if cell.timestamp < 0:
             continue

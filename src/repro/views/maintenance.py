@@ -97,12 +97,23 @@ exists yet and a walk could only end at the virtual NULL anchor, with
 no cells.  That job takes the anchor as line 1's live row with no Get,
 whatever its guess: even one naming a row whose writer has not
 propagated, which a walk would fail.  A row's first multi-column Put —
-every bulk load's, and every row a new view's load repairs — is thus
-four quorum rounds, base Get, base Put, line 8 (which creates the
-anchor row) and line 4: 12 RPCs at N = 3, where it was six rounds and
-17 RPCs while it walked and wrote line 12 apart.  Its base Get stays:
-predicting turn 1 before the Put would cost a sequencer round trip
-under locks on every Put that holds no row.
+every bulk load's — is thus four quorum rounds, base Get, base Put,
+line 8 (which creates the anchor row) and line 4: 12 RPCs at N = 3,
+where it was six rounds and 17 RPCs while it walked and wrote line 12
+apart.  Its base Get stays: predicting turn 1 before the Put would cost
+a sequencer round trip under locks on every Put that holds no row.
+
+A view created over a populated table (``backfilled``, from
+``ViewManager.backfill``) is where a base row can hold cells that no
+record of the view carries.  There a first job that does not carry
+every materialized column makes one majority Get of the missing base
+columns and writes them, at their own scaled ``PHASE_ROW``
+timestamps, with its own cells: a move with line 4 (or the
+self-pointer's Put), so the row enters the view whole, whether the
+load or a client's Put reaches it first; a materialized-only job with
+line 12, parked on the NULL anchor, where the move that later enters
+the row copies them.  A view defined before its data never makes that
+Get.
 
 Path compression: a serialized walk from the NULL anchor (every
 re-drive's entry point) of more than two hops ends by repointing the
@@ -115,7 +126,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Hashable, NamedTuple, Optional, Set, Tuple
 
 from repro.common.quorum import majority
 from repro.common.records import NULL_TIMESTAMP, Cell, ColumnName, cell_wins
@@ -208,6 +219,9 @@ class ViewMaintainer:
         self.env = cluster.env
         self.quorum = majority(cluster.config.replication_factor)
         self.metrics = PropagationMetrics()
+        # Views created over a populated table (``ViewManager.backfill``):
+        # a row may hold cells no record of the view carries.
+        self.backfilled: Set[str] = set()
         # What each node's last view-key move left live, per view:
         # ``node id -> view name -> {base key: HeldRow}``.  Volatile
         # coordinator memory (see :meth:`forget_node`), consumed by
@@ -221,6 +235,14 @@ class ViewMaintainer:
         exists, and the live row is as many hops on as others have
         moved it since; whether that is none is what ``turn`` tells."""
         return self._held[node_id][view.name].get(base_key)
+
+    def writes_whole_row(self, view: ViewDefinition,
+                         turn: Optional[int]) -> bool:
+        """True if the chain's job at ``turn`` writes every materialized
+        column, the ones its update does not carry read from the base
+        row: the first job on a view created over a populated table
+        (module docstring, *First turn*)."""
+        return turn == 1 and view.name in self.backfilled
 
     def forget_node(self, node_id: int) -> None:
         """Drop every live row ``node_id`` holds: a crashed coordinator
@@ -237,6 +259,21 @@ class ViewMaintainer:
     def _view_put(self, coordinator, view_name: str, view_key: Any,
                   cells: Dict[ColumnName, Cell]):
         yield from coordinator.put(view_name, view_key, cells, self.quorum)
+
+    def _base_cells(self, coordinator, view: ViewDefinition,
+                    base_key: Hashable, update_values: Dict[ColumnName, Any]):
+        """The base row's materialized cells the update does not carry,
+        one majority Get, as view cells at their own scaled timestamps."""
+        missing = tuple(column for column in view.materialized_columns
+                        if column not in update_values)
+        if not missing:
+            return {}
+        merged = yield from coordinator.get(view.base_table, base_key,
+                                            missing, self.quorum)
+        return {view_column(base_key, column): Cell.make(
+                    cell.value, view_timestamp(cell.timestamp, PHASE_ROW))
+                for column, cell in merged.items()
+                if cell.timestamp != NULL_TIMESTAMP}
 
     # -- Algorithm 3: GetLiveKey -------------------------------------------------
 
@@ -402,6 +439,11 @@ class ViewMaintainer:
             for column, value in update_values.items()
             if view.is_materialized(column)
         }
+        if self.writes_whole_row(view, turn):
+            # The row may hold cells no record carries: line 4 (or 12)
+            # writes them too (module docstring, *First turn*).
+            materialized.update((yield from self._base_cells(
+                coordinator, view, base_key, update_values)))
         if moves_key:
             target_key = yield from self._propagate_view_key(
                 coordinator, view, base_key,

@@ -20,8 +20,7 @@ that decides how same-chain work is serialized (Section IV-F,
 :meth:`ViewManager.serialized`).
 
 Base Puts block while their node's outbox is full, and the records of
-a heavy chain, or of a view still loading (:meth:`ViewManager.backfill`),
-fold (:mod:`repro.views.outbox`).
+a heavy chain fold (:mod:`repro.views.outbox`).
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ class ViewManager:
         self._turns: Dict[str, Dict[Hashable, int]] = {}
         # Per chain: base Puts written but not yet appended (base_put).
         self._puts_in_flight: Counter = Counter()
-        self._loads: Dict[str, bool] = {}  # backfilled: True while loading
         # Observability.
         self.completed_propagations = 0
         self.lost_propagations = 0
@@ -132,15 +130,14 @@ class ViewManager:
 
     def backfill(self, view_name: str):
         """Load a view as it is created over a populated table, safe under
-        writes; a process (``repair.scheduler.load_view``)."""
+        writes; a process (``repair.scheduler.load_view``).  The view is
+        in ``maintainer.backfilled`` from the start: a chain's first job
+        writes the whole row (``views.maintenance``, *First turn*)."""
         from repro.repair.scheduler import load_view  # late: avoids cycle
 
         view = self.view(view_name)
-        self._loads[view.name] = True
-        try:
-            return (yield from load_view(self.cluster, view))
-        finally:
-            self._loads[view.name] = False
+        self.maintainer.backfilled.add(view.name)
+        return (yield from load_view(self.cluster, view))
 
     def view(self, name: str) -> ViewDefinition:
         """Look up a registered view by name."""
@@ -210,23 +207,18 @@ class ViewManager:
                  cells: Dict[ColumnName, Cell], w: int, session=None):
         """Put with propagation; returns after W base-replica acks.
 
-        Propagation to each affected view continues asynchronously; with
-        ``session`` each record's completion event is registered for the
-        Section V guarantee.
+        The Put affects at least one view; propagation to each continues
+        asynchronously, and with ``session`` each record's completion
+        event is registered for the Section V guarantee.
         """
         affected = [view for view in self.views_on(table)
                     if view.affects(cells)]
-        if not affected:
-            yield from coordinator.put(table, key, cells, w)
-            return
-
         yield coordinator.node.charge(self.config.service.coordinator)
         read_columns = tuple(dict.fromkeys(
             view.view_key_column for view in affected))
         combined = self.config.combined_get_then_put
         collector = None
-        loading = all(self._loads.get(view.name) for view in affected)
-        if not (combined or loading) and not (yield from holds_live_rows(
+        if not combined and not (yield from holds_live_rows(
                 self, coordinator.node.node_id, affected, key)):
             # The prototype's two-step path (Alg. 1 lines 2-3): Get the
             # current view keys — every replica's version, so all N are
@@ -252,40 +244,47 @@ class ViewManager:
                 yield collector.wait(w)
             else:
                 yield coordinator.scatter_write(table, key, cells, w).wait(w)
-            base_ts = max(cell.timestamp for cell in cells.values())
-            self.cluster.trace("base_put", "acked; scheduling propagation",
-                               table=table, key=key, ts=base_ts,
-                               views=[view.name for view in affected])
-            outbox = self._outboxes[coordinator.node.node_id]
-            for view in affected:
-                heavy = self.skew.observe(outbox.node_id, view, key)
-                if not heavy:
-                    # Back-pressure: block the Put while the node's outbox
-                    # (queued + in-flight records) is full.
-                    yield outbox.backpressure.acquire()
-                # The completion event resolves when the record's
-                # propagation does; a session barrier waits on it but
-                # never consumes a failure, so it is defused.
-                completion = self.env.event().defuse()
-                before = outbox.coalesced
-                # The watched columns as raw values (None for tombstones).
-                update_values = {
-                    column: (None if cell.tombstone else cell.value)
-                    for column, cell in cells.items()
-                    if column in view.watched_columns
-                }
-                record = outbox.append(view, table, key, update_values,
-                                       base_ts, (collector, extract),
-                                       completion, heavy,
-                                       self._loads.get(view.name, False))
-                if outbox.coalesced != before:
-                    self.cluster.trace(
-                        "outbox", "coalesced superseded update",
-                        view=view.name, key=key, seq=record.seq)
-                if session is not None:
-                    self.sessions.register(session, view.name, completion)
+            yield from self.append_records(coordinator, table, key, cells,
+                                           (collector, extract), session)
         finally:
             self._puts_in_flight.subtract(chains)
+
+    def append_records(self, coordinator, table: str, key: Hashable,
+                       cells: Dict[ColumnName, Cell],
+                       source=(None, None), session=None):
+        """Algorithm 1 line 3 for a Put whose write has acked: append a
+        record per view it affects, ``source`` the ``(collector,
+        extract)`` of its view-key read.  A plain Put calls this with none
+        for a view registered while its write was in flight."""
+        affected = [view for view in self.views_on(table)
+                    if view.affects(cells)]
+        base_ts = max(cell.timestamp for cell in cells.values())
+        self.cluster.trace("base_put", "acked; scheduling propagation",
+                           table=table, key=key, ts=base_ts,
+                           views=[view.name for view in affected])
+        outbox = self._outboxes[coordinator.node.node_id]
+        for view in affected:
+            heavy = self.skew.observe(outbox.node_id, view, key)
+            if not heavy:
+                # Back-pressure: block the Put while the node's outbox
+                # (queued + in-flight records) is full.
+                yield outbox.backpressure.acquire()
+            # The completion event resolves when the record's
+            # propagation does; a session barrier waits on it but never
+            # consumes a failure, so it is defused.
+            completion = self.env.event().defuse()
+            before = outbox.coalesced
+            # The watched columns as raw values (None for tombstones).
+            update_values = {column: cell.value
+                             for column, cell in cells.items()
+                             if column in view.watched_columns}
+            record = outbox.append(view, table, key, update_values, base_ts,
+                                   source, completion, heavy)
+            if outbox.coalesced != before:
+                self.cluster.trace("outbox", "coalesced superseded update",
+                                   view=view.name, key=key, seq=record.seq)
+            if session is not None:
+                self.sessions.register(session, view.name, completion)
 
     def serialized(self, coordinator, view: ViewDefinition, key: Hashable,
                    exclusive: bool, job: Callable):

@@ -24,7 +24,9 @@ collectors of the base-row round trips that observed the pre-update
 view keys (Algorithm 1's guesses are extracted from them when the
 record runs, after every replica has answered or timed out).  A Put
 that skipped that read, its coordinator holding the live row, appends
-a source with no collector (``views.drive.holds_live_rows``).
+a source with no collector (``views.drive.holds_live_rows``), and so
+does a plain Put that finds, once its write acks, a view registered
+meanwhile (``ViewManager.append_records``).
 
 Coalescing rule
 ---------------
@@ -60,8 +62,7 @@ subsume is ``folded``: it cannot replay what it stands for, so whoever
 runs it re-drives the base row's current state rather than its own
 update (:func:`repro.views.drive.process_record`).  Intermediate view-key
 transitions of a folded chain are never materialized; LWW makes the
-live row the same.  Every record appended while its view is still
-loading (``ViewManager.backfill``) is folded too.
+live row the same.
 
 Backpressure and workers
 ------------------------
@@ -129,7 +130,7 @@ class OutboxRecord:
                  key: Hashable, update_values: Dict[ColumnName, Any],
                  base_ts: int, source: Tuple[object, object],
                  completion: Event, appended_at: float = 0.0,
-                 heavy: bool = False, folded: bool = False):
+                 heavy: bool = False):
         self.seq = seq
         self.view = view
         self.table = table
@@ -148,11 +149,10 @@ class OutboxRecord:
         self.superseded = False
         # Folding (module docstring): a heavy record holds no token and
         # is ``open`` to riders until whoever runs it closes its window;
-        # ``folded`` once it stands for an update it does not subsume,
-        # or from its append while its view is loading.
+        # ``folded`` once it stands for an update it does not subsume.
         self.heavy = heavy
         self.open = heavy
-        self.folded = folded
+        self.folded = False
 
     @property
     def chain_key(self) -> Tuple[str, Hashable]:
@@ -248,10 +248,9 @@ class NodeOutbox:
     def append(self, view: ViewDefinition, table: str, key: Hashable,
                update_values: Dict[ColumnName, Any], base_ts: int,
                source: Tuple[object, object], completion: Event,
-               heavy: bool = False, folded: bool = False) -> OutboxRecord:
+               heavy: bool = False) -> OutboxRecord:
         """Append one record (caller holds a backpressure token, unless
-        the record is ``heavy``), ``folded`` if its view is loading: the
-        load may not have reached the chain, so it re-drives the row.
+        the record is ``heavy``).
 
         Attempts to coalesce with the newest parked record of the same
         ``(view, key)`` chain; on success the older record is marked
@@ -264,7 +263,7 @@ class NodeOutbox:
         record = OutboxRecord(self.appended, view, table, key,
                               dict(update_values), base_ts, source,
                               completion, appended_at=self.env.now,
-                              heavy=heavy, folded=folded)
+                              heavy=heavy)
         self._unresolved[record.seq] = record
         completion.add_callback(
             lambda _event: self._unresolved.pop(record.seq, None))
@@ -292,7 +291,7 @@ class NodeOutbox:
                 record.sources = target.sources + record.sources
                 record.riders = [*target.riders, target.completion]
                 target.riders = []
-                record.folded = folded or target.folded or not subsumes
+                record.folded = target.folded or not subsumes
                 if heavy:
                     # The survivor dates from the oldest update it
                     # stands for (staleness, wound origin).

@@ -118,7 +118,7 @@ def test_every_fifth_seed_creates_the_view_mid_history():
 def test_a_view_created_mid_history_loads_without_the_scrubber():
     """Seed 214 creates the view after 20 Puts to a table with no view,
     amid partitions and slow nodes, and one propagation is lost to an
-    armed crash.  With no scrubber, the load and the records folded
+    armed crash.  With no scrubber, the load and the records appended
     meanwhile leave every invariant holding and abandon nothing.
     (Records replaying their deltas during the load, with no sure entry
     points, left the view with a lost ``m``.)"""

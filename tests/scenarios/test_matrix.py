@@ -106,10 +106,10 @@ def test_create_view_mid_history_under_partition_and_crash_loop():
     """Tier 2: 200 scheduled ops over 8 rows, with the view created and
     its load started at 150 ms, under a partition storm stacked on a
     crash loop of node 0 (the load's first coordinator).  No scrubber
-    runs, so the load, the chain rule and the folded records alone must
-    leave every invariant holding, and no propagation may be abandoned:
-    a record replaying its update against a chain the load had not
-    reached would retry until it was."""
+    runs, so the load, the chain rule and the records' own propagations
+    alone must leave every invariant holding, and no propagation may be
+    abandoned: a record replaying its update against a chain the load
+    had not reached would retry until it was."""
     schedule = generate_schedule(17, ops=200, faults=0, base_keys=8)
     ops = [op for op in schedule.ops if op["kind"] != "create_view"]
     assert sum(op["kind"] == "put" and op["t"] < 150.0 for op in ops) > 20

@@ -143,10 +143,11 @@ def test_the_load_waits_out_an_outage_then_loads_the_row(monkeypatch):
 
 
 def test_a_row_written_during_the_load_is_read_whole():
-    """A Put made while the view loads re-drives its row's current state
-    (its record is folded): a session read right after it sees the row
-    under its new view key with the materialized cell the Put did not
-    write, before the load has reached that row."""
+    """A Put made while the view loads, on a row the load has not
+    reached, is its chain's first job, which writes the whole row (one
+    majority Get of the base columns the Put does not carry): a session
+    read right after it sees the row under its new view key with the
+    materialized cell the Put did not write."""
     cluster, client = build()
     for i in range(64):
         client.put("T", i, {"vk": "a", "m": i}, w=3)
@@ -162,6 +163,95 @@ def test_a_row_written_during_the_load_is_read_whole():
     cluster.env.run(until=load)
 
 
+def test_a_materialized_only_first_put_parks_the_whole_row():
+    """A row that holds ``p`` but no view key when the view is created
+    needs no view row, so the load runs no job on its chain.  A Put of
+    ``m`` alone is then the chain's first job: it parks ``m`` and the
+    base row's ``p`` on the NULL anchor, and the Put that later gives
+    the row a view key copies both.  (Parking ``m`` alone left the view
+    row without ``p``.)"""
+    cluster, client = build()
+    client.put("T", 1, {"p": "x"}, w=3)
+    client.settle()
+    view = ViewDefinition("LATE", "T", "vk", ("m", "p"))
+    cluster.create_view(view)
+    metrics = backfill(cluster, "LATE")
+    assert (metrics.rows_scanned, metrics.repairs_applied) == (1, 0)
+    client.put("T", 1, {"m": "y"}, w=3)
+    client.settle()
+    client.put("T", 1, {"vk": "a"}, w=3)
+    client.settle()
+    assert check_view(cluster, view) == []
+    rows = client.get_view("LATE", "a", ["m", "p"])
+    assert [(r.base_key, r["m"], r["p"]) for r in rows] == [(1, "y", "x")]
+
+
+def test_a_load_under_writes_folds_no_record(monkeypatch):
+    """With skew off, no record of a loading view is folded: each Put
+    made during the load propagates its own delta, and a row the Put
+    reaches before the load does enters the view whole."""
+    from repro.views.outbox import NodeOutbox
+
+    folded = []
+    real_done = NodeOutbox.done
+
+    def done(self, record):
+        if record.folded:
+            folded.append(record.seq)
+        real_done(self, record)
+
+    monkeypatch.setattr(NodeOutbox, "done", done)
+    cluster, client = build()
+    for i in range(64):
+        client.put("T", i, {"vk": "a", "m": i}, w=3)
+    client.settle()
+    view = ViewDefinition("LATE", "T", "vk", ("m",))
+    cluster.create_view(view)
+    load = cluster.env.process(cluster.view_manager.backfill("LATE"))
+    for i in range(0, 64, 4):
+        client.put("T", i, {"vk": "b"} if i % 8 else {"m": -i})
+    assert not load.triggered
+    cluster.env.run(until=load)
+    cluster.run_until_idle()
+    assert folded == []
+    assert cluster.view_manager.outbox_stats()["folded"] == 0
+    assert check_view(cluster, view) == []
+    rows = client.get_view("LATE", "b", ["m"])
+    assert sorted((r.base_key, r["m"]) for r in rows) == [
+        (i, i) for i in range(4, 64, 8)]
+
+
+def test_a_plain_put_that_raced_create_view_propagates(monkeypatch):
+    """A plain Put already past ``views_affected`` when CREATE VIEW
+    registers: here the view's whole load runs between that check and
+    the Put's write, so the load verifies the row's old state, and the
+    Put has no record.  Once its write acks, the Put re-checks the
+    table's views and appends a record for the view that now applies.
+    (Without the re-check the view kept the row under ``a``.)"""
+    from repro.cluster.coordinator import Coordinator
+
+    cluster, client = build()
+    client.put("T", 1, {"vk": "a", "m": "x"}, w=3)
+    client.settle()
+    view = ViewDefinition("LATE", "T", "vk", ("m",))
+    real_put = Coordinator.put
+
+    def put_after_a_whole_load(self, table, key, cells, w):
+        if table == "T" and not cluster.has_table("LATE"):
+            cluster.create_view(view)
+            load = cluster.env.process(cluster.view_manager.backfill("LATE"))
+            assert (yield load).repairs_applied == 1
+        yield from real_put(self, table, key, cells, w)
+
+    monkeypatch.setattr(Coordinator, "put", put_after_a_whole_load)
+    client.put("T", 1, {"vk": "b"}, w=3)
+    client.settle()
+    assert divergent_base_keys(cluster, view) == []
+    assert check_view(cluster, view) == []
+    rows = client.get_view("LATE", "b", ["m"])
+    assert [(r.base_key, r["m"]) for r in rows] == [(1, "x")]
+
+
 WRITERS_VIEW = ViewDefinition("V", "T", "vk", ("m",))
 
 
@@ -169,8 +259,9 @@ def run_writers_over_a_load(seed):
     """200 rows loaded at W = 3; then 8 clients, two per coordinator,
     Put a random row for 2 s at W = 2 (1 ms think time), alternating a
     view-key write and a materialized-column write.  60 ms in, the view
-    is created and loaded.  Returns the cluster and the instants the
-    load started and ended, and the writers stopped."""
+    is created and loaded.  Returns the cluster and ``marks``: the
+    instants the load started and ended and the writers stopped, and
+    the client Puts acked from CREATE VIEW on (``puts``)."""
     cluster = Cluster(ClusterConfig(seed=seed))
     cluster.create_table("T")
     loader = cluster.sync_client()
@@ -178,7 +269,7 @@ def run_writers_over_a_load(seed):
         loader.put("T", k, {"vk": f"g{k % 8}", "m": k}, w=3)
     loader.settle()
     env = cluster.env
-    marks = {"writers_end": env.now + 2000.0}
+    marks = {"writers_end": env.now + 2000.0, "puts": 0}
 
     def writer(cid):
         rng = random.Random(seed * 100 + cid)
@@ -190,6 +281,7 @@ def run_writers_over_a_load(seed):
                       else {"m": rng.randrange(10**6)})
             n += 1
             yield from client.put("T", key, values, 2)
+            marks["puts"] += "created" in marks
             yield env.timeout(1.0)
 
     def create_and_load():
@@ -212,10 +304,11 @@ def test_create_view_under_writes_converges(seed):
     still writing, and once they stop the view matches the base table
     with no propagation abandoned, with no scrubber running.  (Loading
     row by row while those writes replayed their deltas against chains
-    not yet loaded left rows divergent and propagations abandoned.  At
-    seed 3, a delta appended just after the load guesses a version that
-    a queued folded re-drive then skips; without the sure entry points a
-    loaded view's records take, it was abandoned.)"""
+    not yet loaded, from guesses alone and writing only their own
+    columns, left rows divergent and propagations abandoned.  At seed 3,
+    a delta appended just after the load guesses a version that a
+    re-drive skipped; without the sure entry points a loaded view's
+    records take, it was abandoned.)"""
     cluster, marks = run_writers_over_a_load(seed)
     assert marks["loaded"] < marks["writers_end"]
     assert divergent_base_keys(cluster, WRITERS_VIEW) == []

@@ -446,7 +446,39 @@ def test_a_pristine_multi_column_insert_sends_12_rpcs_two_view_rounds(
     assert (row.base_key, row["payload"]) == ("k", "p")
 
 
-def test_view_key_move_sends_17_rpcs_four_view_rounds(monkeypatch):
+@pytest.mark.parametrize("over_data", [True, False])
+def test_a_rows_first_view_key_put_reads_the_base_row_only_over_data(
+        monkeypatch, over_data):
+    """A row's first Put carries only the view key.  On a view created
+    over a populated table (``ViewManager.backfill``) the row already
+    holds ``payload``, which no record of the view carries: the chain's
+    first job makes one majority Get of it (2 RPCs) and writes it with
+    line 4, 14 RPCs in all.  On a view defined before its data the same
+    Put makes no such Get: 12, as a pristine insert."""
+    from repro.cluster import ClusterConfig
+
+    cluster = Cluster(ClusterConfig(seed=5))
+    cluster.create_table("T")
+    client = cluster.sync_client(0)
+    view = ViewDefinition("V", "T", "sec", ("payload",))
+    if over_data:
+        client.put("T", "k", {"payload": "p"})
+        client.settle()
+    cluster.create_view(view)
+    if over_data:
+        cluster.env.run(until=cluster.env.process(
+            cluster.view_manager.backfill("V")))
+    sent, view_rounds, base_reads = _count_one_put(
+        monkeypatch, cluster, client, {"sec": "a"})
+    assert sent == (14 if over_data else 12)
+    assert view_rounds == ["scatter_write", "scatter_write"]
+    assert base_reads == (2 if over_data else 1)
+    (row,) = client.get_view("V", "a", ["payload"])
+    assert (row.base_key, row["payload"]) == (
+        "k", "p" if over_data else None)
+
+
+def test_view_key_move_sends_14_rpcs_three_view_rounds(monkeypatch):
     """The cost of one view-key move through the whole stack at default
     config, N = 3, by a coordinator that does not hold the live row (a
     different one made it live): base Get + base Put + stale pointer +
@@ -467,7 +499,7 @@ def test_view_key_move_sends_17_rpcs_four_view_rounds(monkeypatch):
     assert client.get_view("V", "a", ["payload"]) == []
 
 
-def test_repeat_view_key_move_by_the_same_executor_sends_15_rpcs_three_view_rounds(
+def test_repeat_view_key_move_by_the_same_executor_sends_9_rpcs_two_view_rounds(
         monkeypatch):
     """The coordinator that made the row live moves it again, nobody
     having held the chain in between: base Put + stale pointer + new
