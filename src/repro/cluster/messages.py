@@ -96,7 +96,7 @@ class GetThenPutResponse:
     """Pre-update cells plus the write acknowledgement."""
 
     node_id: int
-    pre_cells: Dict[ColumnName, Optional[Cell]]
+    cells: Dict[ColumnName, Optional[Cell]]
     applied: bool
 
 

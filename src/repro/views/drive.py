@@ -90,10 +90,9 @@ def process_record(manager, outbox: NodeOutbox, record):
         # carries its riders' sources too, widening the guess set.
         # A Put that skipped its read (holds_live_rows) has no collector.
         gathered = []
-        for collector, extract in record.sources:
+        for collector in record.sources:
             if collector is not None:
-                responses = yield collector.settled
-                gathered.append((responses, extract))
+                gathered.append((yield collector.settled))
         # Scheduling delay: maintenance work queues behind other
         # maintenance work.
         yield manager.env.timeout(
@@ -112,8 +111,8 @@ def process_record(manager, outbox: NodeOutbox, record):
         else:
             guesses = _merge_guesses(
                 ViewKeyGuess.from_cell(
-                    view, extract(response, view.view_key_column))
-                for responses, extract in gathered for response in responses)
+                    view, response.cells.get(view.view_key_column))
+                for responses in gathered for response in responses)
             if (manager.skew.enabled or len(gathered) < len(record.sources)
                     or view.name in manager.maintainer.backfilled):
                 # The row a guess names may have been folded away on
@@ -239,10 +238,15 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
                            guesses: List[ViewKeyGuess],
                            update_values: Dict[ColumnName, Any],
                            base_ts: int,
-                           outbox: Optional[NodeOutbox] = None):
+                           outbox: Optional[NodeOutbox] = None,
+                           whole_row: bool = False):
     """Algorithm 1 lines 5-7: retry guesses until one propagates, or
-    raise :class:`PropagationError` after :data:`MAX_ROUNDS` rounds;
-    returns the chain turn (``ViewManager.serialized``) that propagated.
+    raise :class:`PropagationError` after :data:`MAX_ROUNDS` rounds.
+
+    A ``whole_row`` job also writes the materialized columns its update
+    does not carry (``views.maintenance``, *Whole rows*): a re-drive's,
+    and on a backfilled view every round from the one that held turn 1
+    on, for a first turn that failed leaves its retry to enter the row.
 
     Locks (or the propagator's turn) are released between rounds —
     holding them across a failed round would block the very propagation
@@ -254,10 +258,12 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
     exclusive = view.view_key_column in update_values
 
     def job(executor, turn):
-        success = yield from _attempt_round(manager, executor, view, key,
-                                            guesses, update_values, base_ts,
-                                            turn)
-        return turn if success else None
+        nonlocal whole_row
+        whole_row = whole_row or (
+            turn == 1 and view.name in manager.maintainer.backfilled)
+        return (yield from _attempt_round(manager, executor, view, key,
+                                          guesses, update_values, base_ts,
+                                          turn, whole_row))
 
     rounds = 0
     while True:
@@ -266,10 +272,9 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
             raise PropagationError(
                 f"update for base key {key!r} could not be propagated "
                 f"to view {view.name!r} after {rounds - 1} rounds")
-        turn = yield from manager.serialized(coordinator, view, key,
-                                             exclusive, job)
-        if turn is not None:
-            return turn
+        if (yield from manager.serialized(coordinator, view, key,
+                                          exclusive, job)):
+            return
         manager.maintainer.metrics.retry_rounds += 1
         manager.cluster.trace("propagation", "round failed; backing off",
                               view=view.name, key=key, round=rounds)
@@ -324,7 +329,7 @@ def _retry_delay(manager, rounds: int) -> float:
 def _attempt_round(manager, coordinator, view: ViewDefinition,
                    key: Hashable, guesses: List[ViewKeyGuess],
                    update_values: Dict[ColumnName, Any], base_ts: int,
-                   turn: int):
+                   turn: int, whole_row: bool = False):
     """Try each guess once, all under the chain turn ``turn``; True on
     success.
 
@@ -340,7 +345,7 @@ def _attempt_round(manager, coordinator, view: ViewDefinition,
         try:
             yield from manager.maintainer.propagate_update(
                 coordinator, view, key, guess, update_values, base_ts,
-                turn)
+                turn, whole_row)
             return True
         except (PropagationError, QuorumError):
             continue
@@ -354,26 +359,27 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
 
     Repair is deliberately *not* a special write path.  A diverged row
     is healed by replaying what Algorithm 1 would have done for the
-    row's current base state: quorum-read the watched columns,
-    propagate the view key cell at its own timestamp (starting from the
+    row's current base state, as one serialized job: quorum-read the
+    view-key cell, then propagate it at its own timestamp as a
+    ``whole_row`` job, which under its turn reads the materialized base
+    columns at majority and writes them with its own cells (line 4, the
+    self-pointer's Put, or line 12 when the key is not newer than the
+    live row), at their own timestamps.  The job starts from the
     never-written-NULL guess, whose virtual anchor makes it a universal
-    chain entry point — ``GetLiveKey`` walks from the NULL anchor to
-    whatever row is currently live), then propagate each materialized
-    cell at its own timestamp — unless the view-key job was the chain's
-    first on a view created over data, which wrote them all
-    (``ViewMaintainer.writes_whole_row``).  The walk takes one hop per
-    move since the last one, which repointed the anchor at the live row
-    (``ViewMaintainer.compact_anchor``).  Because every view write carries
-    scaled base timestamps, replaying already-propagated state is an LWW
-    no-op, and replaying lost state lands exactly where the original
-    propagation would have put it — repaired views are
+    chain entry point (``GetLiveKey`` walks from the NULL anchor to
+    whatever row is currently live); the walk takes one hop per move
+    since the last one, which repointed the anchor at the live row
+    (``ViewMaintainer.compact_anchor``).  Because every view write
+    carries scaled base timestamps, replaying already-propagated state
+    is an LWW no-op, and replaying lost state lands exactly where the
+    original propagation would have put it — repaired views are
     indistinguishable from never-diverged ones.  Folded outbox records
     (which pass the ``outbox`` whose worker slot they hold, and try the
     row their node holds before the NULL anchor) share the routine with
     scrub repair, which also loads a view created over a populated
     table.
 
-    The base read is at the majority quorum, so repair keeps working
+    Both base reads are at the majority quorum, so repair keeps working
     while a minority of replicas is down.  ``strays`` names view keys
     the detector found holding
     unexpected live rows for ``base_key``: replaying the winning state
@@ -387,38 +393,26 @@ def repropagate_row(manager, coordinator, view: ViewDefinition,
     freshest state (base read lagging the view) is left untouched.  A
     row whose view key was never written needs no view row (its parked
     materialized state waits on the anchor).  Raises
-    :class:`~repro.errors.QuorumError` if the base read cannot reach a
-    quorum, and :class:`~repro.errors.PropagationError` if every retry
-    round is exhausted.
+    :class:`~repro.errors.QuorumError` if the view-key read cannot
+    reach a quorum, and :class:`~repro.errors.PropagationError` if
+    every retry round is exhausted.
     """
-    columns = (view.view_key_column, *view.materialized_columns)
-    merged = yield from coordinator.get(view.base_table, base_key, columns,
-                                        manager.maintainer.quorum)
+    merged = yield from coordinator.get(
+        view.base_table, base_key, (view.view_key_column,),
+        manager.maintainer.quorum)
     key_cell = merged[view.view_key_column]
     if key_cell.timestamp < 0:
         return
-    # The view-key cell first: this creates/refreshes the live row the
-    # materialized cells are then written into.
     pristine = ([ViewKeyGuess.from_cell(view, None)] if outbox is None
                 else _sure_guesses(manager, outbox, view, base_key))
-    turn = yield from propagate_with_retries(
+    yield from propagate_with_retries(
         manager, coordinator, view, view.base_table, base_key, pristine,
         {view.view_key_column: (None if key_cell.tombstone
                                 else key_cell.value)},
-        key_cell.timestamp, outbox=outbox)
+        key_cell.timestamp, outbox=outbox, whole_row=True)
     # Where the row now lives: its current view key, or the NULL anchor
     # for a deleted / predicate-rejected one.
     live = ViewKeyGuess.from_cell(view, key_cell)
-    # Then each materialized cell, unless that job wrote them all.
-    for column in (() if manager.maintainer.writes_whole_row(view, turn)
-                   else view.materialized_columns):
-        cell = merged[column]
-        if cell.timestamp < 0:
-            continue
-        yield from propagate_with_retries(
-            manager, coordinator, view, view.base_table, base_key,
-            [live], {column: (None if cell.tombstone else cell.value)},
-            cell.timestamp, outbox=outbox)
     if strays:
         next_col = view_column(base_key, NEXT_COLUMN)
         stale_ts = view_timestamp(key_cell.timestamp, PHASE_STALE)

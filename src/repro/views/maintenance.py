@@ -103,17 +103,19 @@ where it was six rounds and 17 RPCs while it walked and wrote line 12
 apart.  Its base Get stays: predicting turn 1 before the Put would cost
 a sequencer round trip under locks on every Put that holds no row.
 
-A view created over a populated table (``backfilled``, from
-``ViewManager.backfill``) is where a base row can hold cells that no
-record of the view carries.  There a first job that does not carry
-every materialized column makes one majority Get of the missing base
-columns and writes them, at their own scaled ``PHASE_ROW``
-timestamps, with its own cells: a move with line 4 (or the
-self-pointer's Put), so the row enters the view whole, whether the
-load or a client's Put reaches it first; a materialized-only job with
-line 12, parked on the NULL anchor, where the move that later enters
-the row copies them.  A view defined before its data never makes that
-Get.
+Whole rows.  A ``whole_row`` job makes one majority Get, under its
+turn, of the materialized base columns its update does not carry, and
+writes them at their own scaled ``PHASE_ROW`` timestamps with its own
+cells: with line 4, the self-pointer's Put, or line 12 (on the NULL
+anchor for a materialized-only job; the move that later enters the row
+copies them).  One predicate marks a job, in
+``views.drive.propagate_with_retries``: ``whole_row or (turn == 1 and
+view.name in backfilled)``.  Every re-drive is one such job, whatever
+the number of materialized columns.  So is a first turn on a view
+created over a populated table (``backfilled``, by
+``ViewManager.backfill``), whose rows hold cells no record carries, and
+every later round of its record: a first turn cut by a ``QuorumError``
+is retried at turn 2, whose walk finds no cell to copy.
 
 Path compression: a serialized walk from the NULL anchor (every
 re-drive's entry point) of more than two hops ends by repointing the
@@ -235,14 +237,6 @@ class ViewMaintainer:
         exists, and the live row is as many hops on as others have
         moved it since; whether that is none is what ``turn`` tells."""
         return self._held[node_id][view.name].get(base_key)
-
-    def writes_whole_row(self, view: ViewDefinition,
-                         turn: Optional[int]) -> bool:
-        """True if the chain's job at ``turn`` writes every materialized
-        column, the ones its update does not carry read from the base
-        row: the first job on a view created over a populated table
-        (module docstring, *First turn*)."""
-        return turn == 1 and view.name in self.backfilled
 
     def forget_node(self, node_id: int) -> None:
         """Drop every live row ``node_id`` holds: a crashed coordinator
@@ -386,7 +380,8 @@ class ViewMaintainer:
     def propagate_update(self, coordinator, view: ViewDefinition,
                          base_key: Hashable, guess: ViewKeyGuess,
                          update_values: Dict[ColumnName, Any],
-                         base_ts: int, turn: Optional[int] = None):
+                         base_ts: int, turn: Optional[int] = None,
+                         whole_row: bool = False):
         """Propagate one base update to the view (may raise
         :class:`PropagationError` if the guess fails; the caller retries
         with a different guess, per Algorithm 1).
@@ -395,7 +390,9 @@ class ViewMaintainer:
         and/or materialized), with raw application values.  ``turn`` is
         the chain's fencing token from ``ViewManager.serialized``; a
         caller outside serialization has none, so it always walks and
-        leaves nothing held.
+        leaves nothing held.  A ``whole_row`` job also writes the
+        materialized columns the update does not carry, read from the
+        base row (module docstring, *Whole rows*).
         """
         self.metrics.propagations_started += 1
         moves_key = view.view_key_column in update_values
@@ -439,9 +436,9 @@ class ViewMaintainer:
             for column, value in update_values.items()
             if view.is_materialized(column)
         }
-        if self.writes_whole_row(view, turn):
-            # The row may hold cells no record carries: line 4 (or 12)
-            # writes them too (module docstring, *First turn*).
+        if whole_row:
+            # The row may hold cells this update does not carry: line 4
+            # (or 12) writes them too (module docstring, *Whole rows*).
             materialized.update((yield from self._base_cells(
                 coordinator, view, base_key, update_values)))
         if moves_key:

@@ -132,7 +132,7 @@ class ViewManager:
         """Load a view as it is created over a populated table, safe under
         writes; a process (``repair.scheduler.load_view``).  The view is
         in ``maintainer.backfilled`` from the start: a chain's first job
-        writes the whole row (``views.maintenance``, *First turn*)."""
+        writes the whole row (``views.maintenance``, *Whole rows*)."""
         from repro.repair.scheduler import load_view  # late: avoids cycle
 
         view = self.view(view_name)
@@ -227,10 +227,6 @@ class ViewManager:
                                                  every_replica=True)
             yield collector.wait(w)
 
-        def extract(response, column):
-            return (response.pre_cells if combined
-                    else response.cells).get(column)
-
         # In flight on each chain from its first replica write until its
         # records are appended, or it fails (see chain_epoch).
         chains = [(view.name, key) for view in affected]
@@ -245,17 +241,18 @@ class ViewManager:
             else:
                 yield coordinator.scatter_write(table, key, cells, w).wait(w)
             yield from self.append_records(coordinator, table, key, cells,
-                                           (collector, extract), session)
+                                           collector, session)
         finally:
             self._puts_in_flight.subtract(chains)
 
     def append_records(self, coordinator, table: str, key: Hashable,
                        cells: Dict[ColumnName, Cell],
-                       source=(None, None), session=None):
+                       source=None, session=None):
         """Algorithm 1 line 3 for a Put whose write has acked: append a
-        record per view it affects, ``source`` the ``(collector,
-        extract)`` of its view-key read.  A plain Put calls this with none
-        for a view registered while its write was in flight."""
+        record per view it affects, ``source`` the collector of its
+        view-key read (each response's ``cells``).  A plain Put calls
+        this with none for a view registered while its write was in
+        flight."""
         affected = [view for view in self.views_on(table)
                     if view.affects(cells)]
         base_ts = max(cell.timestamp for cell in cells.values())

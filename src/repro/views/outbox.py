@@ -21,12 +21,13 @@ record describes one Put's effect on one view:
 ``update_values`` are the Put's watched columns as raw application
 values (``None`` for tombstones); ``sources`` are the response
 collectors of the base-row round trips that observed the pre-update
-view keys (Algorithm 1's guesses are extracted from them when the
-record runs, after every replica has answered or timed out).  A Put
-that skipped that read, its coordinator holding the live row, appends
-a source with no collector (``views.drive.holds_live_rows``), and so
-does a plain Put that finds, once its write acks, a view registered
-meanwhile (``ViewManager.append_records``).
+view keys in each response's ``cells`` (Algorithm 1's guesses are
+read from them when the record runs, after every replica has answered
+or timed out).  A Put that skipped that read, its coordinator holding
+the live row, appends ``None`` for a source
+(``views.drive.holds_live_rows``), and so does a plain Put that finds,
+once its write acks, a view registered meanwhile
+(``ViewManager.append_records``).
 
 Coalescing rule
 ---------------
@@ -128,7 +129,7 @@ class OutboxRecord:
 
     def __init__(self, seq: int, view: ViewDefinition, table: str,
                  key: Hashable, update_values: Dict[ColumnName, Any],
-                 base_ts: int, source: Tuple[object, object],
+                 base_ts: int, source: Optional[object],
                  completion: Event, appended_at: float = 0.0,
                  heavy: bool = False):
         self.seq = seq
@@ -140,10 +141,10 @@ class OutboxRecord:
         # Simulated append time: the freshness subsystem measures a
         # record's staleness contribution from here until it resolves.
         self.appended_at = appended_at
-        # (collector, extract) pairs, collector None for a Put that
-        # skipped its read; grows when superseded records fold their
-        # observed view-key versions into the winner's guess set.
-        self.sources: List[Tuple[object, object]] = [source]
+        # Collectors of view-key reads, None for a Put that skipped its
+        # read; grows when superseded records fold their observed
+        # view-key versions into the winner's guess set.
+        self.sources: List[Optional[object]] = [source]
         self.completion = completion
         self.riders: List[Event] = []
         self.superseded = False
@@ -247,7 +248,7 @@ class NodeOutbox:
 
     def append(self, view: ViewDefinition, table: str, key: Hashable,
                update_values: Dict[ColumnName, Any], base_ts: int,
-               source: Tuple[object, object], completion: Event,
+               source: Optional[object], completion: Event,
                heavy: bool = False) -> OutboxRecord:
         """Append one record (caller holds a backpressure token, unless
         the record is ``heavy``).

@@ -93,6 +93,7 @@ Re-record (only for a change that is *meant* to move the simulation)::
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 from repro.cluster import Cluster, ClusterConfig
@@ -163,7 +164,11 @@ def test_timeline_matches_the_recording_exactly():
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+    from tests.fixture_diff import print_first_difference
+
     recording = run_timeline()
+    print_first_difference(FIXTURE, recording)
     ops = ",\n".join("  " + json.dumps(op) for op in recording.pop("timeline"))
     head = json.dumps(recording, indent=1)[:-2]  # reopen the object
     FIXTURE.parent.mkdir(exist_ok=True)

@@ -171,6 +171,24 @@ differ is each run's first crash, E2's (scrubber off) 233.0880 to
 232.8771 ms.  The shrunk reproducer and both fuzz schedules are
 identical, and every run loses as many propagations as before.
 
+Re-recorded when a re-drive (scrub repair, a folded record, a new
+view's load) became one serialized job that writes the whole row,
+where it wrote the view key and then each materialized column in a job
+of its own.  Only runs that re-drive a row moved: E2 with the scrubber
+on and E6's three quick cells.  They crash on a propagation count, so
+their crashes and recoveries moved by at most 0.068 ms; each deals the
+same faults in the same order and loses as many propagations as
+before.  The re-record printed::
+
+    fault-timeline.json: first difference at /ext_repair/on[2]
+      committed: ["274.1410152005914", "fail_node", "((3,), [])"]
+      recorded:  ["274.0980382814856", "fail_node", "((3,), [])"]
+
+E6's first entries to differ are each cell's first crash (node 2):
+290.9618 to 290.9384 ms in cell 0, 290.9377 to 290.9454 ms in cells 1
+and 2.  E4, the shrunk reproducer, both fuzz schedules and E2 with the
+scrubber off are identical.
+
 Re-record (only for a change that is *meant* to move the faults)::
 
     PYTHONPATH=src python tests/scenarios/test_fault_timeline.py
@@ -178,6 +196,7 @@ Re-record (only for a change that is *meant* to move the faults)::
 
 import contextlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,6 +323,11 @@ def test_the_recording_covers_every_fault_kind():
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(record(), indent=1) + "\n",
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+    from tests.fixture_diff import print_first_difference
+
+    recording = record()
+    print_first_difference(FIXTURE, recording)
+    FIXTURE.write_text(json.dumps(recording, indent=1) + "\n",
                        encoding="utf-8")
     print(f"wrote {FIXTURE}")

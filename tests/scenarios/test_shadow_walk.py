@@ -72,12 +72,12 @@ def shadow(monkeypatch):
     real_process = manager.process_record
 
     def watched(view_manager, outbox, record):
-        if any(collector is None for collector, _ in record.sources):
+        if any(collector is None for collector in record.sources):
             seen.readless[id(record.update_values)] = record
         return real_process(view_manager, outbox, record)
 
     def shadowed(self, coordinator, view, base_key, guess, update_values,
-                 base_ts, turn=None):
+                 base_ts, turn=None, whole_row=False):
         entry = self._held[coordinator.node.node_id][view.name].get(base_key)
         fenced = entry is not None and entry.turn + 1 == turn
         if seen.readless.pop(id(update_values), None) is not None:
@@ -120,7 +120,7 @@ def shadow(monkeypatch):
                               dict(entry.cells)):
                     seen.mismatches.append((base_key, entry, walked))
         result = yield from real(self, coordinator, view, base_key, guess,
-                                 update_values, base_ts, turn)
+                                 update_values, base_ts, turn, whole_row)
         return result
 
     monkeypatch.setattr(ViewMaintainer, "propagate_update", shadowed)

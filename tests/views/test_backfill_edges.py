@@ -186,6 +186,44 @@ def test_a_materialized_only_first_put_parks_the_whole_row():
     assert [(r.base_key, r["m"], r["p"]) for r in rows] == [(1, "y", "x")]
 
 
+def test_a_first_turn_cut_by_a_quorum_error_retries_the_whole_row(
+        monkeypatch):
+    """A row holds ``p`` and no view key when the view is created, so the
+    load runs no job on its chain, and the Put that gives it a view key
+    is the chain's first job.  Its line-4 Put fails for both guesses of
+    the record's first round (each names the never-written NULL), so
+    the round fails: the next round, at turn 2, finishes the cut move
+    and still writes ``p``, with no scrubber running.  (Retried without
+    the base read, the row entered the view without ``p``.)"""
+    from repro.errors import QuorumError
+    from repro.views.maintenance import ViewMaintainer
+
+    cluster, client = build()
+    client.put("T", 1, {"p": "x"}, w=3)
+    client.settle()
+    view = ViewDefinition("LATE", "T", "vk", ("p",))
+    cluster.create_view(view)
+    assert backfill(cluster, "LATE").repairs_applied == 0
+    real_put = ViewMaintainer._view_put
+    failed = []
+
+    def fail_line_4_twice(self, coordinator, view_name, view_key, cells):
+        if view_key == "a" and len(failed) < 2:
+            failed.append(view_key)
+            raise QuorumError("injected", required=2, received=0)
+        yield from real_put(self, coordinator, view_name, view_key, cells)
+
+    monkeypatch.setattr(ViewMaintainer, "_view_put", fail_line_4_twice)
+    client.put("T", 1, {"vk": "a"}, w=3)
+    client.settle()
+    assert failed == ["a", "a"]
+    assert cluster.view_manager.maintainer.metrics.retry_rounds == 1
+    assert check_view(cluster, view) == []
+    assert divergent_base_keys(cluster, view) == []
+    rows = client.get_view("LATE", "a", ["p"])
+    assert [(r.base_key, r["p"]) for r in rows] == [(1, "x")]
+
+
 def test_a_load_under_writes_folds_no_record(monkeypatch):
     """With skew off, no record of a loading view is folded: each Put
     made during the load propagates its own delta, and a row the Put

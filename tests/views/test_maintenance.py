@@ -1095,9 +1095,9 @@ def test_a_second_re_drive_finds_the_anchor_one_hop_from_the_live_row(
         moves):
     """Coordinator 0 moves one row ``moves`` times, holding the live row
     so no move walks.  The first re-drive from coordinator 2 walks the
-    whole chain from the NULL anchor — one Get per move, one more for
-    the anchor and one for the materialized column's walk — and ends by
-    repointing the anchor at the live row, so the second takes three."""
+    whole chain from the NULL anchor — one Get per move and one more for
+    the anchor — and ends by repointing the anchor at the live row, so
+    the second takes two."""
     cluster = Cluster(make_config())
     cluster.create_table("B")
     cluster.create_view(VIEW)
@@ -1114,10 +1114,36 @@ def test_a_second_re_drive_finds_the_anchor_one_hop_from_the_live_row(
             cluster.view_manager, cluster.coordinator(2), VIEW, "k"))
         cluster.env.run(until=process)
         hops.append(metrics.chain_hops - before)
-    assert hops == [moves + 2, 3]
+    assert hops == [moves + 1, 2]
     anchor = collect_entries(cluster, VIEW)["k"][NULL_VIEW_KEY]
     assert anchor.next_key == f"g{moves - 1}"
     assert check_view(cluster, VIEW) == []
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_a_re_drive_costs_the_same_rpcs_whatever_the_rows_width(width):
+    """Coordinator 0 makes ``k`` live with ``width`` materialized
+    columns and holds it; a re-drive from coordinator 2 is one
+    serialized job: the base view-key Get (2 RPCs), the walk from the
+    NULL anchor to the live row (2 x 2), one Get of the materialized
+    base columns (2) and the self-pointer's Put, which writes them (3):
+    11 RPCs at any width.  (Writing each column in a job of its own
+    took 14 at width 1 and 24 at width 3.)"""
+    columns = tuple(f"m{i}" for i in range(width))
+    view = ViewDefinition("V", "B", "vk", columns)
+    cluster = Cluster(make_config())
+    cluster.create_table("B")
+    cluster.create_view(view)
+    client = cluster.sync_client(0)
+    client.put("B", "k", {"vk": "g0", **{c: c.upper() for c in columns}})
+    client.settle()
+    sent = cluster.network.messages_sent
+    cluster.env.run(until=cluster.env.process(repropagate_row(
+        cluster.view_manager, cluster.coordinator(2), view, "k")))
+    assert cluster.network.messages_sent - sent == 11
+    assert check_view(cluster, view) == []
+    (row,) = client.get_view("V", "g0", list(columns))
+    assert [row[c] for c in columns] == [c.upper() for c in columns]
 
 
 def test_a_walk_from_a_stale_guess_repoints_nothing():
