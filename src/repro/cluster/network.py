@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Set, Tuple
 
-from repro.sim.kernel import Environment, Event, Timeout, advance
+from repro.sim.kernel import Environment, Event, Timeout
 from repro.sim.latency import LatencyModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -147,11 +147,11 @@ class Network:
         advance the clock (see :class:`_Call`): the forward delay is
         drawn here, at send; the return delay when the handler finishes.
         A loopback (``src_id`` is ``dst``'s own id) costs one, its CPU
-        charge: the handler's first step runs here, inside the caller,
-        and the reply is triggered from the charge's callback.  That is
-        safe because every handler's first yield is its charge, so
-        nothing is applied or woken from inside the caller.  Either way
-        it counts in ``messages_sent``: requests handed to a replica.
+        charge: the request is dispatched and its charge booked here,
+        inside the caller, and the handler's ``finish`` runs and
+        triggers the reply from the charge's callback, so nothing is
+        applied or woken from inside the caller.  Either way it counts
+        in ``messages_sent``: requests handed to a replica.
         """
         self.messages_sent += 1
         call = _Call(self, src_id, dst, request)
@@ -168,12 +168,12 @@ class _Call:
 
     ``deliver`` runs when the request's delay has passed (a loopback's
     at send): it makes the drop checks, calls ``dst.dispatch(request)``
-    and steps the handler generator it returns, in place (RPCs are the
-    most common unit of work in the simulation; a ``Process`` per
-    message would add a start event and a completion event that advance
-    no clock).  ``step`` resumes the handler after each event it waits
-    on — its CPU charge — and, when it returns, arms the reply timer
-    carrying the response.  ``arrive`` runs when that delay has passed,
+    for the handler's ``(cost, finish)`` and books ``cost`` on the
+    node's CPU (RPCs are the most common unit of work in the
+    simulation; a ``Process`` or a generator per message would add
+    events and steps that advance no clock).  ``step`` runs when that
+    charge ends: it calls ``finish()`` for the response and arms the
+    reply timer carrying it.  ``arrive`` runs when that delay has passed,
     repeats the partition and loss checks, and triggers ``reply`` in
     place, so whoever waits on it (a quorum collector, and through it
     the coordinator) continues inside the same kernel event.  A remote
@@ -184,7 +184,7 @@ class _Call:
     itself, and it stamps nothing — a node reads its own CPU.
     """
 
-    __slots__ = ("network", "src_id", "dst", "request", "reply", "handler",
+    __slots__ = ("network", "src_id", "dst", "request", "reply", "finish",
                  "local", "stamp")
 
     def __init__(self, network: Network, src_id: int, dst: "StorageNode",
@@ -194,7 +194,7 @@ class _Call:
         self.dst = dst
         self.request = request
         self.reply = Event(network.env)
-        self.handler = None
+        self.finish = None
         self.local = src_id == dst.node_id
 
     def _dropped(self) -> bool:
@@ -212,27 +212,26 @@ class _Call:
         if not self.local and self._dropped():
             return
         try:
-            self.handler = self.dst.dispatch(self.request)
+            cost, self.finish = self.dst.dispatch(self.request)
         except Exception as exc:  # bad request type, etc.
             self.reply.fail(exc)
             return
-        self.step(timer)  # a fired timer carries None: starts the handler
+        self.dst.charge(cost).callbacks.append(self.step)
 
-    def step(self, event: Event) -> None:
+    def step(self, charged: Event) -> None:
         try:
-            advance(self.handler, event, self.step)
-        except StopIteration as done:
-            if self.local:
-                self.reply.succeed_now(done.value)
-                return
-            network = self.network
-            dst = self.dst
-            self.stamp = dst.cpu.free_at
-            Timeout(network.env,
-                    network.one_way_delay(dst.node_id, self.src_id),
-                    done.value).callbacks.append(self.arrive)
+            response = self.finish()
         except Exception as exc:  # surface handler errors to the caller
             self.reply.fail(exc)
+            return
+        if self.local:
+            self.reply.succeed_now(response)
+            return
+        network = self.network
+        dst = self.dst
+        self.stamp = dst.cpu.free_at
+        Timeout(network.env, network.one_way_delay(dst.node_id, self.src_id),
+                response).callbacks.append(self.arrive)
 
     def arrive(self, timer: Event) -> None:
         if not self._dropped():

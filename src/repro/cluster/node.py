@@ -2,16 +2,18 @@
 
 Each node owns an in-memory :class:`LocalStorageEngine`, a CPU modelled as
 a :class:`Resource` with ``cores_per_node`` slots, and the local fragments
-of any native secondary indexes.  Handlers charge the CPU for a
-service-time interval (``yield self.charge(cost)``) and then perform the
-storage operation atomically (no yields between reading and writing
-local state).  A write's deferred work is booked on the CPU without an
-event: it delays later charges, and nobody waits for it.
+of any native secondary indexes.  A request's handler is two callbacks:
+:meth:`StorageNode.dispatch` returns ``(cost, finish)``, the service
+time the network charges to this node's CPU as the request arrives, and
+what runs when that charge ends — the storage operation, performed
+atomically (nothing else runs between reading and writing local state),
+returning the response.  A write's deferred work is booked on the CPU
+without an event: it delays later charges, and nobody waits for it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.messages import (
@@ -124,16 +126,18 @@ class StorageNode:
         """Charge ``duration`` ms of CPU, queuing FIFO behind other work.
 
         Returns the event that fires when the work is done: one kernel
-        event, the timer at its end (:meth:`Resource.hold`).  Handlers
-        ``yield`` it.  Work nobody waits for, the deferred part of a
-        write, is booked by :meth:`_apply_write` with no event at all.
+        event, the timer at its end (:meth:`Resource.hold`).  Work nobody
+        waits for, the deferred part of a write, is booked by
+        :meth:`_apply_write` with no event at all.
         """
         return self.cpu.hold(self._priced(duration))
 
     # -- dispatch -------------------------------------------------------------------
 
-    def dispatch(self, request):
-        """Handle ``request``; a generator returning the response."""
+    def dispatch(self, request) -> Tuple[float, Callable[[], Any]]:
+        """Handle ``request``: ``(cost, finish)``, its CPU service time
+        and the callable that performs it once charged, returning the
+        response."""
         self.requests_handled += 1
         if isinstance(request, WriteRequest):
             return self._handle_write(request)
@@ -173,44 +177,58 @@ class StorageNode:
         return bool(changed)
 
     def _handle_write(self, request: WriteRequest):
-        cost = (self.service.write_cost(len(request.cells))
-                + self._index_maintenance_cost(request.table, request.cells))
-        yield self.charge(cost)
-        applied = self._apply_write(request.table, request.key, request.cells)
-        return WriteAck(self.node_id, applied)
+        def finish():
+            applied = self._apply_write(request.table, request.key,
+                                        request.cells)
+            return WriteAck(self.node_id, applied)
+
+        return (self.service.write_cost(len(request.cells))
+                + self._index_maintenance_cost(request.table, request.cells),
+                finish)
 
     def _handle_read(self, request: ReadRequest):
-        yield self.charge(self.service.read_cost(len(request.columns)))
-        cells = self.engine.read(request.table, request.key, request.columns)
-        return ReadResponse(self.node_id, cells)
+        def finish():
+            return ReadResponse(self.node_id, self.engine.read(
+                request.table, request.key, request.columns))
+
+        return self.service.read_cost(len(request.columns)), finish
 
     def _handle_read_row(self, request: ReadRowRequest):
+        def finish():
+            # Read after the service delay so the response reflects the
+            # state at completion time (the delay models work, not
+            # staleness).
+            return ReadRowResponse(self.node_id, self.engine.read_row(
+                request.table, request.key))
+
         width = self.engine.row_width(request.table, request.key)
-        yield self.charge(self.service.read_cost(max(1, width)))
-        # Read after the service delay so the response reflects the
-        # state at completion time (the delay models work, not staleness).
-        cells = self.engine.read_row(request.table, request.key)
-        return ReadRowResponse(self.node_id, cells)
+        return self.service.read_cost(max(1, width)), finish
 
     def _handle_get_then_put(self, request: GetThenPutRequest):
-        cost = (self.service.read_cost(len(request.read_columns))
+        def finish():
+            # Read-then-write in one callback: atomic at this replica.
+            pre = self.engine.read(request.table, request.key,
+                                   request.read_columns)
+            applied = self._apply_write(request.table, request.key,
+                                        request.cells)
+            return GetThenPutResponse(self.node_id, pre, applied)
+
+        return (self.service.read_cost(len(request.read_columns))
                 + self.service.write_cost(len(request.cells))
-                + self._index_maintenance_cost(request.table, request.cells))
-        yield self.charge(cost)
-        # Read-then-write with no intervening yield: atomic at this replica.
-        pre = self.engine.read(request.table, request.key, request.read_columns)
-        applied = self._apply_write(request.table, request.key, request.cells)
-        return GetThenPutResponse(self.node_id, pre, applied)
+                + self._index_maintenance_cost(request.table, request.cells),
+                finish)
 
     def _handle_index_scan(self, request: IndexScanRequest):
         fragment = self.fragment(request.table, request.column)
+
+        def finish():
+            # Snapshot after the delay; lookup again for current truth.
+            result: Dict[Hashable, Dict[ColumnName, Optional[Cell]]] = {
+                key: self.engine.read(request.table, key, request.columns)
+                for key in fragment.lookup(request.value)}
+            return IndexScanResponse(self.node_id, result)
+
         matches = fragment.lookup(request.value)
-        cost = (self.service.index_scan
-                + self.service.per_cell * len(matches) * len(request.columns))
-        yield self.charge(cost)
-        # Snapshot after the delay; lookup again for current truth.
-        matches = fragment.lookup(request.value)
-        result: Dict[Hashable, Dict[ColumnName, Optional[Cell]]] = {}
-        for key in matches:
-            result[key] = self.engine.read(request.table, key, request.columns)
-        return IndexScanResponse(self.node_id, result)
+        return (self.service.index_scan
+                + self.service.per_cell * len(matches) * len(request.columns),
+                finish)

@@ -41,11 +41,10 @@ queued, and work nobody waits on (a write's deferred part) moves a
 core's free time and is no event at all.  A hand-off *within* one instant —
 a reply reaching its quorum collector, the collector waking the waiting
 coordinator — goes through :meth:`Event.succeed_now`, which runs the
-callbacks inside the caller instead of one pop later, and code that
-drives a generator from a timer callback without being awaited itself
-(an RPC handler, see ``cluster/network.py``) uses :func:`advance`
-directly rather than a :class:`Process` (no ``Initialize``, no
-completion event).  What is left is made cheap: event classes are
+callbacks inside the caller instead of one pop later, and work that
+nobody awaits as a process is driven by plain timer callbacks (an RPC's
+handler is two, see ``cluster/network.py``): no ``Initialize``, no
+completion event.  What is left is made cheap: event classes are
 ``__slots__``-based, :class:`Timeout` initializes itself without
 chaining through ``Event.__init__``, and :meth:`Environment.run` drains
 the heap in an inlined loop (no per-event ``step()`` call, locals bound
@@ -316,10 +315,8 @@ def advance(generator: Generator, event: Event,
     again.  The generator finishing or raising propagates to the caller
     as ``StopIteration`` (carrying the return value) or the exception.
 
-    This is the one stepping routine: :class:`Process` wraps it in an
-    event of its own, and a caller that drives a generator from a timer
-    callback and needs neither a start event nor a completion event
-    calls it directly.
+    This is the one stepping routine; :class:`Process` wraps it in an
+    event of its own.
     """
     while True:
         if event._ok:
