@@ -151,7 +151,7 @@ class ClientHandle:
             raise SessionError(f"no views defined (wanted {join_name!r})")
         yield self._hop()
         coordinator = self._coordinator()
-        results = yield from manager.join_get(
+        results = yield from manager.joins.get(
             coordinator, join_name, join_key, tuple(left_columns),
             tuple(right_columns), r, session=self.session)
         yield self._hop()

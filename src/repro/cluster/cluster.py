@@ -205,7 +205,7 @@ class Cluster:
 
         if self.view_manager is None:
             self.view_manager = ViewManager(self)
-        self.view_manager.register_join(definition)
+        self.view_manager.joins.register(definition)
 
     # -- clients ------------------------------------------------------------------
 

@@ -40,6 +40,10 @@ class ViewDefinition:
     materialized_columns: Tuple[ColumnName, ...] = ()
     key_predicate: Optional[Callable[[Any], bool]] = field(
         default=None, compare=False)
+    # Base columns whose updates require propagation (Algorithm 1): the
+    # view key and the materialized columns, fixed at construction.
+    watched_columns: FrozenSet[ColumnName] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
@@ -61,11 +65,8 @@ class ViewDefinition:
             if column in _RESERVED:
                 raise ViewDefinitionError(
                     f"column name {column!r} is reserved for view plumbing")
-
-    @property
-    def watched_columns(self) -> FrozenSet[ColumnName]:
-        """Base columns whose updates require propagation (Algorithm 1)."""
-        return frozenset((self.view_key_column, *self.materialized_columns))
+        object.__setattr__(self, "watched_columns",
+                           frozenset((self.view_key_column, *materialized)))
 
     def is_materialized(self, column: ColumnName) -> bool:
         """True if ``column`` is a view-materialized column of this view."""

@@ -18,6 +18,10 @@ Consistency: each side is eventually consistent with its own base table
 (the usual asynchronous staleness), so a join read may transiently see a
 pair missing while one side's update is still propagating — the same
 caveat Section IV spells out for projection views.
+
+A cluster's join views are kept by its
+:class:`~repro.views.manager.ViewManager`, in a :class:`JoinRegistry`
+(``manager.joins``) beside the projection views it registers there.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.common.records import ColumnName
-from repro.errors import ViewDefinitionError
+from repro.errors import NoSuchViewError, ViewDefinitionError, ViewExistsError
 from repro.views.definition import ViewDefinition
 
-__all__ = ["JoinSide", "JoinViewDefinition", "JoinResult"]
+__all__ = ["JoinSide", "JoinViewDefinition", "JoinResult", "JoinRegistry"]
 
 
 @dataclass(frozen=True)
@@ -126,3 +130,46 @@ def pair_results(join_key: Any, left_rows, right_rows) -> List[JoinResult]:
                 right_values=dict(right_row.values),
             ))
     return results
+
+
+class JoinRegistry:
+    """The equi-join views registered on one :class:`ViewManager`."""
+
+    def __init__(self, manager):
+        self.manager = manager
+        self._joins: Dict[str, JoinViewDefinition] = {}
+
+    def register(self, definition: JoinViewDefinition) -> None:
+        """Register an equi-join view (two projection child views)."""
+        if (definition.name in self._joins
+                or self.manager.is_view(definition.name)):
+            raise ViewExistsError(definition.name)
+        left, right = definition.child_definitions()
+        self.manager.register(left)
+        self.manager.register(right)
+        self._joins[definition.name] = definition
+
+    def view(self, name: str) -> JoinViewDefinition:
+        """Look up a registered join view by name."""
+        try:
+            return self._joins[name]
+        except KeyError:
+            raise NoSuchViewError(name) from None
+
+    def get(self, coordinator, join_name: str, join_key,
+            left_columns: Tuple[ColumnName, ...],
+            right_columns: Tuple[ColumnName, ...], r: int, session=None):
+        """Read matched pairs of a join view for one join-key value.
+
+        Two single-partition view Gets (both child views are keyed by
+        the join key) plus in-coordinator pairing — the PNUTS locality
+        property for remote view tables.
+        """
+        definition = self.view(join_name)
+        left_rows = yield from self.manager.view_get(
+            coordinator, definition.left_view_name, join_key,
+            tuple(left_columns), r, session=session)
+        right_rows = yield from self.manager.view_get(
+            coordinator, definition.right_view_name, join_key,
+            tuple(right_columns), r, session=session)
+        return pair_results(join_key, left_rows, right_rows)

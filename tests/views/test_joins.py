@@ -61,7 +61,7 @@ def test_register_creates_child_views():
     manager = cluster.view_manager
     assert manager.is_view(JOIN.left_view_name)
     assert manager.is_view(JOIN.right_view_name)
-    assert manager.join_view("ORDERS_WITH_CUSTOMERS") is JOIN
+    assert manager.joins.view("ORDERS_WITH_CUSTOMERS") is JOIN
 
 
 def test_duplicate_join_rejected():
