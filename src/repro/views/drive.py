@@ -38,7 +38,7 @@ from repro.views.maintenance import ViewKeyGuess
 from repro.views.outbox import NodeOutbox
 from repro.views.versioned import PHASE_STALE, view_column, view_timestamp
 
-__all__ = ["process_record", "holds_live_rows", "propagate_with_retries",
+__all__ = ["process_record", "skips_base_read", "propagate_with_retries",
            "repropagate_row", "MAX_ROUNDS", "RETRY_BACKOFF",
            "RETRY_BACKOFF_CAP"]
 
@@ -88,7 +88,7 @@ def process_record(manager, outbox: NodeOutbox, record):
         # propagation starts only after the Get has heard from all
         # copies of the base row, or timed out).  A coalesced record
         # carries its riders' sources too, widening the guess set.
-        # A Put that skipped its read (holds_live_rows) has no collector.
+        # A Put that skipped its read (skips_base_read) has no collector.
         gathered = []
         for collector in record.sources:
             if collector is not None:
@@ -181,24 +181,23 @@ def _sure_guesses(manager, outbox: NodeOutbox, view: ViewDefinition,
             else [ViewKeyGuess(held.live_key, held.live_ts), pristine])
 
 
-def holds_live_rows(manager, node_id: int, views: List[ViewDefinition],
-                    key: Hashable):
-    """True if ``node_id`` holds each view's live row for ``key`` at
-    its chain's current turn (``ViewManager.peek_sequencer``), a process.
-    Each record of a Put made now would then skip its walk and never
-    read Algorithm 1's guesses, so ``base_put`` skips the Get that
-    collects them.  The peek is a prediction: if another job takes the
-    chain first, the record walks from :func:`_sure_guesses`.  It runs
-    only if the node holds a row for every view."""
+def skips_base_read(manager, node_id: int, views: List[ViewDefinition],
+                    key: Hashable, turns: List[int]) -> bool:
+    """True if no record of a Put on ``key`` made now would read
+    Algorithm 1's guesses, by the ``turns`` peeked for ``views``: each
+    chain is pristine (turn 0: the record takes the first turn) or
+    ``node_id`` holds its live row at that turn (the record skips its
+    walk).  A prediction: a record that loses the chain walks from
+    :func:`_sure_guesses`."""
     held = [manager.maintainer.held_row(node_id, view, key)
             for view in views]
-    if None in held or [row.turn for row in held] != (
-            yield from manager.peek_sequencer(views, key)):
+    if any(turn and (row is None or row.turn != turn)
+           for row, turn in zip(held, turns)):
         return False
     manager.maintainer.metrics.reads_skipped += 1
     for view, row in zip(views, held):
         manager.cluster.trace("chain", "base read skipped", view=view.name,
-                              base_key=key, live=row.live_key)
+                              base_key=key, live=row and row.live_key)
     return True
 
 

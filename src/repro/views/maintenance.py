@@ -82,13 +82,11 @@ view-key propagation on that node for that chain skips line 1's Get iff
 The walk is the only reader of Algorithm 1's guesses, so a base Put
 whose coordinator holds each affected chain's row at the chain's
 current turn skips that every-replica Get too
-(``views.drive.holds_live_rows``): a repeat move is three quorum
-rounds in all, base Put, line 8 and line 4.  The turn it compares is a
-peek (``ViewManager.peek_sequencer``), a prediction and not a fence:
-the check above, at the record's own turn, still decides.  When
-another job took the chain in between, the record, which has no
-guesses of its own, walks from the held row, then from the NULL
-anchor.
+(``views.drive.skips_base_read``): a repeat move is three quorum
+rounds in all, base Put, line 8 and line 4.  The turn is a peek
+(``ViewManager.peek_sequencer``), a prediction and not a fence: the
+check above still decides, and a record that lost the chain walks
+from the held row, then from the NULL anchor.
 
 First turn.  ``turn`` 1 is the chain's first job ever, and every chain
 writer passes through ``ViewManager.serialized``, the one place turns
@@ -96,12 +94,12 @@ are minted (``tests/test_layout.py`` pins it), so no cell of the chain
 exists yet and a walk could only end at the virtual NULL anchor, with
 no cells.  That job takes the anchor as line 1's live row with no Get,
 whatever its guess: even one naming a row whose writer has not
-propagated, which a walk would fail.  A row's first multi-column Put —
-every bulk load's — is thus four quorum rounds, base Get, base Put,
-line 8 (which creates the anchor row) and line 4: 12 RPCs at N = 3,
-where it was six rounds and 17 RPCs while it walked and wrote line 12
-apart.  Its base Get stays: predicting turn 1 before the Put would cost
-a sequencer round trip under locks on every Put that holds no row.
+propagated, which a walk would fail.  So a Put whose peek finds the
+chain pristine (turn 0) skips Algorithm 1's Get as a holder's does (if
+another job takes turn 1 first, its record walks from the NULL anchor
+that turn's line 8 wrote), and a row's first multi-column Put — every
+bulk load's — is three quorum rounds, base Put, line 8 (which creates
+the anchor row) and line 4: 9 RPCs at N = 3.
 
 Whole rows.  A ``whole_row`` job makes one majority Get, under its
 turn, of the materialized base columns its update does not carry, and

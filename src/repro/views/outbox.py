@@ -23,9 +23,9 @@ values (``None`` for tombstones); ``sources`` are the response
 collectors of the base-row round trips that observed the pre-update
 view keys in each response's ``cells`` (Algorithm 1's guesses are
 read from them when the record runs, after every replica has answered
-or timed out).  A Put that skipped that read, its coordinator holding
-the live row, appends ``None`` for a source
-(``views.drive.holds_live_rows``), and so does a plain Put that finds,
+or timed out).  A Put that skipped that read, its chain pristine or
+its coordinator holding the live row, appends ``None`` for a source
+(``views.drive.skips_base_read``), and so does a plain Put that finds,
 once its write acks, a view registered meanwhile
 (``ViewManager.append_records``).
 

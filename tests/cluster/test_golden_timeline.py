@@ -12,11 +12,20 @@ pops but not when anything completes.  It runs on the default
 sampled before instead of after a neighbour's forward delay — shifts
 every later timestamp and fails it.
 
-Last re-recorded when a chain's first job stopped walking (its turn is
-1, so it can only find the virtual NULL anchor) and a multi-column
-Put's line-12 cells began to ride its line-4 Put, which was meant to
-move the simulation: a row's first multi-column Put is four quorum
-rounds, not six.  The first op to differ is the fifth to complete:
+Last re-recorded when a base Put whose chain is pristine (turn 0, by a
+sequencer peek that now travels during the coordinator's charge) began
+to skip Algorithm 1's every-replica Get, which was meant to move the
+simulation: a row's first Put is three quorum rounds, not four.  The
+first op to differ is the first to complete: client 0's first (a
+view-key Put, W = 2), now at 0.3741 ms; client 3's first Put, the first
+to complete before, finished at 0.8436 ms.  The last op completes at
+61.67 ms instead of 63.82.
+
+Before that it was re-recorded when a chain's first job stopped walking
+(its turn is 1, so it can only find the virtual NULL anchor) and a
+multi-column Put's line-12 cells began to ride its line-4 Put, which was
+meant to move the simulation: a row's first multi-column Put is four
+quorum rounds, not six.  The first op to differ is the fifth to complete:
 client 3's second (a Get, R = 2), now at 1.6838 ms instead of 1.5052,
 its link delays drawn from a stream client 3's first Put, which no
 longer walks, left shifted.  The last op completes at 63.82 ms instead

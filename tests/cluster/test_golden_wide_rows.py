@@ -12,10 +12,20 @@ complete at the same ``repr``-exact instant, return the same results
 (rows and staleness certificates) and leave byte-identical base and
 view tables.
 
-Last re-recorded when a chain's first job stopped walking (its turn is
-1, so it can only find the virtual NULL anchor) and a multi-column
-Put's line-12 cells began to ride its line-4 Put, which was meant to
-move the simulation.  The first op to differ is the sixth to complete:
+Last re-recorded when a base Put whose chain is pristine (turn 0, by a
+sequencer peek that now travels during the coordinator's charge) began
+to skip Algorithm 1's every-replica Get, which was meant to move the
+simulation.  The first op to differ is the first to complete: client
+2's first (a W = 1 Put), now at 0.2341 ms; client 3's first (an R = 1
+Get), the first to complete before, finished at 0.4949 ms.  The last
+op completes at 205.03 ms instead of 215.30.  At the 2.5 ms bound 5
+bounded reads of 100 escalate (8 before).
+
+Before that it was re-recorded when a chain's first job stopped walking
+(its turn is 1, so it can only find the virtual NULL anchor) and a
+multi-column Put's line-12 cells began to ride its line-4 Put, which
+was meant to move the simulation.  The first op to differ is the sixth
+to complete:
 client 2's second (an R = 1 Get), now at 1.1781 ms instead of 1.1606.
 The last op completes at 215.30 ms instead of 253.81.  Views lag less
 again: at the old 4 ms bound no bounded read escalated (12 of 100 did

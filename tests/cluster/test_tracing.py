@@ -100,13 +100,15 @@ def test_view_maintenance_emits_traces():
     assert counts.get("base_put", 0) == 3
     assert counts.get("propagation", 0) >= 3
     assert counts.get("propagate", 0) >= 3   # view-key update branches
-    # How each move found its live row: the first insert anchors
-    # virtually (no line), the coordinator that made "a" live still held
-    # it, and the other coordinator had to walk (GetLiveKey).
+    # How each move found its live row: the first insert's Put found
+    # its chain pristine and skipped the base read, and its record
+    # anchors virtually (no line); the coordinator that made "a" live
+    # still held it, and the other coordinator had to walk (GetLiveKey).
     chain = cluster.tracer.events("chain")
     assert [(event.message, event.fields["live"]) for event in chain] == [
-        ("live row held", "a"), ("live row resolved", "b")]
-    assert chain[1].fields["hops"] == 1
+        ("base read skipped", None), ("live row held", "a"),
+        ("live row resolved", "b")]
+    assert chain[2].fields["hops"] == 1
     # The trace tells the story: the second put found "a" live and
     # moved live-ness to "b".
     moves = cluster.tracer.events("propagate")

@@ -189,6 +189,31 @@ E6's first entries to differ are each cell's first crash (node 2):
 and 2.  E4, the shrunk reproducer, both fuzz schedules and E2 with the
 scrubber off are identical.
 
+Re-recorded when a base Put whose chain is pristine began to skip
+Algorithm 1's every-replica Get, its sequencer peek travelling during
+the coordinator's charge.  Every fault dealt before each E4 run's final
+heal is unchanged; the workloads end sooner, so three runs no longer
+deal their last scheduled faults.  The re-record printed::
+
+    fault-timeline.json: first difference at /ext_adversary/partition-storm[32]
+      committed: ["805.8428036552148", "partition", "((1, 2), [])"]
+      recorded:  ["799.5740710416399", "restore_node_speed", "((0,), [])"]
+
+Partition-storm ends at 799.57 ms instead of 1210.79, before its
+partition (1, 2) at 805.84, which with the storm's later partitions is
+no longer dealt.  Crash-loop ends at 575.82 ms instead of 624.77,
+before its crash of node 0 at 588.75.  Stacked ends at 1616.87 ms
+instead of 2549.86, before its partition (1, 2) at 1622.61.  In the
+other stacks only ``stop()``'s final heal moved: gray-failure 695.74 to
+695.09 ms, clock-skew 512.29 to 508.14, crash-storm 645.15 to 643.52,
+burst-arrivals 362.87 to 354.74.  Every other run crashes on a
+propagation count, so its crashes moved: the shrunk reproducer's by
+0.508 ms (its Put skips its read), fuzz seed 1's first by 0.050 ms (a
+Put whose peek found its chain moved on no longer waits out the
+lock-service round trip after its charge), fuzz seed 11's by 0.508 ms,
+E2's and E6's by at most 0.17 ms.  Every run deals the same faults
+before its final heal and loses as many propagations as before.
+
 Re-record (only for a change that is *meant* to move the faults)::
 
     PYTHONPATH=src python tests/scenarios/test_fault_timeline.py

@@ -97,7 +97,15 @@ def test_storms_actually_escalate(monkeypatch):
     # rule picked 2, 13, 14 and 18.  A view-key move is one quorum round
     # shorter since the Init mark went, so the runs moved again: seed 18
     # now also escalates on outbox lag, and the rule picks 3, 6, 7 and 16.
-    for seed in (3, 6, 7, 16):
+    # Those drifted as later changes moved the runs: by the time a
+    # pristine chain's first Put stopped reading the base row, only 16
+    # still met the rule (3 and 6 lost nothing, 7 never escalated), and
+    # that change moved seed 3 onto a path where it loses a record and
+    # escalates on outbox lag alone: a payload record on node 3 waits
+    # out RPC_TIMEOUT (200 ms) for its every-replica base read, which
+    # node 0, down in the crash loop, never answers.  The rule,
+    # re-applied, picks 2, 16, 23 and 24.
+    for seed in (2, 16, 23, 24):
         scenario, result = run_storm(seed=seed, ops=140,
                                      bounded_fraction=0.4)
         slo = result.stats["freshness"]["slo"]

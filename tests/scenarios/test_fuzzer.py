@@ -21,9 +21,14 @@ from repro.scenarios import (
 pytestmark = pytest.mark.scenario
 
 # A seed known to produce a lost propagation (and therefore an
-# invariant violation when replayed without the scrubber).  The
-# committed regression fixture was shrunk from this seed's history.
-FAILING_SEED = 0
+# invariant violation when replayed without the scrubber): the lowest
+# such seed.  The committed regression fixture was shrunk from seed 0's
+# history, which stopped diverging when a pristine chain's first Put
+# began to skip Algorithm 1's read: its one lost propagation is k2's
+# first, which leaves that chain pristine, so the next move there
+# skips its read, takes the first turn before a payload record does,
+# and no record behind it is abandoned.
+FAILING_SEED = 1
 
 
 def test_generation_is_deterministic():
@@ -87,7 +92,7 @@ def test_failing_seed_heals_with_scrubber():
 def test_shrinking_rejects_non_failing_settings():
     """Shrinking under settings where the schedule passes is an error.
 
-    Seed 0's divergence heals under the scrubber, so asking ddmin to
+    The failing seed's divergence heals under the scrubber, so asking ddmin to
     shrink it with ``scrub=True`` must fail loudly instead of silently
     returning the schedule unshrunk.
     """

@@ -13,14 +13,19 @@ of the chain can exist yet, so it takes the virtual NULL anchor.  The
 wrapper walks from the never-written NULL on each of those too, and the
 walk must return that anchor with no cells.
 
-A base Put whose coordinator holds every touched chain's live row at
-the chain's current turn skips Algorithm 1's Get
-(``views.drive.holds_live_rows``), on a prediction that its record will
-skip the walk.  The wrapper also sorts those records by how the
-prediction fared when each first reached ``propagate_update``: the
-fence held (no job on the chain since the move), or it broke (another
-job took the chain first, so the record walked from the held row or
-the NULL anchor).  Both must occur, and every run must stay clean.
+A base Put skips Algorithm 1's Get (``views.drive.skips_base_read``)
+when, by the turns a sequencer peek brought back, every touched chain
+is *held* (its coordinator holds the live row at that turn: a
+prediction that its record will skip the walk) or *pristine* (turn 0:
+a prediction that its record will take the chain's first turn).  The
+wrapper sorts those records by kind and by how the prediction fared
+when each first reached ``propagate_update``.  A held record's fence
+held (no job on the chain since the move), or it broke (another job
+took the chain first, so the record walked from the held row or the
+NULL anchor).  A pristine record won turn 1, or lost it to another
+job and ran from its sure guesses.  All four must occur (a pristine
+record losing its turn, only in the fuzzed histories), and every run
+must stay clean.
 
 Run over the adversary x eager/adaptive matrix and over fuzzed
 histories, under both serializers — the fuzzer and the matrix
@@ -31,6 +36,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster.coordinator import Coordinator
 from repro.common.records import NULL_TIMESTAMP
 from repro.errors import PropagationError, QuorumError
 from repro.scenarios import (
@@ -65,26 +71,52 @@ def shadow(monkeypatch):
     adversary may eat the extra Get (``QuorumError``); that walk goes
     uncompared.  Records whose Put skipped its read are known by their
     ``update_values``, the dict a record's process hands
-    ``propagate_update``."""
+    ``propagate_update``; their kind by the peeked turns, noted when the
+    Put's base write (sent in the same instant as the decision) names
+    its timestamp."""
     seen = SimpleNamespace(hits=0, compared=0, mismatches=[], readless={},
-                           fence_held=0, fence_broken=0, first_turns=0)
+                           fence_held=0, fence_broken=0, first_turns=0,
+                           pristine_won=0, pristine_lost=0, skipped=None,
+                           kinds={})
     real = ViewMaintainer.propagate_update
     real_process = manager.process_record
+    real_skips = manager.skips_base_read
+    real_write = Coordinator.scatter_write
+
+    def skips(view_manager, node_id, views, key, turns):
+        skipped = real_skips(view_manager, node_id, views, key, turns)
+        if skipped:
+            seen.skipped = "held" if any(turns) else "pristine"
+        return skipped
+
+    def write(self, table, key, cells, required):
+        if seen.skipped is not None:
+            base_ts = max(cell.timestamp for cell in cells.values())
+            seen.kinds[self.node.node_id, key, base_ts] = seen.skipped
+            seen.skipped = None
+        return real_write(self, table, key, cells, required)
 
     def watched(view_manager, outbox, record):
-        if any(collector is None for collector in record.sources):
-            seen.readless[id(record.update_values)] = record
+        kind = seen.kinds.get((outbox.node_id, record.key, record.base_ts))
+        if kind is not None and None in record.sources:
+            seen.readless[id(record.update_values)] = kind
         return real_process(view_manager, outbox, record)
 
     def shadowed(self, coordinator, view, base_key, guess, update_values,
                  base_ts, turn=None, whole_row=False):
         entry = self._held[coordinator.node.node_id][view.name].get(base_key)
         fenced = entry is not None and entry.turn + 1 == turn
-        if seen.readless.pop(id(update_values), None) is not None:
+        kind = seen.readless.pop(id(update_values), None)
+        if kind == "held":
             if fenced:
                 seen.fence_held += 1
             else:
                 seen.fence_broken += 1
+        elif kind == "pristine":
+            if turn == 1:
+                seen.pristine_won += 1
+            else:
+                seen.pristine_lost += 1
         columns = tuple(view_column(base_key, column)
                         for column in view.materialized_columns)
         if turn == 1:
@@ -125,6 +157,8 @@ def shadow(monkeypatch):
 
     monkeypatch.setattr(ViewMaintainer, "propagate_update", shadowed)
     monkeypatch.setattr(manager, "process_record", watched)
+    monkeypatch.setattr(manager, "skips_base_read", skips)
+    monkeypatch.setattr(Coordinator, "scatter_write", write)
     return seen
 
 
@@ -149,9 +183,13 @@ def test_every_hit_equals_its_walk_across_the_scenario_matrix(shadow,
             # Not vacuous, cell by cell, and first turns were skipped.
             assert shadow.compared > before[0], (stack_name, overrides)
             assert shadow.first_turns > before[1], (stack_name, overrides)
-    # A skipped read whose prediction held, and one whose fence broke.
+    # A held row's skipped read whose prediction held, and one whose
+    # fence broke; a pristine one that won turn 1 (one that lost it is
+    # left to the fuzzed histories: six rows a run, each first Put
+    # milliseconds apart, never race here).
     assert shadow.fence_held > 0
     assert shadow.fence_broken > 0
+    assert shadow.pristine_won > 0
 
 
 @pytest.mark.parametrize("serializer", SERIALIZERS)
@@ -169,3 +207,6 @@ def test_every_hit_equals_its_walk_across_fuzzed_histories(shadow,
     assert shadow.hits >= shadow.compared
     assert shadow.fence_held > 0
     assert shadow.fence_broken > 0
+    # Pristine records both won turn 1 and lost it to another job.
+    assert shadow.pristine_won > 0
+    assert shadow.pristine_lost > 0

@@ -10,6 +10,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.common import Cell
 from repro.errors import PropagationError, QuorumError
+from repro.repair import divergent_base_keys
 from repro.views import (
     NULL_VIEW_KEY,
     BaseUpdate,
@@ -411,12 +412,12 @@ def _count_one_put(monkeypatch, cluster, client, values):
             rounds.count(("T", "scatter_read")))
 
 
-def _count_one_move(monkeypatch, mover_is_the_holder: bool):
+def _count_one_move(monkeypatch, mover_is_the_holder: bool, **overrides):
     """Load ``k`` under ``a`` through one coordinator, then move it to
     ``b`` through the same one or another; returns ``(RPCs sent,
     view-table round kinds, base-table reads, a client)`` for the move
     alone."""
-    cluster = _payload_cluster()
+    cluster = _payload_cluster(**overrides)
     holder = cluster.sync_client(0)
     mover = holder if mover_is_the_holder else cluster.sync_client(1)
     holder.put("T", "k", {"sec": "a", "payload": "p"})
@@ -426,21 +427,26 @@ def _count_one_move(monkeypatch, mover_is_the_holder: bool):
 
 
 @pytest.mark.parametrize("serializer", ["locks", "propagators"])
-def test_a_pristine_multi_column_insert_sends_12_rpcs_two_view_rounds(
+def test_a_pristine_multi_column_insert_sends_9_rpcs_two_view_rounds(
         monkeypatch, serializer):
     """The first Put of a row, with a view key and a materialized
-    column: base Get + base Put + the NULL anchor's stale pointer (line
-    8) + the new live row carrying ``payload`` (line 4, with line 12's
-    cell) = 4 x 3 RPCs, and no view-table Get.  It was 17 in six rounds
-    while the chain's first job walked to the virtual anchor (a majority
-    Get, 2 RPCs) and line 12 was a third view Put of its own (3)."""
+    column: base Put + the NULL anchor's stale pointer (line 8) + the
+    new live row carrying ``payload`` (line 4, with line 12's cell) =
+    3 x 3 RPCs, and no view-table Get.  The sequencer peek, answered
+    during the coordinator's charge, finds the chain pristine (turn 0),
+    so the record will take its first turn, which reads no guess, and
+    Algorithm 1's base Get is skipped.  It was 12 while that Get was
+    made, and 17 in six rounds while the chain's first job walked to the
+    virtual anchor (a majority Get, 2 RPCs) and line 12 was a third view
+    Put of its own (3)."""
     cluster = _payload_cluster(propagation_concurrency=serializer)
     client = cluster.sync_client(0)
     sent, view_rounds, base_reads = _count_one_put(
         monkeypatch, cluster, client, {"sec": "a", "payload": "p"})
-    assert sent == 12
+    assert sent == 9
     assert view_rounds == ["scatter_write", "scatter_write"]
-    assert base_reads == 1
+    assert base_reads == 0
+    assert cluster.view_manager.maintainer.metrics.reads_skipped == 1
     assert cluster.view_manager.maintainer.metrics.chain_hops == 0
     (row,) = client.get_view("V", "a", ["payload"])
     assert (row.base_key, row["payload"]) == ("k", "p")
@@ -449,12 +455,15 @@ def test_a_pristine_multi_column_insert_sends_12_rpcs_two_view_rounds(
 @pytest.mark.parametrize("over_data", [True, False])
 def test_a_rows_first_view_key_put_reads_the_base_row_only_over_data(
         monkeypatch, over_data):
-    """A row's first Put carries only the view key.  On a view created
-    over a populated table (``ViewManager.backfill``) the row already
-    holds ``payload``, which no record of the view carries: the chain's
-    first job makes one majority Get of it (2 RPCs) and writes it with
-    line 4, 14 RPCs in all.  On a view defined before its data the same
-    Put makes no such Get: 12, as a pristine insert."""
+    """A row's first Put carries only the view key, and its chain is
+    pristine either way (the load runs no job on a row with no view
+    key), so it makes no Algorithm 1 Get.  On a view created over a
+    populated table (``ViewManager.backfill``) the row already holds
+    ``payload``, which no record of the view carries: the chain's first
+    job makes one majority Get of it (2 RPCs) and writes it with line 4,
+    11 RPCs in all.  On a view defined before its data the same Put
+    makes no such Get: 9, as a pristine insert.  (14 and 12 while the
+    Put made Algorithm 1's Get.)"""
     from repro.cluster import ClusterConfig
 
     cluster = Cluster(ClusterConfig(seed=5))
@@ -470,9 +479,9 @@ def test_a_rows_first_view_key_put_reads_the_base_row_only_over_data(
             cluster.view_manager.backfill("V")))
     sent, view_rounds, base_reads = _count_one_put(
         monkeypatch, cluster, client, {"sec": "a"})
-    assert sent == (14 if over_data else 12)
+    assert sent == (11 if over_data else 9)
     assert view_rounds == ["scatter_write", "scatter_write"]
-    assert base_reads == (2 if over_data else 1)
+    assert base_reads == (1 if over_data else 0)
     (row,) = client.get_view("V", "a", ["payload"])
     assert (row.base_key, row["payload"]) == (
         "k", "p" if over_data else None)
@@ -488,9 +497,17 @@ def test_view_key_move_sends_14_rpcs_three_view_rounds(monkeypatch):
     (the Init mark, one more Put), and 18 while a Get was broadcast; the
     base Get stays a broadcast because Algorithm 1 wants every replica's
     view-key version.  CopyData has no round of its own (it was a Get
-    and a Put: 24 RPCs)."""
+    and a Put: 24 RPCs).
+
+    Links are fixed-delay, so the mover's write cannot overtake its own
+    base read on the way to a replica.  On jittered links it can: that
+    replica then reports the update's own key ``b`` as its version, the
+    newest guess, whose walk fails before the one from ``a`` (16
+    RPCs)."""
+    from repro.sim.latency import Fixed
+
     sent, view_rounds, base_reads, client = _count_one_move(
-        monkeypatch, mover_is_the_holder=False)
+        monkeypatch, mover_is_the_holder=False, replica_link=Fixed(0.06))
     assert sent == 14
     assert view_rounds == ["scatter_read", "scatter_write", "scatter_write"]
     assert base_reads == 1
@@ -506,7 +523,7 @@ def test_repeat_view_key_move_by_the_same_executor_sends_9_rpcs_two_view_rounds(
     live row = 3 x 3 = 9 RPCs in two view rounds, and no read of the
     view table or the base table at all — the copied payload comes from
     what it wrote, and Algorithm 1's Get, whose guesses only a walk
-    would read, is skipped (``views.drive.holds_live_rows``).  It was 12
+    would read, is skipped (``views.drive.skips_base_read``).  It was 12
     while that Get was made, and 15 and three view rounds while the
     Init mark cost an unmark."""
     sent, view_rounds, base_reads, client = _count_one_move(
@@ -872,7 +889,8 @@ def test_a_move_that_outlives_its_coordinators_crash_leaves_nothing_held():
 def test_a_propagation_lost_to_a_coordinator_crash_leaves_nothing_held():
     """The crash path runs no Algorithm 2 at all: the row A holds after
     it is still the one its last completed move made live, so the lost
-    Put and the next one both skip their base read on it."""
+    Put and the next one both skip their base read on it.  (The first
+    Put skips its read too: its chain is pristine.)"""
     cluster = Cluster(make_config())
     cluster.create_table("B")
     cluster.create_view(VIEW)
@@ -891,8 +909,9 @@ def test_a_propagation_lost_to_a_coordinator_crash_leaves_nothing_held():
     client.settle()
     assert [(event.message, event.fields["live"])
             for event in cluster.tracer.events("chain")] == [
-        ("live row held", "a"), ("base read skipped", "b"),
-        ("base read skipped", "b"), ("live row held", "b")]
+        ("base read skipped", None), ("live row held", "a"),
+        ("base read skipped", "b"), ("base read skipped", "b"),
+        ("live row held", "b")]
     assert check_view(cluster, VIEW) == []
 
 
@@ -942,14 +961,15 @@ def test_a_repeat_move_by_the_holder_sends_no_base_read(monkeypatch,
     reads = _base_reads(monkeypatch, cluster)
     client.put("B", "k", {"vk": "a", "m": "p"})
     client.settle()
-    assert reads == ["B"]  # nothing held yet
+    assert reads == []  # the chain was pristine
     for view_key in "bcd":
         client.put("B", "k", {"vk": view_key})
         client.settle()
     metrics = manager.maintainer.metrics
-    assert reads == ["B"]
-    # Four walks skipped: the first turn's and the three held rows'.
-    assert (metrics.reads_skipped, metrics.walks_skipped) == (3, 4)
+    assert reads == []
+    # Four reads and four walks skipped: the first turn's and the three
+    # held rows'.
+    assert (metrics.reads_skipped, metrics.walks_skipped) == (4, 4)
     assert check_view(cluster, VIEW) == []
     assert [(row.base_key, row["m"])
             for row in client.get_view("V", "d", ["m"])] == [("k", "p")]
@@ -985,8 +1005,9 @@ def test_a_chains_first_job_walks_nowhere_whatever_its_guess(serializer):
 
 def test_a_put_whose_held_row_another_coordinators_move_fenced_reads(
         monkeypatch):
-    """A holds ``a`` at turn 1; B's move takes turn 2.  A's next Put
-    peeks, finds the chain moved on, and makes Algorithm 1's Get."""
+    """A holds ``a`` at turn 1 (its Put found the chain pristine and
+    made no Get); B's move takes turn 2.  A's next Put peeks, finds the
+    chain moved on, and makes Algorithm 1's Get."""
     cluster = _chain_cluster()
     reads = _base_reads(monkeypatch, cluster)
     holder, other = cluster.sync_client(A), cluster.sync_client(B)
@@ -996,8 +1017,8 @@ def test_a_put_whose_held_row_another_coordinators_move_fenced_reads(
     other.settle()
     holder.put("B", "k", {"vk": "c"})
     holder.settle()
-    assert reads == ["B", "B", "B"]
-    assert cluster.view_manager.maintainer.metrics.reads_skipped == 0
+    assert reads == ["B", "B"]
+    assert cluster.view_manager.maintainer.metrics.reads_skipped == 1
     assert check_view(cluster, VIEW) == []
     assert [row.base_key for row in holder.get_view("V", "c", ["m"])] == [
         "k"]
@@ -1042,7 +1063,9 @@ def test_a_put_that_skipped_its_read_and_lost_the_race_walks_from_the_held_row()
         "B", "k", {"vk": Cell.make("c", 30)}, 3)))
     reference.propagate(BaseUpdate("k", "vk", "c", 30))
     put(A, {"vk": "b"}, 20)
-    assert maintainer.metrics.reads_skipped == 1
+    # A's first Put skipped its read on a pristine chain, its second on
+    # the row A holds.
+    assert maintainer.metrics.reads_skipped == 2
     env.process(propagate_with_retries(
         manager, coordinator_b, VIEW, "B", "k",
         [ViewKeyGuess("a", 10)], {"vk": "c"}, 30))
@@ -1055,6 +1078,93 @@ def test_a_put_that_skipped_its_read_and_lost_the_race_walks_from_the_held_row()
     assert [(row.base_key, row["m"])
             for row in client.get_view("V", "c", ["m"])] == [("k", "p")]
     assert client.get_view("V", "b", ["m"]) == []
+
+
+def _race_first_puts(cluster, reference):
+    """A's Put of ``a`` (with ``m``) @ 10 and B's of ``b`` @ 20 arrive at
+    one instant on the pristine row ``k``; returns the ``(turn, guess
+    key)`` of every propagation job, in the order they run."""
+    manager = cluster.view_manager
+    env = cluster.env
+    jobs = []
+    real = manager.maintainer.propagate_update
+
+    def propagate_update(coordinator, view, base_key, guess, *args):
+        jobs.append((args[2], guess.key))
+        return (yield from real(coordinator, view, base_key, guess, *args))
+
+    manager.maintainer.propagate_update = propagate_update
+    for node, values, ts in ((A, {"vk": "a", "m": "p"}, 10),
+                             (B, {"vk": "b"}, 20)):
+        cells = {column: Cell.make(value, ts)
+                 for column, value in values.items()}
+        env.process(manager.base_put(cluster.coordinator(node), "B", "k",
+                                     cells, 3))
+        for column, value in values.items():
+            reference.propagate(BaseUpdate("k", column, value, ts))
+    cluster.run_until_idle()
+    return jobs
+
+
+def _assert_converged_on_b(cluster, reference):
+    assert check_view(cluster, VIEW, reference) == []
+    assert divergent_base_keys(cluster, VIEW) == []
+    client = cluster.sync_client(2)
+    assert [(row.base_key, row["m"])
+            for row in client.get_view("V", "b", ["m"])] == [("k", "p")]
+    assert client.get_view("V", "a", ["m"]) == []
+
+
+@pytest.mark.parametrize("serializer", ["locks", "propagators"])
+def test_two_first_puts_racing_on_a_pristine_row_both_skip_their_read(
+        serializer):
+    """Both Puts peek turn 0, so neither makes Algorithm 1's Get.  One
+    record takes the chain's first turn and walks nowhere; the other
+    runs at turn 2 from its sure guesses — its coordinator holds no row,
+    so the never-written NULL.  Under locks it walks from the anchor the
+    first turn's line 8 wrote to the live row (two Gets); under
+    propagators the row's propagator ran turn 1 and still holds the
+    row, so turn 2 skips its walk."""
+    cluster = _chain_cluster(propagation_concurrency=serializer)
+    reference = ReferenceViewModel(VIEW)
+    jobs = _race_first_puts(cluster, reference)
+    metrics = cluster.view_manager.maintainer.metrics
+    assert metrics.reads_skipped == 2
+    assert [turn for turn, _key in jobs] == [1, 2]
+    assert jobs[1][1] == NULL_VIEW_KEY
+    assert (metrics.walks_skipped, metrics.chain_hops) == (
+        (1, 2) if serializer == "locks" else (2, 0))
+    _assert_converged_on_b(cluster, reference)
+
+
+@pytest.mark.parametrize("serializer", ["locks", "propagators"])
+def test_a_raced_first_turn_cut_by_a_quorum_error_still_converges(
+        monkeypatch, serializer):
+    """The race above, with the first turn's line-4 Put failing: the
+    turn-2 job walks from the NULL anchor into the cut move and finishes
+    it, and the failed record's retry, at turn 3, walks from the NULL
+    anchor too.  Nothing is left for a scrubber."""
+    from repro.views.maintenance import ViewMaintainer
+
+    real_put = ViewMaintainer._view_put
+    failed = []
+
+    def fail_first_line_4(self, coordinator, view_name, view_key, cells):
+        if view_key != NULL_VIEW_KEY and not failed:
+            failed.append(view_key)
+            raise QuorumError("injected", required=2, received=0)
+        yield from real_put(self, coordinator, view_name, view_key, cells)
+
+    monkeypatch.setattr(ViewMaintainer, "_view_put", fail_first_line_4)
+    cluster = _chain_cluster(propagation_concurrency=serializer)
+    reference = ReferenceViewModel(VIEW)
+    jobs = _race_first_puts(cluster, reference)
+    metrics = cluster.view_manager.maintainer.metrics
+    assert len(failed) == 1
+    assert (metrics.reads_skipped, metrics.retry_rounds) == (2, 1)
+    assert jobs == [(1, NULL_VIEW_KEY), (2, NULL_VIEW_KEY),
+                    (3, NULL_VIEW_KEY)]
+    _assert_converged_on_b(cluster, reference)
 
 
 def test_a_table_with_two_views_reads_unless_both_chains_are_held_current(
@@ -1074,7 +1184,7 @@ def test_a_table_with_two_views_reads_unless_both_chains_are_held_current(
         client.settle()
         return len(reads) - before[0], metrics.reads_skipped - before[1]
 
-    assert put(holder, {"vk": "a", "wk": "x", "m": "p"}) == (1, 0)
+    assert put(holder, {"vk": "a", "wk": "x", "m": "p"}) == (0, 1)  # pristine
     assert put(holder, {"vk": "b", "wk": "y"}) == (0, 1)
     assert put(other, {"wk": "z"}) == (1, 0)  # W's chain moves on
     assert put(holder, {"vk": "c", "wk": "w"}) == (1, 0)  # W is fenced

@@ -164,11 +164,17 @@ def test_base_put_on_divergent_replicas_hands_algorithm_1_every_version(
         monkeypatch):
     """A quorum Get asks R replicas; Algorithm 1's Get (lines 2-3) is
     not one: propagation needs every base replica's view-key version as
-    a chain entry point, so even a W = 1 Put asks all N."""
+    a chain entry point, so even a W = 1 Put asks all N.  The chain is
+    past turn 0 (another coordinator's materialized-only Put took turn
+    1, which holds no row), so the Put cannot skip the Get."""
     from repro.common import Cell
     from repro.views.outbox import NodeOutbox
 
-    cluster, client = build()
+    cluster, _client = build()
+    client = cluster.sync_client(0)
+    other = cluster.sync_client(1)
+    other.put("T", "k", {"m": "x"}, w=1)
+    other.settle()
     for index, replica in enumerate(cluster.replicas_for("T", "k")):
         replica.engine.apply(
             "T", "k", {"vk": Cell.make(f"v{index}", 10 + index)})
@@ -188,6 +194,8 @@ def test_base_put_on_divergent_replicas_hands_algorithm_1_every_version(
                   for response in collector.responses) == ["v0", "v1", "v2"]
     assert sum(cluster.coordinator(node.node_id).hedged_reads
                for node in cluster.nodes) == 0
+    # The materialized-only Put skipped its read; this one did not.
+    assert cluster.view_manager.maintainer.metrics.reads_skipped == 1
 
 
 @pytest.mark.parametrize("mode", ["locks", "propagators"])
