@@ -49,11 +49,47 @@ completion event.  What is left is made cheap: event classes are
 chaining through ``Event.__init__``, and :meth:`Environment.run` drains
 the heap in an inlined loop (no per-event ``step()`` call, locals bound
 outside the loop).
+
+The second cost is CPython's cyclic garbage collector, which allocation
+sets off and which no per-function profile names: cProfile charges each
+pass to whichever allocation triggered it, so it reads as a slow
+``__init__`` somewhere.  Once a cluster is loaded, every full pass
+walks all the rows, cell dicts and cells the load left behind, yet the
+traffic of a fault-free run makes no reference cycle for it to find:
+an event, an RPC's call and a record are freed by reference counting
+once the last callback drops them.  So :meth:`Environment.run` turns
+automatic collection off while it drains the heap and restores the
+caller's collector state on every way out.  Just before it returns it
+collects generation 0 if that generation's count is over its threshold
+(what CPython would do at the next allocation), so every collection
+left runs inside the caller's run and none is deferred onto whatever
+the caller does next; the cycles a run does make (a failure's
+exception and its traceback) are reclaimed there or later.  A
+collector the caller disabled, or a generation-0 threshold of 0, is
+left as it is.
+
+One kind of garbage needs a full collection: a dropped simulation.  A
+cluster is full of reference cycles (its environment's heap holds
+events whose callbacks reach back into it), so a process that builds
+cluster after cluster, as an experiment sweep does, would keep every
+old one until CPython next collected its oldest generation, which it
+now seldom does.  So after an :class:`Environment` is created, ``run``
+makes that exit collection a full one, at most twice, when another
+Environment is still unfreed and the run left more than ``young *
+middle`` new tracked objects (a run in which CPython would have
+collected its middle generation too).  The first frees a predecessor
+dropped before the new simulation ran; the second one still held while
+the new one loaded (``cluster = build(...)`` in a loop).  A process that
+drops each simulation and collects before building the next, as
+mvbench does, never has a second Environment unfreed and so never pays
+for it.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
+import weakref
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import ProcessError, SimulationError, StopSimulation
@@ -344,9 +380,17 @@ def advance(generator: Generator, event: Event,
 class Environment:
     """The simulation environment: virtual clock plus event heap."""
 
-    __slots__ = ("_now", "_heap", "_eid", "_active", "_watcher")
+    __slots__ = ("_now", "_heap", "_eid", "_active", "_watcher",
+                 "__weakref__")
+
+    # Per process, as the collector is: Environments not yet freed, and
+    # how many full collections run() may still make to free old ones.
+    _unfreed: "weakref.WeakSet[Environment]" = weakref.WeakSet()
+    _sweeps = 0
 
     def __init__(self, initial_time: float = 0.0):
+        Environment._unfreed.add(self)
+        Environment._sweeps = 2
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._eid = 0
@@ -436,6 +480,12 @@ class Environment:
         ``until`` may be ``None`` (run until no events remain), a number
         (run until the clock reaches it), or an :class:`Event` (run until it
         triggers, returning its value).
+
+        Automatic garbage collection is off while the heap drains and
+        back as the caller had it on every way out; on the way out a
+        young generation over its threshold is collected, fully when
+        a dropped simulation may be waiting to be freed (see the
+        module's Performance notes).
         """
         stop_at: Optional[float] = None
         stop_event: Optional[Event] = None
@@ -453,11 +503,15 @@ class Environment:
             if stop_at < self._now:
                 raise SimulationError(
                     f"until={stop_at} is in the past (now={self._now})")
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             # Hot loop: ``step()`` inlined with locals bound once.  Any
-            # change here must be mirrored in :meth:`step`.  The watcher
-            # is bound once too: installing one mid-run takes effect on
-            # the next ``run()`` call.
+            # change here must be mirrored in :meth:`step`, except that
+            # automatic collection is off around this loop and left to
+            # the caller around ``step()`` (see the Performance notes).
+            # The watcher is bound once too: installing one mid-run
+            # takes effect on the next ``run()`` call.
             heap = self._heap
             pop = heapq.heappop
             watcher = self._watcher
@@ -477,18 +531,28 @@ class Environment:
                     exc = event._value
                     raise ProcessError(
                         f"unhandled failure in {event!r}: {exc!r}") from exc
+            if stop_event is not None:
+                raise SimulationError(
+                    "run(until=event) finished but the event never triggered")
+            if stop_at is not None and self._now < stop_at:
+                self._now = stop_at
+            return None
         except StopSimulation as stop:
             fired = stop.args[0]
             if not fired._ok:
                 fired._defused = True
                 raise fired._value
             return fired._value
-        if stop_event is not None:
-            raise SimulationError(
-                "run(until=event) finished but the event never triggered")
-        if stop_at is not None and self._now < stop_at:
-            self._now = stop_at
-        return None
+        finally:
+            if collecting:
+                gc.enable()
+                young, middle, _old = gc.get_threshold()
+                count = gc.get_count()[0]
+                if young and count > young:
+                    sweep = (count > young * middle and Environment._sweeps
+                             and len(Environment._unfreed) > 1)
+                    Environment._sweeps -= bool(sweep)
+                    gc.collect(2 if sweep else 0)
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

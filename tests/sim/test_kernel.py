@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulation kernel."""
 
+import gc
 import warnings
+import weakref
 
 import pytest
 
@@ -513,3 +515,195 @@ def test_timeout_at_fires_at_the_absolute_time():
     assert fired == [(when, "v")]
     with pytest.raises(ValueError):
         env.timeout_at(env.now - 1.0)
+
+
+# -- the cyclic collector around run() ----------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic collector's state back however a test leaves it."""
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    yield
+    gc.set_threshold(*threshold)
+    (gc.enable if enabled else gc.disable)()
+
+
+def _watched_run(env, until, seen):
+    """``env.run(until)`` from a process that notes whether collection
+    was on while it ran."""
+    def proc():
+        seen.append(gc.isenabled())
+        yield env.timeout(1.0)
+        seen.append(gc.isenabled())
+        return "done"
+    process = env.process(proc())
+    return env.run(until=process if until == "process" else until)
+
+
+def _fail_unwatched(env):
+    def proc():
+        yield env.timeout(1.0)
+        env.event().fail(ValueError("nobody waits"))
+    env.process(proc())
+
+
+def _failing_process(env):
+    def proc():
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+    return env.process(proc())
+
+
+def _raise_from_watcher(env):
+    def watcher(event):
+        raise RuntimeError("event budget exceeded")
+    env.set_event_watcher(watcher)
+
+
+def _allocator(env, count, keep, made=None):
+    """A process that allocates ``count`` tracked objects and keeps
+    them; if ``made`` is a list it first makes (and drops) a reference
+    cycle and appends a weak reference to one member."""
+    if made is not None:
+        a, b = _Node(), _Node()
+        a.other, b.other = b, a
+        made.append(weakref.ref(a))
+        del a, b
+    yield env.timeout(1.0)
+    keep.extend([] for _ in range(count))
+
+
+class _Node:
+    other = None
+
+
+@pytest.mark.parametrize("until", [None, 5.0, "process"])
+def test_run_turns_collection_off_and_back_on(collector, until):
+    env = Environment()
+    seen = []
+    _watched_run(env, until, seen)
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("setup, until, raised", [
+    # run(until=event) whose event failed: StopSimulation re-raises it.
+    (_failing_process, "event", ValueError),
+    # A failure nobody waits for escalates.
+    (_fail_unwatched, None, ProcessError),
+    # A watcher that raises aborts the run (the scenario harness's
+    # event budget).
+    (_raise_from_watcher, None, RuntimeError),
+])
+def test_run_restores_collection_when_it_raises(collector, setup, until,
+                                                raised):
+    env = Environment()
+    made = setup(env)
+    env.timeout(2.0)
+    with pytest.raises(raised):
+        env.run(until=made if until == "event" else until)
+    assert gc.isenabled()
+
+
+def test_a_disabled_collector_stays_disabled(collector):
+    env = Environment()
+    gc.disable()
+    passes = []
+    gc.callbacks.append(lambda phase, info: passes.append(phase))
+    try:
+        keep = []
+        env.process(_allocator(env, 3 * gc.get_threshold()[0], keep))
+        env.run()
+    finally:
+        gc.callbacks.pop()
+    assert not gc.isenabled()
+    assert passes == []
+
+
+def test_a_zero_threshold_is_honoured(collector):
+    env = Environment()
+    allocations = 3 * gc.get_threshold()[0]
+    gc.set_threshold(0)
+    passes = []
+    gc.callbacks.append(lambda phase, info: passes.append(phase))
+    try:
+        keep = []
+        env.process(_allocator(env, allocations, keep))
+        env.run()
+    finally:
+        gc.callbacks.pop()
+    assert gc.isenabled()
+    assert passes == []
+
+
+def test_run_leaves_the_young_generation_within_its_threshold(collector):
+    env = Environment()
+    threshold = gc.get_threshold()[0]
+    keep = []
+    env.process(_allocator(env, 3 * threshold, keep))
+    env.run()
+    assert len(keep) == 3 * threshold
+    assert gc.get_count()[0] <= threshold
+
+
+def test_a_cycle_dropped_in_a_run_is_reclaimed_before_it_returns(collector):
+    env = Environment()
+    made, keep = [], []
+    env.process(_allocator(env, 3 * gc.get_threshold()[0], keep, made))
+    env.run()
+    assert made[0]() is None
+
+
+def _abandoned_environment():
+    """An Environment kept alive only by a reference cycle (a timer on
+    its heap points back at it), in the oldest generation, where only a
+    full collection can free it."""
+    env = Environment()
+    env.timeout(5.0)
+    env.run(until=1.0)
+    gc.collect()
+    return env
+
+
+def _big_run(env):
+    """A run that leaves more new tracked objects than CPython collects
+    its middle generation after."""
+    young, middle, _old = gc.get_threshold()
+    keep = []
+    env.process(_allocator(env, 2 * young * middle, keep))
+    env.run()
+
+
+def test_a_new_simulation_frees_a_dropped_one(collector):
+    old = _abandoned_environment()
+    dropped = weakref.ref(old)
+    del old
+    _big_run(Environment())
+    assert dropped() is None
+
+
+def test_a_new_simulation_sweeps_for_its_predecessors_at_most_twice(
+        collector):
+    old = _abandoned_environment()
+    new = Environment()
+    full = []
+
+    def note(phase, info):
+        if phase == "stop" and info["generation"] == 2:
+            full.append(info)
+    gc.callbacks.append(note)
+    try:
+        # A run too small to have reached CPython's middle generation
+        # does not sweep.
+        keep = []
+        new.process(_allocator(new, 3 * gc.get_threshold()[0], keep))
+        new.run()
+        assert full == []
+        for _ in range(3):
+            _big_run(new)
+    finally:
+        gc.callbacks.remove(note)
+    assert len(full) == 2
+    assert old.now == 1.0
