@@ -152,7 +152,7 @@ class ClientHandle:
         yield self._hop()
         coordinator = self._coordinator()
         results = yield from manager.joins.get(
-            coordinator, join_name, join_key, tuple(left_columns),
+            manager, coordinator, join_name, join_key, tuple(left_columns),
             tuple(right_columns), r, session=self.session)
         yield self._hop()
         return results

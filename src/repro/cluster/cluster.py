@@ -30,6 +30,7 @@ from repro.cluster.coordinator import (
 from repro.cluster.hints import HintService
 from repro.cluster.network import Network
 from repro.cluster.node import StorageNode
+from repro.cluster.tracing import Tracer
 from repro.common.hashing import TokenRing
 from repro.common.records import Cell, ColumnName, merge_rows
 from repro.errors import ClusterError
@@ -43,8 +44,44 @@ __all__ = ["Cluster"]
 _PLACEMENT_CACHE_MAX = 1 << 17
 
 
+class Placement:
+    """Where rows live: the N replica nodes of each ``table[key]``.
+
+    Placement depends only on the key (paper Section II); the table
+    name parameterizes the salt so base tables and views spread
+    independently.  It is memoized: ring membership and replication
+    factor are fixed for the life of the cluster (crashes toggle
+    ``is_down``, they do not move tokens), and the SHA-256 ring hash is
+    hot on every read and write.  The cache is cleared wholesale if it
+    ever grows past ``_PLACEMENT_CACHE_MAX`` keys.
+    """
+
+    def __init__(self, nodes: List[StorageNode], config: ClusterConfig):
+        self.ring = TokenRing([node.node_id for node in nodes],
+                              virtual_nodes=config.virtual_nodes)
+        self.nodes = nodes
+        self.replication_factor = config.replication_factor
+        self._cache: Dict[Tuple[str, Hashable], Tuple[StorageNode, ...]] = {}
+
+    def replicas_for(self, table: str, key: Hashable) -> Sequence[StorageNode]:
+        """The N replica nodes holding ``table[key]``."""
+        cache = self._cache
+        replicas = cache.get((table, key))
+        if replicas is None:
+            ids = self.ring.preference_list((table, key),
+                                            self.replication_factor)
+            replicas = tuple(self.nodes[node_id] for node_id in ids)
+            if len(cache) >= _PLACEMENT_CACHE_MAX:
+                cache.clear()
+            cache[(table, key)] = replicas
+        return replicas
+
+
 class Cluster:
-    """A simulated multi-master, eventually consistent record store."""
+    """A simulated multi-master, eventually consistent record store: a
+    tree of parts (each handed the ones it uses, none the cluster), so
+    it is freed by reference counting when dropped (after :meth:`close`
+    if it has not drained)."""
 
     def __init__(self, config: Optional[ClusterConfig] = None,
                  env: Optional[Environment] = None):
@@ -63,30 +100,37 @@ class Cluster:
             StorageNode(self.env, node_id, self.config, self.index_schema)
             for node_id in range(self.config.nodes)
         ]
-        self.ring = TokenRing(
-            [node.node_id for node in self.nodes],
-            virtual_nodes=self.config.virtual_nodes,
-        )
-        self.hints = HintService(self)
-        self._placement_cache: Dict[Tuple[str, Hashable],
-                                    Tuple[StorageNode, ...]] = {}
+        self.placement = Placement(self.nodes, self.config)
         # One deadline queue for every quorum round of the cluster, and
         # one for the hedge of every read that skipped a replica.
         self.quorum_deadlines = QuorumDeadlines(self.env)
         self.read_hedges = QuorumDeadlines(self.env, READ_HEDGE)
-        self._coordinators = [Coordinator(node, self) for node in self.nodes]
+        self.hints = HintService(self.env, self.nodes, self.network,
+                                 self.quorum_deadlines)
+        self.coordinators = [
+            Coordinator(node, self.config, self.network, self.nodes,
+                        self.placement, self.hints, self.quorum_deadlines,
+                        self.read_hedges)
+            for node in self.nodes]
         self._next_client_id = 0
         self._next_coordinator = 0
         # Installed lazily by create_view() (keeps cluster importable
         # without the views package and avoids an import cycle).
         self.view_manager = None
-        # Background view scrubbers started via start_scrubber().
-        self.scrubbers: List = []
-        # Opt-in structured tracing (see enable_tracing()).
-        self.tracer = None
+        # What each scrubber start_scrubber() started counts (not the
+        # scrubber, which holds the cluster).
+        self.scrub_metrics: List = []
+        # Structured tracing, off until enable_tracing().
+        self.tracer = Tracer(self.env, enabled=False)
         # Per-client wall-clock offsets (ms); consulted live by every
         # client's timestamp oracle (see client_clock()).
         self._clock_skews: Dict[int, float] = {}
+
+    def close(self) -> None:
+        """Stop an undrained simulation (``Environment.close``) and its
+        pending read hedges, so that it is freed once dropped."""
+        self.env.close()
+        self.read_hedges.clear()
 
     # -- topology ------------------------------------------------------------
 
@@ -100,31 +144,11 @@ class Cluster:
     def coordinator(self, node_id: int) -> Coordinator:
         """The coordinator role of node ``node_id``."""
         self.node(node_id)
-        return self._coordinators[node_id]
+        return self.coordinators[node_id]
 
     def replicas_for(self, table: str, key: Hashable) -> Sequence[StorageNode]:
-        """The N replica nodes holding ``table[key]``.
-
-        Placement depends only on the key (paper Section II); the table
-        name parameterizes the salt so base tables and views spread
-        independently.
-
-        Placement is memoized: ring membership and replication factor are
-        fixed for the life of the cluster (crashes toggle ``is_down``,
-        they do not move tokens), and the SHA-256 ring hash is hot on
-        every read and write.  The cache is cleared wholesale if it ever
-        grows past ``_PLACEMENT_CACHE_MAX`` keys.
-        """
-        cache = self._placement_cache
-        replicas = cache.get((table, key))
-        if replicas is None:
-            ids = self.ring.preference_list((table, key),
-                                            self.config.replication_factor)
-            replicas = tuple(self.nodes[node_id] for node_id in ids)
-            if len(cache) >= _PLACEMENT_CACHE_MAX:
-                cache.clear()
-            cache[(table, key)] = replicas
-        return replicas
+        """The N replica nodes holding ``table[key]`` (:class:`Placement`)."""
+        return self.placement.replicas_for(table, key)
 
     # -- introspection ---------------------------------------------------------
 
@@ -193,19 +217,32 @@ class Cluster:
         Creates the view's backing table and installs the
         :class:`~repro.views.manager.ViewManager` on first use.
         """
-        from repro.views.manager import ViewManager  # late: avoids cycle
-
-        if self.view_manager is None:
-            self.view_manager = ViewManager(self)
-        self.view_manager.register(definition)
+        self.views().register(definition)
 
     def create_join_view(self, definition) -> None:
         """Register an equi-join view (see :mod:`repro.views.joins`)."""
+        manager = self.views()
+        manager.joins.register(manager, definition)
+
+    def views(self):
+        """The :class:`~repro.views.manager.ViewManager`, installed on
+        first use."""
         from repro.views.manager import ViewManager  # late: avoids cycle
 
         if self.view_manager is None:
             self.view_manager = ViewManager(self)
-        self.view_manager.joins.register(definition)
+        return self.view_manager
+
+    def backfill(self, view_name: str):
+        """Load a view as it is created over a populated table, safe under
+        writes; a process (``repair.scheduler.load_view``).  The view is
+        in ``maintainer.backfilled`` from the start: a chain's first job
+        writes the whole row (``views.maintenance``, *Whole rows*)."""
+        from repro.repair.scheduler import load_view  # late: avoids cycle
+
+        view = self.view_manager.view(view_name)
+        self.view_manager.maintainer.backfilled.add(view.name)
+        return (yield from load_view(self, view))
 
     # -- clients ------------------------------------------------------------------
 
@@ -325,23 +362,20 @@ class Cluster:
         from repro.repair import ViewScrubber  # late: avoids cycle
 
         scrubber = ViewScrubber(self, view_names, **overrides)
-        self.scrubbers.append(scrubber)
+        self.scrub_metrics.append(scrubber.metrics)
         return scrubber
 
     # -- tracing ----------------------------------------------------------------------------
 
     def enable_tracing(self, capacity: int = 10_000):
-        """Install (or return the existing) structured tracer."""
-        from repro.cluster.tracing import Tracer
-
-        if self.tracer is None:
-            self.tracer = Tracer(self.env, capacity=capacity)
+        """Switch on (or return the running) structured tracer."""
+        if not self.tracer.enabled:
+            self.tracer.enable(capacity)
         return self.tracer
 
     def trace(self, category: str, message: str, **fields) -> None:
         """Emit a trace event if tracing is enabled (cheap no-op otherwise)."""
-        if self.tracer is not None:
-            self.tracer.emit(category, message, **fields)
+        self.tracer.emit(category, message, **fields)
 
     # -- running ---------------------------------------------------------------------------
 

@@ -99,6 +99,10 @@ class QuorumDeadlines:
         if len(self._queue) == 1:
             self._arm()
 
+    def clear(self) -> None:
+        """Forget every watched round (a closed simulation's)."""
+        self._queue.clear()
+
     def _arm(self) -> None:
         self.env.timeout_at(self._queue[0][0]).callbacks.append(self._on_timer)
 
@@ -274,20 +278,28 @@ class _Hedge:
 
 
 class Coordinator:
-    """The coordination role of one storage node."""
+    """The coordination role of one storage node, handed the cluster's
+    parts it uses (``deadlines`` for every quorum round, ``hedges`` for
+    the reads that skipped a replica)."""
 
-    def __init__(self, node, cluster):
+    def __init__(self, node, config, network, nodes, placement, hints,
+                 deadlines: QuorumDeadlines, hedges: QuorumDeadlines):
         self.node = node
-        self.cluster = cluster
-        self.env = cluster.env
-        self.config = cluster.config
+        self.env = node.env
+        self.config = config
+        self.network = network
+        self.nodes = nodes
+        self.placement = placement
+        self.hints = hints
+        self.deadlines = deadlines
+        self.hedges = hedges
         # Reads that skipped a replica: counted to take the other
         # replicas in turn, and how many of them had to hedge.
         self._partial_reads = 0
         self.hedged_reads = 0
         # What asking another replica adds to its stamped free-at: the
         # request's and the reply's mean link delays.
-        self._round_trip = 2 * cluster.network.replica_link.mean
+        self._round_trip = 2 * network.replica_link.mean
 
     # -- scatter primitives ----------------------------------------------------
 
@@ -297,14 +309,13 @@ class Coordinator:
         """Send ``request`` to each of ``nodes``; one collector for the
         replies (``into``, when they join a round already under way),
         its timeout kept by the cluster's deadline queue."""
-        rpc = self.cluster.network.rpc
+        rpc = self.network.rpc
         src_id = self.node.node_id
         events = [rpc(src_id, node, request) for node in nodes]
         if into is not None:
             into.extend(events)
             return into
-        return ResponseCollector(self.env, events,
-                                 self.cluster.quorum_deadlines)
+        return ResponseCollector(self.env, events, self.deadlines)
 
     def _scatter(self, table: str, key: Hashable, request, required: int,
                  kind: str, hint: Optional[WriteRequest] = None,
@@ -322,7 +333,7 @@ class Coordinator:
         replicas are alive.  With ``hint`` (a write), down replicas get
         it parked as a hint when hinted handoff is enabled.
         """
-        replicas = self.cluster.replicas_for(table, key)
+        replicas = self.placement.replicas_for(table, key)
         required = validate_quorum(required, len(replicas), kind=kind)
         alive = [replica for replica in replicas if not replica.is_down]
         if len(alive) < required:
@@ -332,8 +343,8 @@ class Coordinator:
         if hint is not None and self.config.hinted_handoff:
             for replica in replicas:
                 if replica.is_down:
-                    self.cluster.hints.add(self.node.node_id,
-                                           replica.node_id, hint)
+                    self.hints.add(self.node.node_id, replica.node_id,
+                                   hint)
         if every_replica or len(alive) == required:
             return self._collect(alive, request)
         node = self.node
@@ -348,7 +359,7 @@ class Coordinator:
         # last reply here, one round trip later.
         now = self.env.now
         round_trip = self._round_trip
-        stamps = self.cluster.network.reply_stamps
+        stamps = self.network.reply_stamps
         src_id = node.node_id
         ready = []
         for replica in order:
@@ -366,7 +377,7 @@ class Coordinator:
                 order.insert(slot, order.pop(best))
                 ready.insert(slot, ready.pop(best))
         collector = self._collect(order[:required], request)
-        self.cluster.read_hedges.watch(
+        self.hedges.watch(
             _Hedge(self, collector, order[required:], request))
         return collector
 
@@ -460,7 +471,7 @@ class Coordinator:
         primary key, and the coordinator must wait for all of them.
         """
         yield self.node.charge(self.config.service.coordinator)
-        nodes = [node for node in self.cluster.nodes if not node.is_down]
+        nodes = [node for node in self.nodes if not node.is_down]
         if not nodes:
             raise UnavailableError("no nodes alive for index read")
         collector = self._collect(

@@ -11,13 +11,10 @@ every replica ... despite failures" (Section II).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List
+from typing import List
 
 from repro.cluster.coordinator import ResponseCollector
 from repro.cluster.messages import WriteRequest
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.cluster import Cluster
 
 __all__ = ["Hint", "HintService"]
 
@@ -33,10 +30,16 @@ class Hint:
 
 
 class HintService:
-    """Stores hints and replays them when targets recover."""
+    """Stores hints and replays them, over the ``network`` and on the
+    cluster's quorum ``deadlines``, when targets among ``nodes``
+    recover."""
 
-    def __init__(self, cluster: "Cluster", replay_interval: float = 20.0):
-        self.cluster = cluster
+    def __init__(self, env, nodes, network, deadlines,
+                 replay_interval: float = 20.0):
+        self.env = env
+        self.nodes = nodes
+        self.network = network
+        self.deadlines = deadlines
         self.replay_interval = replay_interval
         self._hints: List[Hint] = []
         self._replay_running = False
@@ -52,7 +55,7 @@ class HintService:
         self._hints.append(Hint(holder_id, target_id, request))
         if not self._replay_running:
             self._replay_running = True
-            self.cluster.env.process(self._replay_loop(), name="hint-replay")
+            self.env.process(self._replay_loop(), name="hint-replay")
 
     def notify_recovery(self) -> None:
         """Wake the replay loop after a node comes back up."""
@@ -63,12 +66,12 @@ class HintService:
     def _deliverable(self) -> List[Hint]:
         return [
             hint for hint in self._hints
-            if not self.cluster.node(hint.target_id).is_down
-            and not self.cluster.node(hint.holder_id).is_down
+            if not self.nodes[hint.target_id].is_down
+            and not self.nodes[hint.holder_id].is_down
         ]
 
     def _replay_loop(self):
-        env = self.cluster.env
+        env = self.env
         while self._hints:
             if not self._deliverable():
                 # Nothing can be delivered right now: park until some
@@ -85,13 +88,12 @@ class HintService:
         """Attempt delivery of every hint whose endpoints are both up,
         one hint at a time (each waits for its ack or the cluster's
         timeout before the next is sent)."""
-        cluster = self.cluster
         for hint in self._deliverable():
-            event = cluster.network.rpc(hint.holder_id,
-                                        cluster.node(hint.target_id),
-                                        hint.request)
-            acked = yield ResponseCollector(cluster.env, [event],
-                                            cluster.quorum_deadlines).settled
+            event = self.network.rpc(hint.holder_id,
+                                     self.nodes[hint.target_id],
+                                     hint.request)
+            acked = yield ResponseCollector(self.env, [event],
+                                            self.deadlines).settled
             if acked:
                 hint.delivered = True
                 self.hints_replayed += 1

@@ -52,7 +52,7 @@ class ClusterSnapshot:
     def capture(cluster) -> "ClusterSnapshot":
         """Snapshot ``cluster``'s counters now."""
         manager = cluster.view_manager
-        scrubbers = getattr(cluster, "scrubbers", ())
+        scrubs = cluster.scrub_metrics
         freshness = manager.freshness_stats() if manager else {}
         slo = freshness.get("slo", {})
         return ClusterSnapshot(
@@ -67,12 +67,9 @@ class ClusterSnapshot:
             completed_propagations=(manager.completed_propagations
                                     if manager else 0),
             lost_propagations=(manager.lost_propagations if manager else 0),
-            scrub_rows_scanned=sum(s.metrics.rows_scanned
-                                   for s in scrubbers),
-            scrub_divergences_found=sum(s.metrics.divergences_found
-                                        for s in scrubbers),
-            scrub_repairs_applied=sum(s.metrics.repairs_applied
-                                      for s in scrubbers),
+            scrub_rows_scanned=sum(s.rows_scanned for s in scrubs),
+            scrub_divergences_found=sum(s.divergences_found for s in scrubs),
+            scrub_repairs_applied=sum(s.repairs_applied for s in scrubs),
             freshness_reads_bounded=slo.get("reads_bounded", 0),
             freshness_bound_hits=slo.get("bound_hits", 0),
             freshness_escalations=slo.get("escalations", 0),

@@ -1,10 +1,10 @@
 """Opt-in structured tracing of cluster and view-maintenance activity.
 
-``cluster.enable_tracing()`` installs a :class:`Tracer`; instrumented
-code paths (Algorithm 1 scheduling, propagation attempts and outcomes,
-GetLiveKey chain walks, session barriers) emit timestamped events into a
-bounded ring buffer.  Tracing is off by default and costs one ``None``
-check per site when disabled.
+``cluster.enable_tracing()`` switches on the cluster's :class:`Tracer`;
+instrumented code paths (Algorithm 1 scheduling, propagation attempts
+and outcomes, GetLiveKey chain walks, session barriers) emit timestamped
+events into a bounded ring buffer.  Tracing is off by default and costs
+one flag check per site when disabled.
 
 Intended for debugging and for teaching: the helpdesk example can be
 re-run with tracing on to watch Example 2's race resolve step by step.
@@ -39,19 +39,28 @@ class TraceEvent:
 class Tracer:
     """A bounded ring buffer of :class:`TraceEvent`."""
 
-    def __init__(self, env, capacity: int = 10_000):
+    def __init__(self, env, capacity: int = 10_000, enabled: bool = True):
+        self.env = env
+        self._events: Deque[TraceEvent] = deque()
+        self.emitted = 0
+        self.enable(capacity)
+        self.enabled = enabled
+
+    def enable(self, capacity: int) -> None:
+        """Switch on, keeping the newest ``capacity`` events."""
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.env = env
         self.capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.emitted = 0
+        self._events = deque(self._events, maxlen=capacity)
+        self.enabled = True
 
     def emit(self, category: str, message: str, **fields) -> None:
-        """Record one event at the current simulated time."""
-        self._events.append(TraceEvent(self.env.now, category, message,
-                                       fields))
-        self.emitted += 1
+        """Record one event at the current simulated time (nothing while
+        the tracer is not ``enabled``)."""
+        if self.enabled:
+            self._events.append(TraceEvent(self.env.now, category, message,
+                                           fields))
+            self.emitted += 1
 
     def events(self, category: Optional[str] = None) -> List[TraceEvent]:
         """Events retained in the buffer, optionally filtered."""

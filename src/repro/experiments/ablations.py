@@ -69,6 +69,7 @@ def combined_get_then_put(
                       w=params.write_quorum)
         summary = measure_latency(cluster, op, params.latency_requests)
         result.add_row(label, summary.mean_latency)
+        cluster.close()
     return result
 
 
@@ -95,6 +96,7 @@ def concurrency_mechanisms(
         metrics = cluster.view_manager.maintainer.metrics
         result.add_row(mechanism, summary.throughput,
                        metrics.hops_per_propagation())
+        cluster.close()
     return result
 
 
@@ -138,6 +140,7 @@ def materialized_column_count(
         summary = measure_latency(cluster, op,
                                   min(params.latency_requests, 200))
         result.add_row(count, summary.mean_latency)
+        cluster.close()
     return result
 
 
@@ -246,6 +249,7 @@ def master_vs_decentralized(
     throughput = run_closed_loop(cluster, op, clients, duration, warmup)
     result.add_row("decentralized", latency.mean_latency,
                    throughput.throughput)
+    cluster.close()
 
     # Master-based: the same workload routed through row masters.
     cluster = build_scenario("bt", experiment_config(params.seed),
@@ -265,6 +269,7 @@ def master_vs_decentralized(
                                  warmup)
     result.add_row("master-based", latency.mean_latency,
                    throughput.throughput)
+    cluster.close()
     return result
 
 
@@ -290,4 +295,5 @@ def quorum_settings(
             cluster, write_op(TABLE, keys, SEC_COLUMN, w=w),
             min(params.latency_requests, 200))
         result.add_row(r, w, reads.mean_latency, writes.mean_latency)
+        cluster.close()
     return result

@@ -84,6 +84,7 @@ def run(params: Optional[ExperimentParams] = None,
                                       params.throughput_duration,
                                       params.warmup)
             result.add_row(label, fraction, summary.throughput)
+            cluster.close()
     return result
 
 

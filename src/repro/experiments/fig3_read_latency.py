@@ -55,4 +55,5 @@ def run(params: Optional[ExperimentParams] = None) -> FigureResult:
                                   params.latency_requests)
         result.add_row(label, summary.mean_latency,
                        summary.latency.percentile(99))
+        cluster.close()
     return result

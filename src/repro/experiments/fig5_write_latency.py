@@ -37,4 +37,5 @@ def run(params: Optional[ExperimentParams] = None) -> FigureResult:
         summary = measure_latency(cluster, op, params.latency_requests)
         result.add_row(label, summary.mean_latency,
                        summary.latency.percentile(99))
+        cluster.close()
     return result

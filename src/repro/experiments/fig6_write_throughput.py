@@ -48,4 +48,5 @@ def run(params: Optional[ExperimentParams] = None) -> FigureResult:
                                       params.warmup)
             utilization = tracker.stop().mean_utilization()
             result.add_row(label, clients, summary.throughput, utilization)
+            cluster.close()
     return result

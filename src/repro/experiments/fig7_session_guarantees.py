@@ -104,8 +104,10 @@ def run(params: Optional[ExperimentParams] = None) -> FigureResult:
         cluster = build_scenario("si", experiment_config(params.seed),
                                  params.rows, params.payload_length)
         result.add_row("SI", gap, _si_pairs(cluster, params, gap))
+        cluster.close()
     for gap in params.session_gaps:
         cluster = build_scenario("mv", fig7_config(params.seed),
                                  params.rows, params.payload_length)
         result.add_row("MV", gap, _mv_pairs(cluster, params, gap))
+        cluster.close()
     return result

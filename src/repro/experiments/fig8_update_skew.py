@@ -52,4 +52,5 @@ def run(params: Optional[ExperimentParams] = None,
         metrics = cluster.view_manager.maintainer.metrics
         result.add_row(width, summary.throughput,
                        metrics.hops_per_propagation())
+        cluster.close()
     return result

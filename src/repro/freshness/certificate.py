@@ -113,11 +113,12 @@ ChainKey = Tuple[str, Hashable]
 
 
 class FreshnessTracker:
-    """Per-view staleness bookkeeping for one :class:`ViewManager`."""
+    """Per-view staleness bookkeeping for one :class:`ViewManager`, over
+    its node ``outboxes`` (node id -> :class:`NodeOutbox`)."""
 
-    def __init__(self, manager):
-        self.manager = manager
-        self.env = manager.env
+    def __init__(self, env, outboxes):
+        self.env = env
+        self.outboxes = outboxes
         self._wounds: Dict[ChainKey, Wound] = {}
         # Observability.
         self.wounds_opened = 0
@@ -183,7 +184,7 @@ class FreshnessTracker:
     def sources(self, view_name: str) -> List[StaleSource]:
         """Every outstanding staleness source for ``view_name`` now."""
         out: List[StaleSource] = []
-        for outbox in self.manager._outboxes.values():
+        for outbox in self.outboxes.values():
             for key, appended_at in outbox.unresolved_for(view_name):
                 out.append(StaleSource(key, appended_at, "outbox-lag"))
         for (name, key), wound in self._wounds.items():

@@ -154,11 +154,11 @@ def _escalate(manager, coordinator, view: ViewDefinition, view_key: Any,
                 if current is not None and pair[1] > current[1]:
                     values[column] = pair
         by_key[base_key] = ViewResult(base_key, values)
-    manager.cluster.trace("freshness", "escalated read compensated",
-                          view=view.name, view_key=view_key,
-                          keys=len(compensated),
-                          staleness=round(certificate.staleness_ms, 3),
-                          bound=bound_ms)
+    manager.tracer.emit("freshness", "escalated read compensated",
+                        view=view.name, view_key=view_key,
+                        keys=len(compensated),
+                        staleness=round(certificate.staleness_ms, 3),
+                        bound=bound_ms)
     served = tracker.residual_certificate(certificate, sources, bound_ms)
     ordered = tuple(by_key[key] for key in sorted(by_key, key=repr))
     return FreshViewRead(ordered, served, escalated=True,

@@ -290,7 +290,7 @@ def _judge_rows(cluster, view, coordinator, metrics: ScrubMetrics,
 
 
 def load_view(cluster, view):
-    """``ViewManager.backfill``: load ``view`` over its populated base
+    """``Cluster.backfill``: load ``view`` over its populated base
     table, a process returning its metrics.  The row loop runs over
     every base row present at the start, each row's epoch taken as the
     loop reaches it and with no stray check (a new view holds none),

@@ -245,7 +245,7 @@ class ScheduleWorkload(BaseWorkload):
     def _create_view(self, scenario):
         cluster = scenario.cluster
         cluster.create_view(scenario.view)
-        yield from cluster.view_manager.backfill(scenario.view.name)
+        yield from cluster.backfill(scenario.view.name)
 
     def _do_read(self, scenario, pool, index, entry):
         env = scenario.cluster.env

@@ -41,8 +41,7 @@ from repro.repair import divergent_base_keys
 from repro.scenarios.invariants import STANDING_INVARIANTS, Invariant
 from repro.scenarios.workload import BaseWorkload, ScenarioWorkload
 from repro.sim.latency import Fixed
-from repro.views import (ReferenceViewModel, ViewDefinition, ViewManager,
-                         state_digest)
+from repro.views import ReferenceViewModel, ViewDefinition, state_digest
 from repro.views.model import LogicalBaseTable
 
 __all__ = [
@@ -149,7 +148,7 @@ class Scenario:
             self.cluster.create_table(SCENARIO_TABLE)
             if self.workload.creates_view:
                 # The view comes mid-history, its manager from the start.
-                self.cluster.view_manager = ViewManager(self.cluster)
+                self.cluster.views()
             else:
                 self.cluster.create_view(self.view)
         return self.cluster
@@ -178,12 +177,17 @@ class Scenario:
             self._quiesce(scrubber)
         except EventBudgetExceeded as exc:
             self._monitor_stop = True
-            return ScenarioResult(
+            result = ScenarioResult(
                 name=self.name,
                 violations=[f"event-budget: {exc}"],
                 stats=self._stats(scrubber),
             )
-        return self._judge(scrubber)
+        else:
+            result = self._judge(scrubber)
+        # Judged: end what a cut-off run left in flight, so the cluster
+        # is freed once the scenario is dropped (Cluster.close).
+        cluster.close()
+        return result
 
     def _count_event(self, _event) -> None:
         self._events_seen += 1

@@ -68,28 +68,16 @@ exception and its traceback) are reclaimed there or later.  A
 collector the caller disabled, or a generation-0 threshold of 0, is
 left as it is.
 
-One kind of garbage needs a full collection: a dropped simulation.  A
-cluster is full of reference cycles (its environment's heap holds
-events whose callbacks reach back into it), so a process that builds
-cluster after cluster, as an experiment sweep does, would keep every
-old one until CPython next collected its oldest generation, which it
-now seldom does.  So after an :class:`Environment` is created, ``run``
-makes that exit collection a full one, at most twice, when another
-Environment is still unfreed and the run left more than ``young *
-middle`` new tracked objects (a run in which CPython would have
-collected its middle generation too).  The first frees a predecessor
-dropped before the new simulation ran; the second one still held while
-the new one loaded (``cluster = build(...)`` in a loop).  A process that
-drops each simulation and collects before building the next, as
-mvbench does, never has a second Environment unfreed and so never pays
-for it.
+A simulation is freed by reference counting when it is dropped: no
+collaborator holds its owner, so a drained cluster is a tree.  One
+dropped mid-run is not, since its heap and its suspended processes
+reach back into it, and is closed first (:meth:`Environment.close`).
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import weakref
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import ProcessError, SimulationError, StopSimulation
@@ -312,6 +300,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        env._processes[self] = None
         Initialize(env, self)
 
     @property
@@ -327,11 +316,13 @@ class Process(Event):
         try:
             advance(self._generator, event, self._resume)
         except StopIteration as stop:
+            env._processes.pop(self, None)
             self._ok = True
             self._value = stop.value
             env._eid += 1
             heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self))
         except BaseException as exc:
+            env._processes.pop(self, None)
             self._ok = False
             self._value = exc
             env._eid += 1
@@ -381,21 +372,16 @@ class Environment:
     """The simulation environment: virtual clock plus event heap."""
 
     __slots__ = ("_now", "_heap", "_eid", "_active", "_watcher",
-                 "__weakref__")
-
-    # Per process, as the collector is: Environments not yet freed, and
-    # how many full collections run() may still make to free old ones.
-    _unfreed: "weakref.WeakSet[Environment]" = weakref.WeakSet()
-    _sweeps = 0
+                 "_processes")
 
     def __init__(self, initial_time: float = 0.0):
-        Environment._unfreed.add(self)
-        Environment._sweeps = 2
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active: Optional[Process] = None
         self._watcher: Optional[Callable[[Event], None]] = None
+        # Every process not yet finished, in start order (for close()).
+        self._processes: dict[Process, None] = {}
 
     @property
     def now(self) -> float:
@@ -448,6 +434,18 @@ class Environment:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator, name=name)
 
+    def close(self) -> None:
+        """End an undrained simulation where it stands, so that reference
+        counting frees it once dropped: close each unfinished process's
+        generator (newest first; its ``finally`` runs, and a process that
+        starts is closed too), empty the heap, drop the event watcher.
+        Not to be called from inside a running process."""
+        processes = self._processes
+        while processes:
+            processes.popitem()[0]._generator.close()
+        self._heap.clear()
+        self._watcher = None
+
     # -- scheduling / running -------------------------------------------------
 
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
@@ -483,8 +481,7 @@ class Environment:
 
         Automatic garbage collection is off while the heap drains and
         back as the caller had it on every way out; on the way out a
-        young generation over its threshold is collected, fully when
-        a dropped simulation may be waiting to be freed (see the
+        young generation over its threshold is collected (see the
         module's Performance notes).
         """
         stop_at: Optional[float] = None
@@ -546,13 +543,9 @@ class Environment:
         finally:
             if collecting:
                 gc.enable()
-                young, middle, _old = gc.get_threshold()
-                count = gc.get_count()[0]
-                if young and count > young:
-                    sweep = (count > young * middle and Environment._sweeps
-                             and len(Environment._unfreed) > 1)
-                    Environment._sweeps -= bool(sweep)
-                    gc.collect(2 if sweep else 0)
+                young = gc.get_threshold()[0]
+                if young and gc.get_count()[0] > young:
+                    gc.collect(0)
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

@@ -71,7 +71,9 @@ _EXPECTED_FAILURES = (
 
 def process_record(manager, outbox: NodeOutbox, record):
     """Propagate one started outbox record (Algorithm 1 lines 4-7); the
-    process the outbox's start callable spawns."""
+    process ``ViewManager.start_record`` spawns.  It starts the chain's
+    next record when it ends, unless it was closed
+    (``Environment.close``): a closed propagation starts nothing."""
     view, key, base_ts = record.view, record.key, record.base_ts
     if record.heavy:
         # The fold window: appends to the chain ride on this record
@@ -97,16 +99,16 @@ def process_record(manager, outbox: NodeOutbox, record):
         # maintenance work.
         yield manager.env.timeout(
             manager.config.propagation_delay.sample(manager._rng))
-        coordinator = manager.cluster.coordinator(outbox.node_id)
+        coordinator = manager.coordinators[outbox.node_id]
         _maybe_crash(manager, coordinator, view, key, base_ts)
 
         if record.folded:
             # The record stands for updates it cannot replay; all of
             # them are in the base row by now, so converge the chain on
             # that.
-            manager.cluster.trace("propagation", "re-driving current state",
-                                  view=view.name, key=key, ts=base_ts,
-                                  riders=len(record.riders))
+            manager.tracer.emit("propagation", "re-driving current state",
+                                view=view.name, key=key, ts=base_ts,
+                                riders=len(record.riders))
             yield from _redrive(manager, coordinator, view, key, outbox)
         else:
             guesses = _merge_guesses(
@@ -125,8 +127,8 @@ def process_record(manager, outbox: NodeOutbox, record):
                 manager, coordinator, view, record.table, key, guesses,
                 record.update_values, base_ts, outbox=outbox)
         manager.completed_propagations += 1
-        manager.cluster.trace("propagation", "completed", view=view.name,
-                              key=key, ts=base_ts)
+        manager.tracer.emit("propagation", "completed", view=view.name,
+                            key=key, ts=base_ts)
         record.resolve()
     except Exception as exc:
         failure = next((entry for entry in _EXPECTED_FAILURES
@@ -136,17 +138,19 @@ def process_record(manager, outbox: NodeOutbox, record):
             setattr(manager, counter, getattr(manager, counter) + 1)
             manager.freshness.note_wound(view.name, key, record.appended_at,
                                          provenance)
-            manager.cluster.trace("propagation", message, view=view.name,
-                                  key=key, ts=base_ts)
+            manager.tracer.emit("propagation", message, view=view.name,
+                                key=key, ts=base_ts)
         record.resolve(exc)
         if failure is None:
             raise
     finally:
         outbox.workers.release()
-        outbox.done(record)
+        following = outbox.done(record)
         # What admitted the record: its Put's token, or its own turn.
         (outbox.heavy_turn if record.heavy
          else outbox.backpressure).release()
+    if following is not None:
+        manager.start_record(outbox, following)
 
 
 def _redrive(manager, coordinator, view: ViewDefinition, key: Hashable,
@@ -196,8 +200,8 @@ def skips_base_read(manager, node_id: int, views: List[ViewDefinition],
         return False
     manager.maintainer.metrics.reads_skipped += 1
     for view, row in zip(views, held):
-        manager.cluster.trace("chain", "base read skipped", view=view.name,
-                              base_key=key, live=row and row.live_key)
+        manager.tracer.emit("chain", "base read skipped", view=view.name,
+                            base_key=key, live=row and row.live_key)
     return True
 
 
@@ -275,8 +279,8 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
                                           exclusive, job)):
             return
         manager.maintainer.metrics.retry_rounds += 1
-        manager.cluster.trace("propagation", "round failed; backing off",
-                              view=view.name, key=key, round=rounds)
+        manager.tracer.emit("propagation", "round failed; backing off",
+                            view=view.name, key=key, round=rounds)
         yield from _back_off(manager, view, key, outbox, rounds)
         if rounds % 4 == 0:
             # Refresh guesses from the base replicas: slow peers may

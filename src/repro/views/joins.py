@@ -133,20 +133,21 @@ def pair_results(join_key: Any, left_rows, right_rows) -> List[JoinResult]:
 
 
 class JoinRegistry:
-    """The equi-join views registered on one :class:`ViewManager`."""
+    """The equi-join views registered on one :class:`ViewManager`, which
+    each call that needs it is handed (the manager holds the registry)."""
 
-    def __init__(self, manager):
-        self.manager = manager
+    def __init__(self):
         self._joins: Dict[str, JoinViewDefinition] = {}
 
-    def register(self, definition: JoinViewDefinition) -> None:
-        """Register an equi-join view (two projection child views)."""
+    def register(self, manager, definition: JoinViewDefinition) -> None:
+        """Register an equi-join view (two projection child views of
+        ``manager``)."""
         if (definition.name in self._joins
-                or self.manager.is_view(definition.name)):
+                or manager.is_view(definition.name)):
             raise ViewExistsError(definition.name)
         left, right = definition.child_definitions()
-        self.manager.register(left)
-        self.manager.register(right)
+        manager.register(left)
+        manager.register(right)
         self._joins[definition.name] = definition
 
     def view(self, name: str) -> JoinViewDefinition:
@@ -156,20 +157,20 @@ class JoinRegistry:
         except KeyError:
             raise NoSuchViewError(name) from None
 
-    def get(self, coordinator, join_name: str, join_key,
+    def get(self, manager, coordinator, join_name: str, join_key,
             left_columns: Tuple[ColumnName, ...],
             right_columns: Tuple[ColumnName, ...], r: int, session=None):
         """Read matched pairs of a join view for one join-key value.
 
-        Two single-partition view Gets (both child views are keyed by
-        the join key) plus in-coordinator pairing — the PNUTS locality
-        property for remote view tables.
+        Two single-partition view Gets of ``manager`` (both child views
+        are keyed by the join key) plus in-coordinator pairing — the
+        PNUTS locality property for remote view tables.
         """
         definition = self.view(join_name)
-        left_rows = yield from self.manager.view_get(
+        left_rows = yield from manager.view_get(
             coordinator, definition.left_view_name, join_key,
             tuple(left_columns), r, session=session)
-        right_rows = yield from self.manager.view_get(
+        right_rows = yield from manager.view_get(
             coordinator, definition.right_view_name, join_key,
             tuple(right_columns), r, session=session)
         return pair_results(join_key, left_rows, right_rows)

@@ -111,7 +111,7 @@ copies them).  One predicate marks a job, in
 view.name in backfilled)``.  Every re-drive is one such job, whatever
 the number of materialized columns.  So is a first turn on a view
 created over a populated table (``backfilled``, by
-``ViewManager.backfill``), whose rows hold cells no record carries, and
+``Cluster.backfill``), whose rows hold cells no record carries, and
 every later round of its record: a first turn cut by a ``QuorumError``
 is retried at turn 2, whose walk finds no cell to copy.
 
@@ -212,14 +212,15 @@ class PropagationMetrics:
 
 
 class ViewMaintainer:
-    """Executes update propagations against a cluster's view tables."""
+    """Executes update propagations against a cluster's view tables,
+    at the majority of ``replication_factor``, emitting on ``tracer``."""
 
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self.env = cluster.env
-        self.quorum = majority(cluster.config.replication_factor)
+    def __init__(self, env, replication_factor: int, tracer):
+        self.env = env
+        self.tracer = tracer
+        self.quorum = majority(replication_factor)
         self.metrics = PropagationMetrics()
-        # Views created over a populated table (``ViewManager.backfill``):
+        # Views created over a populated table (``Cluster.backfill``):
         # a row may hold cells no record of the view carries.
         self.backfilled: Set[str] = set()
         # What each node's last view-key move left live, per view:
@@ -319,7 +320,7 @@ class ViewMaintainer:
             if left is not None and not hop_lands(left[1], next_cell):
                 left_key, pointer, left_cells = left
                 cut_ts = base_timestamp_of(pointer.timestamp)
-                self.cluster.trace(
+                self.tracer.emit(
                     "chain", "cut move", view=view.name, base_key=base_key,
                     left=left_key, target=current, finished=moving)
                 if not moving:
@@ -345,7 +346,7 @@ class ViewMaintainer:
             self.metrics.chain_hops += 1
             pointer_ts = base_timestamp_of(next_cell.timestamp)
             if next_cell.value == current:
-                self.cluster.trace(
+                self.tracer.emit(
                     "chain", "live row resolved", view=view.name,
                     base_key=base_key, live=current, hops=hops)
                 if compact and hops > 2:
@@ -412,8 +413,8 @@ class ViewMaintainer:
             live_key, live_ts = entry.live_key, entry.live_ts
             live_cells = dict(entry.cells)
             self.metrics.walks_skipped += 1
-            self.cluster.trace("chain", "live row held", view=view.name,
-                               base_key=base_key, live=live_key)
+            self.tracer.emit("chain", "live row held", view=view.name,
+                             base_key=base_key, live=live_key)
         else:
             # Line 1: find the live row from the guess.  A view-key
             # update may move the row, so its walk also reads what
@@ -486,7 +487,7 @@ class ViewMaintainer:
         live_stamp = view_timestamp(base_ts, PHASE_LIVE)
         stale_ts = view_timestamp(base_ts, PHASE_STALE)
 
-        self.cluster.trace(
+        self.tracer.emit(
             "propagate", "view-key update", view=view.name,
             base_key=base_key, new_key=new_key, live_key=live_key,
             ts=base_ts)

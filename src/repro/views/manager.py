@@ -58,20 +58,32 @@ class ViewManager:
     """Registry plus maintenance/read orchestration for one cluster."""
 
     def __init__(self, cluster):
-        self.cluster = cluster
+        # The parts of ``cluster`` the views use; the cluster itself is
+        # not kept (it holds the manager: see ``Cluster``).
         self.env = cluster.env
         self.config = cluster.config
-        self.maintainer = ViewMaintainer(cluster)
+        self.nodes = cluster.nodes
+        self.coordinators = cluster.coordinators
+        self.tracer = cluster.tracer
+        self.maintainer = ViewMaintainer(
+            self.env, self.config.replication_factor, self.tracer)
         self.sessions = SessionManager(cluster.env)
         self.locks = LockService(cluster.env, latency=LOCK_SERVICE_LATENCY)
-        self.propagators = (PropagatorPool(cluster)
+        self.propagators = (PropagatorPool(cluster.env, cluster.network,
+                                           self.coordinators,
+                                           self.config.virtual_nodes)
                             if self.config.propagation_concurrency
                             == "propagators" else None)
         self._rng = cluster.streams.stream("view-propagation")
         self._views: Dict[str, ViewDefinition] = {}
-        self.joins = JoinRegistry(self)
+        self.joins = JoinRegistry()
         self._by_table: Dict[str, List[ViewDefinition]] = {}
-        self._outboxes: Dict[int, NodeOutbox] = {}
+        # One log per node; the manager starts a process per record as
+        # the outbox hands it over (start_record).
+        self._outboxes: Dict[int, NodeOutbox] = {
+            node.node_id: NodeOutbox(self.env, node.node_id,
+                                     self.config.max_pending_propagations)
+            for node in self.nodes}
         # Fencing tokens: jobs started per chain, view name -> base key
         # -> count (see serialized).
         self._turns: Dict[str, Dict[Hashable, int]] = {}
@@ -82,22 +94,18 @@ class ViewManager:
         self.lost_propagations = 0
         self.abandoned_propagations = 0
         self._crash_hooks: List[Callable] = []  # see add_crash_hook
-        # One log per node; each starts a process per record as the
-        # record's chain becomes free.
-        for node in cluster.nodes:
-            self._outboxes[node.node_id] = NodeOutbox(
-                self.env, node.node_id,
-                self.config.max_pending_propagations, self._start_record)
         # Heavy/light classifier (repro.views.skew); inert (nothing
         # heavy) unless configured on.
         self.skew = SkewService(self)
         # Freshness subsystem (repro.freshness): staleness certificates
         # derived from outbox/wound metadata, plus the SLO
         # accounting for bounded-staleness reads.
-        self.freshness = FreshnessTracker(self)
+        self.freshness = FreshnessTracker(self.env, self._outboxes)
         self.freshness_slo = FreshnessSLO()
 
-    def _start_record(self, outbox: NodeOutbox, record) -> None:
+    def start_record(self, outbox: NodeOutbox, record) -> None:
+        """Start the process that propagates ``record``, which ``outbox``
+        handed over as its chain fell free."""
         self.env.process(process_record(self, outbox, record),
                          name=f"outbox-record:{outbox.node_id}:{record.seq}")
 
@@ -118,27 +126,18 @@ class ViewManager:
             raise ViewDefinitionError(
                 f"base table {definition.base_table!r} is itself a view; "
                 "views on views are not supported")
-        if not self.cluster.has_table(definition.base_table):
+        engine = self.nodes[0].engine
+        if not engine.has_table(definition.base_table):
             raise ViewDefinitionError(
                 f"base table {definition.base_table!r} does not exist")
-        if self.cluster.has_table(definition.name):
+        if engine.has_table(definition.name):
             raise ViewDefinitionError(
                 f"a table named {definition.name!r} already exists")
-        self.cluster.create_table(definition.name)
+        for node in self.nodes:
+            node.create_table(definition.name)
         self._views[definition.name] = definition
         self._turns[definition.name] = {}
         self._by_table.setdefault(definition.base_table, []).append(definition)
-
-    def backfill(self, view_name: str):
-        """Load a view as it is created over a populated table, safe under
-        writes; a process (``repair.scheduler.load_view``).  The view is
-        in ``maintainer.backfilled`` from the start: a chain's first job
-        writes the whole row (``views.maintenance``, *Whole rows*)."""
-        from repro.repair.scheduler import load_view  # late: avoids cycle
-
-        view = self.view(view_name)
-        self.maintainer.backfilled.add(view.name)
-        return (yield from load_view(self.cluster, view))
 
     def view(self, name: str) -> ViewDefinition:
         """Look up a registered view by name."""
@@ -221,9 +220,9 @@ class ViewManager:
         affected = [view for view in self.views_on(table)
                     if view.affects(cells)]
         base_ts = max(cell.timestamp for cell in cells.values())
-        self.cluster.trace("base_put", "acked; scheduling propagation",
-                           table=table, key=key, ts=base_ts,
-                           views=[view.name for view in affected])
+        self.tracer.emit("base_put", "acked; scheduling propagation",
+                         table=table, key=key, ts=base_ts,
+                         views=[view.name for view in affected])
         outbox = self._outboxes[coordinator.node.node_id]
         for view in affected:
             heavy = self.skew.observe(outbox.node_id, view, key)
@@ -240,11 +239,13 @@ class ViewManager:
             update_values = {column: cell.value
                              for column, cell in cells.items()
                              if column in view.watched_columns}
-            record = outbox.append(view, table, key, update_values, base_ts,
-                                   source, completion, heavy)
+            record, starts = outbox.append(view, table, key, update_values,
+                                           base_ts, source, completion, heavy)
+            if starts:
+                self.start_record(outbox, record)
             if outbox.coalesced != before:
-                self.cluster.trace("outbox", "coalesced superseded update",
-                                   view=view.name, key=key, seq=record.seq)
+                self.tracer.emit("outbox", "coalesced superseded update",
+                                 view=view.name, key=key, seq=record.seq)
             if session is not None:
                 self.sessions.register(session, view.name, completion)
 

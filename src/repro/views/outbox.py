@@ -4,11 +4,11 @@ Algorithm 1 acknowledges a base Put at W replicas and drives view
 maintenance asynchronously.  The outbox decouples the two
 halves completely: the Put path *appends* a record describing the
 committed update to its coordinator node's :class:`NodeOutbox`, and the
-log *starts* each record — one process per record, running
-``PropagateUpdate`` (Algorithm 2) — the moment its ``(view, key)`` chain
-is free.  The queue between the two is what absorbs bursts: writes keep
-acking at storage speed while the backlog levels the maintenance load
-over time.
+log hands each record back to be *started* — one process per record,
+running ``PropagateUpdate`` (Algorithm 2) — the moment its ``(view,
+key)`` chain is free.  The queue between the two is what absorbs
+bursts: writes keep acking at storage speed while the backlog levels
+the maintenance load over time.
 
 Log format
 ----------
@@ -104,7 +104,7 @@ releases the session barriers waiting on its completion.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.records import ColumnName
 from repro.sim.kernel import Environment, Event
@@ -203,8 +203,7 @@ class OutboxRecord:
 class NodeOutbox:
     """The bounded per-node update log behind one coordinator."""
 
-    def __init__(self, env: Environment, node_id: int, capacity: int,
-                 start: Callable[["NodeOutbox", OutboxRecord], Any]):
+    def __init__(self, env: Environment, node_id: int, capacity: int):
         self.env = env
         self.node_id = node_id
         self.capacity = capacity
@@ -218,16 +217,15 @@ class NodeOutbox:
         # clients are blocked on.  One waiting its turn is still open —
         # a busy node folds more per survivor, not more survivors.
         self.heavy_turn = Semaphore(env, tokens=1)
-        # ``start(outbox, record)`` is called as each record's chain
-        # becomes free; whoever runs the record ends with :meth:`done`.
-        self._start = start
         # chain_key -> the chain's started record, then the records
         # parked behind it; a chain has an entry exactly while one runs.
         self._chains: Dict[Tuple[str, Hashable], deque] = {}
-        # seq -> record, for every appended-but-unresolved record; the
+        # seq -> (view name, base key, appended_at) of every
+        # appended-but-unresolved record, not the record (whose pending
+        # completion's callback would then reach back here); the
         # freshness tracker derives per-view staleness and lagging key
         # sets from this (records leave on resolve, riders included).
-        self._unresolved: Dict[int, OutboxRecord] = {}
+        self._unresolved: Dict[int, Tuple[str, Hashable, float]] = {}
         # Observability.
         self.appended = 0          # == last assigned seq
         self.coalesced = 0
@@ -249,25 +247,27 @@ class NodeOutbox:
     def append(self, view: ViewDefinition, table: str, key: Hashable,
                update_values: Dict[ColumnName, Any], base_ts: int,
                source: Optional[object], completion: Event,
-               heavy: bool = False) -> OutboxRecord:
+               heavy: bool = False) -> Tuple[OutboxRecord, bool]:
         """Append one record (caller holds a backpressure token, unless
-        the record is ``heavy``).
+        the record is ``heavy``); returns it, and True if its chain was
+        free: the caller starts it then.
 
         Attempts to coalesce with the newest parked record of the same
         ``(view, key)`` chain; on success the older record is marked
         superseded, rides on the new one, and its token is released.
         A heavy record coalesces unconditionally, or rides on the
         started record whose window is open (module docstring,
-        *Folding*).  Starts the record at once if its chain is free.
+        *Folding*).
         """
         self.appended += 1
         record = OutboxRecord(self.appended, view, table, key,
                               dict(update_values), base_ts, source,
                               completion, appended_at=self.env.now,
                               heavy=heavy)
-        self._unresolved[record.seq] = record
-        completion.add_callback(
-            lambda _event: self._unresolved.pop(record.seq, None))
+        unresolved = self._unresolved
+        seq = record.seq
+        unresolved[seq] = (view.name, key, record.appended_at)
+        completion.add_callback(lambda _event: unresolved.pop(seq, None))
         chain = record.chain_key
         self.chain_appends[chain] = self.chain_appends.get(chain, 0) + 1
         queue = self._chains.get(chain)
@@ -283,7 +283,7 @@ class NodeOutbox:
                 started.folded = True
                 self.coalesced += 1
                 self.folded += 1
-                return record
+                return record, False
         else:
             target = queue[-1]
             subsumes = record.supersedes(target)
@@ -297,6 +297,7 @@ class NodeOutbox:
                     # The survivor dates from the oldest update it
                     # stands for (staleness, wound origin).
                     record.appended_at = target.appended_at
+                    unresolved[seq] = (view.name, key, target.appended_at)
                 self.coalesced += 1
                 self.folded += not subsumes
                 self._count(target, -1)
@@ -305,20 +306,19 @@ class NodeOutbox:
                 queue.pop()
         queue.append(record)
         self._count(record, +1)
-        if len(queue) == 1:
-            self._start(self, record)
-        return record
+        return record, len(queue) == 1
 
-    def done(self, record: OutboxRecord) -> None:
-        """Finish a started record: start its chain's next parked record
-        (superseded ones left the queue when they were coalesced)."""
+    def done(self, record: OutboxRecord) -> Optional[OutboxRecord]:
+        """Finish a started record; returns its chain's next parked
+        record, for the caller to start (superseded ones left the queue
+        when they were coalesced), or None."""
         queue = self._chains[record.chain_key]
         queue.popleft()
         self._count(record, -1)
         if queue:
-            self._start(self, queue[0])
-        else:
-            del self._chains[record.chain_key]
+            return queue[0]
+        del self._chains[record.chain_key]
+        return None
 
     def _count(self, record: OutboxRecord, sign: int) -> None:
         """One record entering (+1) or leaving (-1) the chain queues."""
@@ -346,6 +346,6 @@ class NodeOutbox:
         """``(base_key, appended_at)`` of every unresolved record for
         ``view_name`` (riders of coalesced winners included — they are
         distinct acknowledged updates whose effects are still pending)."""
-        return [(record.key, record.appended_at)
-                for record in self._unresolved.values()
-                if record.view.name == view_name]
+        return [(key, appended_at)
+                for name, key, appended_at in self._unresolved.values()
+                if name == view_name]

@@ -28,11 +28,13 @@ _DOWN_POLL_INTERVAL = 10.0
 class PropagatorPool:
     """Per-base-row serialized propagation executors."""
 
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self.env = cluster.env
-        self.ring = TokenRing([node.node_id for node in cluster.nodes],
-                              virtual_nodes=cluster.config.virtual_nodes,
+    def __init__(self, env, network, coordinators, virtual_nodes: int):
+        self.env = env
+        self.network = network
+        # One per node, indexed by node id: the propagators' hosts.
+        self.coordinators = coordinators
+        self.ring = TokenRing([c.node.node_id for c in coordinators],
+                              virtual_nodes=virtual_nodes,
                               salt="propagators")
         # Tail of the job chain per (view, base key): the next job for the
         # same key waits for the previous one's completion.
@@ -69,7 +71,7 @@ class PropagatorPool:
         # Network hop: the base coordinator hands the job off.
         if node_id != src_node_id:
             yield self.env.timeout(
-                self.cluster.network.one_way_delay(src_node_id, node_id))
+                self.network.one_way_delay(src_node_id, node_id))
         # Per-key serialization: wait for the previous job on this key.
         # A failed predecessor must not wedge the chain.
         if previous_tail is not None:
@@ -80,9 +82,9 @@ class PropagatorPool:
         # If the hosting node is down, park until it recovers (a real
         # deployment would re-home the propagator; parking preserves the
         # serialization guarantee with much less machinery).
-        while self.cluster.node(node_id).is_down:
+        coordinator = self.coordinators[node_id]
+        while coordinator.node.is_down:
             yield self.env.timeout(_DOWN_POLL_INTERVAL)
-        coordinator = self.cluster.coordinator(node_id)
         try:
             result = yield self.env.process(job(coordinator))
         except Exception as exc:

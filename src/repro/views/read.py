@@ -124,9 +124,8 @@ def read_barrier(manager, coordinator, view: ViewDefinition, session):
                 f"request: {coordinator.node.node_id})")
         pending = session.pending_barriers(view.name)
         if pending:
-            manager.cluster.trace("session", "view Get blocking",
-                                  view=view.name,
-                                  session=session.session_id,
-                                  pending=pending)
+            manager.tracer.emit("session", "view Get blocking",
+                                view=view.name, session=session.session_id,
+                                pending=pending)
         yield from manager.sessions.barrier(session, view.name)
 

@@ -138,7 +138,7 @@ class SkewService:
         self.enabled = manager.config.skew_adaptive
         self._trackers: Dict[int, UpdateFrequencyTracker] = {}
         if self.enabled:
-            for node in manager.cluster.nodes:
+            for node in manager.nodes:
                 self._trackers[node.node_id] = UpdateFrequencyTracker(
                     PROMOTE_THRESHOLD, DEMOTE_THRESHOLD, DECAY_HALF_LIFE)
 

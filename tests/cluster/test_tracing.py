@@ -74,8 +74,9 @@ def test_tracer_capacity_validated():
 
 def test_tracing_disabled_by_default():
     cluster = Cluster(make_config())
-    assert cluster.tracer is None
+    assert not cluster.tracer.enabled
     cluster.trace("x", "no-op when disabled")  # must not raise
+    assert cluster.tracer.events() == [] and cluster.tracer.emitted == 0
 
 
 def test_enable_tracing_is_idempotent():

@@ -1,7 +1,5 @@
 """Unit tests for the freshness tracker and certificate math."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.freshness.certificate import FreshnessTracker, StaleSource
@@ -21,8 +19,7 @@ class _Clock:
 
 def make_tracker():
     clock = _Clock()
-    manager = SimpleNamespace(env=clock, _outboxes={})
-    return FreshnessTracker(manager), clock
+    return FreshnessTracker(clock, {}), clock
 
 
 # -- wounds ------------------------------------------------------------------
@@ -179,13 +176,12 @@ def test_certificate_binds_to_oldest_source():
 
 def test_unresolved_outbox_record_is_a_source():
     env = Environment()
-    outbox = NodeOutbox(env, node_id=0, capacity=4,
-                        start=lambda _outbox, _record: None)
-    tracker = FreshnessTracker(SimpleNamespace(
-        env=env, _outboxes={0: outbox}))
+    outbox = NodeOutbox(env, node_id=0, capacity=4)
+    tracker = FreshnessTracker(env, {0: outbox})
     env.run(until=10.0)
-    record = outbox.append(ViewDefinition("V", "T", "vk", ("m",)), "T", "k1",
-                           {"m": "x"}, 100, (None, None), env.event())
+    record, _starts = outbox.append(
+        ViewDefinition("V", "T", "vk", ("m",)), "T", "k1", {"m": "x"}, 100,
+        (None, None), env.event())
     env.run(until=35.0)
     cert = tracker.certificate("V")
     assert cert.staleness_ms == 25.0

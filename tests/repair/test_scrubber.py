@@ -35,7 +35,7 @@ def test_constructor_defaults():
     assert scrubber.interval == 50.0
     assert scrubber.row_budget == 64
     assert scrubber.rate_limit == 0.1
-    assert cluster.scrubbers == [scrubber]
+    assert cluster.scrub_metrics == [scrubber.metrics]
 
 
 def test_clean_view_costs_only_digest_comparisons():

@@ -656,54 +656,75 @@ def test_a_cycle_dropped_in_a_run_is_reclaimed_before_it_returns(collector):
     assert made[0]() is None
 
 
-def _abandoned_environment():
-    """An Environment kept alive only by a reference cycle (a timer on
-    its heap points back at it), in the oldest generation, where only a
-    full collection can free it."""
+# -- close(): what a caller does before dropping an undrained simulation ------
+
+
+class _Probe:
+    """A timer's callback that reaches back to its environment, as a
+    cluster's do; weakly referenceable, unlike the kernel's slotted
+    classes."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def fire(self, _event):  # pragma: no cover - the timer never fires
+        raise AssertionError("a closed simulation ran a callback")
+
+
+def _undrained(log):
+    """An Environment stopped with a pending timer whose callback holds
+    it, and a process suspended on an event nobody will trigger that
+    starts another process from its ``finally`` (which close() must end
+    too, without running it)."""
     env = Environment()
-    env.timeout(5.0)
+    probe = _Probe(env)
+    env.timeout(5.0).callbacks.append(probe.fire)
+
+    def started_while_closing():  # pragma: no cover - never resumed
+        log.append("resumed")
+        yield env.timeout(1.0)
+
+    def waiter():
+        try:
+            yield env.event()
+        finally:
+            log.append("finally")
+            env.process(started_while_closing())
+
+    env.process(waiter())
     env.run(until=1.0)
+    return env, weakref.ref(probe)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_close_lets_reference_counting_free_an_undrained_simulation(
+        collector, closed):
+    gc.disable()
     gc.collect()
-    return env
+    log = []
+    env, probe = _undrained(log)
+    if closed:
+        env.close()
+        assert env._heap == [] and env._processes == {}
+    del env
+    if closed:
+        assert probe() is None and gc.collect() == 0
+        assert log == ["finally"]
+    else:
+        # Without close() the heap and the suspended process keep it.
+        kept = probe() is not None
+        gc.collect()
+        assert kept
 
 
-def _big_run(env):
-    """A run that leaves more new tracked objects than CPython collects
-    its middle generation after."""
-    young, middle, _old = gc.get_threshold()
-    keep = []
-    env.process(_allocator(env, 2 * young * middle, keep))
+def test_a_drained_simulation_needs_no_close(collector):
+    """A finished process leaves the registry: nothing of a drained
+    simulation reaches back to it."""
+    gc.disable()
+    gc.collect()
+    env = Environment()
+    env.process(_allocator(env, 10, []))
     env.run()
-
-
-def test_a_new_simulation_frees_a_dropped_one(collector):
-    old = _abandoned_environment()
-    dropped = weakref.ref(old)
-    del old
-    _big_run(Environment())
-    assert dropped() is None
-
-
-def test_a_new_simulation_sweeps_for_its_predecessors_at_most_twice(
-        collector):
-    old = _abandoned_environment()
-    new = Environment()
-    full = []
-
-    def note(phase, info):
-        if phase == "stop" and info["generation"] == 2:
-            full.append(info)
-    gc.callbacks.append(note)
-    try:
-        # A run too small to have reached CPython's middle generation
-        # does not sweep.
-        keep = []
-        new.process(_allocator(new, 3 * gc.get_threshold()[0], keep))
-        new.run()
-        assert full == []
-        for _ in range(3):
-            _big_run(new)
-    finally:
-        gc.callbacks.remove(note)
-    assert len(full) == 2
-    assert old.now == 1.0
+    assert env._processes == {}
+    del env
+    assert gc.collect() == 0

@@ -68,7 +68,8 @@ class DirectDriver:
     def __init__(self, cluster, view):
         self.cluster = cluster
         self.view = view
-        self.maintainer = ViewMaintainer(cluster)
+        self.maintainer = ViewMaintainer(
+            cluster.env, cluster.config.replication_factor, cluster.tracer)
         self.coordinator = cluster.coordinator(0)
 
     def run(self, generator):

@@ -23,7 +23,7 @@ def build():
 
 
 def backfill(cluster, name):
-    process = cluster.env.process(cluster.view_manager.backfill(name))
+    process = cluster.env.process(cluster.backfill(name))
     metrics = cluster.env.run(until=process)
     cluster.run_until_idle()
     return metrics
@@ -130,7 +130,7 @@ def test_the_load_waits_out_an_outage_then_loads_the_row(monkeypatch):
                                       live_keys))
 
     monkeypatch.setattr(scheduler, "verify_row", verify_in_outage)
-    process = env.process(cluster.view_manager.backfill("LATE"))
+    process = env.process(cluster.backfill("LATE"))
     metrics = env.run(until=process)
     assert env.now > outage["over"]
     assert metrics.rows_skipped_unavailable >= 1
@@ -153,7 +153,7 @@ def test_a_row_written_during_the_load_is_read_whole():
         client.put("T", i, {"vk": "a", "m": i}, w=3)
     client.settle()
     cluster.create_view(ViewDefinition("LATE", "T", "vk", ("m",)))
-    load = cluster.env.process(cluster.view_manager.backfill("LATE"))
+    load = cluster.env.process(cluster.backfill("LATE"))
     last = max(range(64), key=repr)  # the row the load reaches last
     client.begin_session()
     client.put("T", last, {"vk": "b"})
@@ -247,7 +247,7 @@ def test_a_load_under_writes_folds_no_record(monkeypatch):
     client.settle()
     view = ViewDefinition("LATE", "T", "vk", ("m",))
     cluster.create_view(view)
-    load = cluster.env.process(cluster.view_manager.backfill("LATE"))
+    load = cluster.env.process(cluster.backfill("LATE"))
     for i in range(0, 64, 4):
         client.put("T", i, {"vk": "b"} if i % 8 else {"m": -i})
     assert not load.triggered
@@ -279,7 +279,7 @@ def test_a_plain_put_that_raced_create_view_propagates(monkeypatch):
     def put_after_a_whole_load(self, table, key, cells, w):
         if table == "T" and not cluster.has_table("LATE"):
             cluster.create_view(view)
-            load = cluster.env.process(cluster.view_manager.backfill("LATE"))
+            load = cluster.env.process(cluster.backfill("LATE"))
             assert (yield load).repairs_applied == 1
         yield from real_put(self, table, key, cells, w)
 
@@ -328,7 +328,7 @@ def run_writers_over_a_load(seed):
         yield env.timeout(60.0)
         marks["created"] = env.now
         cluster.create_view(WRITERS_VIEW)
-        yield from cluster.view_manager.backfill("V")
+        yield from cluster.backfill("V")
         marks["loaded"] = env.now
 
     for cid in range(8):

@@ -36,7 +36,8 @@ def test_pointer_cycle_detected_not_infinite():
     # a -> b -> a, neither live.
     plant(cluster, "a", {("k", "Next"): Cell("b", view_timestamp(10, PHASE_STALE))})
     plant(cluster, "b", {("k", "Next"): Cell("a", view_timestamp(10, PHASE_STALE))})
-    maintainer = ViewMaintainer(cluster)
+    maintainer = ViewMaintainer(
+        cluster.env, cluster.config.replication_factor, cluster.tracer)
     coordinator = cluster.coordinator(0)
 
     def proc():

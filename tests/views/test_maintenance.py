@@ -476,7 +476,7 @@ def test_a_rows_first_view_key_put_reads_the_base_row_only_over_data(
     cluster.create_view(view)
     if over_data:
         cluster.env.run(until=cluster.env.process(
-            cluster.view_manager.backfill("V")))
+            cluster.backfill("V")))
     sent, view_rounds, base_reads = _count_one_put(
         monkeypatch, cluster, client, {"sec": "a"})
     assert sent == (11 if over_data else 9)

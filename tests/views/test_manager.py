@@ -182,8 +182,9 @@ def test_base_put_on_divergent_replicas_hands_algorithm_1_every_version(
     real = NodeOutbox.append
 
     def append(self, *args):
-        records.append(real(self, *args))
-        return records[-1]
+        appended = real(self, *args)
+        records.append(appended[0])
+        return appended
 
     monkeypatch.setattr(NodeOutbox, "append", append)
     client.put("T", "k", {"vk": "new"}, w=1)
@@ -267,7 +268,7 @@ def test_backfill_builds_view_over_existing_data():
     client.settle()
     view = ViewDefinition("LATE", "T", "vk", ("m",))
     cluster.create_view(view)
-    process = cluster.env.process(cluster.view_manager.backfill("LATE"))
+    process = cluster.env.process(cluster.backfill("LATE"))
     metrics = cluster.env.run(until=process)
     assert metrics.repairs_applied == 6
     client.settle()

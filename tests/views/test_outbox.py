@@ -190,20 +190,28 @@ def test_outbox_stats_shape():
 
 
 def _bare_outbox():
-    """A NodeOutbox whose start callable only records what it was
-    handed, plus an appender for base row 0 (which takes the token a
-    light record's Put would have)."""
+    """A NodeOutbox, the records it handed over to be started, an
+    appender for base row 0 (which takes the token a light record's Put
+    would have) and a finisher (``done``)."""
     env = Environment()
     started = []
-    outbox = NodeOutbox(env, node_id=0, capacity=8,
-                        start=lambda _outbox, record: started.append(record))
+    outbox = NodeOutbox(env, node_id=0, capacity=8)
 
     def append(heavy=False, **values):
         if not heavy:
             outbox.backpressure.acquire()
-        return outbox.append(VIEW, "T", 0, values, 100 + outbox.appended,
-                             (None, None), env.event(), heavy)
-    return outbox, started, append
+        record, starts = outbox.append(VIEW, "T", 0, values,
+                                       100 + outbox.appended, (None, None),
+                                       env.event(), heavy)
+        if starts:
+            started.append(record)
+        return record
+
+    def done(record):
+        following = outbox.done(record)
+        if following is not None:
+            started.append(following)
+    return outbox, started, append, done
 
 
 def test_chain_records_start_one_at_a_time_in_seq_order():
@@ -211,16 +219,16 @@ def test_chain_records_start_one_at_a_time_in_seq_order():
     moves here: distinct destinations, so nothing coalesces) start one
     per ``done``, oldest first — including one appended between a
     ``done`` and its successor finishing."""
-    outbox, started, append = _bare_outbox()
+    outbox, started, append, done = _bare_outbox()
     first, second, third = append(vk="a"), append(vk="b"), append(vk="c")
     assert started == [first]
-    outbox.done(first)
+    done(first)
     assert started == [first, second]
     fourth = append(vk="d")
-    outbox.done(second)
-    outbox.done(third)
+    done(second)
+    done(third)
     assert started == [first, second, third, fourth]
-    outbox.done(fourth)
+    done(fourth)
     assert outbox.depth == 0
     # The chain is free again: the next record starts at once.
     assert append(vk="e") is started[-1]
@@ -229,14 +237,14 @@ def test_chain_records_start_one_at_a_time_in_seq_order():
 def test_superseded_parked_records_never_start():
     """A parked record coalesced into a newer one is skipped; the
     started record is no coalesce target, whatever arrives behind it."""
-    outbox, started, append = _bare_outbox()
+    outbox, started, append, done = _bare_outbox()
     first = append(m="v0")
     second, third = append(m="v1"), append(m="v2")
     assert second.superseded and not first.superseded
     assert outbox.coalesced == 1
-    outbox.done(first)
+    done(first)
     assert started == [first, third]
-    outbox.done(third)
+    done(third)
     assert outbox.depth == 0 and len(started) == 2
 
 
@@ -246,7 +254,7 @@ def test_heavy_records_fold_into_one_survivor_without_tokens():
     included, which a light record never coalesces.  None of them holds
     a token; the survivors know they cannot replay what they absorbed
     and date from the oldest update they stand for."""
-    outbox, started, append = _bare_outbox()
+    outbox, started, append, done = _bare_outbox()
     env = outbox.env
     first = append(heavy=True, vk="a")
     assert started == [first] and first.open and not first.folded
@@ -264,9 +272,9 @@ def test_heavy_records_fold_into_one_survivor_without_tokens():
     assert (outbox.coalesced, outbox.folded) == (2, 2)
     assert (outbox.depth, outbox.token_free) == (0, 2)
     assert outbox.backpressure.tokens == 8
-    outbox.done(first)
+    done(first)
     assert started == [first, survivor]
-    outbox.done(survivor)
+    done(survivor)
     assert outbox.depth + outbox.token_free == 0
     # All four seqs resolve with their survivors.
     first.resolve()
@@ -281,7 +289,7 @@ def test_heavy_record_takes_over_a_light_parked_records_place():
     """A chain that turns heavy with light records still parked: the
     heavy record supersedes the newest of them and gives its token
     back; one that subsumes its target stays replayable."""
-    outbox, started, append = _bare_outbox()
+    outbox, started, append, done = _bare_outbox()
     first, second = append(vk="a"), append(vk="b")
     assert outbox.backpressure.tokens == 6
     heavy = append(heavy=True, vk="c")
@@ -291,10 +299,10 @@ def test_heavy_record_takes_over_a_light_parked_records_place():
     same = append(heavy=True, vk="c", m="x")
     assert heavy.superseded and same.folded      # inherited
     assert (outbox.coalesced, outbox.folded) == (2, 1)
-    outbox.done(first)
+    done(first)
     assert started == [first, same]
 
-    other, started, append = _bare_outbox()
+    other, started, append, _done = _bare_outbox()
     append(m="v0")
     parked = append(heavy=True, m="v1")
     refresh = append(heavy=True, m="v2")

@@ -18,8 +18,7 @@ def env():
 @pytest.fixture
 def outbox(env):
     # Nothing runs the records: the tests resolve them by hand.
-    return NodeOutbox(env, node_id=0, capacity=8,
-                      start=lambda _outbox, _record: None)
+    return NodeOutbox(env, node_id=0, capacity=8)
 
 
 def put(env, outbox, manager, session, resolve_at, exc=None):
@@ -27,8 +26,8 @@ def put(env, outbox, manager, session, resolve_at, exc=None):
     coalesces), register its completion with the session, and resolve
     it — with ``exc`` as a failed propagation — at ``resolve_at``."""
     completion = env.event()
-    record = outbox.append(VIEW, "T", outbox.appended, {"m": "x"}, 100,
-                           (None, None), completion)
+    record, _starts = outbox.append(VIEW, "T", outbox.appended, {"m": "x"},
+                                    100, (None, None), completion)
     manager.register(session, "V", completion)
 
     def resolver():
