@@ -57,8 +57,7 @@ class Placement:
     """
 
     def __init__(self, nodes: List[StorageNode], config: ClusterConfig):
-        self.ring = TokenRing([node.node_id for node in nodes],
-                              virtual_nodes=config.virtual_nodes)
+        self.ring = TokenRing([node.node_id for node in nodes])
         self.nodes = nodes
         self.replication_factor = config.replication_factor
         self._cache: Dict[Tuple[str, Hashable], Tuple[StorageNode, ...]] = {}
@@ -93,7 +92,6 @@ class Cluster:
             client_link=self.config.client_link,
             replica_link=self.config.replica_link,
             rng=self.streams.stream("network"),
-            message_loss=self.config.message_loss,
         )
         self.index_schema = IndexSchema()
         self.nodes: List[StorageNode] = [
@@ -117,9 +115,6 @@ class Cluster:
         # Installed lazily by create_view() (keeps cluster importable
         # without the views package and avoids an import cycle).
         self.view_manager = None
-        # What each scrubber start_scrubber() started counts (not the
-        # scrubber, which holds the cluster).
-        self.scrub_metrics: List = []
         # Structured tracing, off until enable_tracing().
         self.tracer = Tracer(self.env, enabled=False)
         # Per-client wall-clock offsets (ms); consulted live by every
@@ -361,9 +356,7 @@ class Cluster:
         """
         from repro.repair import ViewScrubber  # late: avoids cycle
 
-        scrubber = ViewScrubber(self, view_names, **overrides)
-        self.scrub_metrics.append(scrubber.metrics)
-        return scrubber
+        return ViewScrubber(self, view_names, **overrides)
 
     # -- tracing ----------------------------------------------------------------------------
 

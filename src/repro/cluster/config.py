@@ -77,21 +77,6 @@ class ClusterConfig:
     replica_link: LatencyModel = field(
         default_factory=lambda: ShiftedExponential(base=0.06, jitter_mean=0.02))
 
-    # Probability that any single message is silently lost in transit.
-    message_loss: float = 0.0
-
-    # Virtual nodes per physical node on the token ring.
-    virtual_nodes: int = 16
-
-    # Eventual-delivery mechanisms ("mechanisms (not described here) that
-    # ensure that all updates to a cell eventually reach every replica").
-    # Read repair: when a quorum read observes divergent replicas, push the
-    # merged winners back to the stale replicas asynchronously.
-    read_repair: bool = True
-    # Hinted handoff: writes aimed at a down replica are parked as hints on
-    # the coordinator and replayed when the replica returns.
-    hinted_handoff: bool = True
-
     # View maintenance knobs (consumed by repro.views).
     # Each committed Put is appended to its coordinator node's update
     # log (repro.views.outbox), which runs one propagation per record.
@@ -130,8 +115,6 @@ class ClusterConfig:
                 f"got {self.replication_factor}")
         if self.cores_per_node < 1:
             raise ValueError("cores_per_node must be >= 1")
-        if not 0.0 <= self.message_loss < 1.0:
-            raise ValueError("message_loss must be in [0, 1)")
         if self.max_pending_propagations < 1:
             raise ValueError("max_pending_propagations must be >= 1")
         if self.propagation_concurrency not in ("locks", "propagators"):

@@ -331,7 +331,7 @@ class Coordinator:
 
         Raises :class:`UnavailableError` if fewer than ``required``
         replicas are alive.  With ``hint`` (a write), down replicas get
-        it parked as a hint when hinted handoff is enabled.
+        it parked as a hint.
         """
         replicas = self.placement.replicas_for(table, key)
         required = validate_quorum(required, len(replicas), kind=kind)
@@ -340,7 +340,7 @@ class Coordinator:
             raise UnavailableError(
                 f"only {len(alive)}/{len(replicas)} replicas alive, "
                 f"need {required}", required=required, received=len(alive))
-        if hint is not None and self.config.hinted_handoff:
+        if hint is not None:
             for replica in replicas:
                 if replica.is_down:
                     self.hints.add(self.node.node_id, replica.node_id,
@@ -386,7 +386,7 @@ class Coordinator:
                       required: int) -> ResponseCollector:
         """Broadcast a write to all replicas of ``key``.
 
-        Down replicas get hints (when enabled) instead of messages; raises
+        Down replicas get hints instead of messages; raises
         :class:`UnavailableError` if fewer than ``required`` replicas are
         alive.
         """
@@ -500,8 +500,6 @@ class Coordinator:
                            merged: Dict[ColumnName, Cell]) -> None:
         """Push merged winners to the responding replicas that were
         missing them or held them stale (asynchronously: nobody waits)."""
-        if not self.config.read_repair:
-            return
         repair_cells: Dict[ColumnName, Cell] = {}
         for response in responses:
             repair_cells.update(stale_cells(merged, response.cells))

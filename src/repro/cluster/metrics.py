@@ -35,26 +35,12 @@ class ClusterSnapshot:
     messages_dropped: int
     pending_propagations: int
     completed_propagations: int
-    lost_propagations: int = 0
-    scrub_rows_scanned: int = 0
-    scrub_divergences_found: int = 0
-    scrub_repairs_applied: int = 0
-    # Freshness subsystem (repro.freshness): bounded-read traffic,
-    # escalations/compensation, and open staleness wounds.
-    freshness_reads_bounded: int = 0
-    freshness_bound_hits: int = 0
-    freshness_escalations: int = 0
-    freshness_compensated_keys: int = 0
-    freshness_open_wounds: int = 0
-    freshness_wounds_opened: int = 0
+    lost_propagations: int
 
     @staticmethod
     def capture(cluster) -> "ClusterSnapshot":
         """Snapshot ``cluster``'s counters now."""
         manager = cluster.view_manager
-        scrubs = cluster.scrub_metrics
-        freshness = manager.freshness_stats() if manager else {}
-        slo = freshness.get("slo", {})
         return ClusterSnapshot(
             at=cluster.env.now,
             nodes=[NodeSnapshot(node.node_id, node.busy_time,
@@ -67,15 +53,6 @@ class ClusterSnapshot:
             completed_propagations=(manager.completed_propagations
                                     if manager else 0),
             lost_propagations=(manager.lost_propagations if manager else 0),
-            scrub_rows_scanned=sum(s.rows_scanned for s in scrubs),
-            scrub_divergences_found=sum(s.divergences_found for s in scrubs),
-            scrub_repairs_applied=sum(s.repairs_applied for s in scrubs),
-            freshness_reads_bounded=slo.get("reads_bounded", 0),
-            freshness_bound_hits=slo.get("bound_hits", 0),
-            freshness_escalations=slo.get("escalations", 0),
-            freshness_compensated_keys=slo.get("compensated_keys", 0),
-            freshness_open_wounds=freshness.get("open_wounds", 0),
-            freshness_wounds_opened=freshness.get("wounds_opened", 0),
         )
 
 

@@ -45,13 +45,14 @@ class Network:
         client_link: LatencyModel,
         replica_link: LatencyModel,
         rng: random.Random,
-        message_loss: float = 0.0,
     ):
         self.env = env
         self.client_link = client_link
         self.replica_link = replica_link
         self._rng = rng
-        self.message_loss = message_loss
+        # Probability that any single message is silently lost in
+        # transit: a runtime fault, 0 until a caller sets it.
+        self.message_loss = 0.0
         self._partitions: Set[FrozenSet[int]] = set()
         # Gray failures: per-endpoint delay inflation factors (slow NIC,
         # overloaded switch port) — the node answers, just late.

@@ -47,7 +47,6 @@ class TokenRing:
                 len(set(map(repr, members))) != len(members):
             raise ValueError("ring members must be distinct")
         self.members: Tuple[Any, ...] = tuple(members)
-        self.virtual_nodes = virtual_nodes
         self._salt = salt
         tokens: List[Tuple[int, int]] = []
         for index, member in enumerate(self.members):

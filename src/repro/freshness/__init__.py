@@ -4,7 +4,7 @@ reads with compensation escalation, and the freshness SLO layer.
 See :mod:`repro.freshness.certificate` for how per-view staleness is
 derived from propagation metadata, :mod:`repro.freshness.read` for the
 serve-or-escalate read path, :mod:`repro.freshness.slo` for the
-histograms/counters surfaced in ``ClusterSnapshot``, and
+histograms/counters ``ViewManager.freshness_stats()`` reports, and
 :mod:`repro.freshness.audit` for the oracle-based bound auditor used by
 tests and the ``ext_staleness`` experiment.
 """

@@ -4,7 +4,8 @@ Every read through the fresh path records the staleness certificate it
 served under: per-view histograms of served staleness, plus counters
 for bounded reads, bound hits (served from the view within bound),
 escalations (compensation read consulted the base table), and
-compensated keys.  ``ClusterSnapshot`` surfaces the aggregates.
+compensated keys.  ``ViewManager.freshness_stats()`` reports the
+aggregates.
 """
 
 from __future__ import annotations

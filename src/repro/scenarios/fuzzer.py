@@ -191,15 +191,12 @@ class ScheduleWorkload(BaseWorkload):
     it in one more child; view reads before it are not issued.
     """
 
-    def __init__(self, ops: List[Dict[str, Any]], *, w: int = 2, r: int = 2,
-                 max_attempts: int = 30, retry_backoff: float = 5.0):
+    MAX_ATTEMPTS = 30  # attempts per entry before it is given up
+
+    def __init__(self, ops: List[Dict[str, Any]]):
         super().__init__()
         self.ops = sorted(ops, key=lambda e: e["t"])
         self.creates_view = any(e["kind"] == "create_view" for e in self.ops)
-        self.w = w
-        self.r = r
-        self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
 
     def run(self, scenario):
         cluster = scenario.cluster
@@ -227,14 +224,14 @@ class ScheduleWorkload(BaseWorkload):
     def _do_put(self, scenario, pool, index, entry):
         env = scenario.cluster.env
         nodes = len(pool)
-        for attempt in range(self.max_attempts):
+        for attempt in range(self.MAX_ATTEMPTS):
             client = pool[(index + attempt) % nodes]
             try:
                 yield from client.put(SCENARIO_TABLE, entry["key"],
-                                      entry["cells"], self.w,
+                                      entry["cells"], self.W,
                                       timestamp=entry["ts"])
             except RETRIABLE:
-                yield env.timeout(self.retry_backoff)
+                yield env.timeout(self.RETRY_BACKOFF)
                 continue
             self.record_acked(entry["key"], entry["cells"], entry["ts"],
                               at=env.now)
@@ -250,14 +247,14 @@ class ScheduleWorkload(BaseWorkload):
     def _do_read(self, scenario, pool, index, entry):
         env = scenario.cluster.env
         nodes = len(pool)
-        for attempt in range(self.max_attempts):
+        for attempt in range(self.MAX_ATTEMPTS):
             client = pool[(index + attempt) % nodes]
             try:
                 yield from client.get_view(
                     scenario.view.name, entry["view_key"],
-                    scenario.view.materialized_columns, self.r)
+                    scenario.view.materialized_columns, self.R)
             except RETRIABLE:
-                yield env.timeout(self.retry_backoff)
+                yield env.timeout(self.RETRY_BACKOFF)
                 continue
             self.reads_done += 1
             return

@@ -8,9 +8,8 @@ suite (:mod:`repro.scenarios.invariants`).  The phases of ``run()``:
 1. **Build** — cluster from a deterministic config (one seed fixes the
    workload, every adversary, and the network), schema ``T`` with view
    ``V`` keyed on ``vk`` materializing ``m`` (or, for a workload that
-   creates ``V`` mid-history, no view yet), background scrubber, and
-   a backlog monitor that samples queue depths for the bounded-depth
-   invariant.
+   creates ``V`` mid-history, no view yet), and the background
+   scrubber.
 2. **Storm** — adversaries start, the workload runs to completion
    under fire, adversaries stop (healing their own damage).
 3. **Quiesce** — anything an adversary failed to heal is recorded
@@ -112,7 +111,6 @@ class Scenario:
                  scrub: bool = True,
                  settle_window: float = 50.0,
                  max_settle_rounds: int = 60,
-                 monitor_interval: float = 2.0,
                  event_budget: Optional[int] = None):
         self.name = name
         self.config = config or default_config()
@@ -123,19 +121,15 @@ class Scenario:
         self.scrub = scrub
         self.settle_window = settle_window
         self.max_settle_rounds = max_settle_rounds
-        self.monitor_interval = monitor_interval
         self.event_budget = event_budget
         self.view = SCENARIO_VIEW
         self.cluster: Optional[Cluster] = None
         # Live workload <-> adversary coupling points.
         self.client_ids: set = set()
         self.arrival_scale = 1.0
-        # Monitor peaks (see _monitor()).
-        self.max_locks_seen = 0
         # Damage the runner (not its adversary) had to heal at
         # quiescence; the ClusterHealed invariant reports these.
         self.unhealed: List[str] = []
-        self._monitor_stop = False
         self._events_seen = 0
         self._oracle: Optional[ReferenceViewModel] = None
 
@@ -162,7 +156,6 @@ class Scenario:
         if self.event_budget is not None:
             env.set_event_watcher(self._count_event)
         scrubber = cluster.start_scrubber() if self.scrub else None
-        env.process(self._monitor(), name="scenario-monitor")
 
         for index, adversary in enumerate(self.adversaries):
             adversary.label = f"{adversary.name}#{index}"
@@ -176,7 +169,6 @@ class Scenario:
                 adversary.stop(self)
             self._quiesce(scrubber)
         except EventBudgetExceeded as exc:
-            self._monitor_stop = True
             result = ScenarioResult(
                 name=self.name,
                 violations=[f"event-budget: {exc}"],
@@ -196,16 +188,6 @@ class Scenario:
                 f"scenario {self.name!r} exceeded its event budget of "
                 f"{self.event_budget} (livelock or retry storm?)")
 
-    def _monitor(self):
-        """Sample the lock table's size; its peak is reported."""
-        cluster = self.cluster
-        env = cluster.env
-        manager = cluster.view_manager
-        while not self._monitor_stop:
-            yield env.timeout(self.monitor_interval)
-            self.max_locks_seen = max(self.max_locks_seen,
-                                      manager.locks.active_locks)
-
     # -- quiescence ----------------------------------------------------------
 
     def _quiesce(self, scrubber) -> None:
@@ -216,8 +198,8 @@ class Scenario:
         self._heal_everything()
 
         # Drain the propagation backlog in bounded windows (the
-        # scrubber and monitor are still looping, so run_until_idle
-        # would not terminate yet).
+        # scrubber is still looping, so run_until_idle would not
+        # terminate yet).
         for _round in range(self.max_settle_rounds):
             if manager.pending_propagations == 0:
                 break
@@ -234,7 +216,6 @@ class Scenario:
                     break
                 self._run_window()
             scrubber.stop()
-        self._monitor_stop = True
         cluster.run_until_idle()
 
         # Scrub repairs and hint replay wrote at quorum; spread them to
@@ -352,7 +333,6 @@ class Scenario:
             "completed_propagations": manager.completed_propagations,
             "lost_propagations": manager.lost_propagations,
             "abandoned_propagations": manager.abandoned_propagations,
-            "max_locks_seen": self.max_locks_seen,
             "adversaries": {adversary.label: adversary.describe()
                             for adversary in self.adversaries},
         }

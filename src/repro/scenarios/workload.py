@@ -26,7 +26,7 @@ the paper's sessions are bound to one server.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 from repro.errors import (
     CoordinatorCrashError,
@@ -79,6 +79,9 @@ class BaseWorkload:
     """Bookkeeping shared by the random and schedule-driven workloads."""
 
     creates_view = False  # True: it creates the view mid-history itself
+    W = 2  # write quorum of every Put
+    R = 2  # read quorum of every view read
+    RETRY_BACKOFF = 5.0  # sim-ms before a failed attempt is retried
 
     def __init__(self):
         self.applied: List[BaseUpdate] = []
@@ -185,13 +188,14 @@ class ScenarioWorkload(BaseWorkload):
     # force escalations under adversaries, loose enough to also see
     # bound hits.
     BOUNDS = (5.0, 25.0, 100.0, 400.0)
+    # Share of operations that are a session Put+read pair.
+    SESSION_FRACTION = 0.25
+    # Attempts per operation before it is given up (ambiguous, failed).
+    MAX_ATTEMPTS = 40
 
     def __init__(self, *, ops: int = 120, base_keys: int = 6,
                  view_keys: int = 4, mean_gap: float = 3.0,
-                 session_fraction: float = 0.25,
-                 bounded_read_fraction: float = 0.15, w: int = 2, r: int = 2,
-                 max_attempts: int = 40, retry_backoff: float = 5.0,
-                 key_chooser=None):
+                 bounded_read_fraction: float = 0.15, key_chooser=None):
         super().__init__()
         if ops < 1:
             raise ValueError("ops must be >= 1")
@@ -202,12 +206,7 @@ class ScenarioWorkload(BaseWorkload):
         # base-key draw — the skew scenarios hammer a hot head this way.
         self.key_chooser = key_chooser
         self.mean_gap = mean_gap
-        self.session_fraction = session_fraction
         self.bounded_read_fraction = bounded_read_fraction
-        self.w = w
-        self.r = r
-        self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
 
     def run(self, scenario):
         cluster = scenario.cluster
@@ -235,7 +234,7 @@ class ScenarioWorkload(BaseWorkload):
                 key = f"k{self.key_chooser.choose(rng)}"
             else:
                 key = f"k{rng.randrange(self.base_keys)}"
-            if rng.random() < self.session_fraction:
+            if rng.random() < self.SESSION_FRACTION:
                 yield from self._session_op(scenario, session_client,
                                             table, key, i, rng)
                 continue
@@ -263,13 +262,13 @@ class ScenarioWorkload(BaseWorkload):
         env = scenario.cluster.env
         nodes = len(pool)
         start = handle.coordinator_id
-        for attempt in range(self.max_attempts):
+        for attempt in range(self.MAX_ATTEMPTS):
             client = pool[(start + attempt) % nodes]
             try:
-                yield from client.put(table, key, cells, self.w,
+                yield from client.put(table, key, cells, self.W,
                                       timestamp=ts)
             except RETRIABLE:
-                yield env.timeout(self.retry_backoff)
+                yield env.timeout(self.RETRY_BACKOFF)
                 continue
             self.record_acked(key, cells, ts, at=env.now)
             return
@@ -283,14 +282,14 @@ class ScenarioWorkload(BaseWorkload):
         bound = self.BOUNDS[rng.randrange(len(self.BOUNDS))]
         columns = scenario.view.materialized_columns
         start = rng.randrange(nodes)
-        for attempt in range(self.max_attempts):
+        for attempt in range(self.MAX_ATTEMPTS):
             client = pool[(start + attempt) % nodes]
             try:
                 fresh = yield from client.get_view_fresh(
-                    scenario.view.name, view_key, columns, self.r,
+                    scenario.view.name, view_key, columns, self.R,
                     max_staleness_ms=bound)
             except RETRIABLE:
-                yield env.timeout(self.retry_backoff)
+                yield env.timeout(self.RETRY_BACKOFF)
                 continue
             self.bounded_reads_done += 1
             self.bounded_observations.append(BoundedReadObservation(
@@ -310,13 +309,13 @@ class ScenarioWorkload(BaseWorkload):
         cells = {scenario.view.view_key_column: view_key,
                  scenario.view.materialized_columns[0]: f"s{i}"}
         ts = client.oracle.next()
-        for _attempt in range(self.max_attempts):
+        for _attempt in range(self.MAX_ATTEMPTS):
             try:
-                yield from client.put(table, key, cells, self.w,
+                yield from client.put(table, key, cells, self.W,
                                       timestamp=ts)
             except RETRIABLE:
                 # Sessions pin their coordinator: wait for it, don't hop.
-                yield env.timeout(self.retry_backoff)
+                yield env.timeout(self.RETRY_BACKOFF)
                 continue
             self.record_acked(key, cells, ts, at=env.now)
             break
@@ -325,12 +324,12 @@ class ScenarioWorkload(BaseWorkload):
             return
 
         columns = scenario.view.materialized_columns
-        for _attempt in range(self.max_attempts):
+        for _attempt in range(self.MAX_ATTEMPTS):
             try:
                 results = yield from client.get_view(
-                    scenario.view.name, view_key, columns, self.r)
+                    scenario.view.name, view_key, columns, self.R)
             except RETRIABLE:
-                yield env.timeout(self.retry_backoff)
+                yield env.timeout(self.RETRY_BACKOFF)
                 continue
             self.reads_done += 1
             self.observations.append(SessionObservation(

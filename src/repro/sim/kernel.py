@@ -47,8 +47,7 @@ handler is two, see ``cluster/network.py``): no ``Initialize``, no
 completion event.  What is left is made cheap: event classes are
 ``__slots__``-based, :class:`Timeout` initializes itself without
 chaining through ``Event.__init__``, and :meth:`Environment.run` drains
-the heap in an inlined loop (no per-event ``step()`` call, locals bound
-outside the loop).
+the heap in one loop with its locals bound outside it.
 
 The second cost is CPython's cyclic garbage collector, which allocation
 sets off and which no per-function profile names: cProfile charges each
@@ -448,30 +447,6 @@ class Environment:
 
     # -- scheduling / running -------------------------------------------------
 
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        self._eid += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._eid, event))
-
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        if not self._heap:
-            raise SimulationError("no scheduled events")
-        when, _prio, _eid, event = heapq.heappop(self._heap)
-        self._now = when
-        if self._watcher is not None:
-            self._watcher(event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # An event failed and nobody was waiting: escalate so errors
-            # never pass silently.
-            exc = event._value
-            raise ProcessError(
-                f"unhandled failure in {event!r}: {exc!r}") from exc
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 
@@ -503,12 +478,9 @@ class Environment:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            # Hot loop: ``step()`` inlined with locals bound once.  Any
-            # change here must be mirrored in :meth:`step`, except that
-            # automatic collection is off around this loop and left to
-            # the caller around ``step()`` (see the Performance notes).
-            # The watcher is bound once too: installing one mid-run
-            # takes effect on the next ``run()`` call.
+            # Hot loop, locals bound once.  The watcher is bound once
+            # too: installing one mid-run takes effect on the next
+            # ``run()`` call.
             heap = self._heap
             pop = heapq.heappop
             watcher = self._watcher
@@ -525,6 +497,8 @@ class Environment:
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
+                    # An event failed and nobody was waiting: escalate
+                    # so errors never pass silently.
                     exc = event._value
                     raise ProcessError(
                         f"unhandled failure in {event!r}: {exc!r}") from exc

@@ -70,8 +70,7 @@ class ViewManager:
         self.sessions = SessionManager(cluster.env)
         self.locks = LockService(cluster.env, latency=LOCK_SERVICE_LATENCY)
         self.propagators = (PropagatorPool(cluster.env, cluster.network,
-                                           self.coordinators,
-                                           self.config.virtual_nodes)
+                                           self.coordinators)
                             if self.config.propagation_concurrency
                             == "propagators" else None)
         self._rng = cluster.streams.stream("view-propagation")

@@ -70,7 +70,6 @@ class MasterBasedViews:
         self.cluster = cluster
         self.env = cluster.env
         self.ring = TokenRing([node.node_id for node in cluster.nodes],
-                              virtual_nodes=cluster.config.virtual_nodes,
                               salt="row-masters")
         self._views: Dict[str, ViewDefinition] = {}
         self._by_table: Dict[str, List[ViewDefinition]] = {}

@@ -28,13 +28,12 @@ _DOWN_POLL_INTERVAL = 10.0
 class PropagatorPool:
     """Per-base-row serialized propagation executors."""
 
-    def __init__(self, env, network, coordinators, virtual_nodes: int):
+    def __init__(self, env, network, coordinators):
         self.env = env
         self.network = network
         # One per node, indexed by node id: the propagators' hosts.
         self.coordinators = coordinators
         self.ring = TokenRing([c.node.node_id for c in coordinators],
-                              virtual_nodes=virtual_nodes,
                               salt="propagators")
         # Tail of the job chain per (view, base key): the next job for the
         # same key waits for the previous one's completion.

@@ -148,7 +148,7 @@ def test_index_tracks_updates_and_deletes(cluster, client):
 def test_w1_r1_can_read_stale_then_converges():
     """With W=1,R=1 a read may miss the newest write; replicas converge
     once all write messages are delivered."""
-    cluster = build_cluster(read_repair=False)
+    cluster = build_cluster()
     client = cluster.sync_client()
     client.put("T", "k", {"a": "v1"}, w=3)
     # Issue the second put with W=1: ack after first replica.
@@ -196,18 +196,8 @@ def test_hinted_handoff_delivers_after_recovery():
     assert cluster.hints.hints_replayed == 1
 
 
-def test_hinted_handoff_disabled():
-    cluster = build_cluster(hinted_handoff=False)
-    client = cluster.sync_client()
-    replicas = cluster.replicas_for("T", "k")
-    down = replicas[0]
-    down.mark_down()
-    client.put("T", "k", {"a": "x"}, w=2)
-    assert len(cluster.hints) == 0
-
-
 def test_repair_row_reconciles_divergent_replicas():
-    cluster = build_cluster(read_repair=False)
+    cluster = build_cluster()
     replicas = cluster.replicas_for("T", "k")
     replicas[0].engine.apply("T", "k", {"a": Cell.make("new", 9)})
     replicas[1].engine.apply("T", "k", {"b": Cell.make("only-here", 4)})
@@ -221,7 +211,7 @@ def test_repair_row_reconciles_divergent_replicas():
 
 
 def test_repair_table_sweeps_all_keys():
-    cluster = build_cluster(read_repair=False)
+    cluster = build_cluster()
     # Diverge two rows by hand.
     for key in ("k1", "k2"):
         replicas = cluster.replicas_for("T", key)
@@ -269,7 +259,7 @@ def test_repair_table_leaves_no_timer_of_its_own_on_the_heap():
     start = env.now
     assert env.run(until=cluster.repair_table("T")) == 0
     assert len(env._heap) == 1
-    env.step()
+    env.run()
     assert env.now == start + RPC_TIMEOUT
 
 
@@ -333,10 +323,12 @@ def test_table_keys_and_converged_rows_read_local_engines():
     assert cluster.converged_rows("T", ["k", "nowhere"]) == {"k": merged}
 
 
-def test_repair_table_after_outage_converges_every_replica():
-    """No read repair, no hints, no reads: the sweep alone brings a
-    replica that was down for five writes level with the others."""
-    cluster = build_cluster(read_repair=False, hinted_handoff=False)
+def test_repair_table_after_outage_converges_every_replica(switch_off):
+    """No hints and no reads (so no read repair): the sweep alone
+    brings a replica that was down for five writes level with the
+    others."""
+    switch_off("hinted_handoff")
+    cluster = build_cluster()
     client = cluster.sync_client(coordinator_id=0)
     for i in range(20):
         client.put("T", i, {"a": f"v{i}"}, w=3)
@@ -359,7 +351,7 @@ def test_repair_table_after_outage_converges_every_replica():
 
 
 def test_repair_table_handles_deletion_divergence():
-    cluster = build_cluster(read_repair=False)
+    cluster = build_cluster()
     client = cluster.sync_client()
     client.put("T", "k", {"a": "v"}, w=3)
     ts = client.put("T", "k", {"a": None}, w=3)

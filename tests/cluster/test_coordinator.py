@@ -447,17 +447,6 @@ def test_read_repair_heals_stale_replicas():
         assert replica.engine.read("T", "k", ("a",))["a"].value == "new"
 
 
-def test_read_repair_can_be_disabled():
-    cluster = build_cluster(read_repair=False)
-    replicas = cluster.replicas_for("T", "k")
-    replicas[0].engine.apply("T", "k", {"a": Cell.make("old", 1)})
-    replicas[1].engine.apply("T", "k", {"a": Cell.make("new", 9)})
-    coordinator = cluster.coordinator(0)
-    run_proc(cluster, coordinator.get("T", "k", ("a",), r=3))
-    cluster.run_until_idle()
-    assert replicas[0].engine.read("T", "k", ("a",))["a"].value == "old"
-
-
 def test_get_row_read_repairs_divergent_replicas():
     """Wide-row reads (the view read path) also heal divergence."""
     cluster = build_cluster()

@@ -122,7 +122,8 @@ def test_heal_all():
 
 
 def test_message_loss_drops_some():
-    cluster = build_cluster(message_loss=0.5)
+    cluster = build_cluster()
+    cluster.network.message_loss = 0.5
     node = cluster.nodes[0]
     delivered = 0
     for i in range(60):

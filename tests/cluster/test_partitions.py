@@ -49,10 +49,12 @@ def test_write_times_out_when_partitioned_from_quorum():
     cluster.run_until_idle()
 
 
-def test_split_brain_converges_after_heal_and_repair():
+def test_split_brain_converges_after_heal_and_repair(switch_off):
     """Writes land on both sides of a partition; after healing, repair
-    converges every replica to the LWW winner."""
-    cluster = build_cluster(read_repair=False, hinted_handoff=False)
+    converges every replica to the LWW winner (the final quorum reads
+    repair nothing: read repair is off)."""
+    switch_off("read_repair")
+    cluster = build_cluster()
     # Split nodes {0,1} from {2,3}.
     for a in (0, 1):
         for b in (2, 3):
@@ -122,7 +124,7 @@ def test_view_maintenance_with_flaky_link():
 def test_any_partition_heals_to_convergence(cuts, writes):
     """Property: for any set of link cuts and any writes that succeed
     during them, healing + repair converges all replicas."""
-    cluster = build_cluster(read_repair=False, hinted_handoff=False)
+    cluster = build_cluster()
     for a, b in cuts:
         cluster.partition(a, b)
     clients = {}

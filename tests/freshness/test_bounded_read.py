@@ -5,7 +5,6 @@ import pytest
 from repro.cluster.client import ClientHandle, SyncClient
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.cluster.metrics import ClusterSnapshot
 from repro.errors import QuorumError
 from repro.freshness.certificate import StaleSource
 from repro.views import drive
@@ -258,6 +257,8 @@ def test_negative_bound_is_rejected():
 
 
 def test_snapshot_surfaces_freshness_counters(monkeypatch):
+    """The manager's ``freshness_stats()`` snapshot counts bounded
+    reads, escalations, compensation and staleness wounds."""
     monkeypatch.setattr(drive, "MAX_ROUNDS", 3)
     cluster, client = build()
     client.put("T", "k1", {"sec": "s1", "payload": "old"}, w=2)
@@ -267,10 +268,11 @@ def test_snapshot_surfaces_freshness_counters(monkeypatch):
     client.settle()
     client.get_view_fresh("V", "s1", COLUMNS, r=2, max_staleness_ms=5.0)
     client.get_view_fresh("V", "s1", COLUMNS, r=2, max_staleness_ms=1e9)
-    snap = ClusterSnapshot.capture(cluster)
-    assert snap.freshness_reads_bounded == 2
-    assert snap.freshness_escalations == 1
-    assert snap.freshness_bound_hits == 1
-    assert snap.freshness_compensated_keys == 1
-    assert snap.freshness_open_wounds == 1
-    assert snap.freshness_wounds_opened == 1
+    stats = cluster.view_manager.freshness_stats()
+    slo = stats["slo"]
+    assert slo["reads_bounded"] == 2
+    assert slo["escalations"] == 1
+    assert slo["bound_hits"] == 1
+    assert slo["compensated_keys"] == 1
+    assert stats["open_wounds"] == 1
+    assert stats["wounds_opened"] == 1

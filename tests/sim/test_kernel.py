@@ -317,22 +317,6 @@ def test_nested_process_chain():
     assert env.now == 2.0
 
 
-def test_peek_reports_next_event_time():
-    """One step runs the next scheduled event and moves the clock to
-    its time."""
-    env = Environment()
-    env.timeout(7.0)
-    env.step()
-    assert env.now == 7.0
-
-
-def test_peek_empty_is_infinite():
-    """With nothing scheduled there is no next event to step to."""
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
-
-
 def test_determinism_same_seedless_structure():
     """Two identical simulations produce identical event orderings."""
 
@@ -419,8 +403,7 @@ def test_succeed_now_runs_callbacks_in_registration_order_without_the_heap():
     # Ran inside the call: nothing was scheduled, nothing is left to run.
     assert order == [("first", "v"), ("second", "v"), ("third", "v")]
     assert event.processed and event.ok
-    with pytest.raises(SimulationError):
-        env.step()
+    assert env._heap == []
 
 
 def test_succeed_now_refuses_a_second_trigger():

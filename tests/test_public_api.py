@@ -105,8 +105,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ClusterConfig(nodes=0)
     with pytest.raises(ValueError):
-        ClusterConfig(message_loss=1.0)
-    with pytest.raises(ValueError):
         ClusterConfig(max_pending_propagations=0)
     with pytest.raises(ValueError):
         ClusterConfig(propagation_concurrency="bogus")
@@ -123,13 +121,16 @@ def test_config_validation():
     "rpc_timeout", "skew_promote_threshold", "skew_demote_threshold",
     "skew_decay_half_life", "skew_fold_interval",
     "freshness_compensation_limit", "propagation_max_rounds",
-    "view_cache_capacity",
+    "view_cache_capacity", "read_repair", "hinted_handoff", "message_loss",
+    "virtual_nodes",
 ])
 def test_single_valued_knobs_are_not_config_fields(field):
     """No caller ever set these to anything but the default; they are
     constants or constructor defaults where they are used.
     ``view_cache_capacity`` is gone with the feature it sized: view
-    reads have no result cache."""
+    reads have no result cache.  Read repair and hinted handoff are
+    always on, message loss is a runtime fault on ``cluster.network``
+    and the vnode count is ``TokenRing``'s."""
     with pytest.raises(TypeError):
         ClusterConfig(**{field: 64})
 

@@ -37,8 +37,9 @@ def test_propagation_succeeds_with_one_view_replica_down():
     cluster.run_until_idle()
 
 
-def test_recovered_view_replica_converges_via_repair():
-    cluster = build(read_repair=False)
+def test_recovered_view_replica_converges_via_repair(switch_off):
+    switch_off("read_repair")
+    cluster = build()
     client = cluster.sync_client(coordinator_id=0)
     client.put("T", "k", {"vk": "a", "m": "before"}, w=2)
     client.settle()
@@ -90,7 +91,8 @@ def test_maintenance_with_message_loss_still_converges():
     application would)."""
     from repro.errors import QuorumError
 
-    cluster = build(message_loss=0.05, seed=17)
+    cluster = build(seed=17)
+    cluster.network.message_loss = 0.05
     client = cluster.sync_client()
 
     def put_with_retry(key, values):
