@@ -37,11 +37,11 @@ def repair_row(cluster: "Cluster", table: str, key: Hashable):
         return 0
     src_id = replicas[0].node_id
     request = ReadRowRequest(table, key)
-    responses = yield ResponseCollector(
-        cluster.env,
-        [cluster.network.rpc(src_id, replica, request)
-         for replica in replicas],
-        cluster.quorum_deadlines).settled
+    rows = ResponseCollector(cluster.env, len(replicas))
+    for replica in replicas:
+        cluster.network.rpc(src_id, replica, rows, request)
+    cluster.quorum_deadlines.watch(rows)
+    responses = yield rows.settled
     winners = merge_rows(response.cells for response in responses)
     held = {response.node_id: response.cells for response in responses}
     repaired = 0
@@ -51,10 +51,11 @@ def repair_row(cluster: "Cluster", table: str, key: Hashable):
         missing = stale_cells(winners, held[replica.node_id])
         if missing:
             repaired += 1
-            ack = cluster.network.rpc(src_id, replica,
-                                      WriteRequest(table, key, missing))
-            yield ResponseCollector(cluster.env, [ack],
-                                    cluster.quorum_deadlines).settled
+            ack = ResponseCollector(cluster.env, 1)
+            cluster.network.rpc(src_id, replica, ack,
+                                WriteRequest(table, key, missing))
+            cluster.quorum_deadlines.watch(ack)
+            yield ack.settled
     return repaired
 
 

@@ -104,9 +104,9 @@ class QuorumDeadlines:
         self._queue.clear()
 
     def _arm(self) -> None:
-        self.env.timeout_at(self._queue[0][0]).callbacks.append(self._on_timer)
+        self.env.call_at(self._queue[0][0], self._on_timer)
 
-    def _on_timer(self, _timer: Event) -> None:
+    def _on_timer(self) -> None:
         """Expire what is due and re-arm for the oldest collector still
         unsettled (none: the heap holds nothing of ours, and an idle
         cluster stays idle)."""
@@ -121,26 +121,30 @@ class QuorumDeadlines:
 class ResponseCollector:
     """Tracks replica responses to one scattered request.
 
-    ``wait(count)`` returns an event that fires with the first ``count``
-    responses (or fails with :class:`QuorumError` if the cluster's
-    :data:`RPC_TIMEOUT` — kept by ``deadlines`` — passes first).  ``settled``
-    fires once every replica asked has responded or the timeout expired,
-    carrying all responses received by then — Algorithm 1 uses this to
-    keep gathering view-key guesses after the client was acked.
+    Made for ``total`` replies, each handed to :meth:`receive` — or a
+    handler's exception to :meth:`fail` — by the ``Network.rpc`` it was
+    given to; a read's hedge asks more replicas (:meth:`expect`).  Its
+    sender puts it on the cluster's :class:`QuorumDeadlines` once the
+    requests are out.  ``wait(count)`` returns an event that fires with
+    the first ``count`` responses (or fails with :class:`QuorumError`
+    if the cluster's :data:`RPC_TIMEOUT` passes first, or with a
+    handler's exception).  ``settled`` fires once every replica asked
+    has responded or the timeout expired, carrying all responses
+    received by then — Algorithm 1 uses this to keep gathering view-key
+    guesses after the client was acked.
 
-    Responses normally arrive inside the reply timer's kernel callback
-    (``Network.rpc`` triggers its event in place), and waiters are woken
-    the same way: a quorum round schedules no event of its own.
+    Responses arrive inside the reply timer's kernel callback, and
+    waiters are woken in place: a quorum round schedules no event of
+    its own, and a reply is one call, not an event and a callback.
     """
 
     __slots__ = ("env", "responses", "_total", "_waiters", "_settled",
                  "_failure", "is_settled", "_timed_out")
 
-    def __init__(self, env: Environment, events: List[Event],
-                 deadlines: QuorumDeadlines):
+    def __init__(self, env: Environment, total: int):
         self.env = env
         self.responses: List[object] = []
-        self._total = len(events)
+        self._total = total
         self._waiters: List[Tuple[int, Event]] = []
         # ``settled`` is created when first asked for: most rounds are
         # never asked, and an event that does not exist needs neither
@@ -149,12 +153,8 @@ class ResponseCollector:
         self._failure: Optional[BaseException] = None
         self.is_settled = False
         self._timed_out = False
-        for event in events:
-            event.add_callback(self._on_response)
-        if self._total == 0:
+        if total == 0:
             self._settle()
-        else:
-            deadlines.watch(self)
 
     # -- public ----------------------------------------------------------------
 
@@ -163,6 +163,8 @@ class ResponseCollector:
         event = self.env.event()
         if len(self.responses) >= count:
             event.succeed(list(self.responses[:count]))
+        elif self._failure is not None:
+            event.fail(self._failure)
         elif self._timed_out or count > self._total:
             event.fail(QuorumError(
                 f"needed {count} responses, got {len(self.responses)}",
@@ -185,26 +187,19 @@ class ResponseCollector:
                 event.succeed_now(list(self.responses))
         return event
 
-    def extend(self, events: List[Event]) -> None:
-        """More replicas were asked (a read's hedge): their replies
-        count with the first ones', and ``settled`` waits for them."""
-        self._total += len(events)
-        for event in events:
-            event.add_callback(self._on_response)
+    def expect(self, count: int) -> None:
+        """``count`` more replicas were asked (a read's hedge): their
+        replies count with the first ones', and ``settled`` waits for
+        them."""
+        self._total += count
 
-    # -- internals -----------------------------------------------------------
-
-    def _on_response(self, event: Event) -> None:
-        if not event._ok:
-            # A handler raised: propagate to every waiter (programming
-            # errors must not be silently converted into timeouts).
-            event.defuse()
-            self._fail_all(event._value)
-            return
+    def receive(self, response) -> None:
+        """One replica's response (called by ``Network.rpc``'s reply
+        timer): wakes, in place, every waiter it satisfies."""
         if self._timed_out:
             return
         responses = self.responses
-        responses.append(event._value)
+        responses.append(response)
         have = len(responses)
         waiters = self._waiters
         if waiters:
@@ -218,6 +213,27 @@ class ResponseCollector:
                     self._waiters.append((count, waiter))
         if have == self._total:
             self._settle()
+
+    def fail(self, exc: BaseException) -> None:
+        """A handler raised (called by ``Network.rpc``): every waiter
+        gets ``exc`` — programming errors must not be silently converted
+        into timeouts — and so does every later one and ``settled``,
+        unless the round had already settled.  The round takes no more
+        responses."""
+        self._timed_out = True
+        for _count, waiter in self._waiters:
+            waiter.fail(exc)
+        self._waiters = []
+        if not self.is_settled:
+            self.is_settled = True
+            self._failure = exc
+            if self._settled is not None:
+                # ``settled`` is optional to consume; a failure with no
+                # waiter must not crash the simulation (waiters still
+                # see the raise).
+                self._settled.defuse().fail(exc)
+
+    # -- internals -----------------------------------------------------------
 
     def _expire(self) -> None:
         """The deadline passed (called by :class:`QuorumDeadlines`)."""
@@ -234,20 +250,6 @@ class ResponseCollector:
         self._waiters = []
         if self._settled is not None:
             self._settled.succeed_now(list(self.responses))
-
-    def _fail_all(self, exc: BaseException) -> None:
-        self._timed_out = True
-        for _count, waiter in self._waiters:
-            waiter.fail(exc)
-        self._waiters = []
-        if not self.is_settled:
-            self.is_settled = True
-            self._failure = exc
-            if self._settled is not None:
-                # ``settled`` is optional to consume; a failure with no
-                # waiter must not crash the simulation (waiters still
-                # see the raise).
-                self._settled.defuse().fail(exc)
 
 
 class _Hedge:
@@ -311,11 +313,16 @@ class Coordinator:
         its timeout kept by the cluster's deadline queue."""
         rpc = self.network.rpc
         src_id = self.node.node_id
-        events = [rpc(src_id, node, request) for node in nodes]
-        if into is not None:
-            into.extend(events)
-            return into
-        return ResponseCollector(self.env, events, self.deadlines)
+        if into is None:
+            collector = ResponseCollector(self.env, len(nodes))
+        else:
+            collector = into
+            into.expect(len(nodes))
+        for node in nodes:
+            rpc(src_id, node, collector, request)
+        if into is None and nodes:
+            self.deadlines.watch(collector)
+        return collector
 
     def _scatter(self, table: str, key: Hashable, request, required: int,
                  kind: str, hint: Optional[WriteRequest] = None,

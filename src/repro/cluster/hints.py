@@ -89,11 +89,11 @@ class HintService:
         one hint at a time (each waits for its ack or the cluster's
         timeout before the next is sent)."""
         for hint in self._deliverable():
-            event = self.network.rpc(hint.holder_id,
-                                     self.nodes[hint.target_id],
-                                     hint.request)
-            acked = yield ResponseCollector(self.env, [event],
-                                            self.deadlines).settled
+            ack = ResponseCollector(self.env, 1)
+            self.network.rpc(hint.holder_id, self.nodes[hint.target_id],
+                             ack, hint.request)
+            self.deadlines.watch(ack)
+            acked = yield ack.settled
             if acked:
                 hint.delivered = True
                 self.hints_replayed += 1

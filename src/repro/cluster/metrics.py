@@ -32,10 +32,7 @@ class ClusterSnapshot:
     at: float
     nodes: List[NodeSnapshot]
     messages_sent: int
-    messages_dropped: int
-    pending_propagations: int
     completed_propagations: int
-    lost_propagations: int
 
     @staticmethod
     def capture(cluster) -> "ClusterSnapshot":
@@ -47,12 +44,8 @@ class ClusterSnapshot:
                                 node.requests_handled, node.is_down)
                    for node in cluster.nodes],
             messages_sent=cluster.network.messages_sent,
-            messages_dropped=cluster.network.messages_dropped,
-            pending_propagations=(manager.pending_propagations
-                                  if manager else 0),
             completed_propagations=(manager.completed_propagations
                                     if manager else 0),
-            lost_propagations=(manager.lost_propagations if manager else 0),
         )
 
 

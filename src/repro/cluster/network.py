@@ -1,15 +1,19 @@
 """Simulated network: latency, loss, partitions, RPC plumbing.
 
 A remote ``Network.rpc`` is three timers: the request's one-way delay,
-the service time the node's handler charges to its CPU, and the
-response's return delay; the returned event fires with the response
-when the third one does.  If the destination is down, partitioned away,
-or the message is lost, the event simply never fires — exactly like a
-dropped packet; callers protect themselves with quorum timeouts.  A
-reply that arrives also records, in ``reply_stamps``, the instant its
-replica's CPU would next fall free as of the handler's return: the
-load a replica piggybacks on its replies, which coordinators rank
-replicas by.
+the service time the node's handler books on its CPU, and the
+response's return delay; when the third one fires, the response goes
+straight into the :class:`~repro.cluster.coordinator.ResponseCollector`
+the caller handed over.  Each timer is an ``Environment.call_at``
+callback, so the RPC's one object on the heap is its call record; there
+is no reply event.  If the destination is down, partitioned away, or
+the message is lost, the collector simply never hears back — exactly
+like a dropped packet; its quorum deadline covers it.  A handler's
+exception is handed to the collector instead of a response, which fails
+every waiter.  A reply that arrives also records, in ``reply_stamps``,
+the instant its replica's CPU would next fall free as of the handler's
+return: the load a replica piggybacks on its replies, which
+coordinators rank replicas by.
 
 A request a node sends to itself is a *loopback*, served in process the
 way a Cassandra coordinator reads and applies its own replica (its local
@@ -24,10 +28,11 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Set, Tuple
 
-from repro.sim.kernel import Environment, Event, Timeout
+from repro.sim.kernel import Environment
 from repro.sim.latency import LatencyModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.cluster.coordinator import ResponseCollector
     from repro.cluster.node import StorageNode
 
 __all__ = ["Network"]
@@ -57,9 +62,6 @@ class Network:
         # Gray failures: per-endpoint delay inflation factors (slow NIC,
         # overloaded switch port) — the node answers, just late.
         self._slowdowns: Dict[int, float] = {}
-        # What starts a loopback's handler (a remote one is started by
-        # its fired request timer): a processed event carrying None.
-        self._sent = env.event().succeed_now()
         # (sender, replica) -> the replica's ``cpu.free_at`` as its
         # handler returned, stamped on its last reply that reached the
         # sender: what a coordinator knows of a peer's queue.
@@ -137,65 +139,71 @@ class Network:
 
     # -- RPC -------------------------------------------------------------------
 
-    def rpc(self, src_id: int, dst: "StorageNode", request: Any) -> Event:
-        """Send ``request`` to ``dst`` and return an event for the response.
+    def rpc(self, src_id: int, dst: "StorageNode",
+            collector: "ResponseCollector", request: Any) -> None:
+        """Send ``request`` to ``dst``; its response goes to
+        ``collector`` (``collector.receive``), a handler's exception to
+        ``collector.fail``.
 
-        The event fires with the handler's response.  It never fires when
-        the request or response is dropped (down node, partition, loss);
-        handler exceptions fail the event.
+        Nothing is heard when the request or response is dropped (down
+        node, partition, loss).  ``request`` stays the last positional
+        argument: a tracer wrapping this method and
+        ``StorageNode.dispatch`` pairs the two by it.
 
-        A delivered remote RPC costs three kernel events, the ones that
-        advance the clock (see :class:`_Call`): the forward delay is
-        drawn here, at send; the return delay when the handler finishes.
-        A loopback (``src_id`` is ``dst``'s own id) costs one, its CPU
-        charge: the request is dispatched and its charge booked here,
-        inside the caller, and the handler's ``finish`` runs and
-        triggers the reply from the charge's callback, so nothing is
-        applied or woken from inside the caller.  Either way it counts
-        in ``messages_sent``: requests handed to a replica.
+        A delivered remote RPC costs three kernel events, the timers
+        that advance the clock (see :class:`_Call`): the forward delay
+        is drawn here, at send; the return delay when the handler
+        finishes.  A loopback (``src_id`` is ``dst``'s own id) costs one,
+        its CPU charge: the request is dispatched and its charge booked
+        here, inside the caller, and the handler's ``finish`` runs and
+        its response reaches the collector from the charge's timer, so
+        nothing is applied or woken from inside the caller.  Either way
+        it counts in ``messages_sent``: requests handed to a replica.
         """
         self.messages_sent += 1
-        call = _Call(self, src_id, dst, request)
+        call = _Call(self, src_id, dst, collector, request)
         if call.local:
-            call.deliver(self._sent)
+            call.deliver()
         else:
-            Timeout(self.env, self.one_way_delay(src_id, dst.node_id)
-                    ).callbacks.append(call.deliver)
-        return call.reply
+            env = self.env
+            env.call_at(env._now + self.one_way_delay(src_id, dst.node_id),
+                        call.deliver)
 
 
 class _Call:
-    """One RPC in flight; its bound methods are the timers' callbacks.
+    """One RPC in flight, and its only object on the heap: its bound
+    methods are its ``call_at`` timers.
 
     ``deliver`` runs when the request's delay has passed (a loopback's
     at send): it makes the drop checks, calls ``dst.dispatch(request)``
     for the handler's ``(cost, finish)`` and books ``cost`` on the
-    node's CPU (RPCs are the most common unit of work in the
-    simulation; a ``Process`` or a generator per message would add
-    events and steps that advance no clock).  ``step`` runs when that
-    charge ends: it calls ``finish()`` for the response and arms the
-    reply timer carrying it.  ``arrive`` runs when that delay has passed,
-    repeats the partition and loss checks, and triggers ``reply`` in
-    place, so whoever waits on it (a quorum collector, and through it
-    the coordinator) continues inside the same kernel event.  A remote
-    reply carries the replica's CPU free-at as of its handler's return,
-    recorded in ``Network.reply_stamps`` when the reply arrives (a
-    dropped reply records nothing).  A loopback crosses no link: its
-    only drop check is the down node, ``step`` triggers ``reply``
-    itself, and it stamps nothing — a node reads its own CPU.
+    node's CPU (``StorageNode.book``), arming ``step`` at the charge's
+    end (RPCs are the most common unit of work in the simulation; a
+    ``Process``, a generator or an event per message would add objects
+    and steps that advance no clock).  ``step`` calls ``finish()`` for
+    the response and arms ``arrive`` at the end of its return delay.
+    ``arrive`` repeats the partition and loss checks and hands the
+    response to ``collector``, so whoever waits there (the coordinator)
+    continues inside the same kernel event.  A remote reply carries the
+    replica's CPU free-at as of its handler's return, recorded in
+    ``Network.reply_stamps`` when the reply arrives (a dropped reply
+    records nothing).  A loopback crosses no link: its only drop check
+    is the down node, ``step`` hands the response over itself, and it
+    stamps nothing — a node reads its own CPU.  A handler that raises,
+    in ``dispatch`` or in ``finish``, hands its exception to
+    ``collector.fail`` instead.
     """
 
-    __slots__ = ("network", "src_id", "dst", "request", "reply", "finish",
-                 "local", "stamp")
+    __slots__ = ("network", "src_id", "dst", "collector", "request",
+                 "finish", "local", "response", "stamp")
 
     def __init__(self, network: Network, src_id: int, dst: "StorageNode",
-                 request: Any):
+                 collector: "ResponseCollector", request: Any):
         self.network = network
         self.src_id = src_id
         self.dst = dst
+        self.collector = collector
         self.request = request
-        self.reply = Event(network.env)
-        self.finish = None
         self.local = src_id == dst.node_id
 
     def _dropped(self) -> bool:
@@ -206,36 +214,40 @@ class _Call:
             return True
         return False
 
-    def deliver(self, timer: Event) -> None:
-        if self.dst.is_down:
+    def deliver(self) -> None:
+        dst = self.dst
+        if dst.is_down:
             self.network.messages_dropped += 1
             return
         if not self.local and self._dropped():
             return
         try:
-            cost, self.finish = self.dst.dispatch(self.request)
+            cost, self.finish = dst.dispatch(self.request)
         except Exception as exc:  # bad request type, etc.
-            self.reply.fail(exc)
+            self.collector.fail(exc)
             return
-        self.dst.charge(cost).callbacks.append(self.step)
+        self.network.env.call_at(dst.book(cost), self.step)
 
-    def step(self, charged: Event) -> None:
+    def step(self) -> None:
         try:
             response = self.finish()
         except Exception as exc:  # surface handler errors to the caller
-            self.reply.fail(exc)
+            self.collector.fail(exc)
             return
         if self.local:
-            self.reply.succeed_now(response)
+            self.collector.receive(response)
             return
         network = self.network
         dst = self.dst
         self.stamp = dst.cpu.free_at
-        Timeout(network.env, network.one_way_delay(dst.node_id, self.src_id),
-                response).callbacks.append(self.arrive)
+        self.response = response
+        env = network.env
+        env.call_at(env._now + network.one_way_delay(dst.node_id,
+                                                     self.src_id),
+                    self.arrive)
 
-    def arrive(self, timer: Event) -> None:
+    def arrive(self) -> None:
         if not self._dropped():
             self.network.reply_stamps[self.src_id, self.dst.node_id] = \
                 self.stamp
-            self.reply.succeed_now(timer._value)
+            self.collector.receive(self.response)

@@ -4,10 +4,10 @@ Each node owns an in-memory :class:`LocalStorageEngine`, a CPU modelled as
 a :class:`Resource` with ``cores_per_node`` slots, and the local fragments
 of any native secondary indexes.  A request's handler is two callbacks:
 :meth:`StorageNode.dispatch` returns ``(cost, finish)``, the service
-time the network charges to this node's CPU as the request arrives, and
-what runs when that charge ends — the storage operation, performed
-atomically (nothing else runs between reading and writing local state),
-returning the response.  A write's deferred work is booked on the CPU
+time the network books on this node's CPU as the request arrives
+(:meth:`StorageNode.book`), and what runs when that charge ends — the
+storage operation, performed atomically (nothing else runs between
+reading and writing local state), returning the response.  A write's deferred work is booked on the CPU
 without an event: it delays later charges, and nobody waits for it.
 """
 
@@ -131,6 +131,13 @@ class StorageNode:
         :meth:`_apply_write` with no event at all.
         """
         return self.cpu.hold(self._priced(duration))
+
+    def book(self, duration: float) -> float:
+        """:meth:`charge` without the event: book ``duration`` ms of CPU
+        and return the instant the work ends, for a caller that arms
+        its own timer there (a request's service time,
+        ``cluster/network.py``)."""
+        return self.cpu.book(self._priced(duration))
 
     # -- dispatch -------------------------------------------------------------------
 

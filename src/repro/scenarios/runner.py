@@ -55,6 +55,11 @@ __all__ = [
 SCENARIO_TABLE = "T"
 SCENARIO_VIEW = ViewDefinition("V", SCENARIO_TABLE, "vk", ("m",))
 
+# Quiescence runs the cluster in windows of SETTLE_WINDOW sim-ms, at
+# most MAX_SETTLE_ROUNDS of them per phase (propagation drain, scrub).
+SETTLE_WINDOW = 50.0
+MAX_SETTLE_ROUNDS = 60
+
 
 class EventBudgetExceeded(RuntimeError):
     """The kernel processed more events than the scenario allows."""
@@ -109,8 +114,6 @@ class Scenario:
                  adversaries: Sequence = (),
                  invariants: Optional[Sequence[Invariant]] = None,
                  scrub: bool = True,
-                 settle_window: float = 50.0,
-                 max_settle_rounds: int = 60,
                  event_budget: Optional[int] = None):
         self.name = name
         self.config = config or default_config()
@@ -119,8 +122,6 @@ class Scenario:
         self.invariants = (list(invariants) if invariants is not None
                            else list(STANDING_INVARIANTS))
         self.scrub = scrub
-        self.settle_window = settle_window
-        self.max_settle_rounds = max_settle_rounds
         self.event_budget = event_budget
         self.view = SCENARIO_VIEW
         self.cluster: Optional[Cluster] = None
@@ -200,7 +201,7 @@ class Scenario:
         # Drain the propagation backlog in bounded windows (the
         # scrubber is still looping, so run_until_idle would not
         # terminate yet).
-        for _round in range(self.max_settle_rounds):
+        for _round in range(MAX_SETTLE_ROUNDS):
             if manager.pending_propagations == 0:
                 break
             self._run_window()
@@ -210,7 +211,7 @@ class Scenario:
         cluster.env.run(until=cluster.repair_table(self.view.name))
 
         if scrubber is not None:
-            for _round in range(self.max_settle_rounds):
+            for _round in range(MAX_SETTLE_ROUNDS):
                 if (manager.pending_propagations == 0
                         and not divergent_base_keys(cluster, self.view)):
                     break
@@ -267,7 +268,7 @@ class Scenario:
 
     def _run_window(self) -> None:
         env = self.cluster.env
-        self.cluster.run(until=env.now + self.settle_window)
+        self.cluster.run(until=env.now + SETTLE_WINDOW)
 
     # -- judging -------------------------------------------------------------
 

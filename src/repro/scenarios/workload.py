@@ -47,6 +47,12 @@ __all__ = [
 # mid-operation) or a quorum could not be assembled.
 RETRIABLE = (NodeDownError, QuorumError, CoordinatorCrashError)
 
+# ``ScenarioWorkload``'s key space: base rows ``k0``..``k5``, view-key
+# values ``g0``..``g3``.  Few enough that operations collide on rows
+# and chains, which is what the adversaries need to bite.
+BASE_KEYS = 6
+VIEW_KEYS = 4
+
 
 @dataclass
 class AmbiguousOp:
@@ -174,10 +180,11 @@ class BaseWorkload:
 class ScenarioWorkload(BaseWorkload):
     """The default randomized mixed workload over the scenario schema.
 
-    ``ops`` operations over ``base_keys`` base rows and ``view_keys``
-    view-key values, mixing full Puts (view key + materialized column),
-    data-only Puts (UpdateData propagation), view-key deletes (moves to
-    the NULL anchor), and session Put+read pairs.  Inter-arrival gaps
+    ``ops`` operations over :data:`BASE_KEYS` base rows and
+    :data:`VIEW_KEYS` view-key values, mixing full Puts (view key +
+    materialized column), data-only Puts (UpdateData propagation),
+    view-key deletes (moves to the NULL anchor), and session Put+read
+    pairs.  Inter-arrival gaps
     are exponential with mean ``mean_gap``, divided live by the
     scenario's ``arrival_scale`` so a burst adversary can floor them.
     All randomness comes from the cluster's ``scenario-workload``
@@ -193,15 +200,12 @@ class ScenarioWorkload(BaseWorkload):
     # Attempts per operation before it is given up (ambiguous, failed).
     MAX_ATTEMPTS = 40
 
-    def __init__(self, *, ops: int = 120, base_keys: int = 6,
-                 view_keys: int = 4, mean_gap: float = 3.0,
+    def __init__(self, *, ops: int = 120, mean_gap: float = 3.0,
                  bounded_read_fraction: float = 0.15, key_chooser=None):
         super().__init__()
         if ops < 1:
             raise ValueError("ops must be >= 1")
         self.ops = ops
-        self.base_keys = base_keys
-        self.view_keys = view_keys
         # Optional KeyChooser (e.g. ZipfianKeys) replacing the uniform
         # base-key draw — the skew scenarios hammer a hot head this way.
         self.key_chooser = key_chooser
@@ -233,7 +237,7 @@ class ScenarioWorkload(BaseWorkload):
             if self.key_chooser is not None:
                 key = f"k{self.key_chooser.choose(rng)}"
             else:
-                key = f"k{rng.randrange(self.base_keys)}"
+                key = f"k{rng.randrange(BASE_KEYS)}"
             if rng.random() < self.SESSION_FRACTION:
                 yield from self._session_op(scenario, session_client,
                                             table, key, i, rng)
@@ -248,7 +252,7 @@ class ScenarioWorkload(BaseWorkload):
             elif roll < 0.45:
                 cells = {data_column: f"m{i}"}
             else:
-                cells = {key_column: f"g{rng.randrange(self.view_keys)}",
+                cells = {key_column: f"g{rng.randrange(VIEW_KEYS)}",
                          data_column: f"m{i}"}
             handle = pool[rng.randrange(nodes)]
             ts = handle.oracle.next()
@@ -278,7 +282,7 @@ class ScenarioWorkload(BaseWorkload):
         """A bounded-staleness view read, recorded for the audit."""
         env = scenario.cluster.env
         nodes = len(pool)
-        view_key = f"g{rng.randrange(self.view_keys)}"
+        view_key = f"g{rng.randrange(VIEW_KEYS)}"
         bound = self.BOUNDS[rng.randrange(len(self.BOUNDS))]
         columns = scenario.view.materialized_columns
         start = rng.randrange(nodes)
@@ -305,7 +309,7 @@ class ScenarioWorkload(BaseWorkload):
     def _session_op(self, scenario, client, table, key, i, rng):
         """A session Put followed by a session view read of its row."""
         env = scenario.cluster.env
-        view_key = f"g{rng.randrange(self.view_keys)}"
+        view_key = f"g{rng.randrange(VIEW_KEYS)}"
         cells = {scenario.view.view_key_column: view_key,
                  scenario.view.materialized_columns[0]: f"s{i}"}
         ts = client.oracle.next()

@@ -26,6 +26,10 @@ Core concepts
 ``Timeout``
     An event that fires after a fixed virtual-time delay.
 
+``Environment.call_at``
+    A timer with no event: one callback, called with no argument at an
+    instant.  Nothing can wait on it.
+
 Determinism: events scheduled for the same instant fire in scheduling order
 (FIFO, via a monotone sequence counter in the heap entry), so a simulation
 with a fixed RNG seed is fully reproducible.
@@ -41,13 +45,19 @@ queued, and work nobody waits on (a write's deferred part) moves a
 core's free time and is no event at all.  A hand-off *within* one instant —
 a reply reaching its quorum collector, the collector waking the waiting
 coordinator — goes through :meth:`Event.succeed_now`, which runs the
-callbacks inside the caller instead of one pop later, and work that
-nobody awaits as a process is driven by plain timer callbacks (an RPC's
-handler is two, see ``cluster/network.py``): no ``Initialize``, no
-completion event.  What is left is made cheap: event classes are
-``__slots__``-based, :class:`Timeout` initializes itself without
-chaining through ``Event.__init__``, and :meth:`Environment.run` drains
-the heap in one loop with its locals bound outside it.
+callbacks inside the caller instead of one pop later.  A timer that one
+callback finishes and no process yields needs no event either:
+:meth:`Environment.call_at` puts the callback itself on the heap under
+the key :meth:`Environment.timeout_at` would take, so the pop order is
+unchanged; it is still one pop the event watcher sees, but it has no
+value, callbacks list or failure to escalate.  Use it for work nobody
+awaits as a process (an RPC is three, and its reply goes straight into
+its quorum collector: ``cluster/network.py``), and an :class:`Event`
+for what a process yields, what has several listeners, and any failure.
+What is left is made cheap: event classes are ``__slots__``-based,
+:class:`Timeout` initializes itself without chaining through
+``Event.__init__``, and :meth:`Environment.run` drains the heap in one
+loop with its locals bound outside it.
 
 The second cost is CPython's cyclic garbage collector, which allocation
 sets off and which no per-function profile names: cProfile charges each
@@ -375,10 +385,12 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        # Entries are (time, priority, sequence, Event or call_at
+        # callback); the sequence makes every key unique.
+        self._heap: list[tuple[float, int, int, Any]] = []
         self._eid = 0
         self._active: Optional[Process] = None
-        self._watcher: Optional[Callable[[Event], None]] = None
+        self._watcher: Optional[Callable[[Any], None]] = None
         # Every process not yet finished, in start order (for close()).
         self._processes: dict[Process, None] = {}
 
@@ -390,12 +402,13 @@ class Environment:
     # -- fault injection / observation ---------------------------------------
 
     def set_event_watcher(
-            self, watcher: Optional[Callable[[Event], None]]) -> None:
+            self, watcher: Optional[Callable[[Any], None]]) -> None:
         """Install (or clear, with ``None``) the per-event watcher.
 
         The watcher is invoked with each event as it is popped off the
         heap, *before* its callbacks run — the one point through which
-        every simulated occurrence passes.  It is the kernel's fault
+        every simulated occurrence passes.  A :meth:`call_at` timer is
+        handed over as its callback.  It is the kernel's fault
         -injection seam: the scenario harness uses it to bound fuzzed
         schedules by event count (a generated fault schedule may never
         quiesce) and to observe scheduling without instrumenting every
@@ -428,6 +441,21 @@ class Environment:
         self._eid += 1
         heapq.heappush(self._heap, (when, NORMAL, self._eid, event))
         return event
+
+    def call_at(self, when: float, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` at the absolute time ``when``, with no
+        :class:`Event`: a timer nobody can wait on.
+
+        It takes the key a :meth:`timeout_at` would, so it fires in the
+        same order among everything else on the heap, is one pop, and
+        is handed to the event watcher; an exception it raises unwinds
+        through :meth:`run`.  For work one callback finishes (see the
+        module's Performance notes).
+        """
+        if when < self._now:
+            raise ValueError(f"{when} is in the past (now={self._now})")
+        self._eid += 1
+        heapq.heappush(self._heap, (when, NORMAL, self._eid, callback))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new :class:`Process` running ``generator``."""
@@ -492,6 +520,9 @@ class Environment:
                 self._now = when
                 if watcher is not None:
                     watcher(event)
+                if not isinstance(event, Event):
+                    event()     # a call_at timer
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:

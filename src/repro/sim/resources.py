@@ -6,10 +6,11 @@ next falls free, so a unit of work of known length is *booked*, not
 waited for slot by slot: it takes the core that falls free first, starts
 then (or now, if that is earlier) and ends its length later.  A process
 that waits on the work ``yield``s ``resource.hold(service_time)``, one
-timer at the computed end; work nobody waits on (``defer``) only moves
-a core's free time forward and schedules nothing.  Queuing at resources
-is what produces realistic throughput saturation in the cluster
-experiments.
+timer at the computed end; ``book`` only returns that end, for a caller
+that arms a timer of its own (an RPC's charge, ``cluster/network.py``);
+work nobody waits on (``defer``) only moves a core's free time forward
+and schedules nothing.  Queuing at resources is what produces realistic
+throughput saturation in the cluster experiments.
 
 ``Semaphore`` is a counting semaphore whose tokens can start at zero and
 grow: the back-pressure and worker-slot bookkeeping of view maintenance
@@ -53,8 +54,9 @@ class Resource:
         is idle): when work submitted now would start, at the earliest."""
         return self._free[0]
 
-    def _book(self, duration: float) -> float:
-        """Queue ``duration`` of work; the instant it ends."""
+    def book(self, duration: float) -> float:
+        """Queue ``duration`` of work; the instant it ends.  No event:
+        a caller that wants its end heard arms its own timer."""
         if duration < 0:
             raise ValueError(f"negative duration {duration}")
         free = self._free
@@ -75,20 +77,20 @@ class Resource:
         """
         if self._free[0] > self.env._now:
             return self.request(duration)
-        return self.env.timeout_at(self._book(duration))
+        return self.env.timeout_at(self.book(duration))
 
     def request(self, duration: float) -> Event:
         """A :meth:`hold` that finds every slot busy: it starts when the
         first one falls free.  A separate method so the queued waits can
         be counted by wrapping it (mvbench's
         ``sim.resources.cpu_requests_queued_per_op``)."""
-        return self.env.timeout_at(self._book(duration))
+        return self.env.timeout_at(self.book(duration))
 
     def defer(self, duration: float) -> None:
         """Occupy a slot for ``duration`` with work nobody waits on: it
         delays later work exactly as a :meth:`hold` would, and schedules
         no event."""
-        self._book(duration)
+        self.book(duration)
 
 
 class Semaphore:

@@ -1,5 +1,7 @@
 """Tests for ResponseCollector and coordinator quorum semantics."""
 
+from functools import partial
+
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
@@ -22,17 +24,22 @@ from tests.cluster.conftest import make_config
 # ---------------------------------------------------------------------------
 
 
-def make_events(env, delays_values):
-    events = []
-    for delay, value in delays_values:
-        events.append(env.timeout(delay, value=value))
-    return events
+def collector_for(env, deadlines, replies, silent=0):
+    """A collector for ``len(replies) + silent`` replicas, watched by
+    ``deadlines``; each ``(delay, value)`` reply is handed to it
+    ``delay`` from now by a timer, as ``Network.rpc``'s reply timer
+    does, and the ``silent`` replicas never answer."""
+    collector = ResponseCollector(env, len(replies) + silent)
+    for delay, value in replies:
+        env.call_at(env.now + delay, partial(collector.receive, value))
+    deadlines.watch(collector)
+    return collector
 
 
 def test_collector_wait_returns_first_k():
     env = Environment()
-    events = make_events(env, [(3.0, "c"), (1.0, "a"), (2.0, "b")])
-    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
+    collector = collector_for(env, QuorumDeadlines(env, 100.0),
+                              [(3.0, "c"), (1.0, "a"), (2.0, "b")])
     got = {}
 
     def proc():
@@ -47,8 +54,8 @@ def test_collector_wait_returns_first_k():
 
 def test_collector_multiple_waiters():
     env = Environment()
-    events = make_events(env, [(1.0, "a"), (2.0, "b"), (3.0, "c")])
-    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
+    collector = collector_for(env, QuorumDeadlines(env, 100.0),
+                              [(1.0, "a"), (2.0, "b"), (3.0, "c")])
     got = {}
 
     def proc(name, count):
@@ -64,8 +71,7 @@ def test_collector_multiple_waiters():
 
 def test_collector_wait_after_responses_arrived():
     env = Environment()
-    events = make_events(env, [(1.0, "a")])
-    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
+    collector = collector_for(env, QuorumDeadlines(env, 100.0), [(1.0, "a")])
     got = {}
 
     def proc():
@@ -79,9 +85,9 @@ def test_collector_wait_after_responses_arrived():
 
 def test_collector_timeout_fails_waiter():
     env = Environment()
-    # Only one event will ever fire; the waiter wants two.
-    events = make_events(env, [(1.0, "a")]) + [env.event()]
-    collector = ResponseCollector(env, events, QuorumDeadlines(env, 10.0))
+    # Only one reply will ever arrive; the waiter wants two.
+    collector = collector_for(env, QuorumDeadlines(env, 10.0), [(1.0, "a")],
+                              silent=1)
     caught = []
 
     def proc():
@@ -97,8 +103,7 @@ def test_collector_timeout_fails_waiter():
 
 def test_collector_wait_more_than_total_fails_fast_after_timeout():
     env = Environment()
-    collector = ResponseCollector(env, [env.timeout(1.0, value="x")],
-                                  QuorumDeadlines(env, 5.0))
+    collector = collector_for(env, QuorumDeadlines(env, 5.0), [(1.0, "x")])
     caught = []
 
     def proc():
@@ -115,8 +120,8 @@ def test_collector_wait_more_than_total_fails_fast_after_timeout():
 
 def test_collector_settled_carries_all_responses():
     env = Environment()
-    events = make_events(env, [(1.0, "a"), (4.0, "b")])
-    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
+    collector = collector_for(env, QuorumDeadlines(env, 100.0),
+                              [(1.0, "a"), (4.0, "b")])
     got = {}
 
     def proc():
@@ -131,8 +136,8 @@ def test_collector_settled_carries_all_responses():
 
 def test_collector_settles_at_timeout_with_partial_responses():
     env = Environment()
-    events = make_events(env, [(1.0, "a")]) + [env.event()]
-    collector = ResponseCollector(env, events, QuorumDeadlines(env, 10.0))
+    collector = collector_for(env, QuorumDeadlines(env, 10.0), [(1.0, "a")],
+                              silent=1)
     got = {}
 
     def proc():
@@ -147,8 +152,7 @@ def test_collector_settles_at_timeout_with_partial_responses():
 
 def test_collector_failure_propagates():
     env = Environment()
-    failing = env.event()
-    collector = ResponseCollector(env, [failing], QuorumDeadlines(env, 100.0))
+    collector = collector_for(env, QuorumDeadlines(env, 100.0), [], silent=1)
     caught = []
 
     def proc():
@@ -158,19 +162,34 @@ def test_collector_failure_propagates():
             caught.append(str(exc))
 
     env.process(proc())
-
-    def failer():
-        yield env.timeout(1.0)
-        failing.fail(RuntimeError("handler blew up"))
-
-    env.process(failer())
+    env.call_at(1.0, lambda: collector.fail(RuntimeError("handler blew up")))
     env.run(until=200.0)
+    assert caught == ["handler blew up"]
+
+
+def test_a_handler_error_reaches_waiters_that_come_after_it():
+    """A loopback's handler can raise inside ``Network.rpc``, before
+    its caller waits: the later waiter gets the handler's exception,
+    not a ``QuorumError``."""
+    env = Environment()
+    collector = collector_for(env, QuorumDeadlines(env, 100.0), [], silent=2)
+    collector.fail(RuntimeError("handler blew up"))
+    caught = []
+
+    def proc():
+        try:
+            yield collector.wait(1)
+        except RuntimeError as exc:
+            caught.append(str(exc))
+
+    env.process(proc())
+    env.run()
     assert caught == ["handler blew up"]
 
 
 def test_collector_empty_settles_immediately():
     env = Environment()
-    collector = ResponseCollector(env, [], QuorumDeadlines(env, 10.0))
+    collector = ResponseCollector(env, 0)
     got = {}
 
     def proc():
@@ -183,8 +202,8 @@ def test_collector_empty_settles_immediately():
 
 def test_settled_requested_after_settling_still_carries_every_response():
     env = Environment()
-    events = make_events(env, [(1.0, "a"), (2.0, "b")])
-    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
+    collector = collector_for(env, QuorumDeadlines(env, 100.0),
+                              [(1.0, "a"), (2.0, "b")])
     got = {}
 
     def proc():
@@ -202,9 +221,7 @@ def test_settled_requested_after_settling_still_carries_every_response():
 
 def test_failed_round_whose_settled_nobody_reads_does_not_abort_the_run():
     env = Environment()
-    failing = env.event()
-    collector = ResponseCollector(env, [failing, env.event()],
-                                  QuorumDeadlines(env, 100.0))
+    collector = collector_for(env, QuorumDeadlines(env, 100.0), [], silent=2)
     caught = []
 
     def proc():
@@ -214,7 +231,7 @@ def test_failed_round_whose_settled_nobody_reads_does_not_abort_the_run():
             caught.append(str(exc))
 
     env.process(proc())
-    failing.fail(RuntimeError("handler blew up"))
+    env.call_at(0.0, lambda: collector.fail(RuntimeError("handler blew up")))
     env.run()   # an unconsumed failed ``settled`` would escalate here
     assert caught == ["handler blew up"]
 
@@ -232,19 +249,17 @@ def test_failed_round_whose_settled_nobody_reads_does_not_abort_the_run():
 
 def test_failed_round_with_an_unread_settled_event_does_not_abort_the_run():
     env = Environment()
-    failing = env.event()
-    collector = ResponseCollector(env, [failing],
-                                  QuorumDeadlines(env, 100.0))
+    collector = collector_for(env, QuorumDeadlines(env, 100.0), [], silent=1)
     assert not collector.settled.triggered   # asked for, never yielded
-    failing.fail(RuntimeError("handler blew up"))
+    collector.fail(RuntimeError("handler blew up"))
     env.run()
     assert not collector.settled.ok
 
 
 def test_waiter_woken_in_place_may_wait_on_the_same_collector_again():
     env = Environment()
-    events = make_events(env, [(1.0, "a"), (2.0, "b"), (3.0, "c")])
-    collector = ResponseCollector(env, events, QuorumDeadlines(env, 100.0))
+    collector = collector_for(env, QuorumDeadlines(env, 100.0),
+                              [(1.0, "a"), (2.0, "b"), (3.0, "c")])
     got = []
 
     def proc():
@@ -268,15 +283,14 @@ def test_unsettled_collector_behind_a_thousand_settled_ones_expires_on_time():
 
     def round_trip(index):
         """One healthy round: both replicas answer within 0.02."""
-        collector = ResponseCollector(
-            env, make_events(env, [(0.01, index), (0.02, index)]), deadlines)
+        collector = collector_for(env, deadlines,
+                                  [(0.01, index), (0.02, index)])
         yield collector.wait(2)
 
     def silent():
         created = env.now
-        collector = ResponseCollector(
-            env, make_events(env, [(0.01, "only")]) + [env.event()],
-            deadlines)
+        collector = collector_for(env, deadlines, [(0.01, "only")],
+                                  silent=1)
         try:
             yield collector.wait(2)
         except QuorumError as exc:
@@ -299,13 +313,13 @@ def test_unsettled_collector_behind_a_thousand_settled_ones_expires_on_time():
 def test_collectors_created_in_the_same_instant_all_expire():
     env = Environment()
     deadlines = QuorumDeadlines(env, 10.0)
-    collectors = [ResponseCollector(env, [env.event()], deadlines)
+    collectors = [collector_for(env, deadlines, [], silent=1)
                   for _ in range(3)]
     late = []
 
     def proc():
         yield env.timeout(4.0)
-        collector = ResponseCollector(env, [env.event()], deadlines)
+        collector = collector_for(env, deadlines, [], silent=1)
         try:
             yield collector.wait(1)
         except QuorumError:
@@ -637,13 +651,13 @@ def test_get_with_its_chosen_replica_failing_answers_after_the_hedge(fault):
 def queue_behind_next_request(node, ms):
     """Other work reaches ``node`` while its next request is in service:
     ``ms`` on every core, booked right behind that request's charge."""
-    def charge(duration):
-        del node.charge
-        event = node.charge(duration)
+    def book(duration):
+        del node.book
+        end = node.book(duration)
         for _ in range(node.config.cores_per_node):
             node.cpu.defer(ms)
-        return event
-    node.charge = charge
+        return end
+    node.book = book
 
 
 def book_every_core(node, ms):

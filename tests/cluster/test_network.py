@@ -10,9 +10,11 @@ from repro.cluster.messages import (
     WriteAck,
     WriteRequest,
 )
+from repro.cluster.coordinator import ResponseCollector
 from repro.cluster.network import CLIENT
 from repro.common import Cell
 from repro.errors import ClusterError, NoSuchTableError
+from repro.sim.kernel import Event
 
 from tests.cluster.conftest import make_config
 
@@ -23,13 +25,21 @@ def build_cluster(**overrides):
     return cluster
 
 
+def send(cluster, src_id, dst_node, request) -> ResponseCollector:
+    """Send one RPC; the collector its reply goes to (on no deadline
+    queue: a dropped message leaves it waiting)."""
+    collector = ResponseCollector(cluster.env, 1)
+    cluster.network.rpc(src_id, dst_node, collector, request)
+    return collector
+
+
 def rpc_once(cluster, src_id, dst_node, request, horizon=500.0):
     """Send one RPC and return (response or None, completion time)."""
-    event = cluster.network.rpc(src_id, dst_node, request)
+    collector = send(cluster, src_id, dst_node, request)
     result = {}
 
     def waiter():
-        response = yield event
+        (response,) = yield collector.wait(1)
         result["response"] = response
         result["time"] = cluster.env.now
 
@@ -140,12 +150,12 @@ def test_message_loss_drops_some():
 def test_handler_exception_fails_rpc_event():
     cluster = build_cluster()
     node = cluster.nodes[0]
-    event = cluster.network.rpc(1, node, ReadRequest("UNKNOWN", "k", ("a",)))
+    collector = send(cluster, 1, node, ReadRequest("UNKNOWN", "k", ("a",)))
     caught = []
 
     def waiter():
         try:
-            yield event
+            yield collector.wait(1)
         except NoSuchTableError as exc:
             caught.append(exc)
 
@@ -200,12 +210,12 @@ def test_reply_dropped_when_partition_appears_while_handler_runs():
 
 def test_unknown_request_type_fails_rpc_event():
     cluster = build_cluster()
-    event = cluster.network.rpc(1, cluster.nodes[0], object())
+    collector = send(cluster, 1, cluster.nodes[0], object())
     caught = []
 
     def waiter():
         try:
-            yield event
+            yield collector.wait(1)
         except ClusterError as exc:
             caught.append(str(exc))
 
@@ -216,25 +226,24 @@ def test_unknown_request_type_fails_rpc_event():
 
 def count_events(cluster, request, src_id=1):
     """Kernel events popped for one delivered RPC to node 0, by type
-    name."""
+    name (a ``call_at`` timer is popped as its callback, a bound
+    method)."""
     popped = []
     cluster.env.set_event_watcher(
         lambda event: popped.append(type(event).__name__))
-    fired = []
-    cluster.network.rpc(src_id, cluster.nodes[0], request).add_callback(
-        lambda event: fired.append((event.value, cluster.env.now)))
+    collector = send(cluster, src_id, cluster.nodes[0], request)
     cluster.run_until_idle()
-    assert len(fired) == 1
+    assert len(collector.responses) == 1
     return popped
 
 
 def test_delivered_read_rpc_is_exactly_three_kernel_events():
     """Request delay, service time, reply delay — the events that move
     the clock — and nothing else: no process start or completion, and
-    the reply event itself is triggered in place."""
+    the reply goes straight into its collector."""
     cluster = build_cluster()
     assert count_events(cluster, ReadRequest("T", "k", ("a",))) == [
-        "Timeout", "Event", "Timeout"]
+        "method", "method", "method"]
 
 
 def test_delivered_write_rpc_is_three_kernel_events():
@@ -242,10 +251,48 @@ def test_delivered_write_rpc_is_three_kernel_events():
     scheduled: it costs no event of its own."""
     cluster = build_cluster()
     request = WriteRequest("T", "k", {"a": Cell.make(1, 10)})
-    assert count_events(cluster, request) == ["Timeout", "Event", "Timeout"]
+    assert count_events(cluster, request) == ["method", "method", "method"]
     node = cluster.nodes[0]
     assert node.busy_time == (cluster.config.service.write_cost(1)
                               + cluster.config.service.write_background)
+
+
+@pytest.fixture
+def events_made(monkeypatch):
+    """Every ``Event`` (of any class) constructed while the test runs,
+    by class name, counted by patching each class's constructor (once
+    per object: not again where it chains to its base's)."""
+    made = []
+
+    def counting(original):
+        def __init__(self, *args, **kwargs):
+            if type(self).__init__ is __init__:
+                made.append(type(self).__name__)
+            original(self, *args, **kwargs)
+        return __init__
+
+    classes = [Event]
+    while classes:
+        cls = classes.pop()
+        classes.extend(cls.__subclasses__())
+        if "__init__" in vars(cls):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    return made
+
+
+@pytest.mark.parametrize("src_id", [1, 0], ids=["remote", "loopback"])
+def test_a_delivered_rpc_creates_no_event(events_made, src_id):
+    """Its timers are ``call_at`` callbacks and its reply goes straight
+    into the collector: the call record is its only object on the
+    heap, and no event is made, for a remote RPC or a loopback."""
+    cluster = build_cluster()
+    collector = ResponseCollector(cluster.env, 1)
+    events_made.clear()
+    cluster.network.rpc(src_id, cluster.nodes[0], collector,
+                        WriteRequest("T", "k", {"a": Cell.make(1, 10)}))
+    cluster.run_until_idle()
+    assert [type(response) for response in collector.responses] == [WriteAck]
+    assert not events_made
 
 
 # -- loopback: a node serving its own request in process -------------------
@@ -256,7 +303,7 @@ def test_loopback_read_is_one_kernel_event_its_cpu_charge():
     timer, no reply timer, only the handler's CPU charge."""
     cluster = build_cluster()
     assert count_events(cluster, ReadRequest("T", "k", ("a",)),
-                        src_id=0) == ["Event"]
+                        src_id=0) == ["method"]
 
 
 def test_loopback_read_completes_after_exactly_its_service_time():
@@ -273,7 +320,7 @@ def test_loopback_write_is_one_kernel_event():
     cluster = build_cluster()
     request = WriteRequest("T", "k", {"a": Cell.make(1, 10)})
     # The charge that acknowledges it; the deferred CPU work is booked.
-    assert count_events(cluster, request, src_id=0) == ["Event"]
+    assert count_events(cluster, request, src_id=0) == ["method"]
     assert cluster.nodes[0].engine.read("T", "k", ("a",))["a"] == Cell.make(
         1, 10)
 

@@ -500,6 +500,65 @@ def test_timeout_at_fires_at_the_absolute_time():
         env.timeout_at(env.now - 1.0)
 
 
+def test_call_at_calls_back_at_the_absolute_time_with_no_event():
+    env = Environment(initial_time=0.1)
+    when = 0.1 + 0.7
+    fired = []
+    env.run(until=0.3)
+    env.call_at(when, lambda: fired.append(env.now))
+    env.run()
+    assert fired == [when]
+    assert not env._heap
+    with pytest.raises(ValueError):
+        env.call_at(env.now - 1.0, lambda: None)
+
+
+def test_call_at_takes_its_turn_among_events_of_the_same_instant():
+    """Same key as ``timeout_at``: FIFO with every NORMAL event due
+    then, and behind an URGENT one (a process start) scheduled for the
+    same instant later."""
+    env = Environment()
+    order = []
+
+    def started():
+        order.append("process")
+        yield env.timeout(0.0)
+
+    def first(_event):
+        order.append("timeout a")
+        env.process(started())
+
+    env.timeout_at(1.0).add_callback(first)
+    env.call_at(1.0, lambda: order.append("call b"))
+    env.timeout(1.0).add_callback(lambda _e: order.append("timeout c"))
+    env.call_at(1.0, lambda: order.append("call d"))
+    env.run()
+    assert order == ["timeout a", "process", "call b", "timeout c",
+                     "call d"]
+
+
+def test_call_at_is_one_pop_the_watcher_sees():
+    env = Environment()
+    seen = []
+    callback = lambda: seen.append("called")  # noqa: E731
+    env.set_event_watcher(seen.append)
+    env.call_at(2.0, callback)
+    env.run()
+    assert seen == [callback, "called"]
+
+
+def test_call_at_callback_exception_unwinds_run():
+    env = Environment()
+
+    def broken():
+        raise RuntimeError("timer blew up")
+
+    env.call_at(1.0, broken)
+    with pytest.raises(RuntimeError, match="timer blew up"):
+        env.run()
+    assert env.now == 1.0
+
+
 # -- the cyclic collector around run() ----------------------------------------
 
 

@@ -105,7 +105,7 @@ def test_a_client_request_pays_the_coordinator_overhead_once():
 
 def test_config_and_snapshot_stay_small():
     assert len(dataclasses.fields(ClusterConfig)) <= 12
-    assert len(dataclasses.fields(ClusterSnapshot)) <= 7
+    assert len(dataclasses.fields(ClusterSnapshot)) <= 4
 
 
 # ``ClusterConfig`` fields no caller outside ``tests/`` sets, each with
