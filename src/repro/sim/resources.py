@@ -14,7 +14,8 @@ throughput saturation in the cluster experiments.
 
 ``Semaphore`` is a counting semaphore whose tokens can start at zero and
 grow: the back-pressure and worker-slot bookkeeping of view maintenance
-(``repro.views.outbox``).
+(``repro.views.outbox``) and, with one token, the FIFO queue of a base
+row's propagations (``repro.views.locks``).
 """
 
 from __future__ import annotations
@@ -112,6 +113,11 @@ class Semaphore:
     def tokens(self) -> int:
         """Currently available tokens."""
         return self._tokens
+
+    @property
+    def waiting(self) -> int:
+        """Acquirers queued for a token."""
+        return len(self._waiters)
 
     def acquire(self) -> Event:
         """Return an event that fires once a token is consumed."""

@@ -22,7 +22,7 @@ from repro.views.invariants import (
     merged_view_state,
     state_digest,
 )
-from repro.views.locks import LockService, ReadWriteLock
+from repro.views.locks import LockService
 from repro.views.maintenance import PropagationMetrics, ViewKeyGuess, ViewMaintainer
 from repro.views.manager import ViewManager
 from repro.views.outbox import NodeOutbox, OutboxRecord
@@ -58,7 +58,6 @@ __all__ = [
     "ViewResult",
     "view_get",
     "LockService",
-    "ReadWriteLock",
     "NodeOutbox",
     "OutboxRecord",
     "PropagatorPool",

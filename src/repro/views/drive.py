@@ -258,8 +258,6 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
     (:func:`_back_off`); scrub repair, a new view's load included,
     holds no worker and passes no outbox.
     """
-    exclusive = view.view_key_column in update_values
-
     def job(executor, turn):
         nonlocal whole_row
         whole_row = whole_row or (
@@ -275,8 +273,7 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
             raise PropagationError(
                 f"update for base key {key!r} could not be propagated "
                 f"to view {view.name!r} after {rounds - 1} rounds")
-        if (yield from manager.serialized(coordinator, view, key,
-                                          exclusive, job)):
+        if (yield from manager.serialized(coordinator, view, key, job)):
             return
         manager.maintainer.metrics.retry_rounds += 1
         manager.tracer.emit("propagation", "round failed; backing off",

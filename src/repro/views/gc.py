@@ -37,8 +37,8 @@ idempotent, replicas converge under plain LWW, and a reused view key
 always supersedes the GC tombstones.
 
 Collection serializes with update propagation through
-:meth:`ViewManager.serialized` (per-base-row exclusive locks or the
-dedicated propagator chain).
+:meth:`ViewManager.serialized` (the base row's lock, or its dedicated
+propagator), like every propagation.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _collect_base_row(cluster, view: ViewDefinition, base_key: Hashable,
             coordinator.node.node_id)
 
     return cluster.view_manager.serialized(
-        cluster.coordinator(coordinator_id), view, base_key, True, job)
+        cluster.coordinator(coordinator_id), view, base_key, job)
 
 
 def _collect_under_serialization(cluster, view: ViewDefinition,

@@ -1,104 +1,30 @@
 """Per-base-row propagation locks (paper Section IV-F).
 
-View-key update propagations must not run concurrently with any other
-propagation for the same base row; materialized-column propagations may
-share.  The paper proposes a lock service keyed by the base-row key:
-exclusive locks for view-key propagation, shared locks for
-materialized-cell propagation.  Locks affect only update propagation —
-never base-table Get/Put or view Gets.
+Propagations for the same base row must not run concurrently.  The
+paper proposes a lock service keyed by the base-row key: exclusive
+locks for view-key propagation, shared locks for materialized-cell
+propagation.  Here every propagation takes its row exclusively: no
+benchmark workload, figure or experiment ever held two shared locks at
+once, only the fuzzer did (DESIGN.md, decision 4), so one mode keeps
+their schedules with one queue.  Locks affect only update propagation
+— never base-table Get/Put or view Gets.
 
-:class:`ReadWriteLock` is a FIFO-fair reader/writer lock (no starvation:
-a queued writer blocks later readers).  :class:`LockService` keys locks by
-``(view name, base key)`` and charges an optional round-trip latency per
-acquire/release, modelling a separate lock-service deployment.
+:class:`LockService` keys a one-token FIFO :class:`Semaphore` by
+``(view name, base key)`` and charges an optional round-trip latency
+per acquire, modelling a separate lock-service deployment.  The
+dedicated propagators (``views/propagators.py``) queue on the same
+service, with no round trip.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Hashable, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment, Event
+from repro.sim.resources import Semaphore
 
-__all__ = ["ReadWriteLock", "LockService"]
-
-
-class ReadWriteLock:
-    """A FIFO-fair shared/exclusive lock for simulation processes."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._readers = 0
-        self._writer = False
-        self._queue: deque[Tuple[bool, Event]] = deque()
-
-    @property
-    def held(self) -> bool:
-        """True while any holder (reader or writer) is active."""
-        return self._writer or self._readers > 0
-
-    @property
-    def queue_depth(self) -> int:
-        """Waiters queued behind the current holder(s)."""
-        return len(self._queue)
-
-    @property
-    def idle(self) -> bool:
-        """True when unheld with an empty queue (eligible for GC)."""
-        return not self.held and not self._queue
-
-    def acquire(self, exclusive: bool) -> Event:
-        """Return an event that fires once the lock is granted."""
-        event = self.env.event()
-        if self._grantable(exclusive):
-            self._grant(exclusive)
-            event.succeed()
-        else:
-            self._queue.append((exclusive, event))
-        return event
-
-    def release(self, exclusive: bool) -> None:
-        """Release a held lock and wake eligible waiters in FIFO order."""
-        if exclusive:
-            if not self._writer:
-                raise SimulationError("exclusive release without hold")
-            self._writer = False
-        else:
-            if self._readers <= 0:
-                raise SimulationError("shared release without hold")
-            self._readers -= 1
-        self._wake()
-
-    def _grantable(self, exclusive: bool) -> bool:
-        if self._queue:
-            # FIFO fairness: nobody jumps the queue.
-            return False
-        if exclusive:
-            return not self.held
-        return not self._writer
-
-    def _wake(self) -> None:
-        while self._queue:
-            exclusive, event = self._queue[0]
-            if exclusive:
-                if self.held:
-                    return
-                self._queue.popleft()
-                self._grant(True)
-                event.succeed()
-                return
-            if self._writer:
-                return
-            self._queue.popleft()
-            self._grant(False)
-            event.succeed()
-
-    def _grant(self, exclusive: bool) -> None:
-        if exclusive:
-            self._writer = True
-        else:
-            self._readers += 1
+__all__ = ["LockService"]
 
 
 class LockService:
@@ -108,11 +34,11 @@ class LockService:
     (0 keeps it free); releases are fire-and-forget messages and return
     immediately, so they are safe to call from ``finally`` blocks::
 
-        yield from lock_service.acquire("V", base_key, exclusive=True)
+        yield from lock_service.acquire("V", base_key)
         try:
             ...
         finally:
-            lock_service.release("V", base_key, exclusive=True)
+            lock_service.release("V", base_key)
     """
 
     def __init__(self, env: Environment, latency: float = 0.0):
@@ -120,7 +46,7 @@ class LockService:
             raise ValueError("latency must be non-negative")
         self.env = env
         self.latency = latency
-        self._locks: Dict[Tuple[str, Hashable], ReadWriteLock] = {}
+        self._locks: Dict[Tuple[str, Hashable], Semaphore] = {}
         self.acquisitions = 0
         self.contentions = 0
         # Contention observability (the Figure 8 bottleneck, measurable):
@@ -129,24 +55,25 @@ class LockService:
         self.wait_time_total = 0.0
         self.max_queue_depth = 0
 
-    def _lock(self, view: str, base_key: Hashable) -> ReadWriteLock:
+    def request(self, view: str, base_key: Hashable) -> Event:
+        """Queue for the lock now, with no round trip: an event that
+        fires once it is granted (already triggered if it is free)."""
         key = (view, base_key)
         lock = self._locks.get(key)
         if lock is None:
-            lock = ReadWriteLock(self.env)
-            self._locks[key] = lock
-        return lock
+            lock = self._locks[key] = Semaphore(self.env, tokens=1)
+        return lock.acquire()
 
-    def acquire(self, view: str, base_key: Hashable, exclusive: bool):
+    def acquire(self, view: str, base_key: Hashable):
         """Process helper: acquire with lock-service latency."""
         if self.latency:
             yield self.env.timeout(self.latency)
-        lock = self._lock(view, base_key)
-        grant = lock.acquire(exclusive)
+        grant = self.request(view, base_key)
         if not grant.triggered:
             self.contentions += 1
-            if lock.queue_depth > self.max_queue_depth:
-                self.max_queue_depth = lock.queue_depth
+            depth = self._locks[(view, base_key)].waiting
+            if depth > self.max_queue_depth:
+                self.max_queue_depth = depth
             waited_from = self.env.now
             yield grant
             self.wait_time_total += self.env.now - waited_from
@@ -154,12 +81,16 @@ class LockService:
             yield grant
         self.acquisitions += 1
 
-    def release(self, view: str, base_key: Hashable, exclusive: bool) -> None:
-        """Release a lock (fire-and-forget; no simulated delay)."""
+    def release(self, view: str, base_key: Hashable) -> None:
+        """Release a lock (fire-and-forget; no simulated delay): hand it
+        to the oldest waiter, or drop it if nobody waits."""
         key = (view, base_key)
-        lock = self._locks[key]
-        lock.release(exclusive)
-        if lock.idle:
+        lock = self._locks.get(key)
+        if lock is None:  # a free lock is dropped, never kept at 1 token
+            raise SimulationError(f"release of {key!r} without hold")
+        if lock.waiting:
+            lock.release()
+        else:
             del self._locks[key]
 
     @property

@@ -31,10 +31,10 @@ row enters the view stale, still writes them to the live row in a
 round of its own.  The paper's unmark has no round either: there is no
 Init mark.  Four things make that safe:
 
-1. A view-key propagation owns its chain exclusively
-   (``ViewManager.serialized``: the exclusive lock, or the row's
-   propagator), so no materialized-column propagation for the same base
-   key runs between the last hop's Get and the line-4 Put — the cells a
+1. Every propagation owns its chain exclusively
+   (``ViewManager.serialized``: the row's lock, or its propagator), so
+   no materialized-column propagation for the same base key runs
+   between the last hop's Get and the line-4 Put — the cells a
    separate Get would have returned are the cells the last hop returned.
 2. Copied cells keep their own values *and* scaled timestamps, so even
    an interleaving that (1) forbids would merge by ordinary LWW.
@@ -61,8 +61,7 @@ materialized cells, turn)``.
 ``turn`` is the chain's fencing token: ``ViewManager.serialized`` numbers
 the jobs of a ``(view, base key)`` chain in the order they start, and
 every chain writer — outbox records (folded ones too), scrub repair
-(which also loads a new view), GC; exclusive or shared — passes
-through it.  The next
+(which also loads a new view), GC — passes through it.  The next
 view-key propagation on that node for that chain skips line 1's Get iff
 ``entry.turn + 1 == turn``:
 
@@ -74,9 +73,9 @@ view-key propagation on that node for that chain skips line 1's Get iff
   old row's cells verbatim with the update's own merged over them by
   LWW — which is what the entry holds.
 - *Popped before use, stored only on success.*  A ``QuorumError`` or
-  ``PropagationError`` mid-round, a crash (``forget_node``), a shared
-  holder, a GC sweep and any other coordinator's turn all leave the next
-  propagation to walk.  Only moves store: a same-key refresh or a
+  ``PropagationError`` mid-round, a crash (``forget_node``), a
+  materialized-only job, a GC sweep and any other coordinator's turn
+  all leave the next propagation to walk.  Only moves store: a same-key refresh or a
   not-newer insert leaves the live row as some earlier writer made it.
 
 The walk is the only reader of Algorithm 1's guesses, so a base Put
@@ -296,11 +295,11 @@ class ViewMaintainer:
         timestamp t is taken only if it lands (``versioned.hop_lands``).
         Otherwise the move to K was cut after its line 8, and
         ``moving`` says who finishes it.  A view-key move (``moving``,
-        which holds the chain exclusively and read J's ``columns``)
-        writes K live at t with J's cells in one Put and returns K.  Any
-        other walk returns J: J still holds the row's cells, so a
-        materialized-only update lands there and the finishing move
-        copies it on.
+        which read J's ``columns``) writes K live at t with J's cells in
+        one Put and returns K.  Any other walk returns J: it did not
+        read J's cells, so it has none to write to K, and J still holds
+        them, so a materialized-only update lands there and the
+        finishing move copies it on.
         """
         current = guess.key
         next_column = view_column(base_key, NEXT_COLUMN)

@@ -70,7 +70,7 @@ class ViewManager:
         self.sessions = SessionManager(cluster.env)
         self.locks = LockService(cluster.env, latency=LOCK_SERVICE_LATENCY)
         self.propagators = (PropagatorPool(cluster.env, cluster.network,
-                                           self.coordinators)
+                                           self.coordinators, self.locks)
                             if self.config.propagation_concurrency
                             == "propagators" else None)
         self._rng = cluster.streams.stream("view-propagation")
@@ -249,15 +249,16 @@ class ViewManager:
                 self.sessions.register(session, view.name, completion)
 
     def serialized(self, coordinator, view: ViewDefinition, key: Hashable,
-                   exclusive: bool, job: Callable):
+                   job: Callable):
         """Run ``job(executor, turn)`` — a generator — serialized against
         other work on the ``(view, key)`` chain; returns the job's result.
 
         Under ``"locks"`` the executor is the caller's coordinator,
-        holding the base row's lock (shared, or ``exclusive`` for work
-        that can move the view key) for exactly the job's duration;
+        holding the base row's lock for exactly the job's duration;
         under ``"propagators"`` it is the row's dedicated propagator,
-        whose per-key job chain is the serialization.
+        which runs the row's jobs one at a time in submit order.  Both
+        queue on the row's lock in :attr:`locks`; every job, whatever
+        it writes, takes the row exclusively (``views/locks.py``).
 
         ``turn`` numbers the chain's jobs in the order they start: the
         fencing token a lock service's sequencer or a propagator's job
@@ -276,11 +277,11 @@ class ViewManager:
             result = yield self.propagators.submit(
                 coordinator.node.node_id, view.name, key, numbered)
             return result
-        yield from self.locks.acquire(view.name, key, exclusive)
+        yield from self.locks.acquire(view.name, key)
         try:
             result = yield from numbered(coordinator)
         finally:
-            self.locks.release(view.name, key, exclusive)
+            self.locks.release(view.name, key)
         return result
 
     def peek_sequencer(self, views: List[ViewDefinition], key: Hashable):

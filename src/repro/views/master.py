@@ -41,8 +41,8 @@ from repro.errors import (
     ViewDefinitionError,
     ViewExistsError,
 )
-from repro.sim.kernel import Event
 from repro.views.definition import NEXT_COLUMN, ViewDefinition
+from repro.views.locks import LockService
 from repro.views.versioned import (
     PHASE_LIVE,
     PHASE_ROW,
@@ -75,8 +75,8 @@ class MasterBasedViews:
         self._by_table: Dict[str, List[ViewDefinition]] = {}
         # Per-master timestamp oracles (timeline consistency).
         self._oracles: Dict[int, TimestampOracle] = {}
-        # Per-row serialization chains (same trick as PropagatorPool).
-        self._tails: Dict[Tuple[str, Hashable], Event] = {}
+        # Per-row serialization: each row's FIFO queue at its master.
+        self._rows = LockService(self.env)
         # The master's authoritative record of each row's current view
         # key per view (this is what ordered propagation buys: no
         # guessing, no stale rows).
@@ -142,27 +142,12 @@ class MasterBasedViews:
         yield self.env.timeout(
             self.cluster.network.one_way_delay(CLIENT, master_id))
         # Serialize behind earlier updates to this row.
-        chain_key = (table, key)
-        completion = self.env.event()
-        previous = self._tails.get(chain_key)
-        self._tails[chain_key] = completion
-        if previous is not None:
-            try:
-                yield previous
-            except Exception:
-                pass
+        yield self._rows.request(table, key)
         try:
             ts = yield from self._apply_at_master(master_id, table, key,
                                                   values, w)
-        except BaseException as exc:
-            completion.defuse()
-            completion.fail(exc)
-            if self._tails.get(chain_key) is completion:
-                del self._tails[chain_key]
-            raise
-        if self._tails.get(chain_key) is completion:
-            del self._tails[chain_key]
-        completion.succeed(ts)
+        finally:
+            self._rows.release(table, key)
         # Reply hop back to the client.
         yield self.env.timeout(
             self.cluster.network.one_way_delay(master_id, CLIENT))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment
-from repro.views import LockService, ReadWriteLock
+from repro.views import LockService
 
 
 @pytest.fixture
@@ -12,101 +12,38 @@ def env():
     return Environment()
 
 
-def test_shared_locks_coexist(env):
-    lock = ReadWriteLock(env)
-    granted = []
-
-    def reader(name):
-        yield lock.acquire(exclusive=False)
-        granted.append((name, env.now))
-        yield env.timeout(5.0)
-        lock.release(exclusive=False)
-
-    env.process(reader("a"))
-    env.process(reader("b"))
-    env.run()
-    assert granted == [("a", 0.0), ("b", 0.0)]
-
-
-def test_exclusive_excludes_everyone(env):
-    lock = ReadWriteLock(env)
+def test_holders_of_one_lock_are_granted_in_fifo_order(env):
+    service = LockService(env)
     log = []
 
-    def writer():
-        yield lock.acquire(exclusive=True)
-        log.append(("w", env.now))
+    def holder(name, arrive):
+        yield env.timeout(arrive)
+        yield from service.acquire("V", "k")
+        log.append((name, env.now))
         yield env.timeout(5.0)
-        lock.release(exclusive=True)
+        service.release("V", "k")
 
-    def reader():
-        yield env.timeout(1.0)
-        yield lock.acquire(exclusive=False)
-        log.append(("r", env.now))
-        lock.release(exclusive=False)
-
-    env.process(writer())
-    env.process(reader())
+    env.process(holder("first", 0.0))
+    env.process(holder("third", 2.0))
+    env.process(holder("second", 1.0))
     env.run()
-    assert log == [("w", 0.0), ("r", 5.0)]
-
-
-def test_writer_waits_for_readers(env):
-    lock = ReadWriteLock(env)
-    log = []
-
-    def reader():
-        yield lock.acquire(exclusive=False)
-        yield env.timeout(3.0)
-        lock.release(exclusive=False)
-
-    def writer():
-        yield env.timeout(1.0)
-        yield lock.acquire(exclusive=True)
-        log.append(env.now)
-        lock.release(exclusive=True)
-
-    env.process(reader())
-    env.process(writer())
-    env.run()
-    assert log == [3.0]
-
-
-def test_fifo_fairness_prevents_writer_starvation(env):
-    """A queued writer blocks readers that arrive after it."""
-    lock = ReadWriteLock(env)
-    log = []
-
-    def early_reader():
-        yield lock.acquire(exclusive=False)
-        yield env.timeout(10.0)
-        lock.release(exclusive=False)
-
-    def writer():
-        yield env.timeout(1.0)
-        yield lock.acquire(exclusive=True)
-        log.append(("w", env.now))
-        yield env.timeout(5.0)
-        lock.release(exclusive=True)
-
-    def late_reader():
-        yield env.timeout(2.0)
-        yield lock.acquire(exclusive=False)
-        log.append(("r", env.now))
-        lock.release(exclusive=False)
-
-    env.process(early_reader())
-    env.process(writer())
-    env.process(late_reader())
-    env.run()
-    assert log == [("w", 10.0), ("r", 15.0)]
+    assert log == [("first", 0.0), ("second", 5.0), ("third", 10.0)]
+    assert service.max_queue_depth == 2
 
 
 def test_release_without_hold_rejected(env):
-    lock = ReadWriteLock(env)
+    service = LockService(env)
+
+    def proc():
+        yield from service.acquire("V", "k")
+        service.release("V", "k")
+        with pytest.raises(SimulationError):
+            service.release("V", "k")
+
+    env.run(until=env.process(proc()))
+    # A key nobody ever locked is rejected the same way.
     with pytest.raises(SimulationError):
-        lock.release(exclusive=True)
-    with pytest.raises(SimulationError):
-        lock.release(exclusive=False)
+        service.release("V", "never-locked")
 
 
 def test_lock_service_keys_are_independent(env):
@@ -114,10 +51,10 @@ def test_lock_service_keys_are_independent(env):
     log = []
 
     def proc(view, key):
-        yield from service.acquire(view, key, exclusive=True)
+        yield from service.acquire(view, key)
         log.append((view, key, env.now))
         yield env.timeout(5.0)
-        service.release(view, key, exclusive=True)
+        service.release(view, key)
 
     env.process(proc("V", "k1"))
     env.process(proc("V", "k2"))
@@ -131,10 +68,10 @@ def test_lock_service_same_key_serializes(env):
     log = []
 
     def proc(name):
-        yield from service.acquire("V", "k", exclusive=True)
+        yield from service.acquire("V", "k")
         log.append((name, env.now))
         yield env.timeout(2.0)
-        service.release("V", "k", exclusive=True)
+        service.release("V", "k")
 
     env.process(proc("a"))
     env.process(proc("b"))
@@ -142,6 +79,8 @@ def test_lock_service_same_key_serializes(env):
     assert log == [("a", 0.0), ("b", 2.0)]
     assert service.contentions == 1
     assert service.acquisitions == 2
+    assert service.stats()["wait_time_total"] == 2.0
+    assert service.max_queue_depth == 1
 
 
 def test_lock_service_latency_charged(env):
@@ -149,9 +88,9 @@ def test_lock_service_latency_charged(env):
     log = []
 
     def proc():
-        yield from service.acquire("V", "k", exclusive=True)
+        yield from service.acquire("V", "k")
         log.append(env.now)
-        service.release("V", "k", exclusive=True)
+        service.release("V", "k")
         log.append(env.now)
 
     env.process(proc())
@@ -160,12 +99,19 @@ def test_lock_service_latency_charged(env):
     assert log == [1.0, 1.0]
 
 
+def test_a_request_queues_with_no_round_trip(env):
+    service = LockService(env, latency=1.0)
+    assert service.request("V", "k").triggered
+    assert not service.request("V", "k").triggered
+    assert service.active_locks == 1
+
+
 def test_lock_service_garbage_collects_idle_locks(env):
     service = LockService(env)
 
     def proc():
-        yield from service.acquire("V", "k", exclusive=False)
-        service.release("V", "k", exclusive=False)
+        yield from service.acquire("V", "k")
+        service.release("V", "k")
 
     env.process(proc())
     env.run()

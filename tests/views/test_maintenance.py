@@ -836,8 +836,8 @@ def test_the_retry_of_an_interrupted_move_enters_at_the_row_it_was_leaving():
 
 
 def test_a_payload_only_propagation_between_two_moves_forces_a_walk():
-    """A shared holder writes the live row without moving it: A's copy
-    of the row's cells is behind, and B's turn says so."""
+    """A materialized-only job writes the live row without moving it:
+    A's copy of the row's cells is behind, and B's turn says so."""
     chain = ManagedChain()
     chain.propagate(A, {"vk": "a", "m": "older"}, 10, None)
     assert chain.propagate(B, {"m": "newer"}, 20, ("a", 10)) == (1, 0)
@@ -993,7 +993,7 @@ def test_a_chains_first_job_walks_nowhere_whatever_its_guess(serializer):
                                         nowhere, values, ts, turn)
 
         return cluster.env.run(until=cluster.env.process(manager.serialized(
-            cluster.coordinator(A), VIEW, "k", True, job)))
+            cluster.coordinator(A), VIEW, "k", job)))
 
     assert one_round({"vk": "a", "m": "p"}, 10) is True
     assert (metrics.guess_failures, metrics.walks_skipped) == (0, 1)
@@ -1353,10 +1353,10 @@ def test_a_walk_finishes_a_cut_move_once_from_any_entry_point(
 
 
 def test_a_payload_update_on_a_cut_chain_lands_on_the_row_left(monkeypatch):
-    """A materialized-only propagation shares the chain, so its walk
-    must not finish a cut move (another shared holder could be writing
-    the row it would copy).  It writes J, which still holds the row's
-    cells, and the move's finish later copies the new cell on."""
+    """A materialized-only propagation's walk does not read J's cells,
+    so it has none to finish a cut move with.  It writes J, which still
+    holds the row's cells, and the move's finish later copies the new
+    cell on."""
     monkeypatch.setattr(drive, "MAX_ROUNDS", 3)
     chain = ManagedChain()
     chain.cluster.enable_tracing()
