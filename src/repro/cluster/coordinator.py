@@ -80,22 +80,27 @@ class QuorumDeadlines:
     single armed timer, for the oldest collector still unsettled, stand
     in for a timer per round.  A collector that settles in time costs
     no kernel event and leaves nothing on the heap (the one armed timer
-    may outlive the collector it was armed for); one that does not is
-    expired at exactly its creation time plus ``timeout``.
+    may outlive the collector it was armed for), and no call when the
+    timer passes it; one that does not is expired at exactly its
+    creation time plus ``timeout``.
     """
 
     def __init__(self, env: Environment, timeout: float = RPC_TIMEOUT):
         self.env = env
         self.timeout = timeout
-        # (deadline, watched), oldest first; the timer is armed for
-        # the head whenever the queue is not empty.
-        self._queue: Deque[Tuple[float, object]] = deque()
+        # (deadline, collector, watched), oldest first; the timer is
+        # armed for the head whenever the queue is not empty.
+        self._queue: Deque[Tuple[float, "ResponseCollector", object]] = \
+            deque()
 
-    def watch(self, watched) -> None:
-        """Call ``watched._expire()`` ``timeout`` from now unless its
-        ``is_settled`` turns true first (a :class:`ResponseCollector`,
-        or the :class:`_Hedge` of one)."""
-        self._queue.append((self.env.now + self.timeout, watched))
+    def watch(self, collector: "ResponseCollector",
+              watched: object = None) -> None:
+        """Call ``watched._expire()`` — by default the collector's own,
+        the round's timeout; a read's :class:`_Hedge` passes itself —
+        ``timeout`` from now unless ``collector.is_settled`` turns true
+        first."""
+        self._queue.append((self.env._now + self.timeout, collector,
+                            watched or collector))
         if len(self._queue) == 1:
             self._arm()
 
@@ -112,8 +117,15 @@ class QuorumDeadlines:
         cluster stays idle)."""
         queue = self._queue
         now = self.env.now
-        while queue and (queue[0][1].is_settled or queue[0][0] <= now):
-            queue.popleft()[1]._expire()
+        while queue:
+            deadline, collector, watched = queue[0]
+            if collector.is_settled:
+                queue.popleft()
+            elif deadline <= now:
+                queue.popleft()
+                watched._expire()
+            else:
+                break
         if queue:
             self._arm()
 
@@ -253,30 +265,30 @@ class ResponseCollector:
 
 
 class _Hedge:
-    """The replicas one quorum read skipped, on the cluster's
-    :data:`READ_HEDGE` queue: asked if the read has not settled — its R
-    answers all in — by the time the queue calls."""
+    """The replicas one quorum read skipped — those of ``order`` it did
+    not ask, in that order — on the cluster's :data:`READ_HEDGE` queue
+    with the read's collector: asked if the read has not settled (its R
+    answers all in) by the time the queue calls, which it seldom does,
+    so they are picked out only then."""
 
-    __slots__ = ("coordinator", "collector", "skipped", "request")
+    __slots__ = ("coordinator", "collector", "order", "asked", "request")
 
     def __init__(self, coordinator: "Coordinator",
-                 collector: ResponseCollector, skipped, request):
+                 collector: ResponseCollector, order, asked, request):
         self.coordinator = coordinator
         self.collector = collector
-        self.skipped = skipped
+        self.order = order
+        self.asked = asked
         self.request = request
 
-    @property
-    def is_settled(self) -> bool:
-        return self.collector.is_settled
-
     def _expire(self) -> None:
-        if not self.collector.is_settled:
-            coordinator = self.coordinator
-            coordinator.hedged_reads += 1
-            coordinator._collect(
-                [node for node in self.skipped if not node.is_down],
-                self.request, into=self.collector)
+        coordinator = self.coordinator
+        coordinator.hedged_reads += 1
+        asked = self.asked
+        coordinator._collect(
+            [node for node in self.order
+             if node not in asked and not node.is_down],
+            self.request, into=self.collector)
 
 
 class Coordinator:
@@ -368,24 +380,20 @@ class Coordinator:
         round_trip = self._round_trip
         stamps = self.network.reply_stamps
         src_id = node.node_id
-        ready = []
+        ready = {}
         for replica in order:
             if replica is node:
                 free = node.cpu.free_at
-                ready.append(free if free > now else now)
+                ready[replica] = free if free > now else now
             else:
                 free = stamps.get((src_id, replica.node_id), now)
-                ready.append((free if free > now else now) + round_trip)
-        # The ``required`` earliest go first, each the first of its
-        # equals; the rest keep the order.
-        for slot in range(required):
-            best = ready.index(min(ready[slot:]), slot)
-            if best != slot:
-                order.insert(slot, order.pop(best))
-                ready.insert(slot, ready.pop(best))
-        collector = self._collect(order[:required], request)
-        self.hedges.watch(
-            _Hedge(self, collector, order[required:], request))
+                ready[replica] = (free if free > now else now) + round_trip
+        # One stable sort: the ``required`` earliest are asked, equals
+        # in the order; the rest keep the order for the hedge.
+        asked = sorted(order, key=ready.__getitem__)[:required]
+        collector = self._collect(asked, request)
+        self.hedges.watch(collector,
+                          _Hedge(self, collector, order, asked, request))
         return collector
 
     def scatter_write(self, table: str, key: Hashable,

@@ -15,6 +15,15 @@ the instant its replica's CPU would next fall free as of the handler's
 return: the load a replica piggybacks on its replies, which
 coordinators rank replicas by.
 
+The host path from send to ack is one pass per layer.  Each hop's
+delay is one call, the link's draw bound to the network's stream
+(``LatencyModel.bind``: the floats ``sample`` would give, draw for
+draw), made by ``rpc`` and ``_Call.step`` themselves; they go through
+:meth:`Network.one_way_delay`, the client hops' path, only while a gray
+slowdown is armed.  A drop check looks at the partitions only when one
+exists, and asks ``_lost`` every time, so that loss has one seam.  The
+destination's ``dispatch`` finds the handler in one table lookup.
+
 A request a node sends to itself is a *loopback*, served in process the
 way a Cassandra coordinator reads and applies its own replica (its local
 read or mutation stage, not the messaging layer): the same handler and
@@ -55,6 +64,10 @@ class Network:
         self.client_link = client_link
         self.replica_link = replica_link
         self._rng = rng
+        # Each link's delay draw, bound to the network's stream: the
+        # floats ``link.sample(rng)`` would give, in fewer frames.
+        self._client_draw = client_link.bind(rng)
+        self._replica_draw = replica_link.bind(rng)
         # Probability that any single message is silently lost in
         # transit: a runtime fault, 0 until a caller sets it.
         self.message_loss = 0.0
@@ -125,9 +138,11 @@ class Network:
     # -- delays ----------------------------------------------------------------
 
     def one_way_delay(self, src_id: int, dst_id: int) -> float:
-        """Sample the one-way delay for a message between two endpoints."""
-        link = self.client_link if CLIENT in (src_id, dst_id) else self.replica_link
-        delay = link.sample(self._rng)
+        """Sample the one-way delay for a message between two endpoints
+        (an RPC between two nodes draws ``_replica_draw`` itself while
+        no endpoint is slowed)."""
+        delay = (self._client_draw if CLIENT in (src_id, dst_id)
+                 else self._replica_draw)()
         slowdowns = self._slowdowns
         if slowdowns:
             delay *= (slowdowns.get(src_id, 1.0)
@@ -165,9 +180,10 @@ class Network:
         if call.local:
             call.deliver()
         else:
+            delay = (self.one_way_delay(src_id, dst.node_id)
+                     if self._slowdowns else self._replica_draw())
             env = self.env
-            env.call_at(env._now + self.one_way_delay(src_id, dst.node_id),
-                        call.deliver)
+            env.call_at(env._now + delay, call.deliver)
 
 
 class _Call:
@@ -208,7 +224,8 @@ class _Call:
 
     def _dropped(self) -> bool:
         network = self.network
-        if (network.is_partitioned(self.src_id, self.dst.node_id)
+        if ((network._partitions
+             and network.is_partitioned(self.src_id, self.dst.node_id))
                 or network._lost()):
             network.messages_dropped += 1
             return True
@@ -238,13 +255,12 @@ class _Call:
             self.collector.receive(response)
             return
         network = self.network
-        dst = self.dst
-        self.stamp = dst.cpu.free_at
+        self.stamp = self.dst.cpu.free_at
         self.response = response
+        delay = (network.one_way_delay(self.dst.node_id, self.src_id)
+                 if network._slowdowns else network._replica_draw())
         env = network.env
-        env.call_at(env._now + network.one_way_delay(dst.node_id,
-                                                     self.src_id),
-                    self.arrive)
+        env.call_at(env._now + delay, self.arrive)
 
     def arrive(self) -> None:
         if not self._dropped():

@@ -7,8 +7,15 @@ of any native secondary indexes.  A request's handler is two callbacks:
 time the network books on this node's CPU as the request arrives
 (:meth:`StorageNode.book`), and what runs when that charge ends — the
 storage operation, performed atomically (nothing else runs between
-reading and writing local state), returning the response.  A write's deferred work is booked on the CPU
-without an event: it delays later charges, and nobody waits for it.
+reading and writing local state), returning the response.  A write's
+deferred work is booked on the CPU without an event: it delays later
+charges, and nobody waits for it.
+
+Each step is one pass: ``dispatch`` finds the handler by the request's
+type in a class-level table (plain functions, so a node holds no bound
+method of itself), a write on a node with no index fragment neither
+prices nor maintains one, and its cells reach the row in one
+``Row.apply`` (``LocalStorageEngine.apply``).
 """
 
 from __future__ import annotations
@@ -144,24 +151,22 @@ class StorageNode:
     def dispatch(self, request) -> Tuple[float, Callable[[], Any]]:
         """Handle ``request``: ``(cost, finish)``, its CPU service time
         and the callable that performs it once charged, returning the
-        response."""
+        response.  The handler is looked up by the request's type in
+        the class's table (:data:`_HANDLERS`)."""
         self.requests_handled += 1
-        if isinstance(request, WriteRequest):
-            return self._handle_write(request)
-        if isinstance(request, ReadRequest):
-            return self._handle_read(request)
-        if isinstance(request, ReadRowRequest):
-            return self._handle_read_row(request)
-        if isinstance(request, GetThenPutRequest):
-            return self._handle_get_then_put(request)
-        if isinstance(request, IndexScanRequest):
-            return self._handle_index_scan(request)
-        raise ClusterError(f"unknown request type {type(request).__name__}")
+        try:
+            handler = self._HANDLERS[type(request)]
+        except KeyError:
+            raise ClusterError(
+                f"unknown request type {type(request).__name__}") from None
+        return handler(self, request)
 
     # -- handlers -----------------------------------------------------------------
 
     def _index_maintenance_cost(self, table: str,
                                 cells: Dict[ColumnName, Cell]) -> float:
+        """What keeping the indexed columns' fragments costs; its
+        callers ask only on a node that holds a fragment."""
         indexed = self.index_schema.columns_for(table)
         if not indexed:
             return 0.0
@@ -172,10 +177,12 @@ class StorageNode:
                      cells: Dict[ColumnName, Cell]) -> bool:
         """Apply a write and maintain local index fragments; atomic."""
         changed = self.engine.apply(table, key, cells)
-        for column, (old, new) in changed.items():
-            fragment = self._fragments.get((table, column))
-            if fragment is not None:
-                fragment.on_cell_changed(key, old, new)
+        fragments = self._fragments
+        if fragments:
+            for column, (old, new) in changed.items():
+                fragment = fragments.get((table, column))
+                if fragment is not None:
+                    fragment.on_cell_changed(key, old, new)
         # Deferred write work (commit log, memtable churn): charged to
         # this node's CPU asynchronously, off the acknowledgement path.
         background = self.service.write_background
@@ -189,9 +196,11 @@ class StorageNode:
                                         request.cells)
             return WriteAck(self.node_id, applied)
 
-        return (self.service.write_cost(len(request.cells))
-                + self._index_maintenance_cost(request.table, request.cells),
-                finish)
+        cost = self.service.write_cost(len(request.cells))
+        if self._fragments:
+            cost += self._index_maintenance_cost(request.table,
+                                                 request.cells)
+        return cost, finish
 
     def _handle_read(self, request: ReadRequest):
         def finish():
@@ -220,10 +229,12 @@ class StorageNode:
                                         request.cells)
             return GetThenPutResponse(self.node_id, pre, applied)
 
-        return (self.service.read_cost(len(request.read_columns))
-                + self.service.write_cost(len(request.cells))
-                + self._index_maintenance_cost(request.table, request.cells),
-                finish)
+        cost = (self.service.read_cost(len(request.read_columns))
+                + self.service.write_cost(len(request.cells)))
+        if self._fragments:
+            cost += self._index_maintenance_cost(request.table,
+                                                 request.cells)
+        return cost, finish
 
     def _handle_index_scan(self, request: IndexScanRequest):
         fragment = self.fragment(request.table, request.column)
@@ -239,3 +250,13 @@ class StorageNode:
         return (self.service.index_scan
                 + self.service.per_cell * len(matches) * len(request.columns),
                 finish)
+
+    # Request type -> handler: plain functions, so no node holds bound
+    # methods of itself.
+    _HANDLERS = {
+        WriteRequest: _handle_write,
+        ReadRequest: _handle_read,
+        ReadRowRequest: _handle_read_row,
+        GetThenPutRequest: _handle_get_then_put,
+        IndexScanRequest: _handle_index_scan,
+    }

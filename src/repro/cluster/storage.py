@@ -6,7 +6,11 @@ performed by each individual server are atomic") — in the simulation this
 holds because handlers only touch the engine between yields.
 
 The engine is deliberately unaware of replication, quorums, indexes and
-views; those live in the node/coordinator layers above it.
+views; those live in the node/coordinator layers above it.  Each
+operation is one pass: a table is one subscript (a missing one raises
+:class:`~repro.errors.NoSuchTableError`), and a write's cells are
+LWW-applied to their row by one :meth:`Row.apply
+<repro.common.records.Row.apply>`.
 """
 
 from __future__ import annotations
@@ -19,11 +23,21 @@ from repro.errors import NoSuchTableError, TableExistsError
 __all__ = ["LocalStorageEngine"]
 
 
+class _Tables(dict):
+    """``name -> {key: Row}``; a missing name raises
+    :class:`NoSuchTableError`, so every lookup is one subscript."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str):
+        raise NoSuchTableError(name)
+
+
 class LocalStorageEngine:
     """One node's local tables."""
 
     def __init__(self):
-        self._tables: Dict[str, Dict[Hashable, Row]] = {}
+        self._tables: Dict[str, Dict[Hashable, Row]] = _Tables()
 
     # -- schema ------------------------------------------------------------
 
@@ -37,12 +51,6 @@ class LocalStorageEngine:
         """True if ``name`` has been created locally."""
         return name in self._tables
 
-    def _table(self, name: str) -> Dict[Hashable, Row]:
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise NoSuchTableError(name) from None
-
     # -- writes ------------------------------------------------------------
 
     def apply(
@@ -55,17 +63,11 @@ class LocalStorageEngine:
         react to the transition.  Columns whose incoming cell lost the LWW
         race are omitted.
         """
-        rows = self._table(table)
+        rows = self._tables[table]
         row = rows.get(key)
         if row is None:
-            row = Row()
-            rows[key] = row
-        changed: Dict[ColumnName, Tuple[Cell, Cell]] = {}
-        for column, cell in cells.items():
-            old = row.get(column)
-            if row.apply(column, cell):
-                changed[column] = (old, cell)
-        return changed
+            row = rows[key] = Row()
+        return row.apply(cells)
 
     # -- reads -------------------------------------------------------------
 
@@ -77,14 +79,14 @@ class LocalStorageEngine:
         Tombstoned cells are returned as-is (with their timestamps); the
         coordinator needs them for correct LWW merging across replicas.
         """
-        row = self._table(table).get(key)
+        row = self._tables[table].get(key)
         if row is None:
             return {column: None for column in columns}
         return row.cells_for(columns)
 
     def read_row(self, table: str, key: Hashable) -> Dict[ColumnName, Cell]:
         """Every cell stored for the row (empty dict if the row is absent)."""
-        row = self._table(table).get(key)
+        row = self._tables[table].get(key)
         if row is None:
             return {}
         return row.cells()
@@ -92,9 +94,9 @@ class LocalStorageEngine:
     def row_width(self, table: str, key: Hashable) -> int:
         """How many cells the row holds (0 if absent): what a whole-row
         read is priced by, without copying the row."""
-        row = self._table(table).get(key)
+        row = self._tables[table].get(key)
         return 0 if row is None else len(row)
 
     def keys(self, table: str) -> Iterator[Hashable]:
         """Iterate over locally stored row keys of ``table``."""
-        return iter(self._table(table))
+        return iter(self._tables[table])

@@ -185,12 +185,26 @@ class Row:
         get = self._cells.get
         return {column: get(column) for column in columns}
 
-    def apply(self, column: ColumnName, cell: Cell) -> bool:
-        """LWW-apply ``cell``; returns True if the row changed."""
-        if cell_wins(cell, self._cells.get(column)):
-            self._cells[column] = cell
-            return True
-        return False
+    def apply(self, cells: Dict[ColumnName, Cell]
+              ) -> Dict[ColumnName, Tuple[Cell, Cell]]:
+        """LWW-apply one write's ``cells``, in one pass.
+
+        Returns ``{column: (old_cell, new_cell)}`` for the columns that
+        changed (``old_cell`` is :meth:`Cell.null` where the row had
+        none); a cell that loses the LWW race, or is the very one
+        stored, is left out.
+        """
+        stored = self._cells
+        changed: Dict[ColumnName, Tuple[Cell, Cell]] = {}
+        for column, cell in cells.items():
+            old = stored.get(column)
+            if old is None:
+                old = _NULL_CELL
+            elif old is cell or not cell_wins(cell, old):
+                continue
+            stored[column] = cell
+            changed[column] = (old, cell)
+        return changed
 
     def columns(self) -> Iterator[ColumnName]:
         """Iterate over column names present in the row."""

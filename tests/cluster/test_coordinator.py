@@ -1,5 +1,6 @@
 """Tests for ResponseCollector and coordinator quorum semantics."""
 
+import random
 from functools import partial
 
 import pytest
@@ -796,6 +797,68 @@ def test_the_hedge_asks_exactly_the_replicas_the_ranking_skipped():
     assert cluster.network.messages_sent - sent == 3
     assert [replica.requests_handled - handled for replica, handled
             in zip((own, first, second), before)] == [1, 0, 1]
+
+
+def _ranked_by_selection(order, ready, required):
+    """The R-of-N ranking as ``Coordinator._scatter`` made it before it
+    was one stable sort, kept as the reference: ``required`` rounds of
+    moving the earliest remaining replica (the first of its equals) to
+    the front.  Returns ``(asked, skipped)``."""
+    order, ready = list(order), list(ready)
+    for slot in range(required):
+        best = ready.index(min(ready[slot:]), slot)
+        if best != slot:
+            order.insert(slot, order.pop(best))
+            ready.insert(slot, ready.pop(best))
+    return order[:required], order[required:]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("insider", [True, False], ids=["replica", "outsider"])
+def test_the_one_pass_ranking_picks_what_the_selection_loop_picked(
+        insider, r):
+    """Over seeded free-ats, stamps and turns, drawn from a few values
+    so that ties are common, a partial read asks the replicas the old
+    selection loop would have asked, in its order, and hedges to the
+    rest in its order."""
+    round_trip = 2 * 0.1    # the Fixed(0.1) replica link, both ways
+    choices = (None, -1.0, 0.0, 0.1, 0.2, 0.3, 0.4)
+    for seed in range(100):
+        rng = random.Random(seed)
+        cluster = build_cluster()
+        coordinator = replica_and_outsider(cluster)[0 if insider else 1]
+        own = coordinator.node
+        replicas = cluster.replicas_for("T", "k")
+        others = [replica for replica in replicas if replica is not own]
+        now = cluster.env.now
+        book_every_core(own, rng.choice((0.0, 0.1, 0.2, 0.4)))
+        stamps = cluster.network.reply_stamps
+        for replica in others:
+            offset = rng.choice(choices)
+            if offset is not None:
+                stamps[own.node_id, replica.node_id] = now + offset
+        coordinator._partial_reads = rng.randrange(6)
+        turn = (coordinator._partial_reads + 1) % len(others)
+        order = ([own] if insider else []) + others[turn:] + others[:turn]
+        ready = [max(own.cpu.free_at, now) if replica is own
+                 else max(stamps.get((own.node_id, replica.node_id), now),
+                          now) + round_trip
+                 for replica in order]
+        # Send nothing: record who each fan-out asks, and let the read
+        # go unanswered so that its hedge asks the rest.
+        fanouts = []
+
+        def collect(nodes, request, into=None):
+            fanouts.append(list(nodes))
+            if into is None:
+                return ResponseCollector(cluster.env, len(nodes))
+            into.expect(len(nodes))
+            return into
+
+        coordinator._collect = collect
+        coordinator.scatter_read("T", "k", ("a",), r)
+        cluster.env.run(until=now + READ_HEDGE + 1.0)
+        assert fanouts == list(_ranked_by_selection(order, ready, r)), seed
 
 
 def test_get_fails_at_creation_plus_rpc_timeout_when_fewer_than_r_answer():

@@ -173,6 +173,34 @@ def test_client_link_used_for_client_endpoint():
     assert cluster.network.one_way_delay(0, 1) == 0.1
 
 
+def test_a_slowed_link_draws_each_delay_through_one_way_delay():
+    """While a gray slowdown is armed, a remote RPC's request and reply
+    delays are exactly what ``one_way_delay`` draws for its two hops,
+    in that order off the network's stream, slowdowns applied."""
+    from repro.sim.latency import ShiftedExponential
+
+    cluster = build_cluster(
+        replica_link=ShiftedExponential(base=0.1, jitter_mean=0.05))
+    network = cluster.network
+    network.set_slowdown(0, 3.0)
+    network.set_slowdown(1, 1.5)
+    node = cluster.nodes[0]
+    served = []
+    real = node.dispatch
+    node.dispatch = lambda request: served.append(cluster.env.now) or real(
+        request)
+    start = cluster.env.now
+    state = network._rng.getstate()
+    response, when = rpc_once(cluster, 1, node, ReadRequest("T", "k", ("a",)))
+    assert response is not None
+    network._rng.setstate(state)
+    forward = network.one_way_delay(1, 0)
+    back = network.one_way_delay(0, 1)
+    assert min(forward, back) >= 0.1 * 3.0 * 1.5
+    assert served == [start + forward]
+    assert when == start + forward + cluster.config.service.read_cost(1) + back
+
+
 def test_messages_counted():
     cluster = build_cluster()
     rpc_once(cluster, 1, cluster.nodes[0], ReadRequest("T", "k", ("a",)))

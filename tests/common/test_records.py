@@ -186,8 +186,8 @@ def test_applying_its_stale_cells_brings_a_replica_to_the_merge(rows):
     for row in rows:
         replica = Row({column: cell for column, cell in row.items()
                        if cell is not None})
-        for column, cell in stale_cells(winners, row).items():
-            assert replica.apply(column, cell)  # nothing pushed in vain
+        stale = stale_cells(winners, row)
+        assert replica.apply(stale).keys() == stale.keys()  # none in vain
         assert replica.cells() == winners
 
 
@@ -242,17 +242,17 @@ def test_row_get_missing_column_is_null():
 
 def test_row_apply_lww():
     row = Row()
-    assert row.apply("c", Cell.make("v1", 10))
-    assert not row.apply("c", Cell.make("v0", 5))
+    assert row.apply({"c": Cell.make("v1", 10)})
+    assert not row.apply({"c": Cell.make("v0", 5)})
     assert row.get("c").value == "v1"
-    assert row.apply("c", Cell.make("v2", 20))
+    assert row.apply({"c": Cell.make("v2", 20)})
     assert row.get("c").value == "v2"
 
 
 def test_row_tombstone_hides_value():
     row = Row()
-    row.apply("c", Cell.make("v", 10))
-    row.apply("c", Cell.make(None, 20))
+    row.apply({"c": Cell.make("v", 10)})
+    row.apply({"c": Cell.make(None, 20)})
     assert row.get("c").is_null
     assert row.get("c").timestamp == 20
     assert row.cells_for(("c",))["c"].is_null
@@ -260,17 +260,17 @@ def test_row_tombstone_hides_value():
 
 def test_row_value_after_tombstone():
     row = Row()
-    row.apply("c", Cell.make(None, 20))
-    row.apply("c", Cell.make("back", 30))
+    row.apply({"c": Cell.make(None, 20)})
+    row.apply({"c": Cell.make("back", 30)})
     assert row.get("c").value == "back"
     assert not row.cells_for(("c",))["c"].is_null
 
 
 def test_row_copy_is_independent():
     row = Row()
-    row.apply("c", Cell.make("v", 1))
+    row.apply({"c": Cell.make("v", 1)})
     clone = row.copy()
-    clone.apply("c", Cell.make("w", 2))
+    clone.apply({"c": Cell.make("w", 2)})
     assert row.get("c").value == "v"
     assert clone.get("c").value == "w"
 
@@ -279,7 +279,7 @@ def test_row_contains_and_len():
     row = Row()
     assert "c" not in row
     assert len(row) == 0
-    row.apply("c", Cell.make("v", 1))
+    row.apply({"c": Cell.make("v", 1)})
     assert "c" in row
     assert len(row) == 1
 
@@ -299,11 +299,11 @@ def test_row_apply_order_insensitive(writes, order):
     """Applying the same set of writes in any order converges (CRDT-style)."""
     forward = Row()
     for column, value, ts in writes:
-        forward.apply(column, Cell.make(value, ts))
+        forward.apply({column: Cell.make(value, ts)})
     shuffled_writes = list(writes)
     order.shuffle(shuffled_writes)
     backward = Row()
     for column, value, ts in shuffled_writes:
-        backward.apply(column, Cell.make(value, ts))
+        backward.apply({column: Cell.make(value, ts)})
     for column in ("a", "b", "c"):
         assert forward.get(column) == backward.get(column)

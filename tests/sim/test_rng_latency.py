@@ -121,3 +121,26 @@ def test_lognormal_rejects_bad_params():
         LogNormal(median=0.0, sigma=0.5)
     with pytest.raises(ValueError):
         LogNormal(median=1.0, sigma=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# Bound draws
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", [
+    Fixed(0.5),
+    Uniform(1.0, 2.0),
+    ShiftedExponential(base=0.1, jitter_mean=0.05),
+    ShiftedExponential(base=2.0, jitter_mean=0.0),
+    LogNormal(median=4.0, sigma=0.5),
+], ids=repr)
+def test_a_bound_draw_is_sample_bit_for_bit(model):
+    """``bind(rng)`` is ``sample(rng)`` without the argument: the same
+    floats, to the last bit, taking the same draws off the stream."""
+    sampled, bound = random.Random(2013), random.Random(2013)
+    draw = model.bind(bound)
+    expected = [model.sample(sampled) for _ in range(10_000)]
+    got = [draw() for _ in range(10_000)]
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
+    assert bound.getstate() == sampled.getstate()
