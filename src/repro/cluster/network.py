@@ -20,9 +20,12 @@ delay is one call, the link's draw bound to the network's stream
 (``LatencyModel.bind``: the floats ``sample`` would give, draw for
 draw), made by ``rpc`` and ``_Call.step`` themselves; they go through
 :meth:`Network.one_way_delay`, the client hops' path, only while a gray
-slowdown is armed.  A drop check looks at the partitions only when one
-exists, and asks ``_lost`` every time, so that loss has one seam.  The
-destination's ``dispatch`` finds the handler in one table lookup.
+slowdown is armed.  A drop check is made inline, in the timer that
+delivers or hands over the message: it looks at the partitions only
+when one exists, and asks ``_lost`` every time, so that loss has one
+seam.  The destination's ``dispatch`` finds the handler's ``(cost,
+finish)`` pair of plain functions in one table lookup, and its CPU
+prices the charge in the one frame that books it (``Resource.book``).
 
 A request a node sends to itself is a *loopback*, served in process the
 way a Cassandra coordinator reads and applies its own replica (its local
@@ -191,17 +194,18 @@ class _Call:
     methods are its ``call_at`` timers.
 
     ``deliver`` runs when the request's delay has passed (a loopback's
-    at send): it makes the drop checks, calls ``dst.dispatch(request)``
-    for the handler's ``(cost, finish)`` and books ``cost`` on the
-    node's CPU (``StorageNode.book``), arming ``step`` at the charge's
-    end (RPCs are the most common unit of work in the simulation; a
-    ``Process``, a generator or an event per message would add objects
-    and steps that advance no clock).  ``step`` calls ``finish()`` for
-    the response and arms ``arrive`` at the end of its return delay.
-    ``arrive`` repeats the partition and loss checks and hands the
-    response to ``collector``, so whoever waits there (the coordinator)
-    continues inside the same kernel event.  A remote reply carries the
-    replica's CPU free-at as of its handler's return, recorded in
+    at send): it makes the drop checks itself, calls
+    ``dst.dispatch(request)`` for the handler's ``(cost, finish)`` and
+    books ``cost`` on the node's CPU (``dst.cpu.book``, which prices
+    it), arming ``step`` at the charge's end (RPCs are the most common
+    unit of work in the simulation; a ``Process``, a generator or an
+    event per message would add objects and steps that advance no
+    clock).  ``step`` calls ``finish(dst, request)`` for the response
+    and arms ``arrive`` at the end of its return delay.  ``arrive``
+    repeats the partition and loss checks and hands the response to
+    ``collector``, so whoever waits there (the coordinator) continues
+    inside the same kernel event.  A remote reply carries the replica's
+    CPU free-at as of its handler's return, recorded in
     ``Network.reply_stamps`` when the reply arrives (a dropped reply
     records nothing).  A loopback crosses no link: its only drop check
     is the down node, ``step`` hands the response over itself, and it
@@ -222,32 +226,25 @@ class _Call:
         self.request = request
         self.local = src_id == dst.node_id
 
-    def _dropped(self) -> bool:
-        network = self.network
-        if ((network._partitions
-             and network.is_partitioned(self.src_id, self.dst.node_id))
-                or network._lost()):
-            network.messages_dropped += 1
-            return True
-        return False
-
     def deliver(self) -> None:
+        network = self.network
         dst = self.dst
-        if dst.is_down:
-            self.network.messages_dropped += 1
-            return
-        if not self.local and self._dropped():
+        if dst.is_down or (not self.local and (
+                (network._partitions
+                 and network.is_partitioned(self.src_id, dst.node_id))
+                or network._lost())):
+            network.messages_dropped += 1
             return
         try:
             cost, self.finish = dst.dispatch(self.request)
         except Exception as exc:  # bad request type, etc.
             self.collector.fail(exc)
             return
-        self.network.env.call_at(dst.book(cost), self.step)
+        network.env.call_at(dst.cpu.book(cost), self.step)
 
     def step(self) -> None:
         try:
-            response = self.finish()
+            response = self.finish(self.dst, self.request)
         except Exception as exc:  # surface handler errors to the caller
             self.collector.fail(exc)
             return
@@ -263,7 +260,11 @@ class _Call:
         env.call_at(env._now + delay, self.arrive)
 
     def arrive(self) -> None:
-        if not self._dropped():
-            self.network.reply_stamps[self.src_id, self.dst.node_id] = \
-                self.stamp
-            self.collector.receive(self.response)
+        network = self.network
+        if ((network._partitions
+             and network.is_partitioned(self.src_id, self.dst.node_id))
+                or network._lost()):
+            network.messages_dropped += 1
+            return
+        network.reply_stamps[self.src_id, self.dst.node_id] = self.stamp
+        self.collector.receive(self.response)

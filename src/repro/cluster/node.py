@@ -2,20 +2,22 @@
 
 Each node owns an in-memory :class:`LocalStorageEngine`, a CPU modelled as
 a :class:`Resource` with ``cores_per_node`` slots, and the local fragments
-of any native secondary indexes.  A request's handler is two callbacks:
-:meth:`StorageNode.dispatch` returns ``(cost, finish)``, the service
-time the network books on this node's CPU as the request arrives
-(:meth:`StorageNode.book`), and what runs when that charge ends — the
-storage operation, performed atomically (nothing else runs between
-reading and writing local state), returning the response.  A write's
-deferred work is booked on the CPU without an event: it delays later
-charges, and nobody waits for it.
+of any native secondary indexes.  A request's handler is two plain
+functions: :meth:`StorageNode.dispatch` returns ``(cost, finish)``, the
+service time ``cost(node, request)`` the network books on this node's
+CPU as the request arrives (``node.cpu.book``), and the function
+``finish(node, request)`` that runs when that charge ends — the storage
+operation, performed atomically (nothing else runs between reading and
+writing local state), returning the response.  A write's deferred work
+is booked on the CPU without an event: it delays later charges, and
+nobody waits for it.
 
-Each step is one pass: ``dispatch`` finds the handler by the request's
-type in a class-level table (plain functions, so a node holds no bound
-method of itself), a write on a node with no index fragment neither
-prices nor maintains one, and its cells reach the row in one
-``Row.apply`` (``LocalStorageEngine.apply``).
+Each step is one pass: ``dispatch`` finds the pair by the request's
+type in a class-level table (no closure per request, and no node holds
+a bound method of itself), the CPU prices each booking (a gray
+slowdown, ``busy_time``) in the one frame that books it, a write on a
+node with no index fragment neither prices nor maintains one, and its
+cells reach the row in one ``Row.apply`` (``LocalStorageEngine.apply``).
 """
 
 from __future__ import annotations
@@ -59,12 +61,8 @@ class StorageNode:
         self.index_schema = index_schema
         self._fragments: Dict[Tuple[str, ColumnName], LocalIndexFragment] = {}
         self.is_down = False
-        # Gray failure: multiplier on every CPU service time (a thermally
-        # throttled or noisy-neighbor node — up, but slow).
-        self.cpu_slowdown = 1.0
-        # Observability counters.
+        # Observability counter.
         self.requests_handled = 0
-        self.busy_time = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "down" if self.is_down else "up"
@@ -80,6 +78,17 @@ class StorageNode:
         """Bring the node back online (its stored state is retained)."""
         self.is_down = False
 
+    @property
+    def cpu_slowdown(self) -> float:
+        """Gray failure: the multiplier on every CPU service time (a
+        thermally throttled or noisy-neighbor node — up, but slow)."""
+        return self.cpu.slowdown
+
+    @property
+    def busy_time(self) -> float:
+        """CPU milliseconds booked on this node, slowdown included."""
+        return self.cpu.busy_time
+
     def set_cpu_slowdown(self, factor: float) -> None:
         """Inflate every CPU service time by ``factor`` (gray failure).
 
@@ -90,7 +99,7 @@ class StorageNode:
         """
         if factor < 1.0:
             raise ValueError(f"slowdown factor must be >= 1, got {factor}")
-        self.cpu_slowdown = factor
+        self.cpu.slowdown = factor
 
     # -- schema ------------------------------------------------------------------
 
@@ -121,14 +130,6 @@ class StorageNode:
 
     # -- CPU accounting -------------------------------------------------------------
 
-    def _priced(self, duration: float) -> float:
-        """``duration`` ms of CPU work as this node runs it (inflated by
-        a gray slowdown), counted in ``busy_time``."""
-        if self.cpu_slowdown != 1.0:
-            duration *= self.cpu_slowdown
-        self.busy_time += duration
-        return duration
-
     def charge(self, duration: float) -> Event:
         """Charge ``duration`` ms of CPU, queuing FIFO behind other work.
 
@@ -137,40 +138,34 @@ class StorageNode:
         waits for, the deferred part of a write, is booked by
         :meth:`_apply_write` with no event at all.
         """
-        return self.cpu.hold(self._priced(duration))
-
-    def book(self, duration: float) -> float:
-        """:meth:`charge` without the event: book ``duration`` ms of CPU
-        and return the instant the work ends, for a caller that arms
-        its own timer there (a request's service time,
-        ``cluster/network.py``)."""
-        return self.cpu.book(self._priced(duration))
+        return self.cpu.hold(duration)
 
     # -- dispatch -------------------------------------------------------------------
 
-    def dispatch(self, request) -> Tuple[float, Callable[[], Any]]:
+    def dispatch(self, request
+                 ) -> Tuple[float, Callable[["StorageNode", Any], Any]]:
         """Handle ``request``: ``(cost, finish)``, its CPU service time
-        and the callable that performs it once charged, returning the
-        response.  The handler is looked up by the request's type in
-        the class's table (:data:`_HANDLERS`)."""
+        and the function that performs it once charged,
+        ``finish(node, request)``, returning the response.  Both come
+        from the request type's entry in the class's table
+        (:data:`_HANDLERS`)."""
         self.requests_handled += 1
         try:
-            handler = self._HANDLERS[type(request)]
+            cost, finish = self._HANDLERS[type(request)]
         except KeyError:
             raise ClusterError(
                 f"unknown request type {type(request).__name__}") from None
-        return handler(self, request)
+        return cost(self, request), finish
 
     # -- handlers -----------------------------------------------------------------
 
-    def _index_maintenance_cost(self, table: str,
-                                cells: Dict[ColumnName, Cell]) -> float:
-        """What keeping the indexed columns' fragments costs; its
-        callers ask only on a node that holds a fragment."""
-        indexed = self.index_schema.columns_for(table)
+    def _index_maintenance_cost(self, request) -> float:
+        """What keeping the indexed columns' fragments costs a write's
+        cells; its callers ask only on a node that holds a fragment."""
+        indexed = self.index_schema.columns_for(request.table)
         if not indexed:
             return 0.0
-        touched = sum(1 for column in cells if column in indexed)
+        touched = sum(1 for column in request.cells if column in indexed)
         return touched * self.service.index_update
 
     def _apply_write(self, table: str, key: Hashable,
@@ -187,76 +182,72 @@ class StorageNode:
         # this node's CPU asynchronously, off the acknowledgement path.
         background = self.service.write_background
         if background > 0:
-            self.cpu.defer(self._priced(background))
+            self.cpu.defer(background)
         return bool(changed)
 
-    def _handle_write(self, request: WriteRequest):
-        def finish():
-            applied = self._apply_write(request.table, request.key,
-                                        request.cells)
-            return WriteAck(self.node_id, applied)
-
+    def _write_cost(self, request: WriteRequest) -> float:
         cost = self.service.write_cost(len(request.cells))
         if self._fragments:
-            cost += self._index_maintenance_cost(request.table,
-                                                 request.cells)
-        return cost, finish
+            cost += self._index_maintenance_cost(request)
+        return cost
 
-    def _handle_read(self, request: ReadRequest):
-        def finish():
-            return ReadResponse(self.node_id, self.engine.read(
-                request.table, request.key, request.columns))
+    def _write(self, request: WriteRequest) -> WriteAck:
+        return WriteAck(self.node_id, self._apply_write(
+            request.table, request.key, request.cells))
 
-        return self.service.read_cost(len(request.columns)), finish
+    def _read_cost(self, request: ReadRequest) -> float:
+        return self.service.read_cost(len(request.columns))
 
-    def _handle_read_row(self, request: ReadRowRequest):
-        def finish():
-            # Read after the service delay so the response reflects the
-            # state at completion time (the delay models work, not
-            # staleness).
-            return ReadRowResponse(self.node_id, self.engine.read_row(
-                request.table, request.key))
+    def _read(self, request: ReadRequest) -> ReadResponse:
+        return ReadResponse(self.node_id, self.engine.read(
+            request.table, request.key, request.columns))
 
+    def _read_row_cost(self, request: ReadRowRequest) -> float:
         width = self.engine.row_width(request.table, request.key)
-        return self.service.read_cost(max(1, width)), finish
+        return self.service.read_cost(max(1, width))
 
-    def _handle_get_then_put(self, request: GetThenPutRequest):
-        def finish():
-            # Read-then-write in one callback: atomic at this replica.
-            pre = self.engine.read(request.table, request.key,
-                                   request.read_columns)
-            applied = self._apply_write(request.table, request.key,
-                                        request.cells)
-            return GetThenPutResponse(self.node_id, pre, applied)
+    def _read_row(self, request: ReadRowRequest) -> ReadRowResponse:
+        # Read after the service delay, so the response reflects the state
+        # at completion time (the delay models work, not staleness).
+        return ReadRowResponse(self.node_id, self.engine.read_row(
+            request.table, request.key))
 
+    def _get_then_put_cost(self, request: GetThenPutRequest) -> float:
         cost = (self.service.read_cost(len(request.read_columns))
                 + self.service.write_cost(len(request.cells)))
         if self._fragments:
-            cost += self._index_maintenance_cost(request.table,
-                                                 request.cells)
-        return cost, finish
+            cost += self._index_maintenance_cost(request)
+        return cost
 
-    def _handle_index_scan(self, request: IndexScanRequest):
-        fragment = self.fragment(request.table, request.column)
+    def _get_then_put(self, request: GetThenPutRequest) -> GetThenPutResponse:
+        # Read-then-write in one callback: atomic at this replica.
+        pre = self.engine.read(request.table, request.key,
+                               request.read_columns)
+        applied = self._apply_write(request.table, request.key,
+                                    request.cells)
+        return GetThenPutResponse(self.node_id, pre, applied)
 
-        def finish():
-            # Snapshot after the delay; lookup again for current truth.
-            result: Dict[Hashable, Dict[ColumnName, Optional[Cell]]] = {
-                key: self.engine.read(request.table, key, request.columns)
-                for key in fragment.lookup(request.value)}
-            return IndexScanResponse(self.node_id, result)
-
-        matches = fragment.lookup(request.value)
+    def _index_scan_cost(self, request: IndexScanRequest) -> float:
+        # An unknown fragment raises here, in dispatch.
+        matches = self.fragment(request.table, request.column).lookup(
+            request.value)
         return (self.service.index_scan
-                + self.service.per_cell * len(matches) * len(request.columns),
-                finish)
+                + self.service.per_cell * len(matches) * len(request.columns))
 
-    # Request type -> handler: plain functions, so no node holds bound
-    # methods of itself.
+    def _index_scan(self, request: IndexScanRequest) -> IndexScanResponse:
+        # Snapshot after the delay; lookup again for current truth.
+        fragment = self.fragment(request.table, request.column)
+        result: Dict[Hashable, Dict[ColumnName, Optional[Cell]]] = {
+            key: self.engine.read(request.table, key, request.columns)
+            for key in fragment.lookup(request.value)}
+        return IndexScanResponse(self.node_id, result)
+
+    # Request type -> (cost, finish): plain functions, so no node holds
+    # bound methods of itself and no request allocates a closure.
     _HANDLERS = {
-        WriteRequest: _handle_write,
-        ReadRequest: _handle_read,
-        ReadRowRequest: _handle_read_row,
-        GetThenPutRequest: _handle_get_then_put,
-        IndexScanRequest: _handle_index_scan,
+        WriteRequest: (_write_cost, _write),
+        ReadRequest: (_read_cost, _read),
+        ReadRowRequest: (_read_row_cost, _read_row),
+        GetThenPutRequest: (_get_then_put_cost, _get_then_put),
+        IndexScanRequest: (_index_scan_cost, _index_scan),
     }

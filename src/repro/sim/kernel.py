@@ -57,7 +57,10 @@ for what a process yields, what has several listeners, and any failure.
 What is left is made cheap: event classes are ``__slots__``-based,
 :class:`Timeout` initializes itself without chaining through
 ``Event.__init__``, and :meth:`Environment.run` drains the heap in one
-loop with its locals bound outside it.
+loop with its locals bound outside it.  No pop or resume makes a type
+test: a ``call_at`` entry holds its callback in a slot of its own, and
+:meth:`Process._resume` reads a yield's ``callbacks``, which a
+non-event lacks.
 
 The second cost is CPython's cyclic garbage collector, which allocation
 sets off and which no per-function profile names: cProfile charges each
@@ -97,7 +100,6 @@ __all__ = [
     "Timeout",
     "Process",
     "PENDING",
-    "advance",
 ]
 
 
@@ -173,7 +175,7 @@ class Event:
         self._value = value
         env = self.env
         env._eid += 1
-        heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self))
+        heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self, None))
         return self
 
     def succeed_now(self, value: Any = None) -> "Event":
@@ -223,7 +225,7 @@ class Event:
         self._value = exception
         env = self.env
         env._eid += 1
-        heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self))
+        heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self, None))
         return self
 
     def defuse(self) -> "Event":
@@ -274,7 +276,8 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._eid += 1
-        heapq.heappush(env._heap, (env._now + delay, NORMAL, env._eid, self))
+        heapq.heappush(env._heap,
+                       (env._now + delay, NORMAL, env._eid, self, None))
 
 
 class Initialize(Event):
@@ -290,7 +293,7 @@ class Initialize(Event):
         self._value = None
         self._defused = False
         env._eid += 1
-        heapq.heappush(env._heap, (env._now, URGENT, env._eid, self))
+        heapq.heappush(env._heap, (env._now, URGENT, env._eid, self, None))
 
 
 class Process(Event):
@@ -320,61 +323,50 @@ class Process(Event):
     # -- kernel interface ---------------------------------------------------
 
     def _resume(self, event: Event) -> None:
+        """Step the generator with ``event``'s outcome until it yields an
+        event not yet processed, and wait there.  A failure is thrown in
+        (which consumes it), a yield with no ``callbacks`` is thrown
+        back as a :class:`SimulationError`, and the generator's end
+        triggers the process."""
         env = self.env
         env._active = self
+        generator = self._generator
         try:
-            advance(self._generator, event, self._resume)
+            while True:
+                if event._ok:
+                    result = generator.send(event._value)
+                else:
+                    event._defused = True
+                    result = generator.throw(event._value)
+                try:
+                    callbacks = result.callbacks
+                except AttributeError:
+                    event = Event(env)
+                    event._ok = False
+                    event._value = SimulationError(
+                        f"{getattr(generator, '__name__', 'generator')!r} "
+                        f"yielded a non-event: {result!r}")
+                    continue
+                if callbacks is not None:
+                    # Not yet processed: wait for it (append directly —
+                    # the processed-check of add_callback is this one).
+                    callbacks.append(self._resume)
+                    break
+                # Already processed: loop and resume immediately with it.
+                event = result
         except StopIteration as stop:
             env._processes.pop(self, None)
             self._ok = True
             self._value = stop.value
             env._eid += 1
-            heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self))
+            heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self, None))
         except BaseException as exc:
             env._processes.pop(self, None)
             self._ok = False
             self._value = exc
             env._eid += 1
-            heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self))
+            heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self, None))
         env._active = None
-
-
-def advance(generator: Generator, event: Event,
-            resume: Callable[[Event], None]) -> Event:
-    """Step ``generator`` with ``event``'s outcome until it has to wait.
-
-    Sends the event's value into the generator (or throws its exception
-    there, which consumes the failure), and keeps going while the
-    generator yields events that are already processed.  When it yields
-    one that is not, ``resume`` is registered on that event and the
-    event is returned: ``resume(event)`` should call :func:`advance`
-    again.  The generator finishing or raising propagates to the caller
-    as ``StopIteration`` (carrying the return value) or the exception.
-
-    This is the one stepping routine; :class:`Process` wraps it in an
-    event of its own.
-    """
-    while True:
-        if event._ok:
-            result = generator.send(event._value)
-        else:
-            event._defused = True
-            result = generator.throw(event._value)
-        if not isinstance(result, Event):
-            event = Event(event.env)
-            event._ok = False
-            event._value = SimulationError(
-                f"{getattr(generator, '__name__', 'generator')!r} yielded "
-                f"a non-event: {result!r}")
-            continue
-        callbacks = result.callbacks
-        if callbacks is not None:
-            # Not yet processed: wait for it (append directly — the
-            # processed-check of add_callback was done just above).
-            callbacks.append(resume)
-            return result
-        # Already processed: loop and resume immediately with it.
-        event = result
 
 
 class Environment:
@@ -385,9 +377,10 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        # Entries are (time, priority, sequence, Event or call_at
-        # callback); the sequence makes every key unique.
-        self._heap: list[tuple[float, int, int, Any]] = []
+        # Entries are (time, priority, sequence, event, None), or (...,
+        # None, callback) for a call_at timer; the sequence makes every
+        # key unique, so no comparison reaches the last two slots.
+        self._heap: list[tuple] = []
         self._eid = 0
         self._active: Optional[Process] = None
         self._watcher: Optional[Callable[[Any], None]] = None
@@ -439,7 +432,7 @@ class Environment:
         event = Event(self)
         event._value = value
         self._eid += 1
-        heapq.heappush(self._heap, (when, NORMAL, self._eid, event))
+        heapq.heappush(self._heap, (when, NORMAL, self._eid, event, None))
         return event
 
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
@@ -455,7 +448,7 @@ class Environment:
         if when < self._now:
             raise ValueError(f"{when} is in the past (now={self._now})")
         self._eid += 1
-        heapq.heappush(self._heap, (when, NORMAL, self._eid, callback))
+        heapq.heappush(self._heap, (when, NORMAL, self._eid, None, callback))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new :class:`Process` running ``generator``."""
@@ -516,12 +509,12 @@ class Environment:
                 if stop_at is not None and heap[0][0] > stop_at:
                     self._now = stop_at
                     break
-                when, _prio, _eid, event = pop(heap)
+                when, _prio, _eid, event, timer = pop(heap)
                 self._now = when
                 if watcher is not None:
-                    watcher(event)
-                if not isinstance(event, Event):
-                    event()     # a call_at timer
+                    watcher(event if timer is None else timer)
+                if timer is not None:
+                    timer()
                     continue
                 callbacks = event.callbacks
                 event.callbacks = None

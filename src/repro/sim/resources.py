@@ -8,8 +8,11 @@ then (or now, if that is earlier) and ends its length later.  A process
 that waits on the work ``yield``s ``resource.hold(service_time)``, one
 timer at the computed end; ``book`` only returns that end, for a caller
 that arms a timer of its own (an RPC's charge, ``cluster/network.py``);
-work nobody waits on (``defer``) only moves a core's free time forward
-and schedules nothing.  Queuing at resources is what produces realistic
+work nobody waits on (``defer``, the same method under a second name)
+only moves a core's free time forward and schedules nothing.  Every
+booking is priced in the one frame that books it: its length is
+multiplied by the resource's ``slowdown`` (a gray-slow node's CPU) and
+added to ``busy_time``.  Queuing at resources is what produces realistic
 throughput saturation in the cluster experiments.
 
 ``Semaphore`` is a counting semaphore whose tokens can start at zero and
@@ -48,6 +51,10 @@ class Resource:
         self.env = env
         # A heap: the instant each slot next falls free.
         self._free = [env.now] * capacity
+        # Gray failure: multiplier on every length booked (1.0 is exact).
+        self.slowdown = 1.0
+        # Work booked so far, slowdown included.
+        self.busy_time = 0.0
 
     @property
     def free_at(self) -> float:
@@ -56,10 +63,13 @@ class Resource:
         return self._free[0]
 
     def book(self, duration: float) -> float:
-        """Queue ``duration`` of work; the instant it ends.  No event:
-        a caller that wants its end heard arms its own timer."""
+        """Queue ``duration`` of work, priced by :attr:`slowdown` and
+        counted in :attr:`busy_time`; the instant it ends.  No event: a
+        caller that wants its end heard arms its own timer."""
         if duration < 0:
             raise ValueError(f"negative duration {duration}")
+        duration *= self.slowdown
+        self.busy_time += duration
         free = self._free
         start = free[0]
         now = self.env._now
@@ -68,6 +78,10 @@ class Resource:
         end = start + duration
         heapq.heapreplace(free, end)
         return end
+
+    # Work nobody waits on: it delays later work exactly as a hold would,
+    # and schedules no event.
+    defer = book
 
     def hold(self, duration: float) -> Event:
         """Occupy a slot for ``duration``; the event fires when it ends.
@@ -86,12 +100,6 @@ class Resource:
         be counted by wrapping it (mvbench's
         ``sim.resources.cpu_requests_queued_per_op``)."""
         return self.env.timeout_at(self.book(duration))
-
-    def defer(self, duration: float) -> None:
-        """Occupy a slot for ``duration`` with work nobody waits on: it
-        delays later work exactly as a :meth:`hold` would, and schedules
-        no event."""
-        self.book(duration)
 
 
 class Semaphore:

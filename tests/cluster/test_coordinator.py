@@ -652,13 +652,15 @@ def test_get_with_its_chosen_replica_failing_answers_after_the_hedge(fault):
 def queue_behind_next_request(node, ms):
     """Other work reaches ``node`` while its next request is in service:
     ``ms`` on every core, booked right behind that request's charge."""
+    cpu = node.cpu
+
     def book(duration):
-        del node.book
-        end = node.book(duration)
+        del cpu.book
+        end = cpu.book(duration)
         for _ in range(node.config.cores_per_node):
-            node.cpu.defer(ms)
+            cpu.defer(ms)
         return end
-    node.book = book
+    cpu.book = book
 
 
 def book_every_core(node, ms):

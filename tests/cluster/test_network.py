@@ -377,6 +377,40 @@ def test_loopback_still_pays_a_slow_cpu():
     assert when == pytest.approx(4.0 * cluster.config.service.read_cost(1))
 
 
+def test_a_slow_cpu_prices_every_charge_once():
+    """A gray-slow CPU multiplies each booking once, in the frame that
+    books it: a remote write's charge, that write's deferred background
+    work and a coordinator charge each take ``factor`` times their
+    length and add that much to ``busy_time``; back at 1.0, their
+    length."""
+    cluster = build_cluster(cores_per_node=1)
+    node, env = cluster.nodes[0], cluster.env
+    service = cluster.config.service
+    write, background = service.write_cost(1), service.write_background
+
+    def coordinate():
+        yield node.charge(service.coordinator)
+        return env.now
+
+    for stamp, factor in enumerate((4.0, 1.0), start=1):
+        node.set_cpu_slowdown(factor)
+        start, busy = env.now, node.busy_time
+        request = WriteRequest("T", "k", {"a": Cell.make(stamp, stamp)})
+        response, when = rpc_once(cluster, 1, node, request,
+                                  horizon=start + 100.0)
+        assert isinstance(response, WriteAck)
+        assert when - start == pytest.approx(0.2 + factor * write)
+        assert node.cpu.free_at - start == pytest.approx(
+            0.1 + factor * (write + background))
+        assert node.busy_time - busy == pytest.approx(
+            factor * (write + background))
+        start, busy = env.now, node.busy_time
+        assert env.run(until=env.process(coordinate())) - start == \
+            pytest.approx(factor * service.coordinator)
+        assert node.busy_time - busy == pytest.approx(
+            factor * service.coordinator)
+
+
 def test_loopback_to_a_down_node_is_dropped_and_counted():
     cluster = build_cluster()
     node = cluster.nodes[0]

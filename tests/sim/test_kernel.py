@@ -538,13 +538,45 @@ def test_call_at_takes_its_turn_among_events_of_the_same_instant():
 
 
 def test_call_at_is_one_pop_the_watcher_sees():
+    """A ``call_at`` timer is a heap entry of its own shape, yet it pops
+    among a ``timeout_at`` event and a ``Timeout`` of its instant in
+    scheduling order; the watcher is handed the callback for it and the
+    event for the others."""
     env = Environment()
     seen = []
-    callback = lambda: seen.append("called")  # noqa: E731
     env.set_event_watcher(seen.append)
+    at = env.timeout_at(2.0)
+    at.add_callback(lambda _event: seen.append("timeout_at"))
+    callback = lambda: seen.append("called")  # noqa: E731
     env.call_at(2.0, callback)
+    delayed = env.timeout(2.0)
+    delayed.add_callback(lambda _event: seen.append("timeout"))
     env.run()
-    assert seen == [callback, "called"]
+    assert seen == [at, "timeout_at", callback, "called", delayed,
+                    "timeout"]
+
+
+def test_a_process_that_yields_a_non_event_after_a_caught_failure_fails():
+    """The resume loop throws a failure into the generator; one that
+    catches it and then yields something that is no event has that
+    thrown back as a ``SimulationError``, which fails the process."""
+    env = Environment()
+
+    def proc():
+        failed = env.event()
+        failed.fail(ValueError("caught"))
+        try:
+            yield failed
+        except ValueError:
+            pass
+        yield "not an event"
+
+    process = env.process(proc())
+    process.defuse()
+    env.run()
+    assert not process.ok
+    assert isinstance(process.value, SimulationError)
+    assert "yielded a non-event: 'not an event'" in str(process.value)
 
 
 def test_call_at_callback_exception_unwinds_run():
