@@ -367,7 +367,8 @@ class Cluster:
         return self.tracer
 
     def trace(self, category: str, message: str, **fields) -> None:
-        """Emit a trace event if tracing is enabled (cheap no-op otherwise)."""
+        """Emit a trace event if tracing is enabled; disabled, it still
+        makes the ``Tracer.emit`` call, kwargs dict and all."""
         self.tracer.emit(category, message, **fields)
 
     # -- running ---------------------------------------------------------------------------

@@ -440,7 +440,7 @@ class Coordinator:
     def put(self, table: str, key: Hashable, cells: Dict[ColumnName, Cell],
             w: int):
         """Quorum Put: returns once W replicas have acknowledged."""
-        yield self.node.charge(self.config.service.coordinator)
+        yield self.node.cpu.hold(self.config.service.coordinator)
         collector = self.scatter_write(table, key, cells, w)
         yield collector.wait(w)
 
@@ -452,7 +452,7 @@ class Coordinator:
         never-written column as :meth:`Cell.null`), with no merge and no
         read repair, whose diff against the one replica is empty.
         """
-        yield self.node.charge(self.config.service.coordinator)
+        yield self.node.cpu.hold(self.config.service.coordinator)
         collector = self.scatter_read(table, key, columns, r)
         responses = yield collector.wait(r)
         if r == 1:
@@ -468,7 +468,7 @@ class Coordinator:
     def get_row(self, table: str, key: Hashable, r: int):
         """Quorum whole-row Get: merged cells of every column seen (at
         R = 1 the one response's, with no merge and no read repair)."""
-        yield self.node.charge(self.config.service.coordinator)
+        yield self.node.cpu.hold(self.config.service.coordinator)
         collector = self.scatter_read_row(table, key, r)
         responses = yield collector.wait(r)
         if r == 1:
@@ -485,7 +485,7 @@ class Coordinator:
         broadcast to all servers because fragments are partitioned by
         primary key, and the coordinator must wait for all of them.
         """
-        yield self.node.charge(self.config.service.coordinator)
+        yield self.node.cpu.hold(self.config.service.coordinator)
         nodes = [node for node in self.nodes if not node.is_down]
         if not nodes:
             raise UnavailableError("no nodes alive for index read")

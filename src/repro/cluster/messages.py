@@ -40,7 +40,6 @@ class WriteAck:
     """Acknowledgement of a :class:`WriteRequest`."""
 
     node_id: int
-    applied: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +96,6 @@ class GetThenPutResponse:
 
     node_id: int
     cells: Dict[ColumnName, Optional[Cell]]
-    applied: bool
 
 
 @dataclass(frozen=True, slots=True)

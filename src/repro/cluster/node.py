@@ -10,7 +10,8 @@ CPU as the request arrives (``node.cpu.book``), and the function
 operation, performed atomically (nothing else runs between reading and
 writing local state), returning the response.  A write's deferred work
 is booked on the CPU without an event: it delays later charges, and
-nobody waits for it.
+nobody waits for it.  A coordinator's own overhead is
+``node.cpu.hold(...)``: one kernel event, the timer at its end.
 
 Each step is one pass: ``dispatch`` finds the pair by the request's
 type in a class-level table (no closure per request, and no node holds
@@ -41,7 +42,7 @@ from repro.cluster.storage import LocalStorageEngine
 from repro.common.records import Cell, ColumnName
 from repro.errors import ClusterError
 from repro.index import IndexSchema, LocalIndexFragment
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment
 from repro.sim.resources import Resource
 
 __all__ = ["StorageNode"]
@@ -128,18 +129,6 @@ class StorageNode:
                 f"no index fragment for {table}.{column} on node "
                 f"{self.node_id}") from None
 
-    # -- CPU accounting -------------------------------------------------------------
-
-    def charge(self, duration: float) -> Event:
-        """Charge ``duration`` ms of CPU, queuing FIFO behind other work.
-
-        Returns the event that fires when the work is done: one kernel
-        event, the timer at its end (:meth:`Resource.hold`).  Work nobody
-        waits for, the deferred part of a write, is booked by
-        :meth:`_apply_write` with no event at all.
-        """
-        return self.cpu.hold(duration)
-
     # -- dispatch -------------------------------------------------------------------
 
     def dispatch(self, request
@@ -169,7 +158,7 @@ class StorageNode:
         return touched * self.service.index_update
 
     def _apply_write(self, table: str, key: Hashable,
-                     cells: Dict[ColumnName, Cell]) -> bool:
+                     cells: Dict[ColumnName, Cell]) -> None:
         """Apply a write and maintain local index fragments; atomic."""
         changed = self.engine.apply(table, key, cells)
         fragments = self._fragments
@@ -183,7 +172,6 @@ class StorageNode:
         background = self.service.write_background
         if background > 0:
             self.cpu.defer(background)
-        return bool(changed)
 
     def _write_cost(self, request: WriteRequest) -> float:
         cost = self.service.write_cost(len(request.cells))
@@ -192,8 +180,8 @@ class StorageNode:
         return cost
 
     def _write(self, request: WriteRequest) -> WriteAck:
-        return WriteAck(self.node_id, self._apply_write(
-            request.table, request.key, request.cells))
+        self._apply_write(request.table, request.key, request.cells)
+        return WriteAck(self.node_id)
 
     def _read_cost(self, request: ReadRequest) -> float:
         return self.service.read_cost(len(request.columns))
@@ -223,9 +211,8 @@ class StorageNode:
         # Read-then-write in one callback: atomic at this replica.
         pre = self.engine.read(request.table, request.key,
                                request.read_columns)
-        applied = self._apply_write(request.table, request.key,
-                                    request.cells)
-        return GetThenPutResponse(self.node_id, pre, applied)
+        self._apply_write(request.table, request.key, request.cells)
+        return GetThenPutResponse(self.node_id, pre)
 
     def _index_scan_cost(self, request: IndexScanRequest) -> float:
         # An unknown fragment raises here, in dispatch.

@@ -3,8 +3,11 @@
 ``cluster.enable_tracing()`` switches on the cluster's :class:`Tracer`;
 instrumented code paths (Algorithm 1 scheduling, propagation attempts
 and outcomes, GetLiveKey chain walks, session barriers) emit timestamped
-events into a bounded ring buffer.  Tracing is off by default and costs
-one flag check per site when disabled.
+events into a bounded ring buffer.  Tracing is off by default.  Disabled,
+a site still costs a :meth:`Tracer.emit` call with its keyword
+arguments packed into a dict, which then checks the flag: 5.06 calls
+per op on mvbench's ``mv_write`` and 2.68 on ``mv_skew_session`` (the
+calls-per-op recipe in ``docs/architecture.md``, seed 0, two seconds).
 
 Intended for debugging and for teaching: the helpdesk example can be
 re-run with tracing on to watch Example 2's race resolve step by step.

@@ -110,7 +110,7 @@ class ViewScrubber:
                                      self.interval))
             if self._stopped:
                 return
-            yield env.process(self.run_round(), name="scrub-round")
+            yield from self.run_round()
 
     def _target_views(self):
         manager = self.cluster.view_manager
@@ -121,9 +121,10 @@ class ViewScrubber:
         return [manager.view(name) for name in names]
 
     def run_round(self):
-        """One scrub round over every target view; a simulation process.
+        """One scrub round over every target view, a generator the loop
+        runs in its own process (``yield from``).
 
-        Also callable directly (``yield env.process(s.run_round())``) for
+        Also runnable on its own (``env.process(s.run_round())``) for
         deterministic tests.
         """
         self.metrics.rounds += 1

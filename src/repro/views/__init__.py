@@ -32,7 +32,6 @@ from repro.views.model import (
     ReferenceViewModel,
     expected_view_rows,
 )
-from repro.views.propagators import PropagatorPool
 from repro.views.read import ViewResult, view_get
 from repro.views.session import Session, SessionManager
 from repro.views.skew import SkewService, UpdateFrequencyTracker
@@ -60,7 +59,6 @@ __all__ = [
     "LockService",
     "NodeOutbox",
     "OutboxRecord",
-    "PropagatorPool",
     "Session",
     "SessionManager",
     "BaseUpdate",

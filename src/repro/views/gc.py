@@ -81,7 +81,8 @@ class GCReport:
 
 def collect_stale_rows(cluster, view: ViewDefinition, cutoff_base_ts: int,
                        coordinator_id: int = 0):
-    """One collection pass over ``view``; a simulation process.
+    """One collection pass over ``view``: a generator, run as a process
+    or with ``yield from`` in the caller's own (``StaleRowCollector``).
 
     Stale rows whose pointer timestamp is **older than**
     ``cutoff_base_ts`` are pruned (the NULL anchor repointed).  Returns
@@ -101,9 +102,9 @@ def _collect_all(cluster, view: ViewDefinition, cutoff_base_ts: int,
         # GC never creates rows, so this base row's chain stays within
         # the view-row keys observed here; sweeps re-read only those.
         view_keys = tuple(per_base[base_key])
-        row_report = yield cluster.env.process(
-            _collect_base_row(cluster, view, base_key, view_keys,
-                              cutoff_base_ts, coordinator_id))
+        row_report = yield from _collect_base_row(
+            cluster, view, base_key, view_keys, cutoff_base_ts,
+            coordinator_id)
         report.merge(row_report)
     return report
 
@@ -251,7 +252,7 @@ class StaleRowCollector:
                 return
             for name in self.view_names:
                 view = self.cluster.view_manager.view(name)
-                report = yield self.cluster.env.process(
-                    collect_stale_rows(self.cluster, view, self._cutoff()))
+                report = yield from collect_stale_rows(
+                    self.cluster, view, self._cutoff())
                 self.total.merge(report)
             self.passes += 1

@@ -12,8 +12,8 @@ their schedules with one queue.  Locks affect only update propagation
 :class:`LockService` keys a one-token FIFO :class:`Semaphore` by
 ``(view name, base key)`` and charges an optional round-trip latency
 per acquire, modelling a separate lock-service deployment.  The
-dedicated propagators (``views/propagators.py``) queue on the same
-service, with no round trip.
+dedicated propagators (``ViewManager.serialized`` under
+``"propagators"``) queue on the same service, with no round trip.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ barrier and the Algorithm 4 read are in :mod:`repro.views.read`.
 The manager holds the state they share (counters, the
 ``view-propagation`` RNG stream, the outboxes) and the one function
 that decides how same-chain work is serialized (Section IV-F,
-:meth:`ViewManager.serialized`).
+:meth:`ViewManager.serialized`: the row's lock, or its dedicated
+propagator picked by consistent hashing; the job runs in the caller's
+own process either way).
 
 Base Puts block while their node's outbox is full, and the records of
 a heavy chain fold (:mod:`repro.views.outbox`).
@@ -28,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
+from repro.common.hashing import TokenRing
 from repro.common.records import Cell, ColumnName
 from repro.errors import (
     NoSuchViewError,
@@ -44,7 +47,6 @@ from repro.views.joins import JoinRegistry
 from repro.views.locks import LockService
 from repro.views.maintenance import ViewMaintainer
 from repro.views.outbox import NodeOutbox
-from repro.views.propagators import PropagatorPool
 from repro.views.session import SessionManager
 from repro.views.skew import SkewService
 
@@ -52,6 +54,8 @@ __all__ = ["ViewManager"]
 
 # One round trip to the lock service per acquire/release (ms).
 LOCK_SERVICE_LATENCY = 0.05
+# Poll interval while a row's dedicated propagator is down (ms).
+DOWN_POLL_INTERVAL = 10.0
 
 
 class ViewManager:
@@ -62,6 +66,7 @@ class ViewManager:
         # not kept (it holds the manager: see ``Cluster``).
         self.env = cluster.env
         self.config = cluster.config
+        self.network = cluster.network
         self.nodes = cluster.nodes
         self.coordinators = cluster.coordinators
         self.tracer = cluster.tracer
@@ -69,10 +74,13 @@ class ViewManager:
             self.env, self.config.replication_factor, self.tracer)
         self.sessions = SessionManager(cluster.env)
         self.locks = LockService(cluster.env, latency=LOCK_SERVICE_LATENCY)
-        self.propagators = (PropagatorPool(cluster.env, cluster.network,
-                                           self.coordinators, self.locks)
-                            if self.config.propagation_concurrency
-                            == "propagators" else None)
+        # Under "propagators", the ring that picks each base row's
+        # dedicated propagator (propagator_for); None under "locks".
+        self.propagator_ring = (
+            TokenRing([c.node.node_id for c in self.coordinators],
+                      salt="propagators")
+            if self.config.propagation_concurrency == "propagators"
+            else None)
         self._rng = cluster.streams.stream("view-propagation")
         self._views: Dict[str, ViewDefinition] = {}
         self.joins = JoinRegistry()
@@ -176,7 +184,7 @@ class ViewManager:
         combined = self.config.combined_get_then_put
         if not combined:  # the peek travels during the charge
             turns, answered_at = self.peek_sequencer(affected, key)
-        yield coordinator.node.charge(self.config.service.coordinator)
+        yield coordinator.node.cpu.hold(self.config.service.coordinator)
         read_columns = tuple(dict.fromkeys(
             view.view_key_column for view in affected))
         collector = None
@@ -253,12 +261,18 @@ class ViewManager:
         """Run ``job(executor, turn)`` — a generator — serialized against
         other work on the ``(view, key)`` chain; returns the job's result.
 
-        Under ``"locks"`` the executor is the caller's coordinator,
-        holding the base row's lock for exactly the job's duration;
-        under ``"propagators"`` it is the row's dedicated propagator,
-        which runs the row's jobs one at a time in submit order.  Both
-        queue on the row's lock in :attr:`locks`; every job, whatever
-        it writes, takes the row exclusively (``views/locks.py``).
+        Both §IV-F mechanisms queue on the row's one-token FIFO in
+        :attr:`locks`, and every job, whatever it writes, takes the row
+        exclusively (``views/locks.py``).  The job runs in the caller's
+        own process either way.  Under ``"locks"`` the executor is the
+        caller's coordinator, holding the row's lock for exactly the
+        job's duration.  Under ``"propagators"`` it is the row's
+        dedicated propagator (:meth:`propagator_for`): the caller queues
+        for the row at once, with no round trip, so the row's jobs run
+        in submit order; it then pays the hop to the propagator's node
+        and, while that node is down, waits for it to recover (a real
+        deployment would re-home the propagator; waiting keeps the
+        serialization with much less machinery).
 
         ``turn`` numbers the chain's jobs in the order they start: the
         fencing token a lock service's sequencer or a propagator's job
@@ -267,28 +281,38 @@ class ViewManager:
         knows nobody has held the chain in between
         (``ViewMaintainer.propagate_update``).
         """
+        if self.propagator_ring is None:
+            yield from self.locks.acquire(view.name, key)
+        else:
+            grant = self.locks.request(view.name, key)
+            source = coordinator.node.node_id
+            owner = self.propagator_for(view.name, key)
+            if owner != source:
+                yield self.env.timeout(
+                    self.network.one_way_delay(source, owner))
+            yield grant
+            coordinator = self.coordinators[owner]
+            while coordinator.node.is_down:
+                yield self.env.timeout(DOWN_POLL_INTERVAL)
         turns = self._turns[view.name]
-
-        def numbered(executor):
-            turn = turns[key] = turns.get(key, 0) + 1
-            return job(executor, turn)
-
-        if self.propagators is not None:
-            result = yield self.propagators.submit(
-                coordinator.node.node_id, view.name, key, numbered)
-            return result
-        yield from self.locks.acquire(view.name, key)
+        turn = turns[key] = turns.get(key, 0) + 1
         try:
-            result = yield from numbered(coordinator)
+            result = yield from job(coordinator, turn)
         finally:
             self.locks.release(view.name, key)
         return result
+
+    def propagator_for(self, view_name: str, base_key: Hashable) -> int:
+        """The node id hosting the row's dedicated propagator
+        (consistent hashing of the row; ``"propagators"`` only)."""
+        return self.propagator_ring.primary((view_name, base_key))
 
     def peek_sequencer(self, views: List[ViewDefinition], key: Hashable):
         """``(turns, answered_at)``: the turn :meth:`serialized` last handed
         out on each view's chain for ``key`` (0 before any), a prediction,
         and when it is back (a lock-service round trip under locks)."""
-        latency = self.locks.latency if self.propagators is None else 0.0
+        latency = (self.locks.latency if self.propagator_ring is None
+                   else 0.0)
         return ([self._turns[view.name].get(key, 0) for view in views],
                 self.env.now + latency)
 

@@ -54,7 +54,6 @@ def test_rpc_round_trip_write():
     request = WriteRequest("T", "k", {"a": Cell.make(1, 10)})
     response, when = rpc_once(cluster, 1, node, request)
     assert isinstance(response, WriteAck)
-    assert response.applied
     assert node.engine.read("T", "k", ("a",))["a"] == Cell.make(1, 10)
     # fixed 0.1ms each way + 0.025ms write + 0.008ms per-cell
     assert when == pytest.approx(0.2 + 0.025 + 0.008)
@@ -389,7 +388,7 @@ def test_a_slow_cpu_prices_every_charge_once():
     write, background = service.write_cost(1), service.write_background
 
     def coordinate():
-        yield node.charge(service.coordinator)
+        yield node.cpu.hold(service.coordinator)
         return env.now
 
     for stamp, factor in enumerate((4.0, 1.0), start=1):

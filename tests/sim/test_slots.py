@@ -54,6 +54,6 @@ def test_cell_null_is_a_singleton():
 
 def test_messages_reject_stray_attributes():
     _reject(WriteRequest("T", 1, {"c": Cell.make("v", 1)}))
-    _reject(WriteAck(0, True))
+    _reject(WriteAck(0))
     _reject(ReadRequest("T", 1, ("c",)))
     _reject(ReadResponse(0, {"c": None}))

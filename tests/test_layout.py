@@ -193,6 +193,44 @@ def test_serialized_is_the_only_turn_mint():
                for path in SRC.rglob("*.py")) == 1
 
 
+def _process_call(node):
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "process")
+
+
+def _yields_of_started_processes(tree):
+    """Line numbers of each ``yield`` of a process the same function
+    starts: ``yield env.process(...)``, or a name bound to one."""
+    lines = []
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for function in functions:
+        started = {target.id
+                   for node in ast.walk(function)
+                   if isinstance(node, ast.Assign) and _process_call(node.value)
+                   for target in node.targets
+                   if isinstance(target, ast.Name)}
+        lines += [node.lineno for node in ast.walk(function)
+                  if isinstance(node, ast.Yield)
+                  and (_process_call(node.value)
+                       or (isinstance(node.value, ast.Name)
+                           and node.value.id in started))]
+    return sorted(set(lines))
+
+
+def test_no_view_or_repair_work_waits_on_a_helper_process():
+    """A chain job, a GC pass and a scrub round run in the process that
+    waits for them (``yield from``): no module in ``views`` or
+    ``repair`` starts a process only to yield it."""
+    found = [f"{path.relative_to(SRC)}:{line}"
+             for package in ("views", "repair")
+             for path in sorted((SRC / package).rglob("*.py"))
+             for line in _yields_of_started_processes(
+                 ast.parse(path.read_text()))]
+    assert found == []
+
+
 @pytest.mark.parametrize("word", [
     "outbox_backlog", "backing_off", "deferred_backlog", "_verify_wounded",
     "_chain_appends",

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.views import ViewDefinition, check_view
+from repro.repair import ViewScrubber
+from repro.sim.kernel import Environment
+from repro.views import StaleRowCollector, ViewDefinition, check_view
 
 from tests.views.conftest import make_config
 
@@ -177,10 +179,10 @@ def test_no_concurrency_control_is_used_when_rows_differ():
 
 
 def test_propagator_assignment_is_stable_per_key():
-    cluster = build(propagation_concurrency="propagators")
-    pool = cluster.view_manager.propagators
+    manager = build(propagation_concurrency="propagators").view_manager
     for key in range(30):
-        assert pool.propagator_for("V", key) == pool.propagator_for("V", key)
+        assert manager.propagator_for("V", key) == manager.propagator_for(
+            "V", key)
 
 
 def test_propagator_jobs_complete():
@@ -189,27 +191,36 @@ def test_propagator_jobs_complete():
     for i in range(5):
         client.put("T", "k", {"vk": f"g{i}"}, w=2)
     client.settle()
-    pool = cluster.view_manager.propagators
-    assert pool.jobs_submitted >= 5
-    assert pool.jobs_completed == pool.jobs_submitted
+    manager = cluster.view_manager
+    assert manager.locks.active_locks == 0
+    assert manager.completed_propagations >= 1
+    assert manager.pending_propagations == 0
     assert check_view(cluster, VIEW) == []
 
 
-def pool_and_owner():
+def cluster_and_owner():
     cluster = build(propagation_concurrency="propagators")
-    pool = cluster.view_manager.propagators
-    owner = pool.propagator_for("V", "k")
+    owner = cluster.view_manager.propagator_for("V", "k")
     remote = next(node.node_id for node in cluster.nodes
                   if node.node_id != owner)
-    return cluster, pool, owner, remote
+    return cluster, owner, remote
+
+
+def serialized(cluster, node_id, job):
+    """``ViewManager.serialized`` on row ``k`` of ``V``, called from
+    node ``node_id``'s coordinator: a generator returning the job's
+    result."""
+    manager = cluster.view_manager
+    return manager.serialized(cluster.coordinator(node_id),
+                              manager.view("V"), "k", job)
 
 
 def timed_job(env, log, name, length=5.0):
-    def job(coordinator):
+    def job(coordinator, turn):
         log.append((name, "start", env.now, coordinator.node.node_id))
         yield env.timeout(length)
         log.append((name, "end", env.now, coordinator.node.node_id))
-        return name
+        return name, turn
     return job
 
 
@@ -217,55 +228,58 @@ def test_propagator_runs_a_rows_jobs_one_at_a_time_in_submit_order():
     """The second job is submitted from the owner itself, so it has no
     hop and reaches the propagator before the first: it still waits for
     the first to finish."""
-    cluster, pool, owner, remote = pool_and_owner()
+    cluster, owner, remote = cluster_and_owner()
     env = cluster.env
     log = []
-    first = pool.submit(remote, "V", "k", timed_job(env, log, "first"))
-    second = pool.submit(owner, "V", "k", timed_job(env, log, "second"))
+    first = env.process(serialized(cluster, remote,
+                                   timed_job(env, log, "first")))
+    second = env.process(serialized(cluster, owner,
+                                    timed_job(env, log, "second")))
     env.run(until=second)
-    assert first.value == "first" and second.value == "second"
+    assert first.value == ("first", 1) and second.value == ("second", 2)
     assert [(name, phase) for name, phase, _, _ in log] == [
         ("first", "start"), ("first", "end"),
         ("second", "start"), ("second", "end")]
     assert log[0][2] > 0.0  # the remote submit paid its hop
     assert log[2][2] == log[1][2]  # handed on the instant the first ends
     assert {node for _, _, _, node in log} == {owner}
-    assert pool.jobs_completed == pool.jobs_submitted == 2
+    assert cluster.view_manager.locks.active_locks == 0
 
 
-def test_a_failing_propagator_job_fails_only_its_own_completion():
-    cluster, pool, owner, _remote = pool_and_owner()
+def test_a_failing_propagator_job_fails_only_its_own_caller():
+    cluster, owner, _remote = cluster_and_owner()
     env = cluster.env
     log = []
 
-    def broken(coordinator):
+    def broken(coordinator, turn):
         yield env.timeout(1.0)
         raise RuntimeError("job failed")
 
     outcomes = []
 
-    def wait(completion):
+    def wait(job):
         try:
-            outcomes.append(("ok", (yield completion)))
+            outcomes.append(("ok", (yield from serialized(cluster, owner,
+                                                          job))))
         except RuntimeError as exc:
             outcomes.append(("failed", str(exc)))
 
-    failing = env.process(wait(pool.submit(owner, "V", "k", broken)))
-    following = env.process(wait(
-        pool.submit(owner, "V", "k", timed_job(env, log, "next"))))
+    failing = env.process(wait(broken))
+    following = env.process(wait(timed_job(env, log, "next")))
     env.run(until=failing)
     env.run(until=following)
-    assert outcomes == [("failed", "job failed"), ("ok", "next")]
+    assert outcomes == [("failed", "job failed"), ("ok", ("next", 2))]
     assert log[0][:3] == ("next", "start", 1.0)
-    assert pool.jobs_completed == 1
+    assert cluster.view_manager.locks.active_locks == 0
 
 
 def test_a_propagator_job_waits_for_its_owner_to_recover():
-    cluster, pool, owner, remote = pool_and_owner()
+    cluster, owner, remote = cluster_and_owner()
     env = cluster.env
     log = []
     cluster.fail_node(owner)
-    done = pool.submit(remote, "V", "k", timed_job(env, log, "job"))
+    done = env.process(serialized(cluster, remote,
+                                  timed_job(env, log, "job")))
     env.run(until=env.now + 50.0)
     assert log == [] and not done.triggered
     cluster.recover_node(owner)
@@ -277,15 +291,50 @@ def test_a_propagator_job_waits_for_its_owner_to_recover():
 def test_a_propagator_job_holds_its_rows_lock_while_it_runs():
     """The propagators queue on the manager's lock service, so the
     no-leaked-locks invariant covers them too."""
-    cluster, pool, owner, _remote = pool_and_owner()
+    cluster, owner, _remote = cluster_and_owner()
     env = cluster.env
     locks = cluster.view_manager.locks
     held = []
 
-    def job(coordinator):
+    def job(coordinator, turn):
         held.append(locks.active_locks)
         yield env.timeout(1.0)
 
-    env.run(until=pool.submit(owner, "V", "k", job))
+    env.run(until=env.process(serialized(cluster, owner, job)))
     assert held == [1]
     assert locks.active_locks == 0
+
+
+def test_chain_jobs_gc_passes_and_scrub_rounds_start_no_process(monkeypatch):
+    """A propagators-mode chain job, a GC pass and a scrub round run in
+    the process that waits for them: none starts a helper process."""
+    cluster, owner, remote = cluster_and_owner()
+    env = cluster.env
+    client = cluster.sync_client()
+    for i in range(3):
+        client.put("T", f"k{i}", {"vk": f"g{i}", "m": i}, w=3)
+        client.put("T", f"k{i}", {"vk": f"h{i}"}, w=3)
+    client.settle()
+    view = cluster.view_manager.view("V")
+    scrubber = ViewScrubber(cluster, ["V"], interval=5.0)
+    collector = StaleRowCollector(cluster, ["V"], interval=5.0,
+                                  horizon_ms=0.0)
+    chain_job = env.process(serialized(
+        cluster, remote, timed_job(env, [], "job", length=1.0)))
+    started = []
+    real = Environment.process
+
+    def counting(self, generator, name=""):
+        started.append(name or getattr(generator, "__name__", "?"))
+        return real(self, generator, name)
+
+    monkeypatch.setattr(Environment, "process", counting)
+    env.run(until=chain_job)
+    assert started == [], "chain job"
+    env.run(until=env.now + 12.0)
+    scrubber.stop()
+    collector.stop()
+    assert scrubber.metrics.rounds >= 1 and collector.passes >= 1
+    assert collector.total.base_rows_examined >= 3
+    assert started == [], "GC pass or scrub round"
+    assert check_view(cluster, view) == []

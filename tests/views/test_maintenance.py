@@ -956,7 +956,7 @@ def test_a_repeat_move_by_the_holder_sends_no_base_read(monkeypatch,
     cluster = _chain_cluster(propagation_concurrency=serializer)
     manager = cluster.view_manager
     holder = (A if serializer == "locks"
-              else manager.propagators.propagator_for("V", "k"))
+              else manager.propagator_for("V", "k"))
     client = cluster.sync_client(holder)
     reads = _base_reads(monkeypatch, cluster)
     client.put("B", "k", {"vk": "a", "m": "p"})
