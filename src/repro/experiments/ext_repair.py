@@ -27,11 +27,11 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.cluster import Cluster
-from repro.errors import NodeDownError, QuorumError
 from repro.experiments.calibration import ExperimentParams, experiment_config
 from repro.experiments.results import FigureResult
 from repro.repair import divergent_base_keys
 from repro.scenarios import lose_propagations
+from repro.scenarios.workload import retrying
 from repro.views import ViewDefinition
 
 __all__ = ["run", "TABLE", "VIEW_NAME"]
@@ -123,8 +123,10 @@ def _run_one(params: ExperimentParams,
 
     rng = cluster.streams.stream("repair-workload")
 
+    clients = [cluster.client(coordinator_id=cid)
+               for cid in range(config.nodes)]
+
     def workload():
-        clients = {}
         for i in range(params.repair_updates):
             key = rng.randrange(rows)
             if i % 2 == 0:
@@ -132,19 +134,10 @@ def _run_one(params: ExperimentParams,
             else:
                 column, value = PAYLOAD_COLUMN, f"v{i + 1}-{key}"
             ts = rows + 1 + i
-            for attempt in range(12):
-                coordinator_id = (i + attempt) % config.nodes
-                handle = clients.get(coordinator_id)
-                if handle is None:
-                    handle = cluster.client(coordinator_id=coordinator_id)
-                    clients[coordinator_id] = handle
-                try:
-                    yield from handle.put(TABLE, key, {column: value},
-                                          params.write_quorum, ts)
-                except (NodeDownError, QuorumError):
-                    yield env.timeout(5.0)
-                    continue
-                break
+            yield from retrying(
+                env, clients, i,
+                lambda client: client.put(TABLE, key, {column: value},
+                                          params.write_quorum, ts), 12)
             yield env.timeout(3.0)
 
     start = env.now

@@ -33,11 +33,12 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.cluster import Cluster
-from repro.errors import NodeDownError, QuorumError, ViewError
+from repro.errors import ViewError
 from repro.experiments.calibration import ExperimentParams, experiment_config
 from repro.experiments.results import FigureResult
 from repro.freshness import BoundedReadObservation, check_bounded_reads
 from repro.scenarios import lose_propagations
+from repro.scenarios.workload import RETRIABLE, retrying
 from repro.views import BaseUpdate, ViewDefinition
 
 __all__ = ["run", "run_staleness_point", "TABLE", "VIEW_NAME"]
@@ -126,15 +127,8 @@ def run_staleness_point(params: ExperimentParams,
     observations: List[BoundedReadObservation] = []
     latencies: List[float] = []
     read_failures = [0]
-    clients = {}
-
-    def client_for(step, attempt):
-        coordinator_id = (step + attempt) % config.nodes
-        handle = clients.get(coordinator_id)
-        if handle is None:
-            handle = cluster.client(coordinator_id=coordinator_id)
-            clients[coordinator_id] = handle
-        return handle
+    clients = [cluster.client(coordinator_id=cid)
+               for cid in range(config.nodes)]
 
     def writer():
         writes = 0
@@ -153,42 +147,35 @@ def run_staleness_point(params: ExperimentParams,
                 value = f"v{writes + 1}-{key}"
             ts = rows + 1 + writes
             writes += 1
-            for attempt in range(12):
-                try:
-                    yield from client_for(step, attempt).put(
-                        TABLE, key, {column: value}, _WRITE_QUORUM, ts)
-                except (NodeDownError, QuorumError):
-                    yield env.timeout(5.0)
-                    continue
+            acked, _ = yield from retrying(
+                env, clients, step,
+                lambda client: client.put(TABLE, key, {column: value},
+                                          _WRITE_QUORUM, ts), 12)
+            if acked:
                 applied.append(BaseUpdate(key, column, value, ts,
                                           acked_at=env.now))
-                break
 
     def one_read(step, group):
         started = env.now
-        for attempt in range(12):
-            try:
-                fresh = yield from client_for(step, attempt).get_view_fresh(
-                    VIEW_NAME, group, (PAYLOAD_COLUMN,),
-                    params.read_quorum, max_staleness_ms=bound)
-            except (NodeDownError, QuorumError, ViewError):
-                if attempt == 11:
-                    read_failures[0] += 1
-                    return
-                yield env.timeout(5.0)
-                continue
-            latencies.append(env.now - started)
-            if bound is not None:
-                cert = fresh.certificate
-                observations.append(BoundedReadObservation(
-                    view_key=group,
-                    bound_ms=bound,
-                    as_of=cert.as_of,
-                    rows=tuple((res.base_key, dict(res.values))
-                               for res in fresh.results),
-                    escalated=fresh.escalated,
-                    issued_at=env.now))
+        read, fresh = yield from retrying(
+            env, clients, step,
+            lambda client: client.get_view_fresh(
+                VIEW_NAME, group, (PAYLOAD_COLUMN,), params.read_quorum,
+                max_staleness_ms=bound),
+            12, retry_on=RETRIABLE + (ViewError,))
+        if not read:
+            read_failures[0] += 1
             return
+        latencies.append(env.now - started)
+        if bound is not None:
+            observations.append(BoundedReadObservation(
+                view_key=group,
+                bound_ms=bound,
+                as_of=fresh.certificate.as_of,
+                rows=tuple((res.base_key, dict(res.values))
+                           for res in fresh.results),
+                escalated=fresh.escalated,
+                issued_at=env.now))
 
     def read_launcher():
         for step, kind in enumerate(plan):

@@ -19,6 +19,13 @@ of books on the base class:
   (``recover_node`` on an up node would re-trigger hint replay).  The
   runner's ``ClusterHealed`` invariant checks that nothing was missed.
 
+- **One loop.**  A subclass sets ``pause`` (a latency model) and
+  implements ``_strike(scenario, rng)``; the base class's loop waits a
+  ``pause`` sample, strikes, and waits out the process the strike
+  returns (a revival, a burst's end) before its next pause, until
+  :meth:`~Adversary.stop`.  An adversary with no ``pause`` starts no
+  process.
+
 Subclasses only choose *when* and *what*, drawing every random value
 from a dedicated :class:`~repro.sim.rng.RandomStreams` stream derived
 from the adversary's label — so a scenario is bit-for-bit reproducible
@@ -71,9 +78,11 @@ __all__ = [
 
 
 class Adversary:
-    """Base class: a start/stop fault injector and its books."""
+    """Base class: a start/stop fault injector, its books and its loop."""
 
     name = "adversary"
+    # Time between strikes; None (a bare adversary) starts no loop.
+    pause: Optional[LatencyModel] = None
 
     def __init__(self):
         self._stopped = False
@@ -92,8 +101,29 @@ class Adversary:
         return scenario.cluster.streams.stream(f"adversary:{self.label}")
 
     def start(self, scenario) -> None:
-        """Begin injecting faults (spawn simulation processes)."""
+        """Begin injecting faults: a paced adversary starts its loop."""
         self._stopped = False
+        if self.pause is not None:
+            scenario.cluster.env.process(self._loop(scenario),
+                                         name=f"{self.label}-loop")
+
+    def _loop(self, scenario):
+        """The one pacing loop: wait a pause, strike, wait out what the
+        strike returned, repeat until :meth:`stop`."""
+        env = scenario.cluster.env
+        rng = self.rng(scenario)
+        while not self._stopped:
+            yield env.timeout(self.pause.sample(rng))
+            if self._stopped:
+                return
+            struck = self._strike(scenario, rng)
+            if struck is not None:
+                yield struck
+
+    def _strike(self, scenario, rng):
+        """Deal one round of faults, drawing only from ``rng``; return a
+        process the loop waits out before its next pause, or None."""
+        raise NotImplementedError
 
     def stop(self, scenario=None) -> None:
         """Stop injecting, disarm every hook and heal what is still held."""
@@ -288,26 +318,16 @@ class PartitionStorm(Adversary):
         self.duration = duration or Uniform(10.0, 40.0)
         self.max_cuts = max_cuts
 
-    def start(self, scenario) -> None:
-        super().start(scenario)
-        scenario.cluster.env.process(self._loop(scenario),
-                                     name=f"{self.label}-loop")
-
-    def _loop(self, scenario):
+    def _strike(self, scenario, rng):
         cluster = scenario.cluster
-        env = cluster.env
-        rng = self.rng(scenario)
         nodes = cluster.config.nodes
-        while not self._stopped:
-            yield env.timeout(self.pause.sample(rng))
-            if self._stopped:
-                return
-            if self.holds("cut") >= self.max_cuts or nodes < 2:
-                continue
-            a, b = rng.sample(range(nodes), 2)
-            pair = (min(a, b), max(a, b))
-            if ("cut", pair) not in self._held:
-                self.cut(cluster, *pair, self.duration.sample(rng))
+        if self.holds("cut") >= self.max_cuts or nodes < 2:
+            return None
+        a, b = rng.sample(range(nodes), 2)
+        pair = (min(a, b), max(a, b))
+        if ("cut", pair) not in self._held:
+            self.cut(cluster, *pair, self.duration.sample(rng))
+        return None
 
 
 class GrayFailure(Adversary):
@@ -337,28 +357,16 @@ class GrayFailure(Adversary):
         self.link_factor = link_factor
         self.max_slow = max_slow
 
-    def start(self, scenario) -> None:
-        super().start(scenario)
-        scenario.cluster.env.process(self._loop(scenario),
-                                     name=f"{self.label}-loop")
-
-    def _loop(self, scenario):
+    def _strike(self, scenario, rng):
         cluster = scenario.cluster
-        env = cluster.env
-        rng = self.rng(scenario)
-        while not self._stopped:
-            yield env.timeout(self.pause.sample(rng))
-            if self._stopped:
-                return
-            if self.holds("slow") >= self.max_slow:
-                continue
-            candidates = [node.node_id for node in cluster.nodes
-                          if ("slow", node.node_id) not in self._held]
-            if not candidates:
-                continue
-            victim = rng.choice(candidates)
-            self.slow(cluster, victim, self.cpu_factor, self.link_factor,
-                      self.duration.sample(rng))
+        if self.holds("slow") >= self.max_slow:
+            return None
+        candidates = [node.node_id for node in cluster.nodes
+                      if ("slow", node.node_id) not in self._held]
+        if candidates:
+            self.slow(cluster, rng.choice(candidates), self.cpu_factor,
+                      self.link_factor, self.duration.sample(rng))
+        return None
 
 
 class ClockSkew(Adversary):
@@ -383,22 +391,11 @@ class ClockSkew(Adversary):
         self.pause = pause or Uniform(30.0, 90.0)
         self.max_skew_ms = max_skew_ms
 
-    def start(self, scenario) -> None:
-        super().start(scenario)
-        scenario.cluster.env.process(self._loop(scenario),
-                                     name=f"{self.label}-loop")
-
-    def _loop(self, scenario):
-        cluster = scenario.cluster
-        env = cluster.env
-        rng = self.rng(scenario)
-        while not self._stopped:
-            yield env.timeout(self.pause.sample(rng))
-            if self._stopped:
-                return
-            for client_id in sorted(scenario.client_ids):
-                self.skew(cluster, client_id,
-                          rng.uniform(-self.max_skew_ms, self.max_skew_ms))
+    def _strike(self, scenario, rng):
+        for client_id in sorted(scenario.client_ids):
+            self.skew(scenario.cluster, client_id,
+                      rng.uniform(-self.max_skew_ms, self.max_skew_ms))
+        return None
 
 
 class CrashLoop(Adversary):
@@ -407,8 +404,9 @@ class CrashLoop(Adversary):
     The default victim is node 0 — the scrubber's default coordinator —
     so a scenario with a scrubber exercises mid-round coordinator
     re-election (``ScrubMetrics.coordinator_switches``) and repeated
-    hint replay on every revival.  The crash is skipped whenever the
-    victim is the last node standing.
+    hint replay on every revival.  The pause is the victim's
+    ``uptime``; the loop waits out each revival before the next one.
+    The crash is skipped whenever the victim is the last node standing.
     """
 
     name = "crash-loop"
@@ -418,28 +416,17 @@ class CrashLoop(Adversary):
                  downtime: Optional[LatencyModel] = None):
         super().__init__()
         self.victim = victim
-        self.uptime = uptime or Uniform(30.0, 80.0)
+        self.pause = uptime or Uniform(30.0, 80.0)
         self.downtime = downtime or Uniform(10.0, 30.0)
 
     def start(self, scenario) -> None:
-        super().start(scenario)
         scenario.cluster.node(self.victim)  # validates the id
-        scenario.cluster.env.process(self._loop(scenario),
-                                     name=f"{self.label}-loop")
+        super().start(scenario)
 
-    def _loop(self, scenario):
-        cluster = scenario.cluster
-        env = cluster.env
-        rng = self.rng(scenario)
-        while not self._stopped:
-            yield env.timeout(self.uptime.sample(rng))
-            if self._stopped:
-                return
-            # A skipped crash draws no downtime.
-            revival = self.crash(cluster, self.victim,
-                                 partial(self.downtime.sample, rng))
-            if revival is not None:
-                yield revival
+    def _strike(self, scenario, rng):
+        # A skipped crash draws no downtime.
+        return self.crash(scenario.cluster, self.victim,
+                          partial(self.downtime.sample, rng))
 
 
 class CrashStorm(Adversary):
@@ -471,34 +458,28 @@ class CrashStorm(Adversary):
         self.targets = None if targets is None else sorted(set(targets))
 
     def start(self, scenario) -> None:
-        super().start(scenario)
         cluster = scenario.cluster
         if self.max_down >= cluster.config.nodes:
             raise ValueError("max_down must leave at least one node up")
         for node_id in self.targets or ():
             cluster.node(node_id)  # validates the id
-        cluster.env.process(self._loop(scenario), name=f"{self.label}-loop")
+        super().start(scenario)
 
-    def _loop(self, scenario):
+    def _strike(self, scenario, rng):
         cluster = scenario.cluster
-        env = cluster.env
-        rng = self.rng(scenario)
-        while not self._stopped:
-            yield env.timeout(self.pause.sample(rng))
-            if self._stopped:
-                return
-            if self.holds("crash") >= self.max_down:
-                continue
-            alive = [node.node_id for node in cluster.nodes
-                     if not node.is_down]
-            candidates = [node_id for node_id in alive
-                          if self.targets is None or node_id in self.targets]
-            if candidates and len(alive) > 1:
-                # The downtime is drawn when the revival process starts,
-                # after this loop's next pause: every recorded run
-                # depends on that order of the stream.
-                self.crash(cluster, rng.choice(candidates),
-                           partial(self.downtime.sample, rng))
+        if self.holds("crash") >= self.max_down:
+            return None
+        alive = [node.node_id for node in cluster.nodes if not node.is_down]
+        candidates = [node_id for node_id in alive
+                      if self.targets is None or node_id in self.targets]
+        if candidates and len(alive) > 1:
+            # The downtime is drawn when the revival process starts,
+            # after the loop's next pause: every recorded run depends
+            # on that order of the stream.  The storm does not wait
+            # the revival out.
+            self.crash(cluster, rng.choice(candidates),
+                       partial(self.downtime.sample, rng))
+        return None
 
 
 class BurstArrivals(Adversary):
@@ -506,9 +487,10 @@ class BurstArrivals(Adversary):
 
     Multiplies ``Scenario.arrival_scale`` by ``factor`` for a
     ``duration`` sample every ``pause`` sample; cooperative workloads
-    divide their inter-arrival gaps by the scale.  Bursts drive the
-    propagation backlog toward ``max_pending_propagations``, so the
-    bounded-queue-depth invariant is actually load-bearing.
+    divide their inter-arrival gaps by the scale.  The loop waits out
+    each burst before the next pause.  Bursts drive the propagation
+    backlog toward ``max_pending_propagations``, so the bounded-queue-
+    depth invariant is actually load-bearing.
     """
 
     name = "burst-arrivals"
@@ -523,19 +505,5 @@ class BurstArrivals(Adversary):
         self.duration = duration or Uniform(20.0, 50.0)
         self.factor = factor
 
-    def start(self, scenario) -> None:
-        super().start(scenario)
-        scenario.cluster.env.process(self._loop(scenario),
-                                     name=f"{self.label}-loop")
-
-    def _loop(self, scenario):
-        env = scenario.cluster.env
-        rng = self.rng(scenario)
-        while not self._stopped:
-            yield env.timeout(self.pause.sample(rng))
-            if self._stopped:
-                return
-            ended = self.burst(scenario, self.factor,
-                               self.duration.sample(rng))
-            if ended is not None:
-                yield ended
+    def _strike(self, scenario, rng):
+        return self.burst(scenario, self.factor, self.duration.sample(rng))

@@ -37,16 +37,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.scenarios.adversaries import Adversary
-from repro.scenarios.runner import (
-    SCENARIO_TABLE,
-    Scenario,
-    ScenarioResult,
-    default_config,
-)
-from repro.scenarios.workload import (
-    RETRIABLE,
-    BaseWorkload,
-)
+from repro.scenarios.runner import Scenario, ScenarioResult, default_config
+from repro.scenarios.workload import BaseWorkload, retrying
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -201,64 +193,42 @@ class ScheduleWorkload(BaseWorkload):
     def run(self, scenario):
         cluster = scenario.cluster
         env = cluster.env
-        nodes = cluster.config.nodes
-        pool = {cid: cluster.client(coordinator_id=cid)
-                for cid in range(nodes)}
-        scenario.client_ids.update(h.client_id for h in pool.values())
+        pool = [cluster.client(coordinator_id=cid)
+                for cid in range(cluster.config.nodes)]
+        scenario.client_ids.update(h.client_id for h in pool)
         children = []
         for index, entry in enumerate(self.ops):
             if entry["t"] > env.now:
                 yield env.timeout(entry["t"] - env.now)
             if entry["kind"] == "put":
-                runner = self._do_put(scenario, pool, index, entry)
+                runner = self._put(scenario, pool, index, entry["key"],
+                                   entry["cells"], entry["ts"])
             elif entry["kind"] == "create_view":
                 runner = self._create_view(scenario)
             elif not cluster.view_manager.is_view(scenario.view.name):
                 continue
             else:
-                runner = self._do_read(scenario, pool, index, entry)
+                runner = self._read(scenario, pool, index, entry)
             children.append(env.process(runner, name=f"fuzz-op-{index}"))
         for child in children:
             yield child
-
-    def _do_put(self, scenario, pool, index, entry):
-        env = scenario.cluster.env
-        nodes = len(pool)
-        for attempt in range(self.MAX_ATTEMPTS):
-            client = pool[(index + attempt) % nodes]
-            try:
-                yield from client.put(SCENARIO_TABLE, entry["key"],
-                                      entry["cells"], self.W,
-                                      timestamp=entry["ts"])
-            except RETRIABLE:
-                yield env.timeout(self.RETRY_BACKOFF)
-                continue
-            self.record_acked(entry["key"], entry["cells"], entry["ts"],
-                              at=env.now)
-            return
-        self.record_ambiguous(SCENARIO_TABLE, entry["key"], entry["cells"],
-                              entry["ts"])
 
     def _create_view(self, scenario):
         cluster = scenario.cluster
         cluster.create_view(scenario.view)
         yield from cluster.backfill(scenario.view.name)
 
-    def _do_read(self, scenario, pool, index, entry):
-        env = scenario.cluster.env
-        nodes = len(pool)
-        for attempt in range(self.MAX_ATTEMPTS):
-            client = pool[(index + attempt) % nodes]
-            try:
-                yield from client.get_view(
-                    scenario.view.name, entry["view_key"],
-                    scenario.view.materialized_columns, self.R)
-            except RETRIABLE:
-                yield env.timeout(self.RETRY_BACKOFF)
-                continue
+    def _read(self, scenario, pool, index, entry):
+        read, _ = yield from retrying(
+            scenario.cluster.env, pool, index,
+            lambda client: client.get_view(
+                scenario.view.name, entry["view_key"],
+                scenario.view.materialized_columns, self.R),
+            self.MAX_ATTEMPTS)
+        if read:
             self.reads_done += 1
-            return
-        self.reads_failed += 1
+        else:
+            self.reads_failed += 1
 
 
 class ScheduledFaults(Adversary):

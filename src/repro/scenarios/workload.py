@@ -17,22 +17,22 @@ reference oracle afterwards.  The bookkeeping rules:
 - Session reads record :class:`SessionObservation`\\ s for the
   read-your-own-propagations invariant.
 
-Retries follow the chaos-test recipe: same timestamp every attempt
-(retrying a Put is idempotent under LWW), rotating coordinators for
-ordinary clients, pinned coordinator (with waits) for session clients —
-the paper's sessions are bound to one server.
+Every client op retries through :func:`retrying`, the one retry loop:
+attempt ``i`` runs on ``clients[(first + i) % len(clients)]`` and each
+:data:`RETRIABLE` failure costs a :data:`RETRY_BACKOFF` wait.  A Put
+keeps its timestamp on every attempt (retrying a Put is idempotent
+under LWW).  Ordinary clients pass the pool of one client per
+coordinator, so their retries rotate coordinators; a session passes
+its one pinned client, so it waits for its coordinator instead — the
+paper's sessions are bound to one server.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Tuple
 
-from repro.errors import (
-    CoordinatorCrashError,
-    NodeDownError,
-    QuorumError,
-)
+from repro.errors import NodeDownError, QuorumError
 from repro.freshness import BoundedReadObservation
 from repro.views.model import BaseUpdate
 
@@ -41,17 +41,42 @@ __all__ = [
     "SessionObservation",
     "BaseWorkload",
     "ScenarioWorkload",
+    "retrying",
 ]
 
-# Exceptions a retry loop rides out: the coordinator is down (or died
-# mid-operation) or a quorum could not be assembled.
-RETRIABLE = (NodeDownError, QuorumError, CoordinatorCrashError)
+# Exceptions a client op rides out: its coordinator is down or a quorum
+# could not be assembled.
+RETRIABLE = (NodeDownError, QuorumError)
+# Sim-ms a client waits after a retriable failure before its next attempt.
+RETRY_BACKOFF = 5.0
 
 # ``ScenarioWorkload``'s key space: base rows ``k0``..``k5``, view-key
 # values ``g0``..``g3``.  Few enough that operations collide on rows
 # and chains, which is what the adversaries need to bite.
 BASE_KEYS = 6
 VIEW_KEYS = 4
+
+
+def retrying(env, clients: List, first: int, op: Callable, attempts: int,
+             retry_on=RETRIABLE):
+    """Run the client op ``op(client)`` — a generator — until it
+    returns, at most ``attempts`` times; returns ``(True, result)``, or
+    ``(False, None)`` once every attempt failed.
+
+    Attempt ``i`` runs on ``clients[(first + i) % len(clients)]``: a
+    pool rotates coordinators, a one-client list retries the same one.
+    Each failure in ``retry_on`` is followed by a :data:`RETRY_BACKOFF`
+    wait; any other error propagates.
+    """
+    for attempt in range(attempts):
+        client = clients[(first + attempt) % len(clients)]
+        try:
+            result = yield from op(client)
+        except retry_on:
+            yield env.timeout(RETRY_BACKOFF)
+            continue
+        return True, result
+    return False, None
 
 
 @dataclass
@@ -87,7 +112,7 @@ class BaseWorkload:
     creates_view = False  # True: it creates the view mid-history itself
     W = 2  # write quorum of every Put
     R = 2  # read quorum of every view read
-    RETRY_BACKOFF = 5.0  # sim-ms before a failed attempt is retried
+    MAX_ATTEMPTS = 40  # attempts per op before it is given up
 
     def __init__(self):
         self.applied: List[BaseUpdate] = []
@@ -107,6 +132,22 @@ class BaseWorkload:
         """The workload simulation process (override)."""
         raise NotImplementedError
         yield  # pragma: no cover
+
+    def _put(self, scenario, clients, first, key, cells, ts):
+        """A Put retried with its one timestamp, booked as acked or
+        ambiguous; returns whether it acked."""
+        env = scenario.cluster.env
+        table = scenario.view.base_table
+        acked, _ = yield from retrying(
+            env, clients, first,
+            lambda client: client.put(table, key, cells, self.W,
+                                      timestamp=ts),
+            self.MAX_ATTEMPTS)
+        if acked:
+            self.record_acked(key, cells, ts, at=env.now)
+        else:
+            self.record_ambiguous(table, key, cells, ts)
+        return acked
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -197,8 +238,6 @@ class ScenarioWorkload(BaseWorkload):
     BOUNDS = (5.0, 25.0, 100.0, 400.0)
     # Share of operations that are a session Put+read pair.
     SESSION_FRACTION = 0.25
-    # Attempts per operation before it is given up (ambiguous, failed).
-    MAX_ATTEMPTS = 40
 
     def __init__(self, *, ops: int = 120, mean_gap: float = 3.0,
                  bounded_read_fraction: float = 0.15, key_chooser=None):
@@ -217,18 +256,15 @@ class ScenarioWorkload(BaseWorkload):
         env = cluster.env
         rng = cluster.streams.stream("scenario-workload")
         nodes = cluster.config.nodes
-        table = scenario.view.base_table
         key_column = scenario.view.view_key_column
         data_column = scenario.view.materialized_columns[0]
 
-        # One rotation handle per coordinator, plus one pinned session
-        # client (sessions are bound to a server, paper Section V).
-        pool = {cid: cluster.client(coordinator_id=cid)
-                for cid in range(nodes)}
-        session_client = cluster.client(coordinator_id=0)
-        session_client.begin_session()
-        scenario.client_ids.update(h.client_id for h in pool.values())
-        scenario.client_ids.add(session_client.client_id)
+        # One client per coordinator, plus one pinned session client
+        # (sessions are bound to a server, paper Section V).
+        pool = [cluster.client(coordinator_id=cid) for cid in range(nodes)]
+        session = [cluster.client(coordinator_id=0)]
+        session[0].begin_session()
+        scenario.client_ids.update(h.client_id for h in pool + session)
 
         for i in range(self.ops):
             gap = rng.expovariate(1.0 / self.mean_gap)
@@ -239,8 +275,7 @@ class ScenarioWorkload(BaseWorkload):
             else:
                 key = f"k{rng.randrange(BASE_KEYS)}"
             if rng.random() < self.SESSION_FRACTION:
-                yield from self._session_op(scenario, session_client,
-                                            table, key, i, rng)
+                yield from self._session_op(scenario, session, key, i, rng)
                 continue
             if rng.random() < self.bounded_read_fraction:
                 yield from self._bounded_read(scenario, pool, rng)
@@ -254,91 +289,58 @@ class ScenarioWorkload(BaseWorkload):
             else:
                 cells = {key_column: f"g{rng.randrange(VIEW_KEYS)}",
                          data_column: f"m{i}"}
-            handle = pool[rng.randrange(nodes)]
-            ts = handle.oracle.next()
-            yield from self._rotating_put(scenario, pool, handle, table,
-                                          key, cells, ts)
+            first = rng.randrange(nodes)
+            ts = pool[first].oracle.next()
+            yield from self._put(scenario, pool, first, key, cells, ts)
 
     # -- op drivers ----------------------------------------------------------
-
-    def _rotating_put(self, scenario, pool, handle, table, key, cells, ts):
-        """Retry an ordinary Put across coordinators, same timestamp."""
-        env = scenario.cluster.env
-        nodes = len(pool)
-        start = handle.coordinator_id
-        for attempt in range(self.MAX_ATTEMPTS):
-            client = pool[(start + attempt) % nodes]
-            try:
-                yield from client.put(table, key, cells, self.W,
-                                      timestamp=ts)
-            except RETRIABLE:
-                yield env.timeout(self.RETRY_BACKOFF)
-                continue
-            self.record_acked(key, cells, ts, at=env.now)
-            return
-        self.record_ambiguous(table, key, cells, ts)
 
     def _bounded_read(self, scenario, pool, rng):
         """A bounded-staleness view read, recorded for the audit."""
         env = scenario.cluster.env
-        nodes = len(pool)
         view_key = f"g{rng.randrange(VIEW_KEYS)}"
         bound = self.BOUNDS[rng.randrange(len(self.BOUNDS))]
         columns = scenario.view.materialized_columns
-        start = rng.randrange(nodes)
-        for attempt in range(self.MAX_ATTEMPTS):
-            client = pool[(start + attempt) % nodes]
-            try:
-                fresh = yield from client.get_view_fresh(
-                    scenario.view.name, view_key, columns, self.R,
-                    max_staleness_ms=bound)
-            except RETRIABLE:
-                yield env.timeout(self.RETRY_BACKOFF)
-                continue
-            self.bounded_reads_done += 1
-            self.bounded_observations.append(BoundedReadObservation(
-                view_key=view_key, bound_ms=bound,
-                as_of=fresh.certificate.as_of,
-                rows=tuple((res.base_key, dict(res.values))
-                           for res in fresh.results),
-                escalated=fresh.escalated,
-                issued_at=env.now))
+        read, fresh = yield from retrying(
+            env, pool, rng.randrange(len(pool)),
+            lambda client: client.get_view_fresh(
+                scenario.view.name, view_key, columns, self.R,
+                max_staleness_ms=bound),
+            self.MAX_ATTEMPTS)
+        if not read:
+            self.bounded_reads_failed += 1
             return
-        self.bounded_reads_failed += 1
+        self.bounded_reads_done += 1
+        self.bounded_observations.append(BoundedReadObservation(
+            view_key=view_key, bound_ms=bound,
+            as_of=fresh.certificate.as_of,
+            rows=tuple((res.base_key, dict(res.values))
+                       for res in fresh.results),
+            escalated=fresh.escalated,
+            issued_at=env.now))
 
-    def _session_op(self, scenario, client, table, key, i, rng):
-        """A session Put followed by a session view read of its row."""
+    def _session_op(self, scenario, session, key, i, rng):
+        """A session Put followed by a session view read of its row, both
+        on the session's one pinned client."""
         env = scenario.cluster.env
         view_key = f"g{rng.randrange(VIEW_KEYS)}"
         cells = {scenario.view.view_key_column: view_key,
                  scenario.view.materialized_columns[0]: f"s{i}"}
-        ts = client.oracle.next()
-        for _attempt in range(self.MAX_ATTEMPTS):
-            try:
-                yield from client.put(table, key, cells, self.W,
-                                      timestamp=ts)
-            except RETRIABLE:
-                # Sessions pin their coordinator: wait for it, don't hop.
-                yield env.timeout(self.RETRY_BACKOFF)
-                continue
-            self.record_acked(key, cells, ts, at=env.now)
-            break
-        else:
-            self.record_ambiguous(table, key, cells, ts)
+        ts = session[0].oracle.next()
+        acked = yield from self._put(scenario, session, 0, key, cells, ts)
+        if not acked:
             return
-
-        columns = scenario.view.materialized_columns
-        for _attempt in range(self.MAX_ATTEMPTS):
-            try:
-                results = yield from client.get_view(
-                    scenario.view.name, view_key, columns, self.R)
-            except RETRIABLE:
-                yield env.timeout(self.RETRY_BACKOFF)
-                continue
-            self.reads_done += 1
-            self.observations.append(SessionObservation(
-                client_id=client.client_id, base_key=key,
-                view_key=view_key, put_ts=ts, at=env.now,
-                rows=[(res.base_key, dict(res.values)) for res in results]))
+        read, results = yield from retrying(
+            env, session, 0,
+            lambda client: client.get_view(
+                scenario.view.name, view_key,
+                scenario.view.materialized_columns, self.R),
+            self.MAX_ATTEMPTS)
+        if not read:
+            self.reads_failed += 1
             return
-        self.reads_failed += 1
+        self.reads_done += 1
+        self.observations.append(SessionObservation(
+            client_id=session[0].client_id, base_key=key,
+            view_key=view_key, put_ts=ts, at=env.now,
+            rows=[(res.base_key, dict(res.values)) for res in results]))

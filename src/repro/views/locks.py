@@ -13,11 +13,14 @@ their schedules with one queue.  Locks affect only update propagation
 ``(view name, base key)`` and charges an optional round-trip latency
 per acquire, modelling a separate lock-service deployment.  The
 dedicated propagators (``ViewManager.serialized`` under
-``"propagators"``) queue on the same service, with no round trip.
+``"propagators"``) queue on the same service, with no round trip, and
+are counted the same way: every grant is one acquisition, every queued
+one a contention and its wait.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Hashable, Tuple
 
 from repro.errors import SimulationError
@@ -57,29 +60,34 @@ class LockService:
 
     def request(self, view: str, base_key: Hashable) -> Event:
         """Queue for the lock now, with no round trip: an event that
-        fires once it is granted (already triggered if it is free)."""
+        fires once it is granted (already triggered if it is free).
+
+        A free grant counts one acquisition at once; a queued one counts
+        a contention and the queue depth now, and its acquisition and
+        wait when it is granted."""
         key = (view, base_key)
         lock = self._locks.get(key)
         if lock is None:
             lock = self._locks[key] = Semaphore(self.env, tokens=1)
-        return lock.acquire()
+        grant = lock.acquire()
+        if grant.triggered:
+            self.acquisitions += 1
+            return grant
+        self.contentions += 1
+        if lock.waiting > self.max_queue_depth:
+            self.max_queue_depth = lock.waiting
+        grant.callbacks.append(partial(self._granted, self.env.now))
+        return grant
+
+    def _granted(self, queued_at: float, _grant: Event) -> None:
+        self.acquisitions += 1
+        self.wait_time_total += self.env.now - queued_at
 
     def acquire(self, view: str, base_key: Hashable):
         """Process helper: acquire with lock-service latency."""
         if self.latency:
             yield self.env.timeout(self.latency)
-        grant = self.request(view, base_key)
-        if not grant.triggered:
-            self.contentions += 1
-            depth = self._locks[(view, base_key)].waiting
-            if depth > self.max_queue_depth:
-                self.max_queue_depth = depth
-            waited_from = self.env.now
-            yield grant
-            self.wait_time_total += self.env.now - waited_from
-        else:
-            yield grant
-        self.acquisitions += 1
+        yield self.request(view, base_key)
 
     def release(self, view: str, base_key: Hashable) -> None:
         """Release a lock (fire-and-forget; no simulated delay): hand it

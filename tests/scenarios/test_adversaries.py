@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.scenarios import (
+    Adversary,
     BurstArrivals,
     ClockSkew,
     CrashLoop,
@@ -23,6 +24,7 @@ from repro.scenarios import (
     ScheduleWorkload,
     default_config,
 )
+from repro.sim.latency import Fixed
 
 pytestmark = pytest.mark.scenario
 
@@ -159,7 +161,7 @@ def test_a_skipped_crash_draws_no_downtime():
     loop.stop()
     assert loop.injections == 0
     for _ in range(2):
-        loop.uptime.sample(replica)
+        loop.pause.sample(replica)
     assert stream.random() == replica.random()
 
 
@@ -204,3 +206,67 @@ def test_stop_disarms_a_loss_whose_count_was_never_reached():
     manager = scenario.cluster.view_manager
     assert 1 <= manager.lost_propagations < 50
     assert manager._crash_hooks == []
+
+
+class Ticker(Adversary):
+    """A paced adversary that only notes when it strikes."""
+
+    name = "ticker"
+    pause = Fixed(10.0)
+
+    def __init__(self):
+        super().__init__()
+        self.strikes = []
+
+    def _strike(self, scenario, rng):
+        self.strikes.append(scenario.cluster.env.now)
+        return None
+
+
+def watched(scenario):
+    """Build the scenario's cluster and log every event popped from now."""
+    popped = []
+    scenario.build().env.set_event_watcher(popped.append)
+    return popped
+
+
+def test_an_adversary_with_no_pause_starts_no_process():
+    scenario = Scenario("unit", config=default_config(seed=2))
+    popped = watched(scenario)
+    Adversary().start(scenario)
+    scenario.cluster.env.run()
+    assert popped == []
+    ticker = Ticker()
+    ticker.start(scenario)
+    scenario.cluster.env.run(until=1.0)
+    ticker.stop()
+    assert len(popped) == 1  # the loop's start
+
+
+def test_stop_during_a_pause_ends_the_loop_with_no_further_strike():
+    scenario = Scenario("unit", config=default_config(seed=2))
+    env = scenario.build().env
+    ticker = Ticker()
+    ticker.start(scenario)
+    env.run(until=25.0)
+    assert ticker.strikes == [10.0, 20.0]
+    ticker.stop()
+    env.run()  # drains: the loop wakes at 30 ms and returns
+    assert ticker.strikes == [10.0, 20.0]
+    assert env.now == 30.0
+
+
+def test_a_strike_process_is_waited_out_before_the_next_pause():
+    """A crash loop's next uptime starts when its victim is revived, so
+    crashes come one uptime plus one downtime apart."""
+    scenario = Scenario("unit", config=default_config(seed=2))
+    env = scenario.build().env
+    loop = CrashLoop(victim=1, uptime=Fixed(10.0), downtime=Fixed(7.0))
+    loop.start(scenario)
+    down = []
+    for t in (9.0, 11.0, 18.0, 26.0, 28.0, 35.0):
+        env.run(until=t)
+        down.append(scenario.cluster.node(1).is_down)
+    loop.stop()
+    assert down == [False, True, False, False, True, False]
+    assert loop.injections == 2

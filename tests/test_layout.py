@@ -231,6 +231,79 @@ def test_no_view_or_repair_work_waits_on_a_helper_process():
     assert found == []
 
 
+def _functions(tree, prefix=""):
+    """``(qualified name, node)`` of every function in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _functions(node, prefix)
+
+
+def _own_nodes(function):
+    """The nodes of ``function``'s body, not of the functions and
+    classes it defines."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    stack = [node for node in function.body
+             if not isinstance(node, scopes)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += [child for child in ast.iter_child_nodes(node)
+                  if not isinstance(child, scopes)]
+
+
+def _names_in(node):
+    return {child.id if isinstance(child, ast.Name) else child.attr
+            for child in ast.walk(node)
+            if isinstance(child, (ast.Name, ast.Attribute))}
+
+
+def _harness_loops():
+    """Per function of ``scenarios`` and ``experiments``: each handler
+    of a retriable error inside a loop (``retry_on`` is ``retrying``'s
+    set, RETRIABLE by default), and each adversary pacing loop (a
+    ``while`` on ``_stopped``, or a sampled ``pause``)."""
+    retriable = {"RETRIABLE", "NodeDownError", "QuorumError", "retry_on"}
+    found = []
+    for package in ("scenarios", "experiments"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for name, function in _functions(tree):
+                where = f"{path.relative_to(SRC)}:{name}"
+                for node in _own_nodes(function):
+                    if isinstance(node, (ast.For, ast.While)):
+                        found += [
+                            ("retry", where, handler.lineno)
+                            for handler in ast.walk(node)
+                            if isinstance(handler, ast.ExceptHandler)
+                            and handler.type is not None
+                            and _names_in(handler.type) & retriable]
+                    if (isinstance(node, ast.While)
+                            and "_stopped" in _names_in(node.test)) or (
+                            isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "sample"
+                            and "pause" in _names_in(node.func.value)):
+                        found.append(("pace", where, node.lineno))
+    return found
+
+
+def test_the_harness_retries_and_paces_in_one_place_each():
+    """Every client op of the fault harness and the experiments retries
+    through ``scenarios.workload.retrying``, and every paced adversary
+    through ``Adversary._loop``: no second retry loop, no second pacing
+    loop."""
+    found = _harness_loops()
+    assert sorted({where for kind, where, _ in found if kind == "retry"}) \
+        == ["scenarios/workload.py:retrying"]
+    assert sorted({where for kind, where, _ in found if kind == "pace"}) \
+        == ["scenarios/adversaries.py:Adversary._loop"]
+
+
 @pytest.mark.parametrize("word", [
     "outbox_backlog", "backing_off", "deferred_backlog", "_verify_wounded",
     "_chain_appends",

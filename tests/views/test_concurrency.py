@@ -338,3 +338,25 @@ def test_chain_jobs_gc_passes_and_scrub_rounds_start_no_process(monkeypatch):
     assert collector.total.base_rows_examined >= 3
     assert started == [], "GC pass or scrub round"
     assert check_view(cluster, view) == []
+
+
+@pytest.mark.parametrize("mode", ["locks", "propagators"])
+def test_a_hot_rows_lock_counters_count_every_job(mode):
+    """Both mechanisms queue on the row's lock service, so both count:
+    six clients moving one row's view key three times each contend for
+    it, and every job the chain numbered is one acquisition."""
+    cluster = build(propagation_concurrency=mode)
+
+    def three_puts(client, i):
+        for j in range(3):
+            yield from client.put("T", "k", {"vk": f"g{i}-{j}"}, 2)
+
+    run_all(cluster, [three_puts(cluster.client(), i) for i in range(6)])
+    manager = cluster.view_manager
+    stats = manager.locks.stats()
+    (turns,), _ = manager.peek_sequencer([manager.view("V")], "k")
+    assert stats["acquisitions"] == turns >= 6
+    assert stats["contentions"] >= 1
+    assert stats["wait_time_total"] > 0.0
+    assert stats["max_queue_depth"] >= 1
+    assert check_view(cluster, VIEW) == []

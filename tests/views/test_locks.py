@@ -121,3 +121,19 @@ def test_lock_service_garbage_collects_idle_locks(env):
 def test_lock_service_rejects_negative_latency(env):
     with pytest.raises(ValueError):
         LockService(env, latency=-1.0)
+
+
+def test_a_request_is_counted_like_an_acquire(env):
+    """A free grant is one acquisition at once; a queued one is a
+    contention at once, and an acquisition and its wait when granted."""
+    service = LockService(env)
+    service.request("V", "k")
+    queued = service.request("V", "k")
+    assert (service.acquisitions, service.contentions,
+            service.max_queue_depth) == (1, 1, 1)
+    env.run(until=3.0)
+    service.release("V", "k")
+    env.run()
+    assert queued.processed
+    assert service.acquisitions == 2
+    assert service.stats()["wait_time_total"] == 3.0
