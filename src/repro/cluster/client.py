@@ -16,6 +16,7 @@ from repro.cluster.network import CLIENT
 from repro.common.records import Cell, ColumnName
 from repro.common.timestamps import TimestampOracle
 from repro.errors import NodeDownError, SessionError, ViewNotUpdatableError
+from repro.sim.kernel import Timeout
 
 __all__ = ["ClientHandle", "SyncClient"]
 
@@ -35,21 +36,24 @@ class ClientHandle:
     # -- plumbing ------------------------------------------------------------
 
     def _coordinator(self):
-        node = self.cluster.node(self.coordinator_id)
-        if node.is_down:
+        coordinator = self.cluster.coordinators[self.coordinator_id]
+        if coordinator.node.is_down:
             raise NodeDownError(
                 f"coordinator node {self.coordinator_id} is down")
-        return self.cluster.coordinator(self.coordinator_id)
+        return coordinator
 
     def _hop(self):
         """The timeout for one client<->coordinator network hop.
 
         ``yield`` the result directly (not ``yield from``): a plain
         timeout avoids a nested generator per hop, and every operation
-        pays two hops.
+        pays two hops.  The link's bound draw is made here, as
+        ``Network.rpc`` makes it, unless a slowdown is armed.
         """
-        delay = self.cluster.network.one_way_delay(CLIENT, self.coordinator_id)
-        return self.cluster.env.timeout(delay)
+        network = self.cluster.network
+        delay = (network.one_way_delay(CLIENT, self.coordinator_id)
+                 if network._slowdowns else network._client_draw())
+        return Timeout(self.cluster.env, delay)
 
     def _make_cells(self, values: Dict[ColumnName, Any],
                     timestamp: Optional[int]) -> Tuple[Dict[ColumnName, Cell], int]:

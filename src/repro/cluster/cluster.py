@@ -130,11 +130,11 @@ class Cluster:
     # -- topology ------------------------------------------------------------
 
     def node(self, node_id: int) -> StorageNode:
-        """The node with the given id."""
-        try:
-            return self.nodes[node_id]
-        except IndexError:
-            raise ClusterError(f"no node {node_id}") from None
+        """The node with the given id, one of ``0 .. nodes - 1`` (a
+        negative id is no node: ``-1`` is the network's client end)."""
+        if not 0 <= node_id < len(self.nodes):
+            raise ClusterError(f"no node {node_id}")
+        return self.nodes[node_id]
 
     def coordinator(self, node_id: int) -> Coordinator:
         """The coordinator role of node ``node_id``."""
@@ -248,6 +248,7 @@ class Cluster:
         if coordinator_id is None:
             coordinator_id = self._next_coordinator % len(self.nodes)
             self._next_coordinator += 1
+        self.node(coordinator_id)
         client_id = self._next_client_id
         self._next_client_id += 1
         return ClientHandle(self, client_id, coordinator_id)

@@ -8,14 +8,14 @@ timestamp.  The coordinator's own node can start when its own CPU falls
 free; another replica when the CPU free-at it stamped on its last reply
 to this node (``Network.reply_stamps``) falls due, plus a link round
 trip — what Cassandra's dynamic snitch and C3 rank by, and no more than
-a real coordinator could know.  Ties keep the fixed order, the own node
-first and the others taken in turn, so an idle cluster reads exactly as
-that order does.  The replicas it skipped are asked only if those R
-answers are not all in :data:`READ_HEDGE` after the request went out,
-so a healthy R = 1 read is one RPC and a lost message, a partition or a
-gray-slow replica costs the hedge plus a round trip, not
-:data:`RPC_TIMEOUT`.  Any R of N intersect a write quorum as well as
-the first R of N do.
+a real coordinator could know (one pass over the replicas, one sort).
+Ties keep the fixed order, the own node first and the others taken in
+turn, so an idle cluster reads exactly as that order does.  The
+replicas it skipped are asked only if those R answers are not all in
+:data:`READ_HEDGE` after the request went out, so a healthy R = 1 read
+is one RPC and a lost message, a partition or a gray-slow replica
+costs the hedge plus a round trip, not :data:`RPC_TIMEOUT`.  Any R of
+N intersect a write quorum as well as the first R of N do.
 
 The own node is read in process: its copy is read (and a Put's
 written) as a loopback, which ``Network.rpc`` serves as its CPU charge
@@ -99,17 +99,17 @@ class QuorumDeadlines:
         the round's timeout; a read's :class:`_Hedge` passes itself —
         ``timeout`` from now unless ``collector.is_settled`` turns true
         first."""
-        self._queue.append((self.env._now + self.timeout, collector,
-                            watched or collector))
-        if len(self._queue) == 1:
-            self._arm()
+        deadline = self.env._now + self.timeout
+        if not self._queue:
+            self._arm(deadline)
+        self._queue.append((deadline, collector, watched or collector))
 
     def clear(self) -> None:
         """Forget every watched round (a closed simulation's)."""
         self._queue.clear()
 
-    def _arm(self) -> None:
-        self.env.call_at(self._queue[0][0], self._on_timer)
+    def _arm(self, deadline: float) -> None:
+        self.env.call_at(deadline, self._on_timer)
 
     def _on_timer(self) -> None:
         """Expire what is due and re-arm for the oldest collector still
@@ -127,7 +127,7 @@ class QuorumDeadlines:
             else:
                 break
         if queue:
-            self._arm()
+            self._arm(queue[0][0])
 
 
 class ResponseCollector:
@@ -172,7 +172,7 @@ class ResponseCollector:
 
     def wait(self, count: int) -> Event:
         """Event firing with the first ``count`` responses."""
-        event = self.env.event()
+        event = Event(self.env)
         if len(self.responses) >= count:
             event.succeed(list(self.responses[:count]))
         elif self._failure is not None:
@@ -265,29 +265,29 @@ class ResponseCollector:
 
 
 class _Hedge:
-    """The replicas one quorum read skipped — those of ``order`` it did
-    not ask, in that order — on the cluster's :data:`READ_HEDGE` queue
-    with the read's collector: asked if the read has not settled (its R
-    answers all in) by the time the queue calls, which it seldom does,
-    so they are picked out only then."""
+    """The replicas one quorum read skipped — its ranked entries after
+    the first ``asked``, in position order — on the cluster's
+    :data:`READ_HEDGE` queue with the read's collector: asked if the read
+    has not settled (its R answers all in) by the time the queue calls,
+    which it seldom does, so they are put in order only then."""
 
-    __slots__ = ("coordinator", "collector", "order", "asked", "request")
+    __slots__ = ("coordinator", "collector", "ranked", "asked", "request")
 
     def __init__(self, coordinator: "Coordinator",
-                 collector: ResponseCollector, order, asked, request):
+                 collector: ResponseCollector, ranked, asked, request):
         self.coordinator = coordinator
         self.collector = collector
-        self.order = order
+        self.ranked = ranked
         self.asked = asked
         self.request = request
 
     def _expire(self) -> None:
         coordinator = self.coordinator
         coordinator.hedged_reads += 1
-        asked = self.asked
+        skipped = sorted(self.ranked[self.asked:], key=lambda entry: entry[1])
         coordinator._collect(
-            [node for node in self.order
-             if node not in asked and not node.is_down],
+            [replica for _ready, _position, replica in skipped
+             if not replica.is_down],
             self.request, into=self.collector)
 
 
@@ -348,52 +348,57 @@ class Coordinator:
         others in turn) — and to the rest only if those have not all
         answered after :data:`READ_HEDGE`.
 
-        Raises :class:`UnavailableError` if fewer than ``required``
-        replicas are alive.  With ``hint`` (a write), down replicas get
-        it parked as a hint.
+        One pass finds the alive replicas, the down ones (a write parks
+        ``hint`` for them) and, for a read, each alive one's ``(ready,
+        position, replica)``: one sort of those is the rank.  Raises
+        :class:`UnavailableError` if fewer than ``required`` are alive.
         """
         replicas = self.placement.replicas_for(table, key)
         required = validate_quorum(required, len(replicas), kind=kind)
-        alive = [replica for replica in replicas if not replica.is_down]
+        node = self.node
+        src_id = node.node_id
+        now = self.env._now
+        stamps = self.network.reply_stamps
+        round_trip = self._round_trip
+        # The alive replicas (a read's as entries), the down ones, and
+        # how many of the alive are not this node.
+        alive, down, peers = [], [], 0
+        for replica in replicas:
+            if replica.is_down:
+                down.append(replica)
+            elif every_replica:
+                alive.append(replica)
+            elif replica is node:
+                free = node.cpu.free_at
+                alive.append([free if free > now else now, -1, replica])
+            else:
+                free = stamps.get((src_id, replica.node_id), now)
+                alive.append([(free if free > now else now) + round_trip,
+                              peers, replica])
+                peers += 1
         if len(alive) < required:
             raise UnavailableError(
                 f"only {len(alive)}/{len(replicas)} replicas alive, "
                 f"need {required}", required=required, received=len(alive))
         if hint is not None:
-            for replica in replicas:
-                if replica.is_down:
-                    self.hints.add(self.node.node_id, replica.node_id,
-                                   hint)
-        if every_replica or len(alive) == required:
+            for replica in down:
+                self.hints.add(src_id, replica.node_id, hint)
+        if every_replica:
             return self._collect(alive, request)
-        node = self.node
-        others = [replica for replica in alive if replica is not node]
+        if len(alive) == required:
+            return self._collect([entry[2] for entry in alive], request)
+        # The others are taken in turn: the one whose turn it is first
+        # among equals, those before it last.
         self._partial_reads += 1
-        turn = self._partial_reads % len(others)
-        order = others[turn:] + others[:turn]
-        if len(others) < len(alive):
-            order.insert(0, node)
-        # Rank by when each replica could start serving: this node by
-        # its own CPU, the others by the free-at each stamped on its
-        # last reply here, one round trip later.
-        now = self.env.now
-        round_trip = self._round_trip
-        stamps = self.network.reply_stamps
-        src_id = node.node_id
-        ready = {}
-        for replica in order:
-            if replica is node:
-                free = node.cpu.free_at
-                ready[replica] = free if free > now else now
-            else:
-                free = stamps.get((src_id, replica.node_id), now)
-                ready[replica] = (free if free > now else now) + round_trip
-        # One stable sort: the ``required`` earliest are asked, equals
-        # in the order; the rest keep the order for the hedge.
-        asked = sorted(order, key=ready.__getitem__)[:required]
-        collector = self._collect(asked, request)
+        turn = self._partial_reads % peers
+        for entry in alive:
+            if 0 <= entry[1] < turn:
+                entry[1] += peers
+        alive.sort()
+        collector = self._collect([entry[2] for entry in alive[:required]],
+                                  request)
         self.hedges.watch(collector,
-                          _Hedge(self, collector, order, asked, request))
+                          _Hedge(self, collector, alive, required, request))
         return collector
 
     def scatter_write(self, table: str, key: Hashable,

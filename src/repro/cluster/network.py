@@ -1,31 +1,33 @@
 """Simulated network: latency, loss, partitions, RPC plumbing.
 
 A remote ``Network.rpc`` is three timers: the request's one-way delay,
-the service time the node's handler books on its CPU, and the
-response's return delay; when the third one fires, the response goes
-straight into the :class:`~repro.cluster.coordinator.ResponseCollector`
-the caller handed over.  Each timer is an ``Environment.call_at``
-callback, so the RPC's one object on the heap is its call record; there
-is no reply event.  If the destination is down, partitioned away, or
-the message is lost, the collector simply never hears back — exactly
-like a dropped packet; its quorum deadline covers it.  A handler's
-exception is handed to the collector instead of a response, which fails
-every waiter.  A reply that arrives also records, in ``reply_stamps``,
-the instant its replica's CPU would next fall free as of the handler's
-return: the load a replica piggybacks on its replies, which
-coordinators rank replicas by.
+the service time the node's handler books on its CPU, and the response's
+return delay; when the third one fires, the response goes straight into
+the :class:`~repro.cluster.coordinator.ResponseCollector` the caller
+handed over.  Each timer is a callback entry, the one
+``Environment.call_at`` would make, pushed onto the heap by the frame
+that arms it (one frame per hop), so the RPC's one object on the heap is
+its call record; there is no reply event.  If the destination is down,
+partitioned away, or the message is lost, the collector simply never
+hears back — exactly like a dropped packet; its quorum deadline covers
+it.  A handler's exception is handed to the collector instead of a
+response, which fails every waiter.  A reply that arrives also records,
+in ``reply_stamps``, the instant its replica's CPU would next fall free
+as of the handler's return: the load a replica piggybacks on its
+replies, which coordinators rank replicas by.
 
-The host path from send to ack is one pass per layer.  Each hop's
-delay is one call, the link's draw bound to the network's stream
+The host path from send to ack is one pass per layer.  Each hop's delay
+is one call, the link's draw bound to the network's stream
 (``LatencyModel.bind``: the floats ``sample`` would give, draw for
-draw), made by ``rpc`` and ``_Call.step`` themselves; they go through
-:meth:`Network.one_way_delay`, the client hops' path, only while a gray
-slowdown is armed.  A drop check is made inline, in the timer that
-delivers or hands over the message: it looks at the partitions only
-when one exists, and asks ``_lost`` every time, so that loss has one
-seam.  The destination's ``dispatch`` finds the handler's ``(cost,
-finish)`` pair of plain functions in one table lookup, and its CPU
-prices the charge in the one frame that books it (``Resource.book``).
+draw), made by ``rpc`` and ``_Call.step`` themselves, as a client's hop
+makes its own (``ClientHandle._hop``); each goes through
+:meth:`Network.one_way_delay` only while a gray slowdown is armed.  A
+drop check is made inline, in the timer that delivers or hands over the
+message: it looks at the partitions only when one exists, and asks
+``_lost`` every time, so that loss has one seam.  The destination's
+``dispatch`` finds the handler's ``(cost, finish)`` pair of plain
+functions in one table lookup, and its CPU prices the charge in the one
+frame that books it (``Resource.book``).
 
 A request a node sends to itself is a *loopback*, served in process the
 way a Cassandra coordinator reads and applies its own replica (its local
@@ -38,9 +40,10 @@ a down node still drops it.
 from __future__ import annotations
 
 import random
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Set, Tuple
 
-from repro.sim.kernel import Environment
+from repro.sim.kernel import NORMAL, Environment
 from repro.sim.latency import LatencyModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -142,8 +145,8 @@ class Network:
 
     def one_way_delay(self, src_id: int, dst_id: int) -> float:
         """Sample the one-way delay for a message between two endpoints
-        (an RPC between two nodes draws ``_replica_draw`` itself while
-        no endpoint is slowed)."""
+        (an RPC hop and a client hop draw their link's bound draw
+        themselves while no endpoint is slowed)."""
         delay = (self._client_draw if CLIENT in (src_id, dst_id)
                  else self._replica_draw)()
         slowdowns = self._slowdowns
@@ -186,12 +189,15 @@ class Network:
             delay = (self.one_way_delay(src_id, dst.node_id)
                      if self._slowdowns else self._replica_draw())
             env = self.env
-            env.call_at(env._now + delay, call.deliver)
+            env._eid += 1
+            heappush(env._heap,
+                     (env._now + delay, NORMAL, env._eid, None, call.deliver))
 
 
 class _Call:
     """One RPC in flight, and its only object on the heap: its bound
-    methods are its ``call_at`` timers.
+    methods are its timers, each pushed under the key ``call_at`` would
+    take by the method that arms it.
 
     ``deliver`` runs when the request's delay has passed (a loopback's
     at send): it makes the drop checks itself, calls
@@ -240,7 +246,10 @@ class _Call:
         except Exception as exc:  # bad request type, etc.
             self.collector.fail(exc)
             return
-        network.env.call_at(dst.cpu.book(cost), self.step)
+        env = network.env
+        env._eid += 1
+        heappush(env._heap,
+                 (dst.cpu.book(cost), NORMAL, env._eid, None, self.step))
 
     def step(self) -> None:
         try:
@@ -257,7 +266,9 @@ class _Call:
         delay = (network.one_way_delay(self.dst.node_id, self.src_id)
                  if network._slowdowns else network._replica_draw())
         env = network.env
-        env.call_at(env._now + delay, self.arrive)
+        env._eid += 1
+        heappush(env._heap,
+                 (env._now + delay, NORMAL, env._eid, None, self.arrive))
 
     def arrive(self) -> None:
         network = self.network

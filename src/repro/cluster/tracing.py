@@ -3,11 +3,12 @@
 ``cluster.enable_tracing()`` switches on the cluster's :class:`Tracer`;
 instrumented code paths (Algorithm 1 scheduling, propagation attempts
 and outcomes, GetLiveKey chain walks, session barriers) emit timestamped
-events into a bounded ring buffer.  Tracing is off by default.  Disabled,
-a site still costs a :meth:`Tracer.emit` call with its keyword
-arguments packed into a dict, which then checks the flag: 5.06 calls
-per op on mvbench's ``mv_write`` and 2.68 on ``mv_skew_session`` (the
-calls-per-op recipe in ``docs/architecture.md``, seed 0, two seconds).
+events into a bounded ring buffer.  Tracing is off by default.  A site
+on a client op's path (a Put's records and their propagation, a session
+read's barrier) tests :attr:`Tracer.enabled` before it builds a payload,
+so no mvbench workload's timed window calls :meth:`Tracer.emit` (5.06
+times per ``mv_write`` op before, seed 0).  Elsewhere a disabled site
+still costs an ``emit`` call, its keyword arguments packed into a dict.
 
 Intended for debugging and for teaching: the helpdesk example can be
 re-run with tracing on to watch Example 2's race resolve step by step.

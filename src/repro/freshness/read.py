@@ -74,7 +74,8 @@ def fresh_view_get(manager, coordinator, view_name: str, view_key: Any,
         # Completed propagations committed at the maintainer's majority;
         # only a majority view read is guaranteed to observe them.
         r = max(r, manager.maintainer.quorum)
-    yield from read_barrier(manager, coordinator, view, session)
+    if session is not None:
+        yield from read_barrier(manager, coordinator, view, session)
     tracker = manager.freshness
     sources = tracker.sources(view_name)
     certificate = tracker.certificate(view_name, max_staleness_ms,

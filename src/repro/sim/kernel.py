@@ -54,6 +54,8 @@ value, callbacks list or failure to escalate.  Use it for work nobody
 awaits as a process (an RPC is three, and its reply goes straight into
 its quorum collector: ``cluster/network.py``), and an :class:`Event`
 for what a process yields, what has several listeners, and any failure.
+On the hottest paths, an RPC hop and ``Resource.hold``, the frame that
+arms a timer pushes the entry these methods would, one frame fewer.
 What is left is made cheap: event classes are ``__slots__``-based,
 :class:`Timeout` initializes itself without chaining through
 ``Event.__init__``, and :meth:`Environment.run` drains the heap in one

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import NORMAL, Environment, Event
 
 __all__ = ["Resource", "Semaphore"]
 
@@ -88,11 +88,18 @@ class Resource:
 
         One kernel event, the timer at the end, whether or not the work
         queues.  Work that must wait for a slot goes through
-        :meth:`request`.
+        :meth:`request`; the rest is pushed here, keyed as by
+        ``Environment.timeout_at``.
         """
-        if self._free[0] > self.env._now:
+        env = self.env
+        if self._free[0] > env._now:
             return self.request(duration)
-        return self.env.timeout_at(self.book(duration))
+        event = Event(env)
+        event._value = None
+        env._eid += 1
+        heapq.heappush(env._heap,
+                       (self.book(duration), NORMAL, env._eid, event, None))
+        return event
 
     def request(self, duration: float) -> Event:
         """A :meth:`hold` that finds every slot busy: it starts when the

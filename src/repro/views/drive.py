@@ -127,8 +127,9 @@ def process_record(manager, outbox: NodeOutbox, record):
                 manager, coordinator, view, record.table, key, guesses,
                 record.update_values, base_ts, outbox=outbox)
         manager.completed_propagations += 1
-        manager.tracer.emit("propagation", "completed", view=view.name,
-                            key=key, ts=base_ts)
+        if manager.tracer.enabled:
+            manager.tracer.emit("propagation", "completed", view=view.name,
+                                key=key, ts=base_ts)
         record.resolve()
     except Exception as exc:
         failure = next((entry for entry in _EXPECTED_FAILURES
@@ -199,9 +200,10 @@ def skips_base_read(manager, node_id: int, views: List[ViewDefinition],
            for row, turn in zip(held, turns)):
         return False
     manager.maintainer.metrics.reads_skipped += 1
-    for view, row in zip(views, held):
-        manager.tracer.emit("chain", "base read skipped", view=view.name,
-                            base_key=key, live=row and row.live_key)
+    if manager.tracer.enabled:
+        for view, row in zip(views, held):
+            manager.tracer.emit("chain", "base read skipped", view=view.name,
+                                base_key=key, live=row and row.live_key)
     return True
 
 

@@ -345,9 +345,10 @@ class ViewMaintainer:
             self.metrics.chain_hops += 1
             pointer_ts = base_timestamp_of(next_cell.timestamp)
             if next_cell.value == current:
-                self.tracer.emit(
-                    "chain", "live row resolved", view=view.name,
-                    base_key=base_key, live=current, hops=hops)
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        "chain", "live row resolved", view=view.name,
+                        base_key=base_key, live=current, hops=hops)
                 if compact and hops > 2:
                     yield from self.compact_anchor(
                         coordinator, view, base_key, entry_ts, current,
@@ -412,8 +413,9 @@ class ViewMaintainer:
             live_key, live_ts = entry.live_key, entry.live_ts
             live_cells = dict(entry.cells)
             self.metrics.walks_skipped += 1
-            self.tracer.emit("chain", "live row held", view=view.name,
-                             base_key=base_key, live=live_key)
+            if self.tracer.enabled:
+                self.tracer.emit("chain", "live row held", view=view.name,
+                                 base_key=base_key, live=live_key)
         else:
             # Line 1: find the live row from the guess.  A view-key
             # update may move the row, so its walk also reads what
@@ -486,10 +488,11 @@ class ViewMaintainer:
         live_stamp = view_timestamp(base_ts, PHASE_LIVE)
         stale_ts = view_timestamp(base_ts, PHASE_STALE)
 
-        self.tracer.emit(
-            "propagate", "view-key update", view=view.name,
-            base_key=base_key, new_key=new_key, live_key=live_key,
-            ts=base_ts)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "propagate", "view-key update", view=view.name,
+                base_key=base_key, new_key=new_key, live_key=live_key,
+                ts=base_ts)
 
         if new_key == live_key:
             # Same-key refresh: line 4 alone, the self-pointer at this

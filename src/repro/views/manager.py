@@ -227,9 +227,10 @@ class ViewManager:
         affected = [view for view in self.views_on(table)
                     if view.affects(cells)]
         base_ts = max(cell.timestamp for cell in cells.values())
-        self.tracer.emit("base_put", "acked; scheduling propagation",
-                         table=table, key=key, ts=base_ts,
-                         views=[view.name for view in affected])
+        if self.tracer.enabled:
+            self.tracer.emit("base_put", "acked; scheduling propagation",
+                             table=table, key=key, ts=base_ts,
+                             views=[view.name for view in affected])
         outbox = self._outboxes[coordinator.node.node_id]
         for view in affected:
             heavy = self.skew.observe(outbox.node_id, view, key)
@@ -250,7 +251,7 @@ class ViewManager:
                                            base_ts, source, completion, heavy)
             if starts:
                 self.start_record(outbox, record)
-            if outbox.coalesced != before:
+            if self.tracer.enabled and outbox.coalesced != before:
                 self.tracer.emit("outbox", "coalesced superseded update",
                                  view=view.name, key=key, seq=record.seq)
             if session is not None:
@@ -407,7 +408,8 @@ class ViewManager:
                  columns: Tuple[ColumnName, ...], r: int, session=None):
         """Algorithm 4 behind the session barrier, priced like a base Get."""
         view = self.view(view_name)
-        yield from view_read.read_barrier(self, coordinator, view, session)
+        if session is not None:
+            yield from view_read.read_barrier(self, coordinator, view, session)
         results = yield from view_read.view_get(
             coordinator, view, view_key, columns, r)
         return results

@@ -23,9 +23,10 @@ one: the copied cells arrive in the same apply as the new row's
 self-pointer.
 
 Both read paths (``ViewManager.view_get`` and the freshness read) run
-:func:`read_barrier`, then :func:`view_get` through this module's
-attribute (mvbench's tracer wraps it).  Neither adds a coordinator
-charge: the Get below pays it, so a view Get is priced like a base Get.
+:func:`read_barrier` if there is a session, then :func:`view_get`
+through this module's attribute (mvbench's tracer wraps it).  Neither
+adds a coordinator charge: the Get below pays it, so a view Get is
+priced like a base Get.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.views.versioned import NULL_VIEW_KEY, base_timestamp_of
 __all__ = ["ViewResult", "view_get", "live_results", "read_barrier"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewResult:
     """One live view row returned by a view Get.
 
@@ -70,26 +71,26 @@ def live_results(view_key: Any, cells: Dict[ColumnName, Cell],
 
     A requested ``B`` reads as the base key with its Next pointer's
     base timestamp; ``Next`` itself is plumbing and reads as unset.
+    One pass over the row finds the live ``Next`` cells, value first.
     """
-    live = [(name[0], cell) for name, cell in cells.items()
-            if isinstance(name, tuple) and len(name) == 2
-            and name[1] == NEXT_COLUMN
-            and not cell.is_null and cell.value == view_key]
-    live.sort(key=lambda entry: repr(entry[0]))
+    live: Dict[Hashable, int] = {}
+    for name, cell in cells.items():
+        value = cell.value
+        if (value is not None and value == view_key
+                and isinstance(name, tuple) and len(name) == 2
+                and name[1] == NEXT_COLUMN):
+            live[name[0]] = cell.timestamp
     results: List[ViewResult] = []
-    for base_key, next_cell in live:
+    for base_key in sorted(live, key=repr):
         values: Dict[ColumnName, Tuple[Any, int]] = {}
         for column in columns:
             if column == BASE_KEY_COLUMN:
-                values[column] = (base_key,
-                                  base_timestamp_of(next_cell.timestamp))
+                values[column] = (base_key, base_timestamp_of(live[base_key]))
                 continue
             cell = (None if column == NEXT_COLUMN
                     else cells.get((base_key, column)))
             if cell is None or cell.timestamp == NULL_TIMESTAMP:
                 values[column] = (None, NULL_TIMESTAMP)
-            elif cell.is_null:
-                values[column] = (None, base_timestamp_of(cell.timestamp))
             else:
                 values[column] = (cell.value,
                                   base_timestamp_of(cell.timestamp))
@@ -111,21 +112,21 @@ def view_get(coordinator, view: ViewDefinition, view_key: Any,
 
 
 def read_barrier(manager, coordinator, view: ViewDefinition, session):
-    """The session barrier preceding a view read: the session's own
-    records for ``view`` resolve first.  Records of a heavy chain resolve
-    when the survivor they fold into does, so the completions a session
-    registered are barrier enough for lazy maintenance too."""
-    if session is not None:
-        if session.coordinator_id != coordinator.node.node_id:
-            raise SessionError(
-                "session guarantee requires all requests to use the "
-                "session's coordinator "
-                f"(session: {session.coordinator_id}, "
-                f"request: {coordinator.node.node_id})")
-        pending = session.pending_barriers(view.name)
-        if pending:
-            manager.tracer.emit("session", "view Get blocking",
-                                view=view.name, session=session.session_id,
-                                pending=pending)
-        yield from manager.sessions.barrier(session, view.name)
+    """The barrier preceding a view read under ``session``: the
+    session's own records for ``view`` resolve first.  Records of a heavy
+    chain resolve when the survivor they fold into does, so the
+    completions a session registered are barrier enough for lazy
+    maintenance too."""
+    if session.coordinator_id != coordinator.node.node_id:
+        raise SessionError(
+            "session guarantee requires all requests to use the "
+            "session's coordinator "
+            f"(session: {session.coordinator_id}, "
+            f"request: {coordinator.node.node_id})")
+    pending = session.pending_barriers(view.name)
+    if pending and manager.tracer.enabled:
+        manager.tracer.emit("session", "view Get blocking",
+                            view=view.name, session=session.session_id,
+                            pending=pending)
+    yield from manager.sessions.barrier(session, view.name)
 

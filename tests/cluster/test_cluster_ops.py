@@ -60,6 +60,30 @@ def test_node_lookup_bounds():
         cluster.node(99)
 
 
+@pytest.mark.parametrize("node_id", [-1, -2, -4, -5])
+def test_a_negative_id_is_no_node(node_id):
+    """``-1`` is the network's client end, and no negative id indexes
+    the node list from its end."""
+    cluster = build_cluster()
+    with pytest.raises(ClusterError):
+        cluster.node(node_id)
+    with pytest.raises(ClusterError):
+        cluster.coordinator(node_id)
+
+
+@pytest.mark.parametrize("node_id", [-2, -1, 4, 7])
+def test_a_client_of_no_node_is_refused_when_it_is_made(node_id):
+    """A handle names its coordinator once, when it is made: an id
+    outside the cluster fails there, not at the handle's first op, and
+    a session on it never starts."""
+    cluster = build_cluster(nodes=4)
+    with pytest.raises(ClusterError):
+        cluster.client(node_id)
+    with pytest.raises(ClusterError):
+        cluster.sync_client(node_id)
+    assert cluster.client(3).coordinator_id == 3
+
+
 # ---------------------------------------------------------------------------
 # Client operations
 # ---------------------------------------------------------------------------

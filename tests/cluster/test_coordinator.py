@@ -701,6 +701,25 @@ def test_on_an_idle_cluster_the_choice_is_own_node_then_in_turn(insider, r):
     assert hedges_fired(cluster) == 0
 
 
+def test_with_a_replica_down_the_alive_others_take_turns():
+    """The turn counts only the alive replicas: with one of three down
+    an outsider's R = 1 reads alternate between the other two, and an
+    R = 2 read, which has no one left to skip, asks both."""
+    cluster = build_cluster()
+    _, outsider = replica_and_outsider(cluster)
+    run_proc(cluster, outsider.put("T", "k", {"a": Cell.make(7, 5)}, w=3))
+    cluster.run_until_idle()
+    first, down, last = cluster.replicas_for("T", "k")
+    down.mark_down()
+    for read in range(1, 7):
+        assert asked_by_one_read(cluster, outsider, 1) == [
+            (first, last)[read % 2]]
+        cluster.run_until_idle()
+    assert asked_by_one_read(cluster, outsider, 2) == [first, last]
+    cluster.run_until_idle()
+    assert hedges_fired(cluster) == 0
+
+
 @pytest.mark.parametrize("own_backlog, home", [(3.0, False), (0.15, True)])
 def test_an_r1_read_leaves_a_backlogged_own_cpu_for_the_earliest_stamp(
         own_backlog, home):

@@ -73,6 +73,22 @@ def test_hint_held_by_down_holder_waits():
     assert target.engine.read("T", "k", ("a",))["a"].value == "v"
 
 
+def test_a_write_refused_as_unavailable_parks_no_hint():
+    """The alive replicas are counted before any hint is parked: a Put
+    that cannot reach W of them fails and leaves nothing to replay."""
+    cluster = build_cluster()
+    replicas = cluster.replicas_for("T", "k")
+    (outsider,) = [node for node in cluster.nodes if node not in replicas]
+    client = cluster.sync_client(coordinator_id=outsider.node_id)
+    replicas[0].mark_down()
+    replicas[1].mark_down()
+    with pytest.raises(UnavailableError):
+        client.put("T", "k", {"a": 1}, w=2)
+    assert len(cluster.hints) == 0
+    client.put("T", "k", {"a": 1}, w=1)
+    assert len(cluster.hints) == 2
+
+
 def test_reads_fail_cleanly_when_all_replicas_down():
     cluster = build_cluster()
     client = cluster.sync_client(coordinator_id=0)
