@@ -5,9 +5,12 @@ Usage::
     python -m repro.experiments                 # every figure + ablations
     python -m repro.experiments fig3 fig8       # a subset
     python -m repro.experiments --quick fig7    # small/fast variant
+    python -m repro.experiments --write EXPERIMENTS.md [names]
 
 Each experiment prints the table corresponding to one figure of the
 paper (see EXPERIMENTS.md for the paper-vs-measured comparison).
+``--write`` also replaces each run figure's measured block in the file
+and leaves everything outside the blocks as it was.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from repro.experiments import (
     ExperimentParams,
@@ -32,6 +36,7 @@ from repro.experiments import (
     fig7_session_guarantees,
     fig8_update_skew,
 )
+from repro.experiments.results import replace_measured_block
 
 EXPERIMENTS = {
     "fig3": lambda p: fig3_read_latency.run(p),
@@ -66,7 +71,12 @@ def main(argv=None) -> int:
                         help="use small/fast workload sizes")
     parser.add_argument("--seed", type=int, default=0,
                         help="root RNG seed (default 0)")
+    parser.add_argument("--write", type=Path, metavar="FILE",
+                        help="replace each figure's measured block in FILE "
+                             "(default sizes, seed 0 only)")
     args = parser.parse_args(argv)
+    if args.write and (args.quick or args.seed):
+        parser.error("--write records default sizes at seed 0")
 
     params = ExperimentParams(seed=args.seed)
     if args.quick:
@@ -78,6 +88,9 @@ def main(argv=None) -> int:
         elapsed = time.time() - started
         print(result.format_table())
         print(f"[{name} regenerated in {elapsed:.1f}s]")
+        if args.write:
+            args.write.write_text(
+                replace_measured_block(args.write.read_text(), result))
         print()
     return 0
 

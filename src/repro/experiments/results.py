@@ -2,9 +2,11 @@
 
 Every experiment returns a :class:`FigureResult` whose ``format_table``
 mirrors the corresponding figure of the paper: same series, same x-axis,
-values from the simulation.  The figure tests print these tables so a
-run of ``pytest benchmarks --ignore=benchmarks/mvbench`` regenerates
-the paper's evaluation section.
+values from the simulation, as a markdown table.  EXPERIMENTS.md holds
+each figure's table between ``<!-- measured: <figure> -->`` and
+``<!-- /measured -->``; :func:`measured_block` reads one and
+:func:`replace_measured_block` rewrites it, so the program is the only
+writer of a measured number there.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-__all__ = ["FigureResult"]
+__all__ = ["FigureResult", "measured_block", "replace_measured_block"]
+
+MEASURED_END = "<!-- /measured -->"
 
 
 @dataclass
@@ -46,22 +50,40 @@ class FigureResult:
                 if row[label_index] == label]
 
     def format_table(self) -> str:
-        """Render an aligned ASCII table with header and title."""
+        """Render a markdown table under a title line, notes below."""
         def fmt(value) -> str:
             if isinstance(value, float):
                 return f"{value:.3f}"
             return str(value)
 
-        cells = [list(self.columns)] + [
-            [fmt(value) for value in row] for row in self.rows]
-        widths = [max(len(row[i]) for row in cells)
-                  for i in range(len(self.columns))]
-        lines = [f"{self.figure}: {self.title}"]
-        header = "  ".join(c.ljust(w) for c, w in zip(cells[0], widths))
-        lines.append(header)
-        lines.append("-" * len(header))
-        for row in cells[1:]:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        lines = [f"{self.figure}: {self.title}", "",
+                 "| " + " | ".join(self.columns) + " |",
+                 "|" + "---|" * len(self.columns)]
+        lines += ["| " + " | ".join(map(fmt, row)) + " |"
+                  for row in self.rows]
         if self.notes:
-            lines.append(f"note: {self.notes}")
+            lines += ["", f"note: {self.notes}"]
         return "\n".join(lines)
+
+
+def _block_span(text: str, figure: str) -> Tuple[int, int]:
+    """Where ``figure``'s one measured block sits in ``text``."""
+    opening = f"<!-- measured: {figure} -->\n"
+    begin = text.find(opening)
+    end = text.find(MEASURED_END, begin)
+    if text.count(opening) != 1 or end < 0:
+        raise ValueError(f"no single '{opening.strip()}' ... "
+                         f"'{MEASURED_END}' block")
+    return begin + len(opening), end
+
+
+def measured_block(text: str, figure: str) -> str:
+    """The table committed for ``figure`` in ``text``."""
+    start, end = _block_span(text, figure)
+    return text[start:end]
+
+
+def replace_measured_block(text: str, result: FigureResult) -> str:
+    """``text`` with ``result``'s block holding its table."""
+    start, end = _block_span(text, result.figure)
+    return text[:start] + result.format_table() + "\n" + text[end:]

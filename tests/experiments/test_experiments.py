@@ -18,6 +18,7 @@ from repro.experiments import (
     fig8_update_skew,
 )
 from repro.experiments.calibration import experiment_config, fig7_config
+from repro.experiments.results import measured_block, replace_measured_block
 from repro.experiments.scenarios import (
     PAYLOAD_COLUMN,
     TABLE,
@@ -60,12 +61,33 @@ def test_figure_result_series_filter():
 
 
 def test_figure_result_format_table():
-    result = FigureResult("Figure X", "demo", ("col",), notes="hello")
-    result.add_row(1.23456)
-    text = result.format_table()
-    assert "Figure X" in text
-    assert "1.235" in text
-    assert "note: hello" in text
+    result = FigureResult("Figure X", "demo", ("col", "n"), notes="hello")
+    result.add_row(1.23456, 7)
+    assert result.format_table().splitlines() == [
+        "Figure X: demo",
+        "",
+        "| col | n |",
+        "|---|---|",
+        "| 1.235 | 7 |",
+        "",
+        "note: hello",
+    ]
+
+
+def test_a_measured_block_is_read_and_replaced_between_its_markers():
+    result = FigureResult("Figure X", "demo", ("col",))
+    result.add_row(2)
+    text = ("intro\n<!-- measured: Figure X -->\nold\n<!-- /measured -->\n"
+            "<!-- measured: Figure Y -->\nkept\n<!-- /measured -->\n")
+    written = replace_measured_block(text, result)
+    assert measured_block(written, "Figure X") == result.format_table() + "\n"
+    assert measured_block(written, "Figure Y") == "kept\n"
+    assert written.startswith("intro\n")
+    assert replace_measured_block(written, result) == written
+    for broken in (text.replace("Figure X", "Figure Z"),
+                   text + "<!-- measured: Figure X -->\n"):
+        with pytest.raises(ValueError):
+            replace_measured_block(broken, result)
 
 
 # ---------------------------------------------------------------------------

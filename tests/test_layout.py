@@ -343,6 +343,95 @@ def test_a_chains_in_flight_answer_is_one_manager_method():
     assert method.name == "chain_epoch"
 
 
+# Reads of state no single node holds: every node's storage engine or
+# outbox (``converged_rows``, ``table_keys``, the view oracles built on
+# them, ``unresolved_for``), and the manager's cluster-wide in-flight
+# state (``_puts_in_flight``, ``chain_epoch``, ``chain_appends``).  They
+# cost no message and no simulated time.
+GODS_EYE = {
+    "converged_rows", "table_keys", "engine", "merged_view_state",
+    "merged_view_rows", "state_digest", "live_state_digest",
+    "entries_for_base_key", "collect_entries", "live_entries",
+    "check_view", "expected_canonical_rows", "actual_canonical_rows",
+    "unresolved_for", "_outboxes", "_puts_in_flight", "chain_epoch",
+    "chain_appends",
+}
+# Who may read it: the oracles the tests and experiments judge against,
+# measurement nothing acts on, the primitives themselves, the schema
+# catalog and a node's (or its coordinator's) own outbox.
+MAY_READ_GODS_EYE = (
+    "views/invariants.py:", "views/model.py:", "scenarios/",
+    "experiments/", "repair/detector.py:divergent_base_keys",
+    "views/stats.py:compute_stats", "cluster/cluster.py:Cluster.",
+    "views/outbox.py:NodeOutbox.", "views/manager.py:ViewManager.__init__",
+    "views/manager.py:ViewManager.register",
+    "views/manager.py:ViewManager.append_records",
+    "views/manager.py:ViewManager.pending_propagations",
+    "views/manager.py:ViewManager.outbox_stats",
+    "views/manager.py:ViewManager.skew_stats",
+)
+# Every remaining read, on a client, scrub or repair path: each is a
+# debt of ROADMAP item 29 until the fact travels in a message.  Paying
+# one deletes its entry; nothing is added here.
+GODS_EYE_DEBTS = {
+    # (c) the scrubber compares converged state row by row ...
+    "repair/detector.py:dirty_buckets": {
+        "live_entries", "expected_canonical_rows", "actual_canonical_rows"},
+    "repair/detector.py:expected_canonical_rows": {"converged_rows"},
+    "repair/detector.py:actual_canonical_rows": {"live_entries"},
+    # ... over a key universe read off every node's engine, as do a new
+    # view's load and anti-entropy's sweep.
+    "repair/scanner.py:TokenRangeScanner.snapshot": {"table_keys"},
+    "repair/scheduler.py:load_view": {"table_keys", "chain_epoch"},
+    "cluster/antientropy.py:repair_table": {"table_keys"},
+    # (b) the certificate reads every node's outbox.
+    "freshness/certificate.py:FreshnessTracker.sources": {"unresolved_for"},
+    # (d) the scrubber's in-flight test, and the count it rests on.
+    "views/manager.py:ViewManager.chain_epoch": {
+        "_puts_in_flight", "_outboxes", "chain_appends"},
+    "views/manager.py:ViewManager.base_put": {"_puts_in_flight"},
+    "repair/scheduler.py:ViewScrubber._scrub_view": {"chain_epoch"},
+    "repair/scheduler.py:_judge_rows": {"chain_epoch"},
+    # GC finds a row's entries in every node's view storage.
+    "views/gc.py:_collect_all": {"collect_entries"},
+    "views/gc.py:_collect_under_serialization": {"entries_for_base_key"},
+    "views/gc.py:_sweep_base_row": {"entries_for_base_key"},
+}
+
+
+def _gods_eye_reads():
+    """Per function outside ``MAY_READ_GODS_EYE``, the names of
+    ``GODS_EYE`` it reads (an ``engine`` only if not its own)."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for name, function in _functions(ast.parse(path.read_text())):
+            where = f"{path.relative_to(SRC)}:{name}"
+            if where.startswith(MAY_READ_GODS_EYE):
+                continue
+            for node in _own_nodes(function):
+                if isinstance(node, ast.Name):
+                    word = node.id
+                elif isinstance(node, ast.Attribute):
+                    word = node.attr
+                    if word == "engine" and isinstance(node.value, ast.Name) \
+                            and node.value.id == "self":
+                        continue
+                else:
+                    continue
+                if word in GODS_EYE:
+                    found.setdefault(where, set()).add(word)
+    return found
+
+
+def test_state_no_node_holds_is_read_only_where_named():
+    """ROADMAP item 29(a): a client, scrub or repair path that reads
+    another node's storage or outbox, or the manager's in-flight state,
+    is named in ``GODS_EYE_DEBTS``; the oracles, measurement and the
+    primitives themselves may read it.  A new read fails here, and so
+    does a paid debt still listed."""
+    assert _gods_eye_reads() == GODS_EYE_DEBTS
+
+
 def test_replica_merge_has_one_seam():
     """LWW row merging, the replica diff and the background wait for
     replica replies each live in one place: ``merge_rows`` /
