@@ -96,9 +96,11 @@ class ClientHandle:
         cells, ts = self._make_cells(values, timestamp)
         yield self._hop()
         coordinator = self._coordinator()
-        if manager is not None and manager.views_affected(table, cells):
+        affected = (manager.views_affected(table, cells)
+                    if manager is not None else None)
+        if affected:
             yield from manager.base_put(coordinator, table, key, cells, w,
-                                        session=self.session)
+                                        self.session, affected)
         else:
             yield from coordinator.put(table, key, cells, w)
             # A view registered while the write was in flight gets its

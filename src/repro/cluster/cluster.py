@@ -271,10 +271,10 @@ class Cluster:
         adversary can drift a client mid-run.  Clamped at zero: a
         skewed clock never runs before the epoch.
         """
-        skews = self._clock_skews
+        env, skews = self.env, self._clock_skews
 
         def now() -> float:
-            return max(0.0, self.env.now + skews.get(client_id, 0.0))
+            return max(0.0, env._now + skews.get(client_id, 0.0))
 
         return now
 

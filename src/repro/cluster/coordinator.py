@@ -354,7 +354,9 @@ class Coordinator:
         :class:`UnavailableError` if fewer than ``required`` are alive.
         """
         replicas = self.placement.replicas_for(table, key)
-        required = validate_quorum(required, len(replicas), kind=kind)
+        n = len(replicas)
+        if not 1 <= required <= n:
+            validate_quorum(required, n, kind=kind)  # raises
         node = self.node
         src_id = node.node_id
         now = self.env._now
@@ -378,7 +380,7 @@ class Coordinator:
                 peers += 1
         if len(alive) < required:
             raise UnavailableError(
-                f"only {len(alive)}/{len(replicas)} replicas alive, "
+                f"only {len(alive)}/{n} replicas alive, "
                 f"need {required}", required=required, received=len(alive))
         if hint is not None:
             for replica in down:

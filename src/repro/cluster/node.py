@@ -19,6 +19,10 @@ a bound method of itself), the CPU prices each booking (a gray
 slowdown, ``busy_time``) in the one frame that books it, a write on a
 node with no index fragment neither prices nor maintains one, and its
 cells reach the row in one ``Row.apply`` (``LocalStorageEngine.apply``).
+A replica write is one frame per half: ``_write_cost`` prices the cells
+itself, and ``_write`` applies them, maintains the fragments, defers
+the background work and returns the node's one ``WriteAck``, made once
+(it is immutable); a Get-then-Put's write half is the same ``_write``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ class StorageNode:
         self.index_schema = index_schema
         self._fragments: Dict[Tuple[str, ColumnName], LocalIndexFragment] = {}
         self.is_down = False
+        self._ack = WriteAck(node_id)
         # Observability counter.
         self.requests_handled = 0
 
@@ -157,10 +162,20 @@ class StorageNode:
         touched = sum(1 for column in request.cells if column in indexed)
         return touched * self.service.index_update
 
-    def _apply_write(self, table: str, key: Hashable,
-                     cells: Dict[ColumnName, Cell]) -> None:
-        """Apply a write and maintain local index fragments; atomic."""
-        changed = self.engine.apply(table, key, cells)
+    def _write_cost(self, request: WriteRequest) -> float:
+        # ``ServiceTimes.write_cost``, priced here: one frame per write.
+        service = self.service
+        cost = service.write + service.per_cell * len(request.cells)
+        if self._fragments:
+            cost += self._index_maintenance_cost(request)
+        return cost
+
+    def _write(self, request) -> WriteAck:
+        """Apply a write (a :class:`WriteRequest`, or the write half of a
+        :class:`GetThenPutRequest`) and maintain the local index
+        fragments; atomic.  The node's one ack: it is immutable."""
+        table, key = request.table, request.key
+        changed = self.engine.apply(table, key, request.cells)
         fragments = self._fragments
         if fragments:
             for column, (old, new) in changed.items():
@@ -172,16 +187,7 @@ class StorageNode:
         background = self.service.write_background
         if background > 0:
             self.cpu.defer(background)
-
-    def _write_cost(self, request: WriteRequest) -> float:
-        cost = self.service.write_cost(len(request.cells))
-        if self._fragments:
-            cost += self._index_maintenance_cost(request)
-        return cost
-
-    def _write(self, request: WriteRequest) -> WriteAck:
-        self._apply_write(request.table, request.key, request.cells)
-        return WriteAck(self.node_id)
+        return self._ack
 
     def _read_cost(self, request: ReadRequest) -> float:
         return self.service.read_cost(len(request.columns))
@@ -211,7 +217,7 @@ class StorageNode:
         # Read-then-write in one callback: atomic at this replica.
         pre = self.engine.read(request.table, request.key,
                                request.read_columns)
-        self._apply_write(request.table, request.key, request.cells)
+        self._write(request)
         return GetThenPutResponse(self.node_id, pre)
 
     def _index_scan_cost(self, request: IndexScanRequest) -> float:

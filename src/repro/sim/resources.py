@@ -105,8 +105,15 @@ class Resource:
         """A :meth:`hold` that finds every slot busy: it starts when the
         first one falls free.  A separate method so the queued waits can
         be counted by wrapping it (mvbench's
-        ``sim.resources.cpu_requests_queued_per_op``)."""
-        return self.env.timeout_at(self.book(duration))
+        ``sim.resources.cpu_requests_queued_per_op``).  Its end is
+        pushed here, keyed as by ``Environment.timeout_at``."""
+        env = self.env
+        event = Event(env)
+        event._value = None
+        env._eid += 1
+        heapq.heappush(env._heap,
+                       (self.book(duration), NORMAL, env._eid, event, None))
+        return event
 
 
 class Semaphore:
@@ -135,11 +142,18 @@ class Semaphore:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        """Return an event that fires once a token is consumed."""
-        event = self.env.event()
+        """Return an event that fires once a token is consumed.  With a
+        token free it is pushed here for the current instant, keyed as
+        by ``Event.succeed``: its waiter resumes one pop later, after
+        the events already due, never in place."""
+        env = self.env
+        event = Event(env)
         if self._tokens > 0:
             self._tokens -= 1
-            event.succeed()
+            event._value = None
+            env._eid += 1
+            heapq.heappush(env._heap,
+                           (env._now, NORMAL, env._eid, event, None))
         else:
             self._waiters.append(event)
         return event

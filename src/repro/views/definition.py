@@ -74,8 +74,7 @@ class ViewDefinition:
 
     def affects(self, columns: Iterable[ColumnName]) -> bool:
         """True if a Put touching ``columns`` requires propagation."""
-        watched = self.watched_columns
-        return any(column in watched for column in columns)
+        return not self.watched_columns.isdisjoint(columns)
 
     def accepts_key(self, value: Any) -> bool:
         """Apply the optional selection predicate to a view-key value.

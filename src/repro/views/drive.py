@@ -261,12 +261,12 @@ def propagate_with_retries(manager, coordinator, view: ViewDefinition,
     holds no worker and passes no outbox.
     """
     def job(executor, turn):
+        # The round's own generator, for ``serialized`` to run.
         nonlocal whole_row
         whole_row = whole_row or (
             turn == 1 and view.name in manager.maintainer.backfilled)
-        return (yield from _attempt_round(manager, executor, view, key,
-                                          guesses, update_values, base_ts,
-                                          turn, whole_row))
+        return _attempt_round(manager, executor, view, key, guesses,
+                              update_values, base_ts, turn, whole_row)
 
     rounds = 0
     while True:

@@ -243,14 +243,16 @@ class ViewMaintainer:
 
     # -- low-level view I/O (majority quorums) ---------------------------------
 
+    # Each returns the quorum op's own generator, to ``yield from``:
+    # no frame of its own to resume on every step below it.
+
     def _view_get(self, coordinator, view_name: str, view_key: Any,
                   columns: Tuple[ColumnName, ...]):
-        return (yield from coordinator.get(view_name, view_key, columns,
-                                           self.quorum))
+        return coordinator.get(view_name, view_key, columns, self.quorum)
 
     def _view_put(self, coordinator, view_name: str, view_key: Any,
                   cells: Dict[ColumnName, Cell]):
-        yield from coordinator.put(view_name, view_key, cells, self.quorum)
+        return coordinator.put(view_name, view_key, cells, self.quorum)
 
     def _base_cells(self, coordinator, view: ViewDefinition,
                     base_key: Hashable, update_values: Dict[ColumnName, Any]):

@@ -94,8 +94,9 @@ class ViewManager:
         # Fencing tokens: jobs started per chain, view name -> base key
         # -> count (see serialized).
         self._turns: Dict[str, Dict[Hashable, int]] = {}
-        # Per chain: base Puts written but not yet appended (base_put).
-        self._puts_in_flight: Counter = Counter()
+        # Per chain: base Puts written but not yet appended (base_put);
+        # a chain with none has no entry.
+        self._puts_in_flight: Dict[Tuple[str, Hashable], int] = {}
         # Observability.
         self.completed_propagations = 0
         self.lost_propagations = 0
@@ -161,26 +162,26 @@ class ViewManager:
         """All registered view names."""
         return list(self._views)
 
-    def views_on(self, table: str) -> List[ViewDefinition]:
-        """The views defined on ``table``."""
-        return list(self._by_table.get(table, ()))
-
-    def views_affected(self, table: str, cells: Dict[ColumnName, Any]) -> bool:
-        """True if a Put touching ``cells`` requires any propagation."""
-        return any(view.affects(cells) for view in self.views_on(table))
+    def views_affected(self, table: str, cells: Dict[ColumnName, Any]
+                       ) -> List[ViewDefinition]:
+        """The views a Put touching ``cells`` propagates to (empty if
+        none: a plain Put)."""
+        return [view for view in self._by_table.get(table, ())
+                if view.affects(cells)]
 
     # -- Algorithm 1: base Put with update propagation ------------------------
 
     def base_put(self, coordinator, table: str, key: Hashable,
-                 cells: Dict[ColumnName, Cell], w: int, session=None):
+                 cells: Dict[ColumnName, Cell], w: int, session=None,
+                 affected: Optional[List[ViewDefinition]] = None):
         """Put with propagation; returns after W base-replica acks.
 
-        The Put affects at least one view; propagation to each continues
-        asynchronously, and with ``session`` each record's completion
-        event is registered for the Section V guarantee.
+        The Put affects at least one view (``affected``, as
+        :meth:`views_affected` found them); propagation to each
+        continues asynchronously, and with ``session`` each record's
+        completion event is registered for the Section V guarantee.
         """
-        affected = [view for view in self.views_on(table)
-                    if view.affects(cells)]
+        affected = affected or self.views_affected(table, cells)
         combined = self.config.combined_get_then_put
         if not combined:  # the peek travels during the charge
             turns, answered_at = self.peek_sequencer(affected, key)
@@ -188,7 +189,7 @@ class ViewManager:
         read_columns = tuple(dict.fromkeys(
             view.view_key_column for view in affected))
         collector = None
-        if not combined and answered_at > self.env.now:
+        if not combined and answered_at > self.env._now:
             yield self.env.timeout_at(answered_at)
         if not combined and not skips_base_read(
                 self, coordinator.node.node_id, affected, key, turns):
@@ -201,7 +202,9 @@ class ViewManager:
         # In flight on each chain from its first replica write until its
         # records are appended, or it fails (see chain_epoch).
         chains = [(view.name, key) for view in affected]
-        self._puts_in_flight.update(chains)
+        in_flight = self._puts_in_flight
+        for chain in chains:
+            in_flight[chain] = in_flight.get(chain, 0) + 1
         try:
             if combined:
                 # Single round trip: each replica reads its pre-update
@@ -214,7 +217,10 @@ class ViewManager:
             yield from self.append_records(coordinator, table, key, cells,
                                            collector, session)
         finally:
-            self._puts_in_flight.subtract(chains)
+            for chain in chains:
+                count = in_flight.pop(chain) - 1
+                if count:
+                    in_flight[chain] = count
 
     def append_records(self, coordinator, table: str, key: Hashable,
                        cells: Dict[ColumnName, Cell],
@@ -224,8 +230,7 @@ class ViewManager:
         view-key read (each response's ``cells``).  A plain Put calls
         this with none for a view registered while its write was in
         flight."""
-        affected = [view for view in self.views_on(table)
-                    if view.affects(cells)]
+        affected = self.views_affected(table, cells)
         base_ts = max(cell.timestamp for cell in cells.values())
         if self.tracer.enabled:
             self.tracer.emit("base_put", "acked; scheduling propagation",
@@ -315,7 +320,7 @@ class ViewManager:
         latency = (self.locks.latency if self.propagator_ring is None
                    else 0.0)
         return ([self._turns[view.name].get(key, 0) for view in views],
-                self.env.now + latency)
+                self.env._now + latency)
 
     def chain_epoch(self, view_name: str, key: Hashable):
         """The chain's epoch — (records ever appended, jobs ever started
@@ -324,8 +329,8 @@ class ViewManager:
         awake (one asleep in a retry backoff may wait for a scrub repair)."""
         chain = (view_name, key)
         outboxes = self._outboxes.values()
-        if self._puts_in_flight[chain] or any(o.working(chain)
-                                              for o in outboxes):
+        if chain in self._puts_in_flight or any(o.working(chain)
+                                                for o in outboxes):
             return None
         return (sum(o.chain_appends.get(chain, 0) for o in outboxes),
                 self._turns[view_name].get(key, 0))

@@ -262,7 +262,7 @@ class NodeOutbox:
         self.appended += 1
         record = OutboxRecord(self.appended, view, table, key,
                               dict(update_values), base_ts, source,
-                              completion, appended_at=self.env.now,
+                              completion, appended_at=self.env._now,
                               heavy=heavy)
         unresolved = self._unresolved
         seq = record.seq

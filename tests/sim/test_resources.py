@@ -244,6 +244,33 @@ def test_free_at_is_when_the_first_core_falls_free():
         resource.free_at = 0.0
 
 
+def test_a_queued_holds_end_pops_in_order_with_a_timeout_for_that_instant():
+    """A queued hold's end (``request``) is keyed as ``timeout_at``
+    keys it: among timers due at the same instant it pops in the order
+    it was armed, after a ``Timeout`` armed before it and before one
+    armed after it."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    original = resource.request
+    queued = []
+
+    def counting(duration):
+        queued.append(duration)
+        return original(duration)
+
+    resource.request = counting
+    order = []
+    resource.hold(5.0)                                   # 0 .. 5
+    before = env.timeout(7.0)
+    end = resource.hold(2.0)                             # queued: 5 .. 7
+    after = env.timeout(7.0)
+    for name, event in (("before", before), ("end", end), ("after", after)):
+        event.add_callback(lambda _e, name=name: order.append((name, env.now)))
+    env.run()
+    assert queued == [2.0]
+    assert order == [("before", 7.0), ("end", 7.0), ("after", 7.0)]
+
+
 def test_hold_rejects_negative_duration():
     env = Environment()
     resource = Resource(env, capacity=1)
@@ -282,6 +309,33 @@ def test_semaphore_initial_tokens():
     env.process(releaser())
     env.run()
     assert acquired == [("a", 0.0), ("b", 0.0), ("c", 5.0)]
+
+
+def test_a_free_token_is_one_heap_entry_due_now():
+    """A free token's grant is one heap entry for the current instant,
+    keyed as ``Event.succeed`` keys it: the acquiring process resumes
+    after the events already due then, never in place."""
+    env = Environment()
+    sem = Semaphore(env, tokens=1)
+    order = []
+
+    def taker():
+        yield env.timeout(1.0)
+        due = env.event().succeed()
+        due.callbacks.append(lambda _e: order.append(("due", env.now)))
+        entries = len(env._heap)
+        grant = sem.acquire()
+        assert len(env._heap) == entries + 1
+        assert grant.triggered and not grant.processed
+        assert max(env._heap, key=lambda entry: entry[2])[:2] == (1.0, 1)
+        order.append(("acquired", env.now))
+        yield grant
+        order.append(("resumed", env.now))
+
+    env.process(taker())
+    env.run()
+    assert order == [("acquired", 1.0), ("due", 1.0), ("resumed", 1.0)]
+    assert sem.tokens == 0
 
 
 def test_semaphore_negative_tokens_rejected():

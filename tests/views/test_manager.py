@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.errors import (
     NoSuchViewError,
+    UnavailableError,
     ViewDefinitionError,
     ViewExistsError,
     ViewNotUpdatableError,
@@ -135,6 +136,26 @@ def test_watched_put_counts_propagation():
     client.put("T", "k", {"m": "x"}, w=2)
     client.settle()
     assert cluster.view_manager.completed_propagations == 2
+
+
+def test_an_idle_manager_holds_no_in_flight_put():
+    """A chain counts a base Put in flight from its first replica write
+    to its append, or its failure, and no longer: once Puts return, the
+    manager keeps no entry for a chain, not even at zero (it kept one
+    per chain ever Put)."""
+    cluster, client = build()
+    manager = cluster.view_manager
+    for i in range(20):
+        client.put("T", f"k{i}", {"vk": f"g{i % 4}", "m": i}, w=2)
+    client.put("T", "k0", {"vk": "moved"}, w=2)
+    (replica, *_others) = cluster.replicas_for("T", "down")
+    replica.mark_down()
+    with pytest.raises(UnavailableError):
+        client.put("T", "down", {"vk": "x"}, w=3)
+    replica.mark_up()
+    client.settle()
+    assert list(manager._puts_in_flight) == []
+    assert manager.chain_epoch("V", "k0") is not None
 
 
 def test_interleaved_updates_many_keys():
